@@ -7,11 +7,12 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/pool ./internal/sim ./internal/netsim ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
+	$(GO) test -race ./internal/pool ./internal/sim ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
 
-# Race-detector pass over the concurrent packages and the core they drive.
+# Race-detector pass over the concurrent packages and the core they drive
+# (internal/netsim and internal/proto are single-threaded by construction).
 race:
-	$(GO) test -race ./internal/pool ./internal/sim ./internal/core ./internal/netsim ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
+	$(GO) test -race ./internal/pool ./internal/sim ./internal/core ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
 
 # Microbenchmarks for the sparse core (see results/BENCH_sparse.json).
 bench:

@@ -7,7 +7,7 @@
 //	lbsim -n 64 -steps 500 -f 1.1 -delta 1 -c 4 -runs 100
 //	lbsim -algo rsu -pattern hotspot -n 64
 //	lbsim -topology torus -delta 4
-//	lbsim -algo netsim -drop 0.2 -crash 4        # asynchronous run with faults
+//	lbsim -algo netsim -drop 0.2 -crash 4        # message-passing run with faults
 //	lbsim -algo netsim -metrics-dump             # JSON metrics registry after the run
 //	lbsim -n 1000000 -shards 64 -pattern oneproducer -stats-every 8000000
 //	lbsim -n 4096 -cpuprofile cpu.out            # profile the hot path
@@ -341,7 +341,7 @@ func run(o options) error {
 }
 
 // netsimRates maps a workload pattern name to per-node generate/consume
-// probability vectors for the asynchronous simulator, which has no notion
+// probability vectors for the message-passing simulator, which has no notion
 // of the engine's time-phased patterns.
 func netsimRates(pattern string, n int) (gen, con []float64, err error) {
 	switch pattern {
@@ -364,7 +364,7 @@ func netsimRates(pattern string, n int) (gen, con []float64, err error) {
 	}
 }
 
-// runNetsim drives the asynchronous message-passing realization, with the
+// runNetsim drives the virtual-time message-passing simulation, with the
 // optional fault layer (-drop, -delay, -crash). A non-nil registry
 // accumulates every run's netsim_* totals for -metrics-dump.
 func runNetsim(o options, reg *obs.Registry) error {

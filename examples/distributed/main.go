@@ -1,7 +1,7 @@
-// Distributed: run the share-nothing, message-passing realization of the
-// algorithm — every processor is a goroutine, every balancing operation a
-// freeze/ack/transfer protocol over channels — and inspect the
-// communication cost.
+// Distributed: run the share-nothing, message-passing simulation of the
+// algorithm — every processor is a protocol machine owning its load,
+// every balancing operation a freeze/ack/transfer exchange through a
+// simulated network — and inspect the communication cost.
 //
 //	go run ./examples/distributed
 package main

@@ -1,28 +1,25 @@
 // Package cluster is the wire-level runtime of the balancing protocol:
-// netsim's freeze/ack/transfer state machine generalized to run over
-// any wire.Transport, so the same node code balances over in-memory
-// loopback, real TCP sockets (cmd/lbnode), or any transport a
-// downstream embedder provides.
+// the freeze/ack/transfer state machine of internal/proto driven on the
+// wall clock over any wire.Transport, so the same node code balances
+// over in-memory loopback, real TCP sockets (cmd/lbnode), or any
+// transport a downstream embedder provides.
 //
 // # Protocol
 //
-// The balancing protocol is netsim's (see that package's comment): a
-// node whose load changed by the factor f since its last balancing
-// operation freezes δ random partners, collects their loads, and deals
-// out ±1 equal shares; any busy partner aborts the round. Three things
-// change at the wire level:
+// The handshake itself — trigger, freeze, ±1 split, epochs, abort and
+// backoff — is proto.Machine's (see that package's comment); a Node
+// feeds it frames and timeouts and carries out its effects. What the
+// node adds is everything a real network needs around the handshake:
 //
-//   - Transfers are acknowledged (TransferAck). On channels, delivery
-//     is atomic with the send; on a real network the initiator must
-//     know when its transfers have landed before it may declare itself
+//   - Transfers are acknowledged (TransferAck). The initiator must know
+//     when its transfers have landed before it may declare itself
 //     quiet, or shutdown could race a transfer and lose packets.
-//   - Timeouts are wall-clock. The initiator reply timeout and the
-//     frozen-partner self-release (with protocol epochs to reject stale
-//     replies) carry over from the netsim fault layer, but count real
-//     time: a live TCP peer answers in microseconds, so a missing reply
-//     means a dead or unreachable peer, not an unlucky scheduler slice.
-//   - Shutdown is a distributed two-phase protocol instead of an
-//     in-process WaitGroup. Phase one (quiesce): each node that has
+//   - Timeouts are wall-clock. The node decides when the machine's
+//     reply timeout and frozen-partner self-release are due: a live TCP
+//     peer answers in microseconds, so a missing reply means a dead or
+//     unreachable peer, not an unlucky scheduler slice.
+//   - Shutdown is a distributed two-phase protocol. Phase one
+//     (quiesce): each node that has
 //     finished its steps, is not mid-protocol, and has no unacked
 //     transfers sends Idle to the coordinator (node 0) — once — and
 //     keeps serving as a balancing partner. Because a node only goes
@@ -32,6 +29,8 @@
 //     answers Bye carrying its final load and lifetime generated and
 //     consumed counts, then closes. The coordinator sums the Byes and
 //     checks exact packet conservation across the cluster.
+//   - Pacing, serve-mode job records, abort attribution and the
+//     obs/trace/flight instrumentation hang off the machine's effects.
 package cluster
 
 import (
@@ -42,6 +41,7 @@ import (
 
 	"lmbalance/internal/flight"
 	"lmbalance/internal/obs"
+	"lmbalance/internal/proto"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/wire"
 )
@@ -50,9 +50,8 @@ import (
 // on a healthy network replies arrive in microseconds, so it only
 // fires when a peer is down, and a premature fire costs only an abort.
 const (
-	DefaultTimeout      = 2 * time.Second
-	DefaultTick         = 20 * time.Millisecond
-	defaultBackoffSteps = 8
+	DefaultTimeout = 2 * time.Second
+	DefaultTick    = 20 * time.Millisecond
 )
 
 // Config parameterizes one node of a cluster.
@@ -270,22 +269,21 @@ type Report struct {
 	Summary *Summary
 }
 
-// Node is one running cluster node.
+// Node is one running cluster node: the wall-clock driver of one
+// proto.Machine.
 type Node struct {
 	cfg   Config
-	rng   *rng.RNG
+	rng   *rng.RNG // workload and partner draws; shared with the machine
 	opRNG *rng.RNG // dedicated stream for op ids; never touches workload draws
 	done  chan struct{}
 	rep   *Report
 	err   error
 
-	load int
-	lOld int
+	m    *proto.Machine // load, trigger and handshake state
+	effs []proto.Effect // reused effect buffer
 
-	// initiator-side protocol state
-	inflight   bool
-	op         uint64 // current balancing-operation id (0 = none); minted per initiate
-	lastInitAt time.Time
+	// initiator-side driver state
+	lastInitAt time.Time // when the latest (possibly in-flight) protocol started
 	// lastDoneAt is when the last protocol attempt finished (success or
 	// abort). The adaptive pacer anchors its gap here rather than at
 	// initiate: a congested attempt is itself many gap-widths long, so a
@@ -293,25 +291,14 @@ type Node struct {
 	// the abort lands and would defer nothing (the collision analog:
 	// Ethernet backs off from the collision, not from transmit start).
 	lastDoneAt time.Time
-	seq        uint64        // protocol epoch; bumped per initiate and per abandon
-	epoch      atomic.Uint64 // mirrors seq for cross-goroutine readers (Epoch)
-	awaiting   int
-	sawBusy    bool
-	ackedFrom  []int
-	ackedLoads []int
-	unacked    int // transfers sent but not yet acknowledged
-	protoAt    time.Time
-	staleSeen  bool        // stale-epoch reply arrived since initiate
-	errsAt     int64       // transport-wide send errors at initiate (fallback attribution)
-	peerErrsAt []int64     // per-partner link send errors at initiate (peer-exact attribution)
-	xferSent   []time.Time // Transfer send times awaiting ack, FIFO (metrics only)
+	epoch      atomic.Uint64 // mirrors the machine's epoch for cross-goroutine readers (Epoch)
+	unacked    int           // transfers sent but not yet acknowledged
+	errsAt     int64         // transport-wide send errors at initiate (fallback attribution)
+	peerErrsAt []int64       // per-partner link send errors at initiate (peer-exact attribution)
+	xferSent   []time.Time   // Transfer send times awaiting ack, FIFO (metrics only)
 
-	// partner-side state
-	frozen    bool
-	frozenBy  int
-	frozenSeq uint64
-	frozenOp  uint64 // the freezing operation's id, echoed on our replies
-	frozeAt   time.Time
+	// partner-side driver state
+	frozeAt time.Time
 
 	// serving state (serve mode only, see serve.go)
 	recs    []wire.JobRef // job-record FIFO parallel to the load count
@@ -319,10 +306,9 @@ type Node struct {
 	owed    map[int]int // records owed per peer after eager load moves
 
 	stepsDone int
-	backoff   int
 	signaled  bool // Idle sent (or, coordinator: own quiescence recorded)
 	finished  bool
-	candBuf   []int
+	candBuf   []int // the in-flight protocol's partners
 	pacer     pacer
 	deferring bool // inside a deferral episode (consecutive paced-out triggers)
 	stats     Stats
@@ -340,9 +326,11 @@ func New(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	r := rng.New(rng.Mix64(cfg.Seed, uint64(cfg.ID)))
 	n := &Node{
 		cfg: cfg,
-		rng: rng.New(rng.Mix64(cfg.Seed, uint64(cfg.ID))),
+		rng: r,
+		m:   proto.New(cfg.ID, cfg.F, r),
 		// Op ids come from their own stream, salted off the workload
 		// stream's seed: minting an id must not perturb the Bernoulli
 		// draws, or turning tracing on would change the run.
@@ -416,20 +404,20 @@ func (n *Node) report() {
 		n.err = err
 	}
 	n.stats.ID = n.cfg.ID
-	n.stats.FinalLoad = n.load
+	n.stats.FinalLoad = n.m.Load()
 	n.stats.RecordsHeld = int64(n.recCount())
 	n.stats.PaceGap = n.pacer.gapNow()
 	ws := n.cfg.Transport.Stats()
 	n.stats.MsgsSent, n.stats.MsgsRecv = ws.MsgsSent, ws.MsgsRecv
 	n.stats.BytesSent, n.stats.BytesRecv = ws.BytesSent, ws.BytesRecv
 	n.stats.SendErrors, n.stats.Redials = ws.SendErrors, ws.Redials
-	n.cfg.Flight.Final(n.load, n.stats.Generated, n.stats.Consumed,
+	n.cfg.Flight.Final(n.m.Load(), n.stats.Generated, n.stats.Consumed,
 		n.stats.Ingested, n.stats.UnitsDone, n.stats.RecordsHeld)
 	n.rep = &Report{Stats: n.stats}
 	if n.cfg.ID == 0 {
 		s := n.sum
 		s.Nodes = n.cfg.N
-		s.TotalLoad += int64(n.load)
+		s.TotalLoad += int64(n.m.Load())
 		s.Generated += n.stats.Generated
 		s.Consumed += n.stats.Consumed
 		n.rep.Summary = &s
@@ -445,8 +433,9 @@ func (n *Node) send(to int, m wire.Msg) {
 	_ = n.cfg.Transport.Send(to, m)
 }
 
-// loop is the node's event loop: the same never-block-while-not-
-// draining discipline as netsim, with wall-clock timeout ticks. In
+// loop is the node's event loop: it never blocks without draining its
+// inbox, so nobody stalls on a send to it, and wakes on wall-clock ticks
+// to check the machine's timeouts. In
 // serve mode the client ingest channel is drained in every phase —
 // stepping, mid-protocol, idle — so a submission never waits on the
 // balancing protocol.
@@ -494,7 +483,7 @@ func (n *Node) loop() {
 			}
 		}
 		switch {
-		case n.inflight || n.frozen:
+		case n.m.Engaged():
 			// Mid-protocol: no workload progress, but keep draining so
 			// nobody stalls on us, and keep the timeouts breathing.
 			select {
@@ -548,41 +537,15 @@ func (n *Node) loop() {
 	}
 }
 
-// checkTimeouts fires the initiator reply timeout and the frozen-
-// partner self-release.
+// checkTimeouts fires the machine's reply timeout and frozen-partner
+// self-release once they are overdue on the wall clock.
 func (n *Node) checkTimeouts() {
 	now := time.Now()
-	if n.inflight && now.Sub(n.protoAt) > n.cfg.timeout() {
-		n.stats.Timeouts++
-		// Attribute the timeout before the epoch bumps: send errors on a
-		// protocol partner's link during the protocol mean the wire ate
-		// our messages; otherwise a stale-epoch reply means the partner
-		// answered a protocol we had already abandoned; otherwise it is
-		// a plain missing reply.
-		reason := AbortTimeout
-		switch {
-		case n.partnerLinkErrored():
-			reason = AbortLinkDown
-		case n.staleSeen:
-			reason = AbortStaleEpoch
-		}
-		n.met.abort[reason].Inc()
-		n.met.traceOp(n.cfg.ID, n.op, "abort", "reason=%s seq=%d", reason, n.seq)
-		if n.cfg.Flight != nil {
-			n.cfg.Flight.Abort(n.op, n.seq, n.load, reason)
-		}
-		n.paceOutcome(reason, now.Sub(n.protoAt))
-		n.abandon()
+	if n.m.Inflight() && now.Sub(n.lastInitAt) > n.cfg.timeout() {
+		n.apply(n.m.ReplyTimeout(n.effs[:0]))
 	}
-	if n.frozen && now.Sub(n.frozeAt) > n.cfg.freezeTimeout() {
-		n.stats.FreezeExpired++
-		n.met.freezeExpired.Inc()
-		n.met.phaseFrozen.ObserveSince(n.frozeAt)
-		n.met.traceOp(n.cfg.ID, n.frozenOp, "freeze_expired", "by=%d", n.frozenBy)
-		if n.cfg.Flight != nil {
-			n.cfg.Flight.FreezeExpired(n.frozenOp, n.frozenBy)
-		}
-		n.frozen = false
+	if n.m.Frozen() && now.Sub(n.frozeAt) > n.cfg.freezeTimeout() {
+		n.apply(n.m.FreezeExpired(n.effs[:0]))
 	}
 }
 
@@ -605,42 +568,34 @@ func (n *Node) partnerLinkErrored() bool {
 	return n.cfg.Transport.Stats().SendErrors > n.errsAt
 }
 
-// step performs one workload step and fires the trigger if needed.
+// step performs one workload step and initiates if the trigger fires.
 func (n *Node) step() {
 	n.stepsDone++
 	if n.rng.Bernoulli(n.cfg.GenP) {
-		n.load++
+		n.m.Add(1)
 		n.stats.Generated++
 		n.met.generated.Inc()
 	}
-	if n.rng.Bernoulli(n.cfg.ConP) && n.load > 0 {
-		if n.cfg.Serve == nil {
-			n.load--
-			n.stats.Consumed++
-			n.met.consumed.Inc()
-		} else if n.recCount() > 0 {
-			// Serve mode: a consume completes a specific job unit, so it
-			// needs a record on hand. A unit whose record is still in
-			// flight (JobMove chasing its Transfer) simply waits — the
-			// skipped draw costs one service slot, it cannot lose work.
-			n.load--
-			n.stats.Consumed++
-			n.met.consumed.Inc()
+	// Serve mode: a consume completes a specific job unit, so it needs a
+	// record on hand. A unit whose record is still in flight (JobMove
+	// chasing its Transfer) simply waits — the skipped draw costs one
+	// service slot, it cannot lose work.
+	if n.rng.Bernoulli(n.cfg.ConP) && n.m.Load() > 0 && (n.cfg.Serve == nil || n.recCount() > 0) {
+		n.m.Add(-1)
+		n.stats.Consumed++
+		n.met.consumed.Inc()
+		if n.cfg.Serve != nil {
 			n.completeOldest()
 		}
 	}
 	// One load sample per workload step: the cluster-wide histogram's
 	// online moments yield the live variation density (paper §5).
-	n.met.loadHist.Observe(float64(n.load))
-	n.met.loadGauge.Set(int64(n.load))
+	n.met.loadHist.Observe(float64(n.m.Load()))
+	n.met.loadGauge.Set(int64(n.m.Load()))
 	if n.cfg.NoBalance {
 		return
 	}
-	if n.backoff > 0 {
-		n.backoff--
-		return
-	}
-	if !n.trigger() {
+	if !n.m.Trigger() {
 		// No pressure to initiate: any deferral episode is over (the
 		// imbalance resolved on its own, through consumption or an
 		// inbound transfer).
@@ -674,9 +629,9 @@ func (n *Node) step() {
 // paceOutcome feeds one finished protocol attempt (reason "" = success)
 // into the pacer and publishes the controller's observable state: the
 // live gap gauge and the backoff/recovery transition counters.
-func (n *Node) paceOutcome(reason string, elapsed time.Duration) {
+func (n *Node) paceOutcome(reason string) {
 	n.lastDoneAt = time.Now()
-	switch n.pacer.onOutcome(reason, elapsed) {
+	switch n.pacer.onOutcome(reason, n.lastDoneAt.Sub(n.lastInitAt)) {
 	case +1:
 		n.stats.PaceBackoffs++
 		n.met.paceBackoff.Inc()
@@ -690,26 +645,13 @@ func (n *Node) paceOutcome(reason string, elapsed time.Duration) {
 	n.met.paceGap.Set(int64(n.pacer.gapNow() / time.Microsecond))
 }
 
-// trigger is the factor-f condition with the strict-change guard.
-func (n *Node) trigger() bool {
-	if n.load > n.lOld && float64(n.load) >= n.cfg.F*float64(n.lOld) {
-		return true
-	}
-	return n.load < n.lOld && float64(n.load)*n.cfg.F <= float64(n.lOld)
-}
-
-// initiate starts a balancing protocol with δ random partners.
+// initiate starts a balancing protocol with δ random partners: the
+// driver samples them, mints the op id and snapshots the link-error
+// counters the timeout attribution compares against.
 func (n *Node) initiate() {
 	n.candBuf = n.rng.SampleDistinct(n.cfg.N, n.cfg.Delta, n.cfg.ID, n.candBuf)
-	n.inflight = true
-	n.seq++
-	n.epoch.Store(n.seq)
-	n.op = n.mintOp()
-	n.protoAt = time.Now()
-	n.lastInitAt = n.protoAt
-	n.awaiting = len(n.candBuf)
-	n.sawBusy = false
-	n.staleSeen = false
+	op := n.mintOp()
+	n.lastInitAt = time.Now()
 	n.errsAt = n.cfg.Transport.Stats().SendErrors
 	n.peerErrsAt = n.peerErrsAt[:0]
 	if ps, ok := n.cfg.Transport.(wire.PeerStatser); ok {
@@ -717,93 +659,149 @@ func (n *Node) initiate() {
 			n.peerErrsAt = append(n.peerErrsAt, ps.PeerStats(c).SendErrors)
 		}
 	}
-	n.ackedFrom = n.ackedFrom[:0]
-	n.ackedLoads = n.ackedLoads[:0]
+	effs := n.m.Initiate(n.candBuf, op, n.effs[:0])
+	seq := n.m.Seq()
+	n.epoch.Store(seq)
 	n.stats.Initiated++
 	n.met.initiated.Inc()
-	n.met.traceOp(n.cfg.ID, n.op, "initiate", "seq=%d delta=%d load=%d", n.seq, len(n.candBuf), n.load)
+	n.met.traceOp(n.cfg.ID, op, "initiate", "seq=%d delta=%d load=%d", seq, len(n.candBuf), n.m.Load())
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Initiate(n.op, n.seq, n.load, len(n.candBuf))
+		n.cfg.Flight.Initiate(op, seq, n.m.Load(), len(n.candBuf))
 	}
-	for _, c := range n.candBuf {
-		n.send(c, wire.Msg{Kind: wire.FreezeReq, Seq: n.seq, Op: n.op})
+	n.apply(effs)
+}
+
+// apply carries out the machine's effects in order, hanging the
+// driver's accounting — stats, metrics, trace, flight records, pacing,
+// serve-mode record debts — on each.
+func (n *Node) apply(effs []proto.Effect) {
+	n.effs = effs[:0] // keep the grown buffer
+	for i := range effs {
+		e := &effs[i]
+		switch e.Kind {
+		case proto.Send:
+			switch e.Msg.Kind {
+			case wire.FreezeBusy:
+				n.met.traceOp(n.cfg.ID, e.Msg.Op, "busy_reply", "to=%d inflight=%v frozen=%v", e.To, n.m.Inflight(), n.m.Frozen())
+			case wire.Release:
+				n.met.traceOp(n.cfg.ID, e.Msg.Op, "release", "to=%d seq=%d", e.To, e.Msg.Seq)
+			}
+			n.send(e.To, e.Msg)
+			if e.Msg.Kind == wire.Transfer {
+				n.unacked++
+				if n.met.phaseXfer != nil {
+					n.xferSent = append(n.xferSent, time.Now())
+				}
+			}
+
+		case proto.Froze:
+			n.frozeAt = time.Now()
+			n.met.traceOp(n.cfg.ID, e.Op, "freeze", "by=%d seq=%d load=%d", e.Peer, e.Seq, n.m.Load())
+
+		case proto.Unfroze:
+			n.met.phaseFrozen.ObserveSince(n.frozeAt)
+			switch e.Reason {
+			case proto.ByRelease:
+				n.met.traceOp(n.cfg.ID, e.Op, "release", "by=%d seq=%d", e.Peer, e.Seq)
+			case proto.ByExpiry:
+				n.stats.FreezeExpired++
+				n.met.freezeExpired.Inc()
+				n.met.traceOp(n.cfg.ID, e.Op, "freeze_expired", "by=%d", e.Peer)
+				if n.cfg.Flight != nil {
+					n.cfg.Flight.FreezeExpired(e.Op, e.Peer)
+				}
+			}
+
+		case proto.Aborted:
+			n.onAborted(e)
+
+		case proto.Resolved:
+			n.onResolved(e, effs[i+1:i+1+e.Partners])
+		}
 	}
 }
 
-// abandon gives up on the in-flight protocol after a reply timeout:
-// partners that froze for us are released, outstanding replies become
-// stale (the epoch bumps), and the trigger re-arms with backoff.
-func (n *Node) abandon() {
-	n.inflight = false
-	for _, p := range n.ackedFrom {
-		n.met.traceOp(n.cfg.ID, n.op, "release", "to=%d seq=%d", p, n.seq)
-		n.send(p, wire.Msg{Kind: wire.Release, Seq: n.seq, Op: n.op})
-	}
-	n.seq++
-	n.epoch.Store(n.seq)
-	n.op = 0
-	n.awaiting = 0
-	n.sawBusy = false
+// onAborted accounts for the node's own protocol dying. A timeout is
+// attributed before anything else: send errors on a protocol partner's
+// link during the protocol mean the wire ate our messages; otherwise a
+// stale-epoch reply means the partner answered a protocol we had
+// already abandoned; otherwise it is a plain missing reply.
+func (n *Node) onAborted(e *proto.Effect) {
 	n.stats.Aborted++
-	n.backoff = 1 + n.rng.Intn(defaultBackoffSteps)
+	// Busy is the collision the pacer exists to react to: it backs off
+	// by the width of the collect window just measured.
+	reason := AbortPeerFrozen
+	if e.Reason == proto.Timeout {
+		n.stats.Timeouts++
+		n.epoch.Store(n.m.Seq())
+		switch {
+		case n.partnerLinkErrored():
+			reason = AbortLinkDown
+		case e.Stale:
+			reason = AbortStaleEpoch
+		default:
+			reason = AbortTimeout
+		}
+	} else {
+		n.met.phaseCollect.ObserveSince(n.lastInitAt)
+	}
+	n.met.abort[reason].Inc()
+	n.met.traceOp(n.cfg.ID, e.Op, "abort", "reason=%s seq=%d", reason, e.Seq)
+	if n.cfg.Flight != nil {
+		n.cfg.Flight.Abort(e.Op, e.Seq, e.Load, reason)
+	}
+	n.paceOutcome(reason)
 }
 
-// handle processes one incoming message.
+// onResolved accounts for the node's own protocol balancing; transfers
+// are the Transfer sends about to go out. The flight record lands
+// first, so a replayed stream sees the resolution before the frames it
+// explains.
+func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
+	n.met.phaseCollect.ObserveSince(n.lastInitAt)
+	n.paceOutcome("")
+	if n.cfg.Flight != nil {
+		n.cfg.Flight.Resolve(e.Op, e.Seq, e.Load, e.Partners)
+	}
+	// Serve mode: record the records owed to partners that gain load and
+	// ship what the FIFO holds now, so each JobMove precedes its Transfer
+	// on the same link (partners that give load back will owe us on
+	// receipt; see serve.go for why eager settlement always converges).
+	if n.cfg.Serve != nil {
+		for i := range transfers {
+			n.owe(transfers[i].To, transfers[i].Msg.Amount)
+		}
+		n.settleOwed(e.Op)
+	}
+	n.stats.Completed++
+	n.met.completed.Inc()
+	n.met.loadGauge.Set(int64(e.Load))
+	n.met.traceOp(n.cfg.ID, e.Op, "resolve", "seq=%d partners=%d load=%d", e.Seq, e.Partners, e.Load)
+}
+
+// handle processes one incoming message: handshake frames go to the
+// machine, everything else — transfer acks, shutdown, job records — is
+// the driver's own.
 func (n *Node) handle(m wire.Msg) {
 	if m.From < 0 || m.From >= n.cfg.N || m.From == n.cfg.ID {
 		return // not from a cluster member; ignore
 	}
 	switch m.Kind {
-	case wire.FreezeReq:
-		if n.inflight || n.frozen {
-			n.met.traceOp(n.cfg.ID, m.Op, "busy_reply", "to=%d inflight=%v frozen=%v", m.From, n.inflight, n.frozen)
-			n.send(m.From, wire.Msg{Kind: wire.FreezeBusy, Seq: m.Seq, Op: m.Op})
-			return
+	case wire.FreezeAck, wire.FreezeBusy:
+		if n.m.Expects(m) {
+			n.met.phaseReply.ObserveSince(n.lastInitAt)
 		}
-		n.frozen = true
-		n.frozenBy = m.From
-		n.frozenSeq = m.Seq
-		n.frozenOp = m.Op
-		n.frozeAt = time.Now()
-		n.met.traceOp(n.cfg.ID, m.Op, "freeze", "by=%d seq=%d load=%d", m.From, m.Seq, n.load)
-		n.send(m.From, wire.Msg{Kind: wire.FreezeAck, Load: n.load, Seq: m.Seq, Op: m.Op})
+		n.apply(n.m.Handle(m, n.effs[:0]))
 
-	case wire.FreezeAck:
-		if !n.inflight || m.Seq != n.seq {
-			// Stale ack from a protocol we abandoned: release the
-			// partner immediately rather than leave it to its timeout.
-			n.staleSeen = n.inflight
-			n.send(m.From, wire.Msg{Kind: wire.Release, Seq: m.Seq, Op: m.Op})
-			return
-		}
-		n.awaiting--
-		n.met.phaseReply.ObserveSince(n.protoAt)
-		n.ackedFrom = append(n.ackedFrom, m.From)
-		n.ackedLoads = append(n.ackedLoads, m.Load)
-		if n.awaiting == 0 {
-			n.resolve()
-		}
-
-	case wire.FreezeBusy:
-		if !n.inflight || m.Seq != n.seq {
-			n.staleSeen = n.staleSeen || n.inflight
-			return
-		}
-		n.awaiting--
-		n.met.phaseReply.ObserveSince(n.protoAt)
-		n.sawBusy = true
-		if n.awaiting == 0 {
-			n.resolve()
-		}
+	case wire.FreezeReq, wire.Release:
+		n.apply(n.m.Handle(m, n.effs[:0]))
 
 	case wire.Transfer:
-		// The delta always applies — conservation depends on it — and
-		// is always acknowledged so the initiator can account for it.
-		// The freeze clears only if this transfer ends the freeze we
-		// are actually in (a late transfer from an expired freeze must
-		// not terminate a newer protocol's freeze).
-		n.load += m.Amount
-		n.met.traceOp(n.cfg.ID, m.Op, "transfer", "from=%d amount=%d load=%d", m.From, m.Amount, n.load)
+		// The machine applies the delta (always — conservation depends on
+		// it); the driver always acknowledges it so the initiator can
+		// account for it.
+		n.apply(n.m.Handle(m, n.effs[:0]))
+		n.met.traceOp(n.cfg.ID, m.Op, "transfer", "from=%d amount=%d load=%d", m.From, m.Amount, n.m.Load())
 		// Serve mode, give-back transfer: the load just left for the
 		// initiator, so its records are owed there; ship them ahead of
 		// the ack on the same link.
@@ -812,14 +810,7 @@ func (n *Node) handle(m wire.Msg) {
 			n.settleOwed(m.Op)
 		}
 		n.send(m.From, wire.Msg{Kind: wire.TransferAck, Seq: m.Seq, Op: m.Op})
-		if !n.frozen || (n.frozenBy == m.From && n.frozenSeq == m.Seq) {
-			if n.frozen {
-				n.met.phaseFrozen.ObserveSince(n.frozeAt)
-			}
-			n.lOld = n.load
-			n.frozen = false
-		}
-		n.met.loadGauge.Set(int64(n.load))
+		n.met.loadGauge.Set(int64(n.m.Load()))
 
 	case wire.TransferAck:
 		if n.unacked > 0 {
@@ -835,13 +826,6 @@ func (n *Node) handle(m wire.Msg) {
 			}
 		}
 
-	case wire.Release:
-		if n.frozen && n.frozenBy == m.From && n.frozenSeq == m.Seq {
-			n.met.phaseFrozen.ObserveSince(n.frozeAt)
-			n.met.traceOp(n.cfg.ID, m.Op, "release", "by=%d seq=%d", m.From, m.Seq)
-			n.frozen = false
-		}
-
 	case wire.Idle:
 		if n.cfg.ID == 0 && !n.idleFrom[m.From] {
 			n.idleFrom[m.From] = true
@@ -851,7 +835,7 @@ func (n *Node) handle(m wire.Msg) {
 	case wire.Quit:
 		if m.From == 0 && n.cfg.ID != 0 {
 			n.send(0, wire.Msg{Kind: wire.Bye,
-				Load: n.load, Gen: n.stats.Generated, Con: n.stats.Consumed})
+				Load: n.m.Load(), Gen: n.stats.Generated, Con: n.stats.Consumed})
 			n.finished = true
 		}
 
@@ -885,76 +869,4 @@ func (n *Node) maybeQuit() {
 	for i := 1; i < n.cfg.N; i++ {
 		n.send(i, wire.Msg{Kind: wire.Quit})
 	}
-}
-
-// resolve finishes the initiator's protocol once all replies are in.
-func (n *Node) resolve() {
-	n.inflight = false
-	n.met.phaseCollect.ObserveSince(n.protoAt)
-	if n.sawBusy {
-		for _, p := range n.ackedFrom {
-			n.met.traceOp(n.cfg.ID, n.op, "release", "to=%d seq=%d", p, n.seq)
-			n.send(p, wire.Msg{Kind: wire.Release, Seq: n.seq, Op: n.op})
-		}
-		n.stats.Aborted++
-		n.met.abort[AbortPeerFrozen].Inc()
-		n.met.traceOp(n.cfg.ID, n.op, "abort", "reason=%s seq=%d", AbortPeerFrozen, n.seq)
-		if n.cfg.Flight != nil {
-			n.cfg.Flight.Abort(n.op, n.seq, n.load, AbortPeerFrozen)
-		}
-		// The collision the pacer exists to react to: back off by the
-		// width of the collect window just measured.
-		n.paceOutcome(AbortPeerFrozen, time.Since(n.protoAt))
-		n.op = 0
-		n.backoff = 1 + n.rng.Intn(defaultBackoffSteps)
-		return
-	}
-	n.paceOutcome("", time.Since(n.protoAt))
-	total := n.load
-	for _, l := range n.ackedLoads {
-		total += l
-	}
-	m := len(n.ackedFrom) + 1
-	base, rem := total/m, total%m
-	// Rotate the remainder run uniformly (netsim's randomized snake
-	// discipline) so no fixed participant index collects the extras.
-	off := 0
-	if rem > 0 {
-		off = n.rng.Intn(m)
-	}
-	share := func(idx int) int {
-		if rel := idx - off; (rel%m+m)%m < rem {
-			return base + 1
-		}
-		return base
-	}
-	n.load = share(0)
-	n.lOld = n.load
-	// Recorded before the transfers go out, so a replayed stream sees
-	// the resolution before the frames it explains.
-	if n.cfg.Flight != nil {
-		n.cfg.Flight.Resolve(n.op, n.seq, n.load, len(n.ackedFrom))
-	}
-	// Serve mode: record the records owed to partners that gain load and
-	// ship what the FIFO holds now, so each JobMove precedes its Transfer
-	// on the same link (partners that give load back will owe us on
-	// receipt; see serve.go for why eager settlement always converges).
-	if n.cfg.Serve != nil {
-		for i, p := range n.ackedFrom {
-			n.owe(p, share(i+1)-n.ackedLoads[i])
-		}
-		n.settleOwed(n.op)
-	}
-	for i, p := range n.ackedFrom {
-		n.send(p, wire.Msg{Kind: wire.Transfer, Amount: share(i+1) - n.ackedLoads[i], Seq: n.seq, Op: n.op})
-		n.unacked++
-		if n.met.phaseXfer != nil {
-			n.xferSent = append(n.xferSent, time.Now())
-		}
-	}
-	n.stats.Completed++
-	n.met.completed.Inc()
-	n.met.loadGauge.Set(int64(n.load))
-	n.met.traceOp(n.cfg.ID, n.op, "resolve", "seq=%d partners=%d load=%d", n.seq, len(n.ackedFrom), n.load)
-	n.op = 0
 }

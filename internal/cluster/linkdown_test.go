@@ -60,14 +60,14 @@ func timeoutReason(t *testing.T, tr wire.Transport, mutate func(partners []int))
 		t.Fatal(err)
 	}
 	n.initiate()
-	if !n.inflight {
+	if !n.m.Inflight() {
 		t.Fatal("initiate did not go inflight")
 	}
 	mutate(append([]int(nil), n.candBuf...))
 	// Age the protocol past the reply timeout and fire the check.
-	n.protoAt = time.Now().Add(-time.Minute)
+	n.lastInitAt = time.Now().Add(-time.Minute)
 	n.checkTimeouts()
-	if n.inflight {
+	if n.m.Inflight() {
 		t.Fatal("timeout did not abandon the protocol")
 	}
 	out := make(map[string]int64, 4)

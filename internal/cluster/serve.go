@@ -131,14 +131,14 @@ func (n *Node) ingestSubmit(s Submit) {
 	for i := 0; i < s.Units; i++ {
 		n.pushRecord(rec)
 	}
-	n.load += s.Units
+	n.m.Add(s.Units)
 	n.stats.Generated += int64(s.Units)
 	n.stats.Ingested += int64(s.Units)
 	n.met.generated.Add(int64(s.Units))
 	n.met.ingested.Add(int64(s.Units))
 	n.met.records.Set(int64(n.recCount()))
-	n.met.loadGauge.Set(int64(n.load))
-	n.met.traceOp(n.cfg.ID, JobOp(n.cfg.ID, s.ID), "ingest", "job=%d units=%d load=%d", s.ID, s.Units, n.load)
+	n.met.loadGauge.Set(int64(n.m.Load()))
+	n.met.traceOp(n.cfg.ID, JobOp(n.cfg.ID, s.ID), "ingest", "job=%d units=%d load=%d", s.ID, s.Units, n.m.Load())
 	// Fresh records may let pending debts settle.
 	n.settleOwed(0)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"lmbalance/internal/netsim"
 	"lmbalance/internal/trace"
@@ -78,7 +77,6 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 					Crashes:      schedule,
 					Seed:         (seed ^ (0xfa17 << 16)) + uint64(cell),
 					TimeoutTicks: 25,
-					Tick:         50 * time.Microsecond,
 				},
 			})
 			if err != nil {

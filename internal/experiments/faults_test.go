@@ -45,3 +45,23 @@ func TestFaultSweepQuick(t *testing.T) {
 		t.Fatalf("render output incomplete:\n%s", out)
 	}
 }
+
+// TestFaultSweepDeterministic: the sweep runs on the virtual-time
+// simulator, so the artifact is a pure function of (scale, seed) —
+// rendering it twice gives the same bytes.
+func TestFaultSweepDeterministic(t *testing.T) {
+	render := func() string {
+		res, err := FaultSweep(ScaleQuick, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if a, b := render(), render(); a != b {
+		t.Fatalf("same seed, different artifacts:\n%s\n%s", a, b)
+	}
+}

@@ -2,37 +2,28 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"lmbalance/internal/trace"
 )
 
 // Faults configures the fault-injection layer of the network. The zero
-// value disables it entirely: with no drops, no delays and no crashes the
-// simulation takes exactly the code paths of the fault-free protocol and
-// every node's RNG stream is untouched.
+// value disables it entirely: with no drops, no delays and no crashes
+// every frame arrives one tick after it was sent and no timeout fires.
 //
 // Fault randomness draws from its own seeded stream (Seed), independent
 // of Config.Seed, so enabling faults never perturbs the workload or the
 // partner-selection streams.
 //
-// # Time base
-//
-// Nodes are asynchronous goroutines, so fault timing is expressed in a
-// node's local "ticks": a tick elapses on every event-loop iteration
-// (a handled message, a workload step) and — while the node is blocked
-// waiting for messages — on every expiry of a wall-clock timer (Tick,
-// default 200µs). Delays, timeouts and crash durations all count ticks.
+// Delays, timeouts and crash durations all count ticks of the
+// simulation's virtual clock (see the package comment).
 type Faults struct {
 	// DropP is the probability that a control message (freezeReq,
 	// freezeAck, freezeBusy, release) is lost in transit. Transfer
 	// messages are always delivered reliably, so packet conservation
 	// stays exact under any drop rate.
 	DropP float64
-	// DelayMax, if positive, holds each delivered message back a uniform
-	// 0..DelayMax ticks in the receiver's delay buffer instead of
-	// handing it to the protocol immediately.
+	// DelayMax, if positive, holds each message back a uniform
+	// 0..DelayMax extra ticks on its way to the receiver.
 	DelayMax int
 	// Crashes schedules fail-stop crash/recover windows. A crashed node
 	// performs no workload steps and answers no control messages (they
@@ -52,13 +43,8 @@ type Faults struct {
 	FreezeTicks int
 	// Seed drives all fault randomness (drop and delay draws).
 	Seed uint64
-	// Tick is the wall-clock interval that advances a blocked node's
-	// local clock. 0 selects the default (200µs).
-	Tick time.Duration
 	// Trace, if non-nil, records EvDrop/EvTimeout/EvCrash events
-	// (Step = the node's local workload step, Proc = the node). The
-	// recorder is guarded internally, so a single recorder may be shared
-	// across the whole run.
+	// (Step = the node's local workload step, Proc = the node).
 	Trace *trace.Recorder
 }
 
@@ -80,29 +66,21 @@ type Crash struct {
 const (
 	defaultTimeoutTicks = 50
 	defaultDownTicks    = 400
-	defaultTick         = 200 * time.Microsecond
+	// maxDelayTicks bounds DelayMax: the mailbox keeps one delivery slot
+	// per tick a frame can be scheduled ahead.
+	maxDelayTicks = 1 << 16
 )
-
-// enabled reports whether any fault mechanism is active. The timeout
-// machinery is armed only when it is — a fault-free network cannot wedge,
-// so the fault-free protocol runs without timers.
-func (f *Faults) enabled() bool {
-	return f.DropP > 0 || f.DelayMax > 0 || len(f.Crashes) > 0
-}
 
 // validate checks the fault section against the node count.
 func (f *Faults) validate(n int) error {
 	if f.DropP < 0 || f.DropP > 1 {
 		return fmt.Errorf("netsim: fault DropP = %v outside [0,1]", f.DropP)
 	}
-	if f.DelayMax < 0 {
-		return fmt.Errorf("netsim: fault DelayMax = %d, need >= 0", f.DelayMax)
+	if f.DelayMax < 0 || f.DelayMax > maxDelayTicks {
+		return fmt.Errorf("netsim: fault DelayMax = %d, need 0..%d", f.DelayMax, maxDelayTicks)
 	}
 	if f.TimeoutTicks < 0 || f.FreezeTicks < 0 {
 		return fmt.Errorf("netsim: fault timeouts must be >= 0")
-	}
-	if f.Tick < 0 {
-		return fmt.Errorf("netsim: fault Tick must be >= 0")
 	}
 	for _, c := range f.Crashes {
 		if c.Node < 0 || c.Node >= n {
@@ -132,35 +110,4 @@ func (f *Faults) freezeTicks() int64 {
 		return int64(f.FreezeTicks)
 	}
 	return 4 * f.timeoutTicks()
-}
-
-// tick returns the wall-clock tick interval with defaults applied.
-func (f *Faults) tick() time.Duration {
-	if f.Tick > 0 {
-		return f.Tick
-	}
-	return defaultTick
-}
-
-// lockedRecorder serializes trace recording across node goroutines.
-// Fault events are rare relative to message traffic, so a single mutex
-// does not become a bottleneck.
-type lockedRecorder struct {
-	mu  sync.Mutex
-	rec *trace.Recorder
-}
-
-func (l *lockedRecorder) record(e trace.Event) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.rec.Record(e)
-	l.mu.Unlock()
-}
-
-// delayed is one message held back in a node's delay buffer.
-type delayed struct {
-	due int64 // local tick at which to deliver
-	m   message
 }

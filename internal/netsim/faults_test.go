@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"testing"
-	"time"
 
-	"lmbalance/internal/rng"
 	"lmbalance/internal/trace"
 )
 
@@ -14,9 +12,9 @@ func TestFaultValidation(t *testing.T) {
 		{DropP: -0.1},
 		{DropP: 1.5},
 		{DelayMax: -1},
+		{DelayMax: maxDelayTicks + 1},
 		{TimeoutTicks: -1},
 		{FreezeTicks: -2},
-		{Tick: -1},
 		{Crashes: []Crash{{Node: 8}}},
 		{Crashes: []Crash{{Node: -1}}},
 		{Crashes: []Crash{{Node: 0, AtStep: -5}}},
@@ -32,7 +30,7 @@ func TestFaultValidation(t *testing.T) {
 }
 
 func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 8, Delta: 1, F: 1.2, Steps: 1000,
 		GenP: []float64{0.5}, ConP: []float64{0.4}, Seed: 11,
 	})
@@ -49,11 +47,11 @@ func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
 // acks cannot wedge the protocol — the run terminates via timeouts.
 func TestConservationUnderDrops(t *testing.T) {
 	rec := trace.NewRecorder(64)
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 2, F: 1.1, Steps: 800,
 		GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 21,
 		Faults: Faults{DropP: 0.5, Seed: 7, Trace: rec,
-			TimeoutTicks: 25, Tick: 50 * time.Microsecond},
+			TimeoutTicks: 25},
 	})
 	if !res.Conserved() {
 		t.Fatalf("conservation violated under drops: %+v", res.Nodes)
@@ -82,10 +80,10 @@ func TestConservationUnderDrops(t *testing.T) {
 }
 
 // TestConservationUnderDelays: pure delay (no loss) must not break
-// conservation or liveness; transfers parked in delay buffers at shutdown
-// are applied by the final drain.
+// conservation or liveness; the run does not end while a delayed
+// transfer is still in the mailbox.
 func TestConservationUnderDelays(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 2, F: 1.1, Steps: 1500,
 		GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 22,
 		Faults: Faults{DelayMax: 6, Seed: 9},
@@ -111,12 +109,12 @@ func TestConservationUnderDelays(t *testing.T) {
 // finish their steps.
 func TestConservationUnderCrashes(t *testing.T) {
 	rec := trace.NewRecorder(64)
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 2, F: 1.1, Steps: 1500,
 		GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 23,
 		Faults: Faults{
 			Seed: 13, DropP: 0.05, Trace: rec,
-			TimeoutTicks: 25, Tick: 50 * time.Microsecond,
+			TimeoutTicks: 25,
 			Crashes: []Crash{
 				{Node: 1, AtStep: 200}, {Node: 5, AtStep: 400},
 				{Node: 9, AtStep: 600}, {Node: 13, AtStep: 800, DownTicks: 200},
@@ -141,18 +139,17 @@ func TestConservationUnderCrashes(t *testing.T) {
 
 // TestFrozenPeersReleasedByTimeout: with releases being dropped and
 // initiators crashing, partners must rescue themselves via the
-// freeze-expiry timeout instead of leaking frozen (which would deadlock
-// the run — runWithTimeout would trip).
+// freeze-expiry timeout instead of leaking frozen.
 func TestFrozenPeersReleasedByTimeout(t *testing.T) {
 	crashes := make([]Crash, 0, 8)
 	for i := 0; i < 8; i++ {
 		crashes = append(crashes, Crash{Node: i * 2, AtStep: 100 + 50*i, DownTicks: 300})
 	}
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 3, F: 1.05, Steps: 800,
 		GenP: []float64{0.7}, ConP: []float64{0.3}, Seed: 24,
 		Faults: Faults{DropP: 0.6, Seed: 17, Crashes: crashes, FreezeTicks: 60,
-			TimeoutTicks: 25, Tick: 50 * time.Microsecond},
+			TimeoutTicks: 25},
 	})
 	if !res.Conserved() {
 		t.Fatalf("conservation violated: %+v", res.Nodes)
@@ -170,12 +167,12 @@ func TestFrozenPeersReleasedByTimeout(t *testing.T) {
 // completed or aborted (timeout aborts included), except the ones wiped
 // by a crash mid-flight.
 func TestCountersConsistentUnderFaults(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 2, F: 1.1, Steps: 800,
 		GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 25,
 		Faults: Faults{DropP: 0.3, DelayMax: 3, Seed: 19,
-			TimeoutTicks: 25, Tick: 50 * time.Microsecond,
-			Crashes: []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500}}},
+			TimeoutTicks: 25,
+			Crashes:      []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500}}},
 	})
 	var initiated, completed, aborted, timeouts, crashed int64
 	for _, n := range res.Nodes {
@@ -198,80 +195,5 @@ func TestCountersConsistentUnderFaults(t *testing.T) {
 	}
 	if completed == 0 {
 		t.Fatal("nothing completed under moderate faults")
-	}
-}
-
-// TestResolveRemainderUnbiased drives resolve directly and checks that
-// the remainder packet lands on each participant (initiator included)
-// near-uniformly — the regression for the initiator always taking
-// share(0) and with it the first extra packet.
-func TestResolveRemainderUnbiased(t *testing.T) {
-	const trials = 4000
-	const m = 4 // initiator + 3 partners
-	cfg := Config{N: m, Delta: m - 1, F: 1.2, Steps: 1}
-	inboxes := make([]chan message, m)
-	for i := range inboxes {
-		inboxes[i] = make(chan message, 4)
-	}
-	n := &node{id: 0, cfg: &cfg, rng: rng.New(99), peers: inboxes}
-	extras := make([]int, m)
-	for trial := 0; trial < trials; trial++ {
-		n.load = 6 // total 21 over 4 participants: base 5, rem 1
-		n.inflight = true
-		n.ackedFrom = []int{1, 2, 3}
-		n.ackedLoads = []int{5, 5, 5}
-		n.resolve()
-		if n.load == 6 {
-			extras[0]++
-		} else if n.load != 5 {
-			t.Fatalf("initiator share %d, want 5 or 6", n.load)
-		}
-		for i := 1; i < m; i++ {
-			tr := <-inboxes[i]
-			if tr.kind != transfer {
-				t.Fatalf("partner %d got %v, want transfer", i, tr.kind)
-			}
-			switch got := 5 + tr.amount; got {
-			case 6:
-				extras[i]++
-			case 5:
-			default:
-				t.Fatalf("partner %d share %d, want 5 or 6", i, got)
-			}
-		}
-	}
-	// One extra per trial, uniform over 4 participants: 1000 expected,
-	// ±5σ ≈ ±137.
-	for i, e := range extras {
-		if e < 800 || e > 1200 {
-			t.Fatalf("participant %d captured the extra %d/%d times (want ≈1000): %v",
-				i, e, trials, extras)
-		}
-	}
-}
-
-// TestInitiatorMeanLoadMatchesPartners: node 0 is the only node whose
-// load ever changes by itself, hence the only initiator. Its long-run
-// mean final load must match its partners' — under the old share(0) rule
-// it systematically kept the first remainder packet of every operation.
-func TestInitiatorMeanLoadMatchesPartners(t *testing.T) {
-	const runs = 150
-	var diff float64
-	for run := 0; run < runs; run++ {
-		res := runWithTimeout(t, Config{
-			N: 4, Delta: 2, F: 1.1, Steps: 300,
-			GenP: []float64{0.6, 0, 0, 0}, ConP: []float64{0.6, 0, 0, 0},
-			Seed: 1000 + uint64(run),
-		})
-		var partners float64
-		for _, n := range res.Nodes[1:] {
-			partners += float64(n.FinalLoad)
-		}
-		diff += float64(res.Nodes[0].FinalLoad) - partners/3
-	}
-	diff /= runs
-	// The biased rule gives ≈ +0.5 here; the rotated snake gives ≈ 0.
-	if diff > 0.35 || diff < -0.35 {
-		t.Fatalf("initiator mean final load deviates from partners by %+.3f", diff)
 	}
 }

@@ -1,90 +1,61 @@
-// Package netsim is the share-nothing, message-passing realization of the
-// Lüling–Monien algorithm: every processor is a goroutine owning its load
-// counter, and balancing operations are a small request/reply protocol
-// over channels — no shared memory, mirroring the distributed-memory
-// transputer systems the paper targets (its [13]).
+// Package netsim is the deterministic, share-nothing simulation of the
+// Lüling–Monien algorithm under message passing: N protocol machines
+// (internal/proto — the same handshake internal/cluster runs over real
+// transports), each owning its load counter, exchanging frames through an
+// in-memory mailbox on a virtual tick clock. One goroutine, no wall
+// clock: a Result is a pure function of its Config, so every number an
+// experiment reports is reproducible from its seeds.
 //
-// # Protocol
+// # Time and delivery
 //
-// A processor whose load has changed by the factor f since its last
-// balancing operation initiates:
-//
-//  1. it sends freezeReq to δ random partners and stops doing workload
-//     steps (it keeps serving its inbox);
-//  2. a partner that is not engaged freezes (stops workload steps) and
-//     replies freezeAck carrying its load; an engaged partner replies
-//     freezeBusy;
-//  3. when all δ replies are in: if any was busy the initiator releases
-//     the frozen partners and aborts (the trigger stays armed, so it
-//     retries on the next load change); otherwise it computes the ±1
-//     equal shares and sends each partner a transfer with the difference,
-//     unfreezing it.
-//
-// Deadlock freedom: nobody ever blocks on a send while refusing to drain
-// its inbox — every node's event loop keeps receiving while frozen or
-// mid-protocol, and freeze conflicts are resolved by abort-and-retry
-// rather than waiting. Shutdown is two-phase: nodes first finish their
-// workload steps and drain to a quiet state (serving, refusing new
-// freezes), and the coordinator closes quit only after every node has
-// reported idle, so no message is ever sent to a terminated node.
+// Time advances in ticks. In every tick the frames due are delivered in
+// the order they were sent, and then every node takes its turn: a live,
+// unengaged node with steps left performs one workload step (generate,
+// consume, evaluate the trigger, maybe initiate); an engaged node makes
+// no workload progress, exactly as in the protocol. A frame sent at tick
+// t is due at t+1, so a balancing operation costs its participants a
+// request/reply round trip plus the transfer — three ticks — and nodes
+// that initiate in the same tick genuinely collide. The run ends when
+// every node has finished its steps, no frame is in flight and nobody
+// is engaged.
 //
 // # Fault injection
 //
-// Config.Faults arms an adversarial network layer: control messages
-// (freezeReq/freezeAck/freezeBusy/release) can be dropped, every message
-// can be held in a per-node delay buffer, and nodes can fail-stop and
-// recover on a schedule. Transfers are always delivered (and applied even
-// at crashed nodes — load lives in stable storage), so total packet count
-// is conserved exactly under any fault pattern. The protocol stays live
-// through two timeouts: an initiator that misses replies aborts with
+// Config.Faults arms an adversarial network layer on the mailbox:
+// control frames (FreezeReq/FreezeAck/FreezeBusy/Release) can be
+// dropped, every frame can be delayed extra ticks, and nodes can
+// fail-stop and recover on a schedule. Transfers are always delivered
+// (and applied even at crashed nodes — load lives in stable storage), so
+// total packet count is conserved exactly under any fault pattern. The
+// protocol stays live through the machine's two timeouts, which this
+// driver fires in ticks: an initiator that misses replies aborts with
 // randomized backoff and releases the partners it heard from, and a
 // frozen partner whose release was lost (or whose initiator crashed)
-// unfreezes itself. Every protocol carries a sequence number so replies
-// and releases from an abandoned protocol are recognized as stale instead
-// of corrupting a newer one. With the zero Faults value none of this
-// machinery runs and behavior is identical to the fault-free protocol.
+// unfreezes itself. With the zero Faults value no frame is ever late, so
+// neither timeout can fire.
 //
 // The packet counters model fungible load units; the full per-class
 // virtual-load machinery (borrowing etc.) lives in internal/core — this
 // package demonstrates the balancing geometry and trigger discipline
-// under true message passing and measures its communication cost.
+// under message passing, measures its communication cost, and is the
+// bench on which the handshake meets loss, delay and crashes.
 package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"lmbalance/internal/obs"
+	"lmbalance/internal/proto"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
+	"lmbalance/internal/wire"
 )
-
-type msgKind uint8
-
-const (
-	freezeReq msgKind = iota
-	freezeAck
-	freezeBusy
-	transfer
-	releaseMsg
-)
-
-// message is the only thing nodes exchange.
-type message struct {
-	kind   msgKind
-	from   int
-	load   int    // freezeAck: sender's current load
-	amount int    // transfer: delta to apply (may be negative)
-	seq    uint64 // initiator's protocol epoch; replies and releases echo it
-}
 
 // Config parameterizes a run.
 type Config struct {
-	// N is the number of processor goroutines (>= 2).
+	// N is the number of simulated processors (>= 2).
 	N int
 	// Delta and F are the algorithm parameters (1 <= Delta < N, F > 1).
 	Delta int
@@ -108,7 +79,7 @@ type Config struct {
 	// Obs, if non-nil, receives the run's aggregate totals (netsim_*
 	// counters) and the final load distribution when Run returns. The
 	// totals are published once at the end — per-event instrumentation
-	// would put shared atomics in the simulator's hot loop.
+	// would put atomics in the simulator's hot loop.
 	Obs *obs.Registry
 }
 
@@ -224,55 +195,48 @@ func (r *Result) Conserved() bool {
 	return int64(r.TotalLoad()) == gen-con
 }
 
-// node is the per-goroutine state; only its own goroutine touches it.
+// node is one simulated processor: its protocol machine plus the
+// driver's bookkeeping around it.
 type node struct {
-	id    int
-	cfg   *Config
-	rng   *rng.RNG
-	inbox chan message
-	peers []chan message
-	idle  *sync.WaitGroup // signaled once when first quiet after stepping
-	quit  chan struct{}
-
-	load int
-	lOld int
-
-	// initiator-side protocol state
-	inflight   bool
-	seq        uint64 // protocol epoch; bumped per initiate and per abandon
-	awaiting   int    // replies still expected
-	sawBusy    bool
-	ackedFrom  []int // partners that froze for us
-	ackedLoads []int
-
-	// partner-side state
-	frozen    bool
-	frozenBy  int
-	frozenSeq uint64 // epoch of the freeze we acked
+	m     *proto.Machine
+	rng   *rng.RNG // workload and partner draws; shared with the machine
+	frng  *rng.RNG // fault draws for frames addressed to this node
+	stats NodeStats
 
 	stepsDone int
-	signaled  bool
-	backoff   int // steps to skip initiating after an aborted protocol
-	stats     NodeStats
+	protoAt   int64 // tick the in-flight protocol started
+	frozeAt   int64 // tick this node froze
 	candBuf   []int
 
-	// fault-layer state (unused when faults are disabled)
-	faultsOn   bool
-	frng       *rng.RNG         // fault randomness; nil when disabled
-	tickC      <-chan time.Time // nil when disabled: select case never fires
-	now        int64            // local tick counter
-	protoAt    int64            // tick the in-flight protocol started
-	frozeAt    int64            // tick this node froze
-	delayQ     []delayed        // messages awaiting delayed delivery
 	crashed    bool
-	crashUntil int64 // tick at which a crashed node recovers
-	crashIdx   int   // next entry of crashPlan to fire
-	crashPlan  []Crash
-	rec        *lockedRecorder
+	crashUntil int64   // tick at which a crashed node recovers
+	crashPlan  []Crash // scheduled crashes not yet fired, by AtStep
 }
 
-// Run executes the distributed simulation and returns per-node statistics.
-// It blocks until every node finished its steps and the network is quiet.
+// envelope is one frame in the mailbox.
+type envelope struct {
+	to  int
+	msg wire.Msg
+}
+
+// network is the whole state of one run.
+type network struct {
+	cfg   *Config
+	nodes []node
+	now   int64
+	// mail is a ring of delivery slots: mail[t%len(mail)] holds the
+	// frames due at tick t, in send order. It is one slot longer than the
+	// farthest a frame can be scheduled ahead, so the slot being
+	// delivered is never appended to.
+	mail     [][]envelope
+	inFlight int // frames in mail
+	stepping int // nodes with workload steps left
+	effs     []proto.Effect
+}
+
+// Run executes the simulation and returns per-node statistics: every
+// node performs its steps, and the run continues until the network is
+// quiet.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -283,69 +247,35 @@ func Run(cfg Config) (*Result, error) {
 	if len(cfg.ConP) == 0 {
 		cfg.ConP = []float64{0.4}
 	}
+	s := &network{
+		cfg:      &cfg,
+		nodes:    make([]node, cfg.N),
+		mail:     make([][]envelope, cfg.Faults.DelayMax+2),
+		stepping: cfg.N,
+	}
 	master := rng.New(cfg.Seed)
-	inboxes := make([]chan message, cfg.N)
-	for i := range inboxes {
-		// Generous buffering: a node can be the target of at most N-1
-		// concurrent freeze requests plus protocol traffic.
-		inboxes[i] = make(chan message, 4*cfg.N)
+	// Fault randomness derives from its own seed so the workload and
+	// partner-selection streams stay byte-identical to a fault-free run
+	// of the same Config.Seed.
+	fmaster := rng.New(cfg.Faults.Seed ^ 0xfa17fa17fa17fa17)
+	for i := range s.nodes {
+		r := master.Split()
+		s.nodes[i] = node{m: proto.New(i, cfg.F, r), rng: r, frng: fmaster.Split()}
 	}
-	faultsOn := cfg.Faults.enabled()
-	var fmaster *rng.RNG
-	var rec *lockedRecorder
-	crashPlans := make([][]Crash, cfg.N)
-	if faultsOn {
-		// Fault randomness derives from its own seed so the workload and
-		// partner-selection streams stay byte-identical to a fault-free
-		// run of the same Config.Seed.
-		fmaster = rng.New(cfg.Faults.Seed ^ 0xfa17fa17fa17fa17)
-		if cfg.Faults.Trace != nil {
-			rec = &lockedRecorder{rec: cfg.Faults.Trace}
-		}
-		for _, c := range cfg.Faults.Crashes {
-			crashPlans[c.Node] = append(crashPlans[c.Node], c)
-		}
-		for _, plan := range crashPlans {
-			sort.Slice(plan, func(i, j int) bool { return plan[i].AtStep < plan[j].AtStep })
-		}
+	for _, c := range cfg.Faults.Crashes {
+		s.nodes[c.Node].crashPlan = append(s.nodes[c.Node].crashPlan, c)
 	}
-	var idle sync.WaitGroup
-	var done sync.WaitGroup
-	quit := make(chan struct{})
-	nodes := make([]*node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		nodes[i] = &node{
-			id:    i,
-			cfg:   &cfg,
-			rng:   master.Split(),
-			inbox: inboxes[i],
-			peers: inboxes,
-			idle:  &idle,
-			quit:  quit,
-		}
-		if faultsOn {
-			nodes[i].faultsOn = true
-			nodes[i].frng = fmaster.Split()
-			nodes[i].crashPlan = crashPlans[i]
-			nodes[i].rec = rec
-		}
-		idle.Add(1)
-		done.Add(1)
+	for i := range s.nodes {
+		plan := s.nodes[i].crashPlan
+		sort.SliceStable(plan, func(a, b int) bool { return plan[a].AtStep < plan[b].AtStep })
 	}
-	for _, n := range nodes {
-		go func(n *node) {
-			defer done.Done()
-			n.run()
-		}(n)
+	for !s.quiet() {
+		s.tick()
 	}
-	idle.Wait() // every node finished stepping and is quiet
-	close(quit) // release the serving loops
-	done.Wait()
-
 	res := &Result{Nodes: make([]NodeStats, cfg.N)}
-	for i, n := range nodes {
-		n.stats.FinalLoad = n.load
-		res.Nodes[i] = n.stats
+	for i := range s.nodes {
+		s.nodes[i].stats.FinalLoad = s.nodes[i].m.Load()
+		res.Nodes[i] = s.nodes[i].stats
 	}
 	publishObs(cfg.Obs, res)
 	return res, nil
@@ -398,406 +328,178 @@ func publishObs(reg *obs.Registry, res *Result) {
 	}
 }
 
-// send delivers m to peer id (counted).
-func (n *node) send(to int, m message) {
-	m.from = n.id
-	n.stats.MessagesSent++
-	n.peers[to] <- m
+// quiet is the termination condition: every node finished stepping,
+// nothing is in flight, nobody is engaged. The machine's timeouts bound
+// every engagement and crash windows are finite, so it is always reached.
+func (s *network) quiet() bool {
+	if s.stepping > 0 || s.inFlight > 0 {
+		return false
+	}
+	for i := range s.nodes {
+		if s.nodes[i].m.Engaged() {
+			return false
+		}
+	}
+	return true
 }
 
-// run is the node's event loop.
-func (n *node) run() {
-	defer n.finalDrain()
-	if n.faultsOn {
-		ticker := time.NewTicker(n.cfg.Faults.tick())
-		defer ticker.Stop()
-		n.tickC = ticker.C
+// tick advances the virtual clock by one: deliver what is due, then give
+// every node its turn. The turn order rotates with the clock so that no
+// node id systematically wins same-tick freeze races.
+func (s *network) tick() {
+	s.now++
+	slot := &s.mail[s.now%int64(len(s.mail))]
+	for _, e := range *slot {
+		s.deliver(e)
 	}
-	for {
-		if n.faultsOn {
-			n.tick()
-		}
-		// Serve everything already queued.
-		for {
-			select {
-			case m := <-n.inbox:
-				n.deliver(m)
-				continue
-			default:
-			}
-			break
-		}
-		switch {
-		case n.crashed:
-			// Fail-stopped: no workload progress, no protocol. The
-			// goroutine keeps draining its inbox so senders never block
-			// on a dead node; deliver routes everything through the
-			// crashed-node rules (control lost, transfers banked).
-			select {
-			case m := <-n.inbox:
-				n.deliver(m)
-			case <-n.tickC: // advance recovery while silent
-			case <-n.quit:
-				return
-			}
-		case n.inflight || n.frozen:
-			// Mid-protocol: block on the inbox (no workload progress),
-			// still draining so nobody deadlocks on a send to us. The
-			// tick case (armed only under faults) keeps timeouts and
-			// delayed deliveries advancing while the network is silent.
-			select {
-			case m := <-n.inbox:
-				n.deliver(m)
-			case <-n.tickC:
-			case <-n.quit:
-				return
-			}
-		case n.stepsDone < n.cfg.Steps:
-			n.step()
-			// Yield so nodes interleave even on a single CPU; without
-			// this a node could burn through all its steps inside one
-			// scheduler timeslice and starve the protocol of partners.
-			runtime.Gosched()
-		default:
-			// Drain mode: report idle once, then keep serving as a
-			// balancing partner until quit.
-			if !n.signaled {
-				n.signaled = true
-				n.idle.Done()
-			}
-			select {
-			case m := <-n.inbox:
-				n.deliver(m)
-			case <-n.tickC:
-			case <-n.quit:
-				return
-			}
-		}
+	s.inFlight -= len(*slot)
+	*slot = (*slot)[:0]
+	n := len(s.nodes)
+	for k := 0; k < n; k++ {
+		s.turn(int((s.now + int64(k)) % int64(n)))
 	}
 }
 
-// deliver passes one message pulled off the inbox through the fault
-// layer: it may be dropped (control messages only), delayed, or handed to
-// the protocol. Without faults it is a direct call to handle.
-func (n *node) deliver(m message) {
-	if n.faultsOn {
-		if m.kind != transfer && n.frng.Bernoulli(n.cfg.Faults.DropP) {
-			n.stats.Dropped++
-			n.rec.record(trace.Event{Step: n.stepsDone, Proc: n.id, Kind: trace.EvDrop, Arg: m.from})
+// post hands a frame to the network. It is due next tick unless the
+// fault layer, drawing from the receiver's fault stream, loses it
+// (control frames only) or holds it back.
+func (s *network) post(to int, msg wire.Msg) {
+	nd, f := &s.nodes[to], &s.cfg.Faults
+	if msg.Kind != wire.Transfer && nd.frng.Bernoulli(f.DropP) {
+		nd.stats.Dropped++
+		s.record(to, trace.EvDrop, msg.From)
+		return
+	}
+	due := s.now + 1
+	if f.DelayMax > 0 {
+		if d := nd.frng.Intn(f.DelayMax + 1); d > 0 {
+			nd.stats.Delayed++
+			due += int64(d)
+		}
+	}
+	slot := &s.mail[due%int64(len(s.mail))]
+	*slot = append(*slot, envelope{to, msg})
+	s.inFlight++
+}
+
+// deliver hands a due frame to its receiver's machine. A crashed node
+// answers nothing — control frames are lost at it — but a transfer still
+// lands on its persistent load counter, so packet conservation survives
+// the crash.
+func (s *network) deliver(e envelope) {
+	nd := &s.nodes[e.to]
+	if nd.crashed && e.msg.Kind != wire.Transfer {
+		nd.stats.LostAtCrash++
+		s.record(e.to, trace.EvDrop, e.msg.From)
+		return
+	}
+	s.apply(e.to, nd.m.Handle(e.msg, s.effs[:0]))
+}
+
+// turn is node i's share of one tick: crash windows open and close, the
+// machine's timeouts fire when overdue, and a live, unengaged node with
+// steps left performs one.
+func (s *network) turn(i int) {
+	nd, f := &s.nodes[i], &s.cfg.Faults
+	if nd.crashed {
+		if s.now < nd.crashUntil {
 			return
 		}
-		if dm := n.cfg.Faults.DelayMax; dm > 0 {
-			if d := n.frng.Intn(dm + 1); d > 0 {
-				n.stats.Delayed++
-				n.delayQ = append(n.delayQ, delayed{due: n.now + int64(d), m: m})
-				return
-			}
-		}
+		nd.crashed = false
 	}
-	n.dispatch(m)
-}
-
-// dispatch routes a due message to the live or crashed handler.
-func (n *node) dispatch(m message) {
-	if n.crashed {
-		n.crashedHandle(m)
+	if len(nd.crashPlan) > 0 && nd.stepsDone >= nd.crashPlan[0].AtStep {
+		// Fail-stop: all protocol state vanishes with the node. An
+		// initiator's frozen partners are NOT released — they must rescue
+		// themselves via the freeze-expiry timeout.
+		down := int64(nd.crashPlan[0].DownTicks)
+		if down == 0 {
+			down = defaultDownTicks
+		}
+		nd.crashPlan = nd.crashPlan[1:]
+		nd.crashed, nd.crashUntil = true, s.now+down
+		nd.stats.Crashes++
+		s.record(i, trace.EvCrash, int(down))
+		nd.m.Crash()
 		return
 	}
-	n.handle(m)
+	if nd.m.Inflight() && s.now-nd.protoAt > f.timeoutTicks() {
+		s.apply(i, nd.m.ReplyTimeout(s.effs[:0]))
+	}
+	if nd.m.Frozen() && s.now-nd.frozeAt > f.freezeTicks() {
+		s.apply(i, nd.m.FreezeExpired(s.effs[:0]))
+	}
+	if nd.stepsDone < s.cfg.Steps && !nd.m.Engaged() {
+		s.step(i)
+	}
 }
 
-// crashedHandle is the dead node's network interface: control messages
-// are lost (a crashed node answers nothing), but transfers are applied to
-// the persistent load counter so packet conservation survives the crash.
-func (n *node) crashedHandle(m message) {
-	if m.kind == transfer {
-		n.load += m.amount
+// step performs one workload step and initiates if the trigger fires.
+func (s *network) step(i int) {
+	nd := &s.nodes[i]
+	nd.stepsDone++
+	if nd.stepsDone == s.cfg.Steps {
+		s.stepping--
+	}
+	if nd.rng.Bernoulli(probAt(s.cfg.GenP, i)) {
+		nd.m.Add(1)
+		nd.stats.Generated++
+	}
+	if nd.rng.Bernoulli(probAt(s.cfg.ConP, i)) && nd.m.Load() > 0 {
+		nd.m.Add(-1)
+		nd.stats.Consumed++
+	}
+	if !nd.m.Trigger() {
 		return
 	}
-	n.stats.LostAtCrash++
-	n.rec.record(trace.Event{Step: n.stepsDone, Proc: n.id, Kind: trace.EvDrop, Arg: m.from})
-}
-
-// tick advances the node's local fault clock: delayed deliveries come
-// due, crash windows open and close, and the two protocol timeouts fire.
-// Called once per event-loop iteration (and, via the wall-clock ticker,
-// while the node is blocked waiting for messages).
-func (n *node) tick() {
-	n.now++
-	// Deliver due delayed messages (the buffer is small; linear scan).
-	for i := 0; i < len(n.delayQ); {
-		if n.delayQ[i].due <= n.now {
-			m := n.delayQ[i].m
-			n.delayQ[i] = n.delayQ[len(n.delayQ)-1]
-			n.delayQ = n.delayQ[:len(n.delayQ)-1]
-			n.dispatch(m)
-			continue
-		}
-		i++
-	}
-	if n.crashed {
-		if n.now >= n.crashUntil {
-			n.recoverNode()
-		}
-		return
-	}
-	if n.crashIdx < len(n.crashPlan) && n.stepsDone >= n.crashPlan[n.crashIdx].AtStep {
-		n.crash(n.crashPlan[n.crashIdx])
-		n.crashIdx++
-		return
-	}
-	if n.inflight && n.now-n.protoAt > n.cfg.Faults.timeoutTicks() {
-		// Reply timeout: a request or reply was dropped, or a partner
-		// crashed. Abandon the protocol, release everyone who froze for
-		// us, and re-arm with randomized backoff.
-		n.stats.Timeouts++
-		n.rec.record(trace.Event{Step: n.stepsDone, Proc: n.id, Kind: trace.EvTimeout, Arg: n.awaiting})
-		n.abandon()
-	}
-	if n.frozen && n.now-n.frozeAt > n.cfg.Faults.freezeTicks() {
-		// Our release (or our initiator) is gone. Unfreeze unilaterally
-		// rather than leak the freeze; a late transfer still applies.
-		n.stats.FreezeExpired++
-		n.rec.record(trace.Event{Step: n.stepsDone, Proc: n.id, Kind: trace.EvTimeout, Arg: n.frozenBy})
-		n.frozen = false
-	}
-}
-
-// crash opens a fail-stop window: all protocol state vanishes with the
-// node. An initiator's frozen partners are NOT released — they must
-// rescue themselves via the freeze-expiry timeout.
-func (n *node) crash(c Crash) {
-	n.crashed = true
-	down := int64(c.DownTicks)
-	if down == 0 {
-		down = defaultDownTicks
-	}
-	n.crashUntil = n.now + down
-	n.stats.Crashes++
-	n.rec.record(trace.Event{Step: n.stepsDone, Proc: n.id, Kind: trace.EvCrash, Arg: int(down)})
-	n.inflight = false
-	n.seq++ // replies to the abandoned protocol become stale
-	n.awaiting = 0
-	n.sawBusy = false
-	n.frozen = false
-	n.backoff = 0
-}
-
-// recoverNode closes the fail-stop window; the load counter survived in
-// stable storage and the trigger base re-arms on the recovered value.
-func (n *node) recoverNode() {
-	n.crashed = false
-	n.lOld = n.load
-}
-
-// finalDrain applies any messages still buffered at shutdown. The only
-// messages that can be in flight once every node reported idle are
-// transfers and releases from a just-resolved protocol (plus, under
-// faults, stragglers from abandoned protocols and delayed deliveries
-// still sitting in the delay buffer); applying the transfers keeps packet
-// conservation exact. (A freezeReq cannot be pending in the fault-free
-// protocol — a pending request implies an initiator that has not reported
-// idle.)
-func (n *node) finalDrain() {
-	for {
-		select {
-		case m := <-n.inbox:
-			switch m.kind {
-			case transfer:
-				n.load += m.amount
-				n.frozen = false
-			case releaseMsg:
-				n.frozen = false
-			}
-		default:
-			for _, d := range n.delayQ {
-				if d.m.kind == transfer {
-					n.load += d.m.amount
-				}
-			}
-			n.delayQ = nil
-			return
-		}
-	}
-}
-
-// step performs one workload step and fires the trigger if needed.
-func (n *node) step() {
-	n.stepsDone++
-	if n.rng.Bernoulli(probAt(n.cfg.GenP, n.id)) {
-		n.load++
-		n.stats.Generated++
-	}
-	if n.rng.Bernoulli(probAt(n.cfg.ConP, n.id)) && n.load > 0 {
-		n.load--
-		n.stats.Consumed++
-	}
-	if n.backoff > 0 {
-		n.backoff--
-		return
-	}
-	if n.trigger() {
-		n.initiate()
-	}
-}
-
-// trigger is the factor-f condition with the strict-change guard.
-func (n *node) trigger() bool {
-	if n.load > n.lOld && float64(n.load) >= n.cfg.F*float64(n.lOld) {
-		return true
-	}
-	return n.load < n.lOld && float64(n.load)*n.cfg.F <= float64(n.lOld)
-}
-
-// initiate starts a balancing protocol with δ random partners (drawn
-// from the whole network, or from the node's graph neighborhood when a
-// topology is configured).
-func (n *node) initiate() {
-	if g := n.cfg.Graph; g != nil {
-		ns := g.Neighbors(n.id)
-		if n.cfg.Delta >= len(ns) {
-			n.candBuf = append(n.candBuf[:0], ns...)
-		} else {
-			idx := n.rng.SampleDistinct(len(ns), n.cfg.Delta, -1, nil)
-			n.candBuf = n.candBuf[:0]
-			for _, i := range idx {
-				n.candBuf = append(n.candBuf, ns[i])
-			}
-		}
+	// Initiate with δ random partners, drawn from the whole network or,
+	// when a topology is configured, from the node's graph neighborhood.
+	if g := s.cfg.Graph; g == nil {
+		nd.candBuf = nd.rng.SampleDistinct(s.cfg.N, s.cfg.Delta, i, nd.candBuf)
+	} else if ns := g.Neighbors(i); s.cfg.Delta >= len(ns) {
+		nd.candBuf = append(nd.candBuf[:0], ns...)
 	} else {
-		n.candBuf = n.rng.SampleDistinct(n.cfg.N, n.cfg.Delta, n.id, n.candBuf)
+		nd.candBuf = nd.rng.SampleDistinct(len(ns), s.cfg.Delta, -1, nd.candBuf)
+		for k, idx := range nd.candBuf {
+			nd.candBuf[k] = ns[idx]
+		}
 	}
-	n.inflight = true
-	n.seq++
-	n.protoAt = n.now
-	n.awaiting = len(n.candBuf)
-	n.sawBusy = false
-	n.ackedFrom = n.ackedFrom[:0]
-	n.ackedLoads = n.ackedLoads[:0]
-	n.stats.Initiated++
-	for _, c := range n.candBuf {
-		n.send(c, message{kind: freezeReq, seq: n.seq})
-	}
+	nd.protoAt = s.now
+	nd.stats.Initiated++
+	s.apply(i, nd.m.Initiate(nd.candBuf, 0, s.effs[:0]))
 }
 
-// abandon gives up on the in-flight protocol after a reply timeout:
-// partners that froze for us are released, outstanding replies become
-// stale (the epoch bumps), and the trigger re-arms with the same
-// randomized backoff as a busy abort.
-func (n *node) abandon() {
-	n.inflight = false
-	for _, p := range n.ackedFrom {
-		n.send(p, message{kind: releaseMsg, seq: n.seq})
-	}
-	n.seq++
-	n.awaiting = 0
-	n.sawBusy = false
-	n.stats.Aborted++
-	n.backoff = 1 + n.rng.Intn(8)
-}
-
-// handle processes one incoming message.
-func (n *node) handle(m message) {
-	switch m.kind {
-	case freezeReq:
-		// Refuse while engaged in any role. Nodes that finished their
-		// steps still participate as partners — only initiators drive the
-		// shutdown, so the network quiesces once all steppers are done.
-		if n.inflight || n.frozen {
-			n.send(m.from, message{kind: freezeBusy, seq: m.seq})
-			return
-		}
-		n.frozen = true
-		n.frozenBy = m.from
-		n.frozenSeq = m.seq
-		n.frozeAt = n.now
-		n.send(m.from, message{kind: freezeAck, load: n.load, seq: m.seq})
-
-	case freezeAck:
-		if !n.inflight || m.seq != n.seq {
-			// Stale ack from a protocol we already resolved, abandoned on
-			// timeout, or lost to a crash: release the partner
-			// immediately so it does not sit frozen until its own
-			// timeout. (Cannot happen in the fault-free protocol, which
-			// resolves only when all replies are in.)
-			n.send(m.from, message{kind: releaseMsg, seq: m.seq})
-			return
-		}
-		n.awaiting--
-		n.ackedFrom = append(n.ackedFrom, m.from)
-		n.ackedLoads = append(n.ackedLoads, m.load)
-		if n.awaiting == 0 {
-			n.resolve()
-		}
-
-	case freezeBusy:
-		if !n.inflight || m.seq != n.seq {
-			return
-		}
-		n.awaiting--
-		n.sawBusy = true
-		if n.awaiting == 0 {
-			n.resolve()
-		}
-
-	case transfer:
-		// The load delta always applies — transfers are reliable and
-		// conservation depends on it — but the freeze clears only if this
-		// transfer ends the freeze we are actually in; under faults a
-		// late transfer from an expired freeze must not terminate a newer
-		// protocol's freeze.
-		n.load += m.amount
-		if !n.frozen || (n.frozenBy == m.from && n.frozenSeq == m.seq) {
-			n.lOld = n.load
-			n.frozen = false
-		}
-
-	case releaseMsg:
-		if n.frozen && n.frozenBy == m.from && n.frozenSeq == m.seq {
-			n.frozen = false
+// apply carries out node i's effects: frames enter the mailbox, the
+// rest feed the tick-clock timers and the activity counters.
+func (s *network) apply(i int, effs []proto.Effect) {
+	s.effs = effs[:0] // keep the grown buffer
+	nd := &s.nodes[i]
+	for k := range effs {
+		switch e := &effs[k]; e.Kind {
+		case proto.Send:
+			nd.stats.MessagesSent++
+			s.post(e.To, e.Msg)
+		case proto.Froze:
+			nd.frozeAt = s.now
+		case proto.Unfroze:
+			if e.Reason == proto.ByExpiry {
+				nd.stats.FreezeExpired++
+				s.record(i, trace.EvTimeout, e.Peer)
+			}
+		case proto.Aborted:
+			nd.stats.Aborted++
+			if e.Reason == proto.Timeout {
+				nd.stats.Timeouts++
+				s.record(i, trace.EvTimeout, e.Partners)
+			}
+		case proto.Resolved:
+			nd.stats.Completed++
 		}
 	}
 }
 
-// resolve finishes the initiator's protocol once all replies are in.
-func (n *node) resolve() {
-	n.inflight = false
-	if n.sawBusy {
-		for _, p := range n.ackedFrom {
-			n.send(p, message{kind: releaseMsg, seq: n.seq})
-		}
-		n.stats.Aborted++
-		// Randomized backoff: retrying on the very next step while every
-		// neighbor is also retrying leads to an abort storm.
-		n.backoff = 1 + n.rng.Intn(8)
-		return
+// record traces one fault-layer event at node i, if a recorder is armed.
+func (s *network) record(i int, kind trace.EventKind, arg int) {
+	if t := s.cfg.Faults.Trace; t != nil {
+		t.Record(trace.Event{Step: s.nodes[i].stepsDone, Proc: i, Kind: kind, Arg: arg})
 	}
-	total := n.load
-	for _, l := range n.ackedLoads {
-		total += l
-	}
-	m := len(n.ackedFrom) + 1
-	base, rem := total/m, total%m
-	// Rotate the start of the remainder run uniformly (the core package's
-	// snake discipline, randomized): handing the extras to a fixed
-	// participant index would let the initiator — index 0 — capture one
-	// surplus packet on every operation with a remainder.
-	off := 0
-	if rem > 0 {
-		off = n.rng.Intn(m)
-	}
-	share := func(idx int) int {
-		if rel := idx - off; (rel%m+m)%m < rem {
-			return base + 1
-		}
-		return base
-	}
-	n.load = share(0)
-	n.lOld = n.load
-	for i, p := range n.ackedFrom {
-		// Partners froze under the current epoch (acks echo the
-		// request's seq), so transfers carry it too.
-		n.send(p, message{kind: transfer, amount: share(i+1) - n.ackedLoads[i], seq: n.seq})
-	}
-	n.stats.Completed++
 }

@@ -1,35 +1,23 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
-	"time"
 
 	"lmbalance/internal/topology"
+	"lmbalance/internal/trace"
 )
 
-// runWithTimeout guards against protocol deadlocks: the whole point of
-// the message-passing realization is that it quiesces by itself.
-func runWithTimeout(t *testing.T, cfg Config) *Result {
+// mustRun runs the simulation; it is single-threaded and its timeouts
+// are virtual, so a protocol deadlock cannot hang it — an unreleased
+// freeze would surface as a counter, not a stuck test.
+func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	type outcome struct {
-		res *Result
-		err error
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := Run(cfg)
-		ch <- outcome{res, err}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		return o.res
-	case <-time.After(60 * time.Second):
-		t.Fatal("netsim.Run deadlocked")
-		return nil
-	}
+	return res
 }
 
 func TestValidation(t *testing.T) {
@@ -50,7 +38,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestConservation(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 8, Delta: 1, F: 1.2, Steps: 2000,
 		GenP: []float64{0.5}, ConP: []float64{0.4}, Seed: 1,
 	})
@@ -66,7 +54,7 @@ func TestConservation(t *testing.T) {
 }
 
 func TestProtocolCountersConsistent(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 2, F: 1.1, Steps: 1000,
 		GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 2,
 	})
@@ -95,7 +83,7 @@ func TestProtocolCountersConsistent(t *testing.T) {
 func TestHotspotSpreads(t *testing.T) {
 	gen := make([]float64, 16)
 	gen[0] = 0.9
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 1, F: 1.2, Steps: 3000,
 		GenP: gen, ConP: []float64{0}, Seed: 3,
 	})
@@ -128,7 +116,7 @@ func TestSpreadBeatsUnbalanced(t *testing.T) {
 			gen[i], con[i] = 0.1, 0.3
 		}
 	}
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 8, Delta: 2, F: 1.1, Steps: 4000,
 		GenP: gen, ConP: con, Seed: 4,
 	})
@@ -142,7 +130,7 @@ func TestSpreadBeatsUnbalanced(t *testing.T) {
 // TestManyNodesNoDeadlock stresses freeze-conflict resolution: many nodes,
 // large δ, frequent triggers.
 func TestManyNodesNoDeadlock(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 64, Delta: 4, F: 1.05, Steps: 500,
 		GenP: []float64{0.7}, ConP: []float64{0.5}, Seed: 5,
 	})
@@ -157,7 +145,7 @@ func TestManyNodesNoDeadlock(t *testing.T) {
 
 // TestDelta1MinimalConfig: the smallest network.
 func TestDelta1MinimalConfig(t *testing.T) {
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 2, Delta: 1, F: 1.5, Steps: 500,
 		GenP: []float64{0.5, 0}, ConP: []float64{0}, Seed: 6,
 	})
@@ -171,7 +159,7 @@ func TestDelta1MinimalConfig(t *testing.T) {
 // 2δ+transfer messages; larger δ costs proportionally more.
 func TestMessageCostScalesWithDelta(t *testing.T) {
 	run := func(delta int) (perOp float64) {
-		res := runWithTimeout(t, Config{
+		res := mustRun(t, Config{
 			N: 32, Delta: delta, F: 1.2, Steps: 1500,
 			GenP: []float64{0.6}, ConP: []float64{0.4}, Seed: 7,
 		})
@@ -213,7 +201,7 @@ func TestGraphRestrictedBalancing(t *testing.T) {
 	for i := range con {
 		con[i] = 0.05
 	}
-	res := runWithTimeout(t, Config{
+	res := mustRun(t, Config{
 		N: 16, Delta: 2, F: 1.2, Steps: 5000,
 		GenP: gen, ConP: con, Seed: 9, Graph: g,
 	})
@@ -234,6 +222,49 @@ func TestGraphRestrictedBalancing(t *testing.T) {
 	// The hotspot must not hoard.
 	if res.Nodes[0].FinalLoad > res.TotalLoad()*3/4 {
 		t.Fatalf("hotspot kept %d of %d under torus balancing", res.Nodes[0].FinalLoad, res.TotalLoad())
+	}
+}
+
+// TestNetsimDeterministic: a Result is a pure function of its Config —
+// the same seeds, with every fault mechanism armed, give the same
+// per-node statistics and the same fault trace, run after run.
+func TestNetsimDeterministic(t *testing.T) {
+	run := func() (*Result, []trace.Event) {
+		rec := trace.NewRecorder(1 << 12)
+		res := mustRun(t, Config{
+			N: 16, Delta: 2, F: 1.1, Steps: 800,
+			GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 31,
+			Graph: topology.Torus2D(4, 4),
+			Faults: Faults{DropP: 0.3, DelayMax: 3, Seed: 19, TimeoutTicks: 25, Trace: rec,
+				Crashes: []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500, DownTicks: 100}}},
+		})
+		return res, rec.Events()
+	}
+	a, aev := run()
+	b, bev := run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same Config, different Results:\n%+v\n%+v", a.Nodes, b.Nodes)
+	}
+	if !reflect.DeepEqual(aev, bev) {
+		t.Fatal("same Config, different fault traces")
+	}
+	var timeouts, dropped, delayed, completed int64
+	for _, n := range a.Nodes {
+		timeouts += n.Timeouts
+		dropped += n.Dropped
+		delayed += n.Delayed
+		completed += n.Completed
+	}
+	if timeouts == 0 || dropped == 0 || delayed == 0 || completed == 0 || !a.Conserved() {
+		t.Fatalf("the compared run did not exercise the fault layer: %+v", a.Nodes)
+	}
+	// The workload seed and the fault seed are independent knobs.
+	c := mustRun(t, Config{N: 16, Delta: 2, F: 1.1, Steps: 800, Seed: 31,
+		GenP: []float64{0.6}, ConP: []float64{0.3}, Faults: Faults{DropP: 0.3, Seed: 20}})
+	d := mustRun(t, Config{N: 16, Delta: 2, F: 1.1, Steps: 800, Seed: 31,
+		GenP: []float64{0.6}, ConP: []float64{0.3}, Faults: Faults{DropP: 0.3, Seed: 21}})
+	if reflect.DeepEqual(c, d) {
+		t.Fatal("changing Faults.Seed changed nothing")
 	}
 }
 

@@ -143,6 +143,16 @@ func TestServeClientDisconnect(t *testing.T) {
 			t.Fatalf("doomed submit %d: %v", i, err)
 		}
 	}
+	// Vanish only once the server has read every submission: closing
+	// earlier makes the server's next CAccepted write draw a TCP reset,
+	// which discards the submissions it had not read yet — then "accepted"
+	// depends on how far the reader got, not on the server.
+	for deadline := time.Now().Add(10 * time.Second); doomed.Accepted() < doomedJobs; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server acknowledged %d of %d doomed jobs", doomed.Accepted(), doomedJobs)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := doomed.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,10 @@ type PriorityWorker = pool.PriorityWorker
 // NewPriorityPool creates and starts a best-first pool.
 func NewPriorityPool(cfg PoolConfig) (*PriorityPool, error) { return pool.NewPriority(cfg) }
 
-// NetworkConfig configures the share-nothing, message-passing realization
-// (one goroutine per processor, balancing via a freeze/ack/transfer
-// protocol over channels).
+// NetworkConfig configures the share-nothing, message-passing simulation
+// (one protocol machine per processor, balancing via a freeze/ack/transfer
+// exchange through a simulated network on a virtual clock; the same
+// config always gives the same result).
 type NetworkConfig = netsim.Config
 
 // NetworkResult is the outcome of a message-passing run.
