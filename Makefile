@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check race bench bench-obs bench-wire bench-shard bench-pace bench-serve bench-journey bench-flight fuzz experiments
+.PHONY: check race bench bench-obs bench-wire bench-pace bench-serve bench-journey bench-flight fuzz experiments
 
 # Tier-1 gate: everything must pass before a change lands.
 check:
@@ -14,7 +14,9 @@ check:
 race:
 	$(GO) test -race ./internal/pool ./internal/sim ./internal/core ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
 
-# Microbenchmarks for the sparse core (see results/BENCH_sparse.json).
+# Microbenchmarks for the sparse core (the ledger's successors are
+# core.balance_op_ns.d1/.d4, core.gen_consume_ns and core.new_system_ms:
+# bash bench/run.sh --workload sim_sharded --trace 1).
 bench:
 	$(GO) test . -run xxx -bench 'BenchmarkBalanceOp|BenchmarkGenerateConsume|BenchmarkNewSystem' -benchmem
 
@@ -28,13 +30,6 @@ bench-obs:
 # must cost ≤1 byte on v1-shaped messages (TestOpFieldOverhead).
 bench-wire:
 	$(GO) test ./internal/wire/ -run xxx -bench 'BenchmarkWire' -benchmem
-
-# Sharded-engine within-run scaling: proc-steps/sec vs worker count on
-# the identical (seed, shards) simulation, with cross-worker bit-identity
-# asserted. The checked-in results/BENCH_shard.json was captured with
-# -sizes 65536,1000000; the CI pass keeps to the CI-sized sweep.
-bench-shard:
-	$(GO) run ./cmd/shardbench -sizes 65536
 
 # Initiation pacing on real TCP sockets at the pathological size
 # (n=16, hot-quarter): completion rate and msgs per completed op under

@@ -182,8 +182,9 @@ func BenchmarkScaling(b *testing.B) {
 // mixed workload at workers = 1 and workers = GOMAXPROCS. The two
 // sub-benchmarks simulate the exact same (seed, shards) system — worker
 // count is pure execution parallelism — so their ratio is the within-run
-// speedup (cmd/shardbench sweeps this properly and records
-// results/BENCH_shard.json).
+// speedup (the benchmark ledger's sim.proc_steps_per_s.w1 and
+// sim.parallel_efficiency: bash bench/run.sh --workload sim_sharded
+// --trace 1).
 func BenchmarkShardedEngine(b *testing.B) {
 	const n, steps, shards = 16384, 30, 64
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -213,11 +214,13 @@ func BenchmarkShardedEngine(b *testing.B) {
 // benchNs are the network sizes of the core micro-benchmarks. The sparse
 // class storage keeps per-operation cost tied to the participants' active
 // classes rather than n; the n=4096 cases were unusable with the dense
-// O(n²) representation (results/BENCH_sparse.json records both).
+// O(n²) representation. The benchmark ledger's core.balance_op_ns.d1/.d4,
+// core.gen_consume_ns and core.new_system_ms are these benchmarks at
+// n = 4096 (bash bench/run.sh --workload sim_sharded --trace 1).
 var benchNs = []int{64, 256, 1024, 4096}
 
 // BenchmarkBalanceOp measures one full δ+1-way balancing operation
-// (selection, snake redistribution of the participants' active classes,
+// (selection, the fused merge–snake pass over the participants' rows,
 // trigger/marker bookkeeping) on a warmed-up system.
 func BenchmarkBalanceOp(b *testing.B) {
 	for _, n := range benchNs {

@@ -146,7 +146,12 @@ func (s *denseSystem) balance(init int) {
 	s.candBuf = s.sel.Select(init, s.params.Delta, s.rng, s.candBuf)
 	s.setBuf = append(s.setBuf[:0], init)
 	s.setBuf = append(s.setBuf, s.candBuf...)
-	set := s.setBuf
+	s.balanceSet(s.setBuf)
+}
+
+// balanceSet is balance with the participants given, initiator first.
+func (s *denseSystem) balanceSet(set []int) {
+	init := set[0]
 	s.metrics.BalanceOps++
 	s.redistribute(set)
 	for _, p := range set {

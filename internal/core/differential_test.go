@@ -41,19 +41,7 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 
 			compareFull := func(step int) {
 				t.Helper()
-				for p := 0; p < cfg.n; p++ {
-					for j := 0; j < cfg.n; j++ {
-						if sparse.D(p, j) != dense.d[p*cfg.n+j] {
-							t.Fatalf("step %d: d[%d][%d] sparse=%d dense=%d",
-								step, p, j, sparse.D(p, j), dense.d[p*cfg.n+j])
-						}
-						if sparse.B(p, j) != dense.b[p*cfg.n+j] {
-							t.Fatalf("step %d: b[%d][%d] sparse=%d dense=%d",
-								step, p, j, sparse.B(p, j), dense.b[p*cfg.n+j])
-						}
-					}
-				}
-				if err := sparse.CheckInvariants(); err != nil {
+				if err := diffDense(sparse, dense); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 			}
@@ -159,6 +147,122 @@ func TestSparseMatchesDenseOnDrain(t *testing.T) {
 	// active sets must have compacted down to exactly the marker cells.
 	if nnz := sparse.NNZ(); nnz != countDenseNNZ(dense) {
 		t.Fatalf("NNZ %d does not match dense nonzero count %d", nnz, countDenseNNZ(dense))
+	}
+}
+
+// diffDense compares every cell, every per-processor total and the
+// counters of the sparse system with the dense reference, and checks the
+// sparse bookkeeping (CheckInvariants: self entry pinned, tail sorted, no
+// empty or duplicate entry, sums and conservation).
+func diffDense(sparse *System, dense *denseSystem) error {
+	n := dense.n
+	for p := 0; p < n; p++ {
+		for j := 0; j < n; j++ {
+			if sparse.D(p, j) != dense.d[p*n+j] {
+				return fmt.Errorf("d[%d][%d] sparse=%d dense=%d", p, j, sparse.D(p, j), dense.d[p*n+j])
+			}
+			if sparse.B(p, j) != dense.b[p*n+j] {
+				return fmt.Errorf("b[%d][%d] sparse=%d dense=%d", p, j, sparse.B(p, j), dense.b[p*n+j])
+			}
+		}
+		if sparse.Load(p) != dense.l[p] || sparse.Borrowed(p) != dense.bTot[p] {
+			return fmt.Errorf("processor %d: l %d/%d bTot %d/%d", p, sparse.Load(p), dense.l[p], sparse.Borrowed(p), dense.bTot[p])
+		}
+	}
+	if sparse.Metrics() != dense.metrics {
+		return fmt.Errorf("metrics diverged:\nsparse %+v\ndense  %+v", sparse.Metrics(), dense.metrics)
+	}
+	return sparse.CheckInvariants()
+}
+
+// TestBalanceKernelEdgeCases puts hand-built states through the balance
+// kernel and through the dense reference's two-pass redistribution, for
+// every start offset the one Intn(np) draw can produce. The rows are the
+// shapes the merge has to get right: where the pinned self entry slots in,
+// which participants hold a class, and which of a class's two totals is
+// zero.
+func TestBalanceKernelEdgeCases(t *testing.T) {
+	type cell struct{ p, cls, d, b int }
+	const n = 8
+	cases := []struct {
+		name  string
+		delta int
+		set   []int // participants of a full operation; nil: class recovery
+		owner int   // class recovery: owner and borrower
+		extra int
+		cells []cell
+	}{
+		{name: "nothing to distribute", delta: 1, set: []int{3, 5}},
+		{name: "self class inactive, foreign classes on both sides of it", delta: 1, set: []int{3, 5},
+			cells: []cell{{3, 1, 2, 0}, {3, 6, 1, 1}, {5, 5, 4, 0}, {5, 0, 3, 0}}},
+		{name: "self class is the only active class", delta: 1, set: []int{3, 5},
+			cells: []cell{{3, 3, 7, 0}}},
+		{name: "self class below and above every tail class", delta: 1, set: []int{0, 7},
+			cells: []cell{{0, 0, 3, 0}, {0, 4, 1, 0}, {7, 7, 2, 1}, {7, 4, 2, 0}}},
+		{name: "a class held by every participant, another by exactly one", delta: 2, set: []int{1, 4, 6},
+			cells: []cell{{1, 2, 3, 0}, {4, 2, 1, 1}, {6, 2, 5, 0}, {4, 7, 1, 0}}},
+		{name: "self class of one participant in another's tail only", delta: 1, set: []int{2, 6},
+			cells: []cell{{6, 2, 5, 0}, {6, 6, 1, 0}}},
+		{name: "self class of one participant in its own entry and another's tail", delta: 2, set: []int{2, 6, 0},
+			cells: []cell{{2, 2, 4, 0}, {6, 2, 3, 1}, {0, 2, 0, 1}, {0, 0, 2, 0}, {6, 0, 1, 0}}},
+		{name: "d total zero, b total not: the entry survives with d = 0", delta: 1, set: []int{1, 2},
+			cells: []cell{{1, 5, 0, 1}, {2, 5, 0, 1}, {2, 6, 0, 1}, {1, 1, 3, 0}}},
+		{name: "own-class markers land on the owner", delta: 1, set: []int{1, 2},
+			cells: []cell{{2, 1, 1, 1}, {2, 2, 2, 0}}},
+		{name: "five participants, totals above and below np", delta: 4, set: []int{7, 0, 3, 4, 1},
+			cells: []cell{{7, 7, 23, 0}, {0, 7, 4, 1}, {3, 2, 1, 0}, {4, 2, 1, 1}, {1, 1, 9, 0}, {1, 5, 0, 1}, {0, 6, 6, 0}, {3, 3, 1, 0}}},
+		{name: "class recovery: np = δ+2, single class, other classes untouched", delta: 2, owner: 4, extra: 1,
+			cells: []cell{{1, 4, 0, 1}, {1, 6, 2, 0}, {0, 4, 2, 0}, {2, 4, 1, 1}, {3, 4, 3, 0}, {5, 4, 1, 0}, {6, 4, 2, 0}, {7, 4, 1, 0}, {7, 2, 1, 0}}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			widest := tc.delta + 2
+			if tc.set == nil {
+				widest = 0
+			}
+			for seed := uint64(0); seed < 24; seed++ {
+				p := Params{F: 1.1, Delta: tc.delta, C: 4}
+				sparse, err := NewSystem(n, p, topology.NewGlobal(n), rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dense := newDenseSystem(n, p, topology.NewGlobal(n), rng.New(seed))
+				for _, c := range tc.cells {
+					sparse.rows[c.p].add(c.cls, c.d, c.b)
+					sparse.l[c.p] += c.d
+					sparse.bTot[c.p] += c.b
+					sparse.metrics.Generated += int64(c.d)
+					dense.d[c.p*n+c.cls] += c.d
+					dense.b[c.p*n+c.cls] += c.b
+					dense.l[c.p] += c.d
+					dense.bTot[c.p] += c.b
+					dense.metrics.Generated += int64(c.d)
+				}
+				if tc.set == nil {
+					sparse.classBalance(tc.owner, tc.extra, sparse.rng, sparse.sc, &sparse.metrics)
+					dense.classBalance(tc.owner, tc.extra)
+					// The borrower joins as participant δ+2 unless the owner
+					// drew it as a candidate anyway.
+					widest = max(widest, len(sparse.sc.setBuf))
+				} else {
+					sparse.balanceSet(tc.set[0], tc.set[1:], sparse.rng, sparse.sc, &sparse.metrics)
+					dense.balanceSet(tc.set)
+				}
+				if err := diffDense(sparse, dense); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				for q := 0; q < n; q++ {
+					if sparse.TriggerBase(q) != dense.lOld[q] || sparse.LocalTime(q) != dense.localT[q] {
+						t.Fatalf("seed %d: processor %d: lOld %d/%d t' %d/%d", seed, q,
+							sparse.TriggerBase(q), dense.lOld[q], sparse.LocalTime(q), dense.localT[q])
+					}
+				}
+			}
+			if widest != tc.delta+2 {
+				t.Fatalf("class recovery never ran over δ+2 = %d participants (widest set: %d)", tc.delta+2, widest)
+			}
+		})
 	}
 }
 

@@ -87,7 +87,7 @@ func (ln *Lane) Generate(li int, r *rng.RNG) (trigger bool) {
 	}
 	ln.l[li]++
 	ln.metrics.Generated++
-	return trigFired(row.own().d, ln.lOld[li], s.params.F)
+	return trigFired(int(row.own().d), ln.lOld[li], s.params.F)
 }
 
 // Consume removes one packet from local processor li if it can do so
@@ -109,7 +109,7 @@ func (ln *Lane) Consume(li int, r *rng.RNG) (consumed, trigger, needSettle bool)
 		row.own().d--
 		ln.l[li]--
 		ln.metrics.Consumed++
-		return true, trigFired(row.own().d, ln.lOld[li], s.params.F), false
+		return true, trigFired(int(row.own().d), ln.lOld[li], s.params.F), false
 	}
 	if ln.bTot[li] < s.params.C {
 		j := ln.randClass(row, func(e *classEntry) bool { return e.d > 0 && e.b == 0 }, r)

@@ -44,18 +44,21 @@ func (s *snakeCursor) distribute(total int, assign func(p, cnt int)) {
 	rem := total % s.m
 	for p := 0; p < s.m; p++ {
 		cnt := base
-		// Participant p gets an extra iff p lies within the circular run
-		// [offset, offset+rem).
-		if rem > 0 {
-			rel := p - s.offset
-			if rel < 0 {
-				rel += s.m
-			}
-			if rel < rem {
-				cnt++
-			}
+		if snakeExtra(p, s.offset, rem, s.m) {
+			cnt++
 		}
 		assign(p, cnt)
 	}
 	s.offset = (s.offset + rem) % s.m
+}
+
+// snakeExtra reports whether participant p of m receives one of rem extras
+// handed out from position offset: whether p lies within the circular run
+// [offset, offset+rem). p and offset are in [0, m).
+func snakeExtra(p, offset, rem, m int) bool {
+	rel := p - offset
+	if rel < 0 {
+		rel += m
+	}
+	return rel < rem
 }

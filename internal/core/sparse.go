@@ -1,11 +1,15 @@
 package core
 
 // classEntry is one nonzero cell of a processor's per-class state: d real
-// packets and b borrow markers of class cls.
+// packets and b borrow markers of class cls. It is packed to 12 bytes —
+// a balancing operation is bound on row-entry cache misses, so the entry
+// size is the kernel's memory traffic and most of the simulator's
+// resident set. NewSystem rejects n > MaxInt32; a cell never exceeds the
+// load of its processor (see doc.go for the per-cell bound).
 type classEntry struct {
-	cls int
-	d   int
-	b   int
+	cls int32
+	d   int32
+	b   int32
 }
 
 // sparseRow stores the per-class state of one processor compactly: only
@@ -14,14 +18,20 @@ type classEntry struct {
 // trigger can read d[i][i] without a search.
 //
 // Invariant: entries[1:] is sorted ascending by class and holds no empty
-// entries (removal shifts, insertion binary-searches, and rebuild emits
-// the already-sorted union). Keeping the tail sorted is what lets every
-// RNG-consuming iteration visit classes in ascending order — identical to
-// a dense 0..n-1 scan, the property the dense differential test pins down
-// — without sorting per operation: profiles of the mixed workload showed
-// a third of total runtime in per-balancing-op sorts once rows grow to
-// hundreds of classes. Lookups binary-search the tail; no per-row map is
-// worth its constant factor (measured slower on every benchmark workload).
+// entries (removal shifts, insertion binary-searches, and a balancing
+// operation emits its merged classes in ascending order). Keeping the tail
+// sorted is what lets every RNG-consuming iteration visit classes in
+// ascending order — identical to a dense 0..n-1 scan, the property the
+// dense differential test pins down — without sorting per operation, and
+// what lets a balancing operation be one linear merge of its participants'
+// rows (System.redistribute). Lookups binary-search the tail; no per-row
+// map is worth its constant factor (measured slower on every benchmark
+// workload).
+//
+// A balancing operation replaces entries wholesale: it writes the new row
+// into a spare buffer from its Scratch and swaps the two, so the slice's
+// backing array changes across any call that may balance. Callers hold the
+// *sparseRow, never an entry pointer, across such calls.
 type sparseRow struct {
 	self    int
 	entries []classEntry
@@ -36,7 +46,7 @@ func (r *sparseRow) search(cls int) int {
 	lo, hi := 1, len(r.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.entries[mid].cls < cls {
+		if int(r.entries[mid].cls) < cls {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -48,10 +58,10 @@ func (r *sparseRow) search(cls int) int {
 // find returns a pointer to the entry of cls, or nil if the row does not
 // hold the class. The pointer is invalidated by any row mutation.
 func (r *sparseRow) find(cls int) *classEntry {
-	if r.entries[0].cls == cls {
+	if r.self == cls {
 		return &r.entries[0]
 	}
-	if k := r.search(cls); k < len(r.entries) && r.entries[k].cls == cls {
+	if k := r.search(cls); k < len(r.entries) && int(r.entries[k].cls) == cls {
 		return &r.entries[k]
 	}
 	return nil
@@ -60,7 +70,7 @@ func (r *sparseRow) find(cls int) *classEntry {
 // getD returns the real-packet count of cls (zero if absent).
 func (r *sparseRow) getD(cls int) int {
 	if e := r.find(cls); e != nil {
-		return e.d
+		return int(e.d)
 	}
 	return 0
 }
@@ -68,7 +78,7 @@ func (r *sparseRow) getD(cls int) int {
 // getB returns the borrow-marker count of cls (zero if absent).
 func (r *sparseRow) getB(cls int) int {
 	if e := r.find(cls); e != nil {
-		return e.b
+		return int(e.b)
 	}
 	return 0
 }
@@ -76,16 +86,16 @@ func (r *sparseRow) getB(cls int) int {
 // ensure returns the index of cls's entry, creating an empty one at its
 // sorted tail position if absent.
 func (r *sparseRow) ensure(cls int) int {
-	if r.entries[0].cls == cls {
+	if r.self == cls {
 		return 0
 	}
 	k := r.search(cls)
-	if k < len(r.entries) && r.entries[k].cls == cls {
+	if k < len(r.entries) && int(r.entries[k].cls) == cls {
 		return k
 	}
 	r.entries = append(r.entries, classEntry{})
 	copy(r.entries[k+1:], r.entries[k:])
-	r.entries[k] = classEntry{cls: cls}
+	r.entries[k] = classEntry{cls: int32(cls)}
 	return k
 }
 
@@ -109,8 +119,8 @@ func (r *sparseRow) compact(idx int) {
 func (r *sparseRow) add(cls, dd, db int) {
 	idx := r.ensure(cls)
 	e := &r.entries[idx]
-	e.d += dd
-	e.b += db
+	e.d += int32(dd)
+	e.b += int32(db)
 	r.compact(idx)
 }
 
@@ -120,7 +130,7 @@ func (r *sparseRow) setD(cls, v int) {
 		return
 	}
 	idx := r.ensure(cls)
-	r.entries[idx].d = v
+	r.entries[idx].d = int32(v)
 	r.compact(idx)
 }
 
@@ -130,33 +140,8 @@ func (r *sparseRow) setB(cls, v int) {
 		return
 	}
 	idx := r.ensure(cls)
-	r.entries[idx].b = v
+	r.entries[idx].b = int32(v)
 	r.compact(idx)
-}
-
-// rebuild replaces the row's whole contents after a balancing operation:
-// classes[ci] receives the counts dMat[ci*m+k] and bMat[ci*m+k], where k
-// is this processor's participant index. Classes with both counts zero
-// are skipped, so the row comes out compact; classes is ascending, so the
-// tail comes out sorted. classes must cover every class the row held
-// before (redistribution guarantees this: it operates on the union of the
-// participants' active sets).
-func (r *sparseRow) rebuild(classes, dMat, bMat []int, k, m int) {
-	r.entries[0].d = 0
-	r.entries[0].b = 0
-	r.entries = r.entries[:1]
-	for ci, cls := range classes {
-		d, b := dMat[ci*m+k], bMat[ci*m+k]
-		if d == 0 && b == 0 {
-			continue
-		}
-		if cls == r.self {
-			r.entries[0].d = d
-			r.entries[0].b = b
-		} else {
-			r.entries = append(r.entries, classEntry{cls: cls, d: d, b: b})
-		}
-	}
 }
 
 // active returns the number of classes the row actually holds (the pinned

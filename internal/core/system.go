@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
@@ -58,34 +59,52 @@ type System struct {
 // participant sets can execute concurrently without sharing any mutable
 // state beyond the participants themselves.
 type Scratch struct {
-	candBuf    []int
-	setBuf     []int
-	oldL       []int
-	newL       []int
-	newBTot    []int
-	classBuf   []int // qualifying classes collected by randClassRow
-	unionBuf   []int // active-class union of a participant set
-	mergeCur   []int // per-participant tail cursors of the union merge
-	mergeSelf  []int // per-participant pending self classes of the merge
-	mark       []int // per-class stamp marks backing CheckInvariants
-	stamp      int
-	classIdx   []int // class -> position in the current union
-	dMat, bMat []int // union×participants gather matrices for redistribute
+	candBuf  []int
+	setBuf   []int
+	classBuf []int       // qualifying classes collected by randClassRow
+	lanes    []mergeLane // the balance kernel's per-participant state
+
+	// Workers' Scratches are allocated back to back and written on every
+	// operation; the padding keeps two of them off one cache line.
+	_ [cacheLine]byte
 }
 
-// newScratch builds a Scratch for n processors and balancing sets of at
-// most m participants.
-func newScratch(n, m int) *Scratch {
+// cacheLine is the padding that separates state written by different
+// resolution workers (see Scratch and newScratch).
+const cacheLine = 64
+
+// mergeLane is one participant's state in the balance kernel
+// (redistribute): where the merge stands in its old row, and the new row
+// being written.
+type mergeLane struct {
+	head    int32        // smallest unmerged class of the old row
+	self    int32        // the self class while the pinned entry is unmerged
+	cur     int          // next unmerged index into the sorted tail
+	src     []classEntry // the old row
+	out     []classEntry // the new row: a spare buffer, swapped with src at the end
+	newL    int
+	newBTot int
+}
+
+// next caches the smaller of the lane's two merge fronts — the pending
+// self entry and the tail cursor — in head.
+func (ln *mergeLane) next() {
+	ln.head = ln.self
+	if ln.cur < len(ln.src) && ln.src[ln.cur].cls < ln.head {
+		ln.head = ln.src[ln.cur].cls
+	}
+}
+
+// newScratch builds a Scratch for balancing sets of at most m participants.
+// The buffers the kernel writes per class end in at least a cache line of
+// slack (an unused lane, eight unused ints), so that concurrently working
+// Scratches never write to a shared line wherever the allocator puts them.
+func newScratch(m int) *Scratch {
+	ints := make([]int, 2*m+cacheLine/8)
 	return &Scratch{
-		candBuf:   make([]int, 0, m),
-		setBuf:    make([]int, 0, m),
-		oldL:      make([]int, m),
-		newL:      make([]int, m),
-		newBTot:   make([]int, m),
-		mergeCur:  make([]int, m),
-		mergeSelf: make([]int, m),
-		mark:      make([]int, n),
-		classIdx:  make([]int, n),
+		candBuf: ints[0:0:m],
+		setBuf:  ints[m : m : 2*m],
+		lanes:   make([]mergeLane, m+1)[:m],
 	}
 }
 
@@ -94,7 +113,7 @@ func newScratch(n, m int) *Scratch {
 // worker; a Scratch must not be shared between concurrently executing
 // operations).
 func (s *System) NewScratch() *Scratch {
-	return newScratch(s.n, s.params.Delta+2)
+	return newScratch(s.params.Delta + 2)
 }
 
 // NewSystem creates a balanced-empty system of n processors. The selector
@@ -103,6 +122,9 @@ func (s *System) NewScratch() *Scratch {
 func NewSystem(n int, p Params, sel topology.Selector, r *rng.RNG) (*System, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("core: need n >= 2 processors, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: n = %d exceeds the %d classes a packed row entry can name", n, math.MaxInt32)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -119,7 +141,7 @@ func NewSystem(n int, p Params, sel topology.Selector, r *rng.RNG) (*System, err
 	backing := make([]classEntry, n)
 	rows := make([]sparseRow, n)
 	for i := range rows {
-		backing[i] = classEntry{cls: i}
+		backing[i] = classEntry{cls: int32(i)}
 		rows[i] = sparseRow{self: i, entries: backing[i : i+1 : i+1]}
 	}
 	return &System{
@@ -132,7 +154,7 @@ func NewSystem(n int, p Params, sel topology.Selector, r *rng.RNG) (*System, err
 		bTot:   make([]int, n),
 		lOld:   make([]int, n),
 		localT: make([]int, n),
-		sc:     newScratch(n, m),
+		sc:     newScratch(m),
 	}, nil
 }
 
@@ -310,16 +332,16 @@ func (s *System) randClass(i int, pred func(e *classEntry) bool, r *rng.RNG, sc 
 // (possibly regrown) buffer.
 func randClassRow(row *sparseRow, pred func(e *classEntry) bool, r *rng.RNG, buf []int) (int, []int) {
 	buf = buf[:0]
-	selfCls := row.entries[0].cls
+	selfCls := row.self
 	selfDone := !pred(&row.entries[0])
 	for k := 1; k < len(row.entries); k++ {
 		e := &row.entries[k]
-		if !selfDone && e.cls > selfCls {
+		if !selfDone && int(e.cls) > selfCls {
 			buf = append(buf, selfCls)
 			selfDone = true
 		}
 		if pred(e) {
-			buf = append(buf, e.cls)
+			buf = append(buf, int(e.cls))
 		}
 	}
 	if !selfDone {
@@ -350,14 +372,14 @@ func trigFired(d, old int, f float64) bool {
 // initiation at the tick barrier: an earlier operation in the same barrier
 // may have included i as a partner and reset its trigger base.
 func (s *System) TriggerPending(i int) bool {
-	return trigFired(s.rows[i].own().d, s.lOld[i], s.params.F)
+	return trigFired(int(s.rows[i].own().d), s.lOld[i], s.params.F)
 }
 
 // maybeBalance fires a balancing operation if processor i's self-generated
 // load has changed by at least the factor f since its last balancing
 // operation.
 func (s *System) maybeBalance(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	if trigFired(s.rows[i].own().d, s.lOld[i], s.params.F) {
+	if trigFired(int(s.rows[i].own().d), s.lOld[i], s.params.F) {
 		s.balance(i, r, sc, m)
 	}
 }
@@ -384,150 +406,129 @@ func (s *System) balanceSet(init int, partners []int, r *rng.RNG, sc *Scratch, m
 	s.redistribute(set, r, sc, m)
 	for _, p := range set {
 		if !s.params.InitiatorOnlyReset || p == init {
-			s.lOld[p] = s.rows[p].own().d
+			s.lOld[p] = int(s.rows[p].own().d)
 		}
 		s.localT[p]++
 	}
 	for _, p := range set {
 		if own := s.rows[p].own().b; own > 0 {
 			// The owner consumes its own phantoms: simulated decrease.
-			s.bTot[p] -= own
+			s.bTot[p] -= int(own)
 			s.rows[p].own().b = 0
 			m.DecreaseSim++
 		}
 	}
 }
 
-// activeUnion collects the ascending union of classes held (d or b
-// nonzero) by any processor in set and records each class's union position
-// in sc.classIdx. The sorted-tail row invariant turns this into an np-way
-// merge — one cursor per participant tail, plus each participant's pinned
-// self entry slotted in by value — costing O(union × np) comparisons where
-// the former collect-and-sort paid O(union log union); with rows hundreds
-// of classes wide under load-accumulating workloads, that sort dominated
-// whole-simulation profiles.
-func (s *System) activeUnion(set []int, sc *Scratch) []int {
-	const maxInt = int(^uint(0) >> 1)
+// redistribute is the balance kernel: it snake-distributes the d classes
+// followed by the b classes of the participant set, maintaining l and bTot
+// and counting migrations — in one fused pass over the participants' rows.
+//
+// The rows are merged like sorted lists: every participant contributes its
+// sorted tail plus its pinned self entry, slotted in by value, and the
+// smallest unmerged class of each is cached in its lane. Each round takes
+// the smallest head, sums that class's d and b over the participants that
+// hold it (all the snake needs of a class is its total), splits both
+// totals — total/np to everyone, the total mod np extras at consecutive
+// circular positions from a running offset — and appends every nonzero
+// share straight to that participant's output row. Classes no participant
+// holds are never visited: their totals are zero, for which the dense
+// formulation advances no offset either. The output rows are spare
+// buffers that swap places with the old rows, so the steady state
+// allocates nothing.
+//
+// The dense formulation runs the snake over all d classes and then, with
+// the same cursor, over all b classes. Fusing the two passes needs the b
+// cursor's starting position up front, and it is known: every d class
+// advances the cursor by its total mod np, so after all of them it stands
+// at (start + Σ_class total) mod np, and Σ_class total is the participants'
+// combined load Σ_k l[k] — no pre-pass. One r.Intn(np) draw, ascending
+// class order and the same ±1 arithmetic make the result identical to the
+// dense reference (dense_ref_test.go), cell for cell.
+func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
+	const done = math.MaxInt32 // above every class: n <= MaxInt32
 	np := len(set)
-	cur := sc.mergeCur[:np]
-	selfs := sc.mergeSelf[:np]
+	lanes := sc.lanes[:np]
+	sumL := 0
 	for k, p := range set {
-		cur[k] = 1
-		e := &s.rows[p].entries[0]
-		if e.d != 0 || e.b != 0 {
-			selfs[k] = e.cls
-		} else {
-			selfs[k] = maxInt // pinned empty self entry: not active
+		ln := &lanes[k]
+		ents := s.rows[p].entries
+		ln.src, ln.cur = ents, 1
+		ln.self = done
+		if own := &ents[0]; own.d != 0 || own.b != 0 {
+			ln.self = int32(p)
 		}
+		ln.next()
+		ln.out = append(ln.out[:0], classEntry{cls: int32(p)})
+		ln.newL, ln.newBTot = 0, 0
+		sumL += s.l[p]
 	}
-	buf := sc.unionBuf[:0]
+	offD := r.Intn(np)
+	offB := (offD + sumL) % np
 	for {
-		best := maxInt
-		for k, p := range set {
-			if ents := s.rows[p].entries; cur[k] < len(ents) && ents[cur[k]].cls < best {
-				best = ents[cur[k]].cls
-			}
-			if selfs[k] < best {
-				best = selfs[k]
+		cls := int32(done)
+		for k := range lanes {
+			if h := lanes[k].head; h < cls {
+				cls = h
 			}
 		}
-		if best == maxInt {
+		if cls == done {
 			break
 		}
-		for k, p := range set {
-			if ents := s.rows[p].entries; cur[k] < len(ents) && ents[cur[k]].cls == best {
-				cur[k]++
-			}
-			if selfs[k] == best {
-				selfs[k] = maxInt
-			}
-		}
-		sc.classIdx[best] = len(buf)
-		buf = append(buf, best)
-	}
-	sc.unionBuf = buf
-	return buf
-}
-
-// redistribute snake-distributes the d classes followed by the b classes
-// of the participant set, maintaining l and bTot and counting migrations.
-// Only the union of the participants' active classes is visited; all other
-// classes have zero totals, for which the dense formulation would not
-// advance the snake cursor either, so the result is identical. The
-// participants' counts are gathered into union×m scratch matrices and the
-// rows rebuilt wholesale afterwards, keeping the hot loop free of row
-// searches.
-func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	np := len(set)
-	oldL := sc.oldL[:np]
-	newL := sc.newL[:np]
-	newBTot := sc.newBTot[:np]
-	for k, p := range set {
-		oldL[k] = s.l[p]
-		newL[k] = 0
-		newBTot[k] = 0
-	}
-	classes := s.activeUnion(set, sc)
-	u := len(classes)
-	need := u * np
-	if cap(sc.dMat) < need {
-		sc.dMat = make([]int, need)
-		sc.bMat = make([]int, need)
-	}
-	dMat := sc.dMat[:need]
-	bMat := sc.bMat[:need]
-	for i := range dMat {
-		dMat[i] = 0
-		bMat[i] = 0
-	}
-	for k, p := range set {
-		entries := s.rows[p].entries
-		for e := range entries {
-			ent := &entries[e]
-			if ent.d == 0 && ent.b == 0 {
+		totD, totB := 0, 0
+		for k := range lanes {
+			ln := &lanes[k]
+			if ln.head != cls {
 				continue
 			}
-			ci := sc.classIdx[ent.cls]
-			dMat[ci*np+k] = ent.d
-			bMat[ci*np+k] = ent.b
+			e := &ln.src[0]
+			if ln.self == cls {
+				ln.self = done
+			} else {
+				e = &ln.src[ln.cur]
+				ln.cur++
+			}
+			totD += int(e.d)
+			totB += int(e.b)
+			ln.next()
 		}
-	}
-	cur := newSnakeCursor(np, r.Intn(np))
-	for ci := 0; ci < u; ci++ {
-		row := dMat[ci*np : ci*np+np]
-		total := 0
-		for _, v := range row {
-			total += v
+		baseD, remD := totD/np, totD%np
+		baseB, remB := totB/np, totB%np
+		for k := range lanes {
+			d, b := baseD, baseB
+			if snakeExtra(k, offD, remD, np) {
+				d++
+			}
+			if snakeExtra(k, offB, remB, np) {
+				b++
+			}
+			if d == 0 && b == 0 {
+				continue
+			}
+			ln := &lanes[k]
+			ln.newL += d
+			ln.newBTot += b
+			if own := &ln.out[0]; own.cls == cls {
+				own.d, own.b = int32(d), int32(b)
+			} else {
+				ln.out = append(ln.out, classEntry{cls: cls, d: int32(d), b: int32(b)})
+			}
 		}
-		if total == 0 {
-			continue // cursor need not advance for empty classes
+		if offD += remD; offD >= np {
+			offD -= np
 		}
-		cur.distribute(total, func(k, cnt int) {
-			row[k] = cnt
-			newL[k] += cnt
-		})
-	}
-	for ci := 0; ci < u; ci++ {
-		row := bMat[ci*np : ci*np+np]
-		total := 0
-		for _, v := range row {
-			total += v
+		if offB += remB; offB >= np {
+			offB -= np
 		}
-		if total == 0 {
-			continue
-		}
-		cur.distribute(total, func(k, cnt int) {
-			row[k] = cnt
-			newBTot[k] += cnt
-		})
 	}
 	for k, p := range set {
-		s.rows[p].rebuild(classes, dMat, bMat, k, np)
-		s.l[p] = newL[k]
-		s.bTot[p] = newBTot[k]
-		if recv := newL[k] - oldL[k]; recv > 0 {
+		ln := &lanes[k]
+		s.rows[p].entries, ln.out = ln.out, ln.src
+		if recv := ln.newL - s.l[p]; recv > 0 {
 			m.Migrations += int64(recv)
 		}
+		s.l[p] = ln.newL
+		s.bTot[p] = ln.newBTot
 	}
 }
 
@@ -539,18 +540,18 @@ func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
 // class appears in a row twice. It is O(total nonzero + n) and intended
 // for tests.
 func (s *System) CheckInvariants() error {
-	sc := s.sc
 	var totalLoad int64
 	for i := 0; i < s.n; i++ {
 		row := &s.rows[i]
-		if len(row.entries) == 0 || row.entries[0].cls != i || row.self != i {
+		if len(row.entries) == 0 || int(row.entries[0].cls) != i || row.self != i {
 			return fmt.Errorf("core: row %d: self entry not pinned at index 0", i)
 		}
-		sc.stamp++
+		// The cells are int32; the sums stay int so that a wrapped cell
+		// cannot wrap the sum back into agreement with l and bTot.
 		sumD, sumB := 0, 0
 		for k := range row.entries {
 			e := &row.entries[k]
-			if e.cls < 0 || e.cls >= s.n {
+			if e.cls < 0 || int(e.cls) >= s.n {
 				return fmt.Errorf("core: row %d: class %d out of range", i, e.cls)
 			}
 			if e.d < 0 {
@@ -559,10 +560,9 @@ func (s *System) CheckInvariants() error {
 			if e.b < 0 {
 				return fmt.Errorf("core: b[%d][%d] = %d < 0", i, e.cls, e.b)
 			}
-			if sc.mark[e.cls] == sc.stamp {
+			if k > 0 && int(e.cls) == i {
 				return fmt.Errorf("core: row %d: class %d appears twice", i, e.cls)
 			}
-			sc.mark[e.cls] = sc.stamp
 			if k > 0 && e.d == 0 && e.b == 0 {
 				return fmt.Errorf("core: row %d: empty entry for class %d not compacted", i, e.cls)
 			}
@@ -570,8 +570,8 @@ func (s *System) CheckInvariants() error {
 				return fmt.Errorf("core: row %d: tail not sorted at index %d (%d after %d)",
 					i, k, e.cls, row.entries[k-1].cls)
 			}
-			sumD += e.d
-			sumB += e.b
+			sumD += int(e.d)
+			sumB += int(e.b)
 		}
 		if s.l[i] != sumD {
 			return fmt.Errorf("core: l[%d] = %d but Σd = %d", i, s.l[i], sumD)
@@ -593,7 +593,7 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	if j == i {
 		// The owner clears its own phantoms: simulated decrease.
 		own := s.rows[i].own()
-		s.bTot[i] -= own.b
+		s.bTot[i] -= int(own.b)
 		own.b = 0
 		m.DecreaseSim++
 		return
@@ -685,7 +685,7 @@ func (s *System) classBalance(owner, extra int, r *rng.RNG, sc *Scratch, m *Metr
 	})
 	// Markers of the class that landed on the owner are consumed there.
 	if own := s.rows[owner].own().b; own > 0 {
-		s.bTot[owner] -= own
+		s.bTot[owner] -= int(own)
 		s.rows[owner].own().b = 0
 		m.DecreaseSim++
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +41,13 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(4, good, nil, rng.New(1)); err == nil {
 		t.Fatal("nil selector accepted")
+	}
+	// Class ids are stored as int32; the check precedes every allocation.
+	// (A 32-bit int cannot express the case.)
+	if big := int64(math.MaxInt32) + 1; int64(int(big)) == big {
+		if _, err := NewSystem(int(big), good, topology.NewGlobal(int(big)), rng.New(1)); err == nil {
+			t.Fatal("n > MaxInt32 accepted")
+		}
 	}
 	s, err := NewSystem(4, good, topology.NewGlobal(4), rng.New(1))
 	if err != nil || s == nil {
@@ -454,6 +463,36 @@ func TestForceBalance(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForceBalanceAllocationFree: a balancing operation writes its new
+// rows into spare buffers and swaps them with the old ones, so buffers of
+// every capacity circulate between the rows and the scratch. Once each has
+// grown to its working size, an operation must allocate nothing.
+func TestForceBalanceAllocationFree(t *testing.T) {
+	const n = 64
+	for _, delta := range []int{1, 4} {
+		t.Run(fmt.Sprintf("δ=%d", delta), func(t *testing.T) {
+			s := newTestSystem(t, n, Params{F: 1.1, Delta: delta, C: 4}, 23)
+			for i := 0; i < n*8; i++ {
+				s.Generate(i % n)
+			}
+			i := 0
+			op := func() {
+				s.ForceBalance(i % n)
+				i++
+			}
+			for i < 200*n {
+				op()
+			}
+			if allocs := testing.AllocsPerRun(10*n, op); allocs != 0 {
+				t.Fatalf("%v allocations per warmed balancing operation, want 0", allocs)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ func TestPartitionKeyedNotOrdered(t *testing.T) {
 	// Derive a pile of unrelated streams in between.
 	for i := uint64(0); i < 10; i++ {
 		_ = p.Stream(StreamStep, i).Uint64()
-		_ = p.OpStream(i, i).Uint64()
+		_ = New(p.OpSeed(i, i)).Uint64()
 	}
 	a2 := p.Stream(StreamOrder, 3).Uint64()
 	if a1 != a2 {
@@ -52,17 +52,24 @@ func TestPartitionMastersDiverge(t *testing.T) {
 	}
 }
 
-// TestOpStreamNoCrossTickAliasing: op k of tick t must not replay op k' of
-// tick t' even when tick and rank values swap.
-func TestOpStreamNoCrossTickAliasing(t *testing.T) {
+// TestOpSeedNoCrossTickAliasing: op k of tick t must not replay op k' of
+// tick t' even when tick and rank values swap. The streams are walked on
+// one reseeded generator, as the sharded engine walks them.
+func TestOpSeedNoCrossTickAliasing(t *testing.T) {
 	p := NewPartition(9)
-	a := p.OpStream(3, 5).Uint64()
-	b := p.OpStream(5, 3).Uint64()
-	if a == b {
-		t.Fatal("OpStream(3,5) aliases OpStream(5,3)")
+	r := New(0)
+	r.Reseed(p.OpSeed(3, 5))
+	a := r.Uint64()
+	r.Reseed(p.OpSeed(5, 3))
+	if r.Uint64() == a {
+		t.Fatal("OpSeed(3,5) aliases OpSeed(5,3)")
 	}
-	if p.OpStream(3, 5).Uint64() != a {
-		t.Fatal("OpStream not deterministic")
+	r.Reseed(p.OpSeed(3, 5))
+	if r.Uint64() != a {
+		t.Fatal("OpSeed not deterministic")
+	}
+	if New(p.OpSeed(3, 5)).Uint64() != a {
+		t.Fatal("Reseed(seed) and New(seed) disagree")
 	}
 }
 

@@ -40,6 +40,14 @@ func splitmix64(state *uint64) uint64 {
 // Distinct seeds yield (with overwhelming probability) uncorrelated streams.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed resets r to the state New(seed) returns, without allocating: the
+// way to walk many short keyed streams (one per deferred balancing
+// operation, say) on one generator.
+func (r *RNG) Reseed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -50,7 +58,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Mix64 hashes two 64-bit words into one seed word. Use it wherever a

@@ -86,23 +86,38 @@ type shardedEngine struct {
 	delta   int
 
 	// Barrier planning state, reused across ticks.
-	ops       []int   // global initiator of op k, canonical order
-	planBuf   []int   // partner scratch for the serial planning pass
-	opWave    []int32 // wave assigned to op k
-	opOrder   []int   // op indices bucketed by wave
-	waveStart []int   // opOrder[waveStart[w-1]:waveStart[w]] is wave w
-	waveFill  []int
-	lastWave  []int32 // per-processor last wave stamp (reset via touched)
-	touched   []int
+	barrierRNG *rng.RNG // reseeded per planned operation, then per settlement pass
+	ops        []int    // global initiator of op k, canonical order
+	planBuf    []int    // partner scratch for the serial planning pass
+	opWave     []int32  // wave assigned to op k
+	opOrder    []int    // op indices bucketed by wave
+	waveStart  []int    // opOrder[waveStart[w-1]:waveStart[w]] is wave w
+	waveFill   []int
+	lastWave   []int32 // per-processor last wave stamp (reset via touched)
+	touched    []int
 
 	// Per-worker execution state.
-	scratches  []*core.Scratch
-	workerMet  []core.Metrics
-	partnerBuf [][]int
+	opWorkers []*opWorker
 
 	// Statistics state.
 	partials  []stats.LoadPartial
 	reduceBuf []stats.LoadPartial
+}
+
+// opWorker is what one resolution worker owns while it executes deferred
+// operations: a generator it reseeds to each operation's private stream
+// (allocating one per stream would make garbage in proportion to the
+// tick's operations), the kernel scratch, a partner buffer and its share
+// of the counters.
+type opWorker struct {
+	stream   rng.RNG // reseeded before every use
+	scratch  *core.Scratch
+	partners []int
+	metrics  core.Metrics
+
+	// Workers write their generator state and counters on every operation;
+	// the padding keeps two workers' writes off one cache line.
+	_ [64]byte
 }
 
 // shardedOneRun executes one run on the sharded engine.
@@ -191,15 +206,16 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 		workers = defaultWorkers()
 	}
 	e := &shardedEngine{
-		cfg:      cfg,
-		sys:      sys,
-		pattern:  pattern,
-		part:     part,
-		shards:   make([]shardState, S),
-		workers:  workers,
-		delta:    sys.Params().Delta,
-		lastWave: make([]int32, n),
-		partials: make([]stats.LoadPartial, S),
+		cfg:        cfg,
+		sys:        sys,
+		pattern:    pattern,
+		part:       part,
+		shards:     make([]shardState, S),
+		workers:    workers,
+		delta:      sys.Params().Delta,
+		barrierRNG: rng.New(0),
+		lastWave:   make([]int32, n),
+		partials:   make([]stats.LoadPartial, S),
 	}
 	// Sparse patterns confine activity to a fixed processor set: only
 	// those processors are stepped, and shards owning none are skipped
@@ -232,10 +248,11 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 		}
 	}
 	for w := 0; w < workers; w++ {
-		e.scratches = append(e.scratches, sys.NewScratch())
-		e.partnerBuf = append(e.partnerBuf, make([]int, 0, e.delta))
+		e.opWorkers = append(e.opWorkers, &opWorker{
+			scratch:  sys.NewScratch(),
+			partners: make([]int, 0, e.delta),
+		})
 	}
-	e.workerMet = make([]core.Metrics, workers)
 	return e
 }
 
@@ -362,8 +379,9 @@ func (e *shardedEngine) planWaves(t, K int) int {
 	}
 	e.opWave = e.opWave[:K]
 	maxWave := int32(0)
+	r := e.barrierRNG
 	for k, init := range e.ops {
-		r := e.part.OpStream(uint64(t), uint64(k))
+		r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
 		e.planBuf = e.sys.SelectPartners(init, r, e.planBuf)
 		w := e.lastWave[init]
 		for _, p := range e.planBuf {
@@ -429,9 +447,9 @@ func (e *shardedEngine) bucketByWave(K, maxWave int) {
 }
 
 // execOp executes deferred operation k of tick t on the given worker. The
-// operation's stream is re-derived from its (tick, rank) key and the
-// partners re-drawn from it — identical values to the planning pass — so
-// the redistribution continues the same private stream.
+// worker's generator is reseeded to the operation's (tick, rank) stream and
+// the partners re-drawn from it — identical values to the planning pass —
+// so the redistribution continues the same private stream.
 func (e *shardedEngine) execOp(worker, t, k int) {
 	init := e.ops[k]
 	// Re-check the factor-f condition: an earlier wave (or an earlier
@@ -442,10 +460,10 @@ func (e *shardedEngine) execOp(worker, t, k int) {
 	if !e.sys.TriggerPending(init) {
 		return
 	}
-	r := e.part.OpStream(uint64(t), uint64(k))
-	buf := e.sys.SelectPartners(init, r, e.partnerBuf[worker][:0])
-	e.partnerBuf[worker] = buf
-	e.sys.BalanceWithPartners(init, buf, r, e.scratches[worker], &e.workerMet[worker])
+	w := e.opWorkers[worker]
+	w.stream.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
+	w.partners = e.sys.SelectPartners(init, &w.stream, w.partners[:0])
+	e.sys.BalanceWithPartners(init, w.partners, &w.stream, w.scratch, &w.metrics)
 }
 
 // resolveSettles completes the consumes deferred for marker settlement,
@@ -453,16 +471,14 @@ func (e *shardedEngine) execOp(worker, t, k int) {
 // cascade (class recovery, further balancing operations on arbitrary
 // processors), which is why it stays serial.
 func (e *shardedEngine) resolveSettles(t int) {
-	var r *rng.RNG
+	r := e.barrierRNG
+	r.Reseed(e.part.Seed(rng.StreamSettle, uint64(t)))
 	for s := range e.shards {
 		sh := &e.shards[s]
 		if len(sh.settles) == 0 {
 			continue
 		}
 		sort.Ints(sh.settles)
-		if r == nil {
-			r = e.part.Stream(rng.StreamSettle, uint64(t))
-		}
 		for _, li := range sh.settles {
 			e.sys.SettleConsume(sh.lane.Global(li), r)
 		}
@@ -489,8 +505,8 @@ func (e *shardedEngine) absorbMetrics() {
 	for s := range e.shards {
 		e.sys.AbsorbMetrics(e.shards[s].lane.TakeMetrics())
 	}
-	for w := range e.workerMet {
-		e.sys.AbsorbMetrics(e.workerMet[w])
-		e.workerMet[w] = core.Metrics{}
+	for _, w := range e.opWorkers {
+		e.sys.AbsorbMetrics(w.metrics)
+		w.metrics = core.Metrics{}
 	}
 }

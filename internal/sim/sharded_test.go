@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -280,5 +283,109 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, err := Run(nc); err == nil {
 		t.Fatal("sharded run with non-core balancer accepted")
+	}
+}
+
+// goldenDigest hashes everything observable about a one-run sharded
+// result: the core counters, the final per-processor loads, and the last
+// step's avg/min/max/spread.
+func goldenDigest(res *Result, steps int) string {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	m := res.CoreMetrics
+	for _, v := range []int64{m.TotalBorrow, m.RemoteBorrow, m.BorrowFail, m.DecreaseSim, m.BalanceOps,
+		m.ClassBalanceOps, m.Migrations, m.Generated, m.Consumed, m.ConsumeNoLoad, m.ForcedSettle} {
+		put(uint64(v))
+	}
+	last := steps - 1
+	for i := range res.Snapshots[last] {
+		put(math.Float64bits(res.Snapshots[last][i].Mean()))
+	}
+	for _, f := range []float64{res.Avg.At(last).Mean(), res.Min.At(last).Mean(),
+		res.Max.At(last).Mean(), res.Spread.At(last).Mean()} {
+		put(math.Float64bits(f))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestShardedGoldenSamplePath pins one small sharded run per δ to digests
+// captured before the fused balance kernel replaced the gather/scatter
+// one. The dense differential stops at n = 24 and the benchmark's digest
+// only compares a run with itself; this is the test that catches a kernel
+// that is self-consistent but has drifted off the recorded sample path.
+func TestShardedGoldenSamplePath(t *testing.T) {
+	const n, steps, shards = 2048, 40, 16
+	golden := map[int]string{
+		1: "0a340b6c6155fbe6de670b2f4ff100b103a4f31c6ac9d09b0197ce5f5687b847",
+		4: "64017b37aae9f83626be700a717a4771de9b0cc94be8dfb4d544d11b9dea6678",
+	}
+	for _, delta := range []int{1, 4} {
+		for _, workers := range []int{1, 2} {
+			cfg := shardedTestConfig(n, steps, 1, shards, 20260926)
+			cfg.NewBalancer = func(run int, r *rng.RNG) (Balancer, error) {
+				return core.NewSystem(n, core.Params{F: 1.1, Delta: delta, C: 4}, topology.NewGlobal(n), r)
+			}
+			cfg.Workers = workers
+			cfg.SnapshotAt = []int{steps - 1}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("δ=%d workers=%d: %v", delta, workers, err)
+			}
+			if res.CoreMetrics.BalanceOps == 0 || res.CoreMetrics.TotalBorrow == 0 {
+				t.Fatalf("δ=%d: run too quiet to pin anything: %+v", delta, res.CoreMetrics)
+			}
+			if got := goldenDigest(res, steps); got != golden[delta] {
+				t.Errorf("δ=%d workers=%d: digest %s, want %s", delta, workers, got, golden[delta])
+			}
+		}
+	}
+}
+
+// TestShardedTickAllocations: a warmed tick of the sharded engine
+// allocates a handful of objects, not some per deferred operation. Every
+// operation's private stream is walked on a reseeded per-worker generator;
+// a generator allocated per stream — one to plan the operation, one to
+// execute it — was two allocations per operation, thousands per tick at
+// this size.
+func TestShardedTickAllocations(t *testing.T) {
+	const n, shards, warm, measured = 4096, 16, 150, 20
+	cfg := shardedTestConfig(n, warm+measured+1, 1, shards, 11)
+	cfg.Workers = 1 // the inline path: no goroutines, so every allocation is the engine's
+	part := rng.NewPartition(rng.Mix64(cfg.Seed, 0))
+	sys, err := core.NewSystem(n, core.DefaultParams(), topology.NewGlobal(n), part.Stream(rng.StreamBalancer, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stationary workload (generation and consumption balanced), so that
+	// row growth stops once the buffers have reached their working size.
+	e := newShardedEngine(cfg, sys, workload.Uniform{GenP: 0.5, ConP: 0.5}, part)
+	tick, ops := 0, 0
+	step := func() {
+		e.stepPhase(tick)
+		e.resolveTriggers(tick)
+		ops += len(e.ops)
+		e.resolveSettles(tick)
+		tick++
+	}
+	for tick < warm {
+		step()
+	}
+	ops = 0
+	allocs := testing.AllocsPerRun(measured, step)
+	opsPerTick := ops / (measured + 1) // AllocsPerRun makes one extra warm-up call
+	t.Logf("%.0f allocations and %d deferred operations per tick", allocs, opsPerTick)
+	if opsPerTick < 500 {
+		t.Fatalf("only %d operations per tick: too quiet to tell O(1) from O(ops)", opsPerTick)
+	}
+	if allocs > 32 {
+		t.Errorf("%.0f allocations per warmed tick (%d deferred operations): want O(1)", allocs, opsPerTick)
+	}
+	e.absorbMetrics()
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
