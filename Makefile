@@ -27,7 +27,11 @@ bench-obs:
 
 # Wire codec microbenchmarks: v2 (op ids) encode/decode vs the v1
 # framing, plus frame reads (see results/BENCH_wire.json). The Op field
-# must cost ≤1 byte on v1-shaped messages (TestOpFieldOverhead).
+# must cost ≤1 byte on v1-shaped messages (TestOpFieldOverhead); a frame
+# read must not allocate (TestReadFrameAllocs; BenchmarkWireReadFrame
+# reports 0 allocs/op). The ledger's successors for the read path are
+# wire.allocs_per_frame and wire.cframe_roundtrip_ns:
+# bash bench/run.sh --workload serve_firehose --trace 1.
 bench-wire:
 	$(GO) test ./internal/wire/ -run xxx -bench 'BenchmarkWire' -benchmem
 

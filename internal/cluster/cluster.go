@@ -214,8 +214,14 @@ func (c *Config) tick() time.Duration {
 
 // Stats is one node's activity summary.
 type Stats struct {
-	ID            int
-	FinalLoad     int
+	ID        int
+	FinalLoad int
+	// Steps counts the workload steps actually taken. Under
+	// StepInterval it is the number of step ticks delivered to the
+	// loop — a ticker drops the ticks a busy host makes it miss — so
+	// Steps over wall time is the node's delivered service rate, to be
+	// read against its nominal 1/StepInterval.
+	Steps         int64
 	Generated     int64
 	Consumed      int64
 	Initiated     int64 // balancing protocols started
@@ -571,6 +577,8 @@ func (n *Node) partnerLinkErrored() bool {
 // step performs one workload step and initiates if the trigger fires.
 func (n *Node) step() {
 	n.stepsDone++
+	n.stats.Steps++
+	n.met.steps.Inc()
 	if n.rng.Bernoulli(n.cfg.GenP) {
 		n.m.Add(1)
 		n.stats.Generated++

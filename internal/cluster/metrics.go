@@ -65,8 +65,10 @@ type nodeMetrics struct {
 	// above): together with the per-node load gauge they let an external
 	// aggregator (obs.Aggregate) re-derive the cluster conservation
 	// audit — Σ load == Σ generated − Σ consumed — from scrapes alone.
+	// steps, per-node too, counts workload steps taken (see Stats.Steps).
 	generated *obs.Counter
 	consumed  *obs.Counter
+	steps     *obs.Counter
 
 	// Serving instrumentation (serve mode only): ingested counts load
 	// units accepted from client submissions, unitsDone counts units
@@ -103,6 +105,7 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 		paceGap:          reg.Gauge(PaceGapMetric(id)),
 		generated:        reg.Counter(fmt.Sprintf(`cluster_node_generated_total{node="%d"}`, id)),
 		consumed:         reg.Counter(fmt.Sprintf(`cluster_node_consumed_total{node="%d"}`, id)),
+		steps:            reg.Counter(fmt.Sprintf(`cluster_steps_total{node="%d"}`, id)),
 		ingested:         reg.Counter(fmt.Sprintf(`cluster_node_ingested_total{node="%d"}`, id)),
 		unitsDone:        reg.Counter(fmt.Sprintf(`cluster_node_units_done_total{node="%d"}`, id)),
 		records:          reg.Gauge(fmt.Sprintf(`cluster_node_records{node="%d"}`, id)),

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -52,6 +53,15 @@ func TestClusterMetricsPopulated(t *testing.T) {
 	loadHist := reg.Histogram("cluster_load", obs.LoadBuckets)
 	if got, want := loadHist.Count(), int64(cfg.N*cfg.Steps); got != want {
 		t.Fatalf("load histogram has %d samples, want %d", got, want)
+	}
+	// Steps taken are counted per node, in Stats and on the registry.
+	for _, n := range res.Nodes {
+		if n.Steps != int64(cfg.Steps) {
+			t.Fatalf("node %d took %d steps, want %d", n.ID, n.Steps, cfg.Steps)
+		}
+		if got := reg.Counter(fmt.Sprintf(`cluster_steps_total{node="%d"}`, n.ID)).Value(); got != n.Steps {
+			t.Fatalf("node %d steps counter %d != stats %d", n.ID, got, n.Steps)
+		}
 	}
 	if vd := loadHist.VD(); vd < 0 {
 		t.Fatalf("negative variation density %v", vd)

@@ -17,9 +17,8 @@ import (
 type Client struct {
 	nc net.Conn
 
-	wmu sync.Mutex // serializes Submit writers
-	bw  *bufio.Writer
-	buf []byte
+	wmu sync.Mutex // serializes writers; guards buf
+	buf []byte     // encoded CSubmit frames not yet written
 
 	mu        sync.Mutex
 	nextTag   uint64
@@ -38,30 +37,66 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	c := &Client{nc: nc, bw: bufio.NewWriter(nc)}
+	c := &Client{nc: nc}
 	c.done.Add(1)
 	go c.readLoop()
 	return c, nil
 }
 
 // Submit sends one job of the given number of unit work items (values
-// below 1 are submitted as 1, matching the server's clamp).
+// below 1 are submitted as 1, matching the server's clamp): one frame,
+// one write to the connection.
 func (c *Client) Submit(units int) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.stage(units)
+	return c.flush()
+}
+
+// submitLater stages one job to leave with the next flushPending (or
+// sooner, once a write's worth has piled up). Drive batches the
+// arrivals that are already due this way, so a generator that has
+// fallen behind pays one write for all of them, not one each.
+func (c *Client) submitLater(units int) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.stage(units)
+	if len(c.buf) < writeBatchBytes {
+		return nil
+	}
+	return c.flush()
+}
+
+// flushPending writes whatever submitLater has staged.
+func (c *Client) flushPending() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.flush()
+}
+
+// stage appends one CSubmit frame to the pending write and counts the
+// job as submitted. The caller holds wmu.
+func (c *Client) stage(units int) {
 	if units < 1 {
 		units = 1
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	c.mu.Lock()
 	c.nextTag++
 	tag := c.nextTag
 	c.submitted++
 	c.mu.Unlock()
-	c.buf = wire.AppendCFrame(c.buf[:0], wire.CMsg{Kind: wire.CSubmit, Job: tag, Units: units})
-	if _, err := c.bw.Write(c.buf); err != nil {
-		return err
+	c.buf = wire.AppendCFrame(c.buf, wire.CMsg{Kind: wire.CSubmit, Job: tag, Units: units})
+}
+
+// flush writes the staged frames, if any, with one write. The caller
+// holds wmu.
+func (c *Client) flush() error {
+	if len(c.buf) == 0 {
+		return nil
 	}
-	return c.bw.Flush()
+	_, err := c.nc.Write(c.buf)
+	c.buf = c.buf[:0]
+	return err
 }
 
 func (c *Client) readLoop() {

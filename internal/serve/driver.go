@@ -79,10 +79,24 @@ func Drive(addrs []string, arrivals []workload.Arrival, spec LoadSpec, seed uint
 		}
 	}()
 
+	// Every arrival already due is staged on its client; the staged
+	// frames leave — one write per client — before the generator next
+	// sleeps and after the last arrival.
+	flush := func() error {
+		for i, c := range clients {
+			if err := c.flushPending(); err != nil {
+				return fmt.Errorf("serve: submit to %s: %w", addrs[i], err)
+			}
+		}
+		return nil
+	}
 	r := rng.New(seed)
 	start := time.Now()
 	for _, a := range arrivals {
 		if d := time.Until(start.Add(a.At)); d > 0 {
+			if err := flush(); err != nil {
+				return nil, err
+			}
 			time.Sleep(d)
 		}
 		node := a.Node
@@ -92,9 +106,12 @@ func Drive(addrs []string, arrivals []workload.Arrival, spec LoadSpec, seed uint
 		if node >= n {
 			node = node % n
 		}
-		if err := clients[node].Submit(a.Units); err != nil {
+		if err := clients[node].submitLater(a.Units); err != nil {
 			return nil, fmt.Errorf("serve: submit to %s: %w", addrs[node], err)
 		}
+	}
+	if err := flush(); err != nil {
+		return nil, err
 	}
 
 	res := &DriveResult{}

@@ -155,6 +155,9 @@ func (sc *ServeCluster) TotalStats() Stats {
 		t.UnitsAccepted += st.UnitsAccepted
 		t.UnitsCompleted += st.UnitsCompleted
 		t.DonesDropped += st.DonesDropped
+		t.AcksDropped += st.AcksDropped
+		t.ConnFrames += st.ConnFrames
+		t.ConnFlushes += st.ConnFlushes
 		t.InflightUnits += st.InflightUnits
 	}
 	return t

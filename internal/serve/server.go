@@ -27,7 +27,9 @@ package serve
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -47,6 +49,11 @@ const ingestDepth = 1024
 // counts it.
 const outboxDepth = 4096
 
+// writeBatchBytes ends a connection writer's batch: once this much is
+// pending it writes without waiting for the outbox to run empty, so a
+// client whose producers never pause still hears back in bounded time.
+const writeBatchBytes = 4096
+
 // Server is one node's client-facing front-end.
 type Server struct {
 	node   int
@@ -65,7 +72,10 @@ type Server struct {
 	jobsCompleted  obs.Counter
 	unitsAccepted  obs.Counter
 	unitsCompleted obs.Counter
-	donesDropped   obs.Counter
+	donesDropped   obs.Counter    // CDone frames lost to a full outbox or a gone client
+	acksDropped    obs.Counter    // CAccepted frames lost the same way
+	connFrames     obs.Counter    // frames written to client connections
+	connFlushes    obs.Counter    // socket writes that carried them
 	inflightUnits  obs.Gauge      // units accepted, not yet completed
 	ingestHWM      obs.Gauge      // ingest-channel depth high-water mark
 	sojourn        *obs.Histogram // per-job end-to-end seconds, log buckets
@@ -142,6 +152,9 @@ func NewServer(node int, addr string, reg *obs.Registry) (*Server, error) {
 		reg.Attach(fmt.Sprintf(`serve_units_accepted_total{node="%d"}`, node), &s.unitsAccepted)
 		reg.Attach(fmt.Sprintf(`serve_units_completed_total{node="%d"}`, node), &s.unitsCompleted)
 		reg.Attach(fmt.Sprintf(`serve_dones_dropped_total{node="%d"}`, node), &s.donesDropped)
+		reg.Attach(fmt.Sprintf(`serve_acks_dropped_total{node="%d"}`, node), &s.acksDropped)
+		reg.Attach(fmt.Sprintf(`serve_conn_frames_total{node="%d"}`, node), &s.connFrames)
+		reg.Attach(fmt.Sprintf(`serve_conn_flushes_total{node="%d"}`, node), &s.connFlushes)
 		reg.Attach(fmt.Sprintf(`serve_ingest_hwm{node="%d"}`, node), &s.ingestHWM)
 		s.compIngestWait = reg.Histogram(JourneyMetric(node, "ingest_wait"), obs.SojournBuckets)
 		s.compQueue = reg.Histogram(JourneyMetric(node, "queue"), obs.SojournBuckets)
@@ -216,6 +229,9 @@ type Stats struct {
 	UnitsAccepted  int64
 	UnitsCompleted int64
 	DonesDropped   int64 // CDone frames lost to slow or vanished clients
+	AcksDropped    int64 // CAccepted frames lost the same way
+	ConnFrames     int64 // frames written to client connections
+	ConnFlushes    int64 // socket writes that carried them
 	InflightUnits  int64
 }
 
@@ -227,6 +243,9 @@ func (s *Server) Stats() Stats {
 		UnitsAccepted:  s.unitsAccepted.Value(),
 		UnitsCompleted: s.unitsCompleted.Value(),
 		DonesDropped:   s.donesDropped.Value(),
+		AcksDropped:    s.acksDropped.Value(),
+		ConnFrames:     s.connFrames.Value(),
+		ConnFlushes:    s.connFlushes.Value(),
 		InflightUnits:  s.inflightUnits.Value(),
 	}
 }
@@ -420,43 +439,69 @@ func clampSeconds(ns int64) float64 {
 }
 
 // enqueue hands a frame to the connection's writer without blocking;
-// overflow and dead connections drop it (counted).
+// overflow and dead connections drop it, counted by what was lost: a
+// dropped CDone is a completion the client never hears of, a dropped
+// CAccepted only an ack.
 func (s *Server) enqueue(c *srvConn, m wire.CMsg) {
 	select {
 	case <-c.dead:
-		s.donesDropped.Inc()
-		return
 	default:
+		select {
+		case c.out <- m:
+			return
+		default:
+		}
 	}
-	select {
-	case c.out <- m:
-	default:
+	if m.Kind == wire.CDone {
 		s.donesDropped.Inc()
+	} else {
+		s.acksDropped.Inc()
 	}
 }
 
-// writeLoop drains one connection's outbox, flushing whenever the queue
-// goes momentarily empty.
+// writeLoop is one connection's writer goroutine; a write error hangs
+// up on the client.
 func (s *Server) writeLoop(c *srvConn) {
 	defer s.wg.Done()
-	bw := bufio.NewWriter(c.nc)
+	if err := drainOutbox(c.nc, c.out, c.dead, &s.connFrames, &s.connFlushes); err != nil {
+		c.close()
+	}
+}
+
+// drainOutbox encodes frames from out into one pending buffer and
+// writes it to w when the outbox is empty and the scheduler has nothing
+// else to run: on finding the queue empty it yields once and looks
+// again before writing. On an idle host the yield returns at once, so a
+// lone frame waits on no timer and no further enqueue; under load the
+// frames that runnable producers (a reader acking a burst of submits,
+// node loops completing jobs) were about to enqueue join the batch
+// instead of each costing a wakeup and a write. It returns nil when
+// dead closes and the write error otherwise.
+func drainOutbox(w io.Writer, out <-chan wire.CMsg, dead <-chan struct{}, frames, flushes *obs.Counter) error {
 	var buf []byte
+	var pending int64 // frames in buf
 	for {
 		select {
-		case m := <-c.out:
-			buf = wire.AppendCFrame(buf[:0], m)
-			if _, err := bw.Write(buf); err != nil {
-				c.close()
-				return
-			}
-			if len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					c.close()
-					return
+		case m := <-out:
+			buf = wire.AppendCFrame(buf, m)
+			pending++
+			if len(buf) < writeBatchBytes {
+				if len(out) > 0 {
+					continue
+				}
+				runtime.Gosched()
+				if len(out) > 0 {
+					continue
 				}
 			}
-		case <-c.dead:
-			return
+			frames.Add(pending)
+			flushes.Inc()
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf, pending = buf[:0], 0
+		case <-dead:
+			return nil
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Client codec: the frames exchanged between a job-submitting client
@@ -161,9 +160,10 @@ func DecodeCMsg(p []byte) (CMsg, error) {
 	return m, nil
 }
 
-// ReadCFrame reads one client frame from br and decodes its payload.
-// Like ReadFrame it returns the total frame bytes consumed; the size
-// prefix is validated before any allocation.
+// ReadCFrame reads one client frame from br and decodes its payload in
+// place (see peekPayload). Like ReadFrame it returns the total frame
+// bytes consumed; the size prefix is validated before any payload is
+// read.
 func ReadCFrame(br *bufio.Reader) (CMsg, int, error) {
 	size, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -172,11 +172,12 @@ func ReadCFrame(br *bufio.Reader) (CMsg, int, error) {
 	if size > MaxClientPayload {
 		return CMsg{}, 0, fmt.Errorf("wire: client frame size %d exceeds max %d", size, MaxClientPayload)
 	}
-	p := make([]byte, size)
-	if _, err := io.ReadFull(br, p); err != nil {
+	p, discard, err := peekPayload(br, int(size))
+	if err != nil {
 		return CMsg{}, 0, fmt.Errorf("wire: short client frame: %w", err)
 	}
 	m, err := DecodeCMsg(p)
+	br.Discard(discard)
 	if err != nil {
 		return CMsg{}, 0, err
 	}

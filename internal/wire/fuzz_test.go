@@ -12,7 +12,9 @@ import (
 //  1. as message fields — every syntactically valid Msg (including its
 //     op id and v3 journey stamps) must survive encode→decode
 //     unchanged, and its frame must read back identically through
-//     ReadFrame;
+//     ReadFrame — decoded in place in a default-sized reader, and
+//     through a 16-byte reader most frames do not fit, which takes the
+//     copying fallback;
 //  2. as a raw byte stream — the decoder must reject or accept without
 //     panicking, truncated and oversized frames must error, and any
 //     stream the decoder accepts must re-encode to the same bytes under
@@ -104,17 +106,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("v1 round trip: sent %+v got %+v", v1m, dm)
 			}
 			frame := AppendFrame(nil, m)
-			fm, n, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
-			if err != nil {
-				t.Fatalf("read of freshly framed %+v: %v", m, err)
-			}
-			if !fm.Equal(m) || n != len(frame) {
-				t.Fatalf("frame round trip: sent %+v got %+v (%d of %d bytes)", m, fm, n, len(frame))
-			}
-			// A truncated frame must never decode successfully.
-			for cut := 1; cut < len(frame); cut++ {
-				if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:cut]))); err == nil {
-					t.Fatalf("truncated frame (%d of %d bytes) accepted", cut, len(frame))
+			for _, size := range []int{4096, 16} {
+				fm, n, err := ReadFrame(bufio.NewReaderSize(bytes.NewReader(frame), size))
+				if err != nil {
+					t.Fatalf("read of freshly framed %+v (reader size %d): %v", m, size, err)
+				}
+				if !fm.Equal(m) || n != len(frame) {
+					t.Fatalf("frame round trip (reader size %d): sent %+v got %+v (%d of %d bytes)", size, m, fm, n, len(frame))
+				}
+				// A truncated frame must never decode successfully.
+				for cut := 1; cut < len(frame); cut++ {
+					if _, _, err := ReadFrame(bufio.NewReaderSize(bytes.NewReader(frame[:cut]), size)); err == nil {
+						t.Fatalf("truncated frame (%d of %d bytes, reader size %d) accepted", cut, len(frame), size)
+					}
 				}
 			}
 		}
@@ -147,9 +151,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("non-canonical payload: %x decodes to %+v which re-encodes to %x", raw, dm, re)
 			}
 		}
-		br := bufio.NewReader(bytes.NewReader(raw))
+		// Both readers must agree frame for frame on any byte stream.
+		br, small := bufio.NewReader(bytes.NewReader(raw)), bufio.NewReaderSize(bytes.NewReader(raw), 16)
 		for {
-			if _, _, err := ReadFrame(br); err != nil {
+			m1, n1, err1 := ReadFrame(br)
+			m2, n2, err2 := ReadFrame(small)
+			if (err1 == nil) != (err2 == nil) || n1 != n2 || !m1.Equal(m2) {
+				t.Fatalf("in-place and copying reads disagree on %x: %+v/%d/%v vs %+v/%d/%v", raw, m1, n1, err1, m2, n2, err2)
+			}
+			if err1 != nil {
 				break
 			}
 		}

@@ -82,12 +82,12 @@ func (e *LoopEndpoint) Send(to int, m Msg) error {
 		// beats silently diverging from what TCP would deliver.
 		return fmt.Errorf("wire: loopback codec round-trip: %w", err)
 	}
-	e.ctr.countSend(to, n)
+	e.ctr.countSend(to, 1, n)
 	peer := e.net.eps[to]
 	select {
 	case <-peer.done:
 		// Peer already closed: drop, like a datagram to a dead host.
-		e.ctr.countSendError(to)
+		e.ctr.countSendError(to, 1)
 		return nil
 	default:
 	}
@@ -95,7 +95,7 @@ func (e *LoopEndpoint) Send(to int, m Msg) error {
 	case peer.inbox <- dm:
 		peer.ctr.countRecv(e.id, n)
 	case <-peer.done:
-		e.ctr.countSendError(to)
+		e.ctr.countSendError(to, 1)
 	}
 	return nil
 }

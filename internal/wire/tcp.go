@@ -22,6 +22,10 @@ const (
 	dialRetryMax   = 250 * time.Millisecond
 	dialDeadline   = 10 * time.Second
 	sendQueueLen   = 256
+	// writeBatchBytes ends a link writer's queue drain: it stops taking
+	// queued frames once the pending write is this large, so one wakeup
+	// costs one conn.Write of bounded size however fast the producer is.
+	writeBatchBytes = 64 << 10
 )
 
 // ErrClosed is returned by Send on a closed transport.
@@ -32,16 +36,17 @@ var ErrClosed = errors.New("wire: transport closed")
 // frames (see the package comment); the sender's id travels in every
 // message, so no connection handshake is needed. A failed dial is
 // retried with backoff until dialDeadline; a failed write closes the
-// connection and redials once before dropping the message.
+// connection and redials once before dropping what it carried.
 type TCP struct {
-	id    int
-	ln    net.Listener
-	addrs map[int]string
-	inbox chan Msg
-	done  chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
-	ctr   counters
+	id     int
+	ln     net.Listener
+	addrs  map[int]string
+	inbox  chan Msg
+	done   chan struct{}
+	once   sync.Once
+	wg     sync.WaitGroup
+	ctr    counters
+	writes obs.Counter // conn.Write calls; MsgsSent/writes = frames per write
 
 	mu    sync.Mutex
 	links map[int]*peerLink
@@ -82,8 +87,13 @@ func NewTCP(id int, ln net.Listener, peers map[int]string) *TCP {
 
 // Register attaches the transport's live traffic counters — totals,
 // send-queue depth and the per-peer byte/msg series — to an obs
-// registry, labeled with this node's id. Call once at setup.
-func (t *TCP) Register(reg *obs.Registry) { t.ctr.register(reg, t.id) }
+// registry, labeled with this node's id, plus the socket-write count
+// that turns the message counter into frames per write. Call once at
+// setup.
+func (t *TCP) Register(reg *obs.Registry) {
+	t.ctr.register(reg, t.id)
+	reg.Attach(fmt.Sprintf(`wire_tcp_writes_total{node="%d"}`, t.id), &t.writes)
+}
 
 // PeerStats snapshots the traffic exchanged with one peer (zero Stats
 // for a peer not in the table).
@@ -205,7 +215,9 @@ func (t *TCP) readLoop(c net.Conn) {
 
 // ReadFrame reads one complete frame from br and returns the decoded
 // message and the number of wire bytes consumed. Length prefixes above
-// MaxPayload are rejected before any payload is read.
+// MaxPayload are rejected before any payload is read. The payload is
+// decoded where it sits in br's buffer (see peekPayload): DecodeMsg
+// copies every field out, so the message outlives the next read.
 func ReadFrame(br *bufio.Reader) (Msg, int, error) {
 	var m Msg
 	size, err := binary.ReadUvarint(br)
@@ -216,15 +228,37 @@ func ReadFrame(br *bufio.Reader) (Msg, int, error) {
 		return m, 0, fmt.Errorf("wire: frame length %d exceeds max payload %d", size, MaxPayload)
 	}
 	prefixLen := uvarintLen(size)
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	p, discard, err := peekPayload(br, int(size))
+	if err != nil {
 		return m, prefixLen, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	m, err = DecodeMsg(buf)
+	m, err = DecodeMsg(p)
+	br.Discard(discard) // cannot fail: peekPayload saw these bytes buffered
 	return m, prefixLen + int(size), err
+}
+
+// peekPayload returns the next size bytes of br for decoding and how
+// many of them the caller must br.Discard once it has decoded. A payload
+// that fits br's buffer is returned in place — no copy, no allocation,
+// valid until the next read on br. One larger than the buffer
+// (bufio.ErrBufferFull: only a fat JobMove, or a reader built smaller
+// than a frame) is read into a slice of its own, with nothing left to
+// discard. A stream that ends inside the payload is io.ErrUnexpectedEOF.
+func peekPayload(br *bufio.Reader, size int) (p []byte, discard int, err error) {
+	p, err = br.Peek(size)
+	if err == nil {
+		return p, size, nil
+	}
+	if errors.Is(err, bufio.ErrBufferFull) {
+		p = make([]byte, size)
+		if _, err = io.ReadFull(br, p); err == nil {
+			return p, 0, nil
+		}
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return nil, 0, err
 }
 
 // peerLink is one outbound connection with its queue and writer.
@@ -251,14 +285,12 @@ func (l *peerLink) writer() {
 	for {
 		select {
 		case m := <-l.q:
-			l.t.ctr.queueDepth.Add(-1)
-			l.write(m)
+			l.flush(m)
 		case <-l.t.done:
 			for {
 				select {
 				case m := <-l.q:
-					l.t.ctr.queueDepth.Add(-1)
-					l.write(m)
+					l.flush(m)
 				default:
 					return
 				}
@@ -267,26 +299,47 @@ func (l *peerLink) writer() {
 	}
 }
 
-// write frames and sends one message: dial if disconnected, and on a
-// write failure redial once and retry before dropping.
-func (l *peerLink) write(m Msg) {
-	for attempt := 0; attempt < 2; attempt++ {
-		if l.conn == nil {
-			if !l.dial() {
-				l.t.ctr.countSendError(l.to)
-				return
-			}
+// flush sends m and every frame already queued behind it with one
+// conn.Write: dial if disconnected, and on a write failure redial once
+// and resend the whole batch before dropping it. It takes what is
+// queued and never waits for more — the frames on a cluster link are
+// legs of round trips some node's freeze is waiting on. Accounting
+// stays per frame, and the queue-depth gauge lets go of a frame only
+// once it is counted as sent or dropped.
+func (l *peerLink) flush(m Msg) {
+	ctr := &l.t.ctr
+	if l.conn == nil && !l.dial() {
+		ctr.countSendError(l.to, 1)
+		ctr.queueDepth.Add(-1)
+		return
+	}
+	l.enc = AppendFrame(l.enc[:0], m)
+	frames := int64(1)
+drain:
+	for len(l.enc) < writeBatchBytes {
+		select {
+		case m = <-l.q:
+			l.enc = AppendFrame(l.enc, m)
+			frames++
+		default:
+			break drain
 		}
-		l.enc = AppendFrame(l.enc[:0], m)
+	}
+	defer ctr.queueDepth.Add(-frames)
+	for attempt := 0; ; attempt++ {
+		l.t.writes.Inc()
 		if _, err := l.conn.Write(l.enc); err == nil {
-			l.t.ctr.countSend(l.to, int64(len(l.enc)))
+			ctr.countSend(l.to, frames, int64(len(l.enc)))
 			return
 		}
 		l.conn.Close()
 		l.conn = nil
-		l.t.ctr.redials.Add(1)
+		ctr.redials.Add(1)
+		if attempt == 1 || !l.dial() {
+			ctr.countSendError(l.to, frames)
+			return
+		}
 	}
-	l.t.ctr.countSendError(l.to)
 }
 
 // dial connects to the peer, retrying with backoff: peers of a starting

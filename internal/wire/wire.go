@@ -531,24 +531,24 @@ func (c *counters) initPeers(ids []int) {
 	}
 }
 
-// countSend records one message of b bytes sent to peer `to`.
-func (c *counters) countSend(to int, b int64) {
-	c.msgsSent.Add(1)
+// countSend records msgs messages totalling b bytes sent to peer `to`.
+func (c *counters) countSend(to int, msgs, b int64) {
+	c.msgsSent.Add(msgs)
 	c.bytesSent.Add(b)
 	if p := c.perPeer[to]; p != nil {
-		p.msgsSent.Add(1)
+		p.msgsSent.Add(msgs)
 		p.bytesSent.Add(b)
 	}
 }
 
-// countSendError records one message to peer `to` dropped after
+// countSendError records msgs messages to peer `to` dropped after
 // exhausting delivery attempts, in the transport total and on that
 // peer's link — the per-link view is what lets a consumer distinguish
 // "my protocol partner's link failed" from "some unrelated link failed".
-func (c *counters) countSendError(to int) {
-	c.sendErrors.Add(1)
+func (c *counters) countSendError(to int, msgs int64) {
+	c.sendErrors.Add(msgs)
 	if p := c.perPeer[to]; p != nil {
-		p.sendErrors.Add(1)
+		p.sendErrors.Add(msgs)
 	}
 }
 
