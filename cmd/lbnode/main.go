@@ -647,10 +647,10 @@ func runSpawn(o options, w io.Writer) (bool, error) {
 	if !o.quiet {
 		tb := trace.NewTable(fmt.Sprintf("%d-node cluster over %s (f=%g δ=%d, %d steps)",
 			n, o.transport, o.f, o.delta, o.steps),
-			"node", "final load", "generated", "consumed", "completed", "aborted", "timeouts", "bytes sent")
+			"node", "final load", "generated", "consumed", "completed", "partners", "aborted", "timeouts", "bytes sent")
 		for _, nd := range res.Nodes {
 			tb.AddRow(nd.ID, nd.FinalLoad, nd.Generated, nd.Consumed,
-				nd.Completed, nd.Aborted, nd.Timeouts, nd.BytesSent)
+				nd.Completed, nd.Partners, nd.Aborted, nd.Timeouts, nd.BytesSent)
 		}
 		if err := tb.WriteText(w); err != nil {
 			return false, err

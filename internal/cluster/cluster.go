@@ -11,9 +11,11 @@
 // feeds it frames and timeouts and carries out its effects. What the
 // node adds is everything a real network needs around the handshake:
 //
-//   - Transfers are acknowledged (TransferAck). The initiator must know
-//     when its transfers have landed before it may declare itself
-//     quiet, or shutdown could race a transfer and lose packets.
+//   - Transfers that move load are acknowledged (TransferAck). The
+//     initiator must know when they have landed before it may declare
+//     itself quiet, or shutdown could race a transfer and lose packets.
+//     A zero-delta Transfer only unfreezes its partner: nothing rides
+//     on it, so it is neither awaited nor answered.
 //   - Timeouts are wall-clock. The node decides when the machine's
 //     reply timeout and frozen-partner self-release are due: a live TCP
 //     peer answers in microseconds, so a missing reply means a dead or
@@ -77,8 +79,9 @@ type Config struct {
 	// when the run ends.
 	Transport wire.Transport
 	// Timeout is the initiator's reply timeout; a protocol missing
-	// replies for longer aborts, releases the partners that answered,
-	// and re-arms with randomized backoff. 0 selects DefaultTimeout.
+	// replies for longer stops waiting and balances with the partners
+	// that acked (or, with none to balance with, aborts and re-arms with
+	// randomized backoff). 0 selects DefaultTimeout.
 	Timeout time.Duration
 	// FreezeTimeout is how long a frozen partner waits for its release
 	// or transfer before unfreezing itself (the escape hatch when an
@@ -160,6 +163,10 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: Delta = %d, need 1 <= Delta < N", c.Delta)
 	case c.F <= 1:
 		return fmt.Errorf("cluster: F = %v, need > 1", c.F)
+	case c.F >= float64(c.Delta)+1:
+		// An operation over k <= Delta partners needs F < k+1
+		// (proto.Machine.conclude); past this bound none can complete.
+		return fmt.Errorf("cluster: F = %v violates F < Delta+1 = %d (Theorem 1 precondition)", c.F, c.Delta+1)
 	case c.Steps < 1:
 		return fmt.Errorf("cluster: Steps = %d, need >= 1", c.Steps)
 	case c.GenP < 0 || c.GenP > 1 || c.ConP < 0 || c.ConP > 1:
@@ -221,13 +228,18 @@ type Stats struct {
 	// loop — a ticker drops the ticks a busy host makes it miss — so
 	// Steps over wall time is the node's delivered service rate, to be
 	// read against its nominal 1/StepInterval.
-	Steps         int64
-	Generated     int64
-	Consumed      int64
-	Initiated     int64 // balancing protocols started
-	Completed     int64 // balancing protocols that transferred load
-	Aborted       int64 // protocols aborted (busy partner or timeout)
-	Timeouts      int64 // aborts caused by the reply timeout
+	Steps     int64
+	Generated int64
+	Consumed  int64
+	Initiated int64 // balancing protocols started
+	Completed int64 // balancing protocols that transferred load
+	// Partners sums, over completed protocols, the partners each balanced
+	// with: a busy or silent partner drops out of an operation instead of
+	// aborting it, so Partners/Completed — the δ the run actually got —
+	// can sit below the configured Delta.
+	Partners      int64
+	Aborted       int64 // protocols aborted: too few partners acked
+	Timeouts      int64 // collects ended by the reply timeout, aborted or not
 	FreezeExpired int64 // freezes released by the partner's own timeout
 
 	// Pacing accounting. RateLimited counts distinct deferral episodes:
@@ -695,7 +707,9 @@ func (n *Node) apply(effs []proto.Effect) {
 				n.met.traceOp(n.cfg.ID, e.Msg.Op, "release", "to=%d seq=%d", e.To, e.Msg.Seq)
 			}
 			n.send(e.To, e.Msg)
-			if e.Msg.Kind == wire.Transfer {
+			// Only a transfer that moves load is awaited: the partner does
+			// not acknowledge a zero-delta one (see handle).
+			if e.Msg.Kind == wire.Transfer && e.Msg.Amount != 0 {
 				n.unacked++
 				if n.met.phaseXfer != nil {
 					n.xferSent = append(n.xferSent, time.Now())
@@ -729,6 +743,18 @@ func (n *Node) apply(effs []proto.Effect) {
 	}
 }
 
+// collectEnded accounts for how the node's own collect ended, whichever
+// way the operation then went: the reply timeout bumps the epoch and is
+// counted; a collect that ran to its last reply is timed.
+func (n *Node) collectEnded(e *proto.Effect) {
+	if e.Reason == proto.Timeout {
+		n.stats.Timeouts++
+		n.epoch.Store(n.m.Seq())
+		return
+	}
+	n.met.phaseCollect.ObserveSince(n.lastInitAt)
+}
+
 // onAborted accounts for the node's own protocol dying. A timeout is
 // attributed before anything else: send errors on a protocol partner's
 // link during the protocol mean the wire ate our messages; otherwise a
@@ -736,12 +762,11 @@ func (n *Node) apply(effs []proto.Effect) {
 // already abandoned; otherwise it is a plain missing reply.
 func (n *Node) onAborted(e *proto.Effect) {
 	n.stats.Aborted++
+	n.collectEnded(e)
 	// Busy is the collision the pacer exists to react to: it backs off
 	// by the width of the collect window just measured.
 	reason := AbortPeerFrozen
 	if e.Reason == proto.Timeout {
-		n.stats.Timeouts++
-		n.epoch.Store(n.m.Seq())
 		switch {
 		case n.partnerLinkErrored():
 			reason = AbortLinkDown
@@ -750,8 +775,6 @@ func (n *Node) onAborted(e *proto.Effect) {
 		default:
 			reason = AbortTimeout
 		}
-	} else {
-		n.met.phaseCollect.ObserveSince(n.lastInitAt)
 	}
 	n.met.abort[reason].Inc()
 	n.met.traceOp(n.cfg.ID, e.Op, "abort", "reason=%s seq=%d", reason, e.Seq)
@@ -761,15 +784,15 @@ func (n *Node) onAborted(e *proto.Effect) {
 	n.paceOutcome(reason)
 }
 
-// onResolved accounts for the node's own protocol balancing; transfers
-// are the Transfer sends about to go out. The flight record lands
-// first, so a replayed stream sees the resolution before the frames it
-// explains.
+// onResolved accounts for the node's own protocol balancing with the
+// partners that acked; transfers are the Transfer sends about to go
+// out, one per such partner. The flight record lands first, so a
+// replayed stream sees the resolution before the frames it explains.
 func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
-	n.met.phaseCollect.ObserveSince(n.lastInitAt)
+	n.collectEnded(e)
 	n.paceOutcome("")
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Resolve(e.Op, e.Seq, e.Load, e.Partners)
+		n.cfg.Flight.Resolve(e.Op, e.Seq, e.Load, e.Partners, e.Reason == proto.Timeout)
 	}
 	// Serve mode: record the records owed to partners that gain load and
 	// ship what the FIFO holds now, so each JobMove precedes its Transfer
@@ -782,7 +805,9 @@ func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
 		n.settleOwed(e.Op)
 	}
 	n.stats.Completed++
+	n.stats.Partners += int64(e.Partners)
 	n.met.completed.Inc()
+	n.met.opPartners.Add(int64(e.Partners))
 	n.met.loadGauge.Set(int64(e.Load))
 	n.met.traceOp(n.cfg.ID, e.Op, "resolve", "seq=%d partners=%d load=%d", e.Seq, e.Partners, e.Load)
 }
@@ -806,10 +831,15 @@ func (n *Node) handle(m wire.Msg) {
 
 	case wire.Transfer:
 		// The machine applies the delta (always — conservation depends on
-		// it); the driver always acknowledges it so the initiator can
-		// account for it.
+		// it); the driver acknowledges every transfer that moved load so
+		// the initiator can account for it. A zero-delta transfer moved
+		// nothing — it only ended the freeze — and the initiator is not
+		// waiting on it.
 		n.apply(n.m.Handle(m, n.effs[:0]))
 		n.met.traceOp(n.cfg.ID, m.Op, "transfer", "from=%d amount=%d load=%d", m.From, m.Amount, n.m.Load())
+		if m.Amount == 0 {
+			return
+		}
 		// Serve mode, give-back transfer: the load just left for the
 		// initiator, so its records are owed there; ship them ahead of
 		// the ack on the same link.

@@ -96,6 +96,7 @@ func TestClusterConfigValidation(t *testing.T) {
 		func(c *Config) { c.Delta = 0 },
 		func(c *Config) { c.Delta = 2 },
 		func(c *Config) { c.F = 1.0 },
+		func(c *Config) { c.F = 2.0 }, // F < Delta+1: no operation could complete
 		func(c *Config) { c.Steps = 0 },
 		func(c *Config) { c.GenP = 1.5 },
 		func(c *Config) { c.ConP = -0.1 },

@@ -66,32 +66,35 @@ func TestFreezeExpiryOnWallClock(t *testing.T) {
 	}
 }
 
-// dropReleases wraps a Transport and swallows every outbound Release:
-// a frozen partner that gets no transfer is never released by its
-// initiator and can only escape through the FreezeTimeout self-release.
-// Releases carry no load, so conservation must survive losing all of
-// them.
-type dropReleases struct {
+// dropUnfreezers wraps a Transport and swallows every outbound frame
+// that ends a freeze without moving load — each Release and each
+// zero-delta Transfer: a frozen partner that is owed no load is never let
+// go by its initiator and can only escape through the FreezeTimeout
+// self-release. (Releases alone are too rare to count on: an initiator
+// sends one only when nobody it can balance with acked.) Neither frame
+// carries load, so conservation must survive losing all of them.
+type dropUnfreezers struct {
 	wire.Transport
 }
 
-func (d dropReleases) Send(to int, m wire.Msg) error {
-	if m.Kind == wire.Release {
+func (d dropUnfreezers) Send(to int, m wire.Msg) error {
+	if m.Kind == wire.Release || (m.Kind == wire.Transfer && m.Amount == 0) {
 		return nil
 	}
 	return d.Transport.Send(to, m)
 }
 
 // TestFreezeExpiryLive runs a colliding loopback cluster in which every
-// Release is lost, so each freeze that does not end in a transfer sits
-// until the FreezeTimeout self-release — the expiry path exercised
-// end to end, with late-message races left to wall-clock chance. The
-// invariant under all that churn is exact conservation.
+// Release and every zero-delta Transfer is lost, so each freeze that
+// does not end in a load-moving transfer sits until the FreezeTimeout
+// self-release — the expiry path exercised end to end, with
+// late-message races left to wall-clock chance. The invariant under all
+// that churn is exact conservation.
 func TestFreezeExpiryLive(t *testing.T) {
 	n := 8
 	ts := loopTransports(n)
 	for i := range ts {
-		ts[i] = dropReleases{ts[i]}
+		ts[i] = dropUnfreezers{ts[i]}
 	}
 	res, err := RunCluster(ClusterConfig{N: n, Delta: 2, F: 1.1, Steps: 1500, Seed: 23,
 		FreezeTimeout: 2 * time.Millisecond,
@@ -106,7 +109,7 @@ func TestFreezeExpiryLive(t *testing.T) {
 		expired += nd.FreezeExpired
 	}
 	if expired == 0 {
-		t.Fatal("no freeze ever expired with every Release dropped")
+		t.Fatal("no freeze ever expired with every Release and zero-delta Transfer dropped")
 	}
 	if !res.Conserved() || !res.Summary.Conserved() {
 		t.Fatalf("conservation violated under freeze-expiry churn: total %d", res.TotalLoad())

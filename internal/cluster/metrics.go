@@ -9,12 +9,16 @@ import (
 // Abort reason labels, one per way a balancing protocol dies. They are
 // what the AbortAnatomy experiment and the /metrics endpoint report.
 const (
-	// AbortPeerFrozen: a partner answered FreezeBusy — it was already
-	// frozen or mid-protocol itself. The only abort cause that exists on
-	// an ideal network.
+	// AbortPeerFrozen: every reply came in and too few partners acked to
+	// balance with — the rest answered FreezeBusy, already frozen or
+	// mid-protocol themselves. One busy partner does not abort an
+	// operation that holds another; this is the collect that held nobody
+	// (or fewer than f−1). The only abort cause that exists on an ideal
+	// network.
 	AbortPeerFrozen = "peer_frozen"
-	// AbortTimeout: the reply timeout fired with no further evidence —
-	// a partner is slow, dead, or its reply is still in flight.
+	// AbortTimeout: the reply timeout fired with too few acks in hand and
+	// no further evidence — a partner is slow, dead, or its reply is still
+	// in flight.
 	AbortTimeout = "timeout"
 	// AbortStaleEpoch: the reply timeout fired after a stale-epoch reply
 	// (one carrying an old Seq) arrived — the partner answered a
@@ -31,7 +35,8 @@ const (
 const (
 	// PhaseReply: initiate → one partner's FreezeAck/FreezeBusy landing.
 	PhaseReply = "reply"
-	// PhaseCollect: initiate → all δ replies in (resolve entered).
+	// PhaseCollect: initiate → all δ replies in (the collect concluded on
+	// its last reply; one the reply timeout cut short is not timed).
 	PhaseCollect = "collect"
 	// PhaseTransferAck: Transfer sent → its TransferAck landing.
 	PhaseTransferAck = "transfer_ack"
@@ -47,6 +52,7 @@ const (
 type nodeMetrics struct {
 	initiated     *obs.Counter
 	completed     *obs.Counter
+	opPartners    *obs.Counter // partners summed over completed operations
 	freezeExpired *obs.Counter
 
 	// Pacing instrumentation. rateLimited counts deferral episodes and
@@ -97,6 +103,7 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 	m := nodeMetrics{
 		initiated:        reg.Counter("cluster_protocols_initiated_total"),
 		completed:        reg.Counter("cluster_protocols_completed_total"),
+		opPartners:       reg.Counter("cluster_op_partners_total"),
 		freezeExpired:    reg.Counter("cluster_freeze_expired_total"),
 		rateLimited:      reg.Counter("cluster_initiations_ratelimited_total"),
 		rateLimitedSteps: reg.Counter("cluster_ratelimited_steps_total"),

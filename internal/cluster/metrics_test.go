@@ -27,6 +27,10 @@ func TestClusterMetricsPopulated(t *testing.T) {
 	if got := reg.Counter("cluster_protocols_completed_total").Value(); got != res.Completed() {
 		t.Fatalf("completed counter %d != stats %d", got, res.Completed())
 	}
+	if got := reg.Counter("cluster_op_partners_total").Value(); got != res.Partners() ||
+		got < res.Completed() || got > int64(cfg.Delta)*res.Completed() {
+		t.Fatalf("partners counter %d, stats %d, over %d completed operations of δ=%d", got, res.Partners(), res.Completed(), cfg.Delta)
+	}
 	var aborted int64
 	for _, n := range res.Nodes {
 		aborted += n.Aborted
@@ -38,7 +42,8 @@ func TestClusterMetricsPopulated(t *testing.T) {
 	if byReason != aborted {
 		t.Fatalf("per-reason aborts %d != stats aborts %d", byReason, aborted)
 	}
-	// On loopback nothing times out: every abort is a busy partner.
+	// On loopback nothing times out: every abort is a collect that found
+	// its partners busy.
 	if got := reg.Counter(AbortMetric(AbortPeerFrozen)).Value(); got != aborted {
 		t.Fatalf("loopback aborts should all be peer_frozen: %d of %d", got, aborted)
 	}

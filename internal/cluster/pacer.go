@@ -9,10 +9,14 @@ import (
 
 // PaceMode selects the initiation-pacing policy of a node. Pacing
 // exists because of a measured wire-level pathology (EXPERIMENTS.md,
-// abortanatomy): over real sockets the collect phase is ~43× wider
+// abortanatomy): over real sockets the collect phase is ~27× wider
 // than in-process, so the freeze window of every balancing operation
-// is socket-latency wide and free-running initiators freeze each other
-// into near-total peer_frozen abort storms.
+// is socket-latency wide, free-running nodes are engaged most of the
+// time, and most of the partners an initiator asks answer Busy. One
+// busy partner only drops out of the operation (see internal/proto);
+// the attempt that finds them all busy is the peer_frozen abort, and at
+// n=16 over sockets that is still most attempts — at a few dozen
+// messages per completed operation where pacing gets by on eight.
 type PaceMode int
 
 const (
@@ -25,7 +29,8 @@ const (
 	// PaceOff disables pacing entirely, even with MinInitGap set.
 	PaceOff
 	// PaceAdaptive runs the AIMD controller: the gap grows
-	// multiplicatively on peer_frozen aborts (collision evidence) and
+	// multiplicatively on peer_frozen aborts (collision evidence: every
+	// partner asked was engaged) and
 	// shrinks additively on successful collects, with MinInitGap as an
 	// optional lower bound. Each node adapts on purely local signals,
 	// in the congestion-control tradition.

@@ -122,6 +122,16 @@ func (r *Result) Completed() int64 {
 	return sum
 }
 
+// Partners returns the partners the completed operations balanced with:
+// Partners/Completed is the δ the run actually got (see Stats.Partners).
+func (r *Result) Partners() int64 {
+	var sum int64
+	for _, n := range r.Nodes {
+		sum += n.Partners
+	}
+	return sum
+}
+
 // Initiated returns the total initiated balancing operations.
 func (r *Result) Initiated() int64 {
 	var sum int64

@@ -18,6 +18,10 @@ type AbortAnatomyRow struct {
 	Initiated int64
 	Completed int64
 	AbortFrac float64
+	// PartnersPerOp is the mean number of partners a completed operation
+	// balanced with — the δ the run actually got (a busy partner drops
+	// out of an operation instead of aborting it).
+	PartnersPerOp float64
 	// Aborts maps each cluster.Abort* reason to its count.
 	Aborts map[string]int64
 	// Dominant is the reason with the highest count ("" if no aborts).
@@ -30,15 +34,16 @@ type AbortAnatomyRow struct {
 	FrozenP95              float64
 }
 
-// AbortAnatomyResult attributes the wire-level abort fraction — the
-// ROADMAP open item of ≥0.95 at n=16 over TCP — to its cause. The same
-// cluster and workload run over the in-memory loopback transport and
-// over real TCP sockets; the per-reason abort counters say *what* kills
-// the protocols and the phase histograms say *where the time goes*:
-// if collect (initiate → all replies) is orders of magnitude wider on
-// TCP while aborts stay peer_frozen rather than timeout, the freeze
-// window has become socket-latency wide and free-running initiators
-// collide with already-frozen partners — a pacing problem, not a
+// AbortAnatomyResult attributes the wire-level abort fraction at n=16
+// over TCP to its cause. The same cluster and workload run over the
+// in-memory loopback transport and over real TCP sockets; the
+// per-reason abort counters say *what* kills the protocols, the phase
+// histograms say *where the time goes*, and partners per op says what
+// the collisions cost the operations that survive them: if collect
+// (initiate → all replies) is orders of magnitude wider on TCP while
+// aborts stay peer_frozen rather than timeout, the freeze window has
+// become socket-latency wide and free-running initiators find every
+// partner they ask already engaged — a collision problem, not a
 // reliability problem.
 type AbortAnatomyResult struct {
 	N     int
@@ -108,6 +113,9 @@ func AbortAnatomy(scale Scale, seed uint64) (*AbortAnatomyResult, error) {
 		if row.Initiated > 0 {
 			row.AbortFrac = float64(row.Initiated-row.Completed) / float64(row.Initiated)
 		}
+		if row.Completed > 0 {
+			row.PartnersPerOp = float64(res.Partners()) / float64(row.Completed)
+		}
 		var best int64
 		for _, reason := range abortReasons {
 			c := reg.Counter(cluster.AbortMetric(reason)).Value()
@@ -135,10 +143,10 @@ func (r *AbortAnatomyResult) Render(w io.Writer) error {
 		return err
 	}
 	tb := trace.NewTable("protocol outcomes by abort reason",
-		"transport", "initiated", "completed", "abort frac",
+		"transport", "initiated", "completed", "abort frac", "partners per op",
 		"peer_frozen", "timeout", "stale_epoch", "link_down")
 	for _, row := range r.Rows {
-		tb.AddRow(row.Transport, row.Initiated, row.Completed, row.AbortFrac,
+		tb.AddRow(row.Transport, row.Initiated, row.Completed, row.AbortFrac, row.PartnersPerOp,
 			row.Aborts[cluster.AbortPeerFrozen], row.Aborts[cluster.AbortTimeout],
 			row.Aborts[cluster.AbortStaleEpoch], row.Aborts[cluster.AbortLinkDown])
 	}
@@ -174,6 +182,6 @@ func (r *AbortAnatomyResult) Render(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "peer_frozen aborts with a socket-latency-wide collect phase mean free-running\ninitiators collide with already-frozen partners: the fix is pacing/batching\ninitiations (see ROADMAP), not transport reliability.\n")
+	_, err := fmt.Fprintf(w, "a peer_frozen abort is a collect in which every partner asked was engaged: one\nbusy partner only costs an operation that partner (partners per op < δ), it\ntakes all of them to abort it. With a socket-latency-wide collect phase the\nnodes are engaged most of the time, so what is left is collision, not transport\nreliability — and most of its traffic is request/busy pairs (see ROADMAP).\n")
 	return err
 }

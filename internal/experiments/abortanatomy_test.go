@@ -39,8 +39,8 @@ func TestAbortAnatomyQuickShape(t *testing.T) {
 			t.Fatalf("%s: collect p95 %v below p50 %v", row.Transport, row.CollectP95, row.CollectP50)
 		}
 	}
-	// On loopback every abort is a busy partner — the only cause that
-	// exists without a real network.
+	// On loopback every abort is a collect that found its partners busy —
+	// the only cause that exists without a real network.
 	in := res.Rows[0]
 	if in.Transport != "inproc" {
 		t.Fatalf("row order changed: %v", in.Transport)

@@ -82,10 +82,10 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults drop=%.2f crashes=%d: %w", dropP, crashes, err)
 			}
-			var initiated, completed, timeouts, selfRel, dropped int64
+			var initiated, timeouts, selfRel, dropped int64
+			completed := res.Completed()
 			for _, nd := range res.Nodes {
 				initiated += nd.Initiated
-				completed += nd.Completed
 				timeouts += nd.Timeouts
 				selfRel += nd.FreezeExpired
 				dropped += nd.Dropped + nd.LostAtCrash

@@ -15,13 +15,20 @@ type NetCostRow struct {
 	Spread      int
 	MsgsPerOp   float64
 	AbortedFrac float64
+	// PartnersPerOp is the mean number of partners a completed operation
+	// balanced with — the δ the run actually got: a busy partner drops out
+	// of an operation instead of aborting it, so it can sit below the
+	// configured δ, and the paper's bounds (δ/(δ+1−f) …) are to be read
+	// against this figure.
+	PartnersPerOp float64
 }
 
 // NetCostResult measures the real communication cost of the
 // message-passing realization: messages per completed balancing
-// operation and the abort rate of the freeze protocol, across δ and
-// partner topologies. The paper argues balancing cost is dominated by
-// organization, not data volume — this harness counts the organization.
+// operation, the abort rate of the freeze protocol and the partners an
+// operation actually balanced with, across δ and partner topologies.
+// The paper argues balancing cost is dominated by organization, not data
+// volume — this harness counts the organization.
 type NetCostResult struct {
 	Rows  []NetCostRow
 	N     int
@@ -65,14 +72,15 @@ func NetCost(scale Scale, seed uint64) (*NetCostResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netcost %s: %w", c.name, err)
 		}
-		var initiated, completed int64
+		var initiated int64
 		for _, nd := range res.Nodes {
 			initiated += nd.Initiated
-			completed += nd.Completed
 		}
+		completed := res.Completed()
 		row := NetCostRow{Name: c.name, Spread: res.Spread()}
 		if completed > 0 {
 			row.MsgsPerOp = float64(res.Messages()) / float64(completed)
+			row.PartnersPerOp = float64(res.Partners()) / float64(completed)
 		}
 		if initiated > 0 {
 			row.AbortedFrac = float64(initiated-completed) / float64(initiated)
@@ -88,9 +96,9 @@ func (r *NetCostResult) Render(w io.Writer) error {
 		return err
 	}
 	tb := trace.NewTable("freeze/ack/transfer protocol costs",
-		"configuration", "final spread", "msgs per completed op", "abort fraction")
+		"configuration", "final spread", "msgs per completed op", "abort fraction", "partners per op")
 	for _, row := range r.Rows {
-		tb.AddRow(row.Name, row.Spread, row.MsgsPerOp, row.AbortedFrac)
+		tb.AddRow(row.Name, row.Spread, row.MsgsPerOp, row.AbortedFrac, row.PartnersPerOp)
 	}
 	return tb.WriteText(w)
 }

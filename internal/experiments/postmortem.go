@@ -383,7 +383,7 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 }
 
 // pmTamper doctors the baseline recording — one node's transfers each
-// move two extra units — and requires the audit to name the exact
+// move three extra units — and requires the audit to name the exact
 // record that broke the freeze agreement.
 func pmTamper(srcRoot, dst string, t *PMTamper) error {
 	entries, err := os.ReadDir(srcRoot)
@@ -414,7 +414,10 @@ func pmTamper(srcRoot, dst string, t *PMTamper) error {
 	}
 	err = flight.Rewrite(filepath.Join(srcRoot, victim), dst, func(ev flight.Event) flight.Event {
 		if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-			ev.Msg.Amount += 2 // two units stolen in transit
+			// Three units stolen in transit: shares are base or base+1, so
+			// two could hide in an operation whose initiator held the only
+			// extra (base+1 against base+2); three cannot.
+			ev.Msg.Amount += 3
 		}
 		return ev
 	})
@@ -499,7 +502,7 @@ func (r *PostMortemResult) Render(w io.Writer) error {
 	}
 
 	t := &r.Tamper
-	if err := header(w, "tamper: doctored history (every transfer +2 units)"); err != nil {
+	if err := header(w, "tamper: doctored history (every transfer +3 units)"); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w,

@@ -10,19 +10,17 @@ import (
 	"lmbalance/internal/wire"
 )
 
-// TestReplayReproducesLiveRun is the acceptance check for the flight
-// recorder: record a whole loopback cluster run through transport taps
-// and protocol hooks, then replay the recording offline and require the
-// shadow audit to reproduce the live run's accounting bit for bit —
-// conservation, per-node protocol counts, final loads — with zero
-// legality violations.
-func TestReplayReproducesLiveRun(t *testing.T) {
-	const n = 4
+// recordRun runs a loopback cluster with a flight recorder tapped into
+// every node and returns the recording's root (node i's stream under
+// node-i/) and the live result. The run must conserve and the recorders
+// must not have dropped a record.
+func recordRun(t *testing.T, cfg cluster.ClusterConfig) (string, *cluster.Result) {
+	t.Helper()
 	root := t.TempDir()
-	lnet := wire.NewLoopback(n)
-	recs := make([]*flight.Recorder, n)
-	transports := make([]wire.Transport, n)
-	for i := 0; i < n; i++ {
+	lnet := wire.NewLoopback(cfg.N)
+	recs := make([]*flight.Recorder, cfg.N)
+	transports := make([]wire.Transport, cfg.N)
+	for i := range recs {
 		rec, err := flight.Open(flight.Options{
 			Dir:  filepath.Join(root, fmt.Sprintf("node-%d", i)),
 			Node: i,
@@ -33,11 +31,8 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 		recs[i] = rec
 		transports[i] = rec.Tap(lnet.Transport(i))
 	}
-
-	res, err := cluster.RunCluster(cluster.ClusterConfig{
-		N: n, Delta: 2, F: 2, Steps: 400, Seed: 42,
-		Flight: recs,
-	}, transports)
+	cfg.Flight = recs
+	res, err := cluster.RunCluster(cfg, transports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +47,18 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 			t.Fatalf("recorder dropped %d records; identity needs a complete stream", rec.Dropped())
 		}
 	}
+	return root, res
+}
+
+// TestReplayReproducesLiveRun is the acceptance check for the flight
+// recorder: record a whole loopback cluster run through transport taps
+// and protocol hooks, then replay the recording offline and require the
+// shadow audit to reproduce the live run's accounting bit for bit —
+// conservation, per-node protocol counts, final loads — with zero
+// legality violations.
+func TestReplayReproducesLiveRun(t *testing.T) {
+	const n = 4
+	root, res := recordRun(t, cluster.ClusterConfig{N: n, Delta: 2, F: 2, Steps: 400, Seed: 42})
 
 	recording, err := flight.LoadTree(root)
 	if err != nil {
@@ -151,30 +158,7 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 // duplicated must produce a verdict naming that exact record.
 func TestReplayFlagsDoubleBalance(t *testing.T) {
 	const n = 3
-	root := t.TempDir()
-	lnet := wire.NewLoopback(n)
-	recs := make([]*flight.Recorder, n)
-	transports := make([]wire.Transport, n)
-	for i := 0; i < n; i++ {
-		rec, err := flight.Open(flight.Options{
-			Dir:  filepath.Join(root, fmt.Sprintf("node-%d", i)),
-			Node: i,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = rec
-		transports[i] = rec.Tap(lnet.Transport(i))
-	}
-	if _, err := cluster.RunCluster(cluster.ClusterConfig{
-		N: n, Delta: 1, F: 2, Steps: 300, Seed: 7,
-		Flight: recs,
-	}, transports); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		rec.Close()
-	}
+	root, _ := recordRun(t, cluster.ClusterConfig{N: n, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
 
 	// Find a node whose stream has a transfer to tamper with.
 	victim := -1
@@ -216,5 +200,95 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 	}
 	if verdict.First.Rule != "imbalance_violation" {
 		t.Fatalf("flagged %q, want imbalance_violation", verdict.First.Rule)
+	}
+}
+
+// TestReplayPartialOperations records a colliding run under the rule
+// that a busy partner drops out of an operation instead of aborting it,
+// so the recording holds operations over fewer partners than were asked
+// and zero-delta transfers nobody acknowledges. The audit must pass it
+// clean; re-addressing one such operation's transfer to the partner
+// that answered Busy must be flagged at that exact record.
+func TestReplayPartialOperations(t *testing.T) {
+	const n, delta = 6, 2
+	root, res := recordRun(t, cluster.ClusterConfig{
+		N: n, Delta: delta, F: 1.2, Steps: 600, Seed: 11,
+		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1},
+		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4},
+	})
+	recording, err := flight.LoadTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audit := flight.Audit(recording); audit.First != nil {
+		t.Fatalf("clean run flagged: %v (of %d violations)", *audit.First, len(audit.Violations))
+	}
+
+	// What the recording holds, and the one record to doctor: the transfer
+	// of an operation that resolved after one of its partners said Busy.
+	type key struct {
+		node int
+		op   uint64
+	}
+	busyFrom := map[key]int{}
+	partial := map[key]bool{}
+	var partials, zeroXfers, movingXfers, xferAcks, partners int64
+	victim, victimSeq, victimBusy := -1, -1, -1
+	for _, nr := range recording.Nodes {
+		for _, ev := range nr.Events {
+			k := key{nr.Node, ev.Msg.Op}
+			switch {
+			case ev.Dir == flight.DirRecv && ev.Msg.Kind == wire.FreezeBusy:
+				busyFrom[k] = ev.Msg.From
+			case ev.Dir == flight.DirLocal && ev.Kind == flight.LocalResolve:
+				partners += ev.Arg(2)
+				if ev.Arg(2) < delta {
+					partials++
+					partial[key{nr.Node, ev.Op}] = true
+				}
+			case ev.Dir == flight.DirSend && ev.Msg.Kind == wire.TransferAck:
+				xferAcks++
+			case ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer:
+				if ev.Msg.Amount == 0 {
+					zeroXfers++
+				} else {
+					movingXfers++
+				}
+				if q, ok := busyFrom[k]; ok && partial[k] && victim < 0 {
+					victim, victimSeq, victimBusy = nr.Node, ev.Seq, q
+				}
+			}
+		}
+	}
+	if partials == 0 || zeroXfers == 0 || victim < 0 {
+		t.Fatalf("recording holds %d partial operations, %d zero-delta transfers, victim %d: nothing to audit", partials, zeroXfers, victim)
+	}
+	if partners != res.Partners() {
+		t.Errorf("partners over resolves: replay %d live %d", partners, res.Partners())
+	}
+	// A node goes idle only once its load-moving transfers are acked, so
+	// by the end every one of them — and no zero-delta one — was.
+	if xferAcks != movingXfers {
+		t.Errorf("%d transfer acks for %d load-moving transfers (%d zero-delta)", xferAcks, movingXfers, zeroXfers)
+	}
+
+	dst := t.TempDir()
+	err = flight.Rewrite(filepath.Join(root, fmt.Sprintf("node-%d", victim)), dst,
+		func(ev flight.Event) flight.Event {
+			if ev.Seq == victimSeq {
+				ev.Peer = victimBusy
+			}
+			return ev
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr, err := flight.LoadDir(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{nr}})
+	if verdict.First == nil || verdict.First.Rule != "transfer_to_unacked" || verdict.First.Index != victimSeq {
+		t.Fatalf("transfer re-addressed to the busy partner at record %d: verdict %+v", victimSeq, verdict.First)
 	}
 }

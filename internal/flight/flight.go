@@ -99,7 +99,8 @@ type LocalKind uint8
 //	LocalAbort         op; args = seq, load, reason code
 //	LocalFreezeExpired op; args = freezer id
 //	LocalPaceBackoff   args = gap µs
-//	LocalResolve       op; args = seq, load after, partners
+//	LocalResolve       op; args = seq, load after, partners balanced with,
+//	                          1 if the reply timeout ended the collect
 //	LocalComplete      op; args = job id, hops, sojourn ns, transfer ns
 //	LocalFinal         args = load, generated, consumed, ingested,
 //	                          units done, records held

@@ -449,6 +449,24 @@ func TestShadowMachineRules(t *testing.T) {
 			{WallNS: 3, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
 			{WallNS: 4, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 9, Amount: 2}},
 		}},
+		{"transfer to the partner that answered busy", "transfer_to_unacked", []Event{
+			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 2}},
+			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
+			{WallNS: 3, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeBusy, From: 2, Seq: 1, Op: 9}},
+			{WallNS: 4, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
+			{WallNS: 5, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 9, Amount: 2}},
+		}},
+		{"resolve over more partners than acked", "resolve_partner_mismatch", []Event{
+			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 2}},
+			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
+			{WallNS: 3, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 2}},
+		}},
+		{"last-reply resolve drops a partner that acked", "resolve_partner_mismatch", []Event{
+			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 2}},
+			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
+			{WallNS: 3, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 2, Seq: 1, Op: 9, Load: 2}},
+			{WallNS: 4, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
+		}},
 		{"seq regression", "seq_regressed", []Event{
 			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{5, 6, 1}},
 			{WallNS: 2, Dir: DirLocal, Kind: LocalAbort, Op: 9, Args: []int64{5, 6, abortTimeout}},
@@ -483,6 +501,47 @@ func TestShadowMachineRules(t *testing.T) {
 				t.Fatalf("rule %s not flagged; got %v", tc.rule, res.Violations)
 			}
 		})
+	}
+}
+
+// TestPartialOperationsAuditClean: an operation over fewer partners than
+// it asked — one answered Busy, or stayed silent past the reply timeout —
+// is legal, its zero-delta transfer draws no TransferAck, and an ack the
+// pump recorded ahead of a timeout-ended resolve is answered with a
+// Release. None of it is a violation.
+func TestPartialOperationsAuditClean(t *testing.T) {
+	evs := []Event{
+		// Partner 1 acks with our own load, partner 2 is busy: balance with 1.
+		{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 4, 2}},
+		{WallNS: 2, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 9}},
+		{WallNS: 3, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 9}},
+		{WallNS: 4, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 4}},
+		{WallNS: 5, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeBusy, From: 2, Seq: 1, Op: 9}},
+		{WallNS: 6, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
+		{WallNS: 7, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 9, Amount: 0}},
+		// No TransferAck follows. Next: partner 1 acks, partner 2's ack is on
+		// record before the timeout-ended resolve that left it out.
+		{WallNS: 8, Dir: DirLocal, Kind: LocalInitiate, Op: 10, Args: []int64{2, 4, 2}},
+		{WallNS: 9, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 2, Op: 10}},
+		{WallNS: 10, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 2, Op: 10}},
+		{WallNS: 11, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 2, Op: 10, Load: 10}},
+		{WallNS: 12, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 2, Seq: 2, Op: 10, Load: 1}},
+		{WallNS: 13, Dir: DirLocal, Kind: LocalResolve, Op: 10, Args: []int64{2, 7, 1, 1}},
+		{WallNS: 14, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 2, Op: 10, Amount: -3}},
+		{WallNS: 15, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.Release, From: 0, Seq: 2, Op: 10}},
+		{WallNS: 16, Dir: DirRecv, Msg: wire.Msg{Kind: wire.TransferAck, From: 1, Seq: 2, Op: 10}},
+		{WallNS: 17, Dir: DirLocal, Kind: LocalInitiate, Op: 11, Args: []int64{4, 7, 2}},
+	}
+	dir := t.TempDir()
+	if err := WriteDir(dir, 0, wire.Version, evs); err != nil {
+		t.Fatal(err)
+	}
+	res := Audit(&Recording{Nodes: mustLoad(t, dir)})
+	if len(res.Violations) != 0 {
+		t.Fatalf("partial operations flagged as violations: %v", res.Violations)
+	}
+	if a := res.Nodes[0]; a.Initiated != 3 || a.Resolved != 2 || a.Aborted != 0 {
+		t.Fatalf("replayed %d initiated, %d resolved, %d aborted; want 3, 2, 0", a.Initiated, a.Resolved, a.Aborted)
 	}
 }
 

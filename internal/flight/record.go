@@ -281,9 +281,14 @@ func (r *Recorder) PaceBackoff(gap time.Duration) {
 }
 
 // Resolve records a successful collect: the initiator's post-balance
-// load, just before its transfers go out.
-func (r *Recorder) Resolve(op, seq uint64, loadAfter, partners int) {
-	r.Local(LocalResolve, op, int64(seq), int64(loadAfter), int64(partners))
+// load, just before its transfers go out, and whether the reply timeout
+// rather than the last reply ended it.
+func (r *Recorder) Resolve(op, seq uint64, loadAfter, partners int, timedOut bool) {
+	var t int64
+	if timedOut {
+		t = 1
+	}
+	r.Local(LocalResolve, op, int64(seq), int64(loadAfter), int64(partners), t)
 }
 
 // Complete records one finished serving unit of a job that originated

@@ -114,6 +114,13 @@ func (a *AuditResult) SojournQuantile(q float64) int64 {
 // matching clear therefore only sets pendingClear; the freeze stays in
 // force for legality until the node itself acts as unfrozen (sends a
 // FreezeAck or initiates), at which point the pending clear is applied.
+//
+// Late acks: for the same reason an ack can be on record ahead of the
+// resolve of a collect the reply timeout ended without it — the node
+// had not seen it yet and will answer it with a Release. A timeout-ended
+// resolve may therefore name fewer partners than acks are on record; one
+// ended by its last reply names exactly those. Either way its transfers
+// go only to peers whose ack is on record.
 type shadow struct {
 	audit *NodeAudit
 
@@ -242,11 +249,11 @@ func (s *shadow) local(ev Event, samples *[]loadSample) {
 		*samples = append(*samples, loadSample{ev.WallNS, ev.Node, load})
 
 	case LocalResolve:
-		seq, load, partners := uint64(ev.Arg(0)), ev.Arg(1), int(ev.Arg(2))
+		seq, load, partners, timedOut := uint64(ev.Arg(0)), ev.Arg(1), int(ev.Arg(2)), ev.Arg(3) != 0
 		s.audit.Resolved++
 		if !s.inflight || ev.Op != s.op {
 			s.flag(ev, "resolve_without_protocol", "resolve op %d, in flight %d", ev.Op, s.op)
-		} else if len(s.acked) != partners {
+		} else if len(s.acked) < partners || (!timedOut && len(s.acked) > partners) {
 			s.flag(ev, "resolve_partner_mismatch", "%d acks recorded, resolve says %d", len(s.acked), partners)
 		}
 		if seq > s.lastSeq {

@@ -32,8 +32,8 @@ type Faults struct {
 	// fail-stop model of Gilbert–Meir–Paz style dynamic-network analyses.
 	Crashes []Crash
 	// TimeoutTicks is how many ticks an initiator waits for outstanding
-	// freeze replies before it aborts the protocol (releasing the
-	// partners it heard from) and re-arms with randomized backoff.
+	// freeze replies before it goes ahead with the partners that acked
+	// (or, with none, aborts and re-arms with randomized backoff).
 	// 0 selects the default (50).
 	TimeoutTicks int
 	// FreezeTicks is how long a frozen partner waits for its release or

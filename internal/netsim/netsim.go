@@ -28,9 +28,10 @@
 // (and applied even at crashed nodes — load lives in stable storage), so
 // total packet count is conserved exactly under any fault pattern. The
 // protocol stays live through the machine's two timeouts, which this
-// driver fires in ticks: an initiator that misses replies aborts with
-// randomized backoff and releases the partners it heard from, and a
-// frozen partner whose release was lost (or whose initiator crashed)
+// driver fires in ticks: an initiator that misses replies balances with
+// the partners it did hear from (or, having heard from too few, aborts
+// with randomized backoff), and a frozen partner whose transfer or
+// release never comes (its ack was lost, or its initiator crashed)
 // unfreezes itself. With the zero Faults value no frame is ever late, so
 // neither timeout can fire.
 //
@@ -91,6 +92,10 @@ func (c *Config) validate() error {
 		return fmt.Errorf("netsim: Delta = %d, need 1 <= Delta < N", c.Delta)
 	case c.F <= 1:
 		return fmt.Errorf("netsim: F = %v, need > 1", c.F)
+	case c.F >= float64(c.Delta)+1:
+		// An operation over k <= Delta partners needs F < k+1
+		// (proto.Machine.conclude); past this bound none can complete.
+		return fmt.Errorf("netsim: F = %v violates F < Delta+1 = %d (Theorem 1 precondition)", c.F, c.Delta+1)
 	case c.Steps < 1:
 		return fmt.Errorf("netsim: Steps = %d, need >= 1", c.Steps)
 	}
@@ -134,14 +139,15 @@ type NodeStats struct {
 	Consumed     int64
 	Initiated    int64 // balancing protocols started
 	Completed    int64 // balancing protocols that transferred load
-	Aborted      int64 // protocols aborted due to a busy partner
+	Partners     int64 // partners balanced with, summed over completed protocols
+	Aborted      int64 // protocols aborted: too few partners acked
 	MessagesSent int64
 
 	// Fault counters (all zero when faults are disabled).
 	Dropped       int64 // control messages lost in transit to this node
 	LostAtCrash   int64 // control messages lost because this node was down
 	Delayed       int64 // messages that sat in this node's delay buffer
-	Timeouts      int64 // initiator protocols aborted by reply timeout
+	Timeouts      int64 // collects ended by the reply timeout, aborted or not
 	FreezeExpired int64 // freezes this node released by its own timeout
 	Crashes       int64 // fail-stop windows this node entered
 }
@@ -172,6 +178,26 @@ func (r *Result) Spread() int {
 		}
 	}
 	return hi - lo
+}
+
+// Completed returns the total completed balancing operations.
+func (r *Result) Completed() int64 {
+	var sum int64
+	for _, n := range r.Nodes {
+		sum += n.Completed
+	}
+	return sum
+}
+
+// Partners returns the partners the completed operations balanced with:
+// Partners/Completed is the δ the run actually got, to hold against the
+// configured one.
+func (r *Result) Partners() int64 {
+	var sum int64
+	for _, n := range r.Nodes {
+		sum += n.Partners
+	}
+	return sum
 }
 
 // Messages returns the total number of messages exchanged.
@@ -298,6 +324,7 @@ func publishObs(reg *obs.Registry, res *Result) {
 		s.Consumed += n.Consumed
 		s.Initiated += n.Initiated
 		s.Completed += n.Completed
+		s.Partners += n.Partners
 		s.Aborted += n.Aborted
 		s.MessagesSent += n.MessagesSent
 		s.Dropped += n.Dropped
@@ -315,6 +342,7 @@ func publishObs(reg *obs.Registry, res *Result) {
 		{"netsim_consumed_total", s.Consumed},
 		{"netsim_protocols_initiated_total", s.Initiated},
 		{"netsim_protocols_completed_total", s.Completed},
+		{"netsim_op_partners_total", s.Partners},
 		{"netsim_aborts_total", s.Aborted},
 		{"netsim_msgs_total", s.MessagesSent},
 		{"netsim_dropped_total", s.Dropped},
@@ -474,7 +502,8 @@ func (s *network) apply(i int, effs []proto.Effect) {
 	s.effs = effs[:0] // keep the grown buffer
 	nd := &s.nodes[i]
 	for k := range effs {
-		switch e := &effs[k]; e.Kind {
+		e := &effs[k]
+		switch e.Kind {
 		case proto.Send:
 			nd.stats.MessagesSent++
 			s.post(e.To, e.Msg)
@@ -487,12 +516,14 @@ func (s *network) apply(i int, effs []proto.Effect) {
 			}
 		case proto.Aborted:
 			nd.stats.Aborted++
-			if e.Reason == proto.Timeout {
-				nd.stats.Timeouts++
-				s.record(i, trace.EvTimeout, e.Partners)
-			}
 		case proto.Resolved:
 			nd.stats.Completed++
+			nd.stats.Partners += int64(e.Partners)
+		}
+		// Only a collect's end, Aborted or Resolved, carries Timeout.
+		if e.Reason == proto.Timeout {
+			nd.stats.Timeouts++
+			s.record(i, trace.EvTimeout, e.Partners)
 		}
 	}
 }

@@ -26,6 +26,8 @@ func TestValidation(t *testing.T) {
 		{N: 4, Delta: 0, F: 1.5, Steps: 10},
 		{N: 4, Delta: 4, F: 1.5, Steps: 10},
 		{N: 4, Delta: 1, F: 1.0, Steps: 10},
+		{N: 4, Delta: 1, F: 2.0, Steps: 10}, // F < Delta+1: no operation could complete
+		{N: 4, Delta: 2, F: 3.5, Steps: 10},
 		{N: 4, Delta: 1, F: 1.5, Steps: 0},
 		{N: 4, Delta: 1, F: 1.5, Steps: 10, GenP: []float64{0.5, 0.5}},
 		{N: 4, Delta: 1, F: 1.5, Steps: 10, GenP: []float64{1.5}},

@@ -30,8 +30,16 @@ type frame struct {
 	msg wire.Msg
 }
 
+// Reply kinds the world saw land at an initiator, per partner.
+const (
+	noReply int8 = iota
+	ackReply
+	busyReply
+)
+
 type world struct {
 	n, delta int
+	f        float64
 	faults   bool
 	ms       []*Machine
 	machine  []*rng.RNG // ms[i]'s protocol stream; also draws its partners
@@ -40,6 +48,11 @@ type world struct {
 	mail     []frame
 	effs     []Effect
 	cand     []int
+	// asked[i] is node i's latest partner draw and replied[i][q] the first
+	// current-operation reply from q the world delivered to i — the
+	// world's own record of the collect, kept apart from the machine's.
+	asked   [][]int
+	replied [][]int8
 
 	gen, con                            int
 	initiated, resolved, aborted, wiped int
@@ -54,10 +67,12 @@ func newWorld(seed uint64, faults bool) *world {
 	w := &world{
 		n: n, delta: 1 + shape.Intn(n-1), faults: faults,
 		sched: p.Stream(streamSchedule, 0),
-		draws: make([][]bool, n),
+		draws: make([][]bool, n), asked: make([][]int, n), replied: make([][]int8, n),
 	}
 	f := 1.05 + shape.Float64()
+	w.f = f
 	for i := 0; i < n; i++ {
+		w.replied[i] = make([]int8, n)
 		w.machine = append(w.machine, p.Stream(streamMachine, uint64(i)))
 		w.work = append(w.work, p.Stream(streamWorkload, uint64(i)))
 		w.ms = append(w.ms, New(i, f, w.machine[i]))
@@ -119,7 +134,44 @@ func (w *world) apply(i, pre int, effs []Effect) {
 			if hi-lo > 1 || sum != total {
 				w.fail("node %d resolved %d+%v into spread %d, sum %d", i, pre, loads, hi-lo, sum)
 			}
+			w.checkParticipants(i, e, effs[k+1:k+1+e.Partners])
 		}
+	}
+}
+
+// checkParticipants holds a Resolved against the replies the world
+// itself delivered: the operation is the paper's with δ = k (k ≥ 1,
+// f < k+1), its transfers go to exactly the partners whose ack landed,
+// and a partner is left out only because its first reply was Busy or —
+// when the timeout ended the collect — because none had landed.
+func (w *world) checkParticipants(i int, e *Effect, transfers []Effect) {
+	if k := e.Partners; k < 1 || w.f >= float64(k+1) {
+		w.fail("node %d resolved over %d partners with f=%v", i, k, w.f)
+	}
+	absent := 0
+	for _, q := range w.asked[i] {
+		paid := false
+		for _, tr := range transfers {
+			paid = paid || tr.To == q
+		}
+		switch w.replied[i][q] {
+		case ackReply:
+			if !paid {
+				w.fail("node %d resolved without partner %d, whose ack had landed", i, q)
+			}
+		case busyReply:
+			if paid {
+				w.fail("node %d sent a transfer to partner %d, which answered busy", i, q)
+			}
+		default:
+			absent++
+			if paid {
+				w.fail("node %d sent a transfer to partner %d, which never replied", i, q)
+			}
+		}
+	}
+	if (absent > 0) != (e.Reason == Timeout) {
+		w.fail("node %d resolved with %d replies absent, Resolved.Reason=%d", i, absent, e.Reason)
 	}
 }
 
@@ -144,6 +196,8 @@ func (w *world) step() {
 		}
 		if m.Trigger() {
 			w.cand = w.machine[i].SampleDistinct(w.n, w.delta, i, w.cand)
+			w.asked[i] = append(w.asked[i][:0], w.cand...)
+			clear(w.replied[i])
 			w.initiated++
 			w.apply(i, m.Load(), m.Initiate(w.cand, uint64(w.initiated), w.effs[:0]))
 		}
@@ -174,6 +228,12 @@ func (w *world) deliver() {
 	w.mail = w.mail[:len(w.mail)-1]
 	m := w.ms[f.to]
 	pre := m.Load()
+	if k := f.msg.Kind; (k == wire.FreezeAck || k == wire.FreezeBusy) && m.Expects(f.msg) && w.replied[f.to][f.msg.From] == noReply {
+		w.replied[f.to][f.msg.From] = ackReply
+		if k == wire.FreezeBusy {
+			w.replied[f.to][f.msg.From] = busyReply
+		}
+	}
 	w.apply(f.to, pre, m.Handle(f.msg, w.effs[:0]))
 }
 

@@ -24,21 +24,31 @@
 //  2. a partner that is not engaged freezes (stops workload steps) and
 //     replies FreezeAck carrying its load; an engaged partner replies
 //     FreezeBusy;
-//  3. when all δ replies are in: if any was busy the initiator releases
-//     the frozen partners and aborts with randomized backoff; otherwise
-//     it computes the ±1 equal shares and sends each partner a Transfer
-//     with the difference, which unfreezes it.
+//  3. when the collect ends — the last of the δ replies is in, or the
+//     driver declares the missing ones overdue — the initiator balances
+//     with the k partners that acked: it computes the ±1 equal shares
+//     over itself and those k and sends each a Transfer with the
+//     difference, which unfreezes it. A busy or silent partner is simply
+//     not a participant. An operation over k partners is the paper's
+//     operation with δ = k, so it needs k ≥ 1 and f < k+1 (Theorems 1–2);
+//     only when that fails does the initiator abort — releasing whoever
+//     froze — and re-arm with randomized backoff.
 //
-// Freeze conflicts resolve by abort-and-retry, never by waiting, so no
-// node blocks on another. Every protocol carries its initiator's epoch
-// (Seq): replies and releases echo it, and anything carrying another
-// epoch is recognized as a leftover of an abandoned protocol instead of
-// corrupting the current one. A Transfer's delta always applies —
-// packet conservation depends on it — but it ends only the freeze it
-// belongs to.
+// Nobody waits on a busy node: a freeze conflict costs the operation
+// that one partner, not the partners it already holds, and a collect
+// left with nobody to balance with retries after backoff. Every
+// protocol carries its initiator's epoch (Seq): replies and releases
+// echo it, and anything that does not answer the operation in flight —
+// another epoch, or an ack landing after the collect concluded — is
+// recognized as a leftover instead of corrupting the current protocol
+// (a leftover ack is answered with a Release). A Transfer's delta
+// always applies — packet conservation depends on it — but it ends only
+// the freeze it belongs to.
 package proto
 
 import (
+	"slices"
+
 	"lmbalance/internal/rng"
 	"lmbalance/internal/wire"
 )
@@ -61,15 +71,19 @@ const (
 	// Unfroze: the freeze held for Peer's operation (Op, Seq) ended, for
 	// Reason ByTransfer, ByRelease or ByExpiry.
 	Unfroze
-	// Aborted: this node's own operation (Op, Seq) died, for Reason Busy
-	// or Timeout. The next Partners effects are the Release sends, one
-	// per partner that had frozen. Load is the (unchanged) load; Stale
-	// reports whether a stale-epoch reply arrived while the operation was
-	// in flight — the driver's evidence for attributing a Timeout.
+	// Aborted: this node's own operation (Op, Seq) died because too few
+	// partners acked to balance with. Reason says how the collect ended:
+	// Busy (the last reply came in) or Timeout. The next Partners effects
+	// are the Release sends, one per partner that had frozen. Load is the
+	// (unchanged) load; Stale reports whether a stale-epoch reply arrived
+	// while the operation was in flight — the driver's evidence for
+	// attributing a Timeout.
 	Aborted
-	// Resolved: this node's own operation (Op, Seq) balanced. Load is its
-	// new share; the next Partners effects are the Transfer sends, one
-	// per partner, each carrying that partner's delta.
+	// Resolved: this node's own operation (Op, Seq) balanced over itself
+	// and the Partners partners that acked. Load is its new share; the
+	// next Partners effects are the Transfer sends, one per acker, each
+	// carrying that partner's delta. Reason is Timeout when the driver's
+	// ReplyTimeout ended the collect and zero when the last reply did.
 	Resolved
 )
 
@@ -77,9 +91,11 @@ const (
 type Reason uint8
 
 const (
-	// Busy: a partner answered FreezeBusy (it was engaged itself).
+	// Busy: every reply came in and too few were acks — the others
+	// answered FreezeBusy (they were engaged themselves).
 	Busy Reason = iota + 1
-	// Timeout: the driver declared the replies overdue (ReplyTimeout).
+	// Timeout: the driver declared the missing replies overdue
+	// (ReplyTimeout).
 	Timeout
 	// ByTransfer: the freezing operation's Transfer landed.
 	ByTransfer
@@ -94,7 +110,7 @@ const (
 // Resolved) precedes the frames that announce it.
 type Effect struct {
 	Kind     Kind
-	Reason   Reason   // Aborted, Unfroze
+	Reason   Reason   // Aborted, Resolved, Unfroze
 	Stale    bool     // Aborted
 	To       int      // Send: destination
 	Msg      wire.Msg // Send: the frame, From already stamped
@@ -118,12 +134,12 @@ type Machine struct {
 	inflight   bool
 	seq        uint64 // protocol epoch; bumped per Initiate, abandon and Crash
 	op         uint64 // current operation id (0 = none)
-	awaiting   int    // replies still expected
-	sawBusy    bool
-	staleSeen  bool  // a stale-epoch reply arrived since Initiate
-	ackedFrom  []int // partners that froze for us
+	asked      int    // partners the operation in flight sent FreezeReq to
+	staleSeen  bool   // a stale-epoch reply arrived since Initiate
+	ackedFrom  []int  // partners that froze for us
 	ackedLoads []int
-	backoff    int // workload steps the trigger stays disarmed
+	busyFrom   []int // partners that refused
+	backoff    int   // workload steps the trigger stays disarmed
 
 	// partner side
 	frozen    bool
@@ -180,11 +196,11 @@ func (m *Machine) Initiate(partners []int, op uint64, out []Effect) []Effect {
 	m.inflight = true
 	m.seq++
 	m.op = op
-	m.awaiting = len(partners)
-	m.sawBusy = false
+	m.asked = len(partners)
 	m.staleSeen = false
 	m.ackedFrom = m.ackedFrom[:0]
 	m.ackedLoads = m.ackedLoads[:0]
+	m.busyFrom = m.busyFrom[:0]
 	for _, p := range partners {
 		out = m.send(out, p, wire.FreezeReq, 0)
 	}
@@ -207,25 +223,26 @@ func (m *Machine) Handle(msg wire.Msg, out []Effect) []Effect {
 		return m.reply(out, &msg, wire.FreezeAck, m.load)
 
 	case wire.FreezeAck:
-		if m.stale(msg) {
-			// An ack for a protocol we abandoned: release the partner now
-			// rather than leave it to its own timeout.
+		if m.stale(msg) || slices.Contains(m.busyFrom, msg.From) {
+			// An ack this node will not balance with — its operation was
+			// abandoned or has concluded, or the sender already counted as
+			// busy: release the partner now rather than leave it to its own
+			// timeout.
 			return m.reply(out, &msg, wire.Release, 0)
 		}
-		for _, p := range m.ackedFrom {
-			if p == msg.From {
-				return out // a duplicated ack must not count its sender twice
-			}
+		if slices.Contains(m.ackedFrom, msg.From) {
+			return out // a duplicated ack must not count its sender twice
 		}
 		m.ackedFrom = append(m.ackedFrom, msg.From)
 		m.ackedLoads = append(m.ackedLoads, msg.Load)
 		return m.replied(out)
 
 	case wire.FreezeBusy:
-		if m.stale(msg) {
+		// Each partner's first reply is the one that counts.
+		if m.stale(msg) || slices.Contains(m.ackedFrom, msg.From) || slices.Contains(m.busyFrom, msg.From) {
 			return out
 		}
-		m.sawBusy = true
+		m.busyFrom = append(m.busyFrom, msg.From)
 		return m.replied(out)
 
 	case wire.Transfer:
@@ -249,15 +266,16 @@ func (m *Machine) Handle(msg wire.Msg, out []Effect) []Effect {
 	return out
 }
 
-// ReplyTimeout abandons the in-flight operation (a no-op when there is
-// none): partners that froze are released, outstanding replies become
-// stale, and the trigger re-arms with backoff. The driver calls it when
-// the replies are overdue on its clock.
+// ReplyTimeout ends the in-flight operation's collect with the replies
+// it has (a no-op when there is no operation): the node balances with
+// the partners that acked or, with too few, aborts and re-arms with
+// backoff. Outstanding replies become stale either way. The driver calls
+// it when the missing replies are overdue on its clock.
 func (m *Machine) ReplyTimeout(out []Effect) []Effect {
 	if !m.inflight {
 		return out
 	}
-	out = m.abort(out, Timeout)
+	out = m.conclude(out, Timeout)
 	m.seq++
 	return out
 }
@@ -327,22 +345,32 @@ func (m *Machine) unfreeze(out []Effect, why Reason) []Effect {
 		Peer: m.frozenBy, Op: m.frozenOp, Seq: m.frozenSeq})
 }
 
-// replied accounts for one current-epoch reply and resolves the
-// operation when it was the last.
+// replied accounts for one partner's reply and concludes the collect
+// when it was the last.
 func (m *Machine) replied(out []Effect) []Effect {
-	m.awaiting--
-	if m.awaiting > 0 {
+	if len(m.ackedFrom)+len(m.busyFrom) < m.asked {
 		return out
 	}
-	if m.sawBusy {
-		return m.abort(out, Busy)
-	}
-	return m.resolve(out)
+	return m.conclude(out, 0)
 }
 
-// abort ends the in-flight operation without moving load.
-func (m *Machine) abort(out []Effect, why Reason) []Effect {
+// conclude ends the collect; how is Timeout when the driver cut it short
+// and zero when the last reply came in. The k partners that acked and
+// this node make the paper's operation with δ = k, which is valid for
+// k ≥ 1 and f < k+1; anything less aborts.
+func (m *Machine) conclude(out []Effect, how Reason) []Effect {
 	m.inflight = false
+	if k := len(m.ackedFrom); k >= 1 && m.f < float64(k+1) {
+		return m.resolve(out, how)
+	}
+	if how == 0 {
+		how = Busy // every reply is in, so the missing acks were refusals
+	}
+	return m.abort(out, how)
+}
+
+// abort ends the operation without moving load.
+func (m *Machine) abort(out []Effect, why Reason) []Effect {
 	out = append(out, Effect{Kind: Aborted, Reason: why, Stale: m.staleSeen,
 		Op: m.op, Seq: m.seq, Load: m.load, Partners: len(m.ackedFrom)})
 	for _, p := range m.ackedFrom {
@@ -353,9 +381,9 @@ func (m *Machine) abort(out []Effect, why Reason) []Effect {
 	return out
 }
 
-// resolve deals out the ±1 equal shares once every partner has acked.
-func (m *Machine) resolve(out []Effect) []Effect {
-	m.inflight = false
+// resolve deals out the ±1 equal shares over this node and the partners
+// that acked; how is the Resolved effect's Reason.
+func (m *Machine) resolve(out []Effect, how Reason) []Effect {
 	total := m.load
 	for _, l := range m.ackedLoads {
 		total += l
@@ -378,8 +406,8 @@ func (m *Machine) resolve(out []Effect) []Effect {
 	}
 	m.load = share(0)
 	m.lOld = m.load
-	out = append(out, Effect{Kind: Resolved, Op: m.op, Seq: m.seq,
-		Load: m.load, Partners: len(m.ackedFrom)})
+	out = append(out, Effect{Kind: Resolved, Reason: how,
+		Op: m.op, Seq: m.seq, Load: m.load, Partners: len(m.ackedFrom)})
 	for i, p := range m.ackedFrom {
 		out = m.send(out, p, wire.Transfer, share(i+1)-m.ackedLoads[i])
 	}

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -231,7 +232,9 @@ func TestFreezeIdentity(t *testing.T) {
 // forked copies had drifted on: any reply that is not for the operation
 // in flight — ack or busy alike — is remembered (sticky until the next
 // Initiate) and surfaces as Aborted.Stale on a timeout; a stale ack is
-// additionally answered with a Release echoing its own epoch.
+// additionally answered with a Release echoing its own epoch. A timeout
+// with a current ack in hand does not abort at all: the collect
+// concludes over that one partner.
 func TestStaleRepliesOneRule(t *testing.T) {
 	// Epoch 1 is abandoned (which bumps to 2); the operation under test
 	// runs in epoch 3.
@@ -240,14 +243,15 @@ func TestStaleRepliesOneRule(t *testing.T) {
 	cases := []struct {
 		name      string
 		frames    []wire.Msg // delivered while the epoch-3 operation is in flight
-		wantStale bool
+		wantStale bool       // of the Aborted a timeout produces
+		wantAcks  int        // > 0: the timeout resolves over this many partners instead
 	}{
-		{"no stale reply", nil, false},
-		{"stale ack", []wire.Msg{stale(wire.FreezeAck)}, true},
-		{"stale busy", []wire.Msg{stale(wire.FreezeBusy)}, true},
-		{"stale busy then stale ack", []wire.Msg{stale(wire.FreezeBusy), stale(wire.FreezeAck)}, true},
-		{"stale ack stays seen across a current ack", []wire.Msg{stale(wire.FreezeAck), ack1}, true},
-		{"duplicated current ack counts once", []wire.Msg{ack1, ack1}, false},
+		{"no stale reply", nil, false, 0},
+		{"stale ack", []wire.Msg{stale(wire.FreezeAck)}, true, 0},
+		{"stale busy", []wire.Msg{stale(wire.FreezeBusy)}, true, 0},
+		{"stale busy then stale ack", []wire.Msg{stale(wire.FreezeBusy), stale(wire.FreezeAck)}, true, 0},
+		{"stale ack stays seen across a current ack", []wire.Msg{stale(wire.FreezeAck), ack1}, false, 1},
+		{"duplicated current ack counts once", []wire.Msg{ack1, ack1}, false, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,6 +279,20 @@ func TestStaleRepliesOneRule(t *testing.T) {
 				t.Fatal("operation ended early")
 			}
 			effs := m.ReplyTimeout(nil)
+			if m.Seq() != 4 || m.Inflight() {
+				t.Errorf("timeout left seq %d inflight %v", m.Seq(), m.Inflight())
+			}
+			if tc.wantAcks > 0 {
+				res, out := find(effs, Resolved), sends(effs)
+				if res == nil || effs[0].Kind != Resolved || res.Reason != Timeout ||
+					res.Partners != tc.wantAcks || res.Op != 8 || res.Seq != 3 {
+					t.Fatalf("no leading Resolved(timeout, partners=%d) for op 8: %+v", tc.wantAcks, effs)
+				}
+				if len(out) != 1 || out[0].Kind != wire.Transfer || effs[1].To != 1 || out[0].Seq != 3 || out[0].Op != 8 {
+					t.Fatalf("want exactly the acker's transfer after Resolved: %+v", effs)
+				}
+				return
+			}
 			ab := find(effs, Aborted)
 			if ab == nil || ab.Reason != Timeout || ab.Op != 8 || ab.Seq != 3 || effs[0].Kind != Aborted {
 				t.Fatalf("no leading Aborted(timeout) for op 8: %+v", effs)
@@ -292,10 +310,137 @@ func TestStaleRepliesOneRule(t *testing.T) {
 					t.Errorf("abandon released with %+v, want the abandoned epoch 3 op 8", r)
 				}
 			}
-			if m.Seq() != 4 || m.Inflight() {
-				t.Errorf("abandon left seq %d inflight %v", m.Seq(), m.Inflight())
-			}
 		})
+	}
+}
+
+// TestCollectConcludes pins the one collision rule: however a collect
+// ends — last reply in, or the reply timeout — the initiator balances ±1
+// over itself and exactly the k partners that acked when k ≥ 1 and
+// f < k+1, and aborts otherwise. Every ack/busy/silent pattern of
+// δ ∈ {1,2,4} partners is played; a pattern with a silent partner can
+// only end by timeout, one without ends on its last reply (and a timeout
+// afterwards is a no-op).
+func TestCollectConcludes(t *testing.T) {
+	const ack, busy, silent = 0, 1, 2
+	const own = 17
+	for _, f := range []float64{1.2, 2.5} {
+		for _, delta := range []int{1, 2, 4} {
+			patterns := 1
+			for i := 0; i < delta; i++ {
+				patterns *= 3
+			}
+			for code := 0; code < patterns; code++ {
+				pattern := make([]int, delta)
+				partners := make([]int, delta)
+				loads := make([]int, delta)
+				name := ""
+				k, quiet := 0, 0
+				for i, c := 0, code; i < delta; i, c = i+1, c/3 {
+					pattern[i], partners[i], loads[i] = c%3, i+1, 5*i+c%2
+					name += string("abs"[c%3])
+					switch pattern[i] {
+					case ack:
+						k++
+					case silent:
+						quiet++
+					}
+				}
+				t.Run(fmt.Sprintf("f=%v/delta=%d/%s", f, delta, name), func(t *testing.T) {
+					m := New(0, f, rng.New(uint64(code)+1))
+					m.load = own
+					effs := m.Initiate(partners, 9, nil)
+					if reqs := sends(effs); len(reqs) != delta {
+						t.Fatalf("%d freeze requests for %d partners", len(reqs), delta)
+					}
+					seq := m.Seq()
+					effs = effs[:0]
+					for i, p := range partners {
+						if len(effs) != 0 {
+							t.Fatalf("collect concluded before partner %d replied: %+v", p, effs)
+						}
+						switch pattern[i] {
+						case ack:
+							effs = m.Handle(wire.Msg{Kind: wire.FreezeAck, From: p, Seq: seq, Op: 9, Load: loads[i]}, effs)
+						case busy:
+							effs = m.Handle(wire.Msg{Kind: wire.FreezeBusy, From: p, Seq: seq, Op: 9}, effs)
+						}
+					}
+					byTimeout := quiet > 0
+					if byTimeout {
+						if len(effs) != 0 || !m.Inflight() {
+							t.Fatalf("collect concluded with %d replies missing: %+v", quiet, effs)
+						}
+						effs = m.ReplyTimeout(effs)
+					} else if late := m.ReplyTimeout(nil); len(late) != 0 {
+						t.Fatalf("timeout after the collect concluded had effects: %+v", late)
+					}
+					if m.Inflight() || len(effs) == 0 {
+						t.Fatalf("collect did not conclude: %+v", effs)
+					}
+					out := sends(effs)
+					if len(out) != k || len(effs) != k+1 {
+						t.Fatalf("%d frames for %d ackers: %+v", len(out), k, effs)
+					}
+					var ackers []int
+					for i, p := range partners {
+						if pattern[i] == ack {
+							ackers = append(ackers, i)
+							if effs[len(ackers)].To != p {
+								t.Fatalf("frame %d goes to %d, want acker %d", len(ackers), effs[len(ackers)].To, p)
+							}
+						}
+					}
+					head := effs[0]
+					if head.Partners != k || head.Op != 9 || head.Seq != seq {
+						t.Fatalf("leading effect %+v, want partners=%d op=9 seq=%d", head, k, seq)
+					}
+					if wantResolve := k >= 1 && f < float64(k+1); wantResolve {
+						if head.Kind != Resolved || (head.Reason == Timeout) != byTimeout {
+							t.Fatalf("want Resolved(by timeout=%v), got %+v", byTimeout, head)
+						}
+						lo, hi, sum, total := head.Load, head.Load, head.Load, own
+						for j, tr := range out {
+							if tr.Kind != wire.Transfer || tr.Seq != seq || tr.Op != 9 {
+								t.Fatalf("frame %+v on resolve, want the operation's Transfer", tr)
+							}
+							share := loads[ackers[j]] + tr.Amount
+							lo, hi, sum, total = min(lo, share), max(hi, share), sum+share, total+loads[ackers[j]]
+						}
+						if hi-lo > 1 || sum != total || m.Load() != head.Load {
+							t.Fatalf("shares spread %d, sum %d of %d, load %d vs %d", hi-lo, sum, total, m.Load(), head.Load)
+						}
+					} else {
+						wantWhy := Busy
+						if byTimeout {
+							wantWhy = Timeout
+						}
+						if head.Kind != Aborted || head.Reason != wantWhy || m.Load() != own {
+							t.Fatalf("want Aborted(%d) with the load untouched, got %+v load %d", wantWhy, head, m.Load())
+						}
+						for _, rel := range out {
+							if rel.Kind != wire.Release || rel.Seq != seq {
+								t.Fatalf("frame %+v on abort, want the operation's Release", rel)
+							}
+						}
+					}
+					// Whoever was silent may still answer: a late ack is released
+					// under its own epoch, a late busy is dropped.
+					for i, p := range partners {
+						if pattern[i] != silent {
+							continue
+						}
+						if late := m.Handle(wire.Msg{Kind: wire.FreezeBusy, From: p, Seq: seq, Op: 9}, nil); len(late) != 0 {
+							t.Fatalf("late busy had effects: %+v", late)
+						}
+						late := sends(m.Handle(wire.Msg{Kind: wire.FreezeAck, From: p, Seq: seq, Op: 9, Load: 1}, nil))
+						if len(late) != 1 || late[0].Kind != wire.Release || late[0].Seq != seq || late[0].Op != 9 {
+							t.Fatalf("late ack of a concluded operation not released: %+v", late)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
