@@ -7,7 +7,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/pool ./internal/sim ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
+	$(MAKE) race
 
 # Race-detector pass over the concurrent packages and the core they drive
 # (internal/netsim and internal/proto are single-threaded by construction).

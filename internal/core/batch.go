@@ -7,29 +7,34 @@ import "lmbalance/internal/rng"
 // and defers every balancing condition into a per-shard mailbox; at the
 // tick barrier the engine sorts the deferred operations into canonical
 // (shard, local index) order and resolves them through these entry points.
-// Trigger operations over disjoint participant sets execute concurrently
-// on worker goroutines, each with its private per-operation RNG stream, a
-// per-worker Scratch and a per-worker Metrics; settlements run serially on
-// the barrier stream. Because a balancing operation reads and writes only
-// its δ+1 participants plus the caller-owned triple, concurrent execution
-// of disjoint operations is equivalent to executing them serially in
-// canonical order — which is what keeps the sharded engine bit-identical
-// for every worker count.
+// Every trigger operation's random draws are made up front from its private
+// per-operation RNG stream; operations over disjoint participant sets then
+// execute concurrently on worker goroutines, each with a per-worker Scratch
+// and a per-worker Metrics; settlements run serially on the barrier stream.
+// Because a balancing operation reads and writes only its δ+1 participants
+// plus the caller-owned pair, concurrent execution of disjoint operations
+// is equivalent to executing them serially in canonical order — which is
+// what keeps the sharded engine bit-identical for every worker count.
 
-// SelectPartners draws δ distinct balancing partners for an initiation by
-// init from the given stream, appending to dst. The sharded engine
-// pre-draws partners from each operation's private stream during barrier
-// planning, before deciding which operations may resolve concurrently.
-func (s *System) SelectPartners(init int, r *rng.RNG, dst []int) []int {
-	return s.sel.Select(init, s.params.Delta, r, dst)
+// DrawOperation makes every random draw of a balancing operation initiated
+// by init, in the order the algorithm consumes them: the δ distinct
+// partners (appended to dst[:0]) and then the snake's start position among
+// the participants. The sharded engine draws each deferred operation from
+// its private stream once, during barrier planning — the partners decide
+// which operations may resolve concurrently — and executes it later with
+// BalanceDrawn. Drawing reads no balancing state, so it may run
+// concurrently with other draws (each on its own stream and dst).
+func (s *System) DrawOperation(init int, r *rng.RNG, dst []int) (partners []int, start int) {
+	partners = s.sel.Select(init, s.params.Delta, r, dst)
+	return partners, r.Intn(len(partners) + 1)
 }
 
-// BalanceWithPartners performs one full balancing operation initiated by
-// init with the partner set already drawn (via SelectPartners from the
-// same stream r). All mutated state belongs to the participants, r, sc
-// and m, so calls over disjoint participant sets may run concurrently.
-func (s *System) BalanceWithPartners(init int, partners []int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	s.balanceSet(init, partners, r, sc, m)
+// BalanceDrawn performs one full balancing operation initiated by init
+// with the draws DrawOperation made for it. It consumes no randomness, and
+// all mutated state belongs to the participants, sc and m, so calls over
+// disjoint participant sets may run concurrently.
+func (s *System) BalanceDrawn(init int, partners []int, start int, sc *Scratch, m *Metrics) {
+	s.balanceSet(init, partners, start, sc, m)
 }
 
 // SettleConsume completes a consume that a Lane deferred because it

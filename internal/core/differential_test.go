@@ -17,15 +17,24 @@ import (
 // the end.
 func TestSparseMatchesDenseReference(t *testing.T) {
 	configs := []struct {
-		n int
-		p Params
+		n    int
+		p    Params
+		genP float64
+		// singles is the least share of the nonzero cells that must be one
+		// packet with no marker (d = 1, b = 0) at every full comparison in
+		// the second half of the run: the arm with it set exists to keep the
+		// kernel's walk over runs of such cells under the differential.
+		singles float64
 	}{
-		{4, Params{F: 1.1, Delta: 1, C: 1}},
-		{8, DefaultParams()},
-		{12, Params{F: 1.5, Delta: 3, C: 2}},
-		{16, Params{F: 1.0, Delta: 2, C: 3}},
-		{24, Params{F: 1.8, Delta: 2, C: 6}},
-		{9, Params{F: 1.1, Delta: 1, C: 4, InitiatorOnlyReset: true}},
+		{n: 4, p: Params{F: 1.1, Delta: 1, C: 1}, genP: 0.55},
+		{n: 8, p: DefaultParams(), genP: 0.55},
+		{n: 12, p: Params{F: 1.5, Delta: 3, C: 2}, genP: 0.55},
+		{n: 16, p: Params{F: 1.0, Delta: 2, C: 3}, genP: 0.55},
+		{n: 24, p: Params{F: 1.8, Delta: 2, C: 6}, genP: 0.55},
+		{n: 9, p: Params{F: 1.1, Delta: 1, C: 4, InitiatorOnlyReset: true}, genP: 0.55},
+		// Many processors, a few packets each: a row is mostly foreign
+		// classes it holds one packet of, as at the benchmark's size.
+		{n: 96, p: Params{F: 1.1, Delta: 1, C: 4}, genP: 0.6, singles: 0.9},
 	}
 	const steps = 12000
 	for ci, cfg := range configs {
@@ -44,11 +53,15 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 				if err := diffDense(sparse, dense); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
+				if share := singlesShare(sparse); step >= steps/2 && share < cfg.singles {
+					t.Fatalf("step %d: %.3f of the nonzero cells are d = 1, b = 0; the arm needs %.2f to exercise the kernel's run path",
+						step, share, cfg.singles)
+				}
 			}
 
 			for step := 0; step < steps; step++ {
 				i := op.Intn(cfg.n)
-				if op.Bernoulli(0.55) {
+				if op.Bernoulli(cfg.genP) {
 					sparse.Generate(i)
 					dense.Generate(i)
 				} else {
@@ -179,8 +192,9 @@ func diffDense(sparse *System, dense *denseSystem) error {
 // kernel and through the dense reference's two-pass redistribution, for
 // every start offset the one Intn(np) draw can produce. The rows are the
 // shapes the merge has to get right: where the pinned self entry slots in,
-// which participants hold a class, and which of a class's two totals is
-// zero.
+// which participants hold a class, which of a class's two totals is zero,
+// and where a run of classes only one participant holds starts, ends and
+// has to leave the one-packet walk.
 func TestBalanceKernelEdgeCases(t *testing.T) {
 	type cell struct{ p, cls, d, b int }
 	const n = 8
@@ -211,6 +225,18 @@ func TestBalanceKernelEdgeCases(t *testing.T) {
 			cells: []cell{{2, 1, 1, 1}, {2, 2, 2, 0}}},
 		{name: "five participants, totals above and below np", delta: 4, set: []int{7, 0, 3, 4, 1},
 			cells: []cell{{7, 7, 23, 0}, {0, 7, 4, 1}, {3, 2, 1, 0}, {4, 2, 1, 1}, {1, 1, 9, 0}, {1, 5, 0, 1}, {0, 6, 6, 0}, {3, 3, 1, 0}}},
+		{name: "a run ends at its holder's pinned self entry and goes on after it", delta: 1, set: []int{5, 2},
+			cells: []cell{{5, 0, 1, 0}, {5, 1, 1, 0}, {5, 3, 1, 0}, {5, 5, 3, 0}, {5, 6, 1, 0}, {2, 7, 1, 0}}},
+		{name: "a run class is a recipient's own id: it lands in the pinned entry", delta: 1, set: []int{3, 5},
+			cells: []cell{{3, 1, 1, 0}, {3, 5, 1, 0}, {3, 6, 1, 0}, {5, 0, 1, 0}}},
+		{name: "d ≥ np and b > 0 in the middle of a run", delta: 1, set: []int{1, 4},
+			cells: []cell{{1, 0, 1, 0}, {1, 2, 5, 0}, {1, 3, 1, 0}, {1, 5, 1, 1}, {1, 6, 1, 0}, {4, 7, 1, 0}}},
+		{name: "two runs separated by one shared class", delta: 1, set: []int{1, 4},
+			cells: []cell{{1, 0, 1, 0}, {1, 2, 1, 0}, {1, 3, 1, 0}, {1, 5, 1, 0}, {1, 6, 1, 0}, {4, 3, 1, 0}, {4, 7, 1, 0}}},
+		{name: "every class shared: no run at all", delta: 1, set: []int{1, 4},
+			cells: []cell{{1, 0, 1, 0}, {4, 0, 1, 0}, {1, 1, 2, 0}, {4, 1, 1, 0}, {1, 6, 1, 0}, {4, 6, 1, 1}}},
+		{name: "five participants, one with nothing but its zero self entry", delta: 4, set: []int{7, 0, 3, 4, 1},
+			cells: []cell{{7, 2, 1, 0}, {7, 5, 1, 0}, {0, 0, 1, 0}, {0, 3, 1, 0}, {0, 6, 1, 0}, {4, 1, 1, 0}, {4, 5, 1, 0}, {1, 6, 1, 0}, {1, 7, 1, 0}}},
 		{name: "class recovery: np = δ+2, single class, other classes untouched", delta: 2, owner: 4, extra: 1,
 			cells: []cell{{1, 4, 0, 1}, {1, 6, 2, 0}, {0, 4, 2, 0}, {2, 4, 1, 1}, {3, 4, 3, 0}, {5, 4, 1, 0}, {6, 4, 2, 0}, {7, 4, 1, 0}, {7, 2, 1, 0}}},
 	}
@@ -246,7 +272,7 @@ func TestBalanceKernelEdgeCases(t *testing.T) {
 					// drew it as a candidate anyway.
 					widest = max(widest, len(sparse.sc.setBuf))
 				} else {
-					sparse.balanceSet(tc.set[0], tc.set[1:], sparse.rng, sparse.sc, &sparse.metrics)
+					sparse.balanceSet(tc.set[0], tc.set[1:], sparse.rng.Intn(len(tc.set)), sparse.sc, &sparse.metrics)
 					dense.balanceSet(tc.set)
 				}
 				if err := diffDense(sparse, dense); err != nil {
@@ -264,6 +290,27 @@ func TestBalanceKernelEdgeCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// singlesShare returns the share of the system's nonzero cells that hold
+// one packet and no marker.
+func singlesShare(s *System) float64 {
+	singles, cells := 0, 0
+	for i := range s.rows {
+		for _, e := range s.rows[i].entries {
+			if e.d == 0 && e.b == 0 {
+				continue
+			}
+			cells++
+			if e.d == 1 && e.b == 0 {
+				singles++
+			}
+		}
+	}
+	if cells == 0 {
+		return 0
+	}
+	return float64(singles) / float64(cells)
 }
 
 func countDenseNNZ(s *denseSystem) int {

@@ -27,6 +27,11 @@ type Lane struct {
 
 	classBuf []int
 	metrics  Metrics
+
+	// Lanes are allocated back to back and each is written on every
+	// processor step (classBuf, metrics); the padding keeps two lanes'
+	// writes off one cache line.
+	_ [CacheLine]byte
 }
 
 // NewLane returns the lane over processors [lo, hi).

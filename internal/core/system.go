@@ -30,10 +30,10 @@ import (
 //
 // Every randomized internal operation threads an explicit (rng, scratch,
 // metrics) triple instead of touching System-level fields: the sequential
-// API passes the System's own triple, while the sharded engine passes
-// per-worker scratch and metrics plus deterministic per-operation RNG
-// streams so operations over disjoint participant sets can run on any
-// worker with identical results.
+// API passes the System's own triple, while the sharded engine draws each
+// deferred operation from a deterministic per-operation RNG stream and
+// executes it on per-worker scratch and metrics, so operations over
+// disjoint participant sets can run on any worker with identical results.
 type System struct {
 	n      int
 	params Params
@@ -66,12 +66,14 @@ type Scratch struct {
 
 	// Workers' Scratches are allocated back to back and written on every
 	// operation; the padding keeps two of them off one cache line.
-	_ [cacheLine]byte
+	_ [CacheLine]byte
 }
 
-// cacheLine is the padding that separates state written by different
-// resolution workers (see Scratch and newScratch).
-const cacheLine = 64
+// CacheLine is the padding that ends every struct whose instances sit
+// side by side in memory and are written by different goroutines: a
+// worker's Scratch (see newScratch), a shard's Lane, and the sharded
+// engine's per-worker and per-shard state.
+const CacheLine = 64
 
 // mergeLane is one participant's state in the balance kernel
 // (redistribute): where the merge stands in its old row, and the new row
@@ -100,7 +102,7 @@ func (ln *mergeLane) next() {
 // slack (an unused lane, eight unused ints), so that concurrently working
 // Scratches never write to a shared line wherever the allocator puts them.
 func newScratch(m int) *Scratch {
-	ints := make([]int, 2*m+cacheLine/8)
+	ints := make([]int, 2*m+CacheLine/8)
 	return &Scratch{
 		candBuf: ints[0:0:m],
 		setBuf:  ints[m : m : 2*m],
@@ -390,20 +392,19 @@ func (s *System) maybeBalance(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
 // ticks, lOld resets, and own-class borrow markers are cleared (simulated
 // decrease).
 func (s *System) balance(init int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	sc.candBuf = s.sel.Select(init, s.params.Delta, r, sc.candBuf)
-	s.balanceSet(init, sc.candBuf, r, sc, m)
+	var start int
+	sc.candBuf, start = s.DrawOperation(init, r, sc.candBuf)
+	s.balanceSet(init, sc.candBuf, start, sc, m)
 }
 
-// balanceSet is balance with the δ partners already chosen; the sharded
-// engine pre-draws them from the operation's private stream during barrier
-// planning (the participant set decides which operations may resolve
-// concurrently).
-func (s *System) balanceSet(init int, partners []int, r *rng.RNG, sc *Scratch, m *Metrics) {
+// balanceSet is balance with the operation's random draws already made
+// (DrawOperation): the δ partners and the snake's start position.
+func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m *Metrics) {
 	sc.setBuf = append(sc.setBuf[:0], init)
 	sc.setBuf = append(sc.setBuf, partners...)
 	set := sc.setBuf
 	m.BalanceOps++
-	s.redistribute(set, r, sc, m)
+	s.redistribute(set, start, sc, m)
 	for _, p := range set {
 		if !s.params.InitiatorOnlyReset || p == init {
 			s.lOld[p] = int(s.rows[p].own().d)
@@ -423,29 +424,44 @@ func (s *System) balanceSet(init int, partners []int, r *rng.RNG, sc *Scratch, m
 // redistribute is the balance kernel: it snake-distributes the d classes
 // followed by the b classes of the participant set, maintaining l and bTot
 // and counting migrations — in one fused pass over the participants' rows.
+// start, in [0, len(set)), is the operation's one random draw: the
+// position the snake hands out its first extra at.
 //
 // The rows are merged like sorted lists: every participant contributes its
 // sorted tail plus its pinned self entry, slotted in by value, and the
-// smallest unmerged class of each is cached in its lane. Each round takes
-// the smallest head, sums that class's d and b over the participants that
-// hold it (all the snake needs of a class is its total), splits both
-// totals — total/np to everyone, the total mod np extras at consecutive
-// circular positions from a running offset — and appends every nonzero
-// share straight to that participant's output row. Classes no participant
-// holds are never visited: their totals are zero, for which the dense
-// formulation advances no offset either. The output rows are spare
-// buffers that swap places with the old rows, so the steady state
-// allocates nothing.
+// smallest unmerged class of each is cached in its lane. A round looks at
+// the two smallest heads.
+//
+// If they tie, the class is shared: its d and b are summed over the
+// participants that hold it (all the snake needs of a class is its total),
+// both totals are split — total/np to everyone, the total mod np extras at
+// consecutive circular positions from a running offset — and every nonzero
+// share is appended to that participant's output row.
+//
+// If they do not, the lane with the smallest head alone holds every class
+// below the second-smallest head, and the kernel walks that run without
+// looking at the other lanes again. Nearly every entry of a run is a
+// foreign class with one packet and no marker, whose whole outcome is
+// known without arithmetic: the total 1 has no base share and one extra,
+// so the entry moves as it is to the row of the participant at the d
+// offset, and the offset steps on. The run's other entries — two or more
+// packets, markers, the pinned self entry where it slots in — go through
+// the same split as a shared class, one per round.
+//
+// Classes no participant holds are never visited: their totals are zero,
+// for which the dense formulation advances no offset either. The output
+// rows are spare buffers that swap places with the old rows, so the steady
+// state allocates nothing.
 //
 // The dense formulation runs the snake over all d classes and then, with
 // the same cursor, over all b classes. Fusing the two passes needs the b
 // cursor's starting position up front, and it is known: every d class
 // advances the cursor by its total mod np, so after all of them it stands
 // at (start + Σ_class total) mod np, and Σ_class total is the participants'
-// combined load Σ_k l[k] — no pre-pass. One r.Intn(np) draw, ascending
-// class order and the same ±1 arithmetic make the result identical to the
-// dense reference (dense_ref_test.go), cell for cell.
-func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
+// combined load Σ_k l[k] — no pre-pass. One start draw, ascending class
+// order and the same ±1 arithmetic make the result identical to the dense
+// reference (dense_ref_test.go), cell for cell.
+func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 	const done = math.MaxInt32 // above every class: n <= MaxInt32
 	np := len(set)
 	lanes := sc.lanes[:np]
@@ -463,37 +479,96 @@ func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
 		ln.newL, ln.newBTot = 0, 0
 		sumL += s.l[p]
 	}
-	offD := r.Intn(np)
+	offD := start
 	offB := (offD + sumL) % np
 	for {
-		cls := int32(done)
+		// The smallest head, the lane it is in, and the second smallest.
+		cls, lim, lone := int32(done), int32(done), 0
 		for k := range lanes {
 			if h := lanes[k].head; h < cls {
-				cls = h
+				cls, lim, lone = h, cls, k
+			} else if h < lim {
+				lim = h
 			}
 		}
 		if cls == done {
 			break
 		}
 		totD, totB := 0, 0
-		for k := range lanes {
-			ln := &lanes[k]
-			if ln.head != cls {
+		if lim == cls {
+			for k := range lanes {
+				ln := &lanes[k]
+				if ln.head != cls {
+					continue
+				}
+				e := &ln.src[0]
+				if ln.self == cls {
+					ln.self = done
+				} else {
+					e = &ln.src[ln.cur]
+					ln.cur++
+				}
+				totD += int(e.d)
+				totB += int(e.b)
+				ln.next()
+			}
+		} else {
+			ln := &lanes[lone]
+			// The run's one-packet tail entries, up to the pinned self
+			// entry's place in the order if that comes before the run's end.
+			self := ln.self
+			bound := min(lim, self)
+			src, cur := ln.src, ln.cur
+			at := int32(done) // the class the tail cursor stops at
+			for cur < len(src) {
+				e := src[cur]
+				if e.cls >= bound || e.d != 1 || e.b != 0 {
+					at = e.cls
+					break
+				}
+				to := &lanes[offD]
+				to.newL++
+				if e.cls == to.out[0].cls {
+					to.out[0].d = 1
+				} else {
+					to.out = append(to.out, e)
+				}
+				if offD++; offD == np {
+					offD = 0
+				}
+				cur++
+			}
+			// What stopped the walk: a tail entry that needs the split, the
+			// self entry, or the end of the run.
+			var e *classEntry
+			switch {
+			case at < bound:
+				e = &src[cur]
+				cur++
+				at = done
+				if cur < len(src) {
+					at = src[cur].cls
+				}
+			case self < lim:
+				e = &src[0]
+				self = done
+				ln.self = done
+			}
+			ln.cur = cur
+			ln.head = min(self, at)
+			if e == nil {
 				continue
 			}
-			e := &ln.src[0]
-			if ln.self == cls {
-				ln.self = done
-			} else {
-				e = &ln.src[ln.cur]
-				ln.cur++
-			}
-			totD += int(e.d)
-			totB += int(e.b)
-			ln.next()
+			cls, totD, totB = e.cls, int(e.d), int(e.b)
 		}
-		baseD, remD := totD/np, totD%np
-		baseB, remB := totB/np, totB%np
+		baseD, remD := 0, totD
+		if totD >= np {
+			baseD, remD = totD/np, totD%np
+		}
+		baseB, remB := 0, totB
+		if totB >= np {
+			baseB, remB = totB/np, totB%np
+		}
 		for k := range lanes {
 			d, b := baseD, baseB
 			if snakeExtra(k, offD, remD, np) {

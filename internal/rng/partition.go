@@ -61,8 +61,8 @@ func (p Partition) Stream(kind StreamKind, index uint64) *RNG {
 // operation: operation rank k at tick t. The two coordinates are hashed
 // separately so (t, k) pairs cannot alias across ticks with different
 // operation counts. Callers Reseed a generator they own from it — a tick
-// has tens of thousands of operations, each planned and executed once, so
-// a generator allocated per stream would dominate the engine's garbage.
+// has tens of thousands of operations, each drawn once, so a generator
+// allocated per stream would dominate the engine's garbage.
 func (p Partition) OpSeed(tick, k uint64) uint64 {
 	return Mix64(p.Seed(StreamOp, tick), k)
 }

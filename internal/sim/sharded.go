@@ -15,17 +15,21 @@
 //  2. Trigger barrier (deterministic). Mailboxes are drained in canonical
 //     order — shard-major, shard-local index ascending, never arrival or
 //     scheduling order. Each deferred initiation k gets a private RNG
-//     stream keyed (Seed, run, tick, k), from which its δ partners are
-//     pre-drawn; a greedy list schedule then groups the operations into
-//     waves with pairwise-disjoint participant sets. Waves execute in
-//     sequence, the operations inside a wave in parallel on any number of
-//     workers. Because a balancing operation reads and writes only its
-//     δ+1 participants plus caller-owned scratch, and any two conflicting
-//     operations land in distinct waves in canonical order, wave execution
-//     is state-identical to executing all operations serially in canonical
-//     order. Each operation re-checks its factor-f trigger at execution
-//     (an earlier operation in the same barrier may have balanced the
-//     initiator already), exactly as the serial canonical order would.
+//     stream keyed (Seed, run, tick, k), from which everything random about
+//     it — its δ partners and the snake's start position — is drawn once,
+//     in parallel, into per-tick arrays; a greedy list schedule over the
+//     stored partners then groups the operations into waves with
+//     pairwise-disjoint participant sets. Waves execute in sequence, the
+//     operations inside a wave in parallel on any number of workers, and
+//     execution touches no generator. Because a balancing operation reads
+//     and writes only its δ+1 participants plus caller-owned scratch, and
+//     any two conflicting operations land in distinct waves in canonical
+//     order, wave execution is state-identical to executing all operations
+//     serially in canonical order. Each operation re-checks its factor-f
+//     trigger at execution (an earlier operation in the same barrier may
+//     have balanced the initiator already), exactly as the serial canonical
+//     order would; the draws of an operation whose re-check fails are
+//     dropped, which nothing can observe because the stream was its alone.
 //  3. Settlement pass (serial). Deferred consumes — those needing marker
 //     settlement, which can cascade into class recovery and further
 //     balancing — resolve in canonical order on a per-tick settle stream
@@ -67,11 +71,16 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // streams, its iteration order, and its mailbox of deferred operations.
 type shardState struct {
 	lane     *core.Lane
-	orderRNG *rng.RNG // per-tick local order shuffles
-	stepRNG  *rng.RNG // workload draws + processor-local balancer choices
-	order    []int    // local indices stepped each tick (active subset for Sparse patterns)
-	triggers []int    // local indices with a pending factor-f initiation
-	settles  []int    // local indices with a consume deferred to settlement
+	orderRNG rng.RNG // per-tick local order shuffles
+	stepRNG  rng.RNG // workload draws + processor-local balancer choices
+	order    []int   // local indices stepped each tick (active subset for Sparse patterns)
+	triggers []int   // local indices with a pending factor-f initiation
+	settles  []int   // local indices with a consume deferred to settlement
+
+	// Shards sit back to back in one slice and the step phase writes a
+	// shard's generators and mailbox headers on every processor step; the
+	// padding keeps two shards' writes off one cache line.
+	_ [core.CacheLine]byte
 }
 
 // shardedEngine drives one run of the sharded engine.
@@ -86,9 +95,10 @@ type shardedEngine struct {
 	delta   int
 
 	// Barrier planning state, reused across ticks.
-	barrierRNG *rng.RNG // reseeded per planned operation, then per settlement pass
+	settleRNG  *rng.RNG // reseeded per settlement pass
 	ops        []int    // global initiator of op k, canonical order
-	planBuf    []int    // partner scratch for the serial planning pass
+	opDraws    []opDraw // what op k drew from its private stream
+	opPartners []int    // op k's partners: opPartners[k*delta:][:opDraws[k].partners]
 	opWave     []int32  // wave assigned to op k
 	opOrder    []int    // op indices bucketed by wave
 	waveStart  []int    // opOrder[waveStart[w-1]:waveStart[w]] is wave w
@@ -104,20 +114,26 @@ type shardedEngine struct {
 	reduceBuf []stats.LoadPartial
 }
 
-// opWorker is what one resolution worker owns while it executes deferred
-// operations: a generator it reseeds to each operation's private stream
-// (allocating one per stream would make garbage in proportion to the
-// tick's operations), the kernel scratch, a partner buffer and its share
-// of the counters.
+// opDraw is what a deferred operation drew from its private stream: how
+// many partners (a neighborhood-restricted selector may return fewer than
+// δ) and the snake's start position among the participants.
+type opDraw struct {
+	partners int32
+	start    int32
+}
+
+// opWorker is what one barrier worker owns: a generator it reseeds to the
+// private stream of each operation it draws (allocating one per stream
+// would make garbage in proportion to the tick's operations), the kernel
+// scratch it executes operations on and its share of the counters.
 type opWorker struct {
-	stream   rng.RNG // reseeded before every use
-	scratch  *core.Scratch
-	partners []int
-	metrics  core.Metrics
+	stream  rng.RNG // reseeded before every use
+	scratch *core.Scratch
+	metrics core.Metrics
 
 	// Workers write their generator state and counters on every operation;
 	// the padding keeps two workers' writes off one cache line.
-	_ [64]byte
+	_ [core.CacheLine]byte
 }
 
 // shardedOneRun executes one run on the sharded engine.
@@ -206,16 +222,16 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 		workers = defaultWorkers()
 	}
 	e := &shardedEngine{
-		cfg:        cfg,
-		sys:        sys,
-		pattern:    pattern,
-		part:       part,
-		shards:     make([]shardState, S),
-		workers:    workers,
-		delta:      sys.Params().Delta,
-		barrierRNG: rng.New(0),
-		lastWave:   make([]int32, n),
-		partials:   make([]stats.LoadPartial, S),
+		cfg:       cfg,
+		sys:       sys,
+		pattern:   pattern,
+		part:      part,
+		shards:    make([]shardState, S),
+		workers:   workers,
+		delta:     sys.Params().Delta,
+		settleRNG: rng.New(0),
+		lastWave:  make([]int32, n),
+		partials:  make([]stats.LoadPartial, S),
 	}
 	// Sparse patterns confine activity to a fixed processor set: only
 	// those processors are stepped, and shards owning none are skipped
@@ -229,8 +245,8 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 		lo, hi := s*n/S, (s+1)*n/S
 		sh := &e.shards[s]
 		sh.lane = sys.NewLane(lo, hi)
-		sh.orderRNG = part.Stream(rng.StreamOrder, uint64(s))
-		sh.stepRNG = part.Stream(rng.StreamStep, uint64(s))
+		sh.orderRNG = *part.Stream(rng.StreamOrder, uint64(s))
+		sh.stepRNG = *part.Stream(rng.StreamStep, uint64(s))
 		if activeProcs == nil {
 			sh.order = make([]int, hi-lo)
 			for i := range sh.order {
@@ -248,19 +264,20 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 		}
 	}
 	for w := 0; w < workers; w++ {
-		e.opWorkers = append(e.opWorkers, &opWorker{
-			scratch:  sys.NewScratch(),
-			partners: make([]int, 0, e.delta),
-		})
+		e.opWorkers = append(e.opWorkers, &opWorker{scratch: sys.NewScratch()})
 	}
 	return e
 }
 
 // parallelFor runs fn(worker, i) for i in [0, n) across the engine's
-// workers, pulling items from a shared atomic counter, and returns when
-// all items are done. With one worker (or one item) it runs inline. The
-// item→worker assignment is schedule-dependent; callers must ensure items
-// are independent and per-worker state folds commutatively.
+// workers and returns when all items are done. Workers claim contiguous
+// blocks of items (claimBlock), so each runs a stretch of neighbours:
+// items are shards, or operations in canonical order, and the state of
+// neighbouring items shares cache lines (row headers, the per-processor
+// scalars, the per-tick plan arrays). With one worker (or one item) it
+// runs inline. The item→worker assignment is schedule-dependent; callers
+// must ensure items are independent and per-worker state folds
+// commutatively.
 func (e *shardedEngine) parallelFor(n int, fn func(worker, i int)) {
 	if n == 0 {
 		return
@@ -282,15 +299,40 @@ func (e *shardedEngine) parallelFor(n int, fn func(worker, i int)) {
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				lo, hi := claimBlock(&next, n, w)
+				if lo == hi {
 					return
 				}
-				fn(worker, i)
+				for i := lo; i < hi; i++ {
+					fn(worker, i)
+				}
 			}
 		}(k)
 	}
 	wg.Wait()
+}
+
+// claimBlock takes the next block [lo, hi) of the n items that w workers
+// share through the cursor next, or returns lo == hi when none are left.
+// Guided self-scheduling: a claim is the remaining items' share for twice
+// the worker count, so blocks start at n/(2w) — no worker can take more
+// than half its even share in one claim — and shrink towards single items
+// as the work runs out, which evens out the finish without a block size to
+// choose.
+func claimBlock(next *atomic.Int64, n, w int) (lo, hi int) {
+	for {
+		lo = int(next.Load())
+		if lo >= n {
+			return n, n
+		}
+		size := (n - lo) / (2 * w)
+		if size < 1 {
+			size = 1
+		}
+		if next.CompareAndSwap(int64(lo), int64(lo+size)) {
+			return lo, lo + size
+		}
+	}
 }
 
 // stepPhase drives every active shard through tick t. Shards touch only
@@ -305,15 +347,15 @@ func (e *shardedEngine) stepPhase(t int) {
 			sh.orderRNG.ShuffleInts(sh.order)
 		}
 		for _, li := range sh.order {
-			switch e.pattern.Step(sh.lane.Global(li), t, sh.stepRNG) {
+			switch e.pattern.Step(sh.lane.Global(li), t, &sh.stepRNG) {
 			case workload.Generate:
-				if sh.lane.Generate(li, sh.stepRNG) {
+				if sh.lane.Generate(li, &sh.stepRNG) {
 					sh.triggers = append(sh.triggers, li)
 				}
 			case workload.Consume:
 				e.consumeLocal(sh, li)
 			case workload.GenerateAndConsume:
-				if sh.lane.Generate(li, sh.stepRNG) {
+				if sh.lane.Generate(li, &sh.stepRNG) {
 					sh.triggers = append(sh.triggers, li)
 				}
 				e.consumeLocal(sh, li)
@@ -323,7 +365,7 @@ func (e *shardedEngine) stepPhase(t int) {
 }
 
 func (e *shardedEngine) consumeLocal(sh *shardState, li int) {
-	_, trigger, settle := sh.lane.Consume(li, sh.stepRNG)
+	_, trigger, settle := sh.lane.Consume(li, &sh.stepRNG)
 	if trigger {
 		sh.triggers = append(sh.triggers, li)
 	}
@@ -332,8 +374,8 @@ func (e *shardedEngine) consumeLocal(sh *shardState, li int) {
 	}
 }
 
-// resolveTriggers drains the trigger mailboxes in canonical order, plans
-// the conflict-free waves, and executes them.
+// resolveTriggers drains the trigger mailboxes in canonical order, draws
+// and plans the operations into conflict-free waves, and executes them.
 func (e *shardedEngine) resolveTriggers(t int) {
 	e.ops = e.ops[:0]
 	for s := range e.shards {
@@ -356,42 +398,66 @@ func (e *shardedEngine) resolveTriggers(t int) {
 	if K == 0 {
 		return
 	}
-	maxWave := e.planWaves(t, K)
+	e.drawOps(t)
+	maxWave := e.planWaves()
 	e.bucketByWave(K, maxWave)
 	for w := 1; w <= maxWave; w++ {
 		waveOps := e.opOrder[e.waveStart[w-1]:e.waveStart[w]]
 		e.parallelFor(len(waveOps), func(worker, i int) {
-			e.execOp(worker, t, waveOps[i])
+			e.execOp(worker, waveOps[i])
 		})
 	}
 }
 
-// planWaves pre-draws every operation's partner set from its private
-// stream and assigns operations to waves by greedy list scheduling: an
-// operation lands one wave after the latest earlier operation it shares a
-// participant with. Within a wave all participant sets are pairwise
-// disjoint. The partner values are discarded after planning — execution
-// re-derives the same stream and re-draws identical partners — so only a
-// single δ-wide scratch is needed. Returns the number of waves.
-func (e *shardedEngine) planWaves(t, K int) int {
+// drawOps makes every operation's random draws, in parallel: operation k's
+// generator state is a function of (tick, k) alone, and its draws land in
+// its own slots of the per-tick arrays.
+func (e *shardedEngine) drawOps(t int) {
+	K := len(e.ops)
+	if cap(e.opDraws) < K {
+		e.opDraws = make([]opDraw, K)
+		e.opPartners = make([]int, K*e.delta)
+	}
+	e.opDraws = e.opDraws[:K]
+	e.parallelFor(K, func(worker, k int) {
+		r := &e.opWorkers[worker].stream
+		r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
+		at := k * e.delta
+		partners, start := e.sys.DrawOperation(e.ops[k], r, e.opPartners[at:at:at+e.delta])
+		if len(partners) > e.delta {
+			panic("sim: selector returned more than δ partners")
+		}
+		e.opDraws[k] = opDraw{partners: int32(len(partners)), start: int32(start)}
+	})
+}
+
+// partnersOf returns the partners operation k drew.
+func (e *shardedEngine) partnersOf(k int) []int {
+	return e.opPartners[k*e.delta:][:e.opDraws[k].partners]
+}
+
+// planWaves assigns the drawn operations to waves by greedy list
+// scheduling: an operation lands one wave after the latest earlier
+// operation it shares a participant with. Within a wave all participant
+// sets are pairwise disjoint. Returns the number of waves.
+func (e *shardedEngine) planWaves() int {
+	K := len(e.ops)
 	if cap(e.opWave) < K {
 		e.opWave = make([]int32, K)
 	}
 	e.opWave = e.opWave[:K]
 	maxWave := int32(0)
-	r := e.barrierRNG
 	for k, init := range e.ops {
-		r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
-		e.planBuf = e.sys.SelectPartners(init, r, e.planBuf)
+		partners := e.partnersOf(k)
 		w := e.lastWave[init]
-		for _, p := range e.planBuf {
+		for _, p := range partners {
 			if e.lastWave[p] > w {
 				w = e.lastWave[p]
 			}
 		}
 		w++
 		e.stamp(init, w)
-		for _, p := range e.planBuf {
+		for _, p := range partners {
 			e.stamp(p, w)
 		}
 		e.opWave[k] = w
@@ -446,11 +512,9 @@ func (e *shardedEngine) bucketByWave(K, maxWave int) {
 	}
 }
 
-// execOp executes deferred operation k of tick t on the given worker. The
-// worker's generator is reseeded to the operation's (tick, rank) stream and
-// the partners re-drawn from it — identical values to the planning pass —
-// so the redistribution continues the same private stream.
-func (e *shardedEngine) execOp(worker, t, k int) {
+// execOp executes deferred operation k of the current tick on the given
+// worker, with the draws drawOps stored for it.
+func (e *shardedEngine) execOp(worker, k int) {
 	init := e.ops[k]
 	// Re-check the factor-f condition: an earlier wave (or an earlier
 	// operation in canonical order that shared this initiator) may have
@@ -461,9 +525,7 @@ func (e *shardedEngine) execOp(worker, t, k int) {
 		return
 	}
 	w := e.opWorkers[worker]
-	w.stream.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
-	w.partners = e.sys.SelectPartners(init, &w.stream, w.partners[:0])
-	e.sys.BalanceWithPartners(init, w.partners, &w.stream, w.scratch, &w.metrics)
+	e.sys.BalanceDrawn(init, e.partnersOf(k), int(e.opDraws[k].start), w.scratch, &w.metrics)
 }
 
 // resolveSettles completes the consumes deferred for marker settlement,
@@ -471,7 +533,7 @@ func (e *shardedEngine) execOp(worker, t, k int) {
 // cascade (class recovery, further balancing operations on arbitrary
 // processors), which is why it stays serial.
 func (e *shardedEngine) resolveSettles(t int) {
-	r := e.barrierRNG
+	r := e.settleRNG
 	r.Reseed(e.part.Seed(rng.StreamSettle, uint64(t)))
 	for s := range e.shards {
 		sh := &e.shards[s]

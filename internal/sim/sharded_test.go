@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"lmbalance/internal/core"
@@ -78,7 +80,8 @@ func resultsEqual(t *testing.T, a, b *Result) {
 // for a fixed (Seed, Shards) pair, the worker count changes only speed,
 // never a single bit of the results.
 func TestShardedWorkerInvariance(t *testing.T) {
-	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0) + 1}
+	// 3 is the odd count: the blocks workers claim cannot be even.
+	workerCounts := []int{1, 2, 3, 4, runtime.GOMAXPROCS(0) + 1}
 	var ref *Result
 	for _, w := range workerCounts {
 		cfg := shardedTestConfig(192, 150, 2, 4, 99)
@@ -93,6 +96,64 @@ func TestShardedWorkerInvariance(t *testing.T) {
 			continue
 		}
 		resultsEqual(t, ref, res)
+	}
+}
+
+// TestParallelForContract pins what the barrier relies on in parallelFor:
+// every item runs exactly once; a worker's items come in ascending order,
+// because it takes them as contiguous blocks; no block is larger than
+// ⌈n/(2w)⌉, so w workers share even a short list (64 shards on 2 workers
+// can never go to one claim); and one worker runs inline.
+func TestParallelForContract(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, workers - 1, workers, 64, 24001} {
+			t.Run(fmt.Sprintf("n=%d_workers=%d", n, workers), func(t *testing.T) {
+				// The claims themselves, taken one after another.
+				if w := min(workers, n); w > 1 {
+					var next atomic.Int64
+					limit := (n + 2*w - 1) / (2 * w)
+					at := 0
+					for {
+						lo, hi := claimBlock(&next, n, w)
+						if lo == hi {
+							break
+						}
+						if lo != at || hi > n {
+							t.Fatalf("claim [%d, %d) after [0, %d) of %d items", lo, hi, at, n)
+						}
+						if hi-lo > limit {
+							t.Fatalf("claim [%d, %d) holds %d items, more than ⌈n/(2w)⌉ = %d", lo, hi, hi-lo, limit)
+						}
+						at = hi
+					}
+					if at != n {
+						t.Fatalf("claims covered [0, %d) of %d items", at, n)
+					}
+				}
+				// The loop over them, on goroutines.
+				e := &shardedEngine{workers: workers}
+				ran := make([]atomic.Int32, n)
+				last := make([]int, workers)
+				for w := range last {
+					last[w] = -1
+				}
+				e.parallelFor(n, func(worker, i int) {
+					ran[i].Add(1)
+					if min(workers, n) == 1 && worker != 0 {
+						t.Errorf("item %d ran on worker %d: one worker or one item runs inline as worker 0", i, worker)
+					}
+					if i <= last[worker] {
+						t.Errorf("worker %d ran item %d after item %d", worker, i, last[worker])
+					}
+					last[worker] = i
+				})
+				for i := range ran {
+					if c := ran[i].Load(); c != 1 {
+						t.Fatalf("item %d ran %d times", i, c)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -324,7 +385,7 @@ func TestShardedGoldenSamplePath(t *testing.T) {
 		4: "64017b37aae9f83626be700a717a4771de9b0cc94be8dfb4d544d11b9dea6678",
 	}
 	for _, delta := range []int{1, 4} {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 3} {
 			cfg := shardedTestConfig(n, steps, 1, shards, 20260926)
 			cfg.NewBalancer = func(run int, r *rng.RNG) (Balancer, error) {
 				return core.NewSystem(n, core.Params{F: 1.1, Delta: delta, C: 4}, topology.NewGlobal(n), r)
@@ -347,10 +408,10 @@ func TestShardedGoldenSamplePath(t *testing.T) {
 
 // TestShardedTickAllocations: a warmed tick of the sharded engine
 // allocates a handful of objects, not some per deferred operation. Every
-// operation's private stream is walked on a reseeded per-worker generator;
-// a generator allocated per stream — one to plan the operation, one to
-// execute it — was two allocations per operation, thousands per tick at
-// this size.
+// operation's private stream is walked on a reseeded per-worker generator
+// (a generator allocated per stream was thousands of allocations per tick
+// at this size), and the arrays its draws are stored in are reused from
+// tick to tick.
 func TestShardedTickAllocations(t *testing.T) {
 	const n, shards, warm, measured = 4096, 16, 150, 20
 	cfg := shardedTestConfig(n, warm+measured+1, 1, shards, 11)
