@@ -11,22 +11,17 @@
 // has headroom. Arrivals are skewed: with probability -hot-frac a job
 // lands on one of the first -hot-n nodes.
 //
-// Two modes:
+// lbload submits the schedule to an already-running serving cluster
+// and prints p50/p95/p99 sojourn and throughput:
 //
-//   - Driver mode (-targets) submits the schedule to an already-running
-//     serving cluster and prints p50/p95/p99 sojourn and throughput:
+//	lbload -targets 127.0.0.1:7400,127.0.0.1:7401 -rate 800x700ms,1300x300ms -duration 2s
+//	lbload -targets ... -trace trace.json -tick 500us   # tracefile replay
 //
-//     lbload -targets 127.0.0.1:7400,127.0.0.1:7401 -rate 800x700ms,1300x300ms -duration 2s
-//     lbload -targets ... -trace trace.json -tick 500us   # tracefile replay
-//
-//   - Bench mode (-bench) self-hosts the comparison CI cares about:
-//     the same workload against a no-balancing control cluster, a
-//     balanced free-running one, and a balanced adaptively-paced one,
-//     all over real TCP. It fails unless every arm conserves packets
-//     and jobs AND balancing beats the control on p99 sojourn:
-//
-//     lbload -bench
-//     lbload -bench -out results/BENCH_serve.json
+// The self-hosted comparison (no balancing / balanced / balanced +
+// adaptive pacing on one workload) is experiments.ServeSLO:
+// go run ./cmd/paperfigs -only serve writes results/serve.txt; the
+// bounded numbers are the ledger's serve_skew workload
+// (bash bench/run.sh --workload serve_skew).
 package main
 
 import (
@@ -34,22 +29,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"lmbalance/internal/cluster"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/serve"
-	"lmbalance/internal/trace"
 	"lmbalance/internal/workload"
 )
 
 func main() {
 	var (
-		targets  = flag.String("targets", "", "driver mode: comma-separated serving addresses (node order)")
-		bench    = flag.Bool("bench", false, "bench mode: self-host the balanced vs no-balancing comparison")
-		n        = flag.Int("n", 8, "bench mode: cluster size")
+		targets  = flag.String("targets", "", "comma-separated serving addresses (node order)")
 		rate     = flag.String("rate", "800x700ms,1300x300ms", "diurnal rate envelope, jobs/s: rate1xdur1,rate2xdur2,...")
 		duration = flag.Duration("duration", 2*time.Second, "submission horizon (the envelope cycles to fill it)")
 		alpha    = flag.Float64("alpha", 1.5, "bounded-Pareto tail index for service demand")
@@ -57,21 +47,18 @@ func main() {
 		lmax     = flag.Float64("lmax", 100, "bounded-Pareto upper bound (units)")
 		hotFrac  = flag.Float64("hot-frac", 0.7, "fraction of jobs aimed at the hot nodes")
 		hotN     = flag.Int("hot-n", 0, "number of hot nodes (0 = n/4, min 1)")
-		con      = flag.Float64("con", 1.0, "bench mode: per-step consume probability")
-		stepIv   = flag.Duration("step-interval", 200*time.Microsecond, "bench mode: service clock (capacity = con/interval units/s per node)")
 		seed     = flag.Uint64("seed", 1993, "workload seed")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for outstanding jobs after the last submission")
-		traceF   = flag.String("trace", "", "driver mode: replay this tracefile instead of the synthetic workload")
+		traceF   = flag.String("trace", "", "replay this tracefile instead of the synthetic workload")
 		tick     = flag.Duration("tick", 500*time.Microsecond, "with -trace: wall-clock duration of one trace step")
-		jsonOut  = flag.String("json", "", "driver mode: also write the result as JSON to this file")
-		out      = flag.String("out", "", "bench mode: also write the measurements as JSON to this file")
+		jsonOut  = flag.String("json", "", "also write the result as JSON to this file")
 	)
 	flag.Parse()
 	o := opts{
-		targets: *targets, bench: *bench, n: *n, rate: *rate, duration: *duration,
+		targets: *targets, rate: *rate, duration: *duration,
 		alpha: *alpha, lmin: *lmin, lmax: *lmax, hotFrac: *hotFrac, hotN: *hotN,
-		con: *con, stepIv: *stepIv, seed: *seed, drainTO: *drainTO,
-		traceF: *traceF, tick: *tick, jsonOut: *jsonOut, out: *out,
+		seed: *seed, drainTO: *drainTO,
+		traceF: *traceF, tick: *tick, jsonOut: *jsonOut,
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "lbload:", err)
@@ -80,33 +67,18 @@ func main() {
 }
 
 type opts struct {
-	targets      string
-	bench        bool
-	n            int
-	rate         string
-	duration     time.Duration
-	alpha        float64
-	lmin, lmax   float64
-	hotFrac      float64
-	hotN         int
-	con          float64
-	stepIv       time.Duration
-	seed         uint64
-	drainTO      time.Duration
-	traceF       string
-	tick         time.Duration
-	jsonOut, out string
-}
-
-func run(o opts) error {
-	switch {
-	case o.bench:
-		return runBench(o)
-	case o.targets != "":
-		return runDrive(o)
-	default:
-		return fmt.Errorf("need -targets (driver mode) or -bench")
-	}
+	targets    string
+	rate       string
+	duration   time.Duration
+	alpha      float64
+	lmin, lmax float64
+	hotFrac    float64
+	hotN       int
+	seed       uint64
+	drainTO    time.Duration
+	traceF     string
+	tick       time.Duration
+	jsonOut    string
 }
 
 // schedule builds the arrival schedule: tracefile replay with -trace,
@@ -146,7 +118,7 @@ func (o opts) loadSpec(n int) serve.LoadSpec {
 	return serve.LoadSpec{HotFrac: o.hotFrac, HotN: hot}
 }
 
-// driveReport is driver mode's -json document.
+// driveReport is the -json document.
 type driveReport struct {
 	Targets    []string `json:"targets"`
 	Submitted  int64    `json:"submitted"`
@@ -158,7 +130,7 @@ type driveReport struct {
 	Seconds    float64  `json:"seconds"`
 }
 
-func runDrive(o opts) error {
+func run(o opts) error {
 	var addrs []string
 	for _, a := range strings.Split(o.targets, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -199,142 +171,6 @@ func runDrive(o opts) error {
 			return err
 		}
 		fmt.Printf("wrote %s\n", o.jsonOut)
-	}
-	return nil
-}
-
-// benchRow is one arm's measurement in bench mode.
-type benchRow struct {
-	Mode       string  `json:"mode"`
-	Submitted  int64   `json:"submitted"`
-	Completed  int64   `json:"completed"`
-	P50MS      float64 `json:"p50_ms"`
-	P95MS      float64 `json:"p95_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	Migrated   int64   `json:"balancing_ops"`
-	Spread     int     `json:"final_spread"`
-	Seconds    float64 `json:"seconds"`
-}
-
-// benchReport is bench mode's -out document.
-type benchReport struct {
-	Description string     `json:"description"`
-	Machine     string     `json:"machine"`
-	Date        string     `json:"date"`
-	N           int        `json:"n"`
-	Envelope    string     `json:"envelope"`
-	Alpha       float64    `json:"alpha"`
-	HotFrac     float64    `json:"hot_frac"`
-	HotN        int        `json:"hot_n"`
-	Rows        []benchRow `json:"rows"`
-	P99Ratio    float64    `json:"nobalance_p99_over_balanced_p99"`
-}
-
-// benchArm is one self-hosted cluster configuration.
-type benchArm struct {
-	name      string
-	noBalance bool
-	pace      cluster.PaceMode
-}
-
-func runBench(o opts) error {
-	if o.traceF != "" {
-		return fmt.Errorf("-bench uses the synthetic workload; -trace is driver-mode only")
-	}
-	arrivals, env, demand, err := o.schedule()
-	if err != nil {
-		return err
-	}
-	spec := o.loadSpec(o.n)
-	perNode := o.con / o.stepIv.Seconds()
-	fmt.Printf("bench: n=%d tcp  service %.0f units/s/node  envelope %s  demand Pareto α=%g [%g,%g] mean %.2f  hot %d/%d@%.0f%%  %d jobs\n",
-		o.n, perNode, env, demand.Alpha, demand.Lo, demand.Hi, demand.Mean(),
-		spec.HotN, o.n, o.hotFrac*100, len(arrivals))
-
-	arms := []benchArm{
-		{name: "none", noBalance: true, pace: cluster.PaceOff},
-		{name: "balanced", noBalance: false, pace: cluster.PaceOff},
-		{name: "balanced+adaptive", noBalance: false, pace: cluster.PaceAdaptive},
-	}
-	tb := trace.NewTable(
-		fmt.Sprintf("serving SLO bench | n=%d tcp, %s jobs/s, Pareto α=%g, hot %d@%.0f%% | seed=%d",
-			o.n, env, demand.Alpha, spec.HotN, o.hotFrac*100, o.seed),
-		"mode", "submitted", "completed", "p50 ms", "p95 ms", "p99 ms", "jobs/s", "ops", "spread", "seconds")
-	var rows []benchRow
-	for _, arm := range arms {
-		sc, err := serve.StartServeCluster(serve.ClusterSpec{
-			N: o.n, Delta: 2, F: 1.2,
-			ConP: o.con, StepInterval: o.stepIv,
-			Seed: o.seed, NoBalance: arm.noBalance, Pace: arm.pace,
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", arm.name, err)
-		}
-		start := time.Now()
-		res, err := serve.Drive(sc.Addrs(), arrivals, spec, o.seed+1, o.drainTO)
-		if err != nil {
-			sc.DrainAndStop(time.Second)
-			return fmt.Errorf("%s: %w", arm.name, err)
-		}
-		cres, stats, err := sc.DrainAndStop(o.drainTO)
-		if err != nil {
-			return fmt.Errorf("%s: %w", arm.name, err)
-		}
-		secs := time.Since(start).Seconds()
-		if !cres.Conserved() {
-			return fmt.Errorf("%s: packet conservation violated", arm.name)
-		}
-		if !cres.JobsConserved() {
-			return fmt.Errorf("%s: job conservation violated (ingested %d, done %d, held %d)",
-				arm.name, cres.Ingested(), cres.UnitsDone(), cres.RecordsHeld())
-		}
-		if stats.UnitsCompleted != stats.UnitsAccepted {
-			return fmt.Errorf("%s: %d units still outstanding after drain",
-				arm.name, stats.UnitsAccepted-stats.UnitsCompleted)
-		}
-		if res.Completed < res.Submitted {
-			return fmt.Errorf("%s: %d jobs never completed", arm.name, res.Submitted-res.Completed)
-		}
-		r := benchRow{
-			Mode: arm.name, Submitted: res.Submitted, Completed: res.Completed,
-			P50MS: res.P(0.50) * 1e3, P95MS: res.P(0.95) * 1e3, P99MS: res.P(0.99) * 1e3,
-			JobsPerSec: res.Throughput(), Migrated: cres.Completed(),
-			Spread: cres.Spread(), Seconds: secs,
-		}
-		rows = append(rows, r)
-		tb.AddRow(r.Mode, r.Submitted, r.Completed,
-			fmt.Sprintf("%.2f", r.P50MS), fmt.Sprintf("%.2f", r.P95MS), fmt.Sprintf("%.2f", r.P99MS),
-			fmt.Sprintf("%.0f", r.JobsPerSec), r.Migrated, r.Spread, fmt.Sprintf("%.2f", r.Seconds))
-	}
-	if err := tb.WriteText(os.Stdout); err != nil {
-		return err
-	}
-
-	none, adaptive := rows[0], rows[2]
-	ratio := 0.0
-	if adaptive.P99MS > 0 {
-		ratio = none.P99MS / adaptive.P99MS
-	}
-	if adaptive.P99MS >= none.P99MS {
-		return fmt.Errorf("balancing did not beat the no-balancing p99: %.2fms vs %.2fms", adaptive.P99MS, none.P99MS)
-	}
-	fmt.Printf("\nbalanced p99 %.2fms vs no-balancing %.2fms (%.1f× better); balanced p50 %.2fms vs %.2fms\n",
-		adaptive.P99MS, none.P99MS, ratio, adaptive.P50MS, none.P50MS)
-
-	if o.out != "" {
-		doc := benchReport{
-			Description: "Sojourn-time SLO under a skewed open-loop serving workload on real TCP sockets: the same diurnal Pareto traffic against a no-balancing control, a free-running balanced cluster, and an adaptively paced one. The run fails before reporting unless every arm conserves packets and jobs and balancing beats the control on p99 sojourn. go run ./cmd/lbload -bench -out results/BENCH_serve.json",
-			Machine:     fmt.Sprintf("%s/%s, %d CPU, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
-			Date:        time.Now().Format("2006-01-02"),
-			N:           o.n, Envelope: env.String(), Alpha: o.alpha,
-			HotFrac: o.hotFrac, HotN: spec.HotN,
-			Rows: rows, P99Ratio: ratio,
-		}
-		if err := writeJSON(o.out, doc); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
 	}
 	return nil
 }

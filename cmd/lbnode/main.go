@@ -390,28 +390,16 @@ func runSpawn(o options, w io.Writer) (bool, error) {
 		}
 		return shared
 	}
-	var transports []wire.Transport
-	switch o.transport {
-	case "tcp":
-		ts, err := wire.NewLocalCluster(n)
-		if err != nil {
-			return false, err
-		}
-		transports = make([]wire.Transport, n)
-		for i, t := range ts {
-			t.Register(regFor(i))
-			transports[i] = t
-		}
-	case "inproc":
-		lnet := wire.NewLoopback(n)
-		transports = make([]wire.Transport, n)
-		for i := range transports {
-			ep := lnet.Transport(i)
-			ep.Register(regFor(i))
-			transports[i] = ep
-		}
-	default:
+	if o.transport != "tcp" && o.transport != "inproc" {
 		return false, fmt.Errorf("unknown -transport %q (tcp, inproc)", o.transport)
+	}
+	transports, err := wire.LocalTransports(n, o.transport == "inproc")
+	if err != nil {
+		return false, err
+	}
+	for i, tr := range transports {
+		// Both local endpoint types publish their counters this way.
+		tr.(interface{ Register(*obs.Registry) }).Register(regFor(i))
 	}
 	hot := o.hot
 	if hot < 0 {

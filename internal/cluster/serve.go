@@ -54,9 +54,9 @@ type Submit struct {
 // consume and completion-report stamps. All clocks are server-side
 // unix nanos — the origin stamps ingest, the consuming node stamps
 // consume, the origin stamps done when the JobDone lands — so the
-// decomposition needs no client clock sync. A unit that rode frames
-// from a pre-v3 peer carries zero stamps; consumers must treat zero as
-// "unknown", not "instantaneous".
+// decomposition needs no client clock sync. A unit whose records were
+// never stamped carries zeros; consumers must treat zero as "unknown",
+// not "instantaneous".
 type Journey struct {
 	Hops       int   // JobMove hops the unit took before being consumed
 	IngestNS   int64 // origin ingest wall clock
@@ -231,9 +231,8 @@ func (n *Node) settleOwed(op uint64) {
 
 // handleJobMove ingests migrated records. Each gains a hop and the
 // frame's in-flight time (receive clock minus the sender's send stamp,
-// clamped at zero against clock skew; frames from pre-v3 peers carry no
-// stamp, so their hop contributes no transfer time rather than a bogus
-// one). The records join the FIFO tail and may immediately settle this
+// clamped at zero against clock skew; an unstamped frame's hop
+// contributes no transfer time rather than a bogus one). The records join the FIFO tail and may immediately settle this
 // node's own debts (obligation chains and cycles drain this way).
 func (n *Node) handleJobMove(m wire.Msg) {
 	if n.cfg.Serve == nil {

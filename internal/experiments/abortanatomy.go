@@ -78,21 +78,9 @@ func AbortAnatomy(scale Scale, seed uint64) (*AbortAnatomyResult, error) {
 	}
 	for _, tr := range []string{"inproc", "tcp"} {
 		reg := obs.NewRegistry()
-		transports := make([]wire.Transport, n)
-		switch tr {
-		case "inproc":
-			lnet := wire.NewLoopback(n)
-			for j := range transports {
-				transports[j] = lnet.Transport(j)
-			}
-		case "tcp":
-			ts, err := wire.NewLocalCluster(n)
-			if err != nil {
-				return nil, fmt.Errorf("abortanatomy %s: %w", tr, err)
-			}
-			for j, t := range ts {
-				transports[j] = t
-			}
+		transports, err := wire.LocalTransports(n, tr == "inproc")
+		if err != nil {
+			return nil, fmt.Errorf("abortanatomy %s: %w", tr, err)
 		}
 		res, err := cluster.RunCluster(cluster.ClusterConfig{
 			N: n, Delta: out.Delta, F: 1.2, Steps: steps,

@@ -89,21 +89,9 @@ func PacerSweep(scale Scale, seed uint64) (*PacerSweepResult, error) {
 		}
 		for _, tr := range []string{"inproc", "tcp"} {
 			for _, mode := range pacerModes {
-				transports := make([]wire.Transport, n)
-				switch tr {
-				case "inproc":
-					lnet := wire.NewLoopback(n)
-					for j := range transports {
-						transports[j] = lnet.Transport(j)
-					}
-				case "tcp":
-					ts, err := wire.NewLocalCluster(n)
-					if err != nil {
-						return nil, fmt.Errorf("pacer %s n=%d: %w", tr, n, err)
-					}
-					for j, t := range ts {
-						transports[j] = t
-					}
+				transports, err := wire.LocalTransports(n, tr == "inproc")
+				if err != nil {
+					return nil, fmt.Errorf("pacer %s n=%d: %w", tr, n, err)
 				}
 				cfg := cluster.ClusterConfig{
 					N: n, Delta: out.Delta, F: 1.2, Steps: out.Steps,

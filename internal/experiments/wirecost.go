@@ -63,21 +63,9 @@ func WireCost(scale Scale, seed uint64) (*WireCostResult, error) {
 		}
 	}
 	for i, c := range configs {
-		transports := make([]wire.Transport, n)
-		switch c.transport {
-		case "inproc":
-			lnet := wire.NewLoopback(n)
-			for j := range transports {
-				transports[j] = lnet.Transport(j)
-			}
-		case "tcp":
-			ts, err := wire.NewLocalCluster(n)
-			if err != nil {
-				return nil, fmt.Errorf("wirecost %s: %w", c.name, err)
-			}
-			for j, t := range ts {
-				transports[j] = t
-			}
+		transports, err := wire.LocalTransports(n, c.transport == "inproc")
+		if err != nil {
+			return nil, fmt.Errorf("wirecost %s: %w", c.name, err)
 		}
 		res, err := cluster.RunCluster(cluster.ClusterConfig{
 			N: n, Delta: c.delta, F: 1.2, Steps: steps,

@@ -39,8 +39,9 @@
 //
 // Wire payloads reuse the existing length-prefixed codec verbatim
 // (wire.AppendMsg / wire.DecodeMsg), so a recording decodes with the
-// same strictness as the wire itself and old recordings carrying v1/v2
-// payloads replay under a v3 reader. Local events are a forward-
+// same strictness as the wire itself; the header's codec byte names the
+// wire.Version they were recorded under, and the reader refuses any
+// other. Local events are a forward-
 // compatible kind + arg-count encoding: a reader that knows fewer args
 // than the writer wrote still decodes the record.
 //

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,50 +284,44 @@ func TestTornFinalSegmentRecovers(t *testing.T) {
 	}
 }
 
-func TestCrossVersionReplay(t *testing.T) {
-	// Frames recorded by an older node (codec v1/v2 payloads) must
-	// replay under the current reader.
-	for _, codec := range []byte{wire.VersionV1, wire.VersionV2} {
-		dir := t.TempDir()
-		events := []Event{
-			{WallNS: 1000, Dir: DirLocal, Kind: LocalInitiate, Op: opAt(codec, 5), Args: []int64{1, 10, 1}},
-			{WallNS: 1001, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: opAt(codec, 5)}},
-			{WallNS: 1002, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: opAt(codec, 5), Load: 4}},
-			{WallNS: 1003, Dir: DirLocal, Kind: LocalResolve, Op: opAt(codec, 5), Args: []int64{1, 7, 1}},
-			{WallNS: 1004, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: opAt(codec, 5), Amount: 3}},
-			{WallNS: 1005, Dir: DirLocal, Kind: LocalFinal, Args: []int64{7, 7, 0, 0, 0, 0}},
-		}
-		if err := WriteDir(dir, 0, codec, events); err != nil {
-			t.Fatalf("codec v%d: %v", codec, err)
-		}
-		nr, err := LoadDir(dir)
-		if err != nil {
-			t.Fatalf("codec v%d: %v", codec, err)
-		}
-		if nr.CodecVersion != codec || len(nr.Events) != len(events) {
-			t.Fatalf("codec v%d: version=%d events=%d", codec, nr.CodecVersion, len(nr.Events))
-		}
-		// v1 cannot carry op ids; the reader must still see the frames.
-		if got := nr.Events[1].Msg.Kind; got != wire.FreezeReq {
-			t.Fatalf("codec v%d: frame kind %v", codec, got)
-		}
-		res := Audit(&Recording{Nodes: []*NodeRecording{nr}})
-		if codec >= wire.VersionV2 && len(res.Violations) != 0 {
-			t.Fatalf("codec v%d: unexpected violations %v", codec, res.Violations)
-		}
-		if res.TotalLoad != 7 || !res.Conserved() {
-			t.Fatalf("codec v%d: load=%d conserved=%v", codec, res.TotalLoad, res.Conserved())
-		}
+// TestOldCodecSegmentRejected: the container is unchanged, but a
+// segment whose header says its payloads are codec v2 is refused by
+// name before any record is decoded; what WriteDir writes round-trips.
+func TestOldCodecSegmentRejected(t *testing.T) {
+	old := t.TempDir()
+	seg := appendHeader(nil, segHeader{node: 0, wallRefNS: 1000, codec: 2})
+	seg = append(seg, "not a record"...) // never reached
+	if err := os.WriteFile(filepath.Join(old, segName(0)), seg, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
+	_, err := LoadDir(old)
+	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", wire.Version)) {
+		t.Fatalf("codec-2 segment: err = %v, want one naming v2 and v%d", err, wire.Version)
+	}
 
-// opAt zeroes op ids for codec versions that cannot carry them, so the
-// fixture's local records agree with what its frames can encode.
-func opAt(codec byte, op uint64) uint64 {
-	if codec < wire.VersionV2 {
-		return 0
+	dir := t.TempDir()
+	events := []Event{
+		{WallNS: 1000, Dir: DirLocal, Kind: LocalInitiate, Op: 5, Args: []int64{1, 10, 1}},
+		{WallNS: 1001, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 5}},
+		{WallNS: 1002, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 5, Load: 4}},
+		{WallNS: 1003, Dir: DirLocal, Kind: LocalResolve, Op: 5, Args: []int64{1, 7, 1}},
+		{WallNS: 1004, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 5, Amount: 3}},
+		{WallNS: 1005, Dir: DirLocal, Kind: LocalFinal, Args: []int64{7, 7, 0, 0, 0, 0}},
 	}
-	return op
+	if err := WriteDir(dir, 0, events); err != nil {
+		t.Fatal(err)
+	}
+	nr, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nr.Events) != len(events) || !nr.Events[1].Msg.Equal(events[1].Msg) {
+		t.Fatalf("round trip: %d events, frame %+v", len(nr.Events), nr.Events[1].Msg)
+	}
+	res := Audit(&Recording{Nodes: []*NodeRecording{nr}})
+	if len(res.Violations) != 0 || res.TotalLoad != 7 || !res.Conserved() {
+		t.Fatalf("violations=%v load=%d conserved=%v", res.Violations, res.TotalLoad, res.Conserved())
+	}
 }
 
 func TestSnapshot(t *testing.T) {
@@ -392,7 +387,7 @@ func TestTamperedRecordingIsFlagged(t *testing.T) {
 		{WallNS: 13, Dir: DirLocal, Kind: LocalResolve, Op: 5, Args: []int64{1, 7, 1}},
 		{WallNS: 14, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 5, Amount: 3}},
 	}
-	if err := WriteDir(src, 0, wire.Version, events); err != nil {
+	if err := WriteDir(src, 0, events); err != nil {
 		t.Fatal(err)
 	}
 	clean := Audit(&Recording{Nodes: mustLoad(t, src)})
@@ -487,7 +482,7 @@ func TestShadowMachineRules(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := WriteDir(dir, 0, wire.Version, tc.evs); err != nil {
+			if err := WriteDir(dir, 0, tc.evs); err != nil {
 				t.Fatal(err)
 			}
 			res := Audit(&Recording{Nodes: mustLoad(t, dir)})
@@ -533,7 +528,7 @@ func TestPartialOperationsAuditClean(t *testing.T) {
 		{WallNS: 17, Dir: DirLocal, Kind: LocalInitiate, Op: 11, Args: []int64{4, 7, 2}},
 	}
 	dir := t.TempDir()
-	if err := WriteDir(dir, 0, wire.Version, evs); err != nil {
+	if err := WriteDir(dir, 0, evs); err != nil {
 		t.Fatal(err)
 	}
 	res := Audit(&Recording{Nodes: mustLoad(t, dir)})
@@ -561,7 +556,7 @@ func TestPendingClearToleratesRecvSkew(t *testing.T) {
 		{WallNS: 4, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeAck, From: 0, Seq: 4, Op: 11, Load: 3}},
 	}
 	dir := t.TempDir()
-	if err := WriteDir(dir, 0, wire.Version, evs); err != nil {
+	if err := WriteDir(dir, 0, evs); err != nil {
 		t.Fatal(err)
 	}
 	res := Audit(&Recording{Nodes: mustLoad(t, dir)})

@@ -8,10 +8,10 @@ import (
 )
 
 // FormatVersion is the segment container version. It versions the
-// header and record framing only; the embedded wire payloads carry
-// their own codec version byte, so a container at one version can hold
-// frames recorded from peers at any codec version the wire decoder
-// accepts.
+// header and record framing only; the header's codec byte says which
+// wire codec the embedded payloads were recorded under, and the reader
+// refuses a segment whose codec is not wire.Version before decoding a
+// record.
 const FormatVersion = 1
 
 // magic leads every segment file.

@@ -12,14 +12,10 @@ import (
 
 // NodeRecording is one node's decoded event stream.
 type NodeRecording struct {
-	Node int
-	// CodecVersion is the wire codec version the *last* segment was
-	// recorded under (segments may mix versions across restarts; each
-	// frame still carries its own version byte).
-	CodecVersion byte
-	Events       []Event
-	Segments     int
-	Bytes        int64
+	Node     int
+	Events   []Event
+	Segments int
+	Bytes    int64
 	// Torn reports that the final segment ended mid-record — the
 	// recorder was killed between buffered writes. Everything before
 	// the tear decoded cleanly.
@@ -82,7 +78,10 @@ func (nr *NodeRecording) loadSegment(path string, tolerateTear bool) error {
 		return fmt.Errorf("%s: segment for node %d in node %d's recording",
 			filepath.Base(path), h.node, nr.Node)
 	}
-	nr.CodecVersion = h.codec
+	if h.codec != wire.Version {
+		return fmt.Errorf("%s: recorded under wire codec v%d, this reader decodes only v%d",
+			filepath.Base(path), h.codec, wire.Version)
+	}
 	prevWall := h.wallRefNS
 	for off < len(p) {
 		ln, n := binary.Uvarint(p[off:])
@@ -193,7 +192,7 @@ func (r *Recording) Node(id int) *NodeRecording {
 
 // WriteDir writes a synthetic single-segment recording — test fixtures
 // and tamper demos. Events must already carry monotone WallNS stamps.
-func WriteDir(dir string, node int, codec byte, events []Event) error {
+func WriteDir(dir string, node int, events []Event) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -201,16 +200,15 @@ func WriteDir(dir string, node int, codec byte, events []Event) error {
 	if len(events) > 0 {
 		wallRef = events[0].WallNS
 	}
-	buf := appendHeader(nil, segHeader{node: node, seq: 0, wallRefNS: wallRef, codec: codec})
+	buf := appendHeader(nil, segHeader{node: node, seq: 0, wallRefNS: wallRef, codec: wire.Version})
 	prev := wallRef
 	for _, ev := range events {
 		var tail []byte
 		switch ev.Dir {
 		case DirSend:
-			tail = binary.AppendUvarint(nil, zig(int64(ev.Peer)))
-			tail = wire.AppendMsgVersion(tail, ev.Msg, codec)
+			tail = appendTailSend(nil, ev.Peer, ev.Msg)
 		case DirRecv:
-			tail = wire.AppendMsgVersion(nil, ev.Msg, codec)
+			tail = wire.AppendMsg(nil, ev.Msg)
 		case DirLocal:
 			tail = appendTailLocal(nil, ev.Kind, ev.Op, ev.Args)
 		default:
@@ -234,5 +232,5 @@ func Rewrite(src, dst string, fn func(Event) Event) error {
 	for i, ev := range nr.Events {
 		out[i] = fn(ev)
 	}
-	return WriteDir(dst, nr.Node, nr.CodecVersion, out)
+	return WriteDir(dst, nr.Node, out)
 }

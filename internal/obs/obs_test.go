@@ -53,6 +53,32 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	reg.SetTracer(NewTracer(8))
 }
 
+// TestDisabledPathAllocationFree: instrumentation stays compiled into
+// every hot path because a nil registry's handles cost nothing — the
+// allocation half of that promise, asserted (the nanoseconds are the
+// ledger's obs.disabled_ns).
+func TestDisabledPathAllocationFree(t *testing.T) {
+	c := nilReg.Counter("c")
+	g := nilReg.Gauge("g")
+	h := nilReg.Histogram("h", LatencyBuckets)
+	tr := nilReg.Tracer()
+	t0 := time.Now()
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Inc()
+		c.Add(5)
+		g.Set(3)
+		g.Add(-1)
+		g.Max(7)
+		h.Observe(1.5)
+		h.ObserveSince(t0)
+		tr.Record(1, "x", "y")
+		tr.RecordOp(1, 9, "x", "y")
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-registry handles allocated %v times per run, want 0", allocs)
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("ops_total")

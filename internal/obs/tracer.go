@@ -13,7 +13,7 @@ const DefaultTraceCapacity = 4096
 
 // Event is one traced protocol event. Op, when nonzero, is the
 // balancing-operation id the event belongs to: the initiator mints it,
-// the wire carries it (codec v2), and every process touched by the
+// the wire carries it on every message, and every process touched by the
 // operation tags its events with it — so one operation's cross-node
 // timeline can be stitched back together (see ByOp and obs.Aggregate).
 type Event struct {

@@ -1,7 +1,7 @@
 package pool
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,39 +85,85 @@ func TestRecursiveGeneration(t *testing.T) {
 	}
 }
 
+// rendezvous makes "the pool spread the work" a liveness property
+// instead of a guess about the scheduler: every task calls enter, which
+// blocks until each of the pool's workers is inside some task. A worker
+// stuck in enter still exposes its queue, so the test finishes exactly
+// when balancing (or stealing) hands every other worker a task — no
+// matter who wakes first or how fast a task runs.
+type rendezvous struct {
+	mu       sync.Mutex
+	arrived  map[int]bool
+	workers  int
+	released chan struct{} // closed once all workers arrived, or by the watchdog
+	open     sync.Once
+	timedOut bool
+	watchdog *time.Timer
+}
+
+// rendezvousDeadline is a watchdog, not an expectation: a pool that
+// cannot spread work would otherwise hang the test binary.
+const rendezvousDeadline = 30 * time.Second
+
+func newRendezvous(workers int) *rendezvous {
+	r := &rendezvous{arrived: map[int]bool{}, workers: workers, released: make(chan struct{})}
+	r.watchdog = time.AfterFunc(rendezvousDeadline, func() {
+		r.open.Do(func() { r.timedOut = true; close(r.released) })
+	})
+	return r
+}
+
+func (r *rendezvous) enter(worker int) {
+	r.mu.Lock()
+	r.arrived[worker] = true
+	all := len(r.arrived) == r.workers
+	r.mu.Unlock()
+	if all {
+		r.open.Do(func() { close(r.released) })
+	}
+	<-r.released
+}
+
+// check fails the test if the watchdog opened the gate rather than the
+// last worker arriving. Call after the pool's Wait.
+func (r *rendezvous) check(t *testing.T) {
+	t.Helper()
+	r.watchdog.Stop()
+	if r.timedOut {
+		t.Fatalf("after %v only workers %v of %d had entered a task", rendezvousDeadline, r.arrived, r.workers)
+	}
+}
+
 func TestBalancingSpreadsWork(t *testing.T) {
-	// All tasks enter at worker 0 (hotspot); with balancing, every worker
-	// must end up executing a substantial share.
+	// All tasks enter at worker 0 (hotspot) and none finishes until every
+	// worker holds one: the submit-side trigger and the dry workers' own
+	// balance calls have to move tasks off the hotspot.
 	p, err := New(Config{Workers: 4, F: 1.2, Delta: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	const n = 4000
+	rv := newRendezvous(p.Workers())
 	var counter atomic.Int64
 	for i := 0; i < n; i++ {
 		p.workers[0].Submit(func(w *Worker) {
-			// Simulate real work so balancing has time to act. The
-			// explicit yield matters on single-CPU machines: without it
-			// one worker can drain the whole (sub-millisecond) workload
-			// inside a single scheduler timeslice before the others ever
-			// run, which says nothing about the balancing logic.
-			busyWork(200)
-			runtime.Gosched()
+			rv.enter(w.ID())
 			counter.Add(1)
 		})
 	}
 	p.Wait()
+	rv.check(t)
 	if counter.Load() != n {
 		t.Fatalf("executed %d", counter.Load())
 	}
 	s := p.Stats()
-	if s.Balances == 0 {
-		t.Fatal("no balancing operations happened")
+	if s.Balances == 0 || s.Migrated == 0 {
+		t.Fatalf("every worker ran a task but stats show %d balances moving %d tasks", s.Balances, s.Migrated)
 	}
 	for i, e := range s.Executed {
-		if e < n/20 {
-			t.Fatalf("worker %d executed only %d of %d (stats %v)", i, e, n, s.Executed)
+		if e == 0 {
+			t.Fatalf("worker %d executed nothing: %v", i, s.Executed)
 		}
 	}
 }
@@ -337,22 +383,25 @@ func TestStealingRecursiveAndSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	rv := newRendezvous(p.Workers())
 	var counter atomic.Int64
 	var spawn func(depth int) StealTask
 	spawn = func(depth int) StealTask {
 		return func(r *StealWorkerRef) {
-			busyWork(100)
-			runtime.Gosched() // see TestBalancingSpreadsWork
-			counter.Add(1)
+			// Children first, so a worker parked in the rendezvous still
+			// has something to steal.
 			if depth > 0 {
 				r.Submit(spawn(depth - 1))
 				r.Submit(spawn(depth - 1))
 			}
+			rv.enter(r.ID())
+			counter.Add(1)
 		}
 	}
 	// Root enters at one worker; stealing must spread the tree.
 	p.workers[0].submit(spawn(12))
 	p.Wait()
+	rv.check(t)
 	want := int64(1<<13 - 1)
 	if counter.Load() != want {
 		t.Fatalf("executed %d, want %d", counter.Load(), want)

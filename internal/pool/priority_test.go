@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,7 +109,7 @@ func TestPriorityBalanceDealsQualityEvenly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	p.Close() // stop the workers; we call balance by hand below
 	w0, w1 := p.workers[0], p.workers[1]
 	// Load worker 0 with 3 good and 3 bad tasks directly (locked path),
 	// bypassing triggers by not using Submit.
@@ -141,13 +140,6 @@ func TestPriorityBalanceDealsQualityEvenly(t *testing.T) {
 	if !((best0 == 1 && best1 == 2) || (best0 == 2 && best1 == 1)) {
 		t.Fatalf("quality not dealt evenly: bests %d/%d", best0, best1)
 	}
-	// Drain the manually injected tasks so Close has a clean pool.
-	w0.mu.Lock()
-	w0.queue = w0.queue[:0]
-	w0.mu.Unlock()
-	w1.mu.Lock()
-	w1.queue = w1.queue[:0]
-	w1.mu.Unlock()
 }
 
 func TestPriorityRecursiveSpread(t *testing.T) {
@@ -156,21 +148,23 @@ func TestPriorityRecursiveSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	rv := newRendezvous(p.Workers())
 	var counter atomic.Int64
 	var spawn func(depth int, prio int64) PriorityTask
 	spawn = func(depth int, prio int64) PriorityTask {
 		return PriorityTask{Priority: prio, Run: func(w *PriorityWorker) {
-			busyWork(150)
-			runtime.Gosched() // single-CPU interleaving; see pool_test.go
-			counter.Add(1)
+			// Children first; see TestStealingRecursiveAndSpread.
 			if depth > 0 {
 				w.Submit(spawn(depth-1, prio+1))
 				w.Submit(spawn(depth-1, prio+2))
 			}
+			rv.enter(w.ID())
+			counter.Add(1)
 		}}
 	}
 	p.Submit(spawn(11, 0))
 	p.Wait()
+	rv.check(t)
 	want := int64(1<<12 - 1)
 	if counter.Load() != want {
 		t.Fatalf("executed %d, want %d", counter.Load(), want)

@@ -67,20 +67,9 @@ func StartServeCluster(spec ClusterSpec) (*ServeCluster, error) {
 	if len(spec.Flight) > 0 && len(spec.Flight) != spec.N {
 		return nil, fmt.Errorf("serve: %d flight recorders for %d nodes", len(spec.Flight), spec.N)
 	}
-	transports := make([]wire.Transport, spec.N)
-	if spec.Loopback {
-		lnet := wire.NewLoopback(spec.N)
-		for i := range transports {
-			transports[i] = lnet.Transport(i)
-		}
-	} else {
-		ts, err := wire.NewLocalCluster(spec.N)
-		if err != nil {
-			return nil, fmt.Errorf("serve: cluster transport: %w", err)
-		}
-		for i, t := range ts {
-			transports[i] = t
-		}
+	transports, err := wire.LocalTransports(spec.N, spec.Loopback)
+	if err != nil {
+		return nil, fmt.Errorf("serve: cluster transport: %w", err)
 	}
 	for i := range transports {
 		if len(spec.Flight) > 0 {

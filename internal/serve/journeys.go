@@ -20,8 +20,8 @@ import (
 //	service      consume draw → completion landed back at the origin
 //
 // Hops is the maximum JobMove hop count any of the job's units took.
-// Jobs whose units rode frames from pre-v3 peers have no stamps; their
-// component fields are zero and Stamped is false.
+// Jobs whose units carried no stamps (a JobRef built without them) have
+// zero component fields and Stamped false.
 type JourneySample struct {
 	Node       int     `json:"node"`
 	Job        uint64  `json:"job"` // origin-local id

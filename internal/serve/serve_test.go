@@ -436,7 +436,7 @@ func TestJourneyDecomposition(t *testing.T) {
 	for _, s := range sc.Servers {
 		for _, j := range s.Journeys().Snapshot() {
 			if !j.Stamped {
-				t.Fatalf("unstamped journey in an all-v3 cluster: %+v", j)
+				t.Fatalf("unstamped journey from a serving cluster: %+v", j)
 			}
 			if j.Sojourn < 0 || j.IngestWait < 0 || j.Queue < 0 || j.Transfer < 0 || j.Service < 0 {
 				t.Fatalf("negative journey field: %+v", j)

@@ -374,7 +374,7 @@ func (s *Server) complete(id uint64, jn cluster.Journey) {
 	// stamps ingest and done, consumer stamps consume), so the
 	// components are deltas of comparable wall clocks; each is clamped
 	// at zero against inter-node skew, and unstamped units (records
-	// that rode pre-v3 frames) are skipped rather than observed as
+	// whose stamps are zero) are skipped rather than observed as
 	// nonsense.
 	stamped := jn.IngestNS > 0 && jn.ConsumeNS > 0 && jn.DoneNS > 0
 	var ingestWait, queue, transfer, service float64

@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// The bench-wire suite (make bench-wire, results/BENCH_wire.json)
-// measures what each codec revision costs on the hot path: encode and
-// decode of a representative protocol message mix under the v3, v2,
-// and legacy v1 layouts, the journey-stamped job-record frames v3
-// added, plus the full framed read path.
+// Codec microbenchmarks for use under a profiler: encode and decode of
+// a representative protocol message mix, the journey-stamped job-record
+// frames, and the full framed read path. The numbers with a bound are
+// the ledger's (wire.encode_ns, wire.decode_ns, wire.jobmove16_*_ns,
+// wire.allocs_per_frame: bash bench/run.sh --workload serve_firehose
+// --trace 1).
 
 // benchMsgs is the protocol mix of a balancing operation: the initiator
-// round plus shutdown traffic. Op = 0 and no journey stamps keep the
-// byte layout v1-shaped so all version benches move the same
-// information.
+// round plus shutdown traffic.
 var benchMsgs = []Msg{
 	{Kind: FreezeReq, From: 3, Seq: 17},
 	{Kind: FreezeAck, From: 9, Seq: 17, Load: 128},
@@ -42,7 +41,7 @@ func benchJourneyMsg(records int) Msg {
 	return m
 }
 
-func BenchmarkWireEncodeV3(b *testing.B) {
+func BenchmarkWireEncode(b *testing.B) {
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -53,32 +52,13 @@ func BenchmarkWireEncodeV3(b *testing.B) {
 	_ = buf
 }
 
-// BenchmarkWireEncodeV3NoOp is the v1-shaped case: no operation in
-// flight (Op = 0), where v3 must cost exactly one extra byte on the
-// non-job protocol mix.
-func BenchmarkWireEncodeV3NoOp(b *testing.B) {
+// BenchmarkWireEncodeNoOp is the same mix with no operation in flight
+// (Op = 0, one byte).
+func BenchmarkWireEncodeNoOp(b *testing.B) {
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendMsg(buf[:0], benchMsgs[i%len(benchMsgs)])
-	}
-	_ = buf
-}
-
-func BenchmarkWireEncodeV2(b *testing.B) {
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = appendMsgV2(buf[:0], benchMsgs[i%len(benchMsgs)])
-	}
-	_ = buf
-}
-
-func BenchmarkWireEncodeV1(b *testing.B) {
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = appendMsgV1(buf[:0], benchMsgs[i%len(benchMsgs)])
 	}
 	_ = buf
 }
@@ -95,36 +75,11 @@ func BenchmarkWireEncodeJourney16(b *testing.B) {
 	_ = buf
 }
 
-func benchPayloads(encode func([]byte, Msg) []byte) [][]byte {
-	out := make([][]byte, len(benchMsgs))
+func BenchmarkWireDecode(b *testing.B) {
+	ps := make([][]byte, len(benchMsgs))
 	for i, m := range benchMsgs {
-		out[i] = encode(nil, m)
+		ps[i] = AppendMsg(nil, m)
 	}
-	return out
-}
-
-func BenchmarkWireDecodeV3(b *testing.B) {
-	ps := benchPayloads(AppendMsg)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMsg(ps[i%len(ps)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecodeV2(b *testing.B) {
-	ps := benchPayloads(appendMsgV2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMsg(ps[i%len(ps)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecodeV1(b *testing.B) {
-	ps := benchPayloads(appendMsgV1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeMsg(ps[i%len(ps)]); err != nil {

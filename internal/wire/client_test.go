@@ -61,7 +61,7 @@ func TestClientDecodeRejectsCorruptPayloads(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"version only":     {Version},
-		"v1 not a thing":   append([]byte{VersionV1}, good[1:]...),
+		"bad version":      append([]byte{Version + 1}, good[1:]...),
 		"bad kind":         {Version, 0xee, 0x02},
 		"kind zero":        {Version, 0x00, 0x02},
 		"truncated varint": good[:len(good)-1],

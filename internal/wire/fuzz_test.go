@@ -10,28 +10,25 @@ import (
 // interpreted twice:
 //
 //  1. as message fields — every syntactically valid Msg (including its
-//     op id and v3 journey stamps) must survive encode→decode
+//     op id and journey stamps) must survive encode→decode
 //     unchanged, and its frame must read back identically through
 //     ReadFrame — decoded in place in a default-sized reader, and
 //     through a 16-byte reader most frames do not fit, which takes the
 //     copying fallback;
 //  2. as a raw byte stream — the decoder must reject or accept without
 //     panicking, truncated and oversized frames must error, and any
-//     stream the decoder accepts must re-encode to the same bytes under
-//     the version it arrived in (canonical encoding) — v2 payloads
-//     (journey fields zero) and legacy v1 payloads (additionally
-//     Op = 0) included.
+//     stream the decoder accepts must re-encode to the same bytes
+//     (canonical encoding).
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range sampleMsgs() {
-		f.Add(byte(m.Kind), int64(m.From), m.Seq, m.Op, int64(m.Load), int64(m.Amount), m.Gen, m.Con, m.Job, AppendFrame(nil, m))
-		// Seed the raw direction with old-version payloads too, so the
-		// legacy decode paths stay covered.
-		if !journeyStamped(m) {
-			f.Add(byte(m.Kind), int64(m.From), m.Seq, m.Op, int64(m.Load), int64(m.Amount), m.Gen, m.Con, m.Job, appendMsgV2(nil, m))
-			if m.Op == 0 {
-				f.Add(byte(m.Kind), int64(m.From), m.Seq, m.Op, int64(m.Load), int64(m.Amount), m.Gen, m.Con, m.Job, appendMsgV1(nil, m))
-			}
+		// Each sample seeds the raw direction twice: framed for the
+		// readers, bare for DecodeMsg.
+		for _, raw := range [][]byte{AppendFrame(nil, m), AppendMsg(nil, m)} {
+			f.Add(byte(m.Kind), int64(m.From), m.Seq, m.Op, int64(m.Load), int64(m.Amount), m.Gen, m.Con, m.Job, raw)
 		}
+	}
+	for _, c := range corruptPayloads() {
+		f.Add(byte(0), int64(0), uint64(0), uint64(0), int64(0), int64(0), int64(0), int64(0), uint64(0), c.p)
 	}
 	f.Add(byte(0), int64(0), uint64(0), uint64(0), int64(0), int64(0), int64(0), int64(0), uint64(0), []byte{0xff, 0xff, 0x03, 0x00})
 	f.Fuzz(func(t *testing.T, kind byte, from int64, seq, op uint64, load, amount, gen, con int64, job uint64, raw []byte) {
@@ -40,7 +37,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Load: int(load), Amount: int(amount), Gen: gen, Con: con}
 		if m.Kind.valid() {
 			// Fields a kind does not carry are not encoded; zero them so
-			// equality is meaningful. (Op travels on every v2 message.)
+			// equality is meaningful. (Op travels on every message.)
 			switch m.Kind {
 			case FreezeAck:
 				m.Amount, m.Gen, m.Con = 0, 0, 0
@@ -82,29 +79,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if !dm.Equal(m) {
 				t.Fatalf("payload round trip: sent %+v got %+v", m, dm)
 			}
-			// The v2 encoding of the same message (journey stamps
-			// stripped) and the v1 one (op id stripped too) must still be
-			// decodable, yielding the correspondingly reduced message.
-			v2m := m
-			v2m.SentNS, v2m.IngestNS, v2m.ConsumeNS, v2m.Hops, v2m.TransferNS = 0, 0, 0, 0, 0
-			if len(v2m.Jobs) > 0 {
-				v2m.Jobs = make([]JobRef, len(m.Jobs))
-				for i, j := range m.Jobs {
-					v2m.Jobs[i] = JobRef{Origin: j.Origin, ID: j.ID}
-				}
-			}
-			if dm, err := DecodeMsg(appendMsgV2(nil, v2m)); err != nil {
-				t.Fatalf("decode of v2 encoding of %+v: %v", v2m, err)
-			} else if !dm.Equal(v2m) {
-				t.Fatalf("v2 round trip: sent %+v got %+v", v2m, dm)
-			}
-			v1m := v2m
-			v1m.Op = 0
-			if dm, err := DecodeMsg(appendMsgV1(nil, v1m)); err != nil {
-				t.Fatalf("decode of v1 encoding of %+v: %v", v1m, err)
-			} else if !dm.Equal(v1m) {
-				t.Fatalf("v1 round trip: sent %+v got %+v", v1m, dm)
-			}
 			frame := AppendFrame(nil, m)
 			for _, size := range []int{4096, 16} {
 				fm, n, err := ReadFrame(bufio.NewReaderSize(bytes.NewReader(frame), size))
@@ -124,30 +98,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 
 		// Direction 2: arbitrary bytes through both decoders. Must not
-		// panic; on success the encoding must be canonical under the
-		// version the bytes declared.
+		// panic; on success the encoding must be canonical.
 		if dm, err := DecodeMsg(raw); err == nil {
-			var re []byte
-			switch raw[0] {
-			case Version:
-				re = AppendMsg(nil, dm)
-			case VersionV2:
-				if journeyStamped(dm) {
-					t.Fatalf("v2 payload %x decoded with journey stamps: %+v", raw, dm)
-				}
-				re = appendMsgV2(nil, dm)
-			case VersionV1:
-				if dm.Op != 0 {
-					t.Fatalf("v1 payload %x decoded with nonzero op %d", raw, dm.Op)
-				}
-				if journeyStamped(dm) {
-					t.Fatalf("v1 payload %x decoded with journey stamps: %+v", raw, dm)
-				}
-				re = appendMsgV1(nil, dm)
-			default:
-				t.Fatalf("decoder accepted unknown version %d: %x", raw[0], raw)
-			}
-			if !bytes.Equal(re, raw) {
+			if re := AppendMsg(nil, dm); !bytes.Equal(re, raw) {
 				t.Fatalf("non-canonical payload: %x decodes to %+v which re-encodes to %x", raw, dm, re)
 			}
 		}

@@ -416,3 +416,25 @@ func NewLocalCluster(n int) ([]*TCP, error) {
 	}
 	return ts, nil
 }
+
+// LocalTransports brings up n fully connected transports inside one
+// process, endpoint i for node i: the in-memory loopback fabric, or
+// real loopback-TCP sockets (NewLocalCluster).
+func LocalTransports(n int, loopback bool) ([]Transport, error) {
+	ts := make([]Transport, n)
+	if loopback {
+		lnet := NewLoopback(n)
+		for i := range ts {
+			ts[i] = lnet.Transport(i)
+		}
+		return ts, nil
+	}
+	tcps, err := NewLocalCluster(n)
+	if err != nil {
+		return nil, err
+	}
+	for i, t := range tcps {
+		ts[i] = t
+	}
+	return ts, nil
+}

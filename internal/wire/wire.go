@@ -34,23 +34,24 @@
 //
 // # Versioning
 //
-// The current codec is version 3, which added job journey stamps to the
-// two job-record kinds: a JobMove frame carries the sender's send
-// timestamp and each record its origin ingest time (delta-coded against
-// the send stamp), hop count, and accumulated in-flight transfer time;
-// a JobDone carries the same journey fields plus the consuming node's
-// consume timestamp, so the origin can decompose a unit's sojourn into
-// queue-wait / transfer / service components (see internal/serve).
-// Version 2 added the op field: a 64-bit operation id minted by the
-// initiator of a balancing operation and echoed on every message of
+// One version byte (Version) leads every payload, and a payload whose
+// first byte is anything else is a decode error — incompatible peers
+// fail loudly at the first frame rather than corrupting state. There is
+// one layout: when it changes, bump Version.
+//
+// Every message carries the op field: a 64-bit operation id minted by
+// the initiator of a balancing operation and echoed on every message of
 // that operation, so one operation's freeze→collect→transfer→ack→release
 // timeline can be stitched across processes (see internal/obs and
-// internal/cluster). The encoder always emits v3; the strict decoder
-// still accepts v2 payloads (journey fields decode as zero) and v1
-// payloads (additionally Op = 0). On a v2-shaped message — all journey
-// fields zero — the stamps cost exactly 1+3·count bytes on a JobMove
-// and 4 bytes on a JobDone over the v2 encoding, and nothing on any
-// other kind (see TestJourneyFieldOverhead).
+// internal/cluster). The two job-record kinds carry journey stamps: a
+// JobMove frame carries the sender's send timestamp and each record its
+// origin ingest time (delta-coded against the send stamp), hop count,
+// and accumulated in-flight transfer time; a JobDone carries the same
+// journey fields plus the consuming node's consume timestamp, so the
+// origin can decompose a unit's sojourn into queue-wait / transfer /
+// service components (see internal/serve). An unstamped record pays one
+// zero byte per journey field; a fully stamped one stays within 32
+// bytes (see TestJourneyFieldOverhead).
 //
 // Payloads are capped at MaxPayload; a decoder rejects oversized frames
 // before allocating, so a corrupt or adversarial length prefix cannot
@@ -76,24 +77,13 @@ import (
 	"lmbalance/internal/obs"
 )
 
-// Version is the current codec version; it leads every payload so
-// incompatible peers fail loudly at the first frame rather than
-// corrupting state. The decoder additionally accepts VersionV2 and
-// VersionV1.
+// Version is the codec version; it leads every payload so incompatible
+// peers fail loudly at the first frame rather than corrupting state.
+// The decoder accepts no other.
 const Version = 3
 
-// VersionV2 is the previous codec version (op field, no journey
-// stamps). Still decoded — journey fields come back zero, meaning
-// "unstamped record from an old peer" — but never emitted.
-const VersionV2 = 2
-
-// VersionV1 is the legacy codec version (no op field). Still decoded —
-// a v3 node interoperates with frames recorded or sent by v1 peers —
-// but never emitted.
-const VersionV1 = 1
-
 // MaxPayload caps the encoded payload size. The largest legal payload
-// is a v3 JobMove carrying MaxJobsPerMsg records with maximal varints
+// is a JobMove carrying MaxJobsPerMsg records with maximal varints
 // (five per record once journey stamps ride along), which fits with
 // room to spare; anything larger is a framing error.
 const MaxPayload = 8192
@@ -161,8 +151,8 @@ func (k Kind) valid() bool { return k >= 1 && k <= kindMax }
 // migrate with the load they account for. The journey stamps travel
 // with the record: when it ingested at the origin, how many JobMove
 // hops it has taken, and how long it has spent in flight between nodes
-// (accumulated receive−send per hop). A record from a pre-v3 peer
-// carries zeros — "unstamped", not "instantaneous".
+// (accumulated receive−send per hop). All-zero stamps mean
+// "unstamped", not "instantaneous".
 type JobRef struct {
 	Origin     int
 	ID         uint64
@@ -188,7 +178,7 @@ type Msg struct {
 	Job    uint64   // JobDone: origin-local id of the job a unit completed for
 	Jobs   []JobRef // JobMove: records riding the next Transfer on this link
 
-	// Journey stamps (v3). SentNS is the JobMove sender's wall clock at
+	// Journey stamps. SentNS is the JobMove sender's wall clock at
 	// send time, the reference the per-record ingest deltas are coded
 	// against and the receiver's basis for the hop's in-flight time.
 	// The remaining four describe the one unit a JobDone completes.
@@ -222,43 +212,20 @@ func zig(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // AppendMsg appends m's encoded payload (no frame prefix) to buf and
-// returns the extended slice. The current (v3) layout is emitted.
+// returns the extended slice.
 func AppendMsg(buf []byte, m Msg) []byte {
-	return AppendMsgVersion(buf, m, Version)
-}
-
-// AppendMsgVersion encodes m in a specific codec version's layout —
-// for compatibility tests and recorded-history fixtures that need
-// byte-exact old-version frames. Fields a version cannot represent
-// (Op before v2, journey stamps before v3) must be zero for a faithful
-// round trip.
-func AppendMsgVersion(buf []byte, m Msg, version byte) []byte {
-	buf = append(buf, version, byte(m.Kind))
+	buf = append(buf, Version, byte(m.Kind))
 	buf = binary.AppendUvarint(buf, zig(int64(m.From)))
 	buf = binary.AppendUvarint(buf, m.Seq)
-	if version >= VersionV2 {
-		buf = binary.AppendUvarint(buf, m.Op)
-	}
-	return appendExtras(buf, m, version)
+	buf = binary.AppendUvarint(buf, m.Op)
+	return appendExtras(buf, m)
 }
 
-// appendMsgV2 encodes m in the v2 layout (op field, no journey
-// stamps). Kept for the compatibility tests, the fuzz canonicality
-// check, and the bench-wire version comparison.
-func appendMsgV2(buf []byte, m Msg) []byte { return AppendMsgVersion(buf, m, VersionV2) }
-
-// appendMsgV1 encodes m in the legacy v1 layout (no op field). Kept for
-// the compatibility tests, the fuzz canonicality check, and the
-// bench-wire version comparison.
-func appendMsgV1(buf []byte, m Msg) []byte { return AppendMsgVersion(buf, m, VersionV1) }
-
-// appendExtras appends the kind-dependent tail fields for the given
-// codec version. v1 and v2 share one layout; v3 adds the journey
-// stamps to the two job-record kinds. Ingest times are delta-coded
-// against the frame's reference stamp (SentNS on a JobMove, ConsumeNS
-// on a JobDone) so a record freshly stamped with real wall clocks costs
-// a short varint, not nine bytes of unix nanos.
-func appendExtras(buf []byte, m Msg, version byte) []byte {
+// appendExtras appends the kind-dependent tail fields. Ingest times
+// are delta-coded against the frame's reference stamp (SentNS on a
+// JobMove, ConsumeNS on a JobDone) so a record freshly stamped with
+// real wall clocks costs a short varint, not nine bytes of unix nanos.
+func appendExtras(buf []byte, m Msg) []byte {
 	switch m.Kind {
 	case FreezeAck:
 		buf = binary.AppendUvarint(buf, zig(int64(m.Load)))
@@ -273,26 +240,20 @@ func appendExtras(buf []byte, m Msg, version byte) []byte {
 			panic(fmt.Sprintf("wire: JobMove with %d records exceeds MaxJobsPerMsg=%d", len(m.Jobs), MaxJobsPerMsg))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(m.Jobs)))
-		if version >= Version {
-			buf = binary.AppendUvarint(buf, zig(m.SentNS))
-		}
+		buf = binary.AppendUvarint(buf, zig(m.SentNS))
 		for _, j := range m.Jobs {
 			buf = binary.AppendUvarint(buf, zig(int64(j.Origin)))
 			buf = binary.AppendUvarint(buf, j.ID)
-			if version >= Version {
-				buf = binary.AppendUvarint(buf, zig(m.SentNS-j.IngestNS))
-				buf = binary.AppendUvarint(buf, uint64(j.Hops))
-				buf = binary.AppendUvarint(buf, zig(j.TransferNS))
-			}
+			buf = binary.AppendUvarint(buf, zig(m.SentNS-j.IngestNS))
+			buf = binary.AppendUvarint(buf, uint64(j.Hops))
+			buf = binary.AppendUvarint(buf, zig(j.TransferNS))
 		}
 	case JobDone:
 		buf = binary.AppendUvarint(buf, m.Job)
-		if version >= Version {
-			buf = binary.AppendUvarint(buf, zig(m.ConsumeNS))
-			buf = binary.AppendUvarint(buf, zig(m.ConsumeNS-m.IngestNS))
-			buf = binary.AppendUvarint(buf, uint64(m.Hops))
-			buf = binary.AppendUvarint(buf, zig(m.TransferNS))
-		}
+		buf = binary.AppendUvarint(buf, zig(m.ConsumeNS))
+		buf = binary.AppendUvarint(buf, zig(m.ConsumeNS-m.IngestNS))
+		buf = binary.AppendUvarint(buf, uint64(m.Hops))
+		buf = binary.AppendUvarint(buf, zig(m.TransferNS))
 	}
 	return buf
 }
@@ -310,9 +271,7 @@ func AppendFrame(buf []byte, m Msg) []byte {
 
 // DecodeMsg parses one payload. It is strict: version and kind must be
 // known, every varint well-formed (and minimal), and no bytes may trail
-// the message. The current v3 layout, v2 payloads (journey fields
-// decode as zero), and legacy v1 payloads (additionally Op = 0) are all
-// accepted.
+// the message.
 func DecodeMsg(p []byte) (Msg, error) {
 	var m Msg
 	if len(p) > MaxPayload {
@@ -321,8 +280,7 @@ func DecodeMsg(p []byte) (Msg, error) {
 	if len(p) < 2 {
 		return m, fmt.Errorf("wire: payload truncated (%d bytes)", len(p))
 	}
-	version := p[0]
-	if version != Version && version != VersionV2 && version != VersionV1 {
+	if p[0] != Version {
 		return m, fmt.Errorf("wire: unknown version %d", p[0])
 	}
 	m.Kind = Kind(p[1])
@@ -351,10 +309,8 @@ func DecodeMsg(p []byte) (Msg, error) {
 	if m.Seq, err = next(); err != nil {
 		return m, err
 	}
-	if version >= 2 {
-		if m.Op, err = next(); err != nil {
-			return m, err
-		}
+	if m.Op, err = next(); err != nil {
+		return m, err
 	}
 	switch m.Kind {
 	case FreezeAck:
@@ -388,12 +344,10 @@ func DecodeMsg(p []byte) (Msg, error) {
 		if count > MaxJobsPerMsg {
 			return m, fmt.Errorf("wire: JobMove with %d records exceeds max %d", count, MaxJobsPerMsg)
 		}
-		if version >= Version {
-			if v, err = next(); err != nil {
-				return m, err
-			}
-			m.SentNS = unzig(v)
+		if v, err = next(); err != nil {
+			return m, err
 		}
+		m.SentNS = unzig(v)
 		if count > 0 {
 			m.Jobs = make([]JobRef, count)
 			for i := range m.Jobs {
@@ -404,44 +358,40 @@ func DecodeMsg(p []byte) (Msg, error) {
 				if m.Jobs[i].ID, err = next(); err != nil {
 					return m, err
 				}
-				if version >= Version {
-					if v, err = next(); err != nil {
-						return m, err
-					}
-					m.Jobs[i].IngestNS = m.SentNS - unzig(v)
-					if v, err = next(); err != nil {
-						return m, err
-					}
-					m.Jobs[i].Hops = int(v)
-					if v, err = next(); err != nil {
-						return m, err
-					}
-					m.Jobs[i].TransferNS = unzig(v)
+				if v, err = next(); err != nil {
+					return m, err
 				}
+				m.Jobs[i].IngestNS = m.SentNS - unzig(v)
+				if v, err = next(); err != nil {
+					return m, err
+				}
+				m.Jobs[i].Hops = int(v)
+				if v, err = next(); err != nil {
+					return m, err
+				}
+				m.Jobs[i].TransferNS = unzig(v)
 			}
 		}
 	case JobDone:
 		if m.Job, err = next(); err != nil {
 			return m, err
 		}
-		if version >= Version {
-			if v, err = next(); err != nil {
-				return m, err
-			}
-			m.ConsumeNS = unzig(v)
-			if v, err = next(); err != nil {
-				return m, err
-			}
-			m.IngestNS = m.ConsumeNS - unzig(v)
-			if v, err = next(); err != nil {
-				return m, err
-			}
-			m.Hops = int(v)
-			if v, err = next(); err != nil {
-				return m, err
-			}
-			m.TransferNS = unzig(v)
+		if v, err = next(); err != nil {
+			return m, err
 		}
+		m.ConsumeNS = unzig(v)
+		if v, err = next(); err != nil {
+			return m, err
+		}
+		m.IngestNS = m.ConsumeNS - unzig(v)
+		if v, err = next(); err != nil {
+			return m, err
+		}
+		m.Hops = int(v)
+		if v, err = next(); err != nil {
+			return m, err
+		}
+		m.TransferNS = unzig(v)
 	}
 	if len(rest) != 0 {
 		return m, fmt.Errorf("wire: %d trailing bytes after %v payload", len(rest), m.Kind)
