@@ -1,13 +1,19 @@
 GO ?= go
 
-.PHONY: check race bench fuzz experiments
+.PHONY: check fmt race bench fuzz experiments
 
 # Tier-1 gate: everything must pass before a change lands.
-check:
+check: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) race
+
+# Every tracked Go file (bench/ included) must be gofmt-clean; the gate
+# lists the ones that are not and fails.
+fmt:
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Race-detector pass over the concurrent packages and the core they drive
 # (internal/netsim and internal/proto are single-threaded by construction).

@@ -2,15 +2,17 @@
 // artifacts: the tool you point at a recording directory after the
 // cluster — or the incident — is gone. It loads one or many per-node
 // segment rings (a node dir, a parent of node-N dirs, or a
-// snapshot-on-alert artifact), merges the streams, and drives the
-// shadow protocol state machine over them to re-check freeze/ack/
-// transfer legality, packet and job conservation, and the VD
-// trajectory, entirely from disk. It can also reconstruct one
+// snapshot-on-alert artifact) and re-executes each node's stream
+// through the protocol state machine (internal/proto) to check that
+// every recorded send, decision and split is what the machine computes,
+// plus packet and job conservation and the VD trajectory, entirely from
+// disk. It can also reconstruct one
 // balancing operation's cross-node timeline (what /trace used to
 // answer, but post-mortem) and diff two recordings field by field.
 //
 // The exit status is the verdict: 0 for a clean audit, 1 for a failed
-// load, 2 when the replay finds violations or broken conservation —
+// load (a segment from another format version is refused by name), 2
+// when the replay finds divergences or broken conservation —
 // so CI and incident tooling can gate on it without parsing output.
 //
 // Examples:
@@ -241,12 +243,12 @@ func runAudit(w io.Writer, rec *flight.Recording, asJSON bool) (int, error) {
 
 func printAudit(w io.Writer, rec *flight.Recording, audit *flight.AuditResult) {
 	fmt.Fprintf(w, "recording %s: %d node streams\n", rec.Dir, len(rec.Nodes))
-	fmt.Fprintf(w, "  %-5s %8s %8s %9s %9s %8s %8s %7s %6s\n",
-		"node", "events", "sent", "recv", "initiated", "resolved", "aborted", "drops", "torn")
+	fmt.Fprintf(w, "  %-5s %8s %8s %9s %9s %8s %8s %7s %10s %6s\n",
+		"node", "events", "sent", "recv", "initiated", "resolved", "aborted", "drops", "unverified", "torn")
 	for _, na := range audit.Nodes {
-		fmt.Fprintf(w, "  %-5d %8d %8d %9d %9d %8d %8d %7d %6v\n",
+		fmt.Fprintf(w, "  %-5d %8d %8d %9d %9d %8d %8d %7d %10d %6v\n",
 			na.Node, na.Events, na.MsgsSent, na.MsgsRecv,
-			na.Initiated, na.Resolved, na.Aborted, na.Drops, na.Torn)
+			na.Initiated, na.Resolved, na.Aborted, na.Drops, na.Unverified, na.Torn)
 	}
 	if audit.FinalsSeen == len(rec.Nodes) {
 		fmt.Fprintf(w, "conservation: load=%d generated=%d consumed=%d -> %s\n",
@@ -267,10 +269,10 @@ func printAudit(w io.Writer, rec *flight.Recording, audit *flight.AuditResult) {
 			n, float64(audit.SojournQuantile(0.50))/1e6, float64(audit.SojournQuantile(0.99))/1e6)
 	}
 	if len(audit.Violations) == 0 {
-		fmt.Fprintln(w, "legality: clean (no illegal steps)")
+		fmt.Fprintln(w, "legality: clean (every judged record is what the machine computes)")
 		return
 	}
-	fmt.Fprintf(w, "legality: %d violations; first illegal step:\n", len(audit.Violations))
+	fmt.Fprintf(w, "legality: %d violations; first divergence:\n", len(audit.Violations))
 	fmt.Fprintf(w, "  >> %s\n", *audit.First)
 	// Show the remaining violations grouped by rule so a cascade reads
 	// as one fault, not a wall of lines.

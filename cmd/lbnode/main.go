@@ -149,29 +149,29 @@ func main() {
 }
 
 type options struct {
-	spawn         int
-	transport     string
-	id            int
-	listen, peers string
-	f             float64
-	delta, steps  int
-	gen, con      float64
-	hot           int
-	seed          uint64
-	timeout       time.Duration
-	minInitGap    time.Duration
-	pace          cluster.PaceMode
-	paceMaxGap    time.Duration
-	paceMult      float64
-	paceDec       time.Duration
-	quiet         bool
-	debugAddr     string
-	debugPerNode  bool
-	seriesPeriod  time.Duration
-	aggregate     string
-	serveAddr     string
-	stepInterval  time.Duration
-	noBalance     bool
+	spawn          int
+	transport      string
+	id             int
+	listen, peers  string
+	f              float64
+	delta, steps   int
+	gen, con       float64
+	hot            int
+	seed           uint64
+	timeout        time.Duration
+	minInitGap     time.Duration
+	pace           cluster.PaceMode
+	paceMaxGap     time.Duration
+	paceMult       float64
+	paceDec        time.Duration
+	quiet          bool
+	debugAddr      string
+	debugPerNode   bool
+	seriesPeriod   time.Duration
+	aggregate      string
+	serveAddr      string
+	stepInterval   time.Duration
+	noBalance      bool
 	slo            string
 	monitorPeriod  time.Duration
 	scrapeTimeout  time.Duration

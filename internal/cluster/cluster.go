@@ -145,11 +145,13 @@ type Config struct {
 	// transfers, and completed units are reported back per origin
 	// (Complete) — see serve.go. Serve mode requires GenP == 0.
 	Serve *ServeHooks
-	// Flight optionally records the node's protocol decisions into its
-	// black-box flight recorder (see internal/flight) alongside the
-	// frames the recorder's transport tap already captures. The embedder
-	// wraps Transport with Flight.Tap and passes the same recorder here.
-	// Nil disables local-decision recording at ~zero cost.
+	// Flight optionally gives the node a black-box flight recorder (see
+	// internal/flight): the node records each frame it processes, where it
+	// processes it, and its own decisions and ingests; the embedder wraps
+	// Transport with Flight.Tap so the frames it sends are recorded too.
+	// Every record lands in the order the node acted, which is what lets
+	// flight.Audit re-execute the stream. Nil disables recording at ~zero
+	// cost.
 	Flight *flight.Recorder
 }
 
@@ -686,7 +688,7 @@ func (n *Node) initiate() {
 	n.met.initiated.Inc()
 	n.met.traceOp(n.cfg.ID, op, "initiate", "seq=%d delta=%d load=%d", seq, len(n.candBuf), n.m.Load())
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Initiate(op, seq, n.m.Load(), len(n.candBuf))
+		n.cfg.Flight.Initiate(op, seq, n.m.Load(), len(n.candBuf), n.cfg.F)
 	}
 	n.apply(effs)
 }
@@ -818,6 +820,9 @@ func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
 func (n *Node) handle(m wire.Msg) {
 	if m.From < 0 || m.From >= n.cfg.N || m.From == n.cfg.ID {
 		return // not from a cluster member; ignore
+	}
+	if n.cfg.Flight != nil {
+		n.cfg.Flight.RecordRecv(m)
 	}
 	switch m.Kind {
 	case wire.FreezeAck, wire.FreezeBusy:

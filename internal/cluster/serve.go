@@ -132,6 +132,9 @@ func (n *Node) ingestSubmit(s Submit) {
 		n.pushRecord(rec)
 	}
 	n.m.Add(s.Units)
+	if n.cfg.Flight != nil {
+		n.cfg.Flight.Ingest(s.Units)
+	}
 	n.stats.Generated += int64(s.Units)
 	n.stats.Ingested += int64(s.Units)
 	n.met.generated.Add(int64(s.Units))

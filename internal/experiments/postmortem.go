@@ -22,10 +22,12 @@ import (
 // way an operator would meet it:
 //
 //  1. Fidelity — record a full loopback cluster run through transport
-//     taps and decision hooks, replay the segments offline, and require
-//     the shadow audit to reproduce the live accounting bit for bit
-//     (per-node protocol counts, final loads, conservation, per-op
-//     timelines, the VD trajectory) with zero legality violations.
+//     taps and the node's own records, replay the segments offline, and
+//     require the audit — every node's stream re-executed through the
+//     protocol machine, every record judged — to reproduce the live
+//     accounting bit for bit (per-node protocol counts, final loads,
+//     conservation, per-op timelines, the VD trajectory) with zero
+//     divergences.
 //  2. Incident — run a serving cluster under the health monitor with
 //     recorders attached, inject an overload spike, and let the
 //     monitor's snapshot-on-alert hook seal an incident artifact the
@@ -70,7 +72,12 @@ type PMIncident struct {
 	Snapshots     int     // per-node snapshot directories sealed by the hook
 	SnapshotBytes int64
 	Events        int // decoded records in the incident capture
-	Violations    int // protocol legality violations in the capture
+	Violations    int // divergences from the re-executed machine in the capture
+	// Unverified counts the capture's records replay could not judge:
+	// each snapshot's stream starts where its ring had wrapped, possibly
+	// mid-protocol, and is judged from the first record that proves its
+	// node unengaged.
+	Unverified int64
 
 	Completions       int     // completions replayed from the capture
 	OverSLO           int     // of those, over the SLO threshold
@@ -163,6 +170,9 @@ func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 	}
 	for i, na := range audit.Nodes {
 		live := res.Nodes[i]
+		if na.Unverified != 0 {
+			return fmt.Errorf("node %d: %d records of a whole recording unverified", i, na.Unverified)
+		}
 		if na.Initiated != live.Initiated || na.Resolved != live.Completed ||
 			na.Aborted != live.Aborted || na.FreezeExpired != live.FreezeExpired {
 			return fmt.Errorf("node %d protocol counts diverge: replay init=%d res=%d abort=%d vs live %d/%d/%d",
@@ -377,6 +387,9 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	inc.Submitted, inc.Completed = res.Submitted, res.Completed
 	inc.AlertAtMS, inc.Snapshots = at, len(dirs)
 	inc.Violations = len(audit.Violations)
+	for _, na := range audit.Nodes {
+		inc.Unverified += na.Unverified
+	}
 	inc.Completions = len(audit.SojournNS)
 	inc.ReplayP95MS = float64(audit.SojournQuantile(0.95)) / 1e6
 	return nil
@@ -414,9 +427,8 @@ func pmTamper(srcRoot, dst string, t *PMTamper) error {
 	}
 	err = flight.Rewrite(filepath.Join(srcRoot, victim), dst, func(ev flight.Event) flight.Event {
 		if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-			// Three units stolen in transit: shares are base or base+1, so
-			// two could hide in an operation whose initiator held the only
-			// extra (base+1 against base+2); three cannot.
+			// Three units stolen in transit put the acker's share outside
+			// every ±1 split its operation could have dealt.
 			ev.Msg.Amount += 3
 		}
 		return ev
@@ -478,7 +490,7 @@ func (r *PostMortemResult) Render(w io.Writer) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,
-		"offline replay reproduced the live audit bit for bit: %d per-op timelines\n(= every resolved operation), %d-point VD trajectory, zero legality violations.\n",
+		"offline replay reproduced the live audit bit for bit: %d per-op timelines\n(= every resolved operation), %d-point VD trajectory; every record re-executed\nthrough the protocol machine, zero divergences, 0 unverified.\n",
 		b.Timelines, b.VDPoints); err != nil {
 		return err
 	}
@@ -495,8 +507,8 @@ func (r *PostMortemResult) Render(w io.Writer) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,
-		"replaying the snapshots alone (live cluster gone): %d legality violations —\nthe protocol stayed correct under overload; the incident is pure queueing.\n%d of %d replayed completions exceeded the %.0fms SLO (offline p95 %.1fms).\nfirst degraded transition: job %d on node %d, sojourn %.1fms, %.0fms into the capture.\n",
-		inc.Violations, inc.OverSLO, inc.Completions, inc.SLO.Threshold*1e3, inc.ReplayP95MS,
+		"replaying the snapshots alone (live cluster gone): %d legality violations, %d of\n%d records unverified (judged from each stream's first record proving its\nnode unengaged) — the protocol stayed correct under overload; the incident\nis pure queueing.\n%d of %d replayed completions exceeded the %.0fms SLO (offline p95 %.1fms).\nfirst degraded transition: job %d on node %d, sojourn %.1fms, %.0fms into the capture.\n",
+		inc.Violations, inc.Unverified, inc.Events, inc.OverSLO, inc.Completions, inc.SLO.Threshold*1e3, inc.ReplayP95MS,
 		inc.DegradedJob, inc.DegradedNode, inc.DegradedSojournMS, inc.DegradedAtMS); err != nil {
 		return err
 	}
@@ -506,7 +518,7 @@ func (r *PostMortemResult) Render(w io.Writer) error {
 		return err
 	}
 	_, err := fmt.Fprintf(w,
-		"audit verdict: node %d event %d flagged %s (%s) —\nthe recording cannot be edited without the shadow machine noticing.\n",
+		"audit verdict: node %d event %d flagged %s (%s) —\nthe recording cannot be edited without the re-executed machine noticing.\n",
 		t.Node, t.Index, t.Rule, t.Detail)
 	return err
 }

@@ -52,10 +52,10 @@ func recordRun(t *testing.T, cfg cluster.ClusterConfig) (string, *cluster.Result
 
 // TestReplayReproducesLiveRun is the acceptance check for the flight
 // recorder: record a whole loopback cluster run through transport taps
-// and protocol hooks, then replay the recording offline and require the
-// shadow audit to reproduce the live run's accounting bit for bit —
-// conservation, per-node protocol counts, final loads — with zero
-// legality violations.
+// and the node's own records, then re-execute the recording offline and
+// require the audit to reproduce the live run's accounting bit for bit —
+// conservation, per-node protocol counts, final loads — with every record
+// judged and zero divergences.
 func TestReplayReproducesLiveRun(t *testing.T) {
 	const n = 4
 	root, res := recordRun(t, cluster.ClusterConfig{N: n, Delta: 2, F: 2, Steps: 400, Seed: 42})
@@ -105,10 +105,15 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 			t.Errorf("node %d frames sent: replay %d live %d", i, na.MsgsSent, live.MsgsSent)
 		}
 		// Receives recorded ≤ transport count: frames still queued in the
-		// inner inbox at close were counted by the transport but never
-		// delivered, so the node could not have acted on them.
+		// inbox at close were counted by the transport but never
+		// processed, so the node recorded none of them.
 		if na.MsgsRecv > live.MsgsRecv {
 			t.Errorf("node %d frames recv: replay %d > live %d", i, na.MsgsRecv, live.MsgsRecv)
+		}
+		// A whole recording starts with the node unengaged: replay judges
+		// every record of it.
+		if na.Unverified != 0 {
+			t.Errorf("node %d: %d records unverified in a whole recording", i, na.Unverified)
 		}
 	}
 	if audit.TotalLoad != res.TotalLoad() {

@@ -6,17 +6,18 @@
 // but when an alert fires, the evidence behind it is already gone: the
 // trace ring has wrapped and the monitor deliberately scrapes metrics
 // only, because full trace scrapes perturb the watched cluster. This
-// package closes the forensic gap. A Recorder taps every frame a node
-// sends or receives (as wire.Transport middleware) plus the node's own
-// protocol decisions (initiate, resolve, abort, freeze expiry, pace
-// backoff, serving completions, final accounting) into a bounded
-// on-disk ring of binary segments. Replay loads those segments —
-// possibly long after the process died — merges the per-node streams
-// on their wall stamps, and drives a shadow protocol state machine per
-// node that re-checks the paper's invariants offline: freeze/ack/
-// transfer legality, the ±1 post-balance share bound, epoch
-// monotonicity, packet and job conservation, and the VD trajectory —
-// flagging the first illegal step with its position in the recording.
+// package closes the forensic gap. A Recorder takes every frame a node
+// sends (a Tap, as wire.Transport middleware), every frame it processes
+// and its own decisions (initiate, resolve, abort, freeze expiry,
+// ingest, pace backoff, serving completions, final accounting), all in
+// the order the node acted, into a bounded on-disk ring of binary
+// segments. Audit loads those segments — possibly long after the
+// process died — and re-executes each node's stream through a real
+// proto.Machine: every recorded send and decision must be the effect
+// the machine recomputes, and every split must be the ±1 share of the
+// total it balanced. The first record where the recording and the
+// machine part is flagged with its position in the recording; packet
+// and job conservation and the VD trajectory are re-derived alongside.
 //
 // # Segment format
 //
@@ -34,26 +35,27 @@
 // (the header reference for the first record) and tail depends on dir:
 //
 //	DirSend  uvarint(zig(peer)) wire-payload     frame this node sent
-//	DirRecv  wire-payload                        frame delivered to it
+//	DirRecv  wire-payload                        frame it processed, recorded
+//	                                             as it began to act on it
 //	DirLocal kind(1B) uvarint(op) uvarint(n) n×uvarint(zig(arg))
 //
-// Wire payloads reuse the existing length-prefixed codec verbatim
-// (wire.AppendMsg / wire.DecodeMsg), so a recording decodes with the
-// same strictness as the wire itself; the header's codec byte names the
-// wire.Version they were recorded under, and the reader refuses any
-// other. Local events are a forward-
-// compatible kind + arg-count encoding: a reader that knows fewer args
-// than the writer wrote still decodes the record.
+// The header's format byte is FormatVersion (2); the reader refuses any
+// other by name. Wire payloads reuse the existing length-prefixed codec
+// verbatim (wire.AppendMsg / wire.DecodeMsg), so a recording decodes
+// with the same strictness as the wire itself; the header's codec byte
+// names the wire.Version they were recorded under, and the reader
+// refuses any other. Local events are a forward-compatible kind +
+// arg-count encoding: a reader that knows fewer args than the writer
+// wrote still decodes the record.
 //
 // Writes are lock-free on the hot path: the caller encodes into a
 // pooled buffer and hands it to a buffered channel; a single writer
 // goroutine does all file I/O. When the channel is full the record is
 // dropped and counted — the writer then journals the gap into the
-// stream as a LocalDrops record, so the auditor can see (and degrade
-// around) missing evidence instead of silently trusting a hole.
-// index.jsonl is an append-only cache of sealed-segment metadata;
-// replay never requires it (the reader scans the directory), so a
-// crash that loses the index loses nothing.
+// stream as a LocalDrops record at the hole's exact position, so the
+// auditor can see (and degrade around) missing evidence instead of
+// silently trusting a hole. The reader needs nothing but the segment
+// files: it scans the directory.
 //
 // # Snapshots
 //
@@ -64,7 +66,10 @@
 // behind (see cmd/lbnode).
 package flight
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dir says which way a recorded frame moved (or that the record is a
 // local decision, not a frame).
@@ -73,20 +78,15 @@ type Dir uint8
 const (
 	// DirSend is a frame this node put on the wire.
 	DirSend Dir = 1
-	// DirRecv is a frame delivered to this node.
+	// DirRecv is a frame this node processed.
 	DirRecv Dir = 2
 	// DirLocal is a local protocol decision (no frame).
 	DirLocal Dir = 3
 )
 
 func (d Dir) String() string {
-	switch d {
-	case DirSend:
-		return "send"
-	case DirRecv:
-		return "recv"
-	case DirLocal:
-		return "local"
+	if names := [...]string{DirSend: "send", DirRecv: "recv", DirLocal: "local"}; d > 0 && int(d) < len(names) {
+		return names[d]
 	}
 	return fmt.Sprintf("Dir(%d)", uint8(d))
 }
@@ -96,7 +96,8 @@ type LocalKind uint8
 
 // The local record kinds and their argument layouts (see Args):
 //
-//	LocalInitiate      op; args = seq, load, partners
+//	LocalInitiate      op; args = seq, load, partners,
+//	                          trigger factor f as math.Float64bits
 //	LocalAbort         op; args = seq, load, reason code
 //	LocalFreezeExpired op; args = freezer id
 //	LocalPaceBackoff   args = gap µs
@@ -106,6 +107,7 @@ type LocalKind uint8
 //	LocalFinal         args = load, generated, consumed, ingested,
 //	                          units done, records held
 //	LocalDrops         args = records dropped since the last record
+//	LocalIngest        args = units of client work added to the load
 const (
 	LocalInitiate LocalKind = 1 + iota
 	LocalAbort
@@ -115,6 +117,7 @@ const (
 	LocalComplete
 	LocalFinal
 	LocalDrops
+	LocalIngest
 )
 
 var localNames = [...]string{
@@ -126,6 +129,7 @@ var localNames = [...]string{
 	LocalComplete:      "complete",
 	LocalFinal:         "final",
 	LocalDrops:         "drops",
+	LocalIngest:        "ingest",
 }
 
 func (k LocalKind) String() string {
@@ -135,34 +139,25 @@ func (k LocalKind) String() string {
 	return fmt.Sprintf("LocalKind(%d)", uint8(k))
 }
 
-// Abort reason codes, the compact on-disk form of the cluster's abort
-// reason labels. Codes are stable; AbortCode maps an unknown label to
-// 0 and AbortReason maps an unknown code to "unknown", so recordings
-// survive new reasons in either direction.
+// abortLabels[code] is the cluster's abort reason label for an on-disk
+// abort code. Codes are stable; AbortCode maps an unknown label to 0 and
+// AbortReason maps an unknown code to "unknown", so recordings survive
+// new reasons in either direction.
+var abortLabels = [...]string{"unknown", "peer_frozen", "timeout", "stale_epoch", "link_down"}
+
 const (
 	abortUnknown    = 0
 	abortPeerFrozen = 1
 	abortTimeout    = 2
-	abortStaleEpoch = 3
-	abortLinkDown   = 4
 )
 
-var abortLabels = map[string]int64{
-	"peer_frozen": abortPeerFrozen,
-	"timeout":     abortTimeout,
-	"stale_epoch": abortStaleEpoch,
-	"link_down":   abortLinkDown,
-}
-
 // AbortCode returns the on-disk code for an abort reason label.
-func AbortCode(reason string) int64 { return abortLabels[reason] }
+func AbortCode(reason string) int64 { return int64(max(0, slices.Index(abortLabels[:], reason))) }
 
 // AbortReason returns the label for an on-disk abort code.
 func AbortReason(code int64) string {
-	for label, c := range abortLabels {
-		if c == code {
-			return label
-		}
+	if code < 0 || code >= int64(len(abortLabels)) {
+		code = abortUnknown
 	}
-	return "unknown"
+	return abortLabels[code]
 }

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,7 +119,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	msg := wire.Msg{Kind: wire.Transfer, From: 2, Seq: 4, Op: 11, Amount: -3}
 	rec.RecordSend(0, msg)
 	rec.RecordRecv(wire.Msg{Kind: wire.Release, From: 0, Seq: 4, Op: 11})
-	rec.Initiate(11, 4, 9, 2)
+	rec.Initiate(11, 4, 9, 2, 1.5)
 	rec.Final(5, 100, 95, 0, 0, 0)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	// Nil recorder: every method is a no-op.
 	var nilRec *Recorder
 	nilRec.RecordSend(0, msg)
-	nilRec.Initiate(1, 1, 1, 1)
+	nilRec.Initiate(1, 1, 1, 1, 1.5)
 	if nilRec.Tap(nil) != nil {
 		t.Fatal("nil recorder Tap must pass the transport through")
 	}
@@ -206,15 +207,6 @@ func TestRecorderRotationAndRingTrim(t *testing.T) {
 	}
 	if prev != 19999 {
 		t.Fatalf("last surviving event is %d, want 19999", prev)
-	}
-	// index.jsonl exists and has one line per sealed segment (minus
-	// evicted ones — it is append-only, so at least the sealed count).
-	idx, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(idx), "\n"); int64(lines) != rec.sealed.Value() {
-		t.Fatalf("index has %d lines, sealed %d segments", lines, rec.sealed.Value())
 	}
 }
 
@@ -324,6 +316,44 @@ func TestOldCodecSegmentRejected(t *testing.T) {
 	}
 }
 
+// TestOldFormatSegmentRejected: a container-v1 segment recorded receives
+// ahead of processing and cannot be re-executed, so it is refused by name
+// before any record is decoded; a v2 segment from WriteDir round-trips.
+func TestOldFormatSegmentRejected(t *testing.T) {
+	old := t.TempDir()
+	seg := appendHeader(nil, segHeader{node: 0, wallRefNS: 1000, codec: wire.Version})
+	seg[len(magic)] = 1
+	seg = append(seg, "not a record"...) // never reached
+	if err := os.WriteFile(filepath.Join(old, segName(0)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadDir(old)
+	if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "v2") {
+		t.Fatalf("format-1 segment: err = %v, want one naming v1 and v2", err)
+	}
+
+	dir := t.TempDir()
+	events := []Event{
+		{WallNS: 7, Dir: DirLocal, Peer: -1, Kind: LocalIngest, Args: []int64{3}},
+		{WallNS: 8, Dir: DirRecv, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeReq, From: 2, Seq: 4, Op: 6}},
+		{WallNS: 9, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeAck, From: 0, Seq: 4, Op: 6, Load: 3}},
+	}
+	if err := WriteDir(dir, 0, events); err != nil {
+		t.Fatal(err)
+	}
+	nr, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range nr.Events {
+		want := events[i]
+		if ev.WallNS != want.WallNS || ev.Dir != want.Dir || ev.Peer != want.Peer || !ev.Msg.Equal(want.Msg) ||
+			ev.Kind != want.Kind || fmt.Sprint(ev.Args) != fmt.Sprint(want.Args) {
+			t.Fatalf("event %d round-tripped to %+v, want %+v", i, ev, want)
+		}
+	}
+}
+
 func TestSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	rec, err := Open(Options{Dir: dir, Node: 4})
@@ -332,7 +362,7 @@ func TestSnapshot(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rec.Register(reg)
-	rec.Initiate(9, 1, 3, 1)
+	rec.Initiate(9, 1, 3, 1, 1.5)
 	snap, err := rec.Snapshot("slo alert: p99 burn")
 	if err != nil {
 		t.Fatal(err)
@@ -425,107 +455,209 @@ func mustLoad(t *testing.T, dir string) []*NodeRecording {
 	return []*NodeRecording{nr}
 }
 
-func TestShadowMachineRules(t *testing.T) {
-	cases := []struct {
-		name string
-		rule string
-		evs  []Event
-	}{
-		{"busy while free", "busy_while_free", []Event{
-			{WallNS: 1, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeBusy, From: 0, Seq: 3, Op: 9}},
-		}},
-		{"ack while frozen", "ack_while_frozen", []Event{
-			{WallNS: 1, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeAck, From: 0, Seq: 3, Op: 9, Load: 2}},
-			{WallNS: 2, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeAck, From: 0, Seq: 8, Op: 10, Load: 2}},
-		}},
-		{"transfer to unacked peer", "transfer_to_unacked", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 1}},
-			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
-			{WallNS: 3, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
-			{WallNS: 4, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 9, Amount: 2}},
-		}},
-		{"transfer to the partner that answered busy", "transfer_to_unacked", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 2}},
-			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
-			{WallNS: 3, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeBusy, From: 2, Seq: 1, Op: 9}},
-			{WallNS: 4, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
-			{WallNS: 5, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 9, Amount: 2}},
-		}},
-		{"resolve over more partners than acked", "resolve_partner_mismatch", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 2}},
-			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
-			{WallNS: 3, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 2}},
-		}},
-		{"last-reply resolve drops a partner that acked", "resolve_partner_mismatch", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 2}},
-			{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 2}},
-			{WallNS: 3, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 2, Seq: 1, Op: 9, Load: 2}},
-			{WallNS: 4, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
-		}},
-		{"seq regression", "seq_regressed", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{5, 6, 1}},
-			{WallNS: 2, Dir: DirLocal, Kind: LocalAbort, Op: 9, Args: []int64{5, 6, abortTimeout}},
-			{WallNS: 3, Dir: DirLocal, Kind: LocalInitiate, Op: 10, Args: []int64{4, 6, 1}},
-		}},
-		{"initiate while inflight", "initiate_while_inflight", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 6, 1}},
-			{WallNS: 2, Dir: DirLocal, Kind: LocalInitiate, Op: 10, Args: []int64{2, 6, 1}},
-		}},
-		{"freeze expiry while free", "freeze_expiry_while_free", []Event{
-			{WallNS: 1, Dir: DirLocal, Kind: LocalFreezeExpired, Op: 9, Args: []int64{1}},
-		}},
-		{"bye contradicts final", "bye_mismatch", []Event{
-			{WallNS: 1, Dir: DirSend, Peer: 0, Msg: wire.Msg{Kind: wire.Bye, From: 1, Load: 5}},
-			{WallNS: 2, Dir: DirLocal, Kind: LocalFinal, Args: []int64{6, 6, 0, 0, 0, 0}},
-		}},
-	}
+// Shorthands for hand-written streams; the runner stamps WallNS.
+func sent(to int, k wire.Kind, seq, op uint64, load, amount int) Event {
+	return Event{Dir: DirSend, Peer: to, Msg: wire.Msg{Kind: k, From: 0, Seq: seq, Op: op, Load: load, Amount: amount}}
+}
+
+func got(from int, k wire.Kind, seq, op uint64, load, amount int) Event {
+	return Event{Dir: DirRecv, Msg: wire.Msg{Kind: k, From: from, Seq: seq, Op: op, Load: load, Amount: amount}}
+}
+
+func local(k LocalKind, op uint64, args ...int64) Event {
+	return Event{Dir: DirLocal, Kind: k, Op: op, Args: args}
+}
+
+// divergence is one hand-written stream and where its audit must first
+// part from the re-executed machine.
+type divergence struct {
+	name  string
+	index int
+	rule  string
+	evs   []Event
+}
+
+func checkDivergences(t *testing.T, cases []divergence) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			for i := range tc.evs {
+				tc.evs[i].WallNS = int64(i + 1)
+			}
 			dir := t.TempDir()
 			if err := WriteDir(dir, 0, tc.evs); err != nil {
 				t.Fatal(err)
 			}
 			res := Audit(&Recording{Nodes: mustLoad(t, dir)})
-			found := false
-			for _, v := range res.Violations {
-				if v.Rule == tc.rule {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("rule %s not flagged; got %v", tc.rule, res.Violations)
+			if res.First == nil || res.First.Rule != tc.rule || res.First.Index != tc.index {
+				t.Fatalf("want %s at event %d; got %v", tc.rule, tc.index, res.Violations)
 			}
 		})
 	}
 }
 
+// TestShadowMachineRules: illegal steps a driver could record, each
+// caught where the recording parts from the machine replaying it.
+// Streams open with a record that proves the node unengaged (its own
+// initiate, or a FreezeReq it acks), since replay judges nothing before.
+func TestShadowMachineRules(t *testing.T) {
+	const op, seq = 9, 1
+	checkDivergences(t, []divergence{
+		{"busy while free", 4, "diverged", []Event{
+			got(1, wire.FreezeReq, 3, op, 0, 0),
+			sent(1, wire.FreezeAck, 3, op, 2, 0),
+			got(1, wire.Transfer, 3, op, 0, 1),
+			got(2, wire.FreezeReq, 8, 10, 0, 0),
+			sent(2, wire.FreezeBusy, 8, 10, 0, 0), // free: the machine acks
+		}},
+		{"ack while frozen", 3, "diverged", []Event{
+			got(1, wire.FreezeReq, 3, op, 0, 0),
+			sent(1, wire.FreezeAck, 3, op, 2, 0),
+			got(2, wire.FreezeReq, 8, 10, 0, 0),
+			sent(2, wire.FreezeAck, 8, 10, 2, 0), // frozen: the machine is busy
+		}},
+		{"transfer to unacked peer", 4, "transfer_to_unacked", []Event{
+			local(LocalInitiate, op, seq, 6, 1),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			local(LocalResolve, op, seq, 4, 1),
+			sent(2, wire.Transfer, seq, op, 0, 2),
+		}},
+		{"transfer to the partner that answered busy", 6, "transfer_to_unacked", []Event{
+			local(LocalInitiate, op, seq, 6, 2),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			got(2, wire.FreezeBusy, seq, op, 0, 0),
+			local(LocalResolve, op, seq, 4, 1),
+			sent(2, wire.Transfer, seq, op, 0, 2),
+		}},
+		{"resolve over more partners than acked", 4, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 2),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			local(LocalResolve, op, seq, 4, 2),
+		}},
+		{"last-reply resolve drops a partner that acked", 5, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 2),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			got(2, wire.FreezeAck, seq, op, 2, 0),
+			local(LocalResolve, op, seq, 4, 1),
+		}},
+		{"seq regression", 3, "diverged", []Event{
+			local(LocalInitiate, op, 5, 6, 1),
+			sent(1, wire.FreezeReq, 5, op, 0, 0),
+			local(LocalAbort, op, 5, 6, abortTimeout),
+			local(LocalInitiate, 10, 4, 6, 1),
+			sent(1, wire.FreezeReq, 4, 10, 0, 0),
+		}},
+		{"initiate while inflight", 2, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 1),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			local(LocalInitiate, 10, 2, 6, 1),
+			sent(1, wire.FreezeReq, 2, 10, 0, 0),
+		}},
+		{"freeze expiry while free", 3, "diverged", []Event{
+			got(1, wire.FreezeReq, 3, op, 0, 0),
+			sent(1, wire.FreezeAck, 3, op, 2, 0),
+			got(1, wire.Transfer, 3, op, 0, 0),
+			local(LocalFreezeExpired, op, 1),
+		}},
+		{"bye contradicts final", 1, "bye_mismatch", []Event{
+			sent(0, wire.Bye, 0, 0, 5, 0),
+			local(LocalFinal, 0, 6, 6, 0, 0, 0, 0),
+		}},
+	})
+}
+
+// TestAuditDivergences: steps that are each legal on their own but are
+// not what the machine computes — the divergences only re-execution sees.
+func TestAuditDivergences(t *testing.T) {
+	const op, seq = 1, 1
+	two := int64(math.Float64bits(2))
+	checkDivergences(t, []divergence{
+		{"initiator keeps an extra the total does not have", 3, "imbalance_violation", []Event{
+			local(LocalInitiate, op, seq, 7, 1),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 3, 0),
+			local(LocalResolve, op, seq, 6, 1),
+		}},
+		{"an ingest missing from the stream", 3, "imbalance_violation", []Event{
+			local(LocalInitiate, op, seq, 6, 1),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			local(LocalResolve, op, seq, 5, 1), // 5 of 10: an unrecorded +2
+		}},
+		{"transfers out of acker order", 6, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 2),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(2, wire.FreezeAck, seq, op, 3, 0),
+			got(1, wire.FreezeAck, seq, op, 3, 0),
+			local(LocalResolve, op, seq, 4, 2),
+			sent(1, wire.Transfer, seq, op, 0, 1), // the machine pays 2 first
+		}},
+		{"abort while an ack stands", 5, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 2),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			got(2, wire.FreezeBusy, seq, op, 0, 0),
+			local(LocalAbort, op, seq, 6, abortPeerFrozen),
+		}},
+		{"one acker under f=2 cannot balance", 5, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 2, two),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			got(2, wire.FreezeBusy, seq, op, 0, 0),
+			local(LocalResolve, op, seq, 4, 1),
+		}},
+		{"the Release an abort owes is missing", 6, "diverged", []Event{
+			local(LocalInitiate, op, seq, 6, 2, two),
+			sent(1, wire.FreezeReq, seq, op, 0, 0),
+			sent(2, wire.FreezeReq, seq, op, 0, 0),
+			got(1, wire.FreezeAck, seq, op, 2, 0),
+			got(2, wire.FreezeBusy, seq, op, 0, 0),
+			local(LocalAbort, op, seq, 6, abortPeerFrozen),
+			local(LocalInitiate, 2, 2, 6, 1, two),
+		}},
+	})
+}
+
 // TestPartialOperationsAuditClean: an operation over fewer partners than
 // it asked — one answered Busy, or stayed silent past the reply timeout —
-// is legal, its zero-delta transfer draws no TransferAck, and an ack the
-// pump recorded ahead of a timeout-ended resolve is answered with a
-// Release. None of it is a violation.
+// is legal, its zero-delta transfer draws no TransferAck, and an ack that
+// arrives after the timeout ended its collect draws a Release. None of it
+// is a divergence.
 func TestPartialOperationsAuditClean(t *testing.T) {
 	evs := []Event{
 		// Partner 1 acks with our own load, partner 2 is busy: balance with 1.
-		{WallNS: 1, Dir: DirLocal, Kind: LocalInitiate, Op: 9, Args: []int64{1, 4, 2}},
-		{WallNS: 2, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 9}},
-		{WallNS: 3, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 9}},
-		{WallNS: 4, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 9, Load: 4}},
-		{WallNS: 5, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeBusy, From: 2, Seq: 1, Op: 9}},
-		{WallNS: 6, Dir: DirLocal, Kind: LocalResolve, Op: 9, Args: []int64{1, 4, 1}},
-		{WallNS: 7, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 9, Amount: 0}},
-		// No TransferAck follows. Next: partner 1 acks, partner 2's ack is on
-		// record before the timeout-ended resolve that left it out.
-		{WallNS: 8, Dir: DirLocal, Kind: LocalInitiate, Op: 10, Args: []int64{2, 4, 2}},
-		{WallNS: 9, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 2, Op: 10}},
-		{WallNS: 10, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 2, Op: 10}},
-		{WallNS: 11, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 2, Op: 10, Load: 10}},
-		{WallNS: 12, Dir: DirRecv, Msg: wire.Msg{Kind: wire.FreezeAck, From: 2, Seq: 2, Op: 10, Load: 1}},
-		{WallNS: 13, Dir: DirLocal, Kind: LocalResolve, Op: 10, Args: []int64{2, 7, 1, 1}},
-		{WallNS: 14, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 2, Op: 10, Amount: -3}},
-		{WallNS: 15, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.Release, From: 0, Seq: 2, Op: 10}},
-		{WallNS: 16, Dir: DirRecv, Msg: wire.Msg{Kind: wire.TransferAck, From: 1, Seq: 2, Op: 10}},
-		{WallNS: 17, Dir: DirLocal, Kind: LocalInitiate, Op: 11, Args: []int64{4, 7, 2}},
+		local(LocalInitiate, 9, 1, 4, 2),
+		sent(1, wire.FreezeReq, 1, 9, 0, 0),
+		sent(2, wire.FreezeReq, 1, 9, 0, 0),
+		got(1, wire.FreezeAck, 1, 9, 4, 0),
+		got(2, wire.FreezeBusy, 1, 9, 0, 0),
+		local(LocalResolve, 9, 1, 4, 1),
+		sent(1, wire.Transfer, 1, 9, 0, 0),
+		// No TransferAck follows. Next: partner 1 acks, the timeout ends the
+		// collect, and partner 2's ack lands after it.
+		local(LocalInitiate, 10, 2, 4, 2),
+		sent(1, wire.FreezeReq, 2, 10, 0, 0),
+		sent(2, wire.FreezeReq, 2, 10, 0, 0),
+		got(1, wire.FreezeAck, 2, 10, 10, 0),
+		local(LocalResolve, 10, 2, 7, 1, 1),
+		sent(1, wire.Transfer, 2, 10, 0, -3),
+		got(2, wire.FreezeAck, 2, 10, 1, 0),
+		sent(2, wire.Release, 2, 10, 0, 0),
+		got(1, wire.TransferAck, 2, 10, 0, 0),
+		local(LocalInitiate, 11, 4, 7, 2),
+	}
+	for i := range evs {
+		evs[i].WallNS = int64(i + 1)
 	}
 	dir := t.TempDir()
 	if err := WriteDir(dir, 0, evs); err != nil {
@@ -535,33 +667,9 @@ func TestPartialOperationsAuditClean(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatalf("partial operations flagged as violations: %v", res.Violations)
 	}
-	if a := res.Nodes[0]; a.Initiated != 3 || a.Resolved != 2 || a.Aborted != 0 {
-		t.Fatalf("replayed %d initiated, %d resolved, %d aborted; want 3, 2, 0", a.Initiated, a.Resolved, a.Aborted)
-	}
-}
-
-func TestPendingClearToleratesRecvSkew(t *testing.T) {
-	// The tap's pump records a Release before the node processes it, so
-	// node actions taken while still frozen may follow the Release in
-	// the stream. None of these is a violation.
-	evs := []Event{
-		// Frozen by node 2.
-		{WallNS: 1, Dir: DirSend, Peer: 2, Msg: wire.Msg{Kind: wire.FreezeAck, From: 0, Seq: 7, Op: 9, Load: 3}},
-		// Release recorded early by the pump...
-		{WallNS: 2, Dir: DirRecv, Msg: wire.Msg{Kind: wire.Release, From: 2, Seq: 7, Op: 9}},
-		// ...while the node, not yet aware, still answers busy.
-		{WallNS: 3, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeBusy, From: 0, Seq: 4, Op: 11}},
-		// Node finally processes the release, freezes for the next
-		// requester — the pending clear applies here.
-		{WallNS: 4, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeAck, From: 0, Seq: 4, Op: 11, Load: 3}},
-	}
-	dir := t.TempDir()
-	if err := WriteDir(dir, 0, evs); err != nil {
-		t.Fatal(err)
-	}
-	res := Audit(&Recording{Nodes: mustLoad(t, dir)})
-	if len(res.Violations) != 0 {
-		t.Fatalf("recv skew flagged as violations: %v", res.Violations)
+	if a := res.Nodes[0]; a.Initiated != 3 || a.Resolved != 2 || a.Aborted != 0 || a.Unverified != 0 {
+		t.Fatalf("replayed %d initiated, %d resolved, %d aborted, %d unverified; want 3, 2, 0, 0",
+			a.Initiated, a.Resolved, a.Aborted, a.Unverified)
 	}
 }
 
@@ -584,11 +692,12 @@ func TestDropsAreJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nr.Dropped == 0 {
+	dropped := Audit(&Recording{Nodes: []*NodeRecording{nr}}).Nodes[0].Drops
+	if dropped == 0 {
 		t.Fatal("drops happened but none journaled in the stream")
 	}
-	if nr.Dropped+int64(len(nr.Events))-countKind(nr, LocalDrops) != 50000 {
-		t.Fatalf("journal doesn't account for the gap: dropped=%d events=%d", nr.Dropped, len(nr.Events))
+	if dropped+int64(len(nr.Events))-countKind(nr, LocalDrops) != 50000 {
+		t.Fatalf("journal doesn't account for the gap: dropped=%d events=%d", dropped, len(nr.Events))
 	}
 }
 

@@ -8,11 +8,15 @@ import (
 )
 
 // FormatVersion is the segment container version. It versions the
-// header and record framing only; the header's codec byte says which
-// wire codec the embedded payloads were recorded under, and the reader
-// refuses a segment whose codec is not wire.Version before decoding a
-// record.
-const FormatVersion = 1
+// header, the record framing and what a stream holds: since version 2 a
+// node records each received frame where it processes it, its ingests,
+// and the trigger factor on every initiate — what re-executing the
+// stream needs. Version 1 streams recorded receives ahead of processing
+// and cannot be re-executed, so the reader refuses them by name. The
+// header's codec byte says which wire codec the embedded payloads were
+// recorded under, and the reader refuses a segment whose codec is not
+// wire.Version before decoding a record.
+const FormatVersion = 2
 
 // magic leads every segment file.
 var magic = [4]byte{'L', 'B', 'F', 'R'}
@@ -87,35 +91,22 @@ func decodeHeader(p []byte) (segHeader, int, error) {
 		return h, 0, fmt.Errorf("flight: bad segment magic %q", p[:4])
 	}
 	if p[4] != FormatVersion {
-		return h, 0, fmt.Errorf("flight: unknown segment format %d", p[4])
+		return h, 0, fmt.Errorf("flight: segment format v%d, this reader decodes only v%d", p[4], FormatVersion)
 	}
-	off := 5
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(p[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("flight: truncated segment header")
+	off := len(magic) + 1
+	var v [3]uint64 // node, segseq, wallRefNS
+	for k := range v {
+		var n int
+		if v[k], n = binary.Uvarint(p[off:]); n <= 0 {
+			return h, 0, fmt.Errorf("flight: truncated segment header")
 		}
 		off += n
-		return v, nil
 	}
-	v, err := next()
-	if err != nil {
-		return h, 0, err
-	}
-	h.node = int(unzig(v))
-	if h.seq, err = next(); err != nil {
-		return h, 0, err
-	}
-	if v, err = next(); err != nil {
-		return h, 0, err
-	}
-	h.wallRefNS = unzig(v)
 	if off >= len(p) {
 		return h, 0, fmt.Errorf("flight: truncated segment header")
 	}
-	h.codec = p[off]
-	off++
-	return h, off, nil
+	h = segHeader{node: int(unzig(v[0])), seq: v[1], wallRefNS: unzig(v[2]), codec: p[off]}
+	return h, off + 1, nil
 }
 
 // appendTailSend encodes a DirSend tail: destination peer + payload.

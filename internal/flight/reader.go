@@ -1,10 +1,12 @@
 package flight
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"lmbalance/internal/wire"
@@ -20,9 +22,6 @@ type NodeRecording struct {
 	// recorder was killed between buffered writes. Everything before
 	// the tear decoded cleanly.
 	Torn bool
-	// Dropped is the total of LocalDrops gaps journaled in the stream:
-	// records the recorder had to discard under backpressure.
-	Dropped int64
 }
 
 // Recording is a set of node streams loaded from one directory tree.
@@ -54,9 +53,6 @@ func LoadDir(dir string) (*NodeRecording, error) {
 	}
 	for i := range nr.Events {
 		nr.Events[i].Seq = i
-		if nr.Events[i].Dir == DirLocal && nr.Events[i].Kind == LocalDrops {
-			nr.Dropped += nr.Events[i].Arg(0)
-		}
 	}
 	return nr, nil
 }
@@ -156,9 +152,9 @@ func LoadTree(root string) (*Recording, error) {
 
 // Merge interleaves every node's events into one globally ordered
 // stream on (wall stamp, node, per-node seq). Wall clocks across real
-// machines are not perfectly synchronized; the shadow auditor
-// therefore never relies on cross-node order for legality — merge
-// order is for human timelines.
+// machines are not perfectly synchronized; Audit therefore replays each
+// node's stream on its own, in the order the node processed it, and
+// never relies on cross-node order — merge order is for human timelines.
 func (r *Recording) Merge() []Event {
 	var total int
 	for _, nr := range r.Nodes {
@@ -168,26 +164,10 @@ func (r *Recording) Merge() []Event {
 	for _, nr := range r.Nodes {
 		all = append(all, nr.Events...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].WallNS != all[j].WallNS {
-			return all[i].WallNS < all[j].WallNS
-		}
-		if all[i].Node != all[j].Node {
-			return all[i].Node < all[j].Node
-		}
-		return all[i].Seq < all[j].Seq
+	slices.SortStableFunc(all, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.WallNS, b.WallNS), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Seq, b.Seq))
 	})
 	return all
-}
-
-// Node returns the stream for one node id, or nil.
-func (r *Recording) Node(id int) *NodeRecording {
-	for _, nr := range r.Nodes {
-		if nr.Node == id {
-			return nr
-		}
-	}
-	return nil
 }
 
 // WriteDir writes a synthetic single-segment recording — test fixtures

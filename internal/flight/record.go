@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,6 +61,7 @@ type Recorder struct {
 	snap chan snapReq
 
 	closed  atomic.Bool
+	gap     atomic.Int64 // records dropped since the last one queued
 	pool    sync.Pool
 	nowNS   func() int64 // test hook; time.Now().UnixNano() by default
 	lastErr atomic.Pointer[error]
@@ -74,7 +76,6 @@ type Recorder struct {
 	w         *segWriter
 	segSeq    uint64
 	lastWall  int64
-	lastDrops int64
 	scratch   []byte
 	live      []liveSeg
 	liveBytes int64
@@ -86,6 +87,7 @@ type pending struct {
 	wall int64
 	dir  Dir
 	tail []byte // pooled; returned by the writer
+	gap  int64  // records dropped between the previous queued record and this one
 }
 
 type snapReq struct {
@@ -107,14 +109,11 @@ type liveSeg struct {
 
 // segWriter is the open, current segment.
 type segWriter struct {
-	f       *os.File
-	bw      *bufio.Writer
-	path    string
-	seq     uint64
-	bytes   int64
-	records int64
-	first   int64
-	last    int64
+	f     *os.File
+	bw    *bufio.Writer
+	path  string
+	seq   uint64
+	bytes int64
 }
 
 // Open creates (or resumes) a recording directory and starts the
@@ -214,11 +213,12 @@ func (r *Recorder) put(dir Dir, tail *[]byte) {
 		r.pool.Put(tail)
 		return
 	}
-	p := pending{wall: r.nowNS(), dir: dir, tail: *tail}
+	p := pending{wall: r.nowNS(), dir: dir, tail: *tail, gap: r.gap.Swap(0)}
 	select {
 	case r.ch <- p:
 		r.records.Add(1)
 	default:
+		r.gap.Add(p.gap + 1)
 		r.dropped.Add(1)
 		r.pool.Put(tail)
 	}
@@ -240,7 +240,9 @@ func (r *Recorder) RecordSend(to int, m wire.Msg) {
 	r.put(DirSend, b)
 }
 
-// RecordRecv records one frame delivered to this node.
+// RecordRecv records one frame this node is about to process. The node
+// calls it where it acts on the frame, so receives land in the stream in
+// processing order among its sends and decisions.
 func (r *Recorder) RecordRecv(m wire.Msg) {
 	if r == nil {
 		return
@@ -260,9 +262,16 @@ func (r *Recorder) Local(kind LocalKind, op uint64, args ...int64) {
 	r.put(DirLocal, b)
 }
 
-// Initiate records the start of a balancing protocol.
-func (r *Recorder) Initiate(op, seq uint64, load, partners int) {
-	r.Local(LocalInitiate, op, int64(seq), int64(load), int64(partners))
+// Initiate records the start of a balancing protocol; f is the trigger
+// factor, which decides whether the collect can balance with the
+// partners it gets.
+func (r *Recorder) Initiate(op, seq uint64, load, partners int, f float64) {
+	r.Local(LocalInitiate, op, int64(seq), int64(load), int64(partners), int64(math.Float64bits(f)))
+}
+
+// Ingest records units of client work added to the node's load.
+func (r *Recorder) Ingest(units int) {
+	r.Local(LocalIngest, 0, int64(units))
 }
 
 // Abort records a protocol abort with the cluster's reason label.
@@ -318,8 +327,7 @@ func (r *Recorder) Snapshot(reason string) (string, error) {
 		return res.dir, res.err
 	case <-r.done:
 		// Writer gone: everything on disk is sealed; copy directly.
-		dir, err := r.takeSnapshot(reason)
-		return dir, err
+		return r.takeSnapshot(reason)
 	}
 }
 
@@ -345,38 +353,41 @@ func (r *Recorder) run() {
 		case p := <-r.ch:
 			r.write(p)
 		case req := <-r.snap:
-			// Drain queued records first: everything recorded before the
-			// snapshot request must be in it (select order is random).
-			for draining := true; draining; {
-				select {
-				case p := <-r.ch:
-					r.write(p)
-				default:
-					draining = false
-				}
-			}
-			dir, err := r.sealAndSnapshot(req.reason)
+			// Everything recorded before the snapshot request must be in
+			// it (select order is random), so drain the queue first.
+			r.drain()
+			r.seal()
+			dir, err := r.takeSnapshot(req.reason)
 			req.reply <- snapResult{dir: dir, err: err}
 		case <-r.stop:
-			for {
-				select {
-				case p := <-r.ch:
-					r.write(p)
-				default:
-					// Journal a trailing gap (drops with no record after
-					// them) before sealing, so the stream accounts for
-					// every record offered to it.
-					if d := r.dropped.Value(); d > r.lastDrops {
-						gap := d - r.lastDrops
-						r.lastDrops = d
-						tail := appendTailLocal(nil, LocalDrops, 0, []int64{gap})
-						r.writeRecord(pending{wall: r.nowNS(), dir: DirLocal, tail: tail})
-					}
-					r.seal()
-					return
-				}
-			}
+			// Journal a trailing gap (drops with no record after them)
+			// before sealing, so the stream accounts for every record
+			// offered to it.
+			r.drain()
+			r.journal(r.nowNS(), r.gap.Swap(0))
+			r.seal()
+			return
 		}
+	}
+}
+
+// drain writes every queued record.
+func (r *Recorder) drain() {
+	for {
+		select {
+		case p := <-r.ch:
+			r.write(p)
+		default:
+			return
+		}
+	}
+}
+
+// journal writes a LocalDrops record for gap dropped records, exactly
+// where they were dropped: replay must know the stream has a hole there.
+func (r *Recorder) journal(wall, gap int64) {
+	if gap > 0 {
+		r.writeRecord(pending{wall: wall, dir: DirLocal, tail: appendTailLocal(nil, LocalDrops, 0, []int64{gap})})
 	}
 }
 
@@ -395,12 +406,7 @@ func (r *Recorder) write(p pending) {
 		b := p.tail
 		r.pool.Put(&b)
 	}()
-	if d := r.dropped.Value(); d > r.lastDrops {
-		gap := d - r.lastDrops
-		r.lastDrops = d
-		tail := appendTailLocal(nil, LocalDrops, 0, []int64{gap})
-		r.writeRecord(pending{wall: p.wall, dir: DirLocal, tail: tail})
-	}
+	r.journal(p.wall, p.gap)
 	r.writeRecord(p)
 }
 
@@ -420,8 +426,6 @@ func (r *Recorder) writeRecord(p pending) {
 	r.lastWall = p.wall
 	n := int64(len(r.scratch))
 	r.w.bytes += n
-	r.w.records++
-	r.w.last = p.wall
 	r.bytes.Add(n)
 	if r.w.bytes >= r.opts.SegBytes {
 		r.seal()
@@ -438,7 +442,7 @@ func (r *Recorder) openSegment(wall int64) error {
 	}
 	w := &segWriter{
 		f: f, bw: bufio.NewWriterSize(f, 32<<10),
-		path: path, seq: r.segSeq, first: wall, last: wall,
+		path: path, seq: r.segSeq,
 	}
 	hdr := appendHeader(nil, segHeader{node: r.opts.Node, seq: r.segSeq, wallRefNS: wall, codec: wire.Version})
 	if _, err := w.bw.Write(hdr); err != nil {
@@ -452,8 +456,8 @@ func (r *Recorder) openSegment(wall int64) error {
 	return nil
 }
 
-// seal flushes and closes the current segment, appends its index line,
-// and trims the ring to the byte budget.
+// seal flushes and closes the current segment and trims the ring to the
+// byte budget.
 func (r *Recorder) seal() {
 	w := r.w
 	if w == nil {
@@ -469,7 +473,6 @@ func (r *Recorder) seal() {
 	r.sealed.Add(1)
 	r.live = append(r.live, liveSeg{seq: w.seq, path: w.path, bytes: w.bytes})
 	r.liveBytes += w.bytes
-	r.appendIndex(w)
 	for len(r.live) > 1 && r.liveBytes > r.opts.MaxBytes {
 		old := r.live[0]
 		r.live = r.live[1:]
@@ -478,34 +481,6 @@ func (r *Recorder) seal() {
 			r.fail(err)
 		}
 	}
-}
-
-// appendIndex adds one sealed segment's metadata to the append-only
-// index.jsonl. The index is a cache: replay scans the directory, so a
-// missing or stale index (crash, trimmed segments) costs nothing.
-func (r *Recorder) appendIndex(w *segWriter) {
-	f, err := os.OpenFile(filepath.Join(r.opts.Dir, "index.jsonl"),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		r.fail(err)
-		return
-	}
-	defer f.Close()
-	line, _ := json.Marshal(map[string]any{
-		"seg": w.seq, "file": filepath.Base(w.path),
-		"records": w.records, "bytes": w.bytes,
-		"first_wall_ns": w.first, "last_wall_ns": w.last,
-	})
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		r.fail(err)
-	}
-}
-
-// sealAndSnapshot (writer goroutine) seals the open segment so the
-// snapshot captures everything recorded so far, then copies the ring.
-func (r *Recorder) sealAndSnapshot(reason string) (string, error) {
-	r.seal()
-	return r.takeSnapshot(reason)
 }
 
 // takeSnapshot copies the sealed ring into a fresh snapshot directory

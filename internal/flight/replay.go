@@ -1,15 +1,18 @@
 package flight
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"lmbalance/internal/proto"
+	"lmbalance/internal/rng"
 	"lmbalance/internal/wire"
 )
 
-// Violation is one illegal protocol step found by replay, anchored to
-// the exact record that broke the rule.
+// Violation is the first record of a stretch where a node's recording
+// and its re-executed machine part, anchored to that exact record.
 type Violation struct {
 	Node   int
 	Index  int // position in the node's event stream
@@ -33,7 +36,7 @@ type Final struct {
 	RecordsHeld int64
 }
 
-// NodeAudit is the shadow machine's verdict on one node's stream.
+// NodeAudit is the replay's verdict on one node's stream.
 type NodeAudit struct {
 	Node          int
 	Events        int
@@ -45,9 +48,14 @@ type NodeAudit struct {
 	FreezeExpired int64
 	Completes     int64
 	Drops         int64 // records the recorder had to discard (journaled gaps)
-	Torn          bool
-	Final         *Final
-	Violations    []Violation
+	// Unverified counts the protocol records replay could not judge:
+	// those ahead of the first record that proves the node unengaged (a
+	// stream that begins mid-protocol, like a snapshot of a wrapped ring)
+	// and those after a journaled drop or a divergence, until the next.
+	Unverified int64
+	Torn       bool
+	Final      *Final
+	Violations []Violation
 }
 
 // VDPoint is one point of the re-derived variation-density trajectory.
@@ -61,7 +69,7 @@ type VDPoint struct {
 type AuditResult struct {
 	Nodes      []*NodeAudit
 	Violations []Violation // all, ordered by (wall, node, index)
-	First      *Violation  // the first illegal step, or nil
+	First      *Violation  // the first divergence, or nil
 
 	// Conservation re-derived from the LocalFinal records. Valid (and
 	// comparable bit-for-bit against the live run's audit) only when
@@ -75,7 +83,7 @@ type AuditResult struct {
 	RecordsHeld int64
 
 	// VD is the offline variation-density trajectory (paper §5),
-	// re-derived purely from load anchors in the recording.
+	// re-derived from the replayed machines' loads.
 	VD []VDPoint
 
 	// SojournNS holds every replayed completion's sojourn, sorted —
@@ -102,71 +110,52 @@ func (a *AuditResult) SojournQuantile(q float64) int64 {
 	return a.SojournNS[i]
 }
 
-// shadow is the per-node shadow protocol state machine. It re-derives
-// the node's freeze/initiate state purely from the node's own actions
-// (sends and local decisions, which are recorded in execution order)
-// and uses received frames only for partner bookkeeping and lazy
-// freeze clears.
-//
-// Lazy clears: the tap's receive pump records a frame before the node
-// processes it, so a Recv Release/Transfer record can precede node
-// actions taken while the node still considered itself frozen. A
-// matching clear therefore only sets pendingClear; the freeze stays in
-// force for legality until the node itself acts as unfrozen (sends a
-// FreezeAck or initiates), at which point the pending clear is applied.
-//
-// Late acks: for the same reason an ack can be on record ahead of the
-// resolve of a collect the reply timeout ended without it — the node
-// had not seen it yet and will answer it with a Release. A timeout-ended
-// resolve may therefore name fewer partners than acks are on record; one
-// ended by its last reply names exactly those. Either way its transfers
-// go only to peers whose ack is on record.
-type shadow struct {
-	audit *NodeAudit
-
-	lastSeq uint64
-
-	inflight bool
-	op       uint64
-	seq      uint64
-	partners int
-	frzSent  int
-	acked    map[int]int // peer -> load it acked with
-
-	resolving   bool
-	resolveOp   uint64
-	resolveLoad int
-	expect      int
-	shares      []int
-	sent        map[int]bool
-
-	frozen       bool
-	pendingClear bool
-	frozenBy     int
-	frozenSeq    uint64
-	frozenOp     uint64
-
-	load      int64 // last known load anchor
-	loadKnown bool
-
-	byeLoad  int
-	byeSent  bool
-	finalsAt int
+// replayer re-executes one node's stream through a proto.Machine: the
+// recorded inputs (initiates, reply timeouts, freeze expiries, processed
+// frames, ingests) drive it, and the recorded outputs (protocol sends,
+// resolves, aborts) must be its effects, in order. Workload steps go
+// unrecorded, but only while the node is unengaged, so replay adopts the
+// recorded load where the node leaves that state: its initiate and each
+// FreezeAck it sends. It is unsynchronized at the start and after a drop
+// or a divergence, until a record proves the node unengaged.
+type replayer struct {
+	audit            *NodeAudit
+	evs              []Event
+	rng              *rng.RNG // fixed: only where a split's extras land depends on it
+	m                *proto.Machine
+	f                float64
+	effs, want       []proto.Effect // want: emitted, not yet carried out by a record
+	synced, seqKnown bool           // seqKnown: the epoch too, learned at an initiate
+	peers, ackers    []int          // ackers: of the resolve whose transfers are due
+	acks             map[int]int    // load each partner reported in its current-epoch ack
+	total            int            // that resolve's pre-split total
+	split            split
+	samples          *[]loadSample
+	byeLoad          int
+	byeSent          bool
 }
 
-func newShadow(node int) *shadow {
-	return &shadow{
-		audit: &NodeAudit{Node: node},
-		acked: map[int]int{},
-		sent:  map[int]bool{},
+// split is replay's own arithmetic for one resolve: the recorded shares
+// must be the ±1 split of the machine's pre-split total, with exactly
+// total mod n extras. Where those land follows the node's random stream,
+// so take accounts for one share of the multiset.
+type split struct{ base, rem, n, extra, plain int }
+
+func (s *split) take(share int) bool {
+	switch share {
+	case s.base:
+		s.plain++
+	case s.base + 1:
+		s.extra++
+	default:
+		return false
 	}
+	return s.extra <= s.rem && s.plain <= s.n-s.rem
 }
 
-func (s *shadow) flag(ev Event, rule, format string, args ...any) {
-	s.audit.Violations = append(s.audit.Violations, Violation{
-		Node: ev.Node, Index: ev.Seq, WallNS: ev.WallNS,
-		Op: eventOp(ev), Rule: rule, Detail: fmt.Sprintf(format, args...),
-	})
+type loadSample struct {
+	wall, load int64
+	node       int
 }
 
 // eventOp returns the balancing-op id an event belongs to.
@@ -177,285 +166,300 @@ func eventOp(ev Event) uint64 {
 	return ev.Msg.Op
 }
 
-// anchor records a known-load observation for the VD trajectory.
-func (s *shadow) anchor(load int64) {
-	s.load = load
-	s.loadKnown = true
-}
-
-// clearFreeze applies a pending or direct freeze clear.
-func (s *shadow) clearFreeze() {
-	s.frozen = false
-	s.pendingClear = false
-}
-
-type loadSample struct {
-	wall int64
-	node int
-	load int64
-}
-
-func (s *shadow) step(ev Event, samples *[]loadSample) {
-	s.audit.Events++
+func (r *replayer) step(i int) {
+	ev, a := &r.evs[i], r.audit
+	a.Events++
 	switch ev.Dir {
-	case DirLocal:
-		s.local(ev, samples)
 	case DirSend:
-		s.audit.MsgsSent++
-		s.sendMsg(ev, samples)
+		a.MsgsSent++
+		if ev.Msg.Kind == wire.Bye {
+			r.byeSent, r.byeLoad = true, ev.Msg.Load
+		}
 	case DirRecv:
-		s.audit.MsgsRecv++
-		s.recvMsg(ev, samples)
+		a.MsgsRecv++
+	}
+	switch k := ev.Msg.Kind; {
+	case ev.Dir != DirLocal && k != wire.FreezeReq && k != wire.FreezeAck && k != wire.FreezeBusy &&
+		k != wire.Transfer && k != wire.Release:
+		return // the driver's own frames: transfer acks, job records, shutdown
+	case ev.Kind == LocalInitiate:
+		a.Initiated++
+	case ev.Kind == LocalAbort:
+		a.Aborted++
+	case ev.Kind == LocalResolve:
+		a.Resolved++
+	case ev.Kind == LocalFreezeExpired:
+		a.FreezeExpired++
+	case ev.Kind == LocalComplete:
+		a.Completes++
+		return
+	case ev.Kind == LocalPaceBackoff, ev.Kind == LocalIngest && !r.synced: // the next sync adopts the load
+		return
+	case ev.Kind == LocalDrops:
+		a.Drops += ev.Arg(0)
+		r.desync()
+		return
+	case ev.Kind == LocalFinal:
+		a.Final = &Final{Load: int(ev.Arg(0)), Generated: ev.Arg(1), Consumed: ev.Arg(2),
+			Ingested: ev.Arg(3), UnitsDone: ev.Arg(4), RecordsHeld: ev.Arg(5)}
+		*r.samples = append(*r.samples, loadSample{ev.WallNS, ev.Arg(0), a.Node})
+		if r.synced && len(r.want) > 0 {
+			r.diverge(i, r.next())
+		}
+		return
+	}
+	if !r.synced {
+		// Sync only where the record proves the node unengaged: its own
+		// initiate, or a FreezeReq it answers with FreezeAck.
+		if ev.Kind != LocalInitiate && !r.answersAck(i) {
+			a.Unverified++
+			return
+		}
+		r.m.Resume(0, 0)
+		r.synced, r.seqKnown = true, false
+	}
+	r.judge(i)
+	if s, l := *r.samples, int64(r.m.Load()); r.synced && (len(s) == 0 || s[len(s)-1].node != a.Node || s[len(s)-1].load != l) {
+		*r.samples = append(s, loadSample{ev.WallNS, l, a.Node})
 	}
 }
 
-func (s *shadow) local(ev Event, samples *[]loadSample) {
-	switch ev.Kind {
-	case LocalInitiate:
-		seq, load, partners := uint64(ev.Arg(0)), ev.Arg(1), int(ev.Arg(2))
-		s.audit.Initiated++
-		if s.inflight {
-			s.flag(ev, "initiate_while_inflight", "op %d still in flight", s.op)
-		}
-		if s.frozen {
-			if s.pendingClear {
-				s.clearFreeze()
-			} else {
-				s.flag(ev, "initiate_while_frozen", "frozen by %d", s.frozenBy)
-			}
-		}
-		if seq <= s.lastSeq {
-			s.flag(ev, "seq_regressed", "seq %d after %d", seq, s.lastSeq)
-		}
-		s.lastSeq = seq
-		s.inflight, s.op, s.seq, s.partners = true, ev.Op, seq, partners
-		s.frzSent = 0
-		s.acked = map[int]int{}
-		s.resolving = false
-		s.anchor(load)
-		*samples = append(*samples, loadSample{ev.WallNS, ev.Node, load})
+// answersAck reports whether record i is a received FreezeReq and the
+// next record the FreezeAck answering it.
+func (r *replayer) answersAck(i int) bool {
+	if i+1 >= len(r.evs) || r.evs[i].Dir != DirRecv {
+		return false
+	}
+	req, next := r.evs[i].Msg, &r.evs[i+1]
+	return req.Kind == wire.FreezeReq && next.Dir == DirSend && next.Msg.Kind == wire.FreezeAck &&
+		next.Peer == req.From && next.Msg.Seq == req.Seq && next.Msg.Op == req.Op
+}
 
-	case LocalAbort:
-		seq, load := uint64(ev.Arg(0)), ev.Arg(1)
-		s.audit.Aborted++
-		if !s.inflight || ev.Op != s.op {
-			s.flag(ev, "abort_without_protocol", "abort op %d, in flight %d", ev.Op, s.op)
-		}
-		if seq > s.lastSeq {
-			s.lastSeq = seq
-		}
-		s.inflight = false
-		s.anchor(load)
-		*samples = append(*samples, loadSample{ev.WallNS, ev.Node, load})
+func (r *replayer) desync() {
+	r.synced, r.want, r.ackers = false, r.want[:0], r.ackers[:0]
+}
 
-	case LocalResolve:
-		seq, load, partners, timedOut := uint64(ev.Arg(0)), ev.Arg(1), int(ev.Arg(2)), ev.Arg(3) != 0
-		s.audit.Resolved++
-		if !s.inflight || ev.Op != s.op {
-			s.flag(ev, "resolve_without_protocol", "resolve op %d, in flight %d", ev.Op, s.op)
-		} else if len(s.acked) < partners || (!timedOut && len(s.acked) > partners) {
-			s.flag(ev, "resolve_partner_mismatch", "%d acks recorded, resolve says %d", len(s.acked), partners)
-		}
-		if seq > s.lastSeq {
-			s.lastSeq = seq
-		}
-		s.inflight = false
-		s.resolving, s.resolveOp, s.resolveLoad = true, ev.Op, int(load)
-		s.expect = partners
-		s.shares = append(s.shares[:0], int(load))
-		s.sent = map[int]bool{}
-		s.anchor(load)
-		*samples = append(*samples, loadSample{ev.WallNS, ev.Node, load})
+// flag records a divergence at record i and desynchronizes.
+func (r *replayer) flag(i int, rule, format string, args ...any) {
+	ev := &r.evs[i]
+	r.audit.Violations = append(r.audit.Violations, Violation{
+		Node: r.audit.Node, Index: i, WallNS: ev.WallNS,
+		Op: eventOp(*ev), Rule: rule, Detail: fmt.Sprintf(format, args...),
+	})
+	r.desync()
+}
 
-	case LocalFreezeExpired:
-		s.audit.FreezeExpired++
-		if !s.frozen {
-			s.flag(ev, "freeze_expiry_while_free", "expiry for freezer %d", ev.Arg(0))
-		}
-		s.clearFreeze()
+// diverge flags record i against what the machine computed instead.
+func (r *replayer) diverge(i int, machine string) {
+	ev := &r.evs[i]
+	what := fmt.Sprintf("%s op=%d args=%v", ev.Kind, ev.Op, ev.Args)
+	if ev.Dir != DirLocal {
+		what = fmt.Sprintf("%s %s peer=%d seq=%d op=%d load=%d amount=%d",
+			ev.Dir, ev.Msg.Kind, ev.Peer, ev.Msg.Seq, ev.Msg.Op, ev.Msg.Load, ev.Msg.Amount)
+	}
+	r.flag(i, "diverged", "recorded %s; the machine's %s", what, machine)
+}
 
-	case LocalComplete:
-		s.audit.Completes++
+// head is the next effect no record carried out (zero if none); pop drops it.
+func (r *replayer) head() *proto.Effect {
+	if len(r.want) == 0 {
+		return &proto.Effect{}
+	}
+	return &r.want[0]
+}
 
-	case LocalFinal:
-		s.audit.Final = &Final{
-			Load:        int(ev.Arg(0)),
-			Generated:   ev.Arg(1),
-			Consumed:    ev.Arg(2),
-			Ingested:    ev.Arg(3),
-			UnitsDone:   ev.Arg(4),
-			RecordsHeld: ev.Arg(5),
-		}
-		s.anchor(ev.Arg(0))
-		*samples = append(*samples, loadSample{ev.WallNS, ev.Node, ev.Arg(0)})
+func (r *replayer) pop() { r.want = append(r.want[:0], r.want[1:]...) }
 
-	case LocalDrops:
-		s.audit.Drops += ev.Arg(0)
-
-	case LocalPaceBackoff:
-		// informational only
+func (r *replayer) next() string {
+	switch e := r.head(); e.Kind {
+	case 0:
+		return "next effect is none"
+	case proto.Send:
+		return fmt.Sprintf("next effect is %s to %d seq=%d op=%d load=%d", e.Msg.Kind, e.To, e.Msg.Seq, e.Msg.Op, e.Msg.Load)
+	default:
+		return fmt.Sprintf("next effect is %s op=%d seq=%d load=%d partners=%d timeout=%v",
+			[...]string{proto.Aborted: "abort", proto.Resolved: "resolve"}[e.Kind], e.Op, e.Seq, e.Load, e.Partners, e.Reason == proto.Timeout)
 	}
 }
 
-func (s *shadow) sendMsg(ev Event, samples *[]loadSample) {
-	m := ev.Msg
-	switch m.Kind {
-	case wire.FreezeReq:
-		if !s.inflight || m.Op != s.op || m.Seq != s.seq {
-			s.flag(ev, "freeze_req_outside_protocol", "req op=%d seq=%d, in flight op=%d seq=%d", m.Op, m.Seq, s.op, s.seq)
-			return
+func (r *replayer) judge(i int) {
+	ev := &r.evs[i]
+	switch {
+	case ev.Dir == DirSend:
+		r.send(i)
+	case ev.Kind == LocalResolve || ev.Kind == LocalAbort:
+		r.decide(i)
+	case len(r.want) > 0:
+		r.diverge(i, r.next())
+	case ev.Dir == DirRecv:
+		if !r.m.Engaged() && r.answersAck(i) {
+			r.m.Resume(r.evs[i+1].Msg.Load, r.m.Seq())
 		}
-		s.frzSent++
-		if s.frzSent > s.partners {
-			s.flag(ev, "freeze_req_excess", "request %d of %d partners", s.frzSent, s.partners)
+		if _, seen := r.acks[ev.Msg.From]; ev.Msg.Kind == wire.FreezeAck && !seen && r.m.Expects(ev.Msg) {
+			r.acks[ev.Msg.From] = ev.Msg.Load
 		}
-
-	case wire.FreezeAck:
-		if s.inflight {
-			s.flag(ev, "ack_while_inflight", "acked %d during own op %d", ev.Peer, s.op)
+		r.expect(r.m.Load(), r.m.Handle(ev.Msg, r.effs[:0]))
+	case ev.Kind == LocalInitiate:
+		r.initiate(i)
+	case ev.Kind == LocalFreezeExpired && !r.m.Frozen():
+		r.diverge(i, "machine is not frozen")
+	case ev.Kind == LocalFreezeExpired:
+		if r.effs = r.m.FreezeExpired(r.effs[:0]); r.effs[0].Peer != int(ev.Arg(0)) || r.effs[0].Op != ev.Op {
+			r.diverge(i, fmt.Sprintf("freeze is node %d's for op %d", r.effs[0].Peer, r.effs[0].Op))
 		}
-		if s.frozen {
-			if s.pendingClear {
-				s.clearFreeze()
-			} else {
-				s.flag(ev, "ack_while_frozen", "already frozen by %d seq %d", s.frozenBy, s.frozenSeq)
-			}
-		}
-		s.frozen, s.pendingClear = true, false
-		s.frozenBy, s.frozenSeq, s.frozenOp = ev.Peer, m.Seq, m.Op
-		s.anchor(int64(m.Load))
-		*samples = append(*samples, loadSample{ev.WallNS, ev.Node, int64(m.Load)})
-
-	case wire.FreezeBusy:
-		if !s.inflight && !s.frozen {
-			s.flag(ev, "busy_while_free", "busy to %d with no protocol and no freeze", ev.Peer)
-		}
-
-	case wire.Transfer:
-		if !s.resolving || m.Op != s.resolveOp {
-			s.flag(ev, "transfer_outside_op", "transfer op %d, resolving %d", m.Op, s.resolveOp)
-			return
-		}
-		ackLoad, ok := s.acked[ev.Peer]
-		if !ok {
-			s.flag(ev, "transfer_to_unacked", "peer %d never acked op %d", ev.Peer, m.Op)
-			return
-		}
-		if s.sent[ev.Peer] {
-			s.flag(ev, "transfer_duplicate", "second transfer to %d in op %d", ev.Peer, m.Op)
-			return
-		}
-		s.sent[ev.Peer] = true
-		s.shares = append(s.shares, ackLoad+m.Amount)
-		if len(s.shares) == s.expect+1 {
-			lo, hi := s.shares[0], s.shares[0]
-			for _, v := range s.shares[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			if hi-lo > 1 {
-				s.flag(ev, "imbalance_violation", "post-balance shares %v spread %d > 1", s.shares, hi-lo)
-			}
-			s.resolving = false
-		}
-
-	case wire.Bye:
-		s.byeSent = true
-		s.byeLoad = m.Load
-
-	case wire.Release, wire.TransferAck, wire.Idle, wire.Quit, wire.JobMove, wire.JobDone:
-		// Always legal: releases may target stale epochs by design, the
-		// rest carry no freeze/balance state.
+	case ev.Kind == LocalIngest:
+		r.m.Add(int(ev.Arg(0)))
 	}
 }
 
-func (s *shadow) recvMsg(ev Event, samples *[]loadSample) {
-	m := ev.Msg
-	switch m.Kind {
-	case wire.FreezeAck:
-		if s.inflight && m.Seq == s.seq && m.Op == s.op {
-			s.acked[m.From] = m.Load
-		}
+// initiate adopts the recorded load and starts the machine's operation
+// with the partners the FreezeReq sends that follow name.
+func (r *replayer) initiate(i int) {
+	ev := &r.evs[i]
+	if r.m.Engaged() {
+		r.diverge(i, fmt.Sprintf("machine is engaged (inflight=%v)", r.m.Inflight()))
+		return
+	}
+	seq := r.m.Seq()
+	if !r.seqKnown {
+		seq = uint64(ev.Arg(0)) - 1 // so Initiate stamps the recorded epoch
+	}
+	if f := math.Float64frombits(uint64(ev.Arg(3))); f != r.f {
+		r.m, r.f = proto.New(r.audit.Node, f, r.rng), f
+	}
+	r.m.Resume(int(ev.Arg(1)), seq)
+	r.seqKnown = true
+	clear(r.acks)
+	r.peers, r.ackers = r.peers[:0], r.ackers[:0]
+	j := i + 1
+	for ; j < len(r.evs) && len(r.peers) < int(ev.Arg(2)) && r.evs[j].Dir == DirSend &&
+		r.evs[j].Msg.Kind == wire.FreezeReq; j++ {
+		r.peers = append(r.peers, r.evs[j].Peer)
+	}
+	r.expect(0, r.m.Initiate(r.peers, ev.Op, r.effs[:0]))
+	// Fewer requests than announced is a divergence unless the stream ends
+	// or loses records there.
+	short := len(r.peers) < int(ev.Arg(2)) && j < len(r.evs) && r.evs[j].Kind != LocalDrops
+	if short || r.m.Seq() != uint64(ev.Arg(0)) {
+		r.diverge(i, fmt.Sprintf("epoch is %d and %d FreezeReq follow", r.m.Seq(), len(r.peers)))
+	}
+}
 
-	case wire.Transfer:
-		if s.loadKnown {
-			s.anchor(s.load + int64(m.Amount))
-			*samples = append(*samples, loadSample{ev.WallNS, ev.Node, s.load})
-		}
-		if s.frozen && m.From == s.frozenBy && m.Seq == s.frozenSeq {
-			s.pendingClear = true
-		}
-
-	case wire.Release:
-		if s.frozen && m.From == s.frozenBy && m.Seq == s.frozenSeq {
-			s.pendingClear = true
+// expect queues the effects records must carry out; pre, the load
+// before the event, opens a Resolved's pre-split total.
+func (r *replayer) expect(pre int, effs []proto.Effect) {
+	r.effs = effs
+	for k, e := range effs {
+		switch e.Kind {
+		case proto.Resolved:
+			r.total, r.ackers = pre, r.ackers[:0]
+			for _, t := range effs[k+1 : k+1+e.Partners] {
+				r.total += r.acks[t.To]
+				r.ackers = append(r.ackers, t.To)
+			}
+			fallthrough
+		case proto.Send, proto.Aborted:
+			r.want = append(r.want, e)
 		}
 	}
 }
 
-// finish runs the end-of-stream checks.
-func (s *shadow) finish(lastWall int64) {
-	if s.byeSent && s.audit.Final != nil && s.byeLoad != s.audit.Final.Load {
-		s.audit.Violations = append(s.audit.Violations, Violation{
-			Node: s.audit.Node, Index: s.audit.Events - 1, WallNS: lastWall,
-			Rule:   "bye_mismatch",
-			Detail: fmt.Sprintf("Bye reported load %d, final accounting says %d", s.byeLoad, s.audit.Final.Load),
-		})
+// decide matches a resolve or abort against the machine's decision:
+// kind, epoch, partners, timeout (for an abort: not peer_frozen) and an
+// abort's load. One that no frame produced is the reply timeout's.
+func (r *replayer) decide(i int) {
+	ev := &r.evs[i]
+	if len(r.want) == 0 && r.m.Inflight() {
+		r.expect(r.m.Load(), r.m.ReplyTimeout(r.effs[:0]))
+	}
+	e, load, kind, timeout := r.head(), int(ev.Arg(1)), proto.Resolved, ev.Arg(3) != 0
+	if ev.Kind == LocalAbort {
+		kind, timeout = proto.Aborted, ev.Arg(2) != abortPeerFrozen
+	}
+	if e.Kind != kind || e.Op != ev.Op || e.Seq != uint64(ev.Arg(0)) || (e.Reason == proto.Timeout) != timeout ||
+		(kind == proto.Resolved && e.Partners != int(ev.Arg(2))) || (kind == proto.Aborted && e.Load != load) {
+		r.diverge(i, r.next())
+		return
+	}
+	n := e.Partners + 1 // before pop moves the next effect under e
+	r.pop()
+	if kind == proto.Resolved {
+		if r.split = (split{base: r.total / n, rem: r.total % n, n: n}); !r.split.take(load) {
+			r.flag(i, "imbalance_violation", "initiator's share %d is not in the ±1 split of %d over %d", load, r.total, n)
+			return
+		}
+		r.m.Resume(load, r.m.Seq()) // the extras went where the node's stream put them
+	}
+}
+
+// send matches a protocol send against the machine's next Send. A
+// Transfer's amount follows the node's stream, so instead of matching it
+// must land the acker on a share of the split.
+func (r *replayer) send(i int) {
+	ev := &r.evs[i]
+	if ev.Msg.Kind == wire.Transfer && !slices.Contains(r.ackers, ev.Peer) {
+		r.flag(i, "transfer_to_unacked", "transfer to %d, the machine's ackers are %v", ev.Peer, r.ackers)
+		return
+	}
+	if e := r.head(); e.Kind != proto.Send || e.To != ev.Peer || e.Msg.Kind != ev.Msg.Kind ||
+		e.Msg.Seq != ev.Msg.Seq || e.Msg.Op != ev.Msg.Op || e.Msg.Load != ev.Msg.Load {
+		r.diverge(i, r.next())
+		return
+	}
+	r.pop()
+	if share := r.acks[ev.Peer] + ev.Msg.Amount; ev.Msg.Kind == wire.Transfer && !r.split.take(share) {
+		r.flag(i, "imbalance_violation", "partner %d's share %d is not in the ±1 split over %d (base %d, %d extra)",
+			ev.Peer, share, r.split.n, r.split.base, r.split.rem)
 	}
 }
 
 // vdBuckets is the resolution of the re-derived VD trajectory.
 const vdBuckets = 32
 
-// Audit replays a recording through per-node shadow state machines and
-// returns the combined verdict: legality violations (first one
-// flagged), offline conservation, the VD trajectory, and sojourns.
+// Audit re-executes every node's stream through its own proto.Machine
+// and returns the combined verdict: divergences (first one flagged),
+// offline conservation, the VD trajectory, and sojourns.
 func Audit(rec *Recording) *AuditResult {
 	res := &AuditResult{}
 	var samples []loadSample
 	for _, nr := range rec.Nodes {
-		s := newShadow(nr.Node)
-		s.audit.Torn = nr.Torn
-		var lastWall int64
-		for _, ev := range nr.Events {
-			s.step(ev, &samples)
-			lastWall = ev.WallNS
-			if ev.Dir == DirLocal && ev.Kind == LocalComplete {
+		fixed := rng.New(0)
+		r := &replayer{audit: &NodeAudit{Node: nr.Node, Torn: nr.Torn}, evs: nr.Events,
+			rng: fixed, m: proto.New(nr.Node, 0, fixed), acks: map[int]int{}, samples: &samples}
+		for i := range nr.Events {
+			r.step(i)
+			if ev := &nr.Events[i]; ev.Dir == DirLocal && ev.Kind == LocalComplete {
 				res.SojournNS = append(res.SojournNS, ev.Arg(2))
 			}
 		}
-		s.finish(lastWall)
-		if s.audit.Final != nil {
+		a := r.audit
+		if a.Final != nil {
+			if r.byeSent && r.byeLoad != a.Final.Load {
+				last := len(nr.Events) - 1
+				a.Violations = append(a.Violations, Violation{
+					Node: a.Node, Index: last, WallNS: nr.Events[last].WallNS, Rule: "bye_mismatch",
+					Detail: fmt.Sprintf("Bye reported load %d, final accounting says %d", r.byeLoad, a.Final.Load),
+				})
+			}
 			res.FinalsSeen++
-			res.TotalLoad += int64(s.audit.Final.Load)
-			res.Generated += s.audit.Final.Generated
-			res.Consumed += s.audit.Final.Consumed
-			res.Ingested += s.audit.Final.Ingested
-			res.UnitsDone += s.audit.Final.UnitsDone
-			res.RecordsHeld += s.audit.Final.RecordsHeld
+			res.TotalLoad += int64(a.Final.Load)
+			res.Generated += a.Final.Generated
+			res.Consumed += a.Final.Consumed
+			res.Ingested += a.Final.Ingested
+			res.UnitsDone += a.Final.UnitsDone
+			res.RecordsHeld += a.Final.RecordsHeld
 		}
-		res.Nodes = append(res.Nodes, s.audit)
-		res.Violations = append(res.Violations, s.audit.Violations...)
+		res.Nodes = append(res.Nodes, a)
+		res.Violations = append(res.Violations, a.Violations...)
 	}
-	sort.Slice(res.Violations, func(i, j int) bool {
-		a, b := res.Violations[i], res.Violations[j]
-		if a.WallNS != b.WallNS {
-			return a.WallNS < b.WallNS
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Index < b.Index
+	slices.SortFunc(res.Violations, func(a, b Violation) int {
+		return cmp.Or(cmp.Compare(a.WallNS, b.WallNS), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Index, b.Index))
 	})
 	if len(res.Violations) > 0 {
 		res.First = &res.Violations[0]
 	}
 	res.VD = vdTrajectory(samples, len(rec.Nodes))
-	sort.Slice(res.SojournNS, func(i, j int) bool { return res.SojournNS[i] < res.SojournNS[j] })
+	slices.Sort(res.SojournNS)
 	return res
 }
 
@@ -467,12 +471,9 @@ func vdTrajectory(samples []loadSample, nodes int) []VDPoint {
 	if len(samples) == 0 || nodes == 0 {
 		return nil
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].wall < samples[j].wall })
-	t0, t1 := samples[0].wall, samples[len(samples)-1].wall
-	if t1 == t0 {
-		t1 = t0 + 1
-	}
-	span := t1 - t0
+	slices.SortFunc(samples, func(a, b loadSample) int { return cmp.Compare(a.wall, b.wall) })
+	t0 := samples[0].wall
+	span := max(samples[len(samples)-1].wall-t0, 1)
 	last := map[int]int64{}
 	var out []VDPoint
 	i := 0
@@ -492,10 +493,7 @@ func vdTrajectory(samples []loadSample, nodes int) []VDPoint {
 		}
 		n := float64(len(last))
 		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
+		variance := max(sumSq/n-mean*mean, 0)
 		vd := 0.0
 		if mean != 0 {
 			vd = math.Sqrt(variance) / mean
@@ -550,24 +548,16 @@ func Diff(a, b *AuditResult) []DiffRow {
 	}
 	add("nodes", len(a.Nodes), len(b.Nodes))
 	add("violations", len(a.Violations), len(b.Violations))
-	var ai, ar, ab, bi, br, bb int64
-	var am, bm int64
-	for _, n := range a.Nodes {
-		ai += n.Initiated
-		ar += n.Resolved
-		ab += n.Aborted
-		am += n.MsgsSent
+	totals := func(r *AuditResult) (t [4]int64) {
+		for _, n := range r.Nodes {
+			t[0], t[1], t[2], t[3] = t[0]+n.Initiated, t[1]+n.Resolved, t[2]+n.Aborted, t[3]+n.MsgsSent
+		}
+		return t
 	}
-	for _, n := range b.Nodes {
-		bi += n.Initiated
-		br += n.Resolved
-		bb += n.Aborted
-		bm += n.MsgsSent
+	ta, tb := totals(a), totals(b)
+	for k, field := range []string{"initiated", "resolved", "aborted", "msgs_sent"} {
+		add(field, ta[k], tb[k])
 	}
-	add("initiated", ai, bi)
-	add("resolved", ar, br)
-	add("aborted", ab, bb)
-	add("msgs_sent", am, bm)
 	add("total_load", a.TotalLoad, b.TotalLoad)
 	add("conserved", a.Conserved(), b.Conserved())
 	add("jobs_conserved", a.JobsConserved(), b.JobsConserved())

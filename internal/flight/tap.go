@@ -4,19 +4,17 @@ import (
 	"lmbalance/internal/wire"
 )
 
-// Tap wraps a transport so every frame through it is recorded. Sends
-// are recorded synchronously before hitting the inner transport;
-// receives are recorded by a pump goroutine that re-delivers through
-// an unbuffered channel, so a frame's record always exists before the
-// node can act on it — causes precede effects in the recording even
-// though the pump runs concurrently with the node. A nil recorder
-// returns the inner transport unchanged.
+// Tap wraps a transport so every frame sent through it is recorded,
+// synchronously, before it reaches the inner transport. Receives are not
+// the tap's: the node records each frame where it processes it (see
+// cluster.Config.Flight), so a node's stream is in processing order and
+// a replayed machine sees exactly what the node saw. Inbox is the inner
+// transport's. A nil recorder returns the inner transport unchanged.
 func (r *Recorder) Tap(inner wire.Transport) wire.Transport {
 	if r == nil {
 		return inner
 	}
-	t := &tap{inner: inner, rec: r, out: make(chan wire.Msg), stop: make(chan struct{})}
-	go t.pump()
+	t := &tap{Transport: inner, rec: r}
 	if _, ok := inner.(wire.PeerStatser); ok {
 		return &tapPeer{tap: t}
 	}
@@ -24,46 +22,13 @@ func (r *Recorder) Tap(inner wire.Transport) wire.Transport {
 }
 
 type tap struct {
-	inner wire.Transport
-	rec   *Recorder
-	out   chan wire.Msg
-	stop  chan struct{}
+	wire.Transport
+	rec *Recorder
 }
 
 func (t *tap) Send(to int, m wire.Msg) error {
 	t.rec.RecordSend(to, m)
-	return t.inner.Send(to, m)
-}
-
-func (t *tap) Inbox() <-chan wire.Msg { return t.out }
-
-func (t *tap) Stats() wire.Stats { return t.inner.Stats() }
-
-func (t *tap) Close() error {
-	err := t.inner.Close()
-	close(t.stop)
-	return err
-}
-
-// pump moves frames from the inner inbox to the tap's unbuffered out
-// channel, recording each one before the handoff.
-func (t *tap) pump() {
-	for {
-		select {
-		case <-t.stop:
-			return
-		case m, ok := <-t.inner.Inbox():
-			if !ok {
-				return
-			}
-			t.rec.RecordRecv(m)
-			select {
-			case t.out <- m:
-			case <-t.stop:
-				return
-			}
-		}
-	}
+	return t.Transport.Send(to, m)
 }
 
 // tapPeer additionally forwards the inner transport's per-peer stats,
@@ -73,5 +38,5 @@ type tapPeer struct {
 }
 
 func (t *tapPeer) PeerStats(id int) wire.Stats {
-	return t.inner.(wire.PeerStatser).PeerStats(id)
+	return t.Transport.(wire.PeerStatser).PeerStats(id)
 }

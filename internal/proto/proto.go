@@ -303,6 +303,19 @@ func (m *Machine) Crash() {
 	m.lOld = m.load
 }
 
+// Resume positions the machine, unengaged, at a recorded state: load
+// (also the trigger base) and epoch seq, with no operation in flight, no
+// freeze held and no backoff pending. A driver never needs it; an
+// auditor re-executing a recorded stream calls it where the recording
+// proves the node was unengaged, which is the only state a recording
+// can position a machine at.
+func (m *Machine) Resume(load int, seq uint64) {
+	m.inflight, m.frozen = false, false
+	m.op, m.backoff = 0, 0
+	m.load, m.lOld = load, load
+	m.seq = seq
+}
+
 // send appends a frame of the current operation; amount is a Transfer's
 // delta.
 func (m *Machine) send(out []Effect, to int, kind wire.Kind, amount int) []Effect {

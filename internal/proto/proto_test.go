@@ -510,6 +510,30 @@ func TestCrashForgets(t *testing.T) {
 	}
 }
 
+// TestResumePositions: Resume leaves a machine in either role unengaged
+// at the given load and epoch — the next operation is stamped seq+1 and
+// balances from that load — with no frame and no pending backoff.
+func TestResumePositions(t *testing.T) {
+	for _, engage := range []func(m *Machine){
+		func(m *Machine) { m.Initiate([]int{1}, 4, nil) },
+		func(m *Machine) { m.Handle(wire.Msg{Kind: wire.FreezeReq, From: 2, Seq: 9, Op: 7}, nil) },
+	} {
+		m := New(0, 1.2, rng.New(1))
+		engage(m)
+		m.Resume(10, 41)
+		if m.Engaged() || m.Load() != 10 || m.Seq() != 41 || m.Trigger() {
+			t.Fatalf("after Resume: engaged=%v load=%d seq=%d trigger=%v", m.Engaged(), m.Load(), m.Seq(), m.Trigger())
+		}
+		if req := sends(m.Initiate([]int{1}, 5, nil)); len(req) != 1 || req[0].Seq != 42 {
+			t.Fatalf("initiate after Resume sent %+v, want one FreezeReq at epoch 42", req)
+		}
+		effs := m.Handle(wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 42, Op: 5, Load: 4}, nil)
+		if e := find(effs, Resolved); e == nil || e.Load != 7 {
+			t.Fatalf("balance after Resume: %+v, want a share of 7", effs)
+		}
+	}
+}
+
 // TestPurity is the package's import guard: the handshake must stay a
 // pure state machine, so its non-test files may import only rng, wire
 // and standard-library packages that cannot reach a clock, a goroutine
