@@ -66,16 +66,7 @@ func AbortAnatomy(scale Scale, seed uint64) (*AbortAnatomyResult, error) {
 		steps = 4000
 	}
 	out := &AbortAnatomyResult{N: n, Steps: steps, Delta: 2}
-	// The netcost/wirecost workload: a hot producer quarter.
-	gen := make([]float64, n)
-	con := make([]float64, n)
-	for i := range gen {
-		if i < n/4 {
-			gen[i], con[i] = 0.9, 0.1
-		} else {
-			gen[i], con[i] = 0.1, 0.3
-		}
-	}
+	gen, con := hotQuarter(n)
 	for _, tr := range []string{"inproc", "tcp"} {
 		reg := obs.NewRegistry()
 		transports, err := wire.LocalTransports(n, tr == "inproc")

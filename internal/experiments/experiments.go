@@ -64,6 +64,21 @@ func PaperParams(f float64, delta int) core.Params {
 // PaperWorkload returns the §7 workload bounds.
 func PaperWorkload() workload.PhaseBounds { return workload.PaperBounds() }
 
+// hotQuarter is the message-passing experiments' workload: the nodes
+// below n/4 produce (generate 0.9, consume 0.1) and the rest drain
+// (0.1, 0.3), so balancing traffic never dries up.
+func hotQuarter(n int) (gen, con []float64) {
+	gen, con = make([]float64, n), make([]float64, n)
+	for i := range gen {
+		if i < n/4 {
+			gen[i], con[i] = 0.9, 0.1
+		} else {
+			gen[i], con[i] = 0.1, 0.3
+		}
+	}
+	return gen, con
+}
+
 // header prints a section banner.
 func header(w io.Writer, title string) error {
 	_, err := fmt.Fprintf(w, "\n================ %s ================\n\n", title)

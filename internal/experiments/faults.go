@@ -43,17 +43,7 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 		steps = 3000
 	}
 	out := &FaultResult{N: n, Steps: steps}
-	// The netcost harness's heterogeneous workload: a loaded quarter and a
-	// draining rest, so balancing traffic never dries up.
-	gen := make([]float64, n)
-	con := make([]float64, n)
-	for i := range gen {
-		if i < n/4 {
-			gen[i], con[i] = 0.9, 0.1
-		} else {
-			gen[i], con[i] = 0.1, 0.3
-		}
-	}
+	gen, con := hotQuarter(n)
 	drops := []float64{0, 0.05, 0.2, 0.5}
 	crashCounts := []int{0, 4, 16}
 	cell := 0

@@ -76,17 +76,7 @@ func PacerSweep(scale Scale, seed uint64) (*PacerSweepResult, error) {
 		out.Steps = 250000
 	}
 	for _, n := range out.Ns {
-		// The netcost/wirecost/abortanatomy workload: a hot producer
-		// quarter feeding a consuming majority.
-		gen := make([]float64, n)
-		con := make([]float64, n)
-		for i := range gen {
-			if i < n/4 {
-				gen[i], con[i] = 0.9, 0.1
-			} else {
-				gen[i], con[i] = 0.1, 0.3
-			}
-		}
+		gen, con := hotQuarter(n)
 		for _, tr := range []string{"inproc", "tcp"} {
 			for _, mode := range pacerModes {
 				transports, err := wire.LocalTransports(n, tr == "inproc")

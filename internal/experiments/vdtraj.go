@@ -67,15 +67,7 @@ func VDTrajectory(scale Scale, seed uint64) (*VDTrajectoryResult, error) {
 		steps = 40000
 	}
 	out := &VDTrajectoryResult{N: n, Steps: steps, Period: 500 * time.Microsecond}
-	gen := make([]float64, n)
-	con := make([]float64, n)
-	for i := range gen {
-		if i < n/4 {
-			gen[i], con[i] = 0.9, 0.1
-		} else {
-			gen[i], con[i] = 0.1, 0.3
-		}
-	}
+	gen, con := hotQuarter(n)
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i

@@ -42,15 +42,7 @@ func WireCost(scale Scale, seed uint64) (*WireCostResult, error) {
 		steps = 4000
 	}
 	out := &WireCostResult{N: n, Steps: steps}
-	gen := make([]float64, n)
-	con := make([]float64, n)
-	for i := range gen {
-		if i < n/4 {
-			gen[i], con[i] = 0.9, 0.1
-		} else {
-			gen[i], con[i] = 0.1, 0.3
-		}
-	}
+	gen, con := hotQuarter(n)
 	type cfg struct {
 		name      string
 		transport string

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"lmbalance/internal/trace"
-)
+import "fmt"
 
 // Faults configures the fault-injection layer of the network. The zero
 // value disables it entirely: with no drops, no delays and no crashes
@@ -43,9 +39,6 @@ type Faults struct {
 	FreezeTicks int
 	// Seed drives all fault randomness (drop and delay draws).
 	Seed uint64
-	// Trace, if non-nil, records EvDrop/EvTimeout/EvCrash events
-	// (Step = the node's local workload step, Proc = the node).
-	Trace *trace.Recorder
 }
 
 // Crash is one scheduled fail-stop window.

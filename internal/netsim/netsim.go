@@ -50,7 +50,6 @@ import (
 	"lmbalance/internal/proto"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
-	"lmbalance/internal/trace"
 	"lmbalance/internal/wire"
 )
 
@@ -395,7 +394,6 @@ func (s *network) post(to int, msg wire.Msg) {
 	nd, f := &s.nodes[to], &s.cfg.Faults
 	if msg.Kind != wire.Transfer && nd.frng.Bernoulli(f.DropP) {
 		nd.stats.Dropped++
-		s.record(to, trace.EvDrop, msg.From)
 		return
 	}
 	due := s.now + 1
@@ -418,7 +416,6 @@ func (s *network) deliver(e envelope) {
 	nd := &s.nodes[e.to]
 	if nd.crashed && e.msg.Kind != wire.Transfer {
 		nd.stats.LostAtCrash++
-		s.record(e.to, trace.EvDrop, e.msg.From)
 		return
 	}
 	s.apply(e.to, nd.m.Handle(e.msg, s.effs[:0]))
@@ -446,7 +443,6 @@ func (s *network) turn(i int) {
 		nd.crashPlan = nd.crashPlan[1:]
 		nd.crashed, nd.crashUntil = true, s.now+down
 		nd.stats.Crashes++
-		s.record(i, trace.EvCrash, int(down))
 		nd.m.Crash()
 		return
 	}
@@ -512,7 +508,6 @@ func (s *network) apply(i int, effs []proto.Effect) {
 		case proto.Unfroze:
 			if e.Reason == proto.ByExpiry {
 				nd.stats.FreezeExpired++
-				s.record(i, trace.EvTimeout, e.Peer)
 			}
 		case proto.Aborted:
 			nd.stats.Aborted++
@@ -523,14 +518,6 @@ func (s *network) apply(i int, effs []proto.Effect) {
 		// Only a collect's end, Aborted or Resolved, carries Timeout.
 		if e.Reason == proto.Timeout {
 			nd.stats.Timeouts++
-			s.record(i, trace.EvTimeout, e.Partners)
 		}
-	}
-}
-
-// record traces one fault-layer event at node i, if a recorder is armed.
-func (s *network) record(i int, kind trace.EventKind, arg int) {
-	if t := s.cfg.Faults.Trace; t != nil {
-		t.Record(trace.Event{Step: s.nodes[i].stepsDone, Proc: i, Kind: kind, Arg: arg})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lmbalance/internal/topology"
-	"lmbalance/internal/trace"
 )
 
 // mustRun runs the simulation; it is single-threaded and its timeouts
@@ -229,26 +228,20 @@ func TestGraphRestrictedBalancing(t *testing.T) {
 
 // TestNetsimDeterministic: a Result is a pure function of its Config —
 // the same seeds, with every fault mechanism armed, give the same
-// per-node statistics and the same fault trace, run after run.
+// per-node statistics (fault counters included), run after run.
 func TestNetsimDeterministic(t *testing.T) {
-	run := func() (*Result, []trace.Event) {
-		rec := trace.NewRecorder(1 << 12)
-		res := mustRun(t, Config{
+	run := func() *Result {
+		return mustRun(t, Config{
 			N: 16, Delta: 2, F: 1.1, Steps: 800,
 			GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 31,
 			Graph: topology.Torus2D(4, 4),
-			Faults: Faults{DropP: 0.3, DelayMax: 3, Seed: 19, TimeoutTicks: 25, Trace: rec,
+			Faults: Faults{DropP: 0.3, DelayMax: 3, Seed: 19, TimeoutTicks: 25,
 				Crashes: []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500, DownTicks: 100}}},
 		})
-		return res, rec.Events()
 	}
-	a, aev := run()
-	b, bev := run()
+	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same Config, different Results:\n%+v\n%+v", a.Nodes, b.Nodes)
-	}
-	if !reflect.DeepEqual(aev, bev) {
-		t.Fatal("same Config, different fault traces")
 	}
 	var timeouts, dropped, delayed, completed int64
 	for _, n := range a.Nodes {

@@ -1,6 +1,6 @@
-// Package trace provides lightweight event recording for simulations and
-// the tabular writers the experiment harnesses use to emit their results
-// (aligned text for the terminal, CSV for files).
+// Package trace renders results: the tables the experiment harnesses
+// and CLIs emit (aligned text for the terminal, CSV for files) and the
+// sparklines and heat rows their text figures draw.
 package trace
 
 import (
@@ -9,114 +9,6 @@ import (
 	"io"
 	"strings"
 )
-
-// EventKind labels recorded simulation events.
-type EventKind uint8
-
-// Event kinds recorded by instrumented runs.
-const (
-	EvGenerate EventKind = iota
-	EvConsume
-	EvBalance
-	EvBorrow
-	EvSettle
-	// Fault-injection events (internal/netsim): a message lost in
-	// transit or at a crashed node, a protocol timeout (initiator reply
-	// timeout or frozen-partner self-release), and a node crash.
-	EvDrop
-	EvTimeout
-	EvCrash
-	kindCount
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvGenerate:
-		return "generate"
-	case EvConsume:
-		return "consume"
-	case EvBalance:
-		return "balance"
-	case EvBorrow:
-		return "borrow"
-	case EvSettle:
-		return "settle"
-	case EvDrop:
-		return "drop"
-	case EvTimeout:
-		return "timeout"
-	case EvCrash:
-		return "crash"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
-	}
-}
-
-// Event is one recorded occurrence.
-type Event struct {
-	Step int       // global time step
-	Proc int       // acting processor
-	Kind EventKind // what happened
-	Arg  int       // kind-specific payload (e.g. partner id, class)
-}
-
-// Recorder collects events in a bounded ring buffer: the newest Cap events
-// are retained. A zero-capacity Recorder drops everything (cheap no-op).
-type Recorder struct {
-	buf   []Event
-	next  int
-	count int
-	total int64
-	kinds [kindCount]int64
-}
-
-// NewRecorder returns a recorder retaining up to capacity events.
-func NewRecorder(capacity int) *Recorder {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Recorder{buf: make([]Event, capacity)}
-}
-
-// Record appends one event (dropping the oldest if full).
-func (r *Recorder) Record(e Event) {
-	r.total++
-	if e.Kind < kindCount {
-		r.kinds[e.Kind]++
-	}
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	if r.count < len(r.buf) {
-		r.count++
-	}
-}
-
-// Total returns the number of events ever recorded.
-func (r *Recorder) Total() int64 { return r.total }
-
-// CountKind returns how many events of kind k were ever recorded.
-func (r *Recorder) CountKind(k EventKind) int64 {
-	if k >= kindCount {
-		return 0
-	}
-	return r.kinds[k]
-}
-
-// Events returns the retained events, oldest first.
-func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.count)
-	if r.count == len(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf[:r.count]...)
-	}
-	return out
-}
 
 // Table is a simple column-oriented result table with a title, used by the
 // experiment harnesses for both terminal and CSV output.

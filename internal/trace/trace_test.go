@@ -6,73 +6,6 @@ import (
 	"testing"
 )
 
-func TestEventKindString(t *testing.T) {
-	for k, want := range map[EventKind]string{
-		EvGenerate: "generate", EvConsume: "consume", EvBalance: "balance",
-		EvBorrow: "borrow", EvSettle: "settle",
-		EvDrop: "drop", EvTimeout: "timeout", EvCrash: "crash",
-	} {
-		if k.String() != want {
-			t.Fatalf("%d.String() = %q", k, k.String())
-		}
-	}
-	if !strings.Contains(EventKind(200).String(), "200") {
-		t.Fatal("unknown kind should include number")
-	}
-}
-
-func TestRecorderRing(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Step: i, Kind: EvGenerate})
-	}
-	ev := r.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retained %d events, want 3", len(ev))
-	}
-	// Oldest first: steps 2,3,4.
-	for i, e := range ev {
-		if e.Step != i+2 {
-			t.Fatalf("event %d has step %d", i, e.Step)
-		}
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total %d", r.Total())
-	}
-	if r.CountKind(EvGenerate) != 5 || r.CountKind(EvConsume) != 0 {
-		t.Fatal("kind counts wrong")
-	}
-	if r.CountKind(EventKind(99)) != 0 {
-		t.Fatal("unknown kind count should be 0")
-	}
-}
-
-func TestRecorderPartial(t *testing.T) {
-	r := NewRecorder(10)
-	r.Record(Event{Step: 1})
-	r.Record(Event{Step: 2})
-	ev := r.Events()
-	if len(ev) != 2 || ev[0].Step != 1 || ev[1].Step != 2 {
-		t.Fatalf("partial buffer wrong: %v", ev)
-	}
-}
-
-func TestRecorderZeroCap(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(Event{Step: 1})
-	if len(r.Events()) != 0 {
-		t.Fatal("zero-cap recorder retained events")
-	}
-	if r.Total() != 1 {
-		t.Fatal("zero-cap recorder must still count")
-	}
-	neg := NewRecorder(-5)
-	neg.Record(Event{})
-	if len(neg.Events()) != 0 {
-		t.Fatal("negative capacity should behave as zero")
-	}
-}
-
 func TestTableText(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1.5)
