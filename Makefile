@@ -2,12 +2,17 @@ GO ?= go
 
 .PHONY: check fmt race bench fuzz experiments
 
-# Tier-1 gate: everything must pass before a change lands.
+# Tier-1 gate: everything must pass before a change lands. It ends by
+# running the examples, which exit non-zero on an error or a failed
+# invariant check.
 check: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) race
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/phases
+	$(GO) run ./examples/distributed
 
 # Every tracked Go file (bench/ included) must be gofmt-clean; the gate
 # lists the ones that are not and fails.
@@ -18,7 +23,7 @@ fmt:
 # Race-detector pass over the concurrent packages and the core they drive
 # (internal/netsim and internal/proto are single-threaded by construction).
 race:
-	$(GO) test -race ./internal/pool ./internal/sim ./internal/core ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
+	$(GO) test -race ./internal/sim ./internal/core ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
 
 # Microbenchmarks for the sparse core, for use under a profiler. Every
 # number with a bound lives in the ledger (bash bench/run.sh --workload

@@ -1,23 +1,20 @@
 // Benchmarks regenerating every table and figure of the paper, one
 // testing.B target per artifact (run with -benchtime=1x for a single
-// regeneration), plus micro-benchmarks of the core operations and the
-// concurrent pools. The reported custom metrics carry the headline
-// numbers of each artifact so a bench run doubles as a smoke
-// reproduction; cmd/paperfigs renders the full tables.
+// regeneration), plus micro-benchmarks of the core operations. The
+// reported custom metrics carry the headline numbers of each artifact so
+// a bench run doubles as a smoke reproduction; cmd/paperfigs renders the
+// full tables.
 package lmbalance_test
 
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"lmbalance"
-	"lmbalance/internal/bnb"
 	"lmbalance/internal/core"
 	"lmbalance/internal/experiments"
 	"lmbalance/internal/netsim"
-	"lmbalance/internal/pool"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/sim"
 	"lmbalance/internal/theory"
@@ -165,7 +162,7 @@ func BenchmarkGrowthCost(b *testing.B) {
 }
 
 // BenchmarkScaling regenerates the Theorem 2 network-size-independence
-// table (n = 16..4096).
+// table (n = 16..1024 at quick scale).
 func BenchmarkScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Scaling(experiments.ScaleQuick, uint64(i)+1)
@@ -332,71 +329,5 @@ func BenchmarkVDMonteCarloFig6Cell(b *testing.B) {
 		if _, err := theory.VDMonteCarlo(cfg, 1000, uint64(i)+1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPoolsTaskTree compares the LM pool and the stealing pool on a
-// recursively generated task tree (the B&B-shaped workload).
-func BenchmarkPoolsTaskTree(b *testing.B) {
-	b.Run("luling-monien", func(b *testing.B) {
-		p, err := pool.New(pool.Config{Workers: 8, F: 1.2, Delta: 1, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		var n atomic.Int64
-		var spawn func(d int) pool.Task
-		spawn = func(d int) pool.Task {
-			return func(w *pool.Worker) {
-				n.Add(1)
-				if d > 0 {
-					w.Submit(spawn(d - 1))
-					w.Submit(spawn(d - 1))
-				}
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Submit(spawn(10))
-			p.Wait()
-		}
-	})
-	b.Run("stealing", func(b *testing.B) {
-		p, err := pool.NewStealing(8, 1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		var n atomic.Int64
-		var spawn func(d int) pool.StealTask
-		spawn = func(d int) pool.StealTask {
-			return func(r *pool.StealWorkerRef) {
-				n.Add(1)
-				if d > 0 {
-					r.Submit(spawn(d - 1))
-					r.Submit(spawn(d - 1))
-				}
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Submit(spawn(10))
-			p.Wait()
-		}
-	})
-}
-
-// BenchmarkParallelTSP measures the flagship application end to end.
-func BenchmarkParallelTSP(b *testing.B) {
-	ins := bnb.RandomInstance(12, rng.New(42))
-	p, err := pool.New(pool.Config{Workers: 8, F: 1.2, Delta: 1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := bnb.SolveParallel(ins, p, 3)
-		b.ReportMetric(float64(res.Nodes), "nodes")
 	}
 }

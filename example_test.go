@@ -25,30 +25,6 @@ func ExampleNewSystem() {
 	// bound: true
 }
 
-// ExampleNewPool runs dynamically generated tasks on the concurrent pool.
-func ExampleNewPool() {
-	p, err := lmbalance.NewPool(lmbalance.PoolConfig{Workers: 4, F: 1.2, Delta: 1, Seed: 7})
-	if err != nil {
-		panic(err)
-	}
-	defer p.Close()
-	results := make(chan int, 3)
-	p.Submit(func(w *lmbalance.Worker) {
-		// Tasks can spawn subtasks into the local queue.
-		w.Submit(func(w *lmbalance.Worker) { results <- 2 })
-		w.Submit(func(w *lmbalance.Worker) { results <- 3 })
-		results <- 1
-	})
-	p.Wait()
-	sum := 0
-	for i := 0; i < 3; i++ {
-		sum += <-results
-	}
-	fmt.Println("sum:", sum)
-	// Output:
-	// sum: 6
-}
-
 // ExampleFIX evaluates the paper's closed forms.
 func ExampleFIX() {
 	fix := lmbalance.FIX(64, 1, 1.1)

@@ -36,6 +36,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if !res.Conserved() {
+			log.Fatalf("δ=%d: packet conservation violated", delta)
+		}
 		var initiated, completed, aborted int64
 		for _, nd := range res.Nodes {
 			initiated += nd.Initiated

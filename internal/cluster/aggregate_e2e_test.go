@@ -43,31 +43,31 @@ func TestTCPAggregatorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	transports := make([]wire.Transport, n)
-	regs := make([]*obs.Registry, n)
+	gen := []float64{0.9, 0.9, 0.1, 0.1}
+	con := []float64{0.1, 0.1, 0.4, 0.4}
+	nodes := make([]*Node, n)
 	recs := make([]*obs.Recorder, n)
 	urls := make([]string, n)
 	for i, tp := range ts {
-		regs[i] = obs.NewRegistry()
-		tp.Register(regs[i])
-		transports[i] = tp
-		recs[i] = NewRecorder(regs[i], []int{i}, 2048)
+		reg := obs.NewRegistry()
+		tp.Register(reg)
+		recs[i] = NewRecorder(reg, []int{i}, 2048)
 		recs[i].Start(2 * time.Millisecond)
-		srv, err := obs.ServeDebug("127.0.0.1:0", regs[i])
+		srv, err := obs.ServeDebug("127.0.0.1:0", reg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		urls[i] = srv.URL()
+		if nodes[i], err = New(Config{
+			ID: i, N: n, Delta: 2, F: 1.2, Steps: 600,
+			GenP: gen[i], ConP: con[i], Seed: 42,
+			Transport: tp, Obs: reg,
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	gen := []float64{0.9, 0.9, 0.1, 0.1}
-	con := []float64{0.1, 0.1, 0.4, 0.4}
-	res, err := RunCluster(ClusterConfig{
-		N: n, Delta: 2, F: 1.2, Steps: 600,
-		GenP: gen, ConP: con, Seed: 42,
-		ObsPerNode: regs,
-	}, transports)
+	res, err := RunNodes(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

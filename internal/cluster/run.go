@@ -11,8 +11,10 @@ import (
 
 // ClusterConfig parameterizes an in-process cluster run: N nodes of the
 // given shape, one per transport. It is the multi-node convenience
-// around Config — cmd/lbnode's -spawn mode, the WireCost experiment and
-// the integration tests all run through it.
+// around Config — the experiments, the benchmark harness and the
+// integration tests run through it. An embedder that needs a per-node
+// Config (its own registry, say) builds each node with New and runs
+// them with RunNodes instead.
 type ClusterConfig struct {
 	// N, Delta, F, Steps as in Config.
 	N     int
@@ -38,11 +40,6 @@ type ClusterConfig struct {
 	// one registry (abort reasons, phase timings, the live load
 	// distribution). Nil disables instrumentation.
 	Obs *obs.Registry
-	// ObsPerNode, when non-empty (length N), gives node i its own
-	// registry instead of the shared Obs — the multi-process
-	// observability shape run in one process: each node serves its own
-	// debug endpoint and obs.Aggregate merges the scrapes.
-	ObsPerNode []*obs.Registry
 	// StepInterval, NoBalance, Stop as in Config, applied to every node.
 	StepInterval time.Duration
 	NoBalance    bool
@@ -224,10 +221,10 @@ func RunCluster(cfg ClusterConfig, transports []wire.Transport) (*Result, error)
 }
 
 // NewNodes validates the configuration and constructs — without
-// starting — one node per transport. It exists for embedders that need
-// the node handles before the run begins (e.g. cmd/lbnode wiring each
-// node's id and live epoch into its own /healthz); RunNodes then runs
-// them. On error every transport is closed.
+// starting — one node per transport, for callers that separate setup
+// from the run (timing setup apart, or running the cluster in a
+// goroutine); RunNodes then runs them. On error every transport is
+// closed.
 func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 	if len(transports) != cfg.N {
 		return nil, fmt.Errorf("cluster: %d transports for %d nodes", len(transports), cfg.N)
@@ -236,9 +233,6 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 		if len(ps) > 1 && len(ps) != cfg.N {
 			return nil, fmt.Errorf("cluster: probability slice length %d, need 1 or %d", len(ps), cfg.N)
 		}
-	}
-	if len(cfg.ObsPerNode) > 0 && len(cfg.ObsPerNode) != cfg.N {
-		return nil, fmt.Errorf("cluster: %d per-node registries for %d nodes", len(cfg.ObsPerNode), cfg.N)
 	}
 	if len(cfg.ServePerNode) > 0 && len(cfg.ServePerNode) != cfg.N {
 		return nil, fmt.Errorf("cluster: %d serve hooks for %d nodes", len(cfg.ServePerNode), cfg.N)
@@ -254,10 +248,6 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 	}
 	nodes := make([]*Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		reg := cfg.Obs
-		if len(cfg.ObsPerNode) > 0 {
-			reg = cfg.ObsPerNode[i]
-		}
 		var serve *ServeHooks
 		if len(cfg.ServePerNode) > 0 {
 			serve = cfg.ServePerNode[i]
@@ -274,7 +264,7 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 			MinInitGap: cfg.MinInitGap,
 			Pace:       cfg.Pace, PaceMaxGap: cfg.PaceMaxGap,
 			PaceMult: cfg.PaceMult, PaceDec: cfg.PaceDec,
-			Obs:          reg,
+			Obs:          cfg.Obs,
 			StepInterval: cfg.StepInterval, NoBalance: cfg.NoBalance,
 			Stop: cfg.Stop, Serve: serve, Flight: rec,
 		})

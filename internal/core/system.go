@@ -15,9 +15,9 @@ import (
 // use through the sequential API; the sharded simulation engine drives
 // disjoint processor ranges concurrently through Lane views and resolves
 // cross-range balancing operations through the batched entry points in
-// batch.go. Other concurrent realizations live in internal/pool
-// (shared-memory worker pool) and internal/netsim (message-passing
-// network).
+// batch.go. The message-passing realization is internal/proto (the
+// handshake state machine), driven by internal/netsim on a virtual clock
+// and by internal/cluster over real transports.
 //
 // Per-class state is stored sparsely: processor i keeps a compact row of
 // the classes it actually holds (see sparse.go) instead of dense length-n

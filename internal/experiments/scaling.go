@@ -13,10 +13,10 @@ import (
 	"lmbalance/internal/workload"
 )
 
-// ScalingNs are the network sizes of the size-independence study that every
-// scale runs. The sparse core (O(nnz+n) memory, balancing cost independent
-// of n) makes n = 4096 tractable; the dense representation previously
-// capped the sweep at 1024.
+// ScalingNs are the network sizes of the full-scale size-independence
+// study; the quick scale stops at 1024 (see ScalingSizes). The sparse core
+// (O(nnz+n) memory, balancing cost independent of n) makes n = 4096
+// tractable; the dense representation previously capped the sweep at 1024.
 var ScalingNs = []int{16, 64, 256, 1024, 4096}
 
 // ScalingMillionN is the headline size the sharded engine adds at full
@@ -24,13 +24,13 @@ var ScalingNs = []int{16, 64, 256, 1024, 4096}
 const ScalingMillionN = 1_000_000
 
 // ScalingSizes returns the sweep sizes for a scale: quick keeps the
-// CI-sized list, full appends the million-processor row.
+// CI-sized 16 → 1024 sweep, full runs every ScalingNs size and appends
+// the million-processor row.
 func ScalingSizes(scale Scale) []int {
-	sizes := append([]int(nil), ScalingNs...)
-	if scale == ScaleFull {
-		sizes = append(sizes, ScalingMillionN)
+	if scale != ScaleFull {
+		return []int{16, 64, 256, 1024}
 	}
-	return sizes
+	return append(append([]int(nil), ScalingNs...), ScalingMillionN)
 }
 
 // scalingShards picks the within-run shard count for one network size.

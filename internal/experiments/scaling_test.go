@@ -14,7 +14,7 @@ func TestScalingQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(ScalingNs) {
+	if len(res.Rows) != len(ScalingSizes(ScaleQuick)) {
 		t.Fatal("missing rows")
 	}
 	for _, row := range res.Rows {

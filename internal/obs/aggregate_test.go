@@ -137,12 +137,12 @@ func TestAggregateMergesNodes(t *testing.T) {
 		urls = append(urls, s.URL())
 		regs = append(regs, reg)
 	}
-	// A cross-node operation: initiator on node 0, partner on node 2.
-	regs[0].Tracer().RecordOp(0, op, "initiate", "target=2")
-	time.Sleep(time.Millisecond)
-	regs[2].Tracer().RecordOp(2, op, "freeze", "from=0")
-	time.Sleep(time.Millisecond)
-	regs[0].Tracer().RecordOp(0, op, "resolve", "moved=5")
+	// A cross-node operation: initiator on node 0, partner on node 2,
+	// stamped a millisecond apart so the stitched order is exact.
+	t0 := time.Now()
+	regs[0].Tracer().RecordEvent(Event{At: t0, Node: 0, Op: op, Kind: "initiate", Detail: "target=2"})
+	regs[2].Tracer().RecordEvent(Event{At: t0.Add(time.Millisecond), Node: 2, Op: op, Kind: "freeze", Detail: "from=0"})
+	regs[0].Tracer().RecordEvent(Event{At: t0.Add(2 * time.Millisecond), Node: 0, Op: op, Kind: "resolve", Detail: "moved=5"})
 	regs[1].Tracer().Record(1, "noise", "untagged, must not stitch")
 
 	v, err := Aggregate(urls)
@@ -306,9 +306,9 @@ func TestServeAggregatorEndpoints(t *testing.T) {
 	op := uint64(0xabcdef)
 	s0, reg0 := newScrapeableNode(t, 0, 8, 20, 12)
 	s1, reg1 := newScrapeableNode(t, 1, 16, 30, 14)
-	reg0.Tracer().RecordOp(0, op, "initiate", "")
-	time.Sleep(time.Millisecond)
-	reg1.Tracer().RecordOp(1, op, "freeze", "")
+	t0 := time.Now()
+	reg0.Tracer().RecordEvent(Event{At: t0, Node: 0, Op: op, Kind: "initiate"})
+	reg1.Tracer().RecordEvent(Event{At: t0.Add(time.Millisecond), Node: 1, Op: op, Kind: "freeze"})
 
 	agg, err := ServeAggregator("127.0.0.1:0", []string{s0.URL(), s1.URL()})
 	if err != nil {

@@ -8,18 +8,22 @@
 //
 //   - System (internal/core) — the packet-level algorithm with virtual
 //     load classes and borrowing, driven step-by-step.
-//   - Pool (internal/pool) — the concurrent realization: a task pool whose
-//     workers balance their queues with the paper's factor-f trigger.
-//     This is the API a downstream application adopts.
 //   - Simulate (internal/sim) — the discrete-time experiment engine.
+//   - RunNetwork (internal/netsim) — the message-passing realization on
+//     a virtual clock.
+//   - StartNode, NewLoopback, ListenNode (internal/cluster,
+//     internal/wire) — the same protocol over real transports.
+//   - Registry, ServeDebug, Aggregate (internal/obs) — live metrics,
+//     traces and the merged cluster view.
 //   - FIX, FixLimit, OperatorG… (internal/theory) — the closed forms.
 //
 // # Quick start
 //
-//	p, _ := lmbalance.NewPool(lmbalance.PoolConfig{Workers: 8, F: 1.2, Delta: 1})
-//	defer p.Close()
-//	p.Submit(func(w *lmbalance.Worker) { /* work; w.Submit(...) to spawn */ })
-//	p.Wait()
+//	sys, _ := lmbalance.NewSystem(8, lmbalance.DefaultParams(), 42)
+//	for i := 0; i < 800; i++ {
+//		sys.Generate(0) // the factor-f trigger spreads the load
+//	}
+//	fmt.Println(sys.TotalLoad(), sys.Load(0), sys.Load(4))
 //
 // See examples/ for runnable programs and cmd/paperfigs for the full
 // reproduction of the paper's tables and figures.
@@ -30,7 +34,6 @@ import (
 	"lmbalance/internal/core"
 	"lmbalance/internal/netsim"
 	"lmbalance/internal/obs"
-	"lmbalance/internal/pool"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/sim"
 	"lmbalance/internal/theory"
@@ -59,40 +62,6 @@ func DefaultParams() Params { return core.DefaultParams() }
 func NewSystem(n int, p Params, seed uint64) (*System, error) {
 	return core.NewSystem(n, p, topology.NewGlobal(n), rng.New(seed))
 }
-
-// PoolConfig configures the concurrent task pool.
-type PoolConfig = pool.Config
-
-// Pool is the concurrent Lüling–Monien task pool.
-type Pool = pool.Pool
-
-// Worker is the execution context tasks receive; subtasks submitted
-// through it enter the local queue.
-type Worker = pool.Worker
-
-// Task is a unit of work for the Pool.
-type Task = pool.Task
-
-// PoolStats snapshots pool activity.
-type PoolStats = pool.Stats
-
-// NewPool creates and starts a concurrent pool.
-func NewPool(cfg PoolConfig) (*Pool, error) { return pool.New(cfg) }
-
-// PriorityPool is the best-first variant of the pool: workers execute
-// their most promising task first and balancing deals the merged tasks
-// out in priority order — the regime of the paper's distributed branch &
-// bound systems.
-type PriorityPool = pool.PriorityPool
-
-// PriorityTask is a unit of work with a priority (lower runs first).
-type PriorityTask = pool.PriorityTask
-
-// PriorityWorker is the execution context of priority tasks.
-type PriorityWorker = pool.PriorityWorker
-
-// NewPriorityPool creates and starts a best-first pool.
-func NewPriorityPool(cfg PoolConfig) (*PriorityPool, error) { return pool.NewPriority(cfg) }
 
 // NetworkConfig configures the share-nothing, message-passing simulation
 // (one protocol machine per processor, balancing via a freeze/ack/transfer
@@ -159,7 +128,7 @@ func StartNode(cfg NodeConfig) (*ClusterNode, error) {
 // Registry collects live metrics (atomic counters, gauges, fixed-bucket
 // histograms) and an optional event tracer. A nil *Registry is a valid
 // no-op sink: instrumented components accept one in their configs
-// (NodeConfig.Obs, NetworkConfig.Obs, Pool.RegisterMetrics) and pay
+// (NodeConfig.Obs, NetworkConfig.Obs) and pay
 // ~1 ns per disabled metric operation.
 type Registry = obs.Registry
 

@@ -1,9 +1,6 @@
 package lmbalance
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestNewSystemFacade(t *testing.T) {
 	s, err := NewSystem(8, DefaultParams(), 1)
@@ -22,25 +19,6 @@ func TestNewSystemFacade(t *testing.T) {
 	// Load has spread beyond the generator.
 	if s.Load(0) == 100 {
 		t.Fatal("no balancing happened")
-	}
-}
-
-func TestPoolFacade(t *testing.T) {
-	p, err := NewPool(PoolConfig{Workers: 4, F: 1.3, Delta: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	var n atomic.Int64
-	for i := 0; i < 100; i++ {
-		p.Submit(func(w *Worker) { n.Add(1) })
-	}
-	p.Wait()
-	if n.Load() != 100 {
-		t.Fatalf("executed %d", n.Load())
-	}
-	if p.Stats().Submitted != 100 {
-		t.Fatal("stats wrong")
 	}
 }
 
