@@ -6,9 +6,9 @@
 // through the protocol state machine (internal/proto) to check that
 // every recorded send, decision and split is what the machine computes,
 // plus packet and job conservation and the VD trajectory, entirely from
-// disk. It can also reconstruct one
-// balancing operation's cross-node timeline (what /trace used to
-// answer, but post-mortem) and diff two recordings field by field.
+// disk. It also prints one balancing operation's cross-node timeline —
+// the recording is the only place one is kept — and diffs two
+// recordings field by field.
 //
 // The exit status is the verdict: 0 for a clean audit, 1 for a failed
 // load (a segment from another format version is refused by name), 2
@@ -107,13 +107,13 @@ func base(s string) int {
 }
 
 func printOps(w io.Writer, rec *flight.Recording, asJSON bool) error {
-	ops := rec.Ops()
+	ops, timelines := rec.Timelines()
 	if asJSON {
 		return json.NewEncoder(w).Encode(ops)
 	}
 	fmt.Fprintf(w, "%d balancing ops across %d node streams:\n", len(ops), len(rec.Nodes))
 	for _, op := range ops {
-		tl := rec.Timeline(op)
+		tl := timelines[op]
 		nodes := map[int]bool{}
 		for _, ev := range tl {
 			nodes[ev.Node] = true
@@ -124,7 +124,8 @@ func printOps(w io.Writer, rec *flight.Recording, asJSON bool) error {
 }
 
 func printTimeline(w io.Writer, rec *flight.Recording, op uint64, asJSON bool) error {
-	tl := rec.Timeline(op)
+	_, timelines := rec.Timelines()
+	tl := timelines[op]
 	if len(tl) == 0 {
 		return fmt.Errorf("op 0x%x not in recording", op)
 	}

@@ -76,7 +76,7 @@ func TestCLIAuditOpsTimelineDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := rec.Ops()
+	ops, _ := rec.Timelines()
 	if len(ops) == 0 {
 		t.Fatal("no ops recorded")
 	}

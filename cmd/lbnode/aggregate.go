@@ -50,7 +50,7 @@ func runAggregate(o options, w io.Writer, td *teardown) (bool, error) {
 			return false, err
 		}
 		td.do(func() { srv.Close() })
-		fmt.Fprintf(w, "aggregator endpoints at %s: /cluster /metrics /series /trace /healthz (%d upstreams)\n",
+		fmt.Fprintf(w, "aggregator endpoints at %s: /cluster /metrics /series /healthz (%d upstreams)\n",
 			srv.URL(), len(urls))
 		<-interrupt(o, td)
 		return true, nil
@@ -73,7 +73,6 @@ func runAggregate(o options, w io.Writer, td *teardown) (bool, error) {
 	}
 	dn, mean, std, vd := v.Dist(obs.LoadGaugeBase)
 	fmt.Fprintf(w, "cluster load: %d nodes  mean %.2f  std %.2f  VD %.3f\n", dn, mean, std, vd)
-	fmt.Fprintf(w, "stitched operations: %d\n", len(v.Ops))
 	// Conservation, re-derived from the scrapes alone. Mid-run the
 	// totals legitimately differ by the load in flight, so the check is
 	// reported, not enforced.

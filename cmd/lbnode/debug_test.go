@@ -79,9 +79,6 @@ func TestSpawnDebugEndpoints(t *testing.T) {
 	if code := getStatus(t, url+"/healthz"); code != 200 {
 		t.Fatalf("/healthz = %d", code)
 	}
-	if code := getStatus(t, url+"/trace"); code != 200 {
-		t.Fatalf("/trace = %d", code)
-	}
 
 	out := <-done
 	if out.err != nil {

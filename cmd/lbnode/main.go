@@ -8,13 +8,14 @@
 //	lbnode -spawn 16 -transport inproc -steps 5000
 //	lbnode -aggregate host0:7200,host1:7201        # merge running nodes' debug endpoints
 //
-// -debug-addr serves /metrics, /debug/vars, /trace, /series, /healthz
+// -debug-addr serves /metrics, /debug/vars, /series, /healthz
 // and pprof during the run (spawn mode: one endpoint for the cluster,
 // or one per node on port+i with -debug-per-node; an aggregator serves
 // its merged view there). -serve-addr takes client job submissions
 // (spawn mode: node i on port+i), which are then the only load source;
 // SIGINT/SIGTERM ends a serving run with a clean drain of the protocol.
-// -slo runs the health monitor, -flight-dir the flight recorder.
+// -slo runs the health monitor, -flight-dir the flight recorder (the one
+// record of each operation's cross-node timeline: lbflight -op).
 //
 // The exit status is nonzero if the node (or, in spawn mode, the
 // cluster) observed a packet-conservation violation — a bug, not a
@@ -69,7 +70,7 @@ func main() {
 	flag.Float64Var(&o.paceMult, "pace-mult", 0, "adaptive pacing: multiplicative gap increase per peer_frozen abort (0 = default)")
 	flag.DurationVar(&o.paceDec, "pace-dec", 0, "adaptive pacing: additive gap decrease per successful collect (0 = default)")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the per-node table")
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /debug/vars, /trace, /series and /debug/pprof on this address during the run (e.g. 127.0.0.1:7200)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /debug/vars, /series and /debug/pprof on this address during the run (e.g. 127.0.0.1:7200)")
 	flag.BoolVar(&o.debugPerNode, "debug-per-node", false, "spawn mode: per-node registries and debug endpoints on ports debug-addr+i (requires -debug-addr)")
 	flag.DurationVar(&o.seriesPeriod, "series-period", 100*time.Millisecond, "time-series recorder sampling period (with -debug-addr)")
 	flag.StringVar(&o.aggregate, "aggregate", "", "aggregator mode: comma-separated upstream debug URLs to scrape and merge")
@@ -317,9 +318,9 @@ func observe(o options, w io.Writer, ds []*daemon, perNode bool, slo *obs.SLO, t
 			return err
 		}
 		if len(groups) > 1 {
-			fmt.Fprintf(w, "node %d debug endpoints at %s: /metrics /series /trace /healthz\n", g[0].node.ID(), urls[i])
+			fmt.Fprintf(w, "node %d debug endpoints at %s: /metrics /series /healthz\n", g[0].node.ID(), urls[i])
 		} else {
-			fmt.Fprintf(w, "debug endpoints at %s: /metrics /debug/vars /trace /series /debug/pprof/\n", urls[i])
+			fmt.Fprintf(w, "debug endpoints at %s: /metrics /debug/vars /series /debug/pprof/\n", urls[i])
 		}
 	}
 	if slo != nil {
@@ -390,12 +391,12 @@ func serveDebug(o options, addr string, ds []*daemon, hp *healthProxy, td *teard
 
 // startMonitor runs the -slo health monitor over urls and serves its
 // document through hp. reg (nil for the aggregator) receives its alert
-// events and counters.
+// counters.
 func startMonitor(o options, w io.Writer, slo obs.SLO, urls []string, reg *obs.Registry,
 	onAlert func(obs.HealthDoc), hp *healthProxy, where string, td *teardown) {
 	mon := obs.NewMonitor(obs.MonitorConfig{
 		URLs: urls, SLO: slo, Period: o.monitorPeriod, Timeout: o.scrapeTimeout,
-		Tracer: reg.Tracer(), Obs: reg, OnAlert: onAlert,
+		Obs: reg, OnAlert: onAlert,
 	})
 	hp.mon.Store(mon)
 	mon.Start()

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"lmbalance/internal/flight"
 	"lmbalance/internal/obs"
 	"lmbalance/internal/wire"
 )
@@ -27,16 +29,17 @@ func httpGet(t *testing.T, url string) (int, string) {
 }
 
 // TestTCPAggregatorEndToEnd is the multi-node observability e2e: a real
-// loopback-TCP cluster where every node has its *own* registry, tracer,
-// recorder and debug HTTP endpoint (the multi-process shape), and an
-// aggregator that scrapes them all afterwards. It must be able to
+// loopback-TCP cluster where every node has its *own* registry,
+// time-series recorder, debug HTTP endpoint and flight recorder (the
+// multi-process shape), and an aggregator that scrapes them all
+// afterwards. It must be able to
 //
 //   - re-derive the conservation audit purely from scraped metrics
 //     (Σ load gauges == Σ generated − Σ consumed counters, matching the
 //     coordinator's Bye accounting), and
-//   - stitch one balancing operation's full cross-node timeline —
-//     initiate → freeze → resolve → transfer → transfer ack — out of
-//     the per-process trace rings, with monotonic timestamps.
+//   - read one balancing operation's whole cross-node handshake —
+//     initiate, freeze request and ack, resolve, transfer and its ack —
+//     out of the per-node flight recordings, in causal order.
 func TestTCPAggregatorEndToEnd(t *testing.T) {
 	const n = 4
 	ts, err := wire.NewLocalCluster(n)
@@ -45,8 +48,10 @@ func TestTCPAggregatorEndToEnd(t *testing.T) {
 	}
 	gen := []float64{0.9, 0.9, 0.1, 0.1}
 	con := []float64{0.1, 0.1, 0.4, 0.4}
+	root := t.TempDir()
 	nodes := make([]*Node, n)
 	recs := make([]*obs.Recorder, n)
+	flights := make([]*flight.Recorder, n)
 	urls := make([]string, n)
 	for i, tp := range ts {
 		reg := obs.NewRegistry()
@@ -59,10 +64,13 @@ func TestTCPAggregatorEndToEnd(t *testing.T) {
 		}
 		defer srv.Close()
 		urls[i] = srv.URL()
+		if flights[i], err = flight.Open(flight.Options{Dir: filepath.Join(root, fmt.Sprintf("node-%d", i)), Node: i}); err != nil {
+			t.Fatal(err)
+		}
 		if nodes[i], err = New(Config{
 			ID: i, N: n, Delta: 2, F: 1.2, Steps: 600,
 			GenP: gen[i], ConP: con[i], Seed: 42,
-			Transport: tp, Obs: reg,
+			Transport: flights[i].Tap(tp), Obs: reg, Flight: flights[i],
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +79,17 @@ func TestTCPAggregatorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		rec.Stop()
+	for i := range recs {
+		recs[i].Stop()
+		if err := flights[i].Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !res.Conserved() || !res.Summary.Conserved() {
 		t.Fatalf("cluster itself violated conservation: %+v", res.Summary)
 	}
 	if res.Completed() == 0 {
-		t.Fatal("no balancing operation completed; nothing to stitch")
+		t.Fatal("no balancing operation completed; no timeline to read")
 	}
 
 	v, err := obs.Aggregate(urls)
@@ -124,76 +135,20 @@ func TestTCPAggregatorEndToEnd(t *testing.T) {
 		t.Fatalf("Dist saw %d nodes", dn)
 	}
 
-	// Stitch one completed operation's full cross-node timeline.
-	wantKinds := []string{"initiate", "freeze", "resolve", "transfer", "transfer_ack"}
-	var fullOp uint64
-	var timeline []obs.Event
-	for _, op := range v.OpIDs() {
-		evs := v.Ops[op]
-		have := make(map[string]bool, len(evs))
-		for _, ev := range evs {
-			have[ev.Kind] = true
-		}
-		complete := true
-		for _, k := range wantKinds {
-			if !have[k] {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			fullOp, timeline = op, evs
-			break
+	// One completed operation's handshake, read from the recordings.
+	recording, err := flight.LoadTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, timelines := recording.Timelines()
+	complete := 0
+	for _, op := range ops {
+		if handshakeInOrder(timelines[op]) {
+			complete++
 		}
 	}
-	if fullOp == 0 {
-		t.Fatalf("no operation with a full %v timeline among %d stitched ops", wantKinds, len(v.Ops))
-	}
-	// Monotonic timestamps across the merged timeline...
-	for i := 1; i < len(timeline); i++ {
-		if timeline[i].At.Before(timeline[i-1].At) {
-			t.Fatalf("op %#x timeline not monotone: %+v", fullOp, timeline)
-		}
-	}
-	// ...with the right causal order of phases, spanning >= 2 processes.
-	at := func(kind string) time.Time {
-		for _, ev := range timeline {
-			if ev.Kind == kind {
-				return ev.At
-			}
-		}
-		panic("unreachable: " + kind)
-	}
-	prev := at(wantKinds[0])
-	for _, k := range wantKinds[1:] {
-		if cur := at(k); cur.Before(prev) {
-			t.Fatalf("op %#x: first %q precedes its cause: %+v", fullOp, k, timeline)
-		} else {
-			prev = cur
-		}
-	}
-	nodesSeen := make(map[int]bool)
-	initiator := -1
-	for _, ev := range timeline {
-		nodesSeen[ev.Node] = true
-		if ev.Kind == "initiate" {
-			initiator = ev.Node
-		}
-	}
-	if len(nodesSeen) < 2 {
-		t.Fatalf("op %#x timeline does not cross processes: %+v", fullOp, timeline)
-	}
-	for _, ev := range timeline {
-		switch ev.Kind {
-		case "initiate", "resolve", "transfer_ack":
-			if ev.Node != initiator {
-				t.Fatalf("op %#x: %s on node %d, initiator is %d", fullOp, ev.Kind, ev.Node, initiator)
-			}
-		case "freeze", "transfer":
-			if ev.Node == initiator {
-				t.Fatalf("op %#x: %s on the initiator: %+v", fullOp, ev.Kind, timeline)
-			}
-		}
+	if complete == 0 {
+		t.Fatalf("no operation with its whole handshake in causal order among %d recorded ops", len(ops))
 	}
 
 	// The per-node recorders were scraped and merge into one cluster
@@ -218,11 +173,45 @@ func TestTCPAggregatorEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agg.Close()
-	code, body := httpGet(t, agg.URL()+fmt.Sprintf("/trace?op=%d", fullOp))
-	if code != 200 {
-		t.Fatalf("aggregator /trace = %d", code)
+	code, body := httpGet(t, agg.URL()+"/cluster")
+	if code != 200 || !strings.Contains(body, fmt.Sprintf(`"n": %d`, n)) {
+		t.Fatalf("aggregator /cluster = %d:\n%s", code, body)
 	}
-	if got := strings.Count(strings.TrimSpace(body), "\n") + 1; got != len(timeline) {
-		t.Fatalf("aggregator served %d timeline lines, stitched %d", got, len(timeline))
+}
+
+// handshakeInOrder reports whether one operation's merged timeline holds
+// its whole handshake, each step on its side of the operation — the
+// initiator or a partner — and after the step before it.
+func handshakeInOrder(tl []flight.Event) bool {
+	if len(tl) == 0 || tl[0].Dir != flight.DirLocal || tl[0].Kind != flight.LocalInitiate {
+		return false
 	}
+	frame := func(d flight.Dir, k wire.Kind) func(flight.Event) bool {
+		return func(ev flight.Event) bool { return ev.Dir == d && ev.Msg.Kind == k }
+	}
+	resolve := func(ev flight.Event) bool { return ev.Dir == flight.DirLocal && ev.Kind == flight.LocalResolve }
+	steps := []struct {
+		onInitiator bool
+		is          func(flight.Event) bool
+	}{
+		{false, frame(flight.DirRecv, wire.FreezeReq)},
+		{false, frame(flight.DirSend, wire.FreezeAck)},
+		{true, frame(flight.DirRecv, wire.FreezeAck)},
+		{true, resolve},
+		{true, frame(flight.DirSend, wire.Transfer)},
+		{false, frame(flight.DirRecv, wire.Transfer)},
+		{false, frame(flight.DirSend, wire.TransferAck)},
+		{true, frame(flight.DirRecv, wire.TransferAck)},
+	}
+	i := 1
+	for _, s := range steps {
+		for i < len(tl) && !(s.is(tl[i]) && (tl[i].Node == tl[0].Node) == s.onInitiator) {
+			i++
+		}
+		if i == len(tl) {
+			return false
+		}
+		i++
+	}
+	return true
 }

@@ -32,7 +32,7 @@
 //     consumed counts, then closes. The coordinator sums the Byes and
 //     checks exact packet conservation across the cluster.
 //   - Pacing, serve-mode job records, abort attribution and the
-//     obs/trace/flight instrumentation hang off the machine's effects.
+//     obs/flight instrumentation hang off the machine's effects.
 package cluster
 
 import (
@@ -115,8 +115,8 @@ type Config struct {
 	// collect (0 selects DefaultPaceDec).
 	PaceDec time.Duration
 	// Obs optionally attaches the node's instrumentation — per-reason
-	// abort counters, per-phase latency histograms, the live load
-	// distribution, and the protocol event trace — to a registry (see
+	// abort counters, per-phase latency histograms and the live load
+	// distribution — to a registry (see
 	// internal/obs and metrics.go). Nodes sharing one registry aggregate
 	// into cluster-wide series. Nil disables instrumentation at ~zero
 	// cost.
@@ -686,7 +686,6 @@ func (n *Node) initiate() {
 	n.epoch.Store(seq)
 	n.stats.Initiated++
 	n.met.initiated.Inc()
-	n.met.traceOp(n.cfg.ID, op, "initiate", "seq=%d delta=%d load=%d", seq, len(n.candBuf), n.m.Load())
 	if n.cfg.Flight != nil {
 		n.cfg.Flight.Initiate(op, seq, n.m.Load(), len(n.candBuf), n.cfg.F)
 	}
@@ -694,7 +693,7 @@ func (n *Node) initiate() {
 }
 
 // apply carries out the machine's effects in order, hanging the
-// driver's accounting — stats, metrics, trace, flight records, pacing,
+// driver's accounting — stats, metrics, flight records, pacing,
 // serve-mode record debts — on each.
 func (n *Node) apply(effs []proto.Effect) {
 	n.effs = effs[:0] // keep the grown buffer
@@ -702,12 +701,6 @@ func (n *Node) apply(effs []proto.Effect) {
 		e := &effs[i]
 		switch e.Kind {
 		case proto.Send:
-			switch e.Msg.Kind {
-			case wire.FreezeBusy:
-				n.met.traceOp(n.cfg.ID, e.Msg.Op, "busy_reply", "to=%d inflight=%v frozen=%v", e.To, n.m.Inflight(), n.m.Frozen())
-			case wire.Release:
-				n.met.traceOp(n.cfg.ID, e.Msg.Op, "release", "to=%d seq=%d", e.To, e.Msg.Seq)
-			}
 			n.send(e.To, e.Msg)
 			// Only a transfer that moves load is awaited: the partner does
 			// not acknowledge a zero-delta one (see handle).
@@ -720,17 +713,12 @@ func (n *Node) apply(effs []proto.Effect) {
 
 		case proto.Froze:
 			n.frozeAt = time.Now()
-			n.met.traceOp(n.cfg.ID, e.Op, "freeze", "by=%d seq=%d load=%d", e.Peer, e.Seq, n.m.Load())
 
 		case proto.Unfroze:
 			n.met.phaseFrozen.ObserveSince(n.frozeAt)
-			switch e.Reason {
-			case proto.ByRelease:
-				n.met.traceOp(n.cfg.ID, e.Op, "release", "by=%d seq=%d", e.Peer, e.Seq)
-			case proto.ByExpiry:
+			if e.Reason == proto.ByExpiry {
 				n.stats.FreezeExpired++
 				n.met.freezeExpired.Inc()
-				n.met.traceOp(n.cfg.ID, e.Op, "freeze_expired", "by=%d", e.Peer)
 				if n.cfg.Flight != nil {
 					n.cfg.Flight.FreezeExpired(e.Op, e.Peer)
 				}
@@ -779,7 +767,6 @@ func (n *Node) onAborted(e *proto.Effect) {
 		}
 	}
 	n.met.abort[reason].Inc()
-	n.met.traceOp(n.cfg.ID, e.Op, "abort", "reason=%s seq=%d", reason, e.Seq)
 	if n.cfg.Flight != nil {
 		n.cfg.Flight.Abort(e.Op, e.Seq, e.Load, reason)
 	}
@@ -811,7 +798,6 @@ func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
 	n.met.completed.Inc()
 	n.met.opPartners.Add(int64(e.Partners))
 	n.met.loadGauge.Set(int64(e.Load))
-	n.met.traceOp(n.cfg.ID, e.Op, "resolve", "seq=%d partners=%d load=%d", e.Seq, e.Partners, e.Load)
 }
 
 // handle processes one incoming message: handshake frames go to the
@@ -841,7 +827,6 @@ func (n *Node) handle(m wire.Msg) {
 		// nothing — it only ended the freeze — and the initiator is not
 		// waiting on it.
 		n.apply(n.m.Handle(m, n.effs[:0]))
-		n.met.traceOp(n.cfg.ID, m.Op, "transfer", "from=%d amount=%d load=%d", m.From, m.Amount, n.m.Load())
 		if m.Amount == 0 {
 			return
 		}
@@ -858,7 +843,6 @@ func (n *Node) handle(m wire.Msg) {
 	case wire.TransferAck:
 		if n.unacked > 0 {
 			n.unacked--
-			n.met.traceOp(n.cfg.ID, m.Op, "transfer_ack", "from=%d outstanding=%d", m.From, n.unacked)
 			// Acks within one protocol land in near-send order, so FIFO
 			// pairing against the send times is exact enough for the
 			// transfer_ack phase histogram.
@@ -908,7 +892,6 @@ func (n *Node) maybeQuit() {
 		return
 	}
 	n.quitSent = true
-	n.met.trace(n.cfg.ID, "quit_broadcast", "")
 	for i := 1; i < n.cfg.N; i++ {
 		n.send(i, wire.Msg{Kind: wire.Quit})
 	}

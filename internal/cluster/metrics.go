@@ -95,8 +95,6 @@ type nodeMetrics struct {
 
 	loadHist  *obs.Histogram // load observed once per workload step
 	loadGauge *obs.Gauge     // this node's instantaneous load
-
-	tracer *obs.Tracer
 }
 
 func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
@@ -123,7 +121,6 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 		phaseFrozen:      reg.Histogram(phaseName(PhaseFrozen), obs.LatencyBuckets),
 		loadHist:         reg.Histogram("cluster_load", obs.LoadBuckets),
 		loadGauge:        reg.Gauge(fmt.Sprintf(`cluster_node_load{node="%d"}`, id)),
-		tracer:           reg.Tracer(),
 	}
 	for _, reason := range []string{AbortPeerFrozen, AbortTimeout, AbortStaleEpoch, AbortLinkDown} {
 		m.abort[reason] = reg.Counter(AbortMetric(reason))
@@ -146,24 +143,4 @@ func PaceGapMetric(id int) string {
 // phaseName returns the registry name of one phase histogram.
 func phaseName(phase string) string {
 	return fmt.Sprintf("cluster_phase_seconds{phase=%q}", phase)
-}
-
-// trace records one protocol event, skipping the fmt work entirely when
-// tracing is disabled.
-func (m *nodeMetrics) trace(node int, kind, format string, args ...any) {
-	m.traceOp(node, 0, kind, format, args...)
-}
-
-// traceOp records one protocol event tagged with a balancing-operation
-// id, so the event joins that operation's cross-node timeline (op 0 is
-// the untagged case — events outside any operation).
-func (m *nodeMetrics) traceOp(node int, op uint64, kind, format string, args ...any) {
-	if m.tracer == nil {
-		return
-	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	m.tracer.RecordOp(node, op, kind, detail)
 }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"lmbalance/internal/obs"
+	"lmbalance/internal/flight"
 )
 
 // TestMinInitGapPaces checks the initiation rate limit: with a gap far
@@ -59,16 +61,35 @@ func TestMinInitGapValidation(t *testing.T) {
 // node to mint its op ids from the same deterministic sequence: the
 // i-th id a node mints is a pure function of (seed, node). How *many*
 // it mints varies with protocol timing, so the check is on the common
-// prefix — that is what makes traces comparable across reruns.
+// prefix — that is what makes recordings comparable across reruns.
 func TestOpIDsSeedStable(t *testing.T) {
 	run := func() map[int][]uint64 {
-		reg := obs.NewRegistry()
-		cfg := ClusterConfig{N: 5, Delta: 2, F: 1.2, Steps: 400, Seed: 9, Obs: reg}
-		runLoop(t, cfg)
+		root := t.TempDir()
+		cfg := ClusterConfig{N: 5, Delta: 2, F: 1.2, Steps: 400, Seed: 9}
+		ts := loopTransports(cfg.N)
+		for i := range ts {
+			rec, err := flight.Open(flight.Options{Dir: filepath.Join(root, fmt.Sprintf("node-%d", i)), Node: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Flight, ts[i] = append(cfg.Flight, rec), rec.Tap(ts[i])
+		}
+		if _, err := RunCluster(cfg, ts); err != nil {
+			t.Fatal(err)
+		}
 		ops := make(map[int][]uint64)
-		for _, ev := range reg.Tracer().Events() {
-			if ev.Kind == "initiate" {
-				ops[ev.Node] = append(ops[ev.Node], ev.Op)
+		for i, rec := range cfg.Flight {
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			nr, err := flight.LoadDir(rec.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range nr.Events {
+				if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalInitiate {
+					ops[i] = append(ops[i], ev.Op)
+				}
 			}
 		}
 		return ops
@@ -76,7 +97,7 @@ func TestOpIDsSeedStable(t *testing.T) {
 	a := run()
 	b := run()
 	if len(a) == 0 {
-		t.Fatal("no initiations traced")
+		t.Fatal("no initiations recorded")
 	}
 	checked := 0
 	for node, opsA := range a {

@@ -78,12 +78,13 @@ type ServeHooks struct {
 	Complete func(id uint64, j Journey)
 }
 
-// jobOpSalt separates job trace-op ids from balancing-operation ids.
+// jobOpSalt separates job op ids from balancing-operation ids.
 const jobOpSalt = 0x6a6f625f6f70 // "job_op"
 
-// JobOp derives the deterministic nonzero trace-operation id for a job,
-// so a job's ingest → migrate → consume → done timeline can be stitched
-// across nodes by /trace?op= exactly like a balancing operation's.
+// JobOp derives the deterministic nonzero operation id for a job. A
+// routed unit's JobDone and the origin's completion record carry it, so
+// a job's completion reads out of a flight recording the way a
+// balancing operation's timeline does.
 func JobOp(origin int, id uint64) uint64 {
 	op := rng.Mix64(jobOpSalt, rng.Mix64(uint64(origin), id))
 	if op == 0 {
@@ -141,7 +142,6 @@ func (n *Node) ingestSubmit(s Submit) {
 	n.met.ingested.Add(int64(s.Units))
 	n.met.records.Set(int64(n.recCount()))
 	n.met.loadGauge.Set(int64(n.m.Load()))
-	n.met.traceOp(n.cfg.ID, JobOp(n.cfg.ID, s.ID), "ingest", "job=%d units=%d load=%d", s.ID, s.Units, n.m.Load())
 	// Fresh records may let pending debts settle.
 	n.settleOwed(0)
 }
@@ -154,14 +154,12 @@ func (n *Node) completeOldest() {
 	n.met.records.Set(int64(n.recCount()))
 	now := time.Now().UnixNano()
 	if rec.Origin == n.cfg.ID {
-		n.met.traceOp(n.cfg.ID, JobOp(rec.Origin, rec.ID), "consume", "job=%d local=true hops=%d", rec.ID, rec.Hops)
 		n.serveComplete(rec.ID, Journey{
 			Hops: rec.Hops, IngestNS: rec.IngestNS, TransferNS: rec.TransferNS,
 			ConsumeNS: now, DoneNS: now,
 		})
 		return
 	}
-	n.met.traceOp(n.cfg.ID, JobOp(rec.Origin, rec.ID), "consume", "job=%d origin=%d hops=%d", rec.ID, rec.Origin, rec.Hops)
 	n.send(rec.Origin, wire.Msg{
 		Kind: wire.JobDone, Job: rec.ID, Op: JobOp(rec.Origin, rec.ID),
 		IngestNS: rec.IngestNS, ConsumeNS: now,
@@ -263,7 +261,6 @@ func (n *Node) handleJobDone(m wire.Msg) {
 	if n.cfg.Serve == nil {
 		return
 	}
-	n.met.traceOp(n.cfg.ID, m.Op, "done_routed", "job=%d from=%d hops=%d", m.Job, m.From, m.Hops)
 	n.serveComplete(m.Job, Journey{
 		Hops: m.Hops, IngestNS: m.IngestNS, TransferNS: m.TransferNS,
 		ConsumeNS: m.ConsumeNS, DoneNS: time.Now().UnixNano(),

@@ -250,9 +250,8 @@ func runAnatomyArm(mode, envText string, cfg *SojournAnatomyResult,
 			}
 		}
 		mon = obs.NewMonitor(obs.MonitorConfig{
-			URLs:   []string{dbg.URL()},
-			SLO:    cfg.SLO,
-			Tracer: reg.Tracer(),
+			URLs: []string{dbg.URL()},
+			SLO:  cfg.SLO,
 		})
 		mon.Poll() // baseline snapshot
 		tick := time.NewTicker(pollPeriod)

@@ -191,8 +191,9 @@ func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 			audit.TotalLoad, audit.Conserved(), res.TotalLoad(), res.Conserved())
 	}
 	resolved := int64(0)
-	for _, op := range recording.Ops() {
-		for _, ev := range recording.Timeline(op) {
+	_, timelines := recording.Timelines()
+	for _, tl := range timelines {
+		for _, ev := range tl {
 			if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalResolve {
 				resolved++
 				break
@@ -285,7 +286,7 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	)
 	mon := obs.NewMonitor(obs.MonitorConfig{
 		URLs: []string{dbg.URL()}, SLO: slo,
-		Period: pollPeriod, Tracer: reg.Tracer(), Obs: reg,
+		Period: pollPeriod, Obs: reg,
 		OnAlert: func(obs.HealthDoc) {
 			snapOnce.Do(func() {
 				snapMu.Lock()

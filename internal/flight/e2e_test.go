@@ -125,13 +125,13 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 
 	// Per-op timelines reconstruct offline: every resolved op's timeline
 	// holds its initiate, the freeze round trip, and its transfers.
-	ops := recording.Ops()
+	ops, timelines := recording.Timelines()
 	if len(ops) == 0 {
 		t.Fatal("no ops in recording")
 	}
 	checked := 0
 	for _, op := range ops {
-		tl := recording.Timeline(op)
+		tl := timelines[op]
 		var hasInit, hasResolve bool
 		for _, ev := range tl {
 			if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalInitiate {

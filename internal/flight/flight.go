@@ -1,12 +1,12 @@
 // Package flight is the cluster's black-box flight recorder and its
 // offline replay auditor.
 //
-// The live observability layers (internal/obs: metrics, op tracing,
-// journey stamps, burn-rate alerts) answer "what is happening now" —
-// but when an alert fires, the evidence behind it is already gone: the
-// trace ring has wrapped and the monitor deliberately scrapes metrics
-// only, because full trace scrapes perturb the watched cluster. This
-// package closes the forensic gap. A Recorder takes every frame a node
+// The live observability layer (internal/obs: metrics, journey stamps,
+// burn-rate alerts) answers "how much, how fast, right now" and keeps no
+// events. This package is the one record of what happened: an
+// operation's cross-node timeline is read only from it
+// (Recording.Timelines, lbflight -op), live from a snapshot or after the
+// process died. A Recorder takes every frame a node
 // sends (a Tap, as wire.Transport middleware), every frame it processes
 // and its own decisions (initiate, resolve, abort, freeze expiry,
 // ingest, pace backoff, serving completions, final accounting), all in

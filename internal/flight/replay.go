@@ -503,31 +503,23 @@ func vdTrajectory(samples []loadSample, nodes int) []VDPoint {
 	return out
 }
 
-// Timeline returns every event of one balancing op across all nodes,
-// in merged order — the per-op reconstruction that previously needed a
-// live /trace endpoint.
-func (r *Recording) Timeline(op uint64) []Event {
-	var out []Event
+// Timelines groups the merged stream by balancing-op id: the ids in
+// order of first appearance, and each op's events across every node in
+// merged order. Records outside any op (id 0) belong to none.
+func (r *Recording) Timelines() ([]uint64, map[uint64][]Event) {
+	var ops []uint64
+	byOp := map[uint64][]Event{}
 	for _, ev := range r.Merge() {
-		if op != 0 && eventOp(ev) == op {
-			out = append(out, ev)
+		op := eventOp(ev)
+		if op == 0 {
+			continue
 		}
-	}
-	return out
-}
-
-// Ops returns the distinct balancing-op ids in the recording, ordered
-// by first appearance in the merged stream.
-func (r *Recording) Ops() []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, ev := range r.Merge() {
-		if op := eventOp(ev); op != 0 && !seen[op] {
-			seen[op] = true
-			out = append(out, op)
+		if _, seen := byOp[op]; !seen {
+			ops = append(ops, op)
 		}
+		byOp[op] = append(byOp[op], ev)
 	}
-	return out
+	return ops, byOp
 }
 
 // DiffRow is one field where two recordings disagree.

@@ -17,11 +17,12 @@ import (
 
 // This file is the multi-node side of the observability layer: an
 // aggregator that scrapes every node's debug endpoint (/metrics,
-// /series, /trace), merges the per-process views into one cluster-wide
-// view — summed counters and histograms, the load distribution and
-// global variation density over the per-node load gauges, cross-node
-// operation timelines stitched by op id — and can serve the merged view
-// on its own debug endpoint (ServeAggregator).
+// /series), merges the per-process views into one cluster-wide view —
+// summed counters and histograms, the load distribution and global
+// variation density over the per-node load gauges, the merged load
+// trajectory — and can serve the merged view on its own debug endpoint
+// (ServeAggregator). An operation's cross-node timeline is not a metric:
+// it is read from the nodes' flight recordings (internal/flight).
 
 // DefaultScrapeTimeout bounds one upstream HTTP request when AggOptions
 // leaves Timeout zero; a dead node must not stall the whole merged view.
@@ -38,13 +39,12 @@ type AggOptions struct {
 	// Extra handlers are mounted on the aggregator's mux by
 	// ServeAggregatorOpts under their map key (e.g. "/health" → a
 	// Monitor's handler). Reserved paths (/cluster, /metrics, /series,
-	// /trace, /healthz) cannot be overridden.
+	// /healthz) cannot be overridden.
 	Extra map[string]http.HandlerFunc
-	// MetricsOnly skips the /series and /trace fetches, leaving only
-	// the /metrics scrape. High-frequency pollers (the health monitor)
-	// set this: serializing a full trace ring per poll is orders of
-	// magnitude more expensive than the metrics page and can steal
-	// enough CPU to perturb the cluster being watched.
+	// MetricsOnly skips the /series fetch, leaving only the /metrics
+	// scrape. High-frequency pollers (the health monitor) set this: they
+	// read nothing else, and every extra serialization per poll steals
+	// CPU from the cluster being watched.
 	MetricsOnly bool
 }
 
@@ -66,7 +66,6 @@ type NodeScrape struct {
 	Metrics map[string]float64 // full metric line name → value
 	Types   map[string]string  // base name → counter|gauge|histogram
 	Series  SeriesData
-	Events  []Event
 }
 
 // AggView is the merged cluster view Aggregate builds.
@@ -85,10 +84,6 @@ type AggView struct {
 	Metrics map[string]float64
 	// Types maps metric base names to their exposition type.
 	Types map[string]string
-	// Ops holds every traced event that carries an op id, keyed by op
-	// and sorted by timestamp — a balancing operation's cross-node
-	// timeline.
-	Ops map[uint64][]Event
 }
 
 // Aggregate scrapes every URL's debug endpoints and merges them with
@@ -105,7 +100,6 @@ func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
 		Nodes:   make([]NodeScrape, len(urls)),
 		Metrics: make(map[string]float64),
 		Types:   make(map[string]string),
-		Ops:     make(map[uint64][]Event),
 	}
 	timeout := opts.timeout()
 	var wg sync.WaitGroup
@@ -130,11 +124,6 @@ func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
 		for base, typ := range n.Types {
 			v.Types[base] = typ
 		}
-		for _, ev := range n.Events {
-			if ev.Op != 0 {
-				v.Ops[ev.Op] = append(v.Ops[ev.Op], ev)
-			}
-		}
 	}
 	if ok == 0 {
 		var first error
@@ -146,14 +135,10 @@ func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
 		}
 		return nil, fmt.Errorf("obs: aggregate: no node of %d reachable: %w", len(urls), first)
 	}
-	for op := range v.Ops {
-		evs := v.Ops[op]
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].At.Before(evs[b].At) })
-	}
 	return v, nil
 }
 
-// scrapeNode fetches one node's /metrics, /series and /trace.
+// scrapeNode fetches one node's /metrics and /series.
 func scrapeNode(url string, timeout time.Duration, metricsOnly bool) (n NodeScrape) {
 	n.URL = url
 	start := time.Now()
@@ -168,24 +153,10 @@ func scrapeNode(url string, timeout time.Duration, metricsOnly bool) (n NodeScra
 	if n.Err != nil || metricsOnly {
 		return n
 	}
-	// /series and /trace are optional views: a node without a recorder
-	// or tracer still merges its metrics.
+	// /series is an optional view: a node without a recorder still
+	// merges its metrics.
 	if body, err := fetch(client, url+"/series"); err == nil {
 		_ = json.Unmarshal([]byte(body), &n.Series)
-	}
-	if body, err := fetch(client, url+"/trace"); err == nil {
-		sc := bufio.NewScanner(strings.NewReader(body))
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var ev Event
-			if json.Unmarshal([]byte(line), &ev) == nil {
-				n.Events = append(n.Events, ev)
-			}
-		}
 	}
 	return n
 }
@@ -353,24 +324,6 @@ func (v *AggView) Dist(base string) (n int, mean, std, vd float64) {
 	return n, mean, std, vd
 }
 
-// OpIDs returns the stitched operation ids, most events first (ties by
-// id) — the interesting ops, the ones with a full cross-node timeline,
-// sort to the front.
-func (v *AggView) OpIDs() []uint64 {
-	out := make([]uint64, 0, len(v.Ops))
-	for op := range v.Ops {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		la, lb := len(v.Ops[out[a]]), len(v.Ops[out[b]])
-		if la != lb {
-			return la > lb
-		}
-		return out[a] < out[b]
-	})
-	return out
-}
-
 // AggPoint is one time bucket of a merged cross-node series: the
 // distribution over each live node's latest sample in the bucket.
 type AggPoint struct {
@@ -481,7 +434,6 @@ type clusterDoc struct {
 	At    time.Time          `json:"at"`
 	Nodes []clusterNodeDoc   `json:"nodes"`
 	Load  clusterLoadDoc     `json:"load"`
-	Ops   int                `json:"ops"`
 	Sums  map[string]float64 `json:"metrics"`
 }
 
@@ -509,14 +461,12 @@ const LoadGaugeBase = "cluster_node_load"
 // no state between requests. Endpoints:
 //
 //	/cluster   merged JSON: per-node reachability, the cluster load
-//	           distribution (mean/std/global VD over cluster_node_load),
-//	           stitched op count, and the summed metrics
+//	           distribution (mean/std/global VD over cluster_node_load)
+//	           and the summed metrics
 //	/metrics   the merged metrics re-exported as Prometheus text
 //	/series    ?col=<base>&bucket_ms=<w>: the merged cross-node
 //	           trajectory of one recorder column (default col=load,
 //	           bucket 100 ms) as JSON AggPoints
-//	/trace     stitched cross-node op events as JSONL, oldest first;
-//	           ?op=<id> keeps one operation
 //	/healthz   aggregator liveness plus the upstream URL count
 //
 // ServeAggregatorOpts additionally mounts opts.Extra handlers (reserved
@@ -533,7 +483,7 @@ func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugSer
 	}
 	s := &DebugServer{ln: ln, served: make(chan struct{})}
 	mux := http.NewServeMux()
-	reserved := map[string]bool{"/healthz": true, "/cluster": true, "/metrics": true, "/series": true, "/trace": true}
+	reserved := map[string]bool{"/healthz": true, "/cluster": true, "/metrics": true, "/series": true}
 	for path, h := range opts.Extra {
 		if h == nil || reserved[path] {
 			continue
@@ -557,7 +507,7 @@ func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugSer
 		if v == nil {
 			return
 		}
-		doc := clusterDoc{At: v.At, Ops: len(v.Ops), Sums: v.Metrics}
+		doc := clusterDoc{At: v.At, Sums: v.Metrics}
 		for i := range v.Nodes {
 			nd := clusterNodeDoc{
 				URL:      v.Nodes[i].URL,
@@ -607,28 +557,6 @@ func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugSer
 			out = []AggPoint{}
 		}
 		_ = json.NewEncoder(w).Encode(map[string]any{"column": col, "bucket_ms": bucket.Seconds() * 1e3, "points": out})
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		v := scrape(w)
-		if v == nil {
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if q := r.URL.Query().Get("op"); q != "" {
-			op, err := strconv.ParseUint(q, 0, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad op %q: %v", q, err), http.StatusBadRequest)
-				return
-			}
-			_ = writeJSONL(w, v.Ops[op])
-			return
-		}
-		var all []Event
-		for _, op := range v.OpIDs() {
-			all = append(all, v.Ops[op]...)
-		}
-		sort.SliceStable(all, func(a, b int) bool { return all[a].At.Before(all[b].At) })
-		_ = writeJSONL(w, all)
 	})
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {

@@ -106,8 +106,8 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 }
 
 // newScrapeableNode builds a registry resembling one cluster node's and
-// serves it, returning the server plus its registry.
-func newScrapeableNode(t *testing.T, id int, load int64, gen, con int64) (*DebugServer, *Registry) {
+// serves it.
+func newScrapeableNode(t *testing.T, id int, load int64, gen, con int64) *DebugServer {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Gauge(fmt.Sprintf(`cluster_node_load{node="%d"}`, id)).Set(load)
@@ -124,27 +124,15 @@ func newScrapeableNode(t *testing.T, id int, load int64, gen, con int64) (*Debug
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, reg
+	return s
 }
 
 func TestAggregateMergesNodes(t *testing.T) {
 	loads := []int64{10, 20, 30}
 	var urls []string
-	var regs []*Registry
-	op := uint64(0xfeedface)
 	for i, ld := range loads {
-		s, reg := newScrapeableNode(t, i, ld, 100+int64(i), 50)
-		urls = append(urls, s.URL())
-		regs = append(regs, reg)
+		urls = append(urls, newScrapeableNode(t, i, ld, 100+int64(i), 50).URL())
 	}
-	// A cross-node operation: initiator on node 0, partner on node 2,
-	// stamped a millisecond apart so the stitched order is exact.
-	t0 := time.Now()
-	regs[0].Tracer().RecordEvent(Event{At: t0, Node: 0, Op: op, Kind: "initiate", Detail: "target=2"})
-	regs[2].Tracer().RecordEvent(Event{At: t0.Add(time.Millisecond), Node: 2, Op: op, Kind: "freeze", Detail: "from=0"})
-	regs[0].Tracer().RecordEvent(Event{At: t0.Add(2 * time.Millisecond), Node: 0, Op: op, Kind: "resolve", Detail: "moved=5"})
-	regs[1].Tracer().Record(1, "noise", "untagged, must not stitch")
-
 	v, err := Aggregate(urls)
 	if err != nil {
 		t.Fatal(err)
@@ -162,24 +150,6 @@ func TestAggregateMergesNodes(t *testing.T) {
 	if math.Abs(std-wantStd) > 1e-9 || math.Abs(vd-wantStd/20) > 1e-9 {
 		t.Fatalf("Dist std=%v vd=%v, want %v %v", std, vd, wantStd, wantStd/20)
 	}
-	// The op stitched across processes, sorted by time.
-	evs := v.Ops[op]
-	if len(evs) != 3 {
-		t.Fatalf("stitched op has %d events: %+v", len(evs), evs)
-	}
-	wantKinds := []string{"initiate", "freeze", "resolve"}
-	wantNodes := []int{0, 2, 0}
-	for i := range evs {
-		if evs[i].Kind != wantKinds[i] || evs[i].Node != wantNodes[i] {
-			t.Fatalf("stitched timeline = %+v", evs)
-		}
-		if i > 0 && evs[i].At.Before(evs[i-1].At) {
-			t.Fatalf("timeline not monotone: %+v", evs)
-		}
-	}
-	if ids := v.OpIDs(); len(ids) != 1 || ids[0] != op {
-		t.Fatalf("OpIDs = %v", ids)
-	}
 	// Per-node series were scraped.
 	if len(v.Nodes[1].Series.Columns) != 1 || v.Nodes[1].Series.Samples[0].V[0] != 20 {
 		t.Fatalf("node 1 series = %+v", v.Nodes[1].Series)
@@ -196,7 +166,7 @@ func TestAggregateMergesNodes(t *testing.T) {
 }
 
 func TestAggregatePartialAndTotalFailure(t *testing.T) {
-	s, _ := newScrapeableNode(t, 0, 5, 10, 5)
+	s := newScrapeableNode(t, 0, 5, 10, 5)
 	dead := "http://127.0.0.1:1" // nothing listens on port 1
 	v, err := Aggregate([]string{s.URL(), dead})
 	if err != nil {
@@ -217,7 +187,7 @@ func TestAggregatePartialAndTotalFailure(t *testing.T) {
 // bounds how long a hung node can stall its scrape, and every node's
 // scrape latency is measured whether or not it succeeded.
 func TestAggregateOptsTimeoutAndLatency(t *testing.T) {
-	s, _ := newScrapeableNode(t, 0, 5, 10, 5)
+	s := newScrapeableNode(t, 0, 5, 10, 5)
 	// A listener that accepts connections but never answers: only the
 	// scrape timeout unblocks it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -251,7 +221,7 @@ func TestAggregateOptsTimeoutAndLatency(t *testing.T) {
 // aggregator mux (without overriding built-ins) and the /cluster JSON
 // surfaces per-node scrape latency and error strings.
 func TestServeAggregatorOptsExtraAndScrapeMS(t *testing.T) {
-	s, _ := newScrapeableNode(t, 0, 5, 10, 5)
+	s := newScrapeableNode(t, 0, 5, 10, 5)
 	dead := "http://127.0.0.1:1" // nothing listens on port 1
 	agg, err := ServeAggregatorOpts("127.0.0.1:0", []string{s.URL(), dead}, AggOptions{
 		Timeout: 500 * time.Millisecond,
@@ -303,12 +273,8 @@ func TestServeAggregatorOptsExtraAndScrapeMS(t *testing.T) {
 }
 
 func TestServeAggregatorEndpoints(t *testing.T) {
-	op := uint64(0xabcdef)
-	s0, reg0 := newScrapeableNode(t, 0, 8, 20, 12)
-	s1, reg1 := newScrapeableNode(t, 1, 16, 30, 14)
-	t0 := time.Now()
-	reg0.Tracer().RecordEvent(Event{At: t0, Node: 0, Op: op, Kind: "initiate"})
-	reg1.Tracer().RecordEvent(Event{At: t0.Add(time.Millisecond), Node: 1, Op: op, Kind: "freeze"})
+	s0 := newScrapeableNode(t, 0, 8, 20, 12)
+	s1 := newScrapeableNode(t, 1, 16, 30, 14)
 
 	agg, err := ServeAggregator("127.0.0.1:0", []string{s0.URL(), s1.URL()})
 	if err != nil {
@@ -334,7 +300,6 @@ func TestServeAggregatorEndpoints(t *testing.T) {
 			Mean float64 `json:"mean"`
 			VD   float64 `json:"vd"`
 		} `json:"load"`
-		Ops int `json:"ops"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/cluster not JSON: %v\n%s", err, body)
@@ -342,7 +307,7 @@ func TestServeAggregatorEndpoints(t *testing.T) {
 	if len(doc.Nodes) != 2 || !doc.Nodes[0].OK || !doc.Nodes[1].OK {
 		t.Fatalf("/cluster nodes = %+v", doc.Nodes)
 	}
-	if doc.Load.N != 2 || doc.Load.Mean != 12 || doc.Ops != 1 {
+	if doc.Load.N != 2 || doc.Load.Mean != 12 {
 		t.Fatalf("/cluster = %+v\n%s", doc, body)
 	}
 
@@ -356,28 +321,6 @@ func TestServeAggregatorEndpoints(t *testing.T) {
 	}
 	if merged["cluster_initiations_total"] != 3 { // 1 + 2
 		t.Fatalf("merged counter = %v", merged["cluster_initiations_total"])
-	}
-
-	code, body = get(t, agg.URL()+fmt.Sprintf("/trace?op=%d", op))
-	if code != 200 {
-		t.Fatalf("/trace = %d", code)
-	}
-	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("/trace?op lines = %d:\n%s", len(lines), body)
-	}
-	var first, second Event
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
-		t.Fatal(err)
-	}
-	if first.Node != 0 || second.Node != 1 || second.At.Before(first.At) {
-		t.Fatalf("stitched trace order: %+v then %+v", first, second)
-	}
-	if code, _ := get(t, agg.URL()+"/trace?op=zzz"); code != 400 {
-		t.Fatalf("bad op filter = %d, want 400", code)
 	}
 
 	code, body = get(t, agg.URL()+"/series?col=load&bucket_ms=1000")

@@ -65,13 +65,3 @@ func BenchmarkObsHistogram(b *testing.B) {
 		b.Fatal("lost observations")
 	}
 }
-
-// BenchmarkObsTracer is one ring-buffer event record (mutex + struct
-// copy).
-func BenchmarkObsTracer(b *testing.B) {
-	tr := NewTracer(DefaultTraceCapacity)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Record(1, "ev", "detail")
-	}
-}

@@ -208,7 +208,11 @@ func (h *Histogram) writePrometheus(w io.Writer, base, labels string) error {
 	if _, err := fmt.Fprintf(w, "%s %g\n", suffixed("_sum"), h.sum.Load()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", suffixed("_count"), h.count.Load())
+	// _count is the +Inf bucket as read in this pass, not the separate
+	// counter: an Observe racing the scrape would otherwise leave _count
+	// ahead of the buckets, and a reader of deltas (Monitor) would count
+	// the difference as observations above every bound.
+	_, err := fmt.Fprintf(w, "%s %d\n", suffixed("_count"), cum)
 	return err
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"time"
 )
 
@@ -17,8 +16,6 @@ import (
 //
 //	/metrics      the registry in Prometheus text exposition format
 //	/debug/vars   expvar-style JSON (process vars plus the registry)
-//	/trace        the tracer's recent events as JSONL; ?op=<id> keeps
-//	              only one balancing operation's events (decimal or 0x hex)
 //	/series       the attached time-series recorder as JSON
 //	/healthz      liveness ("ok", plus any configured identity lines)
 //	/debug/pprof  the standard Go profiler endpoints
@@ -64,7 +61,7 @@ func ServeDebugOpts(addr string, reg *Registry, opts DebugOptions) (*DebugServer
 	mux := http.NewServeMux()
 	builtin := map[string]bool{
 		"/healthz": true, "/metrics": true, "/debug/vars": true,
-		"/trace": true, "/series": true, "/debug/pprof/": true,
+		"/series": true, "/debug/pprof/": true,
 	}
 	for path, h := range opts.Extra {
 		if h == nil || builtin[path] {
@@ -94,22 +91,6 @@ func ServeDebugOpts(addr string, reg *Registry, opts DebugOptions) (*DebugServer
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		serveVars(w, reg)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if reg == nil {
-			return
-		}
-		if q := r.URL.Query().Get("op"); q != "" {
-			op, err := strconv.ParseUint(q, 0, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad op %q: %v", q, err), http.StatusBadRequest)
-				return
-			}
-			_ = reg.Tracer().WriteJSONLOp(w, op)
-			return
-		}
-		_ = reg.Tracer().WriteJSONL(w)
 	})
 	mux.HandleFunc("/series", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -29,7 +29,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`cluster_aborts_total{reason="timeout"}`).Add(7)
 	reg.Histogram(`cluster_phase_seconds{phase="reply"}`, LatencyBuckets).Observe(1e-4)
-	reg.Tracer().Record(3, "abort", "reason=timeout")
 
 	s, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
@@ -70,17 +69,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 	if metrics[`cluster_aborts_total{reason="timeout"}`].(float64) != 7 {
 		t.Fatalf("registry metric missing from /debug/vars: %v", metrics)
-	}
-	code, body = get(t, s.URL()+"/trace")
-	if code != 200 {
-		t.Fatalf("/trace = %d", code)
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(strings.TrimSpace(body)), &ev); err != nil {
-		t.Fatalf("/trace line not JSON: %v\n%s", err, body)
-	}
-	if ev.Kind != "abort" || ev.Node != 3 {
-		t.Fatalf("traced event = %+v", ev)
 	}
 	if code, body := get(t, s.URL()+"/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Fatalf("/debug/pprof/cmdline = %d %q", code, body)
@@ -125,9 +113,6 @@ func TestDebugServerNilRegistry(t *testing.T) {
 	if code, body := get(t, s.URL()+"/debug/vars"); code != 200 || !strings.Contains(body, "metrics") {
 		t.Fatalf("/debug/vars on nil registry = %d %q", code, body)
 	}
-	if code, _ := get(t, s.URL()+"/trace"); code != 200 {
-		t.Fatalf("/trace on nil registry = %d", code)
-	}
 }
 
 // TestDebugServerNoLeak mirrors the cluster shutdown leak check: after
@@ -141,7 +126,7 @@ func TestDebugServerNoLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Touch several endpoints so connection handlers actually spawn.
-		for _, p := range []string{"/healthz", "/metrics", "/debug/vars", "/trace"} {
+		for _, p := range []string{"/healthz", "/metrics", "/debug/vars"} {
 			if code, _ := get(t, s.URL()+p); code != 200 {
 				t.Fatalf("%s = %d", p, code)
 			}

@@ -153,7 +153,6 @@ type MonitorConfig struct {
 	Base    string        // sojourn histogram family (default DefaultSLOBase)
 	Period  time.Duration // poll interval for Start (default 1s)
 	Timeout time.Duration // per-scrape timeout (default DefaultScrapeTimeout)
-	Tracer  *Tracer       // receives slo_alert / slo_clear / node_verdict events
 
 	// Obs, when non-nil, exports the alert lifecycle as metrics:
 	// monitor_alerts_total{severity=...} counts transitions into each
@@ -237,7 +236,7 @@ type bucketCum struct{ le, n float64 }
 
 // nodeTrack is the monitor's per-URL memory between polls: the previous
 // abort-counter total (for the rate) and its EWMA, plus the last
-// verdict so transitions can be traced.
+// verdict so transitions can be counted.
 type nodeTrack struct {
 	prevAborts float64
 	prevAt     time.Time
@@ -414,12 +413,6 @@ func (m *Monitor) Poll() HealthDoc {
 	if doc.Alerting && !wasAlerting {
 		m.fired++
 		m.alertsTotal["slo"].Inc()
-		m.cfg.Tracer.Record(-1, "slo_alert", fmt.Sprintf(
-			"slo=%q burn_short=%.2f burn_long=%.2f q_short=%.4fs",
-			m.cfg.SLO, doc.BurnShort, doc.BurnLong, doc.QShort))
-	} else if !doc.Alerting && wasAlerting {
-		m.cfg.Tracer.Record(-1, "slo_clear", fmt.Sprintf(
-			"burn_short=%.2f burn_long=%.2f", doc.BurnShort, doc.BurnLong))
 	}
 	doc.AlertsFired = m.fired
 
@@ -469,9 +462,6 @@ func (m *Monitor) Poll() HealthDoc {
 			}
 		}
 		if tr.verdict != nh.Verdict {
-			m.cfg.Tracer.Record(-1, "node_verdict", fmt.Sprintf(
-				"url=%s verdict=%s was=%s load=%g sendq=%g abort_ewma=%.2f",
-				nh.URL, nh.Verdict, tr.verdict, nh.Load, nh.Sendq, nh.AbortEWMA))
 			if c := m.alertsTotal[nh.Verdict]; c != nil { // degraded|saturated|unreachable
 				c.Inc()
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
@@ -138,7 +137,7 @@ func monitorNode(t *testing.T, id int, load int64) (*DebugServer, *Registry, *Hi
 
 // TestMonitorAlertAndClear drives a monitor by hand through good →
 // bad → good traffic and checks the multi-window burn-rate alert
-// fires, traces, and clears.
+// fires, is counted, and clears.
 func TestMonitorAlertAndClear(t *testing.T) {
 	s, reg, h := monitorNode(t, 0, 4)
 	slo, err := ParseSLO("p99 < 20ms over 80ms/240ms")
@@ -149,7 +148,7 @@ func TestMonitorAlertAndClear(t *testing.T) {
 		URLs:   []string{s.URL()},
 		SLO:    slo,
 		Period: 40 * time.Millisecond,
-		Tracer: reg.Tracer(),
+		Obs:    reg,
 	})
 
 	// Baseline + healthy traffic: burn stays ~0.
@@ -202,14 +201,12 @@ func TestMonitorAlertAndClear(t *testing.T) {
 		t.Fatalf("alerts fired after clear = %d", doc.AlertsFired)
 	}
 
-	// The tracer saw the transition pair.
-	var sb strings.Builder
-	if err := reg.Tracer().WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
+	// The registry counted the one firing and shows it cleared.
+	if got := reg.Counter(`monitor_alerts_total{severity="slo"}`).Value(); got != 1 {
+		t.Fatalf("monitor_alerts_total{slo} = %d, want 1", got)
 	}
-	trace := sb.String()
-	if !strings.Contains(trace, "slo_alert") || !strings.Contains(trace, "slo_clear") {
-		t.Fatalf("trace missing slo_alert/slo_clear events:\n%s", trace)
+	if got := reg.Gauge(`monitor_alert_active{severity="slo"}`).Value(); got != 0 {
+		t.Fatalf("monitor_alert_active{slo} = %d after the clear, want 0", got)
 	}
 }
 

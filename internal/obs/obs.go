@@ -1,8 +1,9 @@
 // Package obs is the repository's zero-dependency observability layer:
-// atomic counters and gauges, fixed-bucket histograms with online
-// moments, and a bounded ring-buffer event tracer, collected behind a
-// Registry that can export everything as Prometheus text, JSON, or
-// JSONL events.
+// atomic counters and gauges and fixed-bucket histograms with online
+// moments, collected behind a Registry that can export everything as
+// Prometheus text or JSON. Events — what happened to which operation
+// on which node — are not kept here: the flight recorder
+// (internal/flight) is their one record.
 //
 // # Cost model
 //
@@ -10,7 +11,7 @@
 // hot path, so the layer is built around two invariants:
 //
 //   - Disabled is (almost) free. Every handle type (*Counter, *Gauge,
-//     *Histogram, *Tracer) is nil-safe: methods on a nil receiver are a
+//     *Histogram) is nil-safe: methods on a nil receiver are a
 //     single predictable branch, so a component handed a nil *Registry
 //     gets nil handles and its instrumentation compiles down to no-ops
 //     (~1 ns, zero allocations — see BenchmarkObsDisabled).
@@ -120,14 +121,13 @@ func (*Counter) metricType() string   { return "counter" }
 func (*Gauge) metricType() string     { return "gauge" }
 func (*Histogram) metricType() string { return "histogram" }
 
-// Registry is a named collection of metrics plus one event tracer.
-// All methods are safe for concurrent use and safe on a nil receiver:
-// a nil *Registry hands out nil handles, turning the entire
-// instrumentation of a component into no-ops.
+// Registry is a named collection of metrics plus an optional
+// time-series recorder. All methods are safe for concurrent use and
+// safe on a nil receiver: a nil *Registry hands out nil handles,
+// turning the entire instrumentation of a component into no-ops.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]Metric
-	tracer  *Tracer
 	rec     *Recorder
 }
 
@@ -204,41 +204,9 @@ func (r *Registry) Attach(name string, m Metric) {
 	}
 }
 
-// Tracer returns the registry's event tracer, creating it with
-// DefaultTraceCapacity on first use. Nil registry returns a nil (no-op)
-// tracer.
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tracer == nil {
-		r.tracer = NewTracer(DefaultTraceCapacity)
-		r.metrics["trace_dropped_total"] = &r.tracer.dropped
-	}
-	return r.tracer
-}
-
-// SetTracer replaces the registry's tracer (e.g. with a different
-// capacity). It is intended for setup time, before events flow.
-func (r *Registry) SetTracer(t *Tracer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tracer = t
-	if t != nil {
-		r.metrics["trace_dropped_total"] = &t.dropped
-	} else {
-		delete(r.metrics, "trace_dropped_total")
-	}
-	r.mu.Unlock()
-}
-
 // Recorder returns the registry's time-series recorder, or nil if none
-// was attached. Unlike Tracer it is not auto-created: a recorder's
-// columns are component-specific, so whoever owns the registry decides
+// was attached. It is not auto-created: a recorder's columns are
+// component-specific, so whoever owns the registry decides
 // what to record (e.g. cluster.NewRecorder) and attaches it with
 // SetRecorder.
 func (r *Registry) Recorder() *Recorder {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -18,8 +17,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	c := reg.Counter("c")
 	g := reg.Gauge("g")
 	h := reg.Histogram("h", LatencyBuckets)
-	tr := reg.Tracer()
-	if c != nil || g != nil || h != nil || tr != nil {
+	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	// Every operation on the nil handles must be safe and inert.
@@ -29,8 +27,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	g.Add(-1)
 	h.Observe(1.5)
 	h.ObserveSince(timeZero())
-	tr.Record(1, "x", "y")
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	if h.Mean() != 0 || h.Std() != 0 || h.VD() != 0 || h.Quantile(0.5) != 0 {
@@ -50,7 +47,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatalf("nil registry JSON = %q, want {}", buf.String())
 	}
 	reg.Attach("x", new(Counter))
-	reg.SetTracer(NewTracer(8))
 }
 
 // TestDisabledPathAllocationFree: instrumentation stays compiled into
@@ -61,7 +57,6 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 	c := nilReg.Counter("c")
 	g := nilReg.Gauge("g")
 	h := nilReg.Histogram("h", LatencyBuckets)
-	tr := nilReg.Tracer()
 	t0 := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -71,8 +66,6 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		g.Max(7)
 		h.Observe(1.5)
 		h.ObserveSince(t0)
-		tr.Record(1, "x", "y")
-		tr.RecordOp(1, 9, "x", "y")
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-registry handles allocated %v times per run, want 0", allocs)
@@ -248,59 +241,20 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestTracerRingAndJSONL(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		tr.Record(i, "ev", "")
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", tr.Len())
-	}
-	if tr.Total() != 6 {
-		t.Fatalf("total = %d, want 6", tr.Total())
-	}
-	evs := tr.Events()
-	for i, ev := range evs {
-		if ev.Node != i+2 { // oldest two overwritten
-			t.Fatalf("event %d from node %d, want %d", i, ev.Node, i+2)
-		}
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d is not JSON: %v", lines, err)
-		}
-		lines++
-	}
-	if lines != 4 {
-		t.Fatalf("JSONL lines = %d, want 4", lines)
-	}
-}
-
 func TestRegistryConcurrentAccess(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			c := reg.Counter("shared_total")
 			h := reg.Histogram("shared_hist", LatencyBuckets)
-			tr := reg.Tracer()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(float64(i))
-				if i%100 == 0 {
-					tr.Record(g, "tick", "")
-				}
 			}
-		}(g)
+		}()
 	}
 	// Concurrent exports must be safe too.
 	for i := 0; i < 4; i++ {
@@ -318,6 +272,42 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	}
 	if got := reg.Histogram("shared_hist", nil).Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
+	}
+}
+
+// TestPrometheusCountMatchesBuckets scrapes a histogram while another
+// goroutine observes into it: every exposition must carry a _count equal
+// to its +Inf bucket, however the scrape interleaves with the observes.
+func TestPrometheusCountMatchesBuckets(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("h", LatencyBuckets)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(1e-3)
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inf, count := m[`h_bucket{le="+Inf"}`], m["h_count"]; inf != count {
+			t.Fatalf("scrape %d: +Inf bucket %v, _count %v", i, inf, count)
+		}
 	}
 }
 

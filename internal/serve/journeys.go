@@ -40,7 +40,7 @@ type JourneySample struct {
 
 // JourneyLog is a fixed-capacity ring of recently completed journeys,
 // the store behind the /jobs debug endpoint — JSONL export, newest
-// overwrites oldest, same shape as the obs tracer's /trace.
+// overwrites oldest.
 type JourneyLog struct {
 	mu    sync.Mutex
 	buf   []JourneySample

@@ -42,8 +42,8 @@
 // Every message carries the op field: a 64-bit operation id minted by
 // the initiator of a balancing operation and echoed on every message of
 // that operation, so one operation's freeze→collect→transfer→ack→release
-// timeline can be stitched across processes (see internal/obs and
-// internal/cluster). The two job-record kinds carry journey stamps: a
+// timeline can be read across processes out of the nodes' flight
+// recordings (see internal/flight). The two job-record kinds carry journey stamps: a
 // JobMove frame carries the sender's send timestamp and each record its
 // origin ingest time (delta-coded against the send stamp), hop count,
 // and accumulated in-flight transfer time; a JobDone carries the same

@@ -13,8 +13,8 @@
 //     a virtual clock.
 //   - StartNode, NewLoopback, ListenNode (internal/cluster,
 //     internal/wire) — the same protocol over real transports.
-//   - Registry, ServeDebug, Aggregate (internal/obs) — live metrics,
-//     traces and the merged cluster view.
+//   - Registry, ServeDebug, Aggregate (internal/obs) — live metrics
+//     and the merged cluster view.
 //   - FIX, FixLimit, OperatorG… (internal/theory) — the closed forms.
 //
 // # Quick start
@@ -126,14 +126,14 @@ func StartNode(cfg NodeConfig) (*ClusterNode, error) {
 }
 
 // Registry collects live metrics (atomic counters, gauges, fixed-bucket
-// histograms) and an optional event tracer. A nil *Registry is a valid
+// histograms). A nil *Registry is a valid
 // no-op sink: instrumented components accept one in their configs
 // (NodeConfig.Obs, NetworkConfig.Obs) and pay
 // ~1 ns per disabled metric operation.
 type Registry = obs.Registry
 
 // DebugServer serves a Registry over HTTP: /metrics (Prometheus text),
-// /debug/vars (expvar JSON), /trace (JSONL events), /healthz, and
+// /debug/vars (expvar JSON), /series (time-series rings), /healthz, and
 // net/http/pprof under /debug/pprof/.
 type DebugServer = obs.DebugServer
 
@@ -147,16 +147,15 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 }
 
 // AggView is a merged cluster view: metrics summed across nodes, the
-// per-node load distribution, and balancing-operation traces stitched
-// across processes by op id.
+// per-node load distribution and the merged load trajectory.
 type AggView = obs.AggView
 
-// Aggregate scrapes the debug endpoints (/metrics, /series, /trace) of
+// Aggregate scrapes the debug endpoints (/metrics, /series) of
 // every URL in parallel and merges them into one cluster view.
 func Aggregate(urls []string) (*AggView, error) { return obs.Aggregate(urls) }
 
 // ServeAggregator serves a live merged view of the upstream debug
-// endpoints (/cluster, /metrics, /series, /trace, /healthz), scraping
+// endpoints (/cluster, /metrics, /series, /healthz), scraping
 // the upstreams on every request.
 func ServeAggregator(addr string, urls []string) (*DebugServer, error) {
 	return obs.ServeAggregator(addr, urls)
