@@ -313,8 +313,7 @@ type Node struct {
 	lastDoneAt time.Time
 	epoch      atomic.Uint64 // mirrors the machine's epoch for cross-goroutine readers (Epoch)
 	unacked    int           // transfers sent but not yet acknowledged
-	errsAt     int64         // transport-wide send errors at initiate (fallback attribution)
-	peerErrsAt []int64       // per-partner link send errors at initiate (peer-exact attribution)
+	peerErrsAt []int64       // per-partner link send errors at initiate (timeout attribution)
 	xferSent   []time.Time   // Transfer send times awaiting ack, FIFO (metrics only)
 
 	// partner-side driver state
@@ -574,18 +573,14 @@ func (n *Node) checkTimeouts() {
 // Only those links matter: a failed send to an unrelated peer (another
 // protocol's release, shutdown traffic) says nothing about why *this*
 // protocol's replies are missing, and counting it would mislabel a
-// plain timeout as link_down. Transports without per-peer accounting
-// fall back to the transport-wide delta.
+// plain timeout as link_down.
 func (n *Node) partnerLinkErrored() bool {
-	if ps, ok := n.cfg.Transport.(wire.PeerStatser); ok && len(n.peerErrsAt) == len(n.candBuf) {
-		for i, c := range n.candBuf {
-			if ps.PeerStats(c).SendErrors > n.peerErrsAt[i] {
-				return true
-			}
+	for i, c := range n.candBuf {
+		if n.cfg.Transport.PeerStats(c).SendErrors > n.peerErrsAt[i] {
+			return true
 		}
-		return false
 	}
-	return n.cfg.Transport.Stats().SendErrors > n.errsAt
+	return false
 }
 
 // step performs one workload step and initiates if the trigger fires.
@@ -674,12 +669,9 @@ func (n *Node) initiate() {
 	n.candBuf = n.rng.SampleDistinct(n.cfg.N, n.cfg.Delta, n.cfg.ID, n.candBuf)
 	op := n.mintOp()
 	n.lastInitAt = time.Now()
-	n.errsAt = n.cfg.Transport.Stats().SendErrors
 	n.peerErrsAt = n.peerErrsAt[:0]
-	if ps, ok := n.cfg.Transport.(wire.PeerStatser); ok {
-		for _, c := range n.candBuf {
-			n.peerErrsAt = append(n.peerErrsAt, ps.PeerStats(c).SendErrors)
-		}
+	for _, c := range n.candBuf {
+		n.peerErrsAt = append(n.peerErrsAt, n.cfg.Transport.PeerStats(c).SendErrors)
 	}
 	effs := n.m.Initiate(n.candBuf, op, n.effs[:0])
 	seq := n.m.Seq()

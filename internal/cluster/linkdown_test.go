@@ -8,9 +8,9 @@ import (
 	"lmbalance/internal/wire"
 )
 
-// statsTransport is a controllable Transport + PeerStatser: the test
-// sets the transport-wide and per-peer send-error counters directly to
-// drive the timeout-attribution logic.
+// statsTransport is a controllable Transport: the test sets the
+// transport-wide and per-peer send-error counters directly to drive the
+// timeout-attribution logic.
 type statsTransport struct {
 	inbox    chan wire.Msg
 	global   wire.Stats
@@ -37,12 +37,6 @@ func (f *statsTransport) PeerStats(id int) wire.Stats {
 	return wire.Stats{SendErrors: f.peerErrs[id]}
 }
 func (f *statsTransport) Close() error { return nil }
-
-// blindTransport hides PeerStats, so the node must fall back to the
-// transport-wide send-error delta.
-type blindTransport struct{ *statsTransport }
-
-func (b blindTransport) PeerStats(int) {} // different signature: not a PeerStatser
 
 // timeoutReason drives one initiate → reply-timeout cycle on a node
 // wired to tr, applies mutate between the two (the window in which the
@@ -120,22 +114,5 @@ func TestTimeoutAttributionPartnerLink(t *testing.T) {
 	})
 	if got[AbortLinkDown] != 1 || got[AbortTimeout] != 0 {
 		t.Fatalf("partner link errors not attributed as link_down: %v", got)
-	}
-}
-
-// TestTimeoutAttributionFallback: transports without per-peer
-// accounting keep the transport-wide attribution (better than nothing,
-// coarser than exact).
-func TestTimeoutAttributionFallback(t *testing.T) {
-	tr := newStatsTransport()
-	bl := blindTransport{tr}
-	if _, ok := wire.Transport(bl).(wire.PeerStatser); ok {
-		t.Fatal("blindTransport unexpectedly satisfies PeerStatser")
-	}
-	got := timeoutReason(t, bl, func([]int) {
-		tr.global.SendErrors = 1 // anywhere on the transport
-	})
-	if got[AbortLinkDown] != 1 {
-		t.Fatalf("fallback attribution lost: %v", got)
 	}
 }

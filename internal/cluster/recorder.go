@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"lmbalance/internal/obs"
 )
@@ -48,12 +47,21 @@ func NewRecorder(reg *obs.Registry, ids []int, capacity int) *obs.Recorder {
 		gauges[i] = g
 		rec.GaugeColumn(fmt.Sprintf(`load{node="%d"}`, id), g)
 	}
+	spread := func() (mean, std, vd float64) {
+		var sum, sumsq float64
+		for _, g := range gauges {
+			v := float64(g.Value())
+			sum += v
+			sumsq += v * v
+		}
+		return obs.Moments(float64(len(gauges)), sum, sumsq)
+	}
 	rec.Column("nodes_mean", func() float64 {
-		mean, _ := gaugeMoments(gauges)
+		mean, _, _ := spread()
 		return mean
 	})
 	rec.Column("nodes_vd", func() float64 {
-		_, vd := gaugeMoments(gauges)
+		_, _, vd := spread()
 		return vd
 	})
 	rec.HistogramColumns("load", reg.Histogram("cluster_load", obs.LoadBuckets))
@@ -70,23 +78,4 @@ func NewRecorder(reg *obs.Registry, ids []int, capacity int) *obs.Recorder {
 	rec.CounterRateColumn("pace_recover_rate", reg.Counter("cluster_pace_recover_total"))
 	reg.SetRecorder(rec)
 	return rec
-}
-
-// gaugeMoments computes mean and variation density across gauge values.
-func gaugeMoments(gs []*obs.Gauge) (mean, vd float64) {
-	if len(gs) == 0 {
-		return 0, 0
-	}
-	var sum, sumsq float64
-	for _, g := range gs {
-		v := float64(g.Value())
-		sum += v
-		sumsq += v * v
-	}
-	n := float64(len(gs))
-	mean = sum / n
-	if varr := sumsq/n - mean*mean; varr > 0 && mean != 0 {
-		vd = math.Sqrt(varr) / mean
-	}
-	return mean, vd
 }

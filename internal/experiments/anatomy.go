@@ -387,43 +387,14 @@ func runAnatomyArm(mode, envText string, cfg *SojournAnatomyResult,
 	return arm, nil
 }
 
-// mergedQuantile merges the per-node histograms of one metric family
-// (by summing bucket counts) and inverts the merged distribution at q.
+// mergedQuantile inverts the merged distribution of one metric
+// family's per-node histograms at q.
 func mergedQuantile(reg *obs.Registry, nodes []int, metric func(int) string, q float64) float64 {
-	var bounds []float64
-	var counts []int64
-	for _, node := range nodes {
-		h := reg.Histogram(metric(node), obs.SojournBuckets)
-		b, c := h.Buckets()
-		if bounds == nil {
-			bounds = b
-			counts = make([]int64, len(c))
-		}
-		for i := range c {
-			counts[i] += c[i]
-		}
+	hs := make([]*obs.Histogram, len(nodes))
+	for i, node := range nodes {
+		hs[i] = reg.Histogram(metric(node), obs.SojournBuckets)
 	}
-	merged := obs.NewHistogram(bounds)
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		// Re-observe a representative value per bucket: the midpoint of
-		// (lower, upper], matching the linear-interpolation assumption.
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		hi := lo * 2
-		if i < len(bounds) {
-			hi = bounds[i]
-		}
-		mid := (lo + hi) / 2
-		for j := int64(0); j < c; j++ {
-			merged.Observe(mid)
-		}
-	}
-	return merged.Quantile(q)
+	return obs.MergedQuantile(q, hs...)
 }
 
 // Render writes the decomposition tables and the alert timeline.

@@ -14,11 +14,7 @@ func (r *Recorder) Tap(inner wire.Transport) wire.Transport {
 	if r == nil {
 		return inner
 	}
-	t := &tap{Transport: inner, rec: r}
-	if _, ok := inner.(wire.PeerStatser); ok {
-		return &tapPeer{tap: t}
-	}
-	return t
+	return &tap{Transport: inner, rec: r}
 }
 
 type tap struct {
@@ -29,14 +25,4 @@ type tap struct {
 func (t *tap) Send(to int, m wire.Msg) error {
 	t.rec.RecordSend(to, m)
 	return t.Transport.Send(to, m)
-}
-
-// tapPeer additionally forwards the inner transport's per-peer stats,
-// so the cluster's link_down attribution keeps working under a tap.
-type tapPeer struct {
-	*tap
-}
-
-func (t *tapPeer) PeerStats(id int) wire.Stats {
-	return t.Transport.(wire.PeerStatser).PeerStats(id)
 }

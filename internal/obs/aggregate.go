@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -41,11 +39,6 @@ type AggOptions struct {
 	// Monitor's handler). Reserved paths (/cluster, /metrics, /series,
 	// /healthz) cannot be overridden.
 	Extra map[string]http.HandlerFunc
-	// MetricsOnly skips the /series fetch, leaving only the /metrics
-	// scrape. High-frequency pollers (the health monitor) set this: they
-	// read nothing else, and every extra serialization per poll steals
-	// CPU from the cluster being watched.
-	MetricsOnly bool
 }
 
 func (o AggOptions) timeout() time.Duration {
@@ -87,14 +80,23 @@ type AggView struct {
 }
 
 // Aggregate scrapes every URL's debug endpoints and merges them with
-// default options. It fails only if every node is unreachable; partial
-// scrapes are reported per node in Nodes[i].Err.
+// default options. It fails only if every node is unreachable, and
+// still returns the view then; failed scrapes are reported per node in
+// Nodes[i].Err.
 func Aggregate(urls []string) (*AggView, error) {
 	return AggregateOpts(urls, AggOptions{})
 }
 
 // AggregateOpts is Aggregate with explicit options (scrape timeout).
 func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
+	return aggregate(urls, opts, false)
+}
+
+// aggregate is AggregateOpts with the health monitor's switch:
+// metricsOnly skips the /series fetch, since the monitor reads nothing
+// else and every extra serialization per poll steals CPU from the
+// cluster being watched.
+func aggregate(urls []string, opts AggOptions, metricsOnly bool) (*AggView, error) {
 	v := &AggView{
 		At:      time.Now(),
 		Nodes:   make([]NodeScrape, len(urls)),
@@ -107,7 +109,7 @@ func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			v.Nodes[i] = scrapeNode(url, timeout, opts.MetricsOnly)
+			v.Nodes[i] = scrapeNode(url, timeout, metricsOnly)
 		}(i, url)
 	}
 	wg.Wait()
@@ -133,7 +135,7 @@ func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
 				break
 			}
 		}
-		return nil, fmt.Errorf("obs: aggregate: no node of %d reachable: %w", len(urls), first)
+		return v, fmt.Errorf("obs: aggregate: no node of %d reachable: %w", len(urls), first)
 	}
 	return v, nil
 }
@@ -309,18 +311,7 @@ func (v *AggView) Dist(base string) (n int, mean, std, vd float64) {
 		sum += val
 		sumsq += val * val
 	}
-	if n == 0 {
-		return 0, 0, 0, 0
-	}
-	mean = sum / float64(n)
-	varr := sumsq/float64(n) - mean*mean
-	if varr < 0 {
-		varr = 0
-	}
-	std = math.Sqrt(varr)
-	if mean != 0 {
-		vd = std / mean
-	}
+	mean, std, vd = Moments(float64(n), sum, sumsq)
 	return n, mean, std, vd
 }
 
@@ -382,13 +373,7 @@ func (v *AggView) MergeSeries(column string, bucket time.Duration) []AggPoint {
 			sumsq += val * val
 		}
 		p := AggPoint{AtUS: b * bucketUS, N: n}
-		p.Mean = sum / float64(n)
-		if varr := sumsq/float64(n) - p.Mean*p.Mean; varr > 0 {
-			p.Std = math.Sqrt(varr)
-		}
-		if p.Mean != 0 {
-			p.VD = p.Std / p.Mean
-		}
+		p.Mean, p.Std, p.VD = Moments(float64(n), sum, sumsq)
 		out = append(out, p)
 	}
 	return out
@@ -477,19 +462,7 @@ func ServeAggregator(addr string, urls []string) (*DebugServer, error) {
 
 // ServeAggregatorOpts is ServeAggregator with explicit options.
 func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: aggregator listen %s: %w", addr, err)
-	}
-	s := &DebugServer{ln: ln, served: make(chan struct{})}
-	mux := http.NewServeMux()
-	reserved := map[string]bool{"/healthz": true, "/cluster": true, "/metrics": true, "/series": true}
-	for path, h := range opts.Extra {
-		if h == nil || reserved[path] {
-			continue
-		}
-		mux.HandleFunc(path, h)
-	}
+	mux := newMux(opts.Extra, "/healthz", "/cluster", "/metrics", "/series")
 	scrape := func(w http.ResponseWriter) *AggView {
 		v, err := AggregateOpts(urls, opts)
 		if err != nil {
@@ -558,10 +531,5 @@ func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugSer
 		}
 		_ = json.NewEncoder(w).Encode(map[string]any{"column": col, "bucket_ms": bucket.Seconds() * 1e3, "points": out})
 	})
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() {
-		defer close(s.served)
-		_ = s.srv.Serve(ln)
-	}()
-	return s, nil
+	return startServer(addr, "aggregator", mux)
 }

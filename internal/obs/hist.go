@@ -88,81 +88,133 @@ func (h *Histogram) Sum() float64 {
 
 // Mean returns the mean observation, or 0 when empty.
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return h.sum.Load() / float64(h.count.Load())
+	mean, _, _ := h.moments()
+	return mean
 }
 
 // Std returns the population standard deviation from the online
-// moments, or 0 when empty. (Clamped at 0 against floating cancellation
-// when all observations are equal.)
+// moments, or 0 when empty.
 func (h *Histogram) Std() float64 {
-	if h == nil {
-		return 0
-	}
-	n := float64(h.count.Load())
-	if n == 0 {
-		return 0
-	}
-	mean := h.sum.Load() / n
-	varr := h.sumsq.Load()/n - mean*mean
-	if varr < 0 {
-		varr = 0
-	}
-	return math.Sqrt(varr)
+	_, std, _ := h.moments()
+	return std
 }
 
 // VD returns the variation density Std/Mean — the paper's §5 quality
 // measure — or 0 when the mean is 0.
 func (h *Histogram) VD() float64 {
-	m := h.Mean()
-	if m == 0 {
-		return 0
+	_, _, vd := h.moments()
+	return vd
+}
+
+func (h *Histogram) moments() (mean, std, vd float64) {
+	if h == nil {
+		return 0, 0, 0
 	}
-	return h.Std() / m
+	return Moments(float64(h.count.Load()), h.sum.Load(), h.sumsq.Load())
+}
+
+// Moments returns the mean, the population standard deviation and the
+// variation density std/mean of n values with the given sum and sum of
+// squares: all 0 when n is 0, vd 0 when the mean is. The variance is
+// clamped at 0 against floating cancellation when all values are equal.
+// Histograms, the aggregator's cross-node distributions and the cluster
+// recorder's per-node load spread all compute their moments here.
+func Moments(n, sum, sumsq float64) (mean, std, vd float64) {
+	if n == 0 {
+		return 0, 0, 0
+	}
+	mean = sum / n
+	if varr := sumsq/n - mean*mean; varr > 0 {
+		std = math.Sqrt(varr)
+	}
+	if mean != 0 {
+		vd = std / mean
+	}
+	return mean, std, vd
 }
 
 // Quantile estimates the q-quantile (0..1) by linear interpolation
 // inside the bucket where the cumulative count crosses the rank. The
 // overflow bucket reports its lower bound (there is no upper edge).
 // Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
+func (h *Histogram) Quantile(q float64) float64 { return MergedQuantile(q, h) }
+
+// MergedQuantile estimates the q-quantile of the histograms' summed
+// bucket counts — the distribution of every observation any of them
+// holds, e.g. one metric family across a cluster's nodes. The
+// histograms must share one bucket layout; nil ones are skipped.
+func MergedQuantile(q float64, hs ...*Histogram) float64 {
+	var bounds, cum []float64
+	for _, h := range hs {
+		if h == nil {
+			continue
+		}
+		if cum == nil {
+			bounds, cum = h.bounds, make([]float64, len(h.counts))
+		}
+		c := 0.0
+		for i := range h.counts {
+			c += float64(h.counts[i].Load())
+			cum[i] += c
+		}
+	}
+	if len(cum) == 0 {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
+	return bucketQuantile(bounds, cum, cum[len(cum)-1], q)
+}
+
+// bucketQuantile inverts a bucketed distribution at q (clamped to
+// [0, 1]): bounds are the finite ascending upper bounds, cum the
+// cumulative count at each of them plus the overflow bucket last, and
+// total the count the rank is a fraction of. Mass inside the bucket
+// where the cumulative count crosses the rank is spread uniformly
+// (linear interpolation); the overflow bucket has no upper edge and
+// reports the last bound. Returns 0 when total is not positive.
+//
+// The counts may be differences of two cumulative snapshots (the health
+// monitor's windows), which a counter reset can make non-monotone; the
+// bucket chosen is still the first whose cumulative count reaches the
+// rank.
+func bucketQuantile(bounds, cum []float64, total, q float64) float64 {
+	if total <= 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if cum+c >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if i >= len(h.bounds) {
+	rank := min(max(q, 0), 1) * total
+	lo, below := 0.0, 0.0
+	for i, n := range cum {
+		if n >= rank && n > below {
+			if i >= len(bounds) {
 				return lo // overflow bucket: no upper edge
 			}
-			hi := h.bounds[i]
-			frac := (rank - cum) / c
-			return lo + (hi-lo)*frac
+			return lo + (bounds[i]-lo)*((rank-below)/(n-below))
 		}
-		cum += c
+		if i < len(bounds) {
+			lo = bounds[i]
+		}
+		below = n
 	}
-	if len(h.bounds) == 0 {
-		return 0
+	return lo
+}
+
+// cumAt linearly interpolates a cumulative bucket count (bounds and cum
+// as for bucketQuantile) at value x: buckets are (lower, le] ranges and
+// the mass inside the one containing x is spread uniformly — the
+// Prometheus histogram_quantile assumption in reverse. Above the last
+// bound it is the count at that bound.
+func cumAt(bounds, cum []float64, x float64) float64 {
+	prevLE, prevN := 0.0, 0.0
+	for i, le := range bounds {
+		if x <= le {
+			width := le - prevLE
+			if width <= 0 {
+				return prevN
+			}
+			return prevN + (cum[i]-prevN)*(x-prevLE)/width
+		}
+		prevLE, prevN = le, cum[i]
 	}
-	return h.bounds[len(h.bounds)-1]
+	return prevN
 }
 
 // Buckets returns copies of the bucket upper bounds and their

@@ -2,11 +2,13 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"time"
 )
@@ -50,25 +52,7 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 
 // ServeDebugOpts is ServeDebug with options (health identity lines).
 func ServeDebugOpts(addr string, reg *Registry, opts DebugOptions) (*DebugServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
-	}
-	s := &DebugServer{
-		ln:     ln,
-		served: make(chan struct{}),
-	}
-	mux := http.NewServeMux()
-	builtin := map[string]bool{
-		"/healthz": true, "/metrics": true, "/debug/vars": true,
-		"/series": true, "/debug/pprof/": true,
-	}
-	for path, h := range opts.Extra {
-		if h == nil || builtin[path] {
-			continue
-		}
-		mux.HandleFunc(path, h)
-	}
+	mux := newMux(opts.Extra, "/healthz", "/metrics", "/debug/vars", "/series", "/debug/pprof/")
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -98,14 +82,37 @@ func ServeDebugOpts(addr string, reg *Registry, opts DebugOptions) (*DebugServer
 		if reg != nil {
 			rec = reg.Recorder()
 		}
-		_ = rec.WriteJSON(w)
+		_ = json.NewEncoder(w).Encode(rec.Data())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	return startServer(addr, "debug", mux)
+}
+
+// newMux returns a mux with the extra handlers mounted under their
+// paths, except the caller's built-in ones, which it mounts itself.
+func newMux(extra map[string]http.HandlerFunc, builtin ...string) *http.ServeMux {
+	mux := http.NewServeMux()
+	for path, h := range extra {
+		if h != nil && !slices.Contains(builtin, path) {
+			mux.HandleFunc(path, h)
+		}
+	}
+	return mux
+}
+
+// startServer serves mux on addr until Close; kind names the server in
+// a listen error.
+func startServer(addr, kind string, mux *http.ServeMux) (*DebugServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("obs: %s listen %s: %w", kind, addr, err)
+	}
+	s := &DebugServer{ln: ln, served: make(chan struct{}),
+		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() {
 		defer close(s.served)
 		_ = s.srv.Serve(ln) // returns on Shutdown/Close

@@ -3,9 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,12 +119,12 @@ func (s SLO) String() string {
 		s.Short, s.Long, s.Burn)
 }
 
-// DefaultSLOBase is the histogram family the monitor watches when
-// MonitorConfig.Base is empty: the serve layer's per-node end-to-end
-// job sojourn histograms.
+// DefaultSLOBase is the histogram family the monitor watches: the
+// serve layer's per-node end-to-end job sojourn histograms, every one
+// bucketed by SojournBuckets.
 const DefaultSLOBase = "serve_sojourn_seconds"
 
-// Per-node verdict thresholds (MonitorConfig overrides; zero → default).
+// Per-node verdict thresholds.
 const (
 	// DefaultSaturateFactor: a node whose load gauge exceeds this
 	// multiple of the cluster mean load is "saturated" …
@@ -150,7 +148,6 @@ type MonitorConfig struct {
 	URLs []string // upstream debug endpoints (same as Aggregate)
 	SLO  SLO
 
-	Base    string        // sojourn histogram family (default DefaultSLOBase)
 	Period  time.Duration // poll interval for Start (default 1s)
 	Timeout time.Duration // per-scrape timeout (default DefaultScrapeTimeout)
 
@@ -168,12 +165,6 @@ type MonitorConfig struct {
 	// flight-recorder snapshot, so every alert leaves a replayable
 	// incident artifact behind.
 	OnAlert func(HealthDoc)
-
-	// Verdict thresholds; zero means the Default* constant.
-	SaturateFactor float64
-	SaturateMin    float64
-	AbortRateMax   float64
-	SendqMax       float64
 }
 
 // monSeverities are the alert-lifecycle metric labels.
@@ -220,82 +211,67 @@ type HealthDoc struct {
 	Nodes []NodeHealth `json:"nodes"`
 }
 
-// histSnap is one timestamped snapshot of the watched histogram family,
-// summed across every node label: cumulative bucket counts by le, plus
-// the _sum/_count totals. Deltas between two snapshots are themselves a
-// valid histogram (cumulative counters only grow), which is what the
-// rolling windows are computed from.
-type histSnap struct {
-	at      time.Time
-	count   float64
-	sum     float64
-	buckets []bucketCum // ascending le, cumulative counts
-}
-
-type bucketCum struct{ le, n float64 }
-
-// nodeTrack is the monitor's per-URL memory between polls: the previous
-// abort-counter total (for the rate) and its EWMA, plus the last
-// verdict so transitions can be counted.
+// nodeTrack is the monitor's per-URL memory between polls: the abort
+// counter's rate and its EWMA, plus the last verdict so transitions can
+// be counted.
 type nodeTrack struct {
-	prevAborts float64
-	prevAt     time.Time
-	havePrev   bool
-	ewma       float64
-	verdict    string
+	aborts  counterRate
+	ewma    float64
+	verdict string
 }
 
 // Monitor polls the cluster's merged view and evaluates the SLO. Create
 // with NewMonitor; drive it with Start/Stop (continuous) or Poll
 // (one-shot, what experiments and tests use for determinism).
+//
+// The rolling windows are rows of a ring, one per successful poll: the
+// SLO family's _count summed across nodes, then its summed cumulative
+// bucket counts at each of SojournBuckets and +Inf. Cumulative counters
+// only grow, so the difference of two rows is itself a histogram — the
+// window between them.
 type Monitor struct {
 	cfg MonitorConfig
 
-	mu        sync.Mutex
-	snaps     []histSnap
-	first     histSnap // first-ever snapshot (survives ring trimming)
-	haveFirst bool
-	tracks    map[string]*nodeTrack
-	last      HealthDoc
-	fired     int64
+	mu     sync.Mutex
+	bounds []float64      // the family's finite bucket bounds
+	les    map[string]int // exposition le label → bucket index
+	rows   ring
+	first  []float64 // the first row, kept past ring overwrites for the since-start figures
+	tracks map[string]*nodeTrack
+	last   HealthDoc
+	fired  int64
 
 	// Alert lifecycle metrics (nil-safe; attached when cfg.Obs is set).
 	alertsTotal map[string]*Counter
 	alertActive map[string]*Gauge
 
-	stop chan struct{}
-	done chan struct{}
+	loop tickLoop
 }
 
 // NewMonitor returns a Monitor over cfg. It does not scrape until
 // Start or Poll.
 func NewMonitor(cfg MonitorConfig) *Monitor {
-	if cfg.Base == "" {
-		cfg.Base = DefaultSLOBase
-	}
 	if cfg.Period <= 0 {
 		cfg.Period = time.Second
 	}
 	if cfg.SLO.Burn <= 0 {
 		cfg.SLO.Burn = DefaultBurn
 	}
-	if cfg.SaturateFactor <= 0 {
-		cfg.SaturateFactor = DefaultSaturateFactor
-	}
-	if cfg.SaturateMin <= 0 {
-		cfg.SaturateMin = DefaultSaturateMin
-	}
-	if cfg.AbortRateMax <= 0 {
-		cfg.AbortRateMax = DefaultAbortRateMax
-	}
-	if cfg.SendqMax <= 0 {
-		cfg.SendqMax = DefaultSendqMax
-	}
+	// The ring must reach back past the long window at whatever rate
+	// Poll is called, which may be faster than Period (experiments poll
+	// by hand), so it never holds fewer than DefaultSeriesCapacity rows.
+	capacity := max(DefaultSeriesCapacity, int((cfg.SLO.Long+2*cfg.Period)/cfg.Period)+2)
 	m := &Monitor{
 		cfg:         cfg,
+		bounds:      SojournBuckets,
+		les:         map[string]int{"+Inf": len(SojournBuckets)},
+		rows:        newRing(capacity),
 		tracks:      make(map[string]*nodeTrack),
 		alertsTotal: make(map[string]*Counter, len(monSeverities)),
 		alertActive: make(map[string]*Gauge, len(monSeverities)),
+	}
+	for i, le := range SojournBuckets {
+		m.les[formatFloat(le)] = i
 	}
 	for _, sev := range monSeverities {
 		c, g := &Counter{}, &Gauge{}
@@ -306,44 +282,12 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	return m
 }
 
-// Start launches the polling loop. Stop shuts it down and waits.
-func (m *Monitor) Start() {
-	m.mu.Lock()
-	if m.stop != nil {
-		m.mu.Unlock()
-		return
-	}
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	stop, done := m.stop, m.done
-	m.mu.Unlock()
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(m.cfg.Period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				m.Poll()
-			}
-		}
-	}()
-}
+// Start launches the polling loop, restarting it if it already runs.
+// Stop shuts it down and waits.
+func (m *Monitor) Start() { m.loop.start(m.cfg.Period, func(time.Time) { m.Poll() }) }
 
 // Stop halts the polling loop (no-op if not started).
-func (m *Monitor) Stop() {
-	m.mu.Lock()
-	stop, done := m.stop, m.done
-	m.stop, m.done = nil, nil
-	m.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+func (m *Monitor) Stop() { m.loop.halt() }
 
 // Last returns the most recent health document (zero At if none yet).
 func (m *Monitor) Last() HealthDoc {
@@ -356,60 +300,43 @@ func (m *Monitor) Last() HealthDoc {
 // returns the fresh health document. Safe to call concurrently with a
 // running loop; also the deterministic entry point for tests and
 // experiments that drive the monitor by hand.
-func (m *Monitor) Poll() HealthDoc {
-	v, err := AggregateOpts(m.cfg.URLs, AggOptions{Timeout: m.cfg.Timeout, MetricsOnly: true})
+func (m *Monitor) Poll() HealthDoc { return m.pollAt(time.Now()) }
+
+// pollAt is Poll with the scrape stamped now, so tests can step the
+// windows through time without sleeping.
+func (m *Monitor) pollAt(now time.Time) HealthDoc {
+	v, err := aggregate(m.cfg.URLs, AggOptions{Timeout: m.cfg.Timeout}, true)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	doc := HealthDoc{SLO: m.cfg.SLO.String(), Base: m.cfg.Base}
-	if err != nil {
-		// Whole cluster dark: degrade, keep the rolling state.
-		doc.At = time.Now()
-		doc.Status = "degraded"
-		for _, url := range m.cfg.URLs {
-			doc.Nodes = append(doc.Nodes, NodeHealth{URL: url, Verdict: "unreachable", Err: err.Error()})
-		}
-		doc.Alerting = m.last.Alerting
-		doc.AlertsFired = m.fired
-		m.alertActive["unreachable"].Set(int64(len(m.cfg.URLs)))
-		m.last = doc
-		return doc
-	}
-	doc.At = v.At
-
-	// Fold this scrape's histogram state into the snapshot ring.
-	snap := extractHistSnap(v, m.cfg.Base)
-	snap.at = v.At
-	if !m.haveFirst {
-		m.first, m.haveFirst = snap, true
-	}
-	m.snaps = append(m.snaps, snap)
-	m.trimSnaps(v.At)
-
-	// Multi-window burn rates against the objective.
-	cur := m.snaps[len(m.snaps)-1]
-	sOld, sOK := m.windowStart(cur.at, m.cfg.SLO.Short)
-	lOld, lOK := m.windowStart(cur.at, m.cfg.SLO.Long)
-	budget := 1 - m.cfg.SLO.Quantile
-	if sOK {
-		doc.BadShort = deltaBadFrac(cur, sOld, m.cfg.SLO.Threshold)
-		doc.BurnShort = doc.BadShort / budget
-		doc.QShort = deltaQuantile(cur, sOld, m.cfg.SLO.Quantile)
-	}
-	if lOK {
-		doc.BadLong = deltaBadFrac(cur, lOld, m.cfg.SLO.Threshold)
-		doc.BurnLong = doc.BadLong / budget
-		doc.QLong = deltaQuantile(cur, lOld, m.cfg.SLO.Quantile)
-		doc.ObsLong = cur.count - lOld.count
-	}
-	if m.haveFirst {
-		doc.ObsTotal = cur.count - m.first.count
-		doc.BadTotal = deltaBadFrac(cur, m.first, m.cfg.SLO.Threshold)
-		doc.QTotal = deltaQuantile(cur, m.first, m.cfg.SLO.Quantile)
-	}
-
+	doc := HealthDoc{At: now, SLO: m.cfg.SLO.String(), Base: DefaultSLOBase}
 	wasAlerting := m.last.Alerting
-	doc.Alerting = sOK && lOK &&
-		doc.BurnShort >= m.cfg.SLO.Burn && doc.BurnLong >= m.cfg.SLO.Burn
+	sOK, lOK := false, false
+	if err != nil {
+		// Whole cluster dark: keep the rolling state and the alert as
+		// it stood; the per-node verdicts below say why.
+		doc.Alerting = wasAlerting
+	} else {
+		cur := m.pushRow(v, now)
+		if m.first == nil {
+			m.first = append([]float64(nil), cur...)
+		}
+		// Multi-window burn rates against the objective.
+		budget := 1 - m.cfg.SLO.Quantile
+		var sOld, lOld []float64
+		sOld, sOK = m.windowRow(now, m.cfg.SLO.Short)
+		lOld, lOK = m.windowRow(now, m.cfg.SLO.Long)
+		if sOK {
+			_, doc.BadShort, doc.QShort = m.window(cur, sOld)
+			doc.BurnShort = doc.BadShort / budget
+		}
+		if lOK {
+			doc.ObsLong, doc.BadLong, doc.QLong = m.window(cur, lOld)
+			doc.BurnLong = doc.BadLong / budget
+		}
+		doc.ObsTotal, doc.BadTotal, doc.QTotal = m.window(cur, m.first)
+		doc.Alerting = sOK && lOK &&
+			doc.BurnShort >= m.cfg.SLO.Burn && doc.BurnLong >= m.cfg.SLO.Burn
+	}
 	if doc.Alerting && !wasAlerting {
 		m.fired++
 		m.alertsTotal["slo"].Inc()
@@ -434,33 +361,25 @@ func (m *Monitor) Poll() HealthDoc {
 		if n.Err != nil {
 			nh.Err = n.Err.Error()
 			nh.Verdict = "unreachable"
-			nh.AbortEWMA = tr.ewma
 			degraded = true
 		} else {
-			nh.Load = maxMetric(n.Metrics, LoadGaugeBase)
-			nh.Sendq = sumMetric(n.Metrics, "wire_sendq_depth")
-			aborts := sumMetric(n.Metrics, "cluster_aborts_total")
-			if tr.havePrev {
-				if dt := v.At.Sub(tr.prevAt).Seconds(); dt > 0 {
-					rate := (aborts - tr.prevAborts) / dt
-					if rate < 0 {
-						rate = 0 // counter reset (node restart)
-					}
-					tr.ewma = abortEWMAAlpha*rate + (1-abortEWMAAlpha)*tr.ewma
-				}
+			_, nh.Load = nodeMetric(n.Metrics, LoadGaugeBase)
+			nh.Sendq, _ = nodeMetric(n.Metrics, "wire_sendq_depth")
+			aborts, _ := nodeMetric(n.Metrics, "cluster_aborts_total")
+			if rate, ok := tr.aborts.next(aborts, now.UnixMicro()); ok {
+				tr.ewma = abortEWMAAlpha*max(rate, 0) + (1-abortEWMAAlpha)*tr.ewma // a negative rate is a node restart
 			}
-			tr.prevAborts, tr.prevAt, tr.havePrev = aborts, v.At, true
-			nh.AbortEWMA = tr.ewma
 			switch {
-			case nh.Load >= m.cfg.SaturateMin && meanLoad > 0 && nh.Load >= m.cfg.SaturateFactor*meanLoad:
+			case nh.Load >= DefaultSaturateMin && meanLoad > 0 && nh.Load >= DefaultSaturateFactor*meanLoad:
 				nh.Verdict = "saturated"
-			case nh.AbortEWMA > m.cfg.AbortRateMax || nh.Sendq > m.cfg.SendqMax:
+			case tr.ewma > DefaultAbortRateMax || nh.Sendq > DefaultSendqMax:
 				nh.Verdict = "degraded"
 				degraded = true
 			default:
 				nh.Verdict = "healthy"
 			}
 		}
+		nh.AbortEWMA = tr.ewma
 		if tr.verdict != nh.Verdict {
 			if c := m.alertsTotal[nh.Verdict]; c != nil { // degraded|saturated|unreachable
 				c.Inc()
@@ -539,164 +458,70 @@ func unhealthy(doc HealthDoc) bool {
 	return false
 }
 
-// trimSnaps drops snapshots that fell out of the long window (plus one
-// period of slack so the window-start lookup always has a bracket).
-func (m *Monitor) trimSnaps(now time.Time) {
-	horizon := now.Add(-m.cfg.SLO.Long - 2*m.cfg.Period)
-	i := 0
-	for i < len(m.snaps)-1 && m.snaps[i+1].at.Before(horizon) {
-		i++
-	}
-	m.snaps = m.snaps[i:]
-}
-
-// windowStart returns the snapshot to delta against for a window ending
-// at `end`: the newest snapshot at or before end−window, or the oldest
-// retained snapshot while the ring is still filling. ok is false until
-// at least two snapshots exist.
-func (m *Monitor) windowStart(end time.Time, window time.Duration) (histSnap, bool) {
-	if len(m.snaps) < 2 {
-		return histSnap{}, false
-	}
-	cut := end.Add(-window)
-	for i := len(m.snaps) - 2; i >= 0; i-- {
-		if !m.snaps[i].at.After(cut) {
-			return m.snaps[i], true
-		}
-	}
-	return m.snaps[0], true
-}
-
-// extractHistSnap sums one histogram family's cumulative exposition
-// lines across all node labels in the merged view.
-func extractHistSnap(v *AggView, base string) histSnap {
-	var s histSnap
-	byLE := make(map[float64]float64)
+// pushRow sums the SLO family's _count and cumulative _bucket lines
+// across every node label of the merged view into a new ring row. A row
+// taken before any node exported the family is all zeros.
+func (m *Monitor) pushRow(v *AggView, now time.Time) []float64 {
+	row := m.rows.push(now.UnixNano(), len(m.bounds)+2)
+	clear(row)
 	for name, val := range v.Metrics {
-		b := baseName(name)
-		switch b {
-		case base + "_count":
-			s.count += val
-		case base + "_sum":
-			s.sum += val
-		case base + "_bucket":
+		switch baseName(name) {
+		case DefaultSLOBase + "_count":
+			row[0] += val
+		case DefaultSLOBase + "_bucket":
 			for _, part := range splitLabels(labelPart(name)) {
-				k, raw, ok := strings.Cut(part, "=")
-				if !ok || k != "le" {
-					continue
-				}
-				le, err := parseLE(strings.Trim(raw, `"`))
-				if err == nil {
-					byLE[le] += val
+				if k, le, _ := strings.Cut(part, "="); k == "le" {
+					if i, ok := m.les[strings.Trim(le, `"`)]; ok {
+						row[1+i] += val
+					}
 				}
 			}
 		}
 	}
-	s.buckets = make([]bucketCum, 0, len(byLE))
-	for le, n := range byLE {
-		s.buckets = append(s.buckets, bucketCum{le: le, n: n})
-	}
-	sort.Slice(s.buckets, func(a, b int) bool { return s.buckets[a].le < s.buckets[b].le })
-	return s
+	return row
 }
 
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
+// windowRow returns the row a window of the given length ending now
+// deltas against (see ring.lookback); ok is false until two rows exist.
+func (m *Monitor) windowRow(now time.Time, window time.Duration) ([]float64, bool) {
+	i, ok := m.rows.lookback(now.Add(-window).UnixNano())
+	if !ok {
+		return nil, false
 	}
-	return strconv.ParseFloat(s, 64)
+	_, row := m.rows.row(i)
+	return row, true
 }
 
-// cumAt linearly interpolates a snapshot's cumulative count at value x.
-// Buckets are (lower, le] ranges; mass inside the bucket containing x
-// is spread uniformly, the standard Prometheus histogram_quantile
-// assumption in reverse.
-func cumAt(s histSnap, x float64) float64 {
-	prevLE, prevN := 0.0, 0.0
-	for _, b := range s.buckets {
-		if x <= b.le {
-			width := b.le - prevLE
-			if width <= 0 || math.IsInf(b.le, 1) { // degenerate or +Inf bucket
-				return prevN
-			}
-			return prevN + (b.n-prevN)*(x-prevLE)/width
-		}
-		prevLE, prevN = b.le, b.n
+// window deltas row cur against the older row old: the completions
+// between them, the fraction of those over the SLO threshold, and the
+// SLO quantile of their distribution (both 0 for an empty window).
+func (m *Monitor) window(cur, old []float64) (n, bad, q float64) {
+	n = cur[0] - old[0]
+	if n <= 0 {
+		return n, 0, 0
 	}
-	return s.count
-}
-
-// deltaBadFrac is the fraction of completions between old and cur that
-// exceeded the threshold.
-func deltaBadFrac(cur, old histSnap, threshold float64) float64 {
-	total := cur.count - old.count
-	if total <= 0 {
-		return 0
-	}
-	good := cumAt(cur, threshold) - cumAt(old, threshold)
-	bad := total - good
+	cc, oc := cur[1:], old[1:]
+	bad = n - (cumAt(m.bounds, cc, m.cfg.SLO.Threshold) - cumAt(m.bounds, oc, m.cfg.SLO.Threshold))
 	if bad < 0 {
 		bad = 0
 	}
-	return bad / total
+	d := make([]float64, len(cc))
+	for i := range d {
+		d[i] = cc[i] - oc[i]
+	}
+	return n, bad / n, bucketQuantile(m.bounds, d, n, m.cfg.SLO.Quantile)
 }
 
-// deltaQuantile inverts the delta histogram between old and cur at q
-// (0 when the window is empty).
-func deltaQuantile(cur, old histSnap, q float64) float64 {
-	total := cur.count - old.count
-	if total <= 0 {
-		return 0
-	}
-	rank := q * total
-	prevLE, prevD := 0.0, 0.0
-	for i := range cur.buckets {
-		d := cur.buckets[i].n
-		// Match the same le in old (bucket sets are identical in
-		// practice; missing means zero).
-		for _, ob := range old.buckets {
-			if ob.le == cur.buckets[i].le {
-				d -= ob.n
-				break
-			}
-		}
-		if d >= rank {
-			le := cur.buckets[i].le
-			if math.IsInf(le, 1) { // +Inf bucket: clamp to the last finite bound
-				return prevLE
-			}
-			if d == prevD {
-				return le
-			}
-			return prevLE + (le-prevLE)*(rank-prevD)/(d-prevD)
-		}
-		if !math.IsInf(cur.buckets[i].le, 1) {
-			prevLE = cur.buckets[i].le
-		}
-		prevD = d
-	}
-	return prevLE
-}
-
-// maxMetric returns the largest value among a node's metric lines with
-// the given base name (0 if none).
-func maxMetric(metrics map[string]float64, base string) float64 {
-	best := 0.0
-	for name, val := range metrics {
-		if baseName(name) == base && val > best {
-			best = val
-		}
-	}
-	return best
-}
-
-// sumMetric sums a node's metric lines with the given base name.
-func sumMetric(metrics map[string]float64, base string) float64 {
-	sum := 0.0
+// nodeMetric sums a node's metric lines with the given base name and
+// finds the largest of them (0 if none).
+func nodeMetric(metrics map[string]float64, base string) (sum, largest float64) {
 	for name, val := range metrics {
 		if baseName(name) == base {
 			sum += val
+			if val > largest {
+				largest = val
+			}
 		}
 	}
-	return sum
+	return sum, largest
 }

@@ -47,31 +47,32 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
-// snapFrom builds a histSnap from observations against given bounds,
-// mimicking what extractHistSnap reconstructs from a scrape.
-func snapFrom(at time.Time, bounds []float64, obs []float64) histSnap {
+// rowFrom builds a monitor row ([_count, cumulative bucket counts…,
+// +Inf]) from observations against the given bounds, as pushRow
+// assembles one from a scrape.
+func rowFrom(bounds []float64, obs []float64) []float64 {
 	h := NewHistogram(bounds)
 	for _, v := range obs {
 		h.Observe(v)
 	}
-	hb, counts := h.Buckets()
-	s := histSnap{at: at, count: float64(h.Count()), sum: h.Sum()}
+	_, counts := h.Buckets()
+	row := []float64{float64(h.Count())}
 	cum := 0.0
-	for i, c := range counts {
+	for _, c := range counts {
 		cum += float64(c)
-		le := math.Inf(1)
-		if i < len(hb) {
-			le = hb[i]
-		}
-		s.buckets = append(s.buckets, bucketCum{le: le, n: cum})
+		row = append(row, cum)
 	}
-	return s
+	return row
 }
 
 func TestBurnRateMath(t *testing.T) {
 	bounds := []float64{0.001, 0.01, 0.1, 1}
-	t0 := time.Unix(1000, 0)
-	old := snapFrom(t0, bounds, nil)
+	window := func(cur, old []float64, q float64) (bad, quant float64) {
+		m := &Monitor{bounds: bounds, cfg: MonitorConfig{SLO: SLO{Quantile: q, Threshold: 0.01}}}
+		_, bad, quant = m.window(cur, old)
+		return bad, quant
+	}
+	old := rowFrom(bounds, nil)
 	// 80 fast (5ms) + 20 slow (0.5s) completions; threshold 10ms.
 	var obs []float64
 	for i := 0; i < 80; i++ {
@@ -80,42 +81,29 @@ func TestBurnRateMath(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		obs = append(obs, 0.5)
 	}
-	cur := snapFrom(t0.Add(time.Second), bounds, obs)
+	cur := rowFrom(bounds, obs)
 
-	if got := deltaBadFrac(cur, old, 0.01); math.Abs(got-0.20) > 1e-9 {
-		t.Errorf("deltaBadFrac = %v, want 0.20", got)
+	if got, _ := window(cur, old, 0.99); math.Abs(got-0.20) > 1e-9 {
+		t.Errorf("bad fraction = %v, want 0.20", got)
 	}
 	// All 100 sit below 1s, so p99 interpolates inside the (0.1, 1]
 	// bucket that holds the 20 slow ones.
-	q := deltaQuantile(cur, old, 0.99)
-	if q <= 0.1 || q > 1 {
-		t.Errorf("deltaQuantile(p99) = %v, want in (0.1, 1]", q)
+	if _, q := window(cur, old, 0.99); q <= 0.1 || q > 1 {
+		t.Errorf("window p99 = %v, want in (0.1, 1]", q)
 	}
 	// p50 sits in the (0.001, 0.01] bucket with the fast 80.
-	q = deltaQuantile(cur, old, 0.50)
-	if q <= 0.001 || q > 0.01 {
-		t.Errorf("deltaQuantile(p50) = %v, want in (0.001, 0.01]", q)
+	if _, q := window(cur, old, 0.50); q <= 0.001 || q > 0.01 {
+		t.Errorf("window p50 = %v, want in (0.001, 0.01]", q)
 	}
 	// Empty window: no bad fraction, no quantile.
-	if f := deltaBadFrac(cur, cur, 0.01); f != 0 {
-		t.Errorf("empty-window bad frac = %v", f)
+	if f, q := window(cur, cur, 0.99); f != 0 || q != 0 {
+		t.Errorf("empty window bad frac = %v, quantile = %v", f, q)
 	}
-	if q := deltaQuantile(cur, cur, 0.99); q != 0 {
-		t.Errorf("empty-window quantile = %v", q)
-	}
-	// The delta is window-local: a second snapshot later with only fast
-	// completions has zero bad fraction even though cur still holds the
-	// old slow ones cumulatively.
-	cur2 := cur
-	cur2.at = t0.Add(2 * time.Second)
-	h := snapFrom(t0, bounds, []float64{0.002, 0.003})
-	cur2.count += h.count
-	bs := append([]bucketCum(nil), cur.buckets...)
-	for i := range bs {
-		bs[i].n += h.buckets[i].n
-	}
-	cur2.buckets = bs
-	if f := deltaBadFrac(cur2, cur, 0.01); f != 0 {
+	// The delta is window-local: a later row with only fast completions
+	// has zero bad fraction even though cur still holds the old slow
+	// ones cumulatively.
+	cur2 := rowFrom(bounds, append(append([]float64(nil), obs...), 0.002, 0.003))
+	if f, _ := window(cur2, cur, 0.99); f != 0 {
 		t.Errorf("fast-only delta bad frac = %v, want 0", f)
 	}
 }
@@ -152,12 +140,13 @@ func TestMonitorAlertAndClear(t *testing.T) {
 	})
 
 	// Baseline + healthy traffic: burn stays ~0.
-	m.Poll()
+	now := time.Now()
+	m.pollAt(now)
 	for i := 0; i < 100; i++ {
 		h.Observe(0.002)
 	}
-	time.Sleep(30 * time.Millisecond)
-	doc := m.Poll()
+	now = now.Add(30 * time.Millisecond)
+	doc := m.pollAt(now)
 	if doc.Alerting || doc.BurnShort > 0.01 {
 		t.Fatalf("healthy traffic alerting: %+v", doc)
 	}
@@ -169,8 +158,8 @@ func TestMonitorAlertAndClear(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.2)
 	}
-	time.Sleep(30 * time.Millisecond)
-	doc = m.Poll()
+	now = now.Add(30 * time.Millisecond)
+	doc = m.pollAt(now)
 	if !doc.Alerting || doc.Status != "alerting" {
 		t.Fatalf("regression not alerting: %+v", doc)
 	}
@@ -186,13 +175,12 @@ func TestMonitorAlertAndClear(t *testing.T) {
 
 	// Recovery: good traffic only; once the bad completions age out of
 	// the short window the alert clears.
-	deadline := time.Now().Add(2 * time.Second)
-	for doc.Alerting && time.Now().Before(deadline) {
+	for i := 0; doc.Alerting && i < 10; i++ {
 		for i := 0; i < 50; i++ {
 			h.Observe(0.002)
 		}
-		time.Sleep(45 * time.Millisecond)
-		doc = m.Poll()
+		now = now.Add(45 * time.Millisecond)
+		doc = m.pollAt(now)
 	}
 	if doc.Alerting {
 		t.Fatalf("alert never cleared: %+v", doc)
@@ -224,12 +212,12 @@ func TestMonitorPartiallyDeadCluster(t *testing.T) {
 		Timeout: 500 * time.Millisecond,
 	})
 
-	m.Poll()
+	now := time.Now()
+	m.pollAt(now)
 	for i := 0; i < 50; i++ {
 		h.Observe(0.001)
 	}
-	time.Sleep(20 * time.Millisecond)
-	doc := m.Poll()
+	doc := m.pollAt(now.Add(20 * time.Millisecond))
 	if doc.Status != "degraded" {
 		t.Fatalf("status = %q, want degraded (one upstream dead)", doc.Status)
 	}
@@ -275,10 +263,10 @@ func TestMonitorVerdicts(t *testing.T) {
 		URLs: []string{sHot.URL(), sQ.URL(), sAb.URL(), sOK.URL()},
 		SLO:  slo,
 	})
-	m.Poll()
-	aborts.Add(1000) // ~tens of thousands per second over a short poll gap
-	time.Sleep(20 * time.Millisecond)
-	doc := m.Poll()
+	now := time.Now()
+	m.pollAt(now)
+	aborts.Add(1000) // 50 000 per second over the 20 ms poll gap
+	doc := m.pollAt(now.Add(20 * time.Millisecond))
 
 	want := []string{"saturated", "degraded", "degraded", "healthy"}
 	for i, w := range want {
@@ -342,12 +330,13 @@ func TestHealthStatusCodes(t *testing.T) {
 	defer srv.Close()
 
 	// Healthy traffic → 200.
-	m.Poll()
+	now := time.Now()
+	m.pollAt(now)
 	for i := 0; i < 100; i++ {
 		h.Observe(0.002)
 	}
-	time.Sleep(30 * time.Millisecond)
-	doc := m.Poll()
+	now = now.Add(30 * time.Millisecond)
+	doc := m.pollAt(now)
 	if doc.Alerting {
 		t.Fatalf("healthy traffic alerting: %+v", doc)
 	}
@@ -362,8 +351,8 @@ func TestHealthStatusCodes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.2)
 	}
-	time.Sleep(30 * time.Millisecond)
-	doc = m.Poll()
+	now = now.Add(30 * time.Millisecond)
+	doc = m.pollAt(now)
 	if !doc.Alerting {
 		t.Fatalf("regression not alerting: %+v", doc)
 	}
@@ -394,13 +383,12 @@ func TestHealthStatusCodes(t *testing.T) {
 	}
 
 	// Recovery → 200 again, gauge drops, counter stays (it is a total).
-	deadline := time.Now().Add(2 * time.Second)
-	for doc.Alerting && time.Now().Before(deadline) {
+	for i := 0; doc.Alerting && i < 10; i++ {
 		for i := 0; i < 50; i++ {
 			h.Observe(0.002)
 		}
-		time.Sleep(45 * time.Millisecond)
-		doc = m.Poll()
+		now = now.Add(45 * time.Millisecond)
+		doc = m.pollAt(now)
 	}
 	if doc.Alerting {
 		t.Fatalf("alert never cleared: %+v", doc)
@@ -422,7 +410,10 @@ func TestHealthStatusCodes(t *testing.T) {
 }
 
 // TestHealthUnreachable503: a dead upstream makes /health answer 503,
-// and the unreachable lifecycle metrics track it.
+// and the unreachable lifecycle metrics track it — also when the whole
+// cluster goes dark, which renders its verdicts through the same
+// per-node path: the transition into unreachable is counted and the
+// gauges of the verdicts it replaced drop.
 func TestHealthUnreachable503(t *testing.T) {
 	s, _, _ := monitorNode(t, 0, 4)
 	dead := "http://127.0.0.1:1"
@@ -458,12 +449,18 @@ func TestHealthUnreachable503(t *testing.T) {
 		t.Fatalf("unreachable alerts total = %d, want 1", n)
 	}
 
-	// Whole cluster dark: the aggregate itself errors; still 503, and the
-	// active gauge covers every URL.
+	// Whole cluster dark: the aggregate itself errors; still 503. The
+	// one node was degraded (a backed-up sendq) before it went dark.
+	sq, regQ, _ := monitorNode(t, 1, 2)
+	regQ.Gauge(`wire_sendq_depth{node="1"}`).Set(5000)
+	reg2 := NewRegistry()
 	m2 := NewMonitor(MonitorConfig{
-		URLs: []string{dead}, SLO: slo,
-		Timeout: 300 * time.Millisecond, Obs: reg,
+		URLs: []string{sq.URL()}, SLO: slo,
+		Timeout: 300 * time.Millisecond, Obs: reg2,
 	})
+	if doc := m2.Poll(); doc.Nodes[0].Verdict != "degraded" {
+		t.Fatalf("sendq node = %+v, want degraded", doc.Nodes[0])
+	}
 	srv2, err := ServeDebugOpts("127.0.0.1:0", nil, DebugOptions{
 		Extra: map[string]http.HandlerFunc{"/health": m2.Handler()},
 	})
@@ -471,8 +468,21 @@ func TestHealthUnreachable503(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
+	sq.Close()
+	doc := m2.Poll()
+	if doc.Status != "degraded" || len(doc.Nodes) != 1 || doc.Nodes[0].Verdict != "unreachable" || doc.Nodes[0].Err == "" {
+		t.Fatalf("dark-cluster doc = %+v", doc)
+	}
 	if code, _ := get(t, srv2.URL()+"/health"); code != http.StatusServiceUnavailable {
 		t.Fatalf("dark-cluster /health = %d, want 503", code)
+	}
+	for sev, want := range map[string]int64{"unreachable": 1, "degraded": 0, "saturated": 0} {
+		if g := reg2.Gauge(fmt.Sprintf("monitor_alert_active{severity=%q}", sev)).Value(); g != want {
+			t.Errorf("dark cluster: %s active gauge = %d, want %d", sev, g, want)
+		}
+	}
+	if n := reg2.Counter(`monitor_alerts_total{severity="unreachable"}`).Value(); n != 1 {
+		t.Errorf("dark cluster: unreachable alerts total = %d, want 1", n)
 	}
 }
 

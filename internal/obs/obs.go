@@ -140,34 +140,12 @@ func NewRegistry() *Registry {
 // needed. Returns nil (a no-op handle) on a nil registry or if the name
 // is already taken by a different metric kind.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		c, _ := m.(*Counter)
-		return c
-	}
-	c := new(Counter)
-	r.metrics[name] = c
-	return c
+	return lookup(r, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the gauge registered under name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		g, _ := m.(*Gauge)
-		return g
-	}
-	g := new(Gauge)
-	r.metrics[name] = g
-	return g
+	return lookup(r, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -175,18 +153,26 @@ func (r *Registry) Gauge(name string) *Gauge {
 // overflow bucket is appended) if needed. An existing histogram keeps
 // its original buckets.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	return lookup(r, name, func() *Histogram { return NewHistogram(bounds) })
+}
+
+// lookup returns the metric of kind M registered under name, creating
+// it with mk if the name is free: nil on a nil registry or when the
+// name holds another kind.
+func lookup[M Metric](r *Registry, name string, mk func() M) M {
+	var none M
 	if r == nil {
-		return nil
+		return none
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
-		h, _ := m.(*Histogram)
-		return h
+		got, _ := m.(M)
+		return got
 	}
-	h := NewHistogram(bounds)
-	r.metrics[name] = h
-	return h
+	m := mk()
+	r.metrics[name] = m
+	return m
 }
 
 // Attach registers an externally created metric under name, so a

@@ -16,11 +16,11 @@ func TestRecorderColumnsAndSample(t *testing.T) {
 
 	rec := NewRecorder(4).
 		GaugeColumn("load", g).
-		CounterColumn("ops_total", c).
+		Column("ops_total", func() float64 { return float64(c.Value()) }).
 		HistogramColumns("lat", h)
 
 	wantCols := []string{"load", "ops_total", "lat_mean", "lat_std", "lat_vd"}
-	if got := rec.Columns(); len(got) != len(wantCols) {
+	if got := rec.Data().Columns; len(got) != len(wantCols) {
 		t.Fatalf("Columns = %v, want %v", got, wantCols)
 	} else {
 		for i := range wantCols {
@@ -38,10 +38,10 @@ func TestRecorderColumnsAndSample(t *testing.T) {
 	g.Set(9)
 	rec.Sample()
 
-	if rec.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", rec.Len())
+	if len(rec.Data().Samples) != 2 {
+		t.Fatalf("samples = %d, want 2", len(rec.Data().Samples))
 	}
-	s := rec.Samples()
+	s := rec.Data().Samples
 	if len(s) != 2 {
 		t.Fatalf("Samples = %d rows", len(s))
 	}
@@ -71,7 +71,7 @@ func TestRecorderRateColumn(t *testing.T) {
 	v = 30
 	rec.sampleAt(base.Add(3 * time.Second)) // flat → 0/s
 
-	s := rec.Samples()
+	s := rec.Data().Samples
 	if s[0].V[0] != 0 || s[1].V[0] != 10 || s[2].V[0] != 0 {
 		t.Fatalf("rate column = %v %v %v, want 0 10 0", s[0].V[0], s[1].V[0], s[2].V[0])
 	}
@@ -87,10 +87,10 @@ func TestRecorderRingWraparound(t *testing.T) {
 		v = float64(i)
 		rec.sampleAt(base.Add(time.Duration(i) * time.Second))
 	}
-	if rec.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", rec.Len())
+	if len(rec.Data().Samples) != 4 {
+		t.Fatalf("samples = %d, want 4", len(rec.Data().Samples))
 	}
-	s := rec.Samples()
+	s := rec.Data().Samples
 	for i, want := range []float64{6, 7, 8, 9} {
 		if s[i].V[0] != want {
 			t.Fatalf("sample %d = %v, want %v (all: %+v)", i, s[i].V[0], want, s)
@@ -105,11 +105,11 @@ func TestRecorderColumnChangeResets(t *testing.T) {
 	rec.Sample()
 	rec.Sample()
 	rec.Column("b", func() float64 { return 2 })
-	if rec.Len() != 0 {
-		t.Fatalf("Len after column change = %d, want 0", rec.Len())
+	if len(rec.Data().Samples) != 0 {
+		t.Fatalf("samples after column change = %d, want 0", len(rec.Data().Samples))
 	}
 	rec.Sample()
-	s := rec.Samples()
+	s := rec.Data().Samples
 	if len(s) != 1 || len(s[0].V) != 2 || s[0].V[1] != 2 {
 		t.Fatalf("post-reset samples = %+v", s)
 	}
@@ -125,29 +125,40 @@ func TestRecorderStartStop(t *testing.T) {
 	})
 	rec.Start(time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
-	for rec.Len() < 3 && time.Now().Before(deadline) {
+	for len(rec.Data().Samples) < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if rec.Len() < 3 {
-		t.Fatalf("background sampler recorded %d samples", rec.Len())
+	if len(rec.Data().Samples) < 3 {
+		t.Fatalf("background sampler recorded %d samples", len(rec.Data().Samples))
 	}
+	// Restart replaces the schedule rather than stacking goroutines,
+	// however concurrent Starts and Stops interleave: after the last
+	// Stop no loop is left sampling.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec.Start(time.Millisecond)
+			if i%2 == 0 {
+				rec.Stop()
+			}
+		}(i)
+	}
+	wg.Wait()
 	rec.Stop()
 	rec.Stop() // idempotent
-	n := rec.Len()
+	n := len(rec.Data().Samples)
 	time.Sleep(20 * time.Millisecond)
-	if rec.Len() != n {
-		t.Fatalf("recorder kept sampling after Stop: %d → %d", n, rec.Len())
+	if len(rec.Data().Samples) != n {
+		t.Fatalf("recorder kept sampling after Stop: %d → %d", n, len(rec.Data().Samples))
 	}
-	// Restart replaces the schedule rather than stacking goroutines.
-	rec.Start(time.Millisecond)
-	rec.Start(time.Millisecond)
-	rec.Stop()
 }
 
 func TestSeriesDataJSON(t *testing.T) {
 	var nilRec *Recorder
 	var buf bytes.Buffer
-	if err := nilRec.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(nilRec.Data()); err != nil {
 		t.Fatal(err)
 	}
 	var d SeriesData
@@ -161,7 +172,7 @@ func TestSeriesDataJSON(t *testing.T) {
 	rec := NewRecorder(4).Column("x", func() float64 { return 1.5 })
 	rec.Sample()
 	buf.Reset()
-	if err := rec.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(rec.Data()); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
@@ -175,7 +186,7 @@ func TestSeriesDataJSON(t *testing.T) {
 	nilRec.Sample()
 	nilRec.Start(time.Millisecond)
 	nilRec.Stop()
-	if nilRec.Len() != 0 || nilRec.Columns() != nil || nilRec.Samples() != nil {
+	if d := nilRec.Data(); len(d.Columns) != 0 || len(d.Samples) != 0 {
 		t.Fatal("nil recorder should be inert")
 	}
 }

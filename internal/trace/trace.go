@@ -1,17 +1,16 @@
-// Package trace renders results: the tables the experiment harnesses
-// and CLIs emit (aligned text for the terminal, CSV for files) and the
-// sparklines and heat rows their text figures draw.
+// Package trace renders results: the aligned text tables the experiment
+// harnesses and CLIs emit, and the sparklines and heat rows their text
+// figures draw.
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
 )
 
 // Table is a simple column-oriented result table with a title, used by the
-// experiment harnesses for both terminal and CSV output.
+// experiment harnesses for their text output.
 type Table struct {
 	Title   string
 	Headers []string
@@ -100,19 +99,4 @@ func (t *Table) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV renders the table as CSV (title omitted).
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

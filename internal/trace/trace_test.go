@@ -51,19 +51,6 @@ func TestFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("x", "a", "b")
-	tb.AddRow(1, "two")
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,two\n"
-	if buf.String() != want {
-		t.Fatalf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestTableNoTitle(t *testing.T) {
 	tb := NewTable("", "c")
 	tb.AddRow("x")

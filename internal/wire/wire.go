@@ -417,11 +417,9 @@ type Stats struct {
 	Redials    int64 // connections re-established after a failure
 }
 
-// PeerStatser is the optional per-peer accounting view of a Transport.
-// Both built-in transports implement it; consumers that need to
-// attribute traffic or failures to one link (e.g. the cluster's
-// link_down abort classification) type-assert and fall back to the
-// transport-wide Stats when it is absent.
+// PeerStatser is a Transport's per-peer accounting view, the part of the
+// interface consumers that attribute traffic or failures to one link
+// (e.g. the cluster's link_down abort classification) rely on.
 type PeerStatser interface {
 	// PeerStats snapshots the traffic exchanged with one peer,
 	// including the send errors on this node's link *to* that peer
@@ -446,6 +444,7 @@ type Transport interface {
 	Inbox() <-chan Msg
 	// Stats snapshots the traffic counters.
 	Stats() Stats
+	PeerStatser
 	// Close shuts the transport down, flushing queued outbound
 	// messages where the medium allows. Close is idempotent.
 	Close() error

@@ -327,10 +327,7 @@ func TestPerPeerSendErrorAttribution(t *testing.T) {
 		}
 	}
 
-	ps, ok := Transport(a).(PeerStatser)
-	if !ok {
-		t.Fatal("loopback endpoint lost its PeerStatser view")
-	}
+	ps := Transport(a)
 	if got := ps.PeerStats(1).SendErrors; got != 2 {
 		t.Fatalf("dead peer 1 charged %d send errors, want 2", got)
 	}
