@@ -25,12 +25,13 @@ fmt:
 race:
 	$(GO) test -race ./internal/sim ./internal/core ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
 
-# Microbenchmarks for the sparse core, for use under a profiler. Every
-# number with a bound lives in the ledger (bash bench/run.sh --workload
-# <name> --trace 1; see bench/README.md): these are its
-# core.balance_op_ns.d1/.d4, core.gen_consume_ns and core.new_system_ms.
+# Microbenchmarks for the sparse core and the sharded engine, for use
+# under a profiler. Every number with a bound lives in the ledger (bash
+# bench/run.sh --workload <name> --trace 1; see bench/README.md): these
+# are its core.balance_op_ns.d1/.d4, core.gen_consume_ns,
+# core.new_system_ms, sim.proc_steps_per_s.w1 and sim.parallel_efficiency.
 bench:
-	$(GO) test . -run xxx -bench 'BenchmarkBalanceOp|BenchmarkGenerateConsume|BenchmarkNewSystem' -benchmem
+	$(GO) test . -run xxx -bench 'BenchmarkBalanceOp|BenchmarkGenerateConsume|BenchmarkNewSystem|BenchmarkShardedEngine' -benchmem
 
 # Short fuzz passes: the core op-sequence fuzzer and the wire codec.
 fuzz:

@@ -218,16 +218,25 @@ var benchNs = []int{64, 256, 1024, 4096}
 
 // BenchmarkBalanceOp measures one full δ+1-way balancing operation
 // (selection, the fused merge–snake pass over the participants' rows,
-// trigger/marker bookkeeping) on a warmed-up system.
+// trigger/marker bookkeeping) on a warmed-up system: benchNs at eight
+// packets a processor, plus the sharded benchmark's n = 65 536 at sixteen,
+// where a row holds sixteen classes — the regime in which two
+// participants' rows interleave class by class.
 func BenchmarkBalanceOp(b *testing.B) {
+	type size struct{ n, packets int }
+	var sizes []size
 	for _, n := range benchNs {
-		n := n
+		sizes = append(sizes, size{n, 8})
+	}
+	sizes = append(sizes, size{65536, 16})
+	for _, sz := range sizes {
+		n := sz.n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s, err := core.NewSystem(n, core.Params{F: 1.1, Delta: 1, C: 4}, topology.NewGlobal(n), rng.New(1))
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < n*8; i++ {
+			for i := 0; i < n*sz.packets; i++ {
 				s.Generate(i % n)
 			}
 			b.ReportAllocs()

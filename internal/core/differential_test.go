@@ -237,6 +237,22 @@ func TestBalanceKernelEdgeCases(t *testing.T) {
 			cells: []cell{{1, 0, 1, 0}, {4, 0, 1, 0}, {1, 1, 2, 0}, {4, 1, 1, 0}, {1, 6, 1, 0}, {4, 6, 1, 1}}},
 		{name: "five participants, one with nothing but its zero self entry", delta: 4, set: []int{7, 0, 3, 4, 1},
 			cells: []cell{{7, 2, 1, 0}, {7, 5, 1, 0}, {0, 0, 1, 0}, {0, 3, 1, 0}, {0, 6, 1, 0}, {4, 1, 1, 0}, {4, 5, 1, 0}, {1, 6, 1, 0}, {1, 7, 1, 0}}},
+		// δ = 1 rows for the two-tail interleave: what it deals, and each
+		// head that makes it hand over to a round.
+		{name: "δ = 1 rows alternate class by class until one tail ends", delta: 1, set: []int{6, 7},
+			cells: []cell{{6, 0, 1, 0}, {7, 1, 1, 0}, {6, 2, 1, 0}, {7, 3, 1, 0}, {6, 4, 1, 0}, {7, 5, 1, 0}}},
+		{name: "δ = 1 interleave stops at each lane's pinned self class", delta: 1, set: []int{2, 5},
+			cells: []cell{{2, 2, 2, 0}, {5, 5, 3, 0}, {5, 0, 1, 0}, {2, 1, 1, 0}, {5, 3, 1, 0}, {2, 4, 1, 0}, {2, 6, 1, 0}, {5, 7, 1, 0}}},
+		{name: "δ = 1 interleave stops at a two-packet entry", delta: 1, set: []int{6, 7},
+			cells: []cell{{6, 0, 1, 0}, {7, 1, 1, 0}, {6, 2, 2, 0}, {7, 3, 1, 0}, {6, 4, 1, 0}, {7, 5, 1, 0}}},
+		{name: "δ = 1 interleave stops at a marker", delta: 1, set: []int{6, 7},
+			cells: []cell{{6, 0, 1, 0}, {7, 1, 1, 0}, {6, 2, 1, 1}, {7, 3, 0, 1}, {6, 4, 1, 0}, {7, 5, 1, 0}}},
+		{name: "δ = 1 interleave stops at a shared class", delta: 1, set: []int{6, 7},
+			cells: []cell{{6, 0, 1, 0}, {7, 1, 1, 0}, {6, 2, 1, 0}, {7, 2, 2, 0}, {6, 3, 1, 0}, {7, 4, 1, 0}, {6, 5, 1, 0}}},
+		{name: "δ = 1 interleave stops at the end of one tail, a run finishes the other", delta: 1, set: []int{6, 7},
+			cells: []cell{{6, 0, 1, 0}, {7, 1, 1, 0}, {7, 2, 1, 0}, {7, 3, 1, 0}, {7, 4, 2, 0}, {7, 5, 1, 0}}},
+		{name: "δ = 1 interleave deals a recipient's own id into its pinned entry", delta: 1, set: []int{3, 5},
+			cells: []cell{{5, 0, 1, 0}, {3, 1, 1, 0}, {5, 2, 1, 0}, {3, 5, 1, 0}, {5, 6, 1, 0}, {3, 7, 1, 0}}},
 		{name: "class recovery: np = δ+2, single class, other classes untouched", delta: 2, owner: 4, extra: 1,
 			cells: []cell{{1, 4, 0, 1}, {1, 6, 2, 0}, {0, 4, 2, 0}, {2, 4, 1, 1}, {3, 4, 3, 0}, {5, 4, 1, 0}, {6, 4, 2, 0}, {7, 4, 1, 0}, {7, 2, 1, 0}}},
 	}

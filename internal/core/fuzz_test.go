@@ -14,7 +14,10 @@ import (
 // Parameters derive from the first four bytes. After the scripted
 // sequence the whole system is drained through Consume, which hammers the
 // borrow/settle/classBalance paths while the active sets compact back
-// toward empty.
+// toward empty. The dense reference (dense_ref_test.go) takes every
+// operation in lockstep on the same seed, and the first cell, total,
+// trigger base, local clock or counter in which the two differ fails the
+// input.
 func FuzzOpSequence(f *testing.F) {
 	f.Add([]byte{0x10, 0x20, 0x30, 0x01, 0x02, 0x03, 0xff, 0x80})
 	f.Add([]byte{0x00, 0x00, 0x00})
@@ -40,25 +43,40 @@ func FuzzOpSequence(f *testing.F) {
 			fv = float64(delta) + 0.9
 		}
 		c := 1 + int(data[3])%6
-		s, err := NewSystem(n, Params{F: fv, Delta: delta, C: c}, topology.NewGlobal(n), rng.New(uint64(len(data))))
+		params := Params{F: fv, Delta: delta, C: c}
+		s, err := NewSystem(n, params, topology.NewGlobal(n), rng.New(uint64(len(data))))
 		if err != nil {
 			t.Fatalf("construction failed for derived params: %v", err)
+		}
+		dense := newDenseSystem(n, params, topology.NewGlobal(n), rng.New(uint64(len(data))))
+		// stage and k name the operation in a failure: "op 12", "drain 3".
+		lockstep := func(stage string, k int) {
+			t.Helper()
+			if err := diffDense(s, dense); err != nil {
+				t.Fatalf("%s %d: %v", stage, k, err)
+			}
+			for q := 0; q < n; q++ {
+				if s.TriggerBase(q) != dense.lOld[q] || s.LocalTime(q) != dense.localT[q] {
+					t.Fatalf("%s %d: processor %d: lOld %d/%d t' %d/%d", stage, k, q,
+						s.TriggerBase(q), dense.lOld[q], s.LocalTime(q), dense.localT[q])
+				}
+			}
+		}
+		consume := func(p int, stage string, k int) {
+			t.Helper()
+			if got, want := s.Consume(p), dense.Consume(p); got != want {
+				t.Fatalf("%s %d: Consume(%d) sparse=%v dense=%v", stage, k, p, got, want)
+			}
 		}
 		for k, b := range data[4:] {
 			p := (int(b) >> 1) % n
 			if b&1 == 0 {
 				s.Generate(p)
+				dense.Generate(p)
 			} else {
-				s.Consume(p)
+				consume(p, "op", k)
 			}
-			if k%37 == 0 {
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatalf("after op %d: %v", k, err)
-				}
-			}
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatal(err)
+			lockstep("op", k)
 		}
 		// Loads are consistent with the snapshot API.
 		loads := s.Loads(nil)
@@ -85,11 +103,9 @@ func FuzzOpSequence(f *testing.F) {
 				t.Fatalf("drain stalled: %d packets left after %d rounds", s.TotalLoad(), round)
 			}
 			for p := 0; p < n; p++ {
-				s.Consume(p)
+				consume(p, "drain", round)
 			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("drain round %d: %v", round, err)
-			}
+			lockstep("drain", round)
 		}
 		checkSparseAccessors(t, s)
 	})

@@ -448,6 +448,15 @@ func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m 
 // packets, markers, the pinned self entry where it slots in — go through
 // the same split as a shared class, one per round.
 //
+// At δ = 1 (two participants) the runs are mostly one entry long: dealing
+// classes out alternately leaves the rows evenly spaced in class order, so
+// they interleave, and a round per entry would cost a lane scan and a
+// mispredicted run end nearly per class. So a δ = 1 round starts by taking
+// the two tails' heads in order, the smaller by a compare, for as long as
+// the one taken is a one-packet, marker-free entry below both pending self
+// entries and the other head's class differs: exactly the entries the
+// rounds would have dealt one per run, in the same order.
+//
 // Classes no participant holds are never visited: their totals are zero,
 // for which the dense formulation advances no offset either. The output
 // rows are spare buffers that swap places with the old rows, so the steady
@@ -482,6 +491,36 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 	offD := start
 	offB := (offD + sumL) % np
 	for {
+		if np == 2 {
+			// δ = 1: deal the two tails' interleaved one-packet entries,
+			// the smaller head first, until a head needs a round.
+			a, b := &lanes[0], &lanes[1]
+			bound := min(a.self, b.self)
+			srcA, srcB, ia, ib := a.src, b.src, a.cur, b.cur
+			for ia < len(srcA) && ib < len(srcB) {
+				ea, eb := srcA[ia], srcB[ib]
+				e, t := ea, 0 // the entry taken, and which tail it is from
+				if eb.cls < ea.cls {
+					e, t = eb, 1
+				}
+				if e.cls >= bound || ea.cls == eb.cls || e.d != 1 || e.b != 0 {
+					break
+				}
+				to := &lanes[offD]
+				to.newL++
+				if e.cls == to.out[0].cls {
+					to.out[0].d = 1
+				} else {
+					to.out = append(to.out, e)
+				}
+				offD ^= 1
+				ia += 1 - t
+				ib += t
+			}
+			a.cur, b.cur = ia, ib
+			a.next()
+			b.next()
+		}
 		// The smallest head, the lane it is in, and the second smallest.
 		cls, lim, lone := int32(done), int32(done), 0
 		for k := range lanes {

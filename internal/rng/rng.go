@@ -107,15 +107,18 @@ func (r *RNG) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	// Lemire's nearly-divisionless bounded generation with rejection to
-	// remove modulo bias.
+	// remove modulo bias. The threshold is below bound, so a low word at
+	// or above bound is accepted without computing it: the division runs
+	// only on the rare draw that might be rejected.
 	bound := uint64(n)
-	threshold := (-bound) % bound
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), bound)
-		if lo >= threshold {
-			return int(hi)
+	hi, lo := bits.Mul64(r.Uint64(), bound)
+	if lo < bound {
+		threshold := (-bound) % bound
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), bound)
 		}
 	}
+	return int(hi)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

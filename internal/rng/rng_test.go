@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +119,46 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
+}
+
+// intnDividing is the textbook form of Lemire's bounded generation, which
+// computes the threshold on every call. It draws the same words as Intn
+// and makes the same accept/reject decision for each, so the two must
+// agree draw for draw. rejected counts the words it threw away.
+func intnDividing(r *RNG, n int, rejected *int) int {
+	bound := uint64(n)
+	threshold := (-bound) % bound
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), bound)
+		if lo >= threshold {
+			return int(hi)
+		}
+		*rejected++
+	}
+}
+
+// TestIntnMatchesDividingForm runs Intn beside intnDividing on one seed
+// per bound. The small bounds take the no-division path on every draw in
+// practice; 2⁶³−1 computes the threshold on about half its draws and
+// accepts them; 2⁶²+3 rejects about a quarter of its words.
+func TestIntnMatchesDividingForm(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 1000, 1<<31 - 1, 1<<32 + 1, 1<<62 + 3, math.MaxInt64}
+	const draws = 200000
+	rejected := 0
+	for _, n := range bounds {
+		got, want := New(uint64(n)), New(uint64(n))
+		for i := 0; i < draws; i++ {
+			if g, w := got.Intn(n), intnDividing(want, n, &rejected); g != w {
+				t.Fatalf("Intn(%d) draw %d = %d, dividing form = %d", n, i, g, w)
+			}
+		}
+		if got.s != want.s {
+			t.Fatalf("Intn(%d): streams out of step after %d draws", n, draws)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no bound exercised the rejection loop")
+	}
 }
 
 func TestIntnUniformity(t *testing.T) {

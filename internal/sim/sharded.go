@@ -11,25 +11,28 @@
 //     processor order and steps its processors: workload action draws,
 //     local generates/consumes, local borrow decisions. Balancing
 //     conditions are not acted on; they are appended to the shard's
-//     mailbox (trigger initiations and consumes that need settlement).
+//     mailbox (trigger initiations and consumes that need settlement),
+//     and the shard sorts its mailboxes by local index before the phase
+//     ends, so the canonical order is made where the mailboxes fill, in
+//     parallel, not at the barrier.
 //  2. Trigger barrier (deterministic). Mailboxes are drained in canonical
 //     order — shard-major, shard-local index ascending, never arrival or
-//     scheduling order. Each deferred initiation k gets a private RNG
-//     stream keyed (Seed, run, tick, k), from which everything random about
-//     it — its δ partners and the snake's start position — is drawn once,
-//     in parallel, into per-tick arrays; a greedy list schedule over the
-//     stored partners then groups the operations into waves with
-//     pairwise-disjoint participant sets. Waves execute in sequence, the
-//     operations inside a wave in parallel on any number of workers, and
-//     execution touches no generator. Because a balancing operation reads
-//     and writes only its δ+1 participants plus caller-owned scratch, and
-//     any two conflicting operations land in distinct waves in canonical
-//     order, wave execution is state-identical to executing all operations
-//     serially in canonical order. Each operation re-checks its factor-f
-//     trigger at execution (an earlier operation in the same barrier may
-//     have balanced the initiator already), exactly as the serial canonical
-//     order would; the draws of an operation whose re-check fails are
-//     dropped, which nothing can observe because the stream was its alone.
+//     scheduling order — by concatenating the sorted mailboxes. Each deferred
+//     initiation k gets a private RNG stream keyed (Seed, run, tick, k), from
+//     which everything random about it — its δ partners and the snake's start
+//     position — is drawn once, in parallel, into per-tick arrays; a greedy
+//     list schedule over the stored partners then groups the operations into
+//     waves with pairwise-disjoint participant sets. Waves execute in
+//     sequence, the operations inside a wave in parallel on any number of
+//     workers, and execution touches no generator. Because a balancing
+//     operation reads and writes only its δ+1 participants plus caller-owned
+//     scratch, and any two conflicting operations land in distinct waves in
+//     canonical order, wave execution is state-identical to executing all
+//     operations serially in canonical order. Each operation re-checks its
+//     factor-f trigger at execution (an earlier operation in the same barrier
+//     may have balanced the initiator already), exactly as the serial
+//     canonical order would; the draws of an operation whose re-check fails
+//     are dropped, which nothing can observe because the stream was its alone.
 //  3. Settlement pass (serial). Deferred consumes — those needing marker
 //     settlement, which can cascade into class recovery and further
 //     balancing — resolve in canonical order on a per-tick settle stream
@@ -361,6 +364,13 @@ func (e *shardedEngine) stepPhase(t int) {
 				e.consumeLocal(sh, li)
 			}
 		}
+		// Canonical mailbox order: shard-local index ascending,
+		// independent of the shuffled arrival order. A processor that
+		// triggered on both its generate and its consume appears twice;
+		// the execution-time re-check makes the duplicate a no-op when
+		// the first operation already balanced it.
+		sort.Ints(sh.triggers)
+		sort.Ints(sh.settles)
 	})
 }
 
@@ -374,21 +384,13 @@ func (e *shardedEngine) consumeLocal(sh *shardState, li int) {
 	}
 }
 
-// resolveTriggers drains the trigger mailboxes in canonical order, draws
-// and plans the operations into conflict-free waves, and executes them.
+// resolveTriggers drains the trigger mailboxes, each already sorted by the
+// step phase, shard by shard into canonical order; draws and plans the
+// operations into conflict-free waves, and executes them.
 func (e *shardedEngine) resolveTriggers(t int) {
 	e.ops = e.ops[:0]
 	for s := range e.shards {
 		sh := &e.shards[s]
-		if len(sh.triggers) == 0 {
-			continue
-		}
-		// Canonical initiator order: (shard, local index), independent of
-		// the shuffled arrival order. A processor that triggered on both
-		// its generate and its consume appears twice; the execution-time
-		// re-check makes the duplicate a no-op when the first operation
-		// already balanced it.
-		sort.Ints(sh.triggers)
 		for _, li := range sh.triggers {
 			e.ops = append(e.ops, sh.lane.Global(li))
 		}
@@ -529,18 +531,15 @@ func (e *shardedEngine) execOp(worker, k int) {
 }
 
 // resolveSettles completes the consumes deferred for marker settlement,
-// serially in canonical order on the tick's settle stream. Settlement can
-// cascade (class recovery, further balancing operations on arbitrary
-// processors), which is why it stays serial.
+// serially in canonical order (shard by shard, each mailbox sorted by the
+// step phase) on the tick's settle stream. Settlement can cascade (class
+// recovery, further balancing operations on arbitrary processors), which
+// is why it stays serial.
 func (e *shardedEngine) resolveSettles(t int) {
 	r := e.settleRNG
 	r.Reseed(e.part.Seed(rng.StreamSettle, uint64(t)))
 	for s := range e.shards {
 		sh := &e.shards[s]
-		if len(sh.settles) == 0 {
-			continue
-		}
-		sort.Ints(sh.settles)
 		for _, li := range sh.settles {
 			e.sys.SettleConsume(sh.lane.Global(li), r)
 		}
