@@ -177,35 +177,41 @@ func BenchmarkScaling(b *testing.B) {
 
 // BenchmarkShardedEngine measures the sharded within-run engine on the
 // mixed workload at workers = 1 and workers = GOMAXPROCS. The two
-// sub-benchmarks simulate the exact same (seed, shards) system — worker
-// count is pure execution parallelism — so their ratio is the within-run
-// speedup (the benchmark ledger's sim.proc_steps_per_s.w1 and
+// sub-benchmarks of one n simulate the exact same (seed, shards) system —
+// worker count is pure execution parallelism — so their ratio is the
+// within-run speedup (the benchmark ledger's sim.proc_steps_per_s.w1 and
 // sim.parallel_efficiency: bash bench/run.sh --workload sim_sharded
-// --trace 1).
+// --trace 1). n = 65 536 is the sim_sharded workload's size, where the
+// rows outgrow the caches and a random partner's row is a cache miss.
 func BenchmarkShardedEngine(b *testing.B) {
-	const n, steps, shards = 16384, 30, 64
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{
-					N: n, Steps: steps, Runs: 1, Seed: 1,
-					Shards: shards, Workers: workers, StatsEvery: steps,
-					NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
-						return core.NewSystem(n, core.Params{F: 1.1, Delta: 1, C: 4}, topology.NewGlobal(n), r)
-					},
-					NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-						return workload.Uniform{GenP: 0.5, ConP: 0.4}, nil
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Avg.At(steps-1).Mean(), "finalAvg")
-			}
-			b.ReportMetric(float64(n*steps)/(float64(b.Elapsed().Nanoseconds())/float64(b.N))*1e9, "procSteps/sec")
-		})
+	const steps, shards = 30, 64
+	for _, n := range []int{16384, 65536} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				benchShardedEngine(b, n, steps, shards, workers)
+			})
+		}
 	}
+}
+
+func benchShardedEngine(b *testing.B, n, steps, shards, workers int) {
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(sim.Config{
+			N: n, Steps: steps, Runs: 1, Seed: 1,
+			Shards: shards, Workers: workers, StatsEvery: steps,
+			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
+				return core.NewSystem(n, core.Params{F: 1.1, Delta: 1, C: 4}, topology.NewGlobal(n), r)
+			},
+			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
+				return workload.Uniform{GenP: 0.5, ConP: 0.4}, nil
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(res.Avg.At(steps-1).Mean(), "finalAvg")
+	}
+	b.ReportMetric(float64(n*steps)/(float64(b.Elapsed().Nanoseconds())/float64(b.N))*1e9, "procSteps/sec")
 }
 
 // benchNs are the network sizes of the core micro-benchmarks. The sparse

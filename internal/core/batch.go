@@ -37,6 +37,22 @@ func (s *System) BalanceDrawn(init int, partners []int, start int, sc *Scratch, 
 	s.balanceSet(init, partners, start, sc, m)
 }
 
+// WarmOperation reads the row header and the first tail entry of init and
+// of each partner, as loads independent of one another, and returns a
+// value that depends on all of them; the caller keeps it so the loads are
+// not optimised away. The sharded engine calls it on a window of
+// operations before executing them, so that their participants' cache
+// misses overlap instead of each operation stalling on its own. It writes
+// nothing, so it may run concurrently with operations over other
+// participants.
+func (s *System) WarmOperation(init int, partners []int) int {
+	v := s.rows[init].warm()
+	for _, p := range partners {
+		v += s.rows[p].warm()
+	}
+	return v
+}
+
 // SettleConsume completes a consume that a Lane deferred because it
 // required marker settlement. It runs the full sequential consume path —
 // settlement, class recovery, any cascading balancing operations — against

@@ -165,8 +165,8 @@ func TestSparseMatchesDenseOnDrain(t *testing.T) {
 
 // diffDense compares every cell, every per-processor total and the
 // counters of the sparse system with the dense reference, and checks the
-// sparse bookkeeping (CheckInvariants: self entry pinned, tail sorted, no
-// empty or duplicate entry, sums and conservation).
+// sparse bookkeeping (CheckInvariants: self entry in the header, tail
+// sorted, no empty or duplicate entry, sums and conservation).
 func diffDense(sparse *System, dense *denseSystem) error {
 	n := dense.n
 	for p := 0; p < n; p++ {
@@ -191,7 +191,7 @@ func diffDense(sparse *System, dense *denseSystem) error {
 // TestBalanceKernelEdgeCases puts hand-built states through the balance
 // kernel and through the dense reference's two-pass redistribution, for
 // every start offset the one Intn(np) draw can produce. The rows are the
-// shapes the merge has to get right: where the pinned self entry slots in,
+// shapes the merge has to get right: where the header's self entry slots in,
 // which participants hold a class, which of a class's two totals is zero,
 // and where a run of classes only one participant holds starts, ends and
 // has to leave the one-packet walk.
@@ -271,9 +271,10 @@ func TestBalanceKernelEdgeCases(t *testing.T) {
 				}
 				dense := newDenseSystem(n, p, topology.NewGlobal(n), rng.New(seed))
 				for _, c := range tc.cells {
-					sparse.rows[c.p].add(c.cls, c.d, c.b)
-					sparse.l[c.p] += c.d
-					sparse.bTot[c.p] += c.b
+					row := &sparse.rows[c.p]
+					row.add(c.cls, c.d, c.b)
+					row.l += c.d
+					row.bTot += c.b
 					sparse.metrics.Generated += int64(c.d)
 					dense.d[c.p*n+c.cls] += c.d
 					dense.b[c.p*n+c.cls] += c.b
@@ -313,7 +314,8 @@ func TestBalanceKernelEdgeCases(t *testing.T) {
 func singlesShare(s *System) float64 {
 	singles, cells := 0, 0
 	for i := range s.rows {
-		for _, e := range s.rows[i].entries {
+		row := &s.rows[i]
+		for _, e := range append([]classEntry{row.own}, row.tail...) {
 			if e.d == 0 && e.b == 0 {
 				continue
 			}

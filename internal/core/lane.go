@@ -7,23 +7,18 @@ import (
 )
 
 // Lane is one shard's view of a System: the contiguous processor range
-// [lo, hi) with structure-of-arrays sub-slice views of the hot per-
-// processor state (l, bTot, lOld, localT) indexed by shard-local offset.
-// Lanes over disjoint ranges may be driven concurrently: a Lane's Generate
-// and Consume touch only processor lo+li's row and the lane's own scratch
-// and metrics, and instead of recursing into balancing or settlement they
-// report trigger/settle conditions for the caller to defer into its
-// mailbox. The sharded engine resolves those deferred operations at a
-// deterministic tick barrier through the batched entry points in batch.go.
+// [lo, hi), whose rows it holds as a sub-slice indexed by shard-local
+// offset. Lanes over disjoint ranges may be driven concurrently: a Lane's
+// Generate and Consume touch only processor lo+li's row and the lane's own
+// scratch and metrics, and instead of recursing into balancing or
+// settlement they report trigger/settle conditions for the caller to defer
+// into its mailbox. The sharded engine resolves those deferred operations
+// at a deterministic tick barrier through the batched entry points in
+// batch.go.
 type Lane struct {
-	sys    *System
-	lo, hi int
-
-	// Sub-slice views of the System's SoA state, indexed by local offset.
-	l      []int
-	bTot   []int
-	lOld   []int
-	localT []int
+	params Params
+	lo     int
+	rows   []sparseRow // the System's rows[lo:hi]
 
 	classBuf []int
 	metrics  Metrics
@@ -39,29 +34,17 @@ func (s *System) NewLane(lo, hi int) *Lane {
 	if lo < 0 || hi > s.n || lo >= hi {
 		panic(fmt.Sprintf("core: invalid lane range [%d, %d) for n=%d", lo, hi, s.n))
 	}
-	return &Lane{
-		sys:    s,
-		lo:     lo,
-		hi:     hi,
-		l:      s.l[lo:hi:hi],
-		bTot:   s.bTot[lo:hi:hi],
-		lOld:   s.lOld[lo:hi:hi],
-		localT: s.localT[lo:hi:hi],
-	}
+	return &Lane{params: s.params, lo: lo, rows: s.rows[lo:hi:hi]}
 }
 
 // Len returns the number of processors in the lane.
-func (ln *Lane) Len() int { return ln.hi - ln.lo }
+func (ln *Lane) Len() int { return len(ln.rows) }
 
 // Global translates a shard-local offset to the global processor index.
 func (ln *Lane) Global(li int) int { return ln.lo + li }
 
 // Load returns the physical load of local processor li.
-func (ln *Lane) Load(li int) int { return ln.l[li] }
-
-// Loads returns the lane's load sub-slice (live view; callers must not
-// mutate it). The sharded engine folds it into its per-shard LoadPartial.
-func (ln *Lane) Loads() []int { return ln.l }
+func (ln *Lane) Load(li int) int { return ln.rows[li].l }
 
 // Metrics returns the lane's accumulated counters. The engine folds them
 // into the System with AbsorbMetrics once the lane goes quiet (end of run,
@@ -81,18 +64,17 @@ func (ln *Lane) TakeMetrics() Metrics {
 // except that instead of firing a balancing operation it reports whether
 // the factor-f trigger condition now holds, for the caller to defer.
 func (ln *Lane) Generate(li int, r *rng.RNG) (trigger bool) {
-	s := ln.sys
-	row := &s.rows[ln.lo+li]
-	if ln.bTot[li] > 0 {
+	row := &ln.rows[li]
+	if row.bTot > 0 {
 		j := ln.randClass(row, func(e *classEntry) bool { return e.b > 0 }, r)
 		row.add(j, +1, -1)
-		ln.bTot[li]--
+		row.bTot--
 	} else {
-		row.own().d++
+		row.own.d++
 	}
-	ln.l[li]++
+	row.l++
 	ln.metrics.Generated++
-	return trigFired(int(row.own().d), ln.lOld[li], s.params.F)
+	return trigFired(row, ln.params.F)
 }
 
 // Consume removes one packet from local processor li if it can do so
@@ -104,24 +86,23 @@ func (ln *Lane) Generate(li int, r *rng.RNG) (trigger bool) {
 // where System.SettleConsume completes it with the full sequential path.
 // trigger reports the factor-f condition after a self-packet consume.
 func (ln *Lane) Consume(li int, r *rng.RNG) (consumed, trigger, needSettle bool) {
-	s := ln.sys
-	if ln.l[li] == 0 {
+	row := &ln.rows[li]
+	if row.l == 0 {
 		ln.metrics.ConsumeNoLoad++
 		return false, false, false
 	}
-	row := &s.rows[ln.lo+li]
-	if row.own().d > 0 {
-		row.own().d--
-		ln.l[li]--
+	if row.own.d > 0 {
+		row.own.d--
+		row.l--
 		ln.metrics.Consumed++
-		return true, trigFired(int(row.own().d), ln.lOld[li], s.params.F), false
+		return true, trigFired(row, ln.params.F), false
 	}
-	if ln.bTot[li] < s.params.C {
+	if row.bTot < ln.params.C {
 		j := ln.randClass(row, func(e *classEntry) bool { return e.d > 0 && e.b == 0 }, r)
 		if j >= 0 {
 			row.add(j, -1, +1)
-			ln.bTot[li]++
-			ln.l[li]--
+			row.bTot++
+			row.l--
 			ln.metrics.TotalBorrow++
 			ln.metrics.Consumed++
 			return true, false, false

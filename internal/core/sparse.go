@@ -12,41 +12,47 @@ type classEntry struct {
 	b   int32
 }
 
-// sparseRow stores the per-class state of one processor compactly: only
-// classes with d > 0 or b > 0 occupy an entry, except the processor's own
-// class, which is pinned at entries[0] (even when zero) so the factor-f
-// trigger can read d[i][i] without a search.
+// sparseRow is one processor's whole state, laid out as one cache line:
+// its own class's entry, held inline (even when zero) so the factor-f
+// trigger reads d[i][i] without a search; its trigger base and the
+// per-processor totals; and the sorted tail of the foreign classes it
+// holds. A processor step, a trigger re-check and a balancing operation's
+// bookkeeping read and write this one line and nothing else; only a
+// borrow, a repayment or the balance kernel walks the tail.
+// TestRowHeaderIsOneCacheLine pins the size.
 //
-// Invariant: entries[1:] is sorted ascending by class and holds no empty
-// entries (removal shifts, insertion binary-searches, and a balancing
-// operation emits its merged classes in ascending order). Keeping the tail
-// sorted is what lets every RNG-consuming iteration visit classes in
-// ascending order — identical to a dense 0..n-1 scan, the property the
-// dense differential test pins down — without sorting per operation, and
-// what lets a balancing operation be one linear merge of its participants'
-// rows (System.redistribute). Lookups binary-search the tail; no per-row
-// map is worth its constant factor (measured slower on every benchmark
-// workload).
+// Invariant: tail is sorted ascending by class and holds neither an empty
+// entry nor the self class (removal shifts, insertion binary-searches, and
+// a balancing operation emits its merged classes in ascending order).
+// Keeping the tail sorted is what lets every RNG-consuming iteration visit
+// classes in ascending order — identical to a dense 0..n-1 scan, the
+// property the dense differential test pins down — without sorting per
+// operation, and what lets a balancing operation be one linear merge of
+// its participants' rows (System.redistribute). Lookups binary-search the
+// tail; no per-row map is worth its constant factor (measured slower on
+// every benchmark workload).
 //
-// A balancing operation replaces entries wholesale: it writes the new row
-// into a spare buffer from its Scratch and swaps the two, so the slice's
-// backing array changes across any call that may balance. Callers hold the
-// *sparseRow, never an entry pointer, across such calls.
+// A balancing operation replaces the tail wholesale: it writes the new
+// tail into a spare buffer from its Scratch and swaps the two, so the
+// slice's backing array changes across any call that may balance. Callers
+// hold the *sparseRow, never a tail entry pointer, across such calls.
 type sparseRow struct {
-	self    int
-	entries []classEntry
+	own  classEntry // the self class's entry: own.cls is the processor's index
+	lOld int32      // own.d at the processor's last balancing operation
+	tail []classEntry
+
+	l      int // physical load, Σ_j d[i][j]
+	bTot   int // Σ_j b[i][j]
+	localT int // balancing operations the processor participated in
 }
 
-// own returns the pinned self-class entry.
-func (r *sparseRow) own() *classEntry { return &r.entries[0] }
-
 // search binary-searches the sorted tail for cls, returning the smallest
-// index k >= 1 with entries[k].cls >= cls (== len(entries) if none).
+// index k with tail[k].cls >= cls (== len(tail) if none).
 func (r *sparseRow) search(cls int) int {
-	lo, hi := 1, len(r.entries)
+	lo, hi := 0, len(r.tail)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(r.entries[mid].cls) < cls {
+		if int(r.tail[mid].cls) < cls {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -58,11 +64,11 @@ func (r *sparseRow) search(cls int) int {
 // find returns a pointer to the entry of cls, or nil if the row does not
 // hold the class. The pointer is invalidated by any row mutation.
 func (r *sparseRow) find(cls int) *classEntry {
-	if r.self == cls {
-		return &r.entries[0]
+	if int(r.own.cls) == cls {
+		return &r.own
 	}
-	if k := r.search(cls); k < len(r.entries) && int(r.entries[k].cls) == cls {
-		return &r.entries[k]
+	if k := r.search(cls); k < len(r.tail) && int(r.tail[k].cls) == cls {
+		return &r.tail[k]
 	}
 	return nil
 }
@@ -83,45 +89,43 @@ func (r *sparseRow) getB(cls int) int {
 	return 0
 }
 
-// ensure returns the index of cls's entry, creating an empty one at its
-// sorted tail position if absent.
-func (r *sparseRow) ensure(cls int) int {
-	if r.self == cls {
-		return 0
+// ensure returns cls's entry and its tail index (-1 for the self entry),
+// creating an empty tail entry at its sorted position if absent.
+func (r *sparseRow) ensure(cls int) (*classEntry, int) {
+	if int(r.own.cls) == cls {
+		return &r.own, -1
 	}
 	k := r.search(cls)
-	if k < len(r.entries) && int(r.entries[k].cls) == cls {
-		return k
+	if k < len(r.tail) && int(r.tail[k].cls) == cls {
+		return &r.tail[k], k
 	}
-	r.entries = append(r.entries, classEntry{})
-	copy(r.entries[k+1:], r.entries[k:])
-	r.entries[k] = classEntry{cls: int32(cls)}
-	return k
+	r.tail = append(r.tail, classEntry{})
+	copy(r.tail[k+1:], r.tail[k:])
+	r.tail[k] = classEntry{cls: int32(cls)}
+	return &r.tail[k], k
 }
 
-// compact shift-removes the entry at idx if both its counts reached zero,
-// preserving the sorted-tail invariant. The self entry is never removed.
-func (r *sparseRow) compact(idx int) {
-	if idx == 0 {
+// compact shift-removes tail entry k if both its counts reached zero,
+// preserving the sorted-tail invariant. The self entry (k < 0) is never
+// removed.
+func (r *sparseRow) compact(k int) {
+	if k < 0 {
 		return
 	}
-	e := &r.entries[idx]
-	if e.d != 0 || e.b != 0 {
+	if e := &r.tail[k]; e.d != 0 || e.b != 0 {
 		return
 	}
-	last := len(r.entries) - 1
-	copy(r.entries[idx:], r.entries[idx+1:])
-	r.entries = r.entries[:last]
+	copy(r.tail[k:], r.tail[k+1:])
+	r.tail = r.tail[:len(r.tail)-1]
 }
 
 // add adjusts cls's d and b counts by the given deltas, creating and
 // compacting the entry as needed.
 func (r *sparseRow) add(cls, dd, db int) {
-	idx := r.ensure(cls)
-	e := &r.entries[idx]
+	e, k := r.ensure(cls)
 	e.d += int32(dd)
 	e.b += int32(db)
-	r.compact(idx)
+	r.compact(k)
 }
 
 // setD overwrites cls's real-packet count.
@@ -129,9 +133,9 @@ func (r *sparseRow) setD(cls, v int) {
 	if v == 0 && r.find(cls) == nil {
 		return
 	}
-	idx := r.ensure(cls)
-	r.entries[idx].d = int32(v)
-	r.compact(idx)
+	e, k := r.ensure(cls)
+	e.d = int32(v)
+	r.compact(k)
 }
 
 // setB overwrites cls's borrow-marker count.
@@ -139,17 +143,27 @@ func (r *sparseRow) setB(cls, v int) {
 	if v == 0 && r.find(cls) == nil {
 		return
 	}
-	idx := r.ensure(cls)
-	r.entries[idx].b = int32(v)
-	r.compact(idx)
+	e, k := r.ensure(cls)
+	e.b = int32(v)
+	r.compact(k)
 }
 
-// active returns the number of classes the row actually holds (the pinned
-// self entry counts only when nonzero).
+// warm reads the row's header line and the head of its tail (see
+// System.WarmOperation).
+func (r *sparseRow) warm() int {
+	v := int(r.own.d)
+	if len(r.tail) > 0 {
+		v += int(r.tail[0].d)
+	}
+	return v
+}
+
+// active returns the number of classes the row actually holds (the self
+// entry counts only when nonzero).
 func (r *sparseRow) active() int {
-	cnt := len(r.entries)
-	if e := &r.entries[0]; e.d == 0 && e.b == 0 {
-		cnt--
+	cnt := len(r.tail)
+	if r.own.d != 0 || r.own.b != 0 {
+		cnt++
 	}
 	return cnt
 }

@@ -40,11 +40,7 @@ type System struct {
 	sel    topology.Selector
 	rng    *rng.RNG
 
-	rows   []sparseRow // rows[i]: nonzero (d, b) class counts of processor i
-	l      []int       // physical load, l[i] == Σ_j d[i][j]
-	bTot   []int       // Σ_j b[i][j]
-	lOld   []int       // d[i][i] at processor i's last balancing operation
-	localT []int       // balancing operations processor i participated in
+	rows []sparseRow // rows[i]: processor i's state, one cache line each
 
 	metrics Metrics
 
@@ -72,7 +68,8 @@ type Scratch struct {
 // CacheLine is the padding that ends every struct whose instances sit
 // side by side in memory and are written by different goroutines: a
 // worker's Scratch (see newScratch), a shard's Lane, and the sharded
-// engine's per-worker and per-shard state.
+// engine's per-worker and per-shard state. It is also the size of a
+// processor's row header (sparseRow).
 const CacheLine = 64
 
 // mergeLane is one participant's state in the balance kernel
@@ -80,10 +77,12 @@ const CacheLine = 64
 // being written.
 type mergeLane struct {
 	head    int32        // smallest unmerged class of the old row
-	self    int32        // the self class while the pinned entry is unmerged
-	cur     int          // next unmerged index into the sorted tail
-	src     []classEntry // the old row
-	out     []classEntry // the new row: a spare buffer, swapped with src at the end
+	self    int32        // the self class while the old self entry is unmerged
+	cur     int          // next unmerged index into the old tail
+	row     *sparseRow   // the participant's row; its tail is the old tail
+	src     []classEntry // the old tail
+	own     classEntry   // the new self entry
+	out     []classEntry // the new tail: a spare buffer, swapped with src at the end
 	newL    int
 	newBTot int
 }
@@ -138,13 +137,12 @@ func NewSystem(n int, p Params, sel topology.Selector, r *rng.RNG) (*System, err
 		return nil, fmt.Errorf("core: selector built for %d processors, system has %d", sel.N(), n)
 	}
 	m := p.Delta + 2 // balancing set is at most δ+1, class recovery adds one
-	// One backing array serves every row's pinned self entry; a row that
-	// outgrows its one-entry slice reallocates independently on append.
-	backing := make([]classEntry, n)
+	// Every tail starts nil and grows on its first foreign class. An array
+	// this large comes from the heap's page-aligned large-object spans, so
+	// each header is one cache line (TestRowHeaderIsOneCacheLine).
 	rows := make([]sparseRow, n)
 	for i := range rows {
-		backing[i] = classEntry{cls: int32(i)}
-		rows[i] = sparseRow{self: i, entries: backing[i : i+1 : i+1]}
+		rows[i].own.cls = int32(i)
 	}
 	return &System{
 		n:      n,
@@ -152,10 +150,6 @@ func NewSystem(n int, p Params, sel topology.Selector, r *rng.RNG) (*System, err
 		sel:    sel,
 		rng:    r,
 		rows:   rows,
-		l:      make([]int, n),
-		bTot:   make([]int, n),
-		lOld:   make([]int, n),
-		localT: make([]int, n),
 		sc:     newScratch(m),
 	}, nil
 }
@@ -172,31 +166,37 @@ func (s *System) N() int { return s.n }
 func (s *System) Params() Params { return s.params }
 
 // Load returns the physical load of processor i.
-func (s *System) Load(i int) int { return s.l[i] }
+func (s *System) Load(i int) int { return s.rows[i].l }
 
 // Loads appends the physical loads of all processors to dst and returns it.
-func (s *System) Loads(dst []int) []int { return append(dst[:0], s.l...) }
+func (s *System) Loads(dst []int) []int {
+	dst = dst[:0]
+	for i := range s.rows {
+		dst = append(dst, s.rows[i].l)
+	}
+	return dst
+}
 
 // VirtualLoad returns l[i] + Σ_j b[i][j] — the load the analysis sees
 // (Theorem 4 works on virtual loads; physical load is at most C below it).
-func (s *System) VirtualLoad(i int) int { return s.l[i] + s.bTot[i] }
+func (s *System) VirtualLoad(i int) int { return s.rows[i].l + s.rows[i].bTot }
 
 // TotalLoad returns the number of packets in the system.
 func (s *System) TotalLoad() int {
 	sum := 0
-	for _, v := range s.l {
-		sum += v
+	for i := range s.rows {
+		sum += s.rows[i].l
 	}
 	return sum
 }
 
 // LocalTime returns the number of balancing operations processor i has
 // participated in — the paper's local clock t'.
-func (s *System) LocalTime(i int) int { return s.localT[i] }
+func (s *System) LocalTime(i int) int { return s.rows[i].localT }
 
 // TriggerBase returns l_old for processor i: its self-generated load at its
 // last balancing operation, against which the factor-f trigger compares.
-func (s *System) TriggerBase(i int) int { return s.lOld[i] }
+func (s *System) TriggerBase(i int) int { return int(s.rows[i].lOld) }
 
 // Metrics returns a snapshot of the activity counters.
 func (s *System) Metrics() Metrics { return s.metrics }
@@ -214,7 +214,7 @@ func (s *System) D(i, j int) int { return s.rows[i].getD(j) }
 func (s *System) B(i, j int) int { return s.rows[i].getB(j) }
 
 // Borrowed returns the number of outstanding borrow markers of processor i.
-func (s *System) Borrowed(i int) int { return s.bTot[i] }
+func (s *System) Borrowed(i int) int { return s.rows[i].bTot }
 
 // ActiveClasses returns the number of classes processor i currently holds
 // (d or b nonzero) — the per-row cost driver of a balancing operation.
@@ -242,14 +242,15 @@ func (s *System) ForceBalance(i int) { s.balance(i, s.rng, s.sc, &s.metrics) }
 func (s *System) Generate(i int) { s.generate(i, s.rng, s.sc, &s.metrics) }
 
 func (s *System) generate(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	if s.bTot[i] > 0 {
+	row := &s.rows[i]
+	if row.bTot > 0 {
 		j := s.randClass(i, func(e *classEntry) bool { return e.b > 0 }, r, sc)
-		s.rows[i].add(j, +1, -1)
-		s.bTot[i]--
+		row.add(j, +1, -1)
+		row.bTot--
 	} else {
-		s.rows[i].own().d++
+		row.own.d++
 	}
-	s.l[i]++
+	row.l++
 	m.Generated++
 	s.maybeBalance(i, r, sc, m)
 }
@@ -261,14 +262,14 @@ func (s *System) generate(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
 func (s *System) Consume(i int) bool { return s.consume(i, s.rng, s.sc, &s.metrics) }
 
 func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
-	if s.l[i] == 0 {
+	row := &s.rows[i]
+	if row.l == 0 {
 		m.ConsumeNoLoad++
 		return false
 	}
-	row := &s.rows[i]
-	if row.own().d > 0 {
-		row.own().d--
-		s.l[i]--
+	if row.own.d > 0 {
+		row.own.d--
+		row.l--
 		m.Consumed++
 		s.maybeBalance(i, r, sc, m)
 		return true
@@ -276,25 +277,25 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 	// d[i][i] == 0 but l > 0: borrow. Each settlement clears at least one
 	// marker, so the loop terminates within C+2 rounds.
 	for attempt := 0; attempt <= s.params.C+2; attempt++ {
-		if s.l[i] == 0 {
+		if row.l == 0 {
 			// Settlement rebalancing may have migrated all load away.
 			m.ConsumeNoLoad++
 			return false
 		}
-		if row.own().d > 0 {
+		if row.own.d > 0 {
 			// Settlement rebalancing gave i self packets back.
-			row.own().d--
-			s.l[i]--
+			row.own.d--
+			row.l--
 			m.Consumed++
 			s.maybeBalance(i, r, sc, m)
 			return true
 		}
-		if s.bTot[i] < s.params.C {
+		if row.bTot < s.params.C {
 			j := s.randClass(i, func(e *classEntry) bool { return e.d > 0 && e.b == 0 }, r, sc)
 			if j >= 0 {
 				row.add(j, -1, +1)
-				s.bTot[i]++
-				s.l[i]--
+				row.bTot++
+				row.l--
 				m.TotalBorrow++
 				m.Consumed++
 				return true
@@ -329,15 +330,15 @@ func (s *System) randClass(i int, pred func(e *classEntry) bool, r *rng.RNG, sc 
 // shared between the sequential path and the per-shard Lane path (which
 // must not touch the System's scratch). The sorted-tail row invariant
 // yields the qualifying classes in ascending order directly — the self
-// entry, pinned out of place at index 0, is slotted into position on the
-// fly — so no per-call sort is needed. It returns the pick and the
-// (possibly regrown) buffer.
+// entry, held apart from the tail, is slotted into position on the fly —
+// so no per-call sort is needed. It returns the pick and the (possibly
+// regrown) buffer.
 func randClassRow(row *sparseRow, pred func(e *classEntry) bool, r *rng.RNG, buf []int) (int, []int) {
 	buf = buf[:0]
-	selfCls := row.self
-	selfDone := !pred(&row.entries[0])
-	for k := 1; k < len(row.entries); k++ {
-		e := &row.entries[k]
+	selfCls := int(row.own.cls)
+	selfDone := !pred(&row.own)
+	for k := range row.tail {
+		e := &row.tail[k]
 		if !selfDone && int(e.cls) > selfCls {
 			buf = append(buf, selfCls)
 			selfDone = true
@@ -358,10 +359,11 @@ func randClassRow(row *sparseRow, pred func(e *classEntry) bool, r *rng.RNG, buf
 	return pick, buf
 }
 
-// trigFired reports the factor-f condition on a self-load d against the
-// trigger base old. The strict-change guard (d != old) keeps the old == 0
-// case from firing continuously (see doc.go).
-func trigFired(d, old int, f float64) bool {
+// trigFired reports the factor-f condition on a row's self-load own.d
+// against its trigger base lOld. The strict-change guard (d != old) keeps
+// the old == 0 case from firing continuously (see doc.go).
+func trigFired(row *sparseRow, f float64) bool {
+	d, old := row.own.d, row.lOld
 	if d > old && float64(d) >= f*float64(old) {
 		return true
 	}
@@ -374,14 +376,14 @@ func trigFired(d, old int, f float64) bool {
 // initiation at the tick barrier: an earlier operation in the same barrier
 // may have included i as a partner and reset its trigger base.
 func (s *System) TriggerPending(i int) bool {
-	return trigFired(int(s.rows[i].own().d), s.lOld[i], s.params.F)
+	return trigFired(&s.rows[i], s.params.F)
 }
 
 // maybeBalance fires a balancing operation if processor i's self-generated
 // load has changed by at least the factor f since its last balancing
 // operation.
 func (s *System) maybeBalance(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	if trigFired(int(s.rows[i].own().d), s.lOld[i], s.params.F) {
+	if trigFired(&s.rows[i], s.params.F) {
 		s.balance(i, r, sc, m)
 	}
 }
@@ -406,16 +408,15 @@ func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m 
 	m.BalanceOps++
 	s.redistribute(set, start, sc, m)
 	for _, p := range set {
+		row := &s.rows[p]
 		if !s.params.InitiatorOnlyReset || p == init {
-			s.lOld[p] = int(s.rows[p].own().d)
+			row.lOld = row.own.d
 		}
-		s.localT[p]++
-	}
-	for _, p := range set {
-		if own := s.rows[p].own().b; own > 0 {
+		row.localT++
+		if own := row.own.b; own > 0 {
 			// The owner consumes its own phantoms: simulated decrease.
-			s.bTot[p] -= int(own)
-			s.rows[p].own().b = 0
+			row.bTot -= int(own)
+			row.own.b = 0
 			m.DecreaseSim++
 		}
 	}
@@ -428,7 +429,7 @@ func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m 
 // position the snake hands out its first extra at.
 //
 // The rows are merged like sorted lists: every participant contributes its
-// sorted tail plus its pinned self entry, slotted in by value, and the
+// sorted tail plus its header's self entry, slotted in by value, and the
 // smallest unmerged class of each is cached in its lane. A round looks at
 // the two smallest heads.
 //
@@ -445,7 +446,7 @@ func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m 
 // known without arithmetic: the total 1 has no base share and one extra,
 // so the entry moves as it is to the row of the participant at the d
 // offset, and the offset steps on. The run's other entries — two or more
-// packets, markers, the pinned self entry where it slots in — go through
+// packets, markers, the self entry where it slots in — go through
 // the same split as a shared class, one per round.
 //
 // At δ = 1 (two participants) the runs are mostly one entry long: dealing
@@ -458,9 +459,10 @@ func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m 
 // rounds would have dealt one per run, in the same order.
 //
 // Classes no participant holds are never visited: their totals are zero,
-// for which the dense formulation advances no offset either. The output
-// rows are spare buffers that swap places with the old rows, so the steady
-// state allocates nothing.
+// for which the dense formulation advances no offset either. The new self
+// entries are written in the lanes and the new tails into spare buffers
+// that swap places with the old tails, so the steady state allocates
+// nothing.
 //
 // The dense formulation runs the snake over all d classes and then, with
 // the same cursor, over all b classes. Fusing the two passes needs the b
@@ -477,16 +479,17 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 	sumL := 0
 	for k, p := range set {
 		ln := &lanes[k]
-		ents := s.rows[p].entries
-		ln.src, ln.cur = ents, 1
+		row := &s.rows[p]
+		ln.row, ln.src, ln.cur = row, row.tail, 0
 		ln.self = done
-		if own := &ents[0]; own.d != 0 || own.b != 0 {
-			ln.self = int32(p)
+		if row.own.d != 0 || row.own.b != 0 {
+			ln.self = row.own.cls
 		}
 		ln.next()
-		ln.out = append(ln.out[:0], classEntry{cls: int32(p)})
+		ln.own = classEntry{cls: row.own.cls}
+		ln.out = ln.out[:0]
 		ln.newL, ln.newBTot = 0, 0
-		sumL += s.l[p]
+		sumL += row.l
 	}
 	offD := start
 	offB := (offD + sumL) % np
@@ -508,8 +511,8 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 				}
 				to := &lanes[offD]
 				to.newL++
-				if e.cls == to.out[0].cls {
-					to.out[0].d = 1
+				if e.cls == to.own.cls {
+					to.own.d = 1
 				} else {
 					to.out = append(to.out, e)
 				}
@@ -540,7 +543,7 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 				if ln.head != cls {
 					continue
 				}
-				e := &ln.src[0]
+				e := &ln.row.own
 				if ln.self == cls {
 					ln.self = done
 				} else {
@@ -553,8 +556,8 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 			}
 		} else {
 			ln := &lanes[lone]
-			// The run's one-packet tail entries, up to the pinned self
-			// entry's place in the order if that comes before the run's end.
+			// The run's one-packet tail entries, up to the self entry's
+			// place in the order if that comes before the run's end.
 			self := ln.self
 			bound := min(lim, self)
 			src, cur := ln.src, ln.cur
@@ -567,8 +570,8 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 				}
 				to := &lanes[offD]
 				to.newL++
-				if e.cls == to.out[0].cls {
-					to.out[0].d = 1
+				if e.cls == to.own.cls {
+					to.own.d = 1
 				} else {
 					to.out = append(to.out, e)
 				}
@@ -589,7 +592,7 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 					at = src[cur].cls
 				}
 			case self < lim:
-				e = &src[0]
+				e = &ln.row.own
 				self = done
 				ln.self = done
 			}
@@ -622,8 +625,8 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 			ln := &lanes[k]
 			ln.newL += d
 			ln.newBTot += b
-			if own := &ln.out[0]; own.cls == cls {
-				own.d, own.b = int32(d), int32(b)
+			if ln.own.cls == cls {
+				ln.own.d, ln.own.b = int32(d), int32(b)
 			} else {
 				ln.out = append(ln.out, classEntry{cls: cls, d: int32(d), b: int32(b)})
 			}
@@ -635,36 +638,40 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 			offB -= np
 		}
 	}
-	for k, p := range set {
+	for k := range lanes {
 		ln := &lanes[k]
-		s.rows[p].entries, ln.out = ln.out, ln.src
-		if recv := ln.newL - s.l[p]; recv > 0 {
+		row := ln.row
+		row.own, row.tail, ln.out = ln.own, ln.out, ln.src
+		if recv := ln.newL - row.l; recv > 0 {
 			m.Migrations += int64(recv)
 		}
-		s.l[p] = ln.newL
-		s.bTot[p] = ln.newBTot
+		row.l = ln.newL
+		row.bTot = ln.newBTot
 	}
 }
 
 // CheckInvariants verifies the structural invariants documented in doc.go —
 // non-negative counts, l[i] == Σ_j d[i][j], bTot[i] == Σ_j b[i][j], exact
 // packet conservation (TotalLoad == Generated − Consumed) — plus the
-// sparse bookkeeping: every row's self entry is pinned at index 0, no
-// foreign entry is empty, the tail is sorted ascending by class, and no
-// class appears in a row twice. It is O(total nonzero + n) and intended
-// for tests.
+// sparse bookkeeping: every row's self entry names the row's own class,
+// no tail entry is empty or names the self class, the tail is sorted
+// ascending by class, and no class appears in a row twice. It is
+// O(total nonzero + n) and intended for tests.
 func (s *System) CheckInvariants() error {
 	var totalLoad int64
 	for i := 0; i < s.n; i++ {
 		row := &s.rows[i]
-		if len(row.entries) == 0 || int(row.entries[0].cls) != i || row.self != i {
-			return fmt.Errorf("core: row %d: self entry not pinned at index 0", i)
+		if int(row.own.cls) != i {
+			return fmt.Errorf("core: row %d: self entry names class %d", i, row.own.cls)
 		}
 		// The cells are int32; the sums stay int so that a wrapped cell
 		// cannot wrap the sum back into agreement with l and bTot.
 		sumD, sumB := 0, 0
-		for k := range row.entries {
-			e := &row.entries[k]
+		for k := -1; k < len(row.tail); k++ {
+			e := &row.own
+			if k >= 0 {
+				e = &row.tail[k]
+			}
 			if e.cls < 0 || int(e.cls) >= s.n {
 				return fmt.Errorf("core: row %d: class %d out of range", i, e.cls)
 			}
@@ -674,26 +681,26 @@ func (s *System) CheckInvariants() error {
 			if e.b < 0 {
 				return fmt.Errorf("core: b[%d][%d] = %d < 0", i, e.cls, e.b)
 			}
-			if k > 0 && int(e.cls) == i {
+			if k >= 0 && int(e.cls) == i {
 				return fmt.Errorf("core: row %d: class %d appears twice", i, e.cls)
 			}
-			if k > 0 && e.d == 0 && e.b == 0 {
+			if k >= 0 && e.d == 0 && e.b == 0 {
 				return fmt.Errorf("core: row %d: empty entry for class %d not compacted", i, e.cls)
 			}
-			if k > 1 && e.cls <= row.entries[k-1].cls {
+			if k > 0 && e.cls <= row.tail[k-1].cls {
 				return fmt.Errorf("core: row %d: tail not sorted at index %d (%d after %d)",
-					i, k, e.cls, row.entries[k-1].cls)
+					i, k, e.cls, row.tail[k-1].cls)
 			}
 			sumD += int(e.d)
 			sumB += int(e.b)
 		}
-		if s.l[i] != sumD {
-			return fmt.Errorf("core: l[%d] = %d but Σd = %d", i, s.l[i], sumD)
+		if row.l != sumD {
+			return fmt.Errorf("core: l[%d] = %d but Σd = %d", i, row.l, sumD)
 		}
-		if s.bTot[i] != sumB {
-			return fmt.Errorf("core: bTot[%d] = %d but Σb = %d", i, s.bTot[i], sumB)
+		if row.bTot != sumB {
+			return fmt.Errorf("core: bTot[%d] = %d but Σb = %d", i, row.bTot, sumB)
 		}
-		totalLoad += int64(s.l[i])
+		totalLoad += int64(row.l)
 	}
 	if want := s.metrics.Generated - s.metrics.Consumed; totalLoad != want {
 		return fmt.Errorf("core: total load %d but generated−consumed = %d", totalLoad, want)
@@ -706,13 +713,13 @@ func (s *System) CheckInvariants() error {
 func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	if j == i {
 		// The owner clears its own phantoms: simulated decrease.
-		own := s.rows[i].own()
-		s.bTot[i] -= int(own.b)
-		own.b = 0
+		row := &s.rows[i]
+		row.bTot -= int(row.own.b)
+		row.own.b = 0
 		m.DecreaseSim++
 		return
 	}
-	if s.rows[j].own().d > 0 {
+	if s.rows[j].own.d > 0 {
 		s.exchange(i, j, r, sc, m)
 		return
 	}
@@ -726,7 +733,7 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 		// debt); i is free to borrow again.
 		return
 	}
-	if s.rows[j].own().d > 0 {
+	if s.rows[j].own.d > 0 {
 		s.exchange(i, j, r, sc, m)
 		return
 	}
@@ -735,7 +742,7 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	// under the paper's assumptions; kept for progress under adversarial
 	// schedules.
 	s.rows[i].add(j, 0, -1)
-	s.bTot[i]--
+	s.rows[i].bTot--
 	m.ForcedSettle++
 	m.DecreaseSim++
 }
@@ -745,11 +752,12 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 // j treats the loss as a simulated workload decrease (which may trigger a
 // balancing operation on j).
 func (s *System) exchange(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	s.rows[j].own().d--
-	s.l[j]--
-	s.rows[i].add(j, +1, -1)
-	s.l[i]++
-	s.bTot[i]--
+	from, to := &s.rows[j], &s.rows[i]
+	from.own.d--
+	from.l--
+	to.add(j, +1, -1)
+	to.l++
+	to.bTot--
 	m.RemoteBorrow++
 	m.DecreaseSim++
 	s.maybeBalance(j, r, sc, m)
@@ -783,24 +791,24 @@ func (s *System) classBalance(owner, extra int, r *rng.RNG, sc *Scratch, m *Metr
 	}
 	cur := newSnakeCursor(np, r.Intn(np))
 	cur.distribute(totalD, func(k, cnt int) {
-		p := set[k]
-		delta := cnt - s.rows[p].getD(cls)
-		s.rows[p].setD(cls, cnt)
-		s.l[p] += delta
+		row := &s.rows[set[k]]
+		delta := cnt - row.getD(cls)
+		row.setD(cls, cnt)
+		row.l += delta
 		if delta > 0 {
 			m.Migrations += int64(delta)
 		}
 	})
 	cur.distribute(totalB, func(k, cnt int) {
-		p := set[k]
-		delta := cnt - s.rows[p].getB(cls)
-		s.rows[p].setB(cls, cnt)
-		s.bTot[p] += delta
+		row := &s.rows[set[k]]
+		delta := cnt - row.getB(cls)
+		row.setB(cls, cnt)
+		row.bTot += delta
 	})
 	// Markers of the class that landed on the owner are consumed there.
-	if own := s.rows[owner].own().b; own > 0 {
-		s.bTot[owner] -= int(own)
-		s.rows[owner].own().b = 0
+	if row := &s.rows[owner]; row.own.b > 0 {
+		row.bTot -= int(row.own.b)
+		row.own.b = 0
 		m.DecreaseSim++
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
@@ -493,6 +494,22 @@ func TestForceBalanceAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRowHeaderIsOneCacheLine pins the row layout the step phase and the
+// warm-up before a wave's operations rely on: a processor's header — its
+// self entry, trigger base, totals and tail slice — is one cache line, and
+// at the sharded benchmark's size the array of them starts on a line, so
+// no header straddles two. A field that spills the header onto a second
+// line fails here.
+func TestRowHeaderIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(sparseRow{}); size != CacheLine {
+		t.Fatalf("sparseRow is %d bytes, want one %d-byte cache line", size, CacheLine)
+	}
+	s := newTestSystem(t, 65536, DefaultParams(), 1)
+	if at := uintptr(unsafe.Pointer(&s.rows[0])); at%CacheLine != 0 {
+		t.Fatalf("rows[0] at %#x is not %d-byte aligned", at, CacheLine)
 	}
 }
 

@@ -24,7 +24,13 @@
 //     list schedule over the stored partners then groups the operations into
 //     waves with pairwise-disjoint participant sets. Waves execute in
 //     sequence, the operations inside a wave in parallel on any number of
-//     workers, and execution touches no generator. Because a balancing
+//     workers, and execution touches no generator. A worker takes a claimed
+//     block of a wave's operations a window at a time: it first reads the
+//     row header and first tail entry of every participant in the window,
+//     so the cache misses of random partners' rows overlap instead of
+//     stalling one operation each, and then executes the window in order.
+//     Those reads cover only the block's own operations, disjoint from
+//     every other worker's in the wave. Because a balancing
 //     operation reads and writes only its δ+1 participants plus caller-owned
 //     scratch, and any two conflicting operations land in distinct waves in
 //     canonical order, wave execution is state-identical to executing all
@@ -133,6 +139,10 @@ type opWorker struct {
 	stream  rng.RNG // reseeded before every use
 	scratch *core.Scratch
 	metrics core.Metrics
+
+	// warmSink keeps what execBlock's warm-up reads, so that the compiler
+	// cannot drop them as unused.
+	warmSink int
 
 	// Workers write their generator state and counters on every operation;
 	// the padding keeps two workers' writes off one cache line.
@@ -272,27 +282,22 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 	return e
 }
 
-// parallelFor runs fn(worker, i) for i in [0, n) across the engine's
-// workers and returns when all items are done. Workers claim contiguous
-// blocks of items (claimBlock), so each runs a stretch of neighbours:
-// items are shards, or operations in canonical order, and the state of
-// neighbouring items shares cache lines (row headers, the per-processor
-// scalars, the per-tick plan arrays). With one worker (or one item) it
-// runs inline. The item→worker assignment is schedule-dependent; callers
-// must ensure items are independent and per-worker state folds
-// commutatively.
-func (e *shardedEngine) parallelFor(n int, fn func(worker, i int)) {
+// parallelFor covers the items [0, n) with calls fn(worker, lo, hi), one
+// per block of items [lo, hi) a worker claims (claimBlock), and returns
+// when all items are done. A block is a stretch of neighbours: items are
+// shards, or operations in canonical order, and the state of neighbouring
+// items shares cache lines (the per-tick plan arrays), while the
+// operations of one block can be worked on together (execBlock). With
+// one worker (or one item) it runs fn(0, 0, n) inline. The block→worker
+// assignment is schedule-dependent; callers must ensure items are
+// independent and per-worker state folds commutatively.
+func (e *shardedEngine) parallelFor(n int, fn func(worker, lo, hi int)) {
 	if n == 0 {
 		return
 	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
+		fn(0, 0, n)
 		return
 	}
 	var next atomic.Int64
@@ -306,9 +311,7 @@ func (e *shardedEngine) parallelFor(n int, fn func(worker, i int)) {
 				if lo == hi {
 					return
 				}
-				for i := lo; i < hi; i++ {
-					fn(worker, i)
-				}
+				fn(worker, lo, hi)
 			}
 		}(k)
 	}
@@ -342,36 +345,42 @@ func claimBlock(next *atomic.Int64, n, w int) (lo, hi int) {
 // their own lane, streams and mailboxes, so the phase is race-free for
 // any worker assignment.
 func (e *shardedEngine) stepPhase(t int) {
-	e.parallelFor(len(e.active), func(_, k int) {
-		sh := &e.shards[e.active[k]]
-		if len(sh.order) > 1 {
-			// Local order shuffle, same rationale as the sequential
-			// engine's global shuffle (no systematic early-index bias).
-			sh.orderRNG.ShuffleInts(sh.order)
+	e.parallelFor(len(e.active), func(_, lo, hi int) {
+		for _, s := range e.active[lo:hi] {
+			e.stepShard(&e.shards[s], t)
 		}
-		for _, li := range sh.order {
-			switch e.pattern.Step(sh.lane.Global(li), t, &sh.stepRNG) {
-			case workload.Generate:
-				if sh.lane.Generate(li, &sh.stepRNG) {
-					sh.triggers = append(sh.triggers, li)
-				}
-			case workload.Consume:
-				e.consumeLocal(sh, li)
-			case workload.GenerateAndConsume:
-				if sh.lane.Generate(li, &sh.stepRNG) {
-					sh.triggers = append(sh.triggers, li)
-				}
-				e.consumeLocal(sh, li)
-			}
-		}
-		// Canonical mailbox order: shard-local index ascending,
-		// independent of the shuffled arrival order. A processor that
-		// triggered on both its generate and its consume appears twice;
-		// the execution-time re-check makes the duplicate a no-op when
-		// the first operation already balanced it.
-		sort.Ints(sh.triggers)
-		sort.Ints(sh.settles)
 	})
+}
+
+// stepShard steps one shard's processors through tick t.
+func (e *shardedEngine) stepShard(sh *shardState, t int) {
+	if len(sh.order) > 1 {
+		// Local order shuffle, same rationale as the sequential engine's
+		// global shuffle (no systematic early-index bias).
+		sh.orderRNG.ShuffleInts(sh.order)
+	}
+	for _, li := range sh.order {
+		switch e.pattern.Step(sh.lane.Global(li), t, &sh.stepRNG) {
+		case workload.Generate:
+			if sh.lane.Generate(li, &sh.stepRNG) {
+				sh.triggers = append(sh.triggers, li)
+			}
+		case workload.Consume:
+			e.consumeLocal(sh, li)
+		case workload.GenerateAndConsume:
+			if sh.lane.Generate(li, &sh.stepRNG) {
+				sh.triggers = append(sh.triggers, li)
+			}
+			e.consumeLocal(sh, li)
+		}
+	}
+	// Canonical mailbox order: shard-local index ascending, independent of
+	// the shuffled arrival order. A processor that triggered on both its
+	// generate and its consume appears twice; the execution-time re-check
+	// makes the duplicate a no-op when the first operation already
+	// balanced it.
+	sort.Ints(sh.triggers)
+	sort.Ints(sh.settles)
 }
 
 func (e *shardedEngine) consumeLocal(sh *shardState, li int) {
@@ -405,8 +414,8 @@ func (e *shardedEngine) resolveTriggers(t int) {
 	e.bucketByWave(K, maxWave)
 	for w := 1; w <= maxWave; w++ {
 		waveOps := e.opOrder[e.waveStart[w-1]:e.waveStart[w]]
-		e.parallelFor(len(waveOps), func(worker, i int) {
-			e.execOp(worker, waveOps[i])
+		e.parallelFor(len(waveOps), func(worker, lo, hi int) {
+			e.execBlock(e.opWorkers[worker], waveOps[lo:hi])
 		})
 	}
 }
@@ -421,15 +430,17 @@ func (e *shardedEngine) drawOps(t int) {
 		e.opPartners = make([]int, K*e.delta)
 	}
 	e.opDraws = e.opDraws[:K]
-	e.parallelFor(K, func(worker, k int) {
+	e.parallelFor(K, func(worker, lo, hi int) {
 		r := &e.opWorkers[worker].stream
-		r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
-		at := k * e.delta
-		partners, start := e.sys.DrawOperation(e.ops[k], r, e.opPartners[at:at:at+e.delta])
-		if len(partners) > e.delta {
-			panic("sim: selector returned more than δ partners")
+		for k := lo; k < hi; k++ {
+			r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
+			at := k * e.delta
+			partners, start := e.sys.DrawOperation(e.ops[k], r, e.opPartners[at:at:at+e.delta])
+			if len(partners) > e.delta {
+				panic("sim: selector returned more than δ partners")
+			}
+			e.opDraws[k] = opDraw{partners: int32(len(partners)), start: int32(start)}
 		}
-		e.opDraws[k] = opDraw{partners: int32(len(partners)), start: int32(start)}
 	})
 }
 
@@ -514,9 +525,40 @@ func (e *shardedEngine) bucketByWave(K, maxWave int) {
 	}
 }
 
-// execOp executes deferred operation k of the current tick on the given
-// worker, with the draws drawOps stored for it.
-func (e *shardedEngine) execOp(worker, k int) {
+// warmWindow is how many operations execBlock warms up at a time. The
+// warm-up reads two lines per participant (the row header and the head of
+// the tail), and the operation then walks the rest of the tail: at δ = 1
+// and sixteen classes a row that is about five lines a participant, ten
+// an operation, so a window of 32 operations brings some 320 lines
+// (20 KiB) into L1d, which holds 32–48 KiB on current x86 cores, next to
+// the kernel's scratch rows. A much wider window evicts its first
+// operations' lines before they run; a narrower one overlaps fewer misses.
+const warmWindow = 32
+
+// execBlock executes a claimed block of one wave's operations on worker
+// w, a window at a time: it first reads every participant's row header and
+// first tail entry of the window's operations (WarmOperation), so their
+// cache misses overlap, and then executes the operations in order. The
+// reads touch only participants of this block's operations, which no other
+// worker's operation in the wave shares, so they race with nothing.
+func (e *shardedEngine) execBlock(w *opWorker, ops []int) {
+	sink := 0
+	for len(ops) > 0 {
+		win := ops[:min(warmWindow, len(ops))]
+		ops = ops[len(win):]
+		for _, k := range win {
+			sink += e.sys.WarmOperation(e.ops[k], e.partnersOf(k))
+		}
+		for _, k := range win {
+			e.execOp(w, k)
+		}
+	}
+	w.warmSink += sink
+}
+
+// execOp executes deferred operation k of the current tick on worker w,
+// with the draws drawOps stored for it.
+func (e *shardedEngine) execOp(w *opWorker, k int) {
 	init := e.ops[k]
 	// Re-check the factor-f condition: an earlier wave (or an earlier
 	// operation in canonical order that shared this initiator) may have
@@ -526,7 +568,6 @@ func (e *shardedEngine) execOp(worker, k int) {
 	if !e.sys.TriggerPending(init) {
 		return
 	}
-	w := e.opWorkers[worker]
 	e.sys.BalanceDrawn(init, e.partnersOf(k), int(e.opDraws[k].start), w.scratch, &w.metrics)
 }
 
@@ -551,10 +592,15 @@ func (e *shardedEngine) resolveSettles(t int) {
 // parallel, merged by the fixed-shape tree reduction. All shards are
 // scanned (load migrates into inactive shards through balancing).
 func (e *shardedEngine) scanLoads() stats.LoadPartial {
-	e.parallelFor(len(e.shards), func(_, s int) {
-		p := &e.partials[s]
-		*p = stats.LoadPartial{}
-		p.ObserveSlice(e.shards[s].lane.Loads())
+	e.parallelFor(len(e.shards), func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			p := &e.partials[s]
+			*p = stats.LoadPartial{}
+			lane := e.shards[s].lane
+			for li := 0; li < lane.Len(); li++ {
+				p.Observe(lane.Load(li))
+			}
+		}
 	})
 	e.reduceBuf = append(e.reduceBuf[:0], e.partials...)
 	return stats.ReduceLoadPartials(e.reduceBuf)

@@ -79,34 +79,47 @@ func resultsEqual(t *testing.T, a, b *Result) {
 // TestShardedWorkerInvariance is the engine's central determinism claim:
 // for a fixed (Seed, Shards) pair, the worker count changes only speed,
 // never a single bit of the results.
+//
+// The n = 4096 case is busy enough that a wave's blocks span several warm
+// windows (execBlock), so the race gate sees the warm-up reads of one
+// worker's block next to the other workers' operations.
 func TestShardedWorkerInvariance(t *testing.T) {
-	// 3 is the odd count: the blocks workers claim cannot be even.
-	workerCounts := []int{1, 2, 3, 4, runtime.GOMAXPROCS(0) + 1}
-	var ref *Result
-	for _, w := range workerCounts {
-		cfg := shardedTestConfig(192, 150, 2, 4, 99)
-		cfg.Workers = w
-		cfg.SnapshotAt = []int{149}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+	cases := []struct {
+		n, steps, runs, shards int
+		workers                []int
+	}{
+		// 3 is the odd count: the blocks workers claim cannot be even.
+		{192, 150, 2, 4, []int{1, 2, 3, 4, runtime.GOMAXPROCS(0) + 1}},
+		{4096, 40, 1, 64, []int{1, 2, 3, runtime.GOMAXPROCS(0) + 1}},
+	}
+	for _, c := range cases {
+		var ref *Result
+		for _, w := range c.workers {
+			cfg := shardedTestConfig(c.n, c.steps, c.runs, c.shards, 99)
+			cfg.Workers = w
+			cfg.SnapshotAt = []int{c.steps - 1}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", c.n, w, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			resultsEqual(t, ref, res)
 		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		resultsEqual(t, ref, res)
 	}
 }
 
 // TestParallelForContract pins what the barrier relies on in parallelFor:
-// every item runs exactly once; a worker's items come in ascending order,
-// because it takes them as contiguous blocks; no block is larger than
+// it hands out contiguous non-empty blocks that cover every item exactly
+// once; a worker's blocks come in ascending order; no block is larger than
 // ⌈n/(2w)⌉, so w workers share even a short list (64 shards on 2 workers
-// can never go to one claim); and one worker runs inline.
+// can never go to one claim); and one worker runs the whole range inline
+// as one block.
 func TestParallelForContract(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, workers - 1, workers, 64, 24001} {
+		for _, n := range []int{0, 1, 7, workers - 1, workers, 64, 10000, 24001} {
 			t.Run(fmt.Sprintf("n=%d_workers=%d", n, workers), func(t *testing.T) {
 				// The claims themselves, taken one after another.
 				if w := min(workers, n); w > 1 {
@@ -130,22 +143,28 @@ func TestParallelForContract(t *testing.T) {
 						t.Fatalf("claims covered [0, %d) of %d items", at, n)
 					}
 				}
-				// The loop over them, on goroutines.
+				// The blocks handed out, on goroutines.
 				e := &shardedEngine{workers: workers}
 				ran := make([]atomic.Int32, n)
 				last := make([]int, workers)
 				for w := range last {
 					last[w] = -1
 				}
-				e.parallelFor(n, func(worker, i int) {
-					ran[i].Add(1)
-					if min(workers, n) == 1 && worker != 0 {
-						t.Errorf("item %d ran on worker %d: one worker or one item runs inline as worker 0", i, worker)
+				e.parallelFor(n, func(worker, lo, hi int) {
+					if lo < 0 || hi > n || lo >= hi {
+						t.Errorf("worker %d handed block [%d, %d) of %d items", worker, lo, hi, n)
+						return
 					}
-					if i <= last[worker] {
-						t.Errorf("worker %d ran item %d after item %d", worker, i, last[worker])
+					if min(workers, n) == 1 && (worker != 0 || lo != 0 || hi != n) {
+						t.Errorf("block [%d, %d) ran on worker %d: one worker or one item runs [0, n) inline as worker 0", lo, hi, worker)
 					}
-					last[worker] = i
+					if lo <= last[worker] {
+						t.Errorf("worker %d ran block [%d, %d) after item %d", worker, lo, hi, last[worker])
+					}
+					last[worker] = hi - 1
+					for i := lo; i < hi; i++ {
+						ran[i].Add(1)
+					}
 				})
 				for i := range ran {
 					if c := ran[i].Load(); c != 1 {

@@ -27,13 +27,6 @@ func (p *LoadPartial) Observe(v int) {
 	p.Count++
 }
 
-// ObserveSlice folds a whole load slice into the partial.
-func (p *LoadPartial) ObserveSlice(loads []int) {
-	for _, v := range loads {
-		p.Observe(v)
-	}
-}
-
 // Merge combines another partial into p. Empty partials are identities.
 func (p *LoadPartial) Merge(q LoadPartial) {
 	if q.Count == 0 {
