@@ -39,24 +39,24 @@ func BenchmarkFig6VariationDensity(b *testing.B) {
 // BenchmarkFig7BalancingQualityDelta1 regenerates Fig. 7 (δ=1 panels).
 func BenchmarkFig7BalancingQualityDelta1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig78(experiments.Fig7Configs, "7", experiments.ScaleQuick, uint64(i)+1)
+		res, err := experiments.Panels(experiments.Fig7Panels, experiments.ScaleQuick, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.MeanSpreadTail(0), "spread(f=1.1)")
-		b.ReportMetric(res.MeanSpreadTail(1), "spread(f=1.8)")
+		b.ReportMetric(experiments.TailSpread(res.Results[0]), "spread(f=1.1)")
+		b.ReportMetric(experiments.TailSpread(res.Results[1]), "spread(f=1.8)")
 	}
 }
 
 // BenchmarkFig8BalancingQualityDelta4 regenerates Fig. 8 (δ=4 panels).
 func BenchmarkFig8BalancingQualityDelta4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig78(experiments.Fig8Configs, "8", experiments.ScaleQuick, uint64(i)+1)
+		res, err := experiments.Panels(experiments.Fig8Panels, experiments.ScaleQuick, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.MeanSpreadTail(0), "spread(f=1.1)")
-		b.ReportMetric(res.MeanSpreadTail(1), "spread(f=1.8)")
+		b.ReportMetric(experiments.TailSpread(res.Results[0]), "spread(f=1.1)")
+		b.ReportMetric(experiments.TailSpread(res.Results[1]), "spread(f=1.8)")
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkFig8BalancingQualityDelta4(b *testing.B) {
 // snapshots, δ=1).
 func BenchmarkFig9DistributionDelta1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig910(experiments.Fig7Configs, "9", experiments.ScaleQuick, uint64(i)+1)
+		res, err := experiments.Panels(experiments.Fig7Panels, experiments.ScaleQuick, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkFig9DistributionDelta1(b *testing.B) {
 // snapshots, δ=4).
 func BenchmarkFig10DistributionDelta4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig910(experiments.Fig8Configs, "10", experiments.ScaleQuick, uint64(i)+1)
+		res, err := experiments.Panels(experiments.Fig8Panels, experiments.ScaleQuick, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,16 +31,20 @@ var artifacts = []artifact{
 		return experiments.Fig6(s, seed)
 	}},
 	{"fig7", "balancing quality over time, δ=1 (§7)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.Fig78(experiments.Fig7Configs, "7", s, seed)
+		p, err := experiments.Panels(experiments.Fig7Panels, s, seed)
+		return experiments.Quality{PanelsResult: p, Figure: "7"}, err
 	}},
 	{"fig8", "balancing quality over time, δ=4 (§7)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.Fig78(experiments.Fig8Configs, "8", s, seed)
+		p, err := experiments.Panels(experiments.Fig8Panels, s, seed)
+		return experiments.Quality{PanelsResult: p, Figure: "8"}, err
 	}},
 	{"fig9", "per-processor distribution, δ=1 (§7)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.Fig910(experiments.Fig7Configs, "9", s, seed)
+		p, err := experiments.Panels(experiments.Fig7Panels, s, seed)
+		return experiments.Distribution{PanelsResult: p, Figure: "9"}, err
 	}},
 	{"fig10", "per-processor distribution, δ=4 (§7)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.Fig910(experiments.Fig8Configs, "10", s, seed)
+		p, err := experiments.Panels(experiments.Fig8Panels, s, seed)
+		return experiments.Distribution{PanelsResult: p, Figure: "10"}, err
 	}},
 	{"table1", "borrowing statistics vs C (§7)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.Table1(s, seed)

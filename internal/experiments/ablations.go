@@ -9,7 +9,6 @@ import (
 	"lmbalance/internal/sim"
 	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
-	"lmbalance/internal/workload"
 )
 
 // AblationRow is the quality/cost summary of one variant.
@@ -46,46 +45,37 @@ type AblationsResult struct {
 func Ablations(scale Scale, seed uint64) (*AblationsResult, error) {
 	out := &AblationsResult{Runs: scale.runs()}
 
-	run := func(name string, params core.Params, sel func() topology.Selector, seed uint64) (AblationRow, error) {
-		cfg := sim.Config{
-			N: PaperN, Steps: PaperSteps, Runs: out.Runs, Seed: seed,
-			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
+	// run simulates one variant — candidate selection sel, or the paper's
+	// global selection when sel is nil — at the next seed, and returns
+	// its row with the simulation behind it.
+	run := func(name string, params core.Params, sel func() topology.Selector) (AblationRow, *sim.Result, error) {
+		cfg := sim.LMConfig(PaperN, PaperSteps, out.Runs, params, paperPhases, seed)
+		seed++
+		if sel != nil {
+			cfg.NewBalancer = func(_ int, r *rng.RNG) (sim.Balancer, error) {
 				return core.NewSystem(PaperN, params, sel(), r)
-			},
-			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-				return workload.NewPhases(PaperN, PaperWorkload(), r)
-			},
+			}
 		}
 		res, err := sim.Run(cfg)
 		if err != nil {
-			return AblationRow{}, fmt.Errorf("ablation %s: %w", name, err)
+			return AblationRow{}, nil, fmt.Errorf("ablation %s: %w", name, err)
 		}
-		row := AblationRow{Name: name}
-		start := PaperSteps * 3 / 4
-		for s := start; s < PaperSteps; s++ {
-			row.MeanSpreadTail += res.Spread.At(s).Mean()
-		}
-		row.MeanSpreadTail /= float64(PaperSteps - start)
 		m := res.CoreMetrics.Scale(out.Runs)
-		row.BalanceOps, row.Migrations = m.BalanceOps, m.Migrations
-		return row, nil
+		return AblationRow{Name: name, MeanSpreadTail: TailSpread(res), BalanceOps: m.BalanceOps, Migrations: m.Migrations}, res, nil
 	}
-	global := func() topology.Selector { return topology.NewGlobal(PaperN) }
 
 	// 1. The central (δ, f) tradeoff sweep.
-	seedOff := seed
 	for _, delta := range []int{1, 2, 4, 8} {
 		for _, f := range []float64{1.1, 1.2, 1.4, 1.8} {
 			p := core.Params{F: f, Delta: delta, C: 4}
 			if p.Validate() != nil {
 				continue
 			}
-			row, err := run(fmt.Sprintf("δ=%d f=%g", delta, f), p, global, seedOff)
+			r, _, err := run(fmt.Sprintf("δ=%d f=%g", delta, f), p, nil)
 			if err != nil {
 				return nil, err
 			}
-			out.ParamSweep = append(out.ParamSweep, row)
-			seedOff++
+			out.ParamSweep = append(out.ParamSweep, r)
 		}
 	}
 
@@ -96,48 +86,29 @@ func Ablations(scale Scale, seed uint64) (*AblationsResult, error) {
 		name string
 		mk   func() topology.Selector
 	}{
-		{"global (paper)", global},
+		{"global (paper)", nil},
 		{"ring64", func() topology.Selector { return topology.NewNeighborhood(topology.Ring(PaperN)) }},
 		{"torus8x8", func() topology.Selector { return topology.NewNeighborhood(topology.Torus2D(8, 8)) }},
 		{"hypercube6", func() topology.Selector { return topology.NewNeighborhood(topology.Hypercube(6)) }},
 		{"debruijn6", func() topology.Selector { return topology.NewNeighborhood(topology.DeBruijn(6)) }},
 	}
 	for _, tp := range topos {
-		row, err := run(tp.name, p4, tp.mk, seedOff)
+		r, _, err := run(tp.name, p4, tp.mk)
 		if err != nil {
 			return nil, err
 		}
-		out.Topology = append(out.Topology, row)
-		seedOff++
+		out.Topology = append(out.Topology, r)
 	}
 
 	// 3. Borrow capacity sweep (wider than Table 1, adding the quality
 	// side of the tradeoff).
 	for _, c := range []int{1, 2, 4, 8, 16, 32, 64} {
-		params := core.Params{F: 1.1, Delta: 1, C: c}
-		cfg := sim.Config{
-			N: PaperN, Steps: PaperSteps, Runs: out.Runs, Seed: seedOff,
-			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
-				return core.NewSystem(PaperN, params, topology.NewGlobal(PaperN), r)
-			},
-			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-				return workload.NewPhases(PaperN, PaperWorkload(), r)
-			},
-		}
-		res, err := sim.Run(cfg)
+		r, res, err := run(fmt.Sprintf("C=%d", c), core.Params{F: 1.1, Delta: 1, C: c}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("ablation C=%d: %w", c, err)
+			return nil, err
 		}
-		row := CSweepRow{C: c}
-		start := PaperSteps * 3 / 4
-		for s := start; s < PaperSteps; s++ {
-			row.MeanSpreadTail += res.Spread.At(s).Mean()
-		}
-		row.MeanSpreadTail /= float64(PaperSteps - start)
 		m := res.CoreMetrics.Scale(out.Runs * PaperN)
-		row.RemoteBorrow, row.DecreaseSim = m.RemoteBorrow, m.DecreaseSim
-		out.CSweep = append(out.CSweep, row)
-		seedOff++
+		out.CSweep = append(out.CSweep, CSweepRow{C: c, MeanSpreadTail: r.MeanSpreadTail, RemoteBorrow: m.RemoteBorrow, DecreaseSim: m.DecreaseSim})
 	}
 
 	// 4. Trigger-base reset discipline.
@@ -148,12 +119,11 @@ func Ablations(scale Scale, seed uint64) (*AblationsResult, error) {
 		{"reset all participants (default)", core.Params{F: 1.1, Delta: 1, C: 4}},
 		{"reset initiator only (appendix literal)", core.Params{F: 1.1, Delta: 1, C: 4, InitiatorOnlyReset: true}},
 	} {
-		row, err := run(v.name, v.p, global, seedOff)
+		r, _, err := run(v.name, v.p, nil)
 		if err != nil {
 			return nil, err
 		}
-		out.Reset = append(out.Reset, row)
-		seedOff++
+		out.Reset = append(out.Reset, r)
 	}
 	return out, nil
 }

@@ -84,16 +84,12 @@ func AbortAnatomy(scale Scale, seed uint64) (*AbortAnatomyResult, error) {
 			return nil, fmt.Errorf("abortanatomy %s: packet conservation violated", tr)
 		}
 		row := AbortAnatomyRow{
-			Transport: tr,
-			Initiated: res.Initiated(),
-			Completed: res.Completed(),
-			Aborts:    make(map[string]int64, len(abortReasons)),
-		}
-		if row.Initiated > 0 {
-			row.AbortFrac = float64(row.Initiated-row.Completed) / float64(row.Initiated)
-		}
-		if row.Completed > 0 {
-			row.PartnersPerOp = float64(res.Partners()) / float64(row.Completed)
+			Transport:     tr,
+			Initiated:     res.Initiated(),
+			Completed:     res.Completed(),
+			AbortFrac:     abortFrac(res.Initiated(), res.Completed()),
+			PartnersPerOp: ratio(res.Partners(), res.Completed()),
+			Aborts:        make(map[string]int64, len(abortReasons)),
 		}
 		var best int64
 		for _, reason := range abortReasons {

@@ -8,7 +8,6 @@ import (
 	"lmbalance/internal/rng"
 	"lmbalance/internal/sim"
 	"lmbalance/internal/theory"
-	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
 	"lmbalance/internal/workload"
 )
@@ -63,29 +62,13 @@ func Adversary(scale Scale, seed uint64) (*AdversaryResult, error) {
 	master := rng.New(seed)
 	for k := 0; k < candidates; k++ {
 		name, mk := randomWorkload(n, steps, master)
-		cfg := sim.Config{
-			N: n, Steps: steps, Runs: out.Runs, Seed: seed + uint64(1000+k),
-			SnapshotAt: []int{steps - 1},
-			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
-				return core.NewSystem(n, params, topology.NewGlobal(n), r)
-			},
-			NewPattern: mk,
-		}
+		cfg := sim.LMConfig(n, steps, out.Runs, params, mk, seed+uint64(1000+k))
+		cfg.SnapshotAt = []int{steps - 1}
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("adversary %s: %w", name, err)
 		}
-		accs := res.Snapshots[steps-1]
-		maxE, minE := accs[0].Mean(), accs[0].Mean()
-		for _, a := range accs[1:] {
-			m := a.Mean()
-			if m > maxE {
-				maxE = m
-			}
-			if m < minE {
-				minE = m
-			}
-		}
+		minE, maxE := expectedRange(res, steps-1)
 		out.Rows = append(out.Rows, AdversaryRow{
 			Workload:   name,
 			WorstRatio: maxE / (minE + float64(params.C)),
@@ -103,13 +86,13 @@ func randomWorkload(n, steps int, r *rng.RNG) (string, func(int, *rng.RNG) (work
 		g := r.FloatRange(0.5, 1.0)
 		c := r.FloatRange(0.0, 0.5)
 		p := workload.Hotspot{Hot: hot, GenP: g, ConP: c}
-		return p.Name(), func(int, *rng.RNG) (workload.Pattern, error) { return p, nil }
+		return p.Name(), fixed(p)
 	case 1:
 		b := workload.Burst{
 			BurstLen: 5 + r.Intn(60), DrainLen: 5 + r.Intn(60),
 			HighG: r.FloatRange(0.5, 1), HighC: r.FloatRange(0.5, 1),
 		}
-		return b.Name(), func(int, *rng.RNG) (workload.Pattern, error) { return b, nil }
+		return b.Name(), fixed(b)
 	case 2:
 		bounds := workload.PhaseBounds{
 			GLow: r.FloatRange(0, 0.4), GHigh: r.FloatRange(0.6, 1),
@@ -123,7 +106,7 @@ func randomWorkload(n, steps int, r *rng.RNG) (string, func(int, *rng.RNG) (work
 		}
 	default:
 		u := workload.Uniform{GenP: r.FloatRange(0.3, 0.9), ConP: r.FloatRange(0.1, 0.7)}
-		return u.Name(), func(int, *rng.RNG) (workload.Pattern, error) { return u, nil }
+		return u.Name(), fixed(u)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -27,11 +26,7 @@ func TestAdversaryQuick(t *testing.T) {
 			t.Fatalf("%s: degenerate ratio %v", row.Workload, row.WorstRatio)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Theorem 4") {
+	if !strings.Contains(checkRender(t, res, "a2b25d179d8eb900"), "Theorem 4") {
 		t.Fatal("render missing title")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"lmbalance/internal/sim"
 	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
-	"lmbalance/internal/workload"
 )
 
 // BaselineRow is the end-of-run quality/cost summary of one algorithm.
@@ -41,9 +40,6 @@ type BaselineComparisonResult struct {
 // BaselineComparison runs every algorithm under identical workloads.
 func BaselineComparison(scale Scale, seed uint64) (*BaselineComparisonResult, error) {
 	out := &BaselineComparisonResult{N: PaperN, Steps: PaperSteps, Runs: scale.runs()}
-	newPattern := func(run int, r *rng.RNG) (workload.Pattern, error) {
-		return workload.NewPhases(PaperN, PaperWorkload(), r)
-	}
 	type algo struct {
 		name string
 		mk   func(r *rng.RNG) (sim.Balancer, error)
@@ -73,74 +69,41 @@ func BaselineComparison(scale Scale, seed uint64) (*BaselineComparisonResult, er
 		}},
 	}
 	for i, a := range algos {
-		a := a
+		// ops[run] and mig[run] are one run's cost counters, read at its
+		// last step; each run writes only its own slot.
+		ops, mig := make([]int64, out.Runs), make([]int64, out.Runs)
 		cfg := sim.Config{
 			N: PaperN, Steps: PaperSteps, Runs: out.Runs, Seed: seed + uint64(i),
 			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) { return a.mk(r) },
-			NewPattern:  newPattern,
+			NewPattern:  paperPhases,
+			Observe: func(run, t int, bal sim.Balancer) {
+				if t < PaperSteps-1 {
+					return
+				}
+				switch b := bal.(type) {
+				case *core.System:
+					m := b.Metrics()
+					ops[run], mig[run] = m.BalanceOps, m.Migrations
+				case baseline.Algorithm:
+					ops[run], mig[run] = b.BalanceOps(), b.Migrations()
+				}
+			},
 		}
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("baseline %s: %w", a.name, err)
 		}
-		row := BaselineRow{Name: a.name, FinalVD: res.FinalLoadVD}
-		start := PaperSteps * 3 / 4
-		for s := start; s < PaperSteps; s++ {
-			row.MeanSpreadTail += res.Spread.At(s).Mean()
+		var opsSum, migSum int64
+		for run := range ops {
+			opsSum += ops[run]
+			migSum += mig[run]
 		}
-		row.MeanSpreadTail /= float64(PaperSteps - start)
-		if a.name[:2] == "LM" {
-			m := res.CoreMetrics.Scale(out.Runs)
-			row.BalanceOps, row.Migrations = m.BalanceOps, m.Migrations
-		} else {
-			// Baselines report through their own counters; re-run one
-			// instance to fetch them cheaply is wasteful, so expose them
-			// via a second pass over a single run.
-			ops, mig, err := baselineCosts(a.mk, newPattern, seed+uint64(i))
-			if err != nil {
-				return nil, err
-			}
-			row.BalanceOps, row.Migrations = ops, mig
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, BaselineRow{
+			Name: a.name, MeanSpreadTail: TailSpread(res), FinalVD: res.FinalLoadVD,
+			BalanceOps: ratio(opsSum, int64(out.Runs)), Migrations: ratio(migSum, int64(out.Runs)),
+		})
 	}
 	return out, nil
-}
-
-// baselineCosts runs one run and reads the baseline.Algorithm counters.
-func baselineCosts(mk func(r *rng.RNG) (sim.Balancer, error), newPattern func(int, *rng.RNG) (workload.Pattern, error), seed uint64) (ops, mig float64, err error) {
-	master := rng.New(seed)
-	patternRNG := master.Split()
-	balancerRNG := master.Split()
-	stepRNG := master.Split()
-	bal, err := mk(balancerRNG)
-	if err != nil {
-		return 0, 0, err
-	}
-	pat, err := newPattern(0, patternRNG)
-	if err != nil {
-		return 0, 0, err
-	}
-	for t := 0; t < PaperSteps; t++ {
-		for i := 0; i < PaperN; i++ {
-			switch pat.Step(i, t, stepRNG) {
-			case workload.Generate:
-				bal.Generate(i)
-			case workload.Consume:
-				bal.Consume(i)
-			case workload.GenerateAndConsume:
-				bal.Generate(i)
-				bal.Consume(i)
-			}
-		}
-		if tk, ok := bal.(sim.Ticker); ok {
-			tk.Tick(t)
-		}
-	}
-	if a, ok := bal.(baseline.Algorithm); ok {
-		return float64(a.BalanceOps()), float64(a.Migrations()), nil
-	}
-	return 0, 0, nil
 }
 
 // Render writes the comparison table.

@@ -2,12 +2,38 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
+	"sync"
 	"testing"
+
+	"lmbalance/internal/baseline"
+	"lmbalance/internal/rng"
+	"lmbalance/internal/sim"
+	"lmbalance/internal/topology"
+	"lmbalance/internal/workload"
 )
 
 // The experiment harnesses are integration tests of the whole stack; they
 // run at ScaleQuick here and assert the paper's qualitative claims.
+
+// checkRender renders r and returns the text, failing the test unless the
+// first 8 bytes of its sha256 are want (hex). The constants pin every
+// deterministic artifact at its test's seed, so a change that moves a
+// number changes a constant on purpose, in one place.
+func checkRender(t *testing.T, r Renderer, want string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:8]); got != want {
+		t.Errorf("render digest %s, want %s", got, want)
+	}
+	return buf.String()
+}
 
 func TestFig6QuickShape(t *testing.T) {
 	res, err := Fig6(ScaleQuick, 1)
@@ -46,81 +72,80 @@ func TestFig6QuickShape(t *testing.T) {
 	if res.VD[idx(4, 1.1)][2] != nil {
 		t.Fatal("δ=4, n=4 should be infeasible")
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 6") {
+	if !strings.Contains(checkRender(t, res, "2f04ddee20a9b062"), "Figure 6") {
 		t.Fatal("render missing title")
 	}
+}
+
+// figurePanels runs the δ=1 (Figures 7 and 9) and δ=4 (Figures 8 and 10)
+// panel sets once, at one seed; the four figure tests assert their claims
+// on these runs.
+var figurePanels = sync.OnceValues(func() ([2]*PanelsResult, error) {
+	d1, err := Panels(Fig7Panels, ScaleQuick, 3)
+	if err != nil {
+		return [2]*PanelsResult{}, err
+	}
+	d4, err := Panels(Fig8Panels, ScaleQuick, 3)
+	return [2]*PanelsResult{d1, d4}, err
+})
+
+func panelSets(t *testing.T) (d1, d4 *PanelsResult) {
+	t.Helper()
+	sets, err := figurePanels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sets[0], sets[1]
 }
 
 func TestFig7QuickShape(t *testing.T) {
-	res, err := Fig78(Fig7Configs, "7", ScaleQuick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Panels) != 2 {
-		t.Fatal("expected 2 panels")
-	}
-	// Load accumulates: the average at the end must exceed the start.
-	for _, p := range res.Panels {
-		if p.Result.Avg.At(PaperSteps-1).Mean() <= p.Result.Avg.At(10).Mean() {
-			t.Fatalf("δ=%d f=%g: load did not accumulate", p.Config.Delta, p.Config.F)
+	d1, d4 := panelSets(t)
+	for _, set := range []*PanelsResult{d1, d4} {
+		if len(set.Results) != 2 {
+			t.Fatal("expected 2 panels")
+		}
+		// Load accumulates: the average at the end must exceed the start.
+		for i, p := range set.Panels {
+			if avg := set.Results[i].Avg; avg.At(PaperSteps-1).Mean() <= avg.At(10).Mean() {
+				t.Fatalf("δ=%d f=%g: load did not accumulate", p.Delta, p.F)
+			}
 		}
 	}
 	// f=1.1 balances at least as well as f=1.8 (δ=1): smaller tail spread.
-	if s11, s18 := res.MeanSpreadTail(0), res.MeanSpreadTail(1); s11 > s18 {
+	if s11, s18 := TailSpread(d1.Results[0]), TailSpread(d1.Results[1]); s11 > s18 {
 		t.Fatalf("f=1.1 spread %v worse than f=1.8 spread %v", s11, s18)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 7") {
+	if out := checkRender(t, Quality{d1, "7"}, "bb495cd7bdbf3801"); !strings.Contains(out, "Figure 7") {
 		t.Fatal("render missing title")
 	}
+	checkRender(t, Quality{d4, "8"}, "7a2fafd1967a6300")
 }
 
 func TestFig8BetterThanFig7(t *testing.T) {
-	f7, err := Fig78(Fig7Configs, "7", ScaleQuick, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f8, err := Fig78(Fig8Configs, "8", ScaleQuick, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1, d4 := panelSets(t)
 	// The paper's headline observation: δ=4 balances much better than
 	// δ=1 at the same f.
-	if f8.MeanSpreadTail(0) >= f7.MeanSpreadTail(0) {
-		t.Fatalf("δ=4 spread %v not below δ=1 spread %v",
-			f8.MeanSpreadTail(0), f7.MeanSpreadTail(0))
+	if s4, s1 := TailSpread(d4.Results[0]), TailSpread(d1.Results[0]); s4 >= s1 {
+		t.Fatalf("δ=4 spread %v not below δ=1 spread %v", s4, s1)
 	}
 }
 
 func TestFig910Quick(t *testing.T) {
-	res, err := Fig910(Fig8Configs[:1], "10", ScaleQuick, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Panels) != 1 {
-		t.Fatal("expected 1 panel")
-	}
-	for _, s := range Fig910SnapshotSteps {
-		if res.EnvelopeWidth(0, s) < 0 {
-			t.Fatal("negative envelope")
-		}
-		accs := res.Panels[0].Result.Snapshots[s-1]
-		if len(accs) != PaperN {
-			t.Fatalf("snapshot at %d has %d processors", s, len(accs))
+	d1, d4 := panelSets(t)
+	for _, set := range []*PanelsResult{d1, d4} {
+		for i := range set.Panels {
+			for _, s := range SnapshotSteps {
+				if set.EnvelopeWidth(i, s) < 0 {
+					t.Fatal("negative envelope")
+				}
+				if accs := set.Results[i].Snapshots[s-1]; len(accs) != PaperN {
+					t.Fatalf("snapshot at %d has %d processors", s, len(accs))
+				}
+			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 10") {
+	checkRender(t, Distribution{d1, "9"}, "5fbc3ca482475fbf")
+	if out := checkRender(t, Distribution{d4, "10"}, "5f58cc3d2adfb7fe"); !strings.Contains(out, "Figure 10") {
 		t.Fatal("render missing title")
 	}
 }
@@ -128,17 +153,9 @@ func TestFig910Quick(t *testing.T) {
 func TestFig910DeltaImpact(t *testing.T) {
 	// Fig. 9 vs Fig. 10: "the large impact of parameter δ on the balancing
 	// quality": envelopes shrink dramatically from δ=1 to δ=4 at f=1.1.
-	f9, err := Fig910(Fig7Configs[:1], "9", ScaleQuick, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f10, err := Fig910(Fig8Configs[:1], "10", ScaleQuick, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f10.EnvelopeWidth(0, 400) >= f9.EnvelopeWidth(0, 400) {
-		t.Fatalf("δ=4 envelope %v not below δ=1 envelope %v",
-			f10.EnvelopeWidth(0, 400), f9.EnvelopeWidth(0, 400))
+	d1, d4 := panelSets(t)
+	if w4, w1 := d4.EnvelopeWidth(0, 400), d1.EnvelopeWidth(0, 400); w4 >= w1 {
+		t.Fatalf("δ=4 envelope %v not below δ=1 envelope %v", w4, w1)
 	}
 }
 
@@ -164,11 +181,7 @@ func TestTable1Quick(t *testing.T) {
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("total borrow should be roughly C-independent, got ratio %v", ratio)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Table 1") {
+	if !strings.Contains(checkRender(t, res, "4733b4dcc9bfc7c3"), "Table 1") {
 		t.Fatal("render missing title")
 	}
 }
@@ -196,10 +209,7 @@ func TestTheoremCheckQuick(t *testing.T) {
 			t.Fatalf("FIX %v exceeds n→∞ limit %v", row.Fix, row.Limit)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
+	checkRender(t, res, "b5541981e2ff457b")
 }
 
 func TestDecreaseCostQuick(t *testing.T) {
@@ -225,10 +235,7 @@ func TestDecreaseCostQuick(t *testing.T) {
 	if a > 0 && (b < a*0.7 || b > a*1.3) {
 		t.Fatalf("c/x invariance violated: %v vs %v", a, b)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
+	checkRender(t, res, "f1d6cc4e49fb4c53")
 }
 
 func TestBaselineComparisonQuick(t *testing.T) {
@@ -251,10 +258,47 @@ func TestBaselineComparisonQuick(t *testing.T) {
 	if scat.MeanSpreadTail <= lm.MeanSpreadTail*2 {
 		t.Fatalf("scatter spread %v suspiciously close to LM %v", scat.MeanSpreadTail, lm.MeanSpreadTail)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
+	// The cost columns are per-run means over the very runs behind the
+	// spread: replay each baseline row in an independent sim.Run at its
+	// seed, keep every run's balancer and read its counters afterwards.
+	torus := topology.Torus2D(8, 8)
+	for _, c := range []struct {
+		row  int
+		name string
+		mk   func(r *rng.RNG) (baseline.Algorithm, error)
+	}{
+		{3, "randomscatter", func(r *rng.RNG) (baseline.Algorithm, error) { return baseline.NewRandomScatter(PaperN, r), nil }},
+		{4, "rsu", func(r *rng.RNG) (baseline.Algorithm, error) { return baseline.NewRSU(PaperN, 1, r), nil }},
+		{5, "diffusion(torus)", func(r *rng.RNG) (baseline.Algorithm, error) { return baseline.NewDiffusion(torus, 1, 0) }},
+		{6, "gradient(torus)", func(r *rng.RNG) (baseline.Algorithm, error) { return baseline.NewGradient(torus, 2, 8, 1) }},
+	} {
+		bals := make([]baseline.Algorithm, res.Runs)
+		_, err := sim.Run(sim.Config{
+			N: PaperN, Steps: PaperSteps, Runs: res.Runs, Seed: 9 + uint64(c.row),
+			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
+				b, err := c.mk(r)
+				bals[run] = b
+				return b, err
+			},
+			NewPattern: func(_ int, r *rng.RNG) (workload.Pattern, error) {
+				return workload.NewPhases(PaperN, workload.PaperBounds(), r)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops, mig int64
+		for _, b := range bals {
+			ops, mig = ops+b.BalanceOps(), mig+b.Migrations()
+		}
+		row := res.Rows[c.row]
+		wantOps, wantMig := float64(ops)/float64(res.Runs), float64(mig)/float64(res.Runs)
+		if row.Name != c.name || row.BalanceOps != wantOps || row.Migrations != wantMig {
+			t.Errorf("%s: %v ops/run, %v migrations/run; its runs average %v and %v",
+				row.Name, row.BalanceOps, row.Migrations, wantOps, wantMig)
+		}
 	}
+	checkRender(t, res, "0cae7d68f965f6db")
 }
 
 func TestAblationsQuick(t *testing.T) {
@@ -278,11 +322,7 @@ func TestAblationsQuick(t *testing.T) {
 	if spread["δ=8 f=1.1"] >= spread["δ=1 f=1.1"] {
 		t.Fatalf("δ=8 spread %v not below δ=1 spread %v", spread["δ=8 f=1.1"], spread["δ=1 f=1.1"])
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Ablations") {
+	if !strings.Contains(checkRender(t, res, "9206768bbd7cfeb5"), "Ablations") {
 		t.Fatal("render missing title")
 	}
 }

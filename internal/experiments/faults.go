@@ -80,18 +80,12 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 				selfRel += nd.FreezeExpired
 				dropped += nd.Dropped + nd.LostAtCrash
 			}
-			row := FaultRow{
+			out.Rows = append(out.Rows, FaultRow{
 				DropP: dropP, CrashCount: crashes, Spread: res.Spread(),
+				MsgsPerOp: ratio(res.Messages(), completed), AbortedFrac: abortFrac(initiated, completed),
 				Timeouts: timeouts, SelfRelease: selfRel, Dropped: dropped,
 				Conserved: res.Conserved(),
-			}
-			if completed > 0 {
-				row.MsgsPerOp = float64(res.Messages()) / float64(completed)
-			}
-			if initiated > 0 {
-				row.AbortedFrac = float64(initiated-completed) / float64(initiated)
-			}
-			out.Rows = append(out.Rows, row)
+			})
 		}
 	}
 	return out, nil

@@ -36,11 +36,7 @@ func TestFaultSweepQuick(t *testing.T) {
 	if faultFree == nil {
 		t.Fatal("grid is missing the fault-free cell")
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := checkRender(t, res, "6abf618bfde9f8e6")
 	if !strings.Contains(out, "Fault sensitivity") || !strings.Contains(out, "conserved") {
 		t.Fatalf("render output incomplete:\n%s", out)
 	}

@@ -9,15 +9,9 @@ import (
 	"lmbalance/internal/trace"
 )
 
-// Fig6Combo is one (δ, f) curve family of the paper's Fig. 6.
-type Fig6Combo struct {
-	Delta int
-	F     float64
-}
-
 // Fig6Combos are the parameter combinations plotted in Fig. 6:
 // δ ∈ {1,2,4}, f ∈ {1.1,1.2}.
-var Fig6Combos = []Fig6Combo{
+var Fig6Combos = []DeltaF{
 	{1, 1.1}, {2, 1.1}, {4, 1.1},
 	{1, 1.2}, {2, 1.2}, {4, 1.2},
 }
@@ -30,7 +24,7 @@ const Fig6Steps = 150
 
 // Fig6Result holds the variation density surface: VD[combo][nIdx][step].
 type Fig6Result struct {
-	Combos []Fig6Combo
+	Combos []DeltaF
 	Ns     []int
 	Steps  int
 	// VD[c][i][t] is the variation density for Combos[c], Ns[i] after

@@ -69,15 +69,12 @@ func NetCost(scale Scale, seed uint64) (*NetCostResult, error) {
 			initiated += nd.Initiated
 		}
 		completed := res.Completed()
-		row := NetCostRow{Name: c.name, Spread: res.Spread()}
-		if completed > 0 {
-			row.MsgsPerOp = float64(res.Messages()) / float64(completed)
-			row.PartnersPerOp = float64(res.Partners()) / float64(completed)
-		}
-		if initiated > 0 {
-			row.AbortedFrac = float64(initiated-completed) / float64(initiated)
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, NetCostRow{
+			Name: c.name, Spread: res.Spread(),
+			MsgsPerOp:     ratio(res.Messages(), completed),
+			AbortedFrac:   abortFrac(initiated, completed),
+			PartnersPerOp: ratio(res.Partners(), completed),
+		})
 	}
 	return out, nil
 }

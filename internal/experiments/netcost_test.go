@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -30,11 +29,7 @@ func TestNetCostQuick(t *testing.T) {
 		t.Fatalf("msgs/op did not grow with δ: %v vs %v",
 			byName["global δ=1"].MsgsPerOp, byName["global δ=4"].MsgsPerOp)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "communication cost") {
+	if !strings.Contains(checkRender(t, res, "f94aba6c5b19f222"), "communication cost") {
 		t.Fatal("render missing title")
 	}
 }

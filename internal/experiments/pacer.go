@@ -175,10 +175,3 @@ func (r *PacerSweepResult) Render(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "the adaptive controller pays one discovery storm (every opening trigger\ncollides — that is how it measures the collision window), then holds the\nattempt rate where collisions are rare; the fixed valve defers blindly and\nthe free-running cluster burns its wire on aborted attempts.\n")
 	return err
 }
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}

@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"lmbalance/internal/core"
-	"lmbalance/internal/rng"
 	"lmbalance/internal/sim"
 	"lmbalance/internal/theory"
-	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
 	"lmbalance/internal/workload"
 )
@@ -98,7 +96,6 @@ func Scaling(scale Scale, seed uint64) (*ScalingResult, error) {
 	out := &ScalingResult{Runs: scale.runs()}
 	params := core.Params{F: 1.1, Delta: 1, C: 4}
 	for i, n := range ScalingSizes(scale) {
-		n := n
 		runs := scale.runs()
 		mixedRuns := scalingMixedRuns(scale, n)
 		// Scale the horizon with n so the per-processor load is large
@@ -113,43 +110,20 @@ func Scaling(scale Scale, seed uint64) (*ScalingResult, error) {
 		// Only the final-step snapshot is read, so the per-step load scan
 		// is strided out entirely (StatsEvery = steps samples just the
 		// last tick).
-		cfg := sim.Config{
-			N: n, Steps: steps, Runs: runs, Seed: seed + uint64(i),
-			SnapshotAt: []int{steps - 1},
-			Shards:     scalingShards(n),
-			StatsEvery: steps,
-			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
-				return core.NewSystem(n, params, topology.NewGlobal(n), r)
-			},
-			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-				return workload.OneProducer{}, nil
-			},
-		}
+		cfg := sim.LMConfig(n, steps, runs, params, fixed(workload.OneProducer{}), seed+uint64(i))
+		cfg.SnapshotAt = []int{steps - 1}
+		cfg.Shards = scalingShards(n)
+		cfg.StatsEvery = steps
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("scaling n=%d producer: %w", n, err)
 		}
-		accs := res.Snapshots[steps-1]
-		gen := accs[0].Mean()
-		others := 0.0
-		for _, a := range accs[1:] {
-			others += a.Mean()
-		}
-		others /= float64(n - 1)
 
 		// Mixed workload spread. Sequential (runs-parallel) below 65536
 		// processors, sharded above; the million-processor row strides
 		// the per-step statistics to every 5th tick to bound the O(n)
 		// scan cost.
-		mixed := sim.Config{
-			N: n, Steps: 500, Runs: mixedRuns, Seed: seed + 1000 + uint64(i),
-			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
-				return core.NewSystem(n, params, topology.NewGlobal(n), r)
-			},
-			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-				return workload.Uniform{GenP: 0.5, ConP: 0.4}, nil
-			},
-		}
+		mixed := sim.LMConfig(n, 500, mixedRuns, params, fixed(workload.Uniform{GenP: 0.5, ConP: 0.4}), seed+1000+uint64(i))
 		if n >= 65536 {
 			mixed.Shards = scalingShards(n)
 			mixed.StatsEvery = 5
@@ -158,25 +132,16 @@ func Scaling(scale Scale, seed uint64) (*ScalingResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scaling n=%d mixed: %w", n, err)
 		}
-		spread, cnt := 0.0, 0
-		for s := 375; s < 500; s++ {
-			if !mres.Spread.Sampled(s) {
-				continue
-			}
-			spread += mres.Spread.At(s).Mean()
-			cnt++
-		}
-		spread /= float64(cnt)
 		perProcStep := float64(mres.CoreMetrics.BalanceOps) / float64(mixedRuns) / float64(n) / 500
 
 		out.Rows = append(out.Rows, ScalingRow{
 			N:                     n,
 			Runs:                  runs,
 			MixedRuns:             mixedRuns,
-			RatioOneProducer:      gen / others,
+			RatioOneProducer:      producerRatio(res, steps-1),
 			Fix:                   theory.FIX(n, params.Delta, params.F),
 			Limit:                 theory.FixLimit(params.Delta, params.F),
-			SpreadMixed:           spread,
+			SpreadMixed:           TailSpread(mres),
 			BalanceOpsPerProcStep: perProcStep,
 		})
 	}

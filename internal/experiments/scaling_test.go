@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -38,11 +37,7 @@ func TestScalingQuick(t *testing.T) {
 		t.Fatalf("per-node cost grew with n: %v -> %v",
 			first.BalanceOpsPerProcStep, last.BalanceOpsPerProcStep)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Theorem 2 scaling") {
+	if !strings.Contains(checkRender(t, res, "d4af8110219984db"), "Theorem 2 scaling") {
 		t.Fatal("render missing title")
 	}
 }
@@ -64,8 +59,5 @@ func TestGrowthCostQuick(t *testing.T) {
 		t.Fatalf("f=1.8 (%v) should be much cheaper than f=1.1 (%v)",
 			res.Rows[3].SimMean, res.Rows[0].SimMean)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
+	checkRender(t, res, "d86b96611577288f")
 }

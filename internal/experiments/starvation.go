@@ -64,7 +64,6 @@ func Starvation(scale Scale, seed uint64) (*StarvationResult, error) {
 		}},
 	}
 	for i, a := range algos {
-		a := a
 		// zeros[run][proc] counts zero-load observations; each run only
 		// touches its own slot, so parallel runs do not race.
 		zeros := make([][]int64, out.Runs)
@@ -75,9 +74,7 @@ func Starvation(scale Scale, seed uint64) (*StarvationResult, error) {
 		cfg := sim.Config{
 			N: n, Steps: steps, Runs: out.Runs, Seed: seed + uint64(i),
 			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) { return a.mk(r) },
-			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-				return pattern, nil
-			},
+			NewPattern:  fixed(pattern),
 			Observe: func(run, t int, bal sim.Balancer) {
 				loadBuf[run] = bal.Loads(loadBuf[run])
 				for p, v := range loadBuf[run] {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -34,11 +33,7 @@ func TestStarvationQuick(t *testing.T) {
 	if lm.ZeroFraction > nob.ZeroFraction/3 {
 		t.Fatalf("LM starvation %v not clearly below no-balance %v", lm.ZeroFraction, nob.ZeroFraction)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "starvation") {
+	if !strings.Contains(checkRender(t, res, "2d0ad2ef8b646088"), "starvation") {
 		t.Fatal("render missing title")
 	}
 }

@@ -28,7 +28,7 @@ func Table1(scale Scale, seed uint64) (*Table1Result, error) {
 	out := &Table1Result{Cs: Table1Cs, Runs: scale.runs()}
 	for i, c := range Table1Cs {
 		params := core.Params{F: 1.1, Delta: 1, C: c}
-		cfg := sim.LMConfig(PaperN, PaperSteps, out.Runs, params, PaperWorkload(), seed+uint64(i))
+		cfg := sim.LMConfig(PaperN, PaperSteps, out.Runs, params, paperPhases, seed+uint64(i))
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table1 C=%d: %w", c, err)

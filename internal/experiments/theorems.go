@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"lmbalance/internal/core"
-	"lmbalance/internal/rng"
 	"lmbalance/internal/sim"
 	"lmbalance/internal/theory"
-	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
 	"lmbalance/internal/workload"
 )
@@ -57,30 +55,15 @@ type TheoremCheckResult struct {
 func TheoremCheck(scale Scale, seed uint64) (*TheoremCheckResult, error) {
 	out := &TheoremCheckResult{Steps: 4000, Runs: scale.runs()}
 	for i, tc := range TheoremCases {
-		cfg := sim.Config{
-			N: tc.N, Steps: out.Steps, Runs: out.Runs, Seed: seed + uint64(i),
-			SnapshotAt: []int{out.Steps - 1},
-			NewBalancer: func(run int, r *rng.RNG) (sim.Balancer, error) {
-				return core.NewSystem(tc.N, core.Params{F: tc.F, Delta: tc.Delta, C: 4}, topology.NewGlobal(tc.N), r)
-			},
-			NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-				return workload.OneProducer{}, nil
-			},
-		}
+		cfg := sim.LMConfig(tc.N, out.Steps, out.Runs, core.Params{F: tc.F, Delta: tc.Delta, C: 4}, fixed(workload.OneProducer{}), seed+uint64(i))
+		cfg.SnapshotAt = []int{out.Steps - 1}
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("theoremcheck n=%d δ=%d f=%g: %w", tc.N, tc.Delta, tc.F, err)
 		}
-		accs := res.Snapshots[out.Steps-1]
-		gen := accs[0].Mean()
-		others := 0.0
-		for _, a := range accs[1:] {
-			others += a.Mean()
-		}
-		others /= float64(tc.N - 1)
 		row := TheoremRow{
 			Case:          tc,
-			MeasuredRatio: gen / others,
+			MeasuredRatio: producerRatio(res, out.Steps-1),
 			Fix:           theory.FIX(tc.N, tc.Delta, tc.F),
 			Limit:         theory.FixLimit(tc.Delta, tc.F),
 			SampledBound:  tc.F * theory.FIX(tc.N, tc.Delta, tc.F),

@@ -69,19 +69,14 @@ func WireCost(scale Scale, seed uint64) (*WireCostResult, error) {
 		if !res.Conserved() {
 			return nil, fmt.Errorf("wirecost %s: packet conservation violated", c.name)
 		}
-		row := WireCostRow{Name: c.name, Spread: res.Spread(), Ops: res.Completed()}
-		msgs, bytes := res.Messages(), res.Bytes()
-		if row.Ops > 0 {
-			row.MsgsPerOp = float64(msgs) / float64(row.Ops)
-			row.BytesPerOp = float64(bytes) / float64(row.Ops)
-		}
-		if msgs > 0 {
-			row.BytesPerMsg = float64(bytes) / float64(msgs)
-		}
-		if init := res.Initiated(); init > 0 {
-			row.AbortedFrac = float64(init-res.Completed()) / float64(init)
-		}
-		out.Rows = append(out.Rows, row)
+		ops, msgs, bytes := res.Completed(), res.Messages(), res.Bytes()
+		out.Rows = append(out.Rows, WireCostRow{
+			Name: c.name, Spread: res.Spread(), Ops: ops,
+			MsgsPerOp:   ratio(msgs, ops),
+			BytesPerOp:  ratio(bytes, ops),
+			BytesPerMsg: ratio(bytes, msgs),
+			AbortedFrac: abortFrac(res.Initiated(), ops),
+		})
 	}
 	return out, nil
 }

@@ -128,8 +128,8 @@ func (c *Config) Validate() error {
 
 // LMConfig is a convenience constructor for a Config that runs the core
 // Lüling–Monien algorithm with the paper's uniform random candidate
-// selection under a per-run random phase workload.
-func LMConfig(n, steps, runs int, params core.Params, bounds workload.PhaseBounds, seed uint64) Config {
+// selection under the per-run workload newPattern builds.
+func LMConfig(n, steps, runs int, params core.Params, newPattern func(run int, r *rng.RNG) (workload.Pattern, error), seed uint64) Config {
 	return Config{
 		N:     n,
 		Steps: steps,
@@ -138,9 +138,7 @@ func LMConfig(n, steps, runs int, params core.Params, bounds workload.PhaseBound
 		NewBalancer: func(run int, r *rng.RNG) (Balancer, error) {
 			return core.NewSystem(n, params, topology.NewGlobal(n), r)
 		},
-		NewPattern: func(run int, r *rng.RNG) (workload.Pattern, error) {
-			return workload.NewPhases(n, bounds, r)
-		},
+		NewPattern: newPattern,
 	}
 }
 

@@ -12,9 +12,12 @@ import (
 )
 
 func lmTestConfig(n, steps, runs int, seed uint64) Config {
-	return LMConfig(n, steps, runs, core.DefaultParams(), workload.PhaseBounds{
+	bounds := workload.PhaseBounds{
 		GLow: 0.2, GHigh: 0.8, CLow: 0.1, CHigh: 0.5,
 		LenLow: 20, LenHigh: 60, Horizon: steps,
+	}
+	return LMConfig(n, steps, runs, core.DefaultParams(), func(_ int, r *rng.RNG) (workload.Pattern, error) {
+		return workload.NewPhases(n, bounds, r)
 	}, seed)
 }
 
@@ -253,7 +256,9 @@ func TestFinalLoadVD(t *testing.T) {
 }
 
 func BenchmarkRunLM64(b *testing.B) {
-	cfg := LMConfig(64, 500, 1, core.DefaultParams(), workload.PaperBounds(), 1)
+	cfg := LMConfig(64, 500, 1, core.DefaultParams(), func(_ int, r *rng.RNG) (workload.Pattern, error) {
+		return workload.NewPhases(64, workload.PaperBounds(), r)
+	}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)

@@ -173,7 +173,10 @@ func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 // SimulatePaper runs the paper's §7 benchmark (64 processors, 500 steps,
 // random phase workload) with the given parameters, runs and seed.
 func SimulatePaper(params Params, runs int, seed uint64) (*SimResult, error) {
-	return sim.Run(sim.LMConfig(64, 500, runs, params, workload.PaperBounds(), seed))
+	phases := func(_ int, r *rng.RNG) (workload.Pattern, error) {
+		return workload.NewPhases(64, workload.PaperBounds(), r)
+	}
+	return sim.Run(sim.LMConfig(64, 500, runs, params, phases, seed))
 }
 
 // FIX returns the Theorem 1 fixed-point bound FIX(n, δ, f) on the
