@@ -163,3 +163,66 @@ func TestCLIFlagsTamperedRecording(t *testing.T) {
 		t.Fatal("bad -op accepted")
 	}
 }
+
+// TestRetiredPaceBackoffRecord writes the record a node running the
+// deleted adaptive pacer left after a peer_frozen abort, with the
+// recorder's own encoder and where that node wrote it: between the
+// abort and the Release the abort still owes. The audit skips it and
+// stays clean and in sync, and the timeline renders it by name.
+func TestRetiredPaceBackoffRecord(t *testing.T) {
+	root := t.TempDir()
+	rec, err := flight.Open(flight.Options{Dir: filepath.Join(root, "node-0"), Node: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// f = 2.5 needs two ackers; one acks and one is busy, so the
+	// operation aborts and releases the acker.
+	rec.Initiate(7, 1, 4, 2, 2.5)
+	rec.RecordSend(1, wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 7})
+	rec.RecordSend(2, wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 7})
+	rec.RecordRecv(wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 1, Op: 7, Load: 0})
+	rec.RecordRecv(wire.Msg{Kind: wire.FreezeBusy, From: 2, Seq: 1, Op: 7})
+	rec.Abort(7, 1, 4, cluster.AbortPeerFrozen)
+	rec.Local(flight.LocalPaceBackoff, 0, 1500) // gap µs
+	rec.RecordSend(1, wire.Msg{Kind: wire.Release, From: 0, Seq: 1, Op: 7})
+	rec.Initiate(8, 2, 4, 1, 1.2)
+	rec.RecordSend(1, wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 2, Op: 8})
+	rec.RecordRecv(wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: 2, Op: 8, Load: 0})
+	rec.Resolve(8, 2, 2, 1, false)
+	rec.RecordSend(1, wire.Msg{Kind: wire.Transfer, From: 0, Seq: 2, Op: 8, Amount: 2})
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := flight.LoadTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := flight.Audit(loaded)
+	if len(audit.Violations) != 0 {
+		t.Fatalf("recording with a pace_backoff record flagged: %v", audit.Violations)
+	}
+	if a := audit.Nodes[0]; a.Aborted != 1 || a.Resolved != 1 || a.Unverified != 0 {
+		t.Fatalf("replayed %d aborted, %d resolved, %d unverified; want 1, 1, 0",
+			a.Aborted, a.Resolved, a.Unverified)
+	}
+	var out strings.Builder
+	if code, err := run(&out, []string{root}, false, "", false, false); err != nil || code != 0 {
+		t.Fatalf("audit = code %d, err %v\n%s", code, err, out.String())
+	}
+	if !strings.Contains(out.String(), "legality: clean") {
+		t.Fatalf("audit output not clean:\n%s", out.String())
+	}
+	var backoff *flight.Event
+	for i, ev := range loaded.Nodes[0].Events {
+		if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalPaceBackoff {
+			backoff = &loaded.Nodes[0].Events[i]
+		}
+	}
+	if backoff == nil {
+		t.Fatal("pace_backoff record did not decode")
+	}
+	if line := formatEvent(*backoff, 0); !strings.Contains(line, "local pace_backoff") || !strings.Contains(line, "args=[1500]") {
+		t.Fatalf("timeline line %q does not name the record", line)
+	}
+}

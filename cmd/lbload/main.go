@@ -17,8 +17,8 @@
 //	lbload -targets 127.0.0.1:7400,127.0.0.1:7401 -rate 800x700ms,1300x300ms -duration 2s
 //	lbload -targets ... -trace trace.json -tick 500us   # tracefile replay
 //
-// The self-hosted comparison (no balancing / balanced / balanced +
-// adaptive pacing on one workload) is experiments.ServeSLO:
+// The self-hosted comparison (no balancing / balanced on one workload)
+// is experiments.ServeSLO:
 // go run ./cmd/paperfigs -only serve writes results/serve.txt; the
 // bounded numbers are the ledger's serve_skew workload
 // (bash bench/run.sh --workload serve_skew).

@@ -215,7 +215,7 @@ func TestMinInitGapPacing(t *testing.T) {
 		t.Fatalf("conservation violated:\n%s", buf.String())
 	}
 	out := buf.String()
-	m := regexp.MustCompile(`initiation pacing: fixed  deferral episodes (\d+) \((\d+) trigger firings\).*mean final gap 1h0m0s`).FindStringSubmatch(out)
+	m := regexp.MustCompile(`initiation pacing: fixed floor 1h0m0s  deferral episodes (\d+) \((\d+) trigger firings\)`).FindStringSubmatch(out)
 	if m == nil {
 		t.Fatalf("output missing pacing line:\n%s", out)
 	}

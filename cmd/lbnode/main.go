@@ -64,11 +64,8 @@ func main() {
 	flag.IntVar(&o.hot, "hot", -1, "first k nodes generate hot (0.9/0.1); -1 = n/4 in spawn mode, 0 in daemon mode")
 	flag.Uint64Var(&o.seed, "seed", 1993, "cluster-wide seed")
 	flag.DurationVar(&o.timeout, "timeout", 0, "initiator reply timeout (0 = default)")
-	flag.DurationVar(&o.minInitGap, "min-initiate-gap", 0, "minimum interval between a node's own balance initiations (fixed: the whole policy, 0 = off; adaptive: the controller's lower bound)")
-	flag.StringVar(&pace, "pace", "fixed", "initiation pacing policy: off, fixed (-min-initiate-gap floor), or adaptive (AIMD controller)")
-	flag.DurationVar(&o.paceMaxGap, "pace-max-gap", 0, "adaptive pacing: cap on the dynamic initiation gap (0 = default)")
-	flag.Float64Var(&o.paceMult, "pace-mult", 0, "adaptive pacing: multiplicative gap increase per peer_frozen abort (0 = default)")
-	flag.DurationVar(&o.paceDec, "pace-dec", 0, "adaptive pacing: additive gap decrease per successful collect (0 = default)")
+	flag.DurationVar(&o.minInitGap, "min-initiate-gap", 0, "minimum interval between a node's own balance initiations under -pace fixed (0 = off)")
+	flag.StringVar(&pace, "pace", "fixed", "initiation pacing policy: off, or fixed (the -min-initiate-gap floor)")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the per-node table")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /debug/vars, /series and /debug/pprof on this address during the run (e.g. 127.0.0.1:7200)")
 	flag.BoolVar(&o.debugPerNode, "debug-per-node", false, "spawn mode: per-node registries and debug endpoints on ports debug-addr+i (requires -debug-addr)")
@@ -110,8 +107,6 @@ type options struct {
 
 	timeout, minInitGap, stepInterval time.Duration
 	pace                              cluster.PaceMode
-	paceMaxGap, paceDec               time.Duration
-	paceMult                          float64
 
 	debugAddr, aggregate, serveAddr, slo, flightDir string
 	debugPerNode                                    bool
@@ -224,7 +219,6 @@ func buildNode(o options, id, n, hot int, tr wire.Transport, reg *obs.Registry, 
 		ID: id, N: n, Delta: min(o.delta, n-1), F: o.f, Steps: o.steps,
 		GenP: o.gen, ConP: o.con, Seed: o.seed, Transport: d.rec.Tap(tr), Timeout: o.timeout,
 		MinInitGap: o.minInitGap, Pace: o.pace,
-		PaceMaxGap: o.paceMaxGap, PaceMult: o.paceMult, PaceDec: o.paceDec,
 		Obs: reg, StepInterval: o.stepInterval, NoBalance: o.noBalance,
 		Stop: stop, Flight: d.rec,
 	}
@@ -562,15 +556,10 @@ func runSpawn(o options, w io.Writer, td *teardown) (bool, error) {
 	}
 	fmt.Fprintf(w, "total load %d  spread %d  ops %d  messages %d  wire bytes %d  elapsed %v\n",
 		res.TotalLoad(), res.Spread(), res.Completed(), res.Messages(), res.Bytes(), res.Elapsed.Round(time.Millisecond))
-	if o.pace == cluster.PaceAdaptive || o.minInitGap > 0 {
+	if o.pace == cluster.PaceFixed && o.minInitGap > 0 {
 		episodes, steps := res.RateLimited()
-		var backoffs, recovers int64
-		for _, nd := range res.Nodes {
-			backoffs += nd.PaceBackoffs
-			recovers += nd.PaceRecovers
-		}
-		fmt.Fprintf(w, "initiation pacing: %s  deferral episodes %d (%d trigger firings)  backoffs %d  recoveries %d  mean final gap %v\n",
-			o.pace, episodes, steps, backoffs, recovers, res.MeanPaceGap().Round(time.Microsecond))
+		fmt.Fprintf(w, "initiation pacing: fixed floor %v  deferral episodes %d (%d trigger firings)\n",
+			o.minInitGap, episodes, steps)
 	}
 	fmt.Fprintf(w, "conservation: %s (generated %d − consumed %d = held %d)\n",
 		okString(ok), res.Summary.Generated, res.Summary.Consumed, res.Summary.TotalLoad)

@@ -88,9 +88,6 @@ var artifacts = []artifact{
 	{"ablations", "design-choice ablations (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.Ablations(s, seed)
 	}},
-	{"pacer", "initiation pacing: off vs fixed vs adaptive AIMD (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.PacerSweep(s, seed)
-	}},
 	{"serve", "serving SLO: sojourn tails, balanced vs no-balancing (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.ServeSLO(s, seed)
 	}},

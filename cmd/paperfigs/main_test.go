@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -58,5 +59,30 @@ func TestRunMultipleSelection(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing %s: %v", name, err)
 		}
+	}
+}
+
+// TestArtifactsMatchResults keeps the artifact list and the committed
+// outputs in step: every artifact has a results/<name>.txt, and every
+// results/*.txt belongs to an artifact.
+func TestArtifactsMatchResults(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join("..", "..", "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name(), ".txt"); ok && !e.IsDir() {
+			committed[name] = true
+		}
+	}
+	for _, a := range artifacts {
+		if !committed[a.name] {
+			t.Errorf("artifact %q has no results/%s.txt", a.name, a.name)
+		}
+		delete(committed, a.name)
+	}
+	for name := range committed {
+		t.Errorf("results/%s.txt belongs to no artifact", name)
 	}
 }

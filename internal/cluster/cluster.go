@@ -96,24 +96,11 @@ type Config struct {
 	// steps, so the initiation is delayed, not lost unless the load
 	// recovers on its own). It paces initiation pressure on real
 	// networks, where simultaneous initiators freeze each other into
-	// near-total abort storms. Under PaceFixed it is the whole policy
-	// (0 disables pacing); under PaceAdaptive it is the controller's
-	// optional lower bound.
+	// near-total abort storms. 0 disables pacing.
 	MinInitGap time.Duration
-	// Pace selects the pacing policy. The zero value (PaceFixed) is the
-	// pre-controller behavior: a constant MinInitGap floor, or nothing.
-	// PaceAdaptive runs the AIMD initiation controller (see pacer.go):
-	// per-node dynamic gap, multiplicative increase on peer_frozen
-	// aborts, additive decrease on successful collects.
+	// Pace selects the pacing policy. The zero value (PaceFixed)
+	// enforces the MinInitGap floor; PaceOff ignores it.
 	Pace PaceMode
-	// PaceMaxGap caps the adaptive gap (0 selects DefaultPaceMaxGap).
-	PaceMaxGap time.Duration
-	// PaceMult is the adaptive multiplicative-increase factor, > 1
-	// (0 selects DefaultPaceMult).
-	PaceMult float64
-	// PaceDec is the adaptive additive-decrease step per successful
-	// collect (0 selects DefaultPaceDec).
-	PaceDec time.Duration
 	// Obs optionally attaches the node's instrumentation — per-reason
 	// abort counters, per-phase latency histograms and the live load
 	// distribution — to a registry (see
@@ -177,14 +164,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: nil Transport")
 	case c.Timeout < 0 || c.FreezeTimeout < 0 || c.Tick < 0 || c.MinInitGap < 0:
 		return fmt.Errorf("cluster: negative timeout")
-	case c.Pace != PaceFixed && c.Pace != PaceOff && c.Pace != PaceAdaptive:
+	case c.Pace != PaceFixed && c.Pace != PaceOff:
 		return fmt.Errorf("cluster: unknown pace mode %d", int(c.Pace))
-	case c.PaceMaxGap < 0 || c.PaceDec < 0:
-		return fmt.Errorf("cluster: negative pacer bound")
-	case c.PaceMult != 0 && c.PaceMult <= 1:
-		return fmt.Errorf("cluster: PaceMult = %v, need > 1", c.PaceMult)
-	case c.PaceMaxGap > 0 && c.MinInitGap > c.PaceMaxGap:
-		return fmt.Errorf("cluster: MinInitGap %v exceeds PaceMaxGap %v", c.MinInitGap, c.PaceMaxGap)
 	case c.StepInterval < 0:
 		return fmt.Errorf("cluster: negative StepInterval %v", c.StepInterval)
 	case c.Serve != nil && c.Serve.Ingest == nil:
@@ -253,9 +234,6 @@ type Stats struct {
 	// episode (the figure early EXPERIMENTS numbers quoted).
 	RateLimited      int64
 	RateLimitedSteps int64
-	PaceBackoffs     int64         // adaptive gap increases (peer_frozen aborts)
-	PaceRecovers     int64         // adaptive gap decreases (successful collects)
-	PaceGap          time.Duration // the gap at the end of the run
 
 	// Serving accounting (serve mode only, see serve.go).
 	Ingested    int64 // load units accepted from client submissions
@@ -303,14 +281,7 @@ type Node struct {
 	effs []proto.Effect // reused effect buffer
 
 	// initiator-side driver state
-	lastInitAt time.Time // when the latest (possibly in-flight) protocol started
-	// lastDoneAt is when the last protocol attempt finished (success or
-	// abort). The adaptive pacer anchors its gap here rather than at
-	// initiate: a congested attempt is itself many gap-widths long, so a
-	// gap measured from initiate has always already expired by the time
-	// the abort lands and would defer nothing (the collision analog:
-	// Ethernet backs off from the collision, not from transmit start).
-	lastDoneAt time.Time
+	lastInitAt time.Time     // when the latest (possibly in-flight) protocol started
 	epoch      atomic.Uint64 // mirrors the machine's epoch for cross-goroutine readers (Epoch)
 	unacked    int           // transfers sent but not yet acknowledged
 	peerErrsAt []int64       // per-partner link send errors at initiate (timeout attribution)
@@ -327,9 +298,9 @@ type Node struct {
 	stepsDone int
 	signaled  bool // Idle sent (or, coordinator: own quiescence recorded)
 	finished  bool
-	candBuf   []int // the in-flight protocol's partners
-	pacer     pacer
-	deferring bool // inside a deferral episode (consecutive paced-out triggers)
+	candBuf   []int         // the in-flight protocol's partners
+	gap       time.Duration // the initiation floor in force: MinInitGap under PaceFixed, 0 under PaceOff
+	deferring bool          // inside a deferral episode (consecutive paced-out triggers)
 	stats     Stats
 	met       nodeMetrics
 
@@ -355,10 +326,11 @@ func New(cfg Config) (*Node, error) {
 		// draws, or turning tracing on would change the run.
 		opRNG: rng.New(rng.Mix64(rng.Mix64(cfg.Seed, uint64(cfg.ID)), opStreamSalt)),
 		done:  make(chan struct{}),
-		pacer: newPacer(&cfg),
 		met:   newNodeMetrics(cfg.Obs, cfg.ID),
 	}
-	n.met.paceGap.Set(int64(n.pacer.gapNow() / time.Microsecond))
+	if cfg.Pace == PaceFixed {
+		n.gap = cfg.MinInitGap
+	}
 	if cfg.ID == 0 {
 		n.idleFrom = make(map[int]bool, cfg.N)
 	}
@@ -425,7 +397,6 @@ func (n *Node) report() {
 	n.stats.ID = n.cfg.ID
 	n.stats.FinalLoad = n.m.Load()
 	n.stats.RecordsHeld = int64(n.recCount())
-	n.stats.PaceGap = n.pacer.gapNow()
 	ws := n.cfg.Transport.Stats()
 	n.stats.MsgsSent, n.stats.MsgsRecv = ws.MsgsSent, ws.MsgsRecv
 	n.stats.BytesSent, n.stats.BytesRecv = ws.BytesSent, ws.BytesRecv
@@ -619,17 +590,11 @@ func (n *Node) step() {
 		n.deferring = false
 		return
 	}
-	// Pacing: a trigger inside the gap window is deferred, not
-	// serviced — the condition re-fires on a later step while the load
-	// imbalance persists. Consecutive deferred steps form one episode.
-	// Fixed mode keeps the pre-controller anchor (gap between
-	// initiations); adaptive anchors at the last attempt's outcome so a
-	// backoff decided on an abort actually delays the retry.
-	ref := n.lastInitAt
-	if n.cfg.Pace == PaceAdaptive && n.lastDoneAt.After(ref) {
-		ref = n.lastDoneAt
-	}
-	if gap := n.pacer.gapNow(); gap > 0 && !ref.IsZero() && time.Since(ref) < gap {
+	// Pacing: a trigger inside the gap since the last initiation is
+	// deferred, not serviced — the condition re-fires on a later step
+	// while the load imbalance persists. Consecutive deferred steps form
+	// one episode.
+	if n.gap > 0 && !n.lastInitAt.IsZero() && time.Since(n.lastInitAt) < n.gap {
 		n.stats.RateLimitedSteps++
 		n.met.rateLimitedSteps.Inc()
 		if !n.deferring {
@@ -641,25 +606,6 @@ func (n *Node) step() {
 	}
 	n.deferring = false
 	n.initiate()
-}
-
-// paceOutcome feeds one finished protocol attempt (reason "" = success)
-// into the pacer and publishes the controller's observable state: the
-// live gap gauge and the backoff/recovery transition counters.
-func (n *Node) paceOutcome(reason string) {
-	n.lastDoneAt = time.Now()
-	switch n.pacer.onOutcome(reason, n.lastDoneAt.Sub(n.lastInitAt)) {
-	case +1:
-		n.stats.PaceBackoffs++
-		n.met.paceBackoff.Inc()
-		if n.cfg.Flight != nil {
-			n.cfg.Flight.PaceBackoff(n.pacer.gapNow())
-		}
-	case -1:
-		n.stats.PaceRecovers++
-		n.met.paceRecover.Inc()
-	}
-	n.met.paceGap.Set(int64(n.pacer.gapNow() / time.Microsecond))
 }
 
 // initiate starts a balancing protocol with δ random partners: the
@@ -685,7 +631,7 @@ func (n *Node) initiate() {
 }
 
 // apply carries out the machine's effects in order, hanging the
-// driver's accounting — stats, metrics, flight records, pacing,
+// driver's accounting — stats, metrics, flight records,
 // serve-mode record debts — on each.
 func (n *Node) apply(effs []proto.Effect) {
 	n.effs = effs[:0] // keep the grown buffer
@@ -745,8 +691,6 @@ func (n *Node) collectEnded(e *proto.Effect) {
 func (n *Node) onAborted(e *proto.Effect) {
 	n.stats.Aborted++
 	n.collectEnded(e)
-	// Busy is the collision the pacer exists to react to: it backs off
-	// by the width of the collect window just measured.
 	reason := AbortPeerFrozen
 	if e.Reason == proto.Timeout {
 		switch {
@@ -762,7 +706,6 @@ func (n *Node) onAborted(e *proto.Effect) {
 	if n.cfg.Flight != nil {
 		n.cfg.Flight.Abort(e.Op, e.Seq, e.Load, reason)
 	}
-	n.paceOutcome(reason)
 }
 
 // onResolved accounts for the node's own protocol balancing with the
@@ -771,7 +714,6 @@ func (n *Node) onAborted(e *proto.Effect) {
 // replayed stream sees the resolution before the frames it explains.
 func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
 	n.collectEnded(e)
-	n.paceOutcome("")
 	if n.cfg.Flight != nil {
 		n.cfg.Flight.Resolve(e.Op, e.Seq, e.Load, e.Partners, e.Reason == proto.Timeout)
 	}

@@ -57,15 +57,9 @@ type nodeMetrics struct {
 
 	// Pacing instrumentation. rateLimited counts deferral episodes and
 	// rateLimitedSteps the raw deferred trigger firings (one persistent
-	// imbalance re-fires every step inside the gap window); paceBackoff
-	// and paceRecover count the adaptive controller's gap transitions;
-	// paceGap is this node's live initiation gap in microseconds — a
-	// per-node gauge so the gap trajectory shows on /series.
+	// imbalance re-fires every step inside the gap window).
 	rateLimited      *obs.Counter
 	rateLimitedSteps *obs.Counter
-	paceBackoff      *obs.Counter
-	paceRecover      *obs.Counter
-	paceGap          *obs.Gauge
 
 	// generated/consumed are per-node (unlike the shared counters
 	// above): together with the per-node load gauge they let an external
@@ -105,9 +99,6 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 		freezeExpired:    reg.Counter("cluster_freeze_expired_total"),
 		rateLimited:      reg.Counter("cluster_initiations_ratelimited_total"),
 		rateLimitedSteps: reg.Counter("cluster_ratelimited_steps_total"),
-		paceBackoff:      reg.Counter("cluster_pace_backoff_total"),
-		paceRecover:      reg.Counter("cluster_pace_recover_total"),
-		paceGap:          reg.Gauge(PaceGapMetric(id)),
 		generated:        reg.Counter(fmt.Sprintf(`cluster_node_generated_total{node="%d"}`, id)),
 		consumed:         reg.Counter(fmt.Sprintf(`cluster_node_consumed_total{node="%d"}`, id)),
 		steps:            reg.Counter(fmt.Sprintf(`cluster_steps_total{node="%d"}`, id)),
@@ -132,12 +123,6 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 // reason, e.g. `cluster_aborts_total{reason="timeout"}`.
 func AbortMetric(reason string) string {
 	return fmt.Sprintf("cluster_aborts_total{reason=%q}", reason)
-}
-
-// PaceGapMetric returns the registry name of one node's live
-// initiation-gap gauge (microseconds).
-func PaceGapMetric(id int) string {
-	return fmt.Sprintf(`cluster_pace_gap_us{node="%d"}`, id)
 }
 
 // phaseName returns the registry name of one phase histogram.

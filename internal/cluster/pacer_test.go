@@ -5,14 +5,8 @@ import (
 	"time"
 )
 
-func testPacer(mode PaceMode) pacer {
-	return newPacer(&Config{
-		ID: 0, N: 16, Delta: 2, Seed: 42, Pace: mode,
-	})
-}
-
 func TestPaceModeParseAndString(t *testing.T) {
-	for _, s := range []string{"off", "fixed", "adaptive"} {
+	for _, s := range []string{"off", "fixed"} {
 		m, err := ParsePaceMode(s)
 		if err != nil {
 			t.Fatalf("ParsePaceMode(%q): %v", s, err)
@@ -21,257 +15,43 @@ func TestPaceModeParseAndString(t *testing.T) {
 			t.Fatalf("round trip %q -> %v -> %q", s, m, m.String())
 		}
 	}
-	if _, err := ParsePaceMode("bogus"); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, s := range []string{"bogus", "adaptive"} {
+		if _, err := ParsePaceMode(s); err == nil {
+			t.Fatalf("unknown mode %q accepted", s)
+		}
 	}
 	if got := PaceMode(99).String(); got != "PaceMode(99)" {
 		t.Fatalf("out-of-range String() = %q", got)
 	}
 }
 
-func TestPacerDefaultsAndModes(t *testing.T) {
-	p := testPacer(PaceAdaptive)
-	if p.maxGap != DefaultPaceMaxGap || p.mult != DefaultPaceMult || p.dec != DefaultPaceDec {
-		t.Fatalf("defaults not applied: %+v", p)
-	}
-	if p.gap != 0 || p.gapNow() != 0 {
-		t.Fatalf("adaptive pacer must start unpaced (no pre-emptive deferral), gap=%v", p.gap)
-	}
-
-	off := testPacer(PaceOff)
-	off.minGap = time.Second // even with a floor configured, off means off
-	if off.gapNow() != 0 {
-		t.Fatalf("off pacer enforces gap %v", off.gapNow())
-	}
-	off.onOutcome(AbortPeerFrozen, time.Millisecond)
-	if off.gapNow() != 0 {
-		t.Fatal("off pacer grew a gap from an abort")
-	}
-
-	fixed := newPacer(&Config{ID: 0, N: 16, Delta: 2, Seed: 42,
-		Pace: PaceFixed, MinInitGap: 3 * time.Millisecond})
-	if fixed.gapNow() != 3*time.Millisecond {
-		t.Fatalf("fixed pacer gap = %v, want the MinInitGap floor", fixed.gapNow())
-	}
-	fixed.onOutcome(AbortPeerFrozen, time.Millisecond)
-	if fixed.gapNow() != 3*time.Millisecond {
-		t.Fatal("fixed pacer moved its gap on an abort")
-	}
-}
-
-// TestPacerAIMD exercises the controller's three outcome classes:
-// multiplicative increase (collision-seeded) on peer_frozen, additive
-// decrease on success, and no gap movement on timeout-class aborts.
-func TestPacerAIMD(t *testing.T) {
-	p := testPacer(PaceAdaptive)
-
-	// First collision: the gap seeds at (δ+1)·(n−1) collision windows,
-	// clamped to maxGap.
-	elapsed := 100 * time.Microsecond
-	if got := p.onOutcome(AbortPeerFrozen, elapsed); got != +1 {
-		t.Fatalf("peer_frozen outcome = %+d, want +1", got)
-	}
-	wantSeed := time.Duration((p.delta+1)*(p.n-1)) * elapsed
-	if p.gap != wantSeed {
-		t.Fatalf("collision seed gap = %v, want %v", p.gap, wantSeed)
-	}
-
-	// Further collisions multiply, clamped at maxGap.
-	for i := 0; i < 20; i++ {
-		p.onOutcome(AbortPeerFrozen, elapsed)
-	}
-	if p.gap != p.maxGap {
-		t.Fatalf("gap = %v after a long abort streak, want the %v cap", p.gap, p.maxGap)
-	}
-
-	// Timeout-class aborts update estimates but never grow the gap.
-	q := testPacer(PaceAdaptive)
-	for _, reason := range []string{AbortTimeout, AbortStaleEpoch, AbortLinkDown} {
-		if got := q.onOutcome(reason, elapsed); got != 0 {
-			t.Fatalf("%s outcome = %+d, want 0", reason, got)
-		}
-		if q.gap != 0 {
-			t.Fatalf("%s grew the gap to %v", reason, q.gap)
-		}
-	}
-
-	// Successes shrink the gap additively — at least the configured
-	// floor per success once the abort estimate decays — down to minGap.
-	p.ewma = map[string]float64{} // steady success regime
-	before := p.gap
-	if got := p.onOutcome("", 0); got != -1 {
-		t.Fatalf("success outcome = %+d, want -1", got)
-	}
-	if p.gap >= before || before-p.gap < p.dec {
-		t.Fatalf("success shrank gap %v -> %v, want at least %v less", before, p.gap, p.dec)
-	}
-	for i := 0; i < 1<<20 && p.gap > p.minGap; i++ {
-		p.onOutcome("", 0)
-	}
-	if p.gap != p.minGap {
-		t.Fatalf("gap drained to %v, want the %v floor", p.gap, p.minGap)
-	}
-	if got := p.onOutcome("", 0); got != 0 {
-		t.Fatalf("success at the floor = %+d, want 0 (no transition)", got)
-	}
-}
-
-// TestPacerScaleFreeRecovery: the decrease step follows the measured
-// attempt width when that is larger than the configured floor, so
-// ms-scale socket gaps drain in tens of successes, not thousands.
-func TestPacerScaleFreeRecovery(t *testing.T) {
-	p := testPacer(PaceAdaptive)
-	p.gap = 100 * time.Millisecond
-	p.ewma = map[string]float64{}
-	before := p.gap
-	p.onOutcome("", 10*time.Millisecond)
-	if shrunk := before - p.gap; shrunk < 10*time.Millisecond {
-		t.Fatalf("decrease step %v, want >= the 10ms measured width", shrunk)
-	}
-}
-
-func TestPacerEWMA(t *testing.T) {
-	p := testPacer(PaceAdaptive)
-	if p.AbortRate(AbortPeerFrozen) != 0 {
-		t.Fatal("fresh pacer has a nonzero abort estimate")
-	}
-	for i := 0; i < 50; i++ {
-		p.onOutcome(AbortPeerFrozen, time.Microsecond)
-	}
-	if r := p.AbortRate(AbortPeerFrozen); r < 0.99 {
-		t.Fatalf("all-abort stream estimate = %v, want ~1", r)
-	}
-	if r := p.AbortRate(AbortTimeout); r != 0 {
-		t.Fatalf("timeout estimate = %v on a peer_frozen-only stream", r)
-	}
-	for i := 0; i < 50; i++ {
-		p.onOutcome("", time.Microsecond)
-	}
-	if r := p.AbortRate(AbortPeerFrozen); r > 0.01 {
-		t.Fatalf("estimate did not decay on success: %v", r)
-	}
-}
-
-// TestPacerJitterBounds: the enforced gap is drawn uniformly over
-// [0, 2·gap) — full-range randomization — and never below the floor.
-func TestPacerJitterBounds(t *testing.T) {
-	p := newPacer(&Config{ID: 3, N: 16, Delta: 2, Seed: 7,
-		Pace: PaceAdaptive, MinInitGap: time.Millisecond})
-	p.gap = 10 * time.Millisecond
-	var lo, hi time.Duration = time.Hour, 0
-	for i := 0; i < 2000; i++ {
-		p.jitter()
-		g := p.effGap
-		if g < p.minGap || g >= 2*p.gap {
-			t.Fatalf("jittered gap %v outside [%v, %v)", g, p.minGap, 2*p.gap)
-		}
-		if g < lo {
-			lo = g
-		}
-		if g > hi {
-			hi = g
-		}
-	}
-	// The draw must actually use the range, not hug the mean.
-	if lo > p.gap/2 || hi < 3*p.gap/2 {
-		t.Fatalf("2000 draws spanned only [%v, %v] of [0, %v)", lo, hi, 2*p.gap)
-	}
-}
-
-// TestPacerDeterministic: same (seed, id) gives the same jitter stream;
-// a different id gives a different one (nodes must not back off in
-// lockstep).
-func TestPacerDeterministic(t *testing.T) {
-	draw := func(id int) []time.Duration {
-		p := newPacer(&Config{ID: id, N: 16, Delta: 2, Seed: 1993, Pace: PaceAdaptive})
-		p.gap = time.Millisecond
-		out := make([]time.Duration, 8)
-		for i := range out {
-			p.jitter()
-			out[i] = p.effGap
-		}
-		return out
-	}
-	a, b, c := draw(4), draw(4), draw(5)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d differs across identical pacers: %v vs %v", i, a[i], b[i])
-		}
-		same = same && a[i] == c[i]
-	}
-	if same {
-		t.Fatal("two different node ids drew identical jitter streams")
-	}
-}
-
 func TestPaceConfigValidation(t *testing.T) {
-	base := func() Config {
-		return Config{ID: 0, N: 2, Delta: 1, F: 1.2, Steps: 1,
-			Transport: loopTransports(2)[0]}
+	cfg := Config{ID: 0, N: 2, Delta: 1, F: 1.2, Steps: 1,
+		Transport: loopTransports(2)[0], Pace: PaceMode(7)}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("unknown pace mode accepted")
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Pace = PaceMode(7) },
-		func(c *Config) { c.PaceMaxGap = -time.Second },
-		func(c *Config) { c.PaceDec = -time.Second },
-		func(c *Config) { c.PaceMult = 0.5 },
-		func(c *Config) { c.MinInitGap = time.Second; c.PaceMaxGap = time.Millisecond },
-	}
-	for i, mutate := range bad {
-		cfg := base()
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("bad pace config %d accepted", i)
+	for _, mode := range []PaceMode{PaceFixed, PaceOff} {
+		cfg.Pace = mode
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("pace mode %v rejected: %v", mode, err)
 		}
-	}
-	cfg := base()
-	cfg.Pace = PaceAdaptive
-	cfg.PaceMult = 1.5
-	cfg.PaceMaxGap = 50 * time.Millisecond
-	cfg.PaceDec = time.Millisecond
-	if _, err := New(cfg); err != nil {
-		t.Fatalf("valid pace config rejected: %v", err)
 	}
 }
 
-// TestAdaptivePaceCluster runs a colliding loopback cluster end to end
-// under the adaptive controller and checks the observable surface: the
-// controller transitions fire, the final gap is published, conservation
-// holds, and PaceOff disables pacing even with MinInitGap set.
-func TestAdaptivePaceCluster(t *testing.T) {
-	base := ClusterConfig{N: 8, Delta: 2, F: 1.1, Steps: 3000, Seed: 11,
+// TestPaceOffIgnoresMinInitGap runs a colliding loopback cluster with an
+// hour-long floor under PaceOff: nothing is deferred and conservation
+// holds.
+func TestPaceOffIgnoresMinInitGap(t *testing.T) {
+	cfg := ClusterConfig{N: 8, Delta: 2, F: 1.1, Steps: 3000, Seed: 11,
 		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
-		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4}}
-
-	adaptive := base
-	adaptive.Pace = PaceAdaptive
-	res := runLoop(t, adaptive)
-	if !res.Conserved() || !res.Summary.Conserved() {
-		t.Fatal("adaptive pacing broke conservation")
-	}
-	var backoffs, recovers int64
-	for _, nd := range res.Nodes {
-		backoffs += nd.PaceBackoffs
-		recovers += nd.PaceRecovers
-		if nd.PaceGap < 0 {
-			t.Fatalf("negative final gap %v", nd.PaceGap)
-		}
-	}
-	if backoffs == 0 {
-		t.Fatal("no backoffs on a colliding workload — the controller never engaged")
-	}
-	if res.Completed() == 0 {
-		t.Fatal("adaptive pacing starved the cluster: zero completed ops")
-	}
-
-	off := base
-	off.Pace = PaceOff
-	off.MinInitGap = time.Hour
-	ores := runLoop(t, off)
-	if eps, steps := ores.RateLimited(); eps != 0 || steps != 0 {
+		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4},
+		Pace: PaceOff, MinInitGap: time.Hour}
+	res := runLoop(t, cfg)
+	if eps, steps := res.RateLimited(); eps != 0 || steps != 0 {
 		t.Fatalf("PaceOff still deferred (%d episodes, %d steps)", eps, steps)
 	}
-	if ores.MeanPaceGap() != 0 {
-		t.Fatalf("PaceOff published gap %v", ores.MeanPaceGap())
+	if !res.Conserved() || !res.Summary.Conserved() {
+		t.Fatal("PaceOff run broke conservation")
 	}
 }

@@ -26,12 +26,6 @@ import (
 //	abort_rate{reason="r"}  per-second abort rate, one column per reason
 //	initiate_rate    per-second balancing initiations
 //	complete_rate    per-second completed balancing operations
-//	pace_gap_us{node="i"}  each node's live initiation gap (µs) — the
-//	                 adaptive pacer's trajectory (flat at MinInitGap
-//	                 under fixed pacing, flat at zero when off)
-//	pace_backoff_rate/pace_recover_rate  per-second adaptive gap
-//	                 increases (peer_frozen aborts) and decreases
-//	                 (successful collects)
 //
 // The caller owns sampling: call Sample per workload tick or Start for
 // wall-clock periods, and Stop before reading a final consistent view.
@@ -71,11 +65,6 @@ func NewRecorder(reg *obs.Registry, ids []int, capacity int) *obs.Recorder {
 	}
 	rec.CounterRateColumn("initiate_rate", reg.Counter("cluster_protocols_initiated_total"))
 	rec.CounterRateColumn("complete_rate", reg.Counter("cluster_protocols_completed_total"))
-	for _, id := range ids {
-		rec.GaugeColumn(fmt.Sprintf(`pace_gap_us{node="%d"}`, id), reg.Gauge(PaceGapMetric(id)))
-	}
-	rec.CounterRateColumn("pace_backoff_rate", reg.Counter("cluster_pace_backoff_total"))
-	rec.CounterRateColumn("pace_recover_rate", reg.Counter("cluster_pace_recover_total"))
 	reg.SetRecorder(rec)
 	return rec
 }

@@ -30,12 +30,9 @@ type ClusterConfig struct {
 	Seed uint64
 	// Timeout, FreezeTimeout, Tick, MinInitGap as in Config.
 	Timeout, FreezeTimeout, Tick, MinInitGap time.Duration
-	// Pace, PaceMaxGap, PaceMult, PaceDec as in Config: the initiation
-	// pacing policy, applied to every node.
-	Pace       PaceMode
-	PaceMaxGap time.Duration
-	PaceMult   float64
-	PaceDec    time.Duration
+	// Pace as in Config: the initiation pacing policy, applied to every
+	// node.
+	Pace PaceMode
 	// Obs is handed to every node, so the whole cluster aggregates into
 	// one registry (abort reasons, phase timings, the live load
 	// distribution). Nil disables instrumentation.
@@ -148,18 +145,6 @@ func (r *Result) RateLimited() (episodes, steps int64) {
 	return episodes, steps
 }
 
-// MeanPaceGap returns the mean end-of-run initiation gap across nodes.
-func (r *Result) MeanPaceGap() time.Duration {
-	if len(r.Nodes) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, n := range r.Nodes {
-		sum += n.PaceGap
-	}
-	return sum / time.Duration(len(r.Nodes))
-}
-
 // Ingested returns the total load units accepted from client
 // submissions (serve mode).
 func (r *Result) Ingested() int64 {
@@ -261,9 +246,7 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 			GenP: probAt(cfg.GenP, i), ConP: probAt(cfg.ConP, i),
 			Seed: cfg.Seed, Transport: transports[i],
 			Timeout: cfg.Timeout, FreezeTimeout: cfg.FreezeTimeout, Tick: cfg.Tick,
-			MinInitGap: cfg.MinInitGap,
-			Pace:       cfg.Pace, PaceMaxGap: cfg.PaceMaxGap,
-			PaceMult: cfg.PaceMult, PaceDec: cfg.PaceDec,
+			MinInitGap: cfg.MinInitGap, Pace: cfg.Pace,
 			Obs:          cfg.Obs,
 			StepInterval: cfg.StepInterval, NoBalance: cfg.NoBalance,
 			Stop: cfg.Stop, Serve: serve, Flight: rec,

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"lmbalance/internal/cluster"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/serve"
 	"lmbalance/internal/trace"
@@ -16,24 +15,21 @@ import (
 // the same open-loop workload driven over real TCP against one cluster
 // arm, with client-observed sojourn quantiles.
 type ServeSLOArm struct {
-	Mode          string // "none", "balanced", "balanced+adaptive"
+	Mode          string // "none" or "balanced"
 	Submitted     int64
 	Completed     int64
 	P50, P95, P99 float64 // sojourn seconds, exact quantiles
 	Throughput    float64 // completed jobs per driving second
 	Ops           int64   // completed balancing operations
-	MeanGap       time.Duration
 	Elapsed       time.Duration
 }
 
 // ServeSLOResult is the serving-path SLO experiment: clients submit
 // jobs over the wire under a skewed diurnal workload with heavy-tailed
 // demands, and the question is what the balancing protocol buys in
-// tail sojourn time. Three arms on identical traffic: a no-balancing
-// control (each node serves only what lands on it), the free-running
-// balanced protocol, and the adaptively paced one — the last pair is
-// the open-loop serving version of the paced-vs-free-running
-// comparison from the pacing work.
+// tail sojourn time. Two arms on identical traffic: a no-balancing
+// control (each node serves only what lands on it) and the balanced
+// protocol.
 type ServeSLOResult struct {
 	N           int
 	Envelope    string
@@ -45,7 +41,7 @@ type ServeSLOResult struct {
 	Arms        []ServeSLOArm
 }
 
-// ServeSLO runs the three serving arms at n=8 over TCP. Quick keeps
+// ServeSLO runs the two serving arms at n=8 over TCP. Quick keeps
 // the horizon short for CI; full lengthens it so the diurnal envelope
 // cycles several times and the tail quantiles firm up.
 func ServeSLO(scale Scale, seed uint64) (*ServeSLOResult, error) {
@@ -81,17 +77,15 @@ func ServeSLO(scale Scale, seed uint64) (*ServeSLOResult, error) {
 	arms := []struct {
 		name      string
 		noBalance bool
-		pace      cluster.PaceMode
 	}{
-		{"none", true, cluster.PaceOff},
-		{"balanced", false, cluster.PaceOff},
-		{"balanced+adaptive", false, cluster.PaceAdaptive},
+		{"none", true},
+		{"balanced", false},
 	}
 	for _, arm := range arms {
 		sc, err := serve.StartServeCluster(serve.ClusterSpec{
 			N: n, Delta: 2, F: 1.2,
 			ConP: conP, StepInterval: stepInterval,
-			Seed: seed, NoBalance: arm.noBalance, Pace: arm.pace,
+			Seed: seed, NoBalance: arm.noBalance,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("serveslo %s: %w", arm.name, err)
@@ -126,7 +120,6 @@ func ServeSLO(scale Scale, seed uint64) (*ServeSLOResult, error) {
 			P50: res.P(0.50), P95: res.P(0.95), P99: res.P(0.99),
 			Throughput: res.Throughput(),
 			Ops:        cres.Completed(),
-			MeanGap:    cres.MeanPaceGap(),
 			Elapsed:    res.Elapsed,
 		})
 	}
@@ -143,9 +136,8 @@ func (r *ServeSLOResult) arm(mode string) *ServeSLOArm {
 	return nil
 }
 
-// Render writes the SLO table and the two verdicts: balancing vs the
-// no-balancing control on tail sojourn, and free-running vs adaptively
-// paced balancing under the open-loop serving workload.
+// Render writes the SLO table and the verdict: balancing vs the
+// no-balancing control on tail sojourn.
 func (r *ServeSLOResult) Render(w io.Writer) error {
 	if err := header(w, fmt.Sprintf(
 		"Serving SLO: client-observed sojourn over TCP (n=%d, %s jobs/s, Pareto α=%g [%g,%g], hot %d@%.0f%%, %.0f units/s/node, horizon %v)",
@@ -154,34 +146,24 @@ func (r *ServeSLOResult) Render(w io.Writer) error {
 		return err
 	}
 	tb := trace.NewTable("sojourn-time distribution by arm",
-		"mode", "submitted", "completed", "p50 ms", "p95 ms", "p99 ms", "jobs/s", "ops", "mean gap")
+		"mode", "submitted", "completed", "p50 ms", "p95 ms", "p99 ms", "jobs/s", "ops")
 	for _, a := range r.Arms {
 		tb.AddRow(a.Mode, a.Submitted, a.Completed,
 			fmt.Sprintf("%.2f", a.P50*1e3), fmt.Sprintf("%.2f", a.P95*1e3),
 			fmt.Sprintf("%.2f", a.P99*1e3), fmt.Sprintf("%.0f", a.Throughput),
-			a.Ops, a.MeanGap.Round(time.Microsecond).String())
+			a.Ops)
 	}
 	if err := tb.WriteText(w); err != nil {
 		return err
 	}
-	none, bal, adapt := r.arm("none"), r.arm("balanced"), r.arm("balanced+adaptive")
-	if none == nil || bal == nil || adapt == nil {
+	none, bal := r.arm("none"), r.arm("balanced")
+	if none == nil || bal == nil {
 		return nil
-	}
-	best := bal
-	if adapt.P99 < best.P99 {
-		best = adapt
 	}
 	if _, err := fmt.Fprintf(w,
 		"balancing vs none: p99 %.2fms vs %.2fms (%.1f× better), p50 %.2fms vs %.2fms\n",
-		best.P99*1e3, none.P99*1e3, ratio(none.P99, best.P99),
-		best.P50*1e3, none.P50*1e3); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"pacing under open-loop serving: free-running p99 %.2fms with %d ops, adaptive %.2fms with %d ops (gap %v)\n",
-		bal.P99*1e3, bal.Ops, adapt.P99*1e3, adapt.Ops,
-		adapt.MeanGap.Round(time.Microsecond)); err != nil {
+		bal.P99*1e3, none.P99*1e3, ratio(none.P99, bal.P99),
+		bal.P50*1e3, none.P50*1e3); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "the hot nodes run above local capacity while the cluster has headroom; without\nmigration their queues grow for the whole rush and the tail is pure queueing\ndelay, with it the backlog drains sideways and the p99 tracks service time.\n")

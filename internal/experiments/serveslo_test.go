@@ -14,8 +14,8 @@ func TestServeSLOQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 3 {
-		t.Fatalf("expected 3 arms, got %d", len(res.Arms))
+	if len(res.Arms) != 2 {
+		t.Fatalf("expected 2 arms, got %d", len(res.Arms))
 	}
 	for _, a := range res.Arms {
 		if a.Completed != a.Submitted {
@@ -51,7 +51,7 @@ func TestServeSLOQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Serving SLO", "balanced+adaptive", "balancing vs none", "pacing under open-loop serving"} {
+	for _, want := range []string{"Serving SLO", "balanced", "balancing vs none"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"lmbalance/internal/cluster"
 	"lmbalance/internal/obs"
+	"lmbalance/internal/stats"
 	"lmbalance/internal/trace"
 	"lmbalance/internal/wire"
 )
@@ -159,18 +160,10 @@ func vdTrajFromSeries(f float64, delta int, data obs.SeriesData) (VDTrajectoryRu
 	}
 	early := run.Points[:len(run.Points)/10+1]
 	late := run.Points[len(run.Points)*3/4:]
-	run.EarlyVD = meanOf(early)
-	run.LateVD = meanOf(late)
+	run.EarlyVD = stats.MeanOf(early)
+	run.LateVD = stats.MeanOf(late)
 	run.Converged = run.LateVD < run.EarlyVD
 	return run, nil
-}
-
-func meanOf(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // ConvergedCount returns how many settings show the convergent shape.

@@ -9,7 +9,7 @@
 // process died. A Recorder takes every frame a node
 // sends (a Tap, as wire.Transport middleware), every frame it processes
 // and its own decisions (initiate, resolve, abort, freeze expiry,
-// ingest, pace backoff, serving completions, final accounting), all in
+// ingest, serving completions, final accounting), all in
 // the order the node acted, into a bounded on-disk ring of binary
 // segments. Audit loads those segments — possibly long after the
 // process died — and re-executes each node's stream through a real
@@ -100,7 +100,9 @@ type LocalKind uint8
 //	                          trigger factor f as math.Float64bits
 //	LocalAbort         op; args = seq, load, reason code
 //	LocalFreezeExpired op; args = freezer id
-//	LocalPaceBackoff   args = gap µs
+//	LocalPaceBackoff   args = gap µs; retired: written only by nodes
+//	                          that ran the deleted adaptive pacer, still
+//	                          decoded and named, skipped by replay
 //	LocalResolve       op; args = seq, load after, partners balanced with,
 //	                          1 if the reply timeout ended the collect
 //	LocalComplete      op; args = job id, hops, sojourn ns, transfer ns

@@ -284,11 +284,6 @@ func (r *Recorder) FreezeExpired(op uint64, by int) {
 	r.Local(LocalFreezeExpired, op, int64(by))
 }
 
-// PaceBackoff records an adaptive-pacer gap increase.
-func (r *Recorder) PaceBackoff(gap time.Duration) {
-	r.Local(LocalPaceBackoff, 0, int64(gap/time.Microsecond))
-}
-
 // Resolve records a successful collect: the initiator's post-balance
 // load, just before its transfers go out, and whether the reply timeout
 // rather than the last reply ended it.

@@ -11,10 +11,9 @@ import (
 )
 
 // ClusterSpec shapes a serving cluster for StartServeCluster: N nodes,
-// each with a TCP (or in-process loopback) cluster transport, a client
-// front-end listener, zero spontaneous generation, and wall-clock
-// stepping so ConP/StepInterval is the node's service capacity in
-// units per second.
+// each with a TCP cluster transport, a client front-end listener, zero
+// spontaneous generation, and wall-clock stepping so ConP/StepInterval
+// is the node's service capacity in units per second.
 type ClusterSpec struct {
 	N     int
 	Delta int
@@ -26,10 +25,6 @@ type ClusterSpec struct {
 	Seed         uint64
 	// NoBalance disables balancing initiation (the control arm).
 	NoBalance bool
-	Pace      cluster.PaceMode
-	// Loopback selects the in-process transport instead of TCP for the
-	// cluster links (client submission is always real TCP).
-	Loopback bool
 	// Obs, when non-nil, aggregates node and server metrics.
 	Obs *obs.Registry
 	// Flight, when non-empty (length N), gives node i a flight recorder:
@@ -67,7 +62,7 @@ func StartServeCluster(spec ClusterSpec) (*ServeCluster, error) {
 	if len(spec.Flight) > 0 && len(spec.Flight) != spec.N {
 		return nil, fmt.Errorf("serve: %d flight recorders for %d nodes", len(spec.Flight), spec.N)
 	}
-	transports, err := wire.LocalTransports(spec.N, spec.Loopback)
+	transports, err := wire.LocalTransports(spec.N, false)
 	if err != nil {
 		return nil, fmt.Errorf("serve: cluster transport: %w", err)
 	}
@@ -105,7 +100,7 @@ func StartServeCluster(spec ClusterSpec) (*ServeCluster, error) {
 		// Steps is effectively unbounded; the run ends via Stop.
 		Steps: 1 << 30,
 		GenP:  []float64{0}, ConP: []float64{spec.ConP},
-		Seed: spec.Seed, Pace: spec.Pace,
+		Seed:         spec.Seed,
 		Obs:          spec.Obs,
 		StepInterval: spec.StepInterval,
 		NoBalance:    spec.NoBalance,

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
 // simulator and the experiment harnesses: streaming accumulators (Welford),
-// mergeable across parallel simulation runs; per-time-step series; integer
-// histograms; and quantile helpers.
+// mergeable across parallel simulation runs; per-time-step series; and
+// slice helpers.
 //
 // The experiments in the paper report, for each configuration, the average,
 // minimum and maximum load observed over 100 independent runs, plus the
@@ -13,7 +13,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator is a streaming mean/variance/min/max accumulator using
@@ -228,106 +227,6 @@ func (s *Series) Maxs() []float64 {
 		out[i] = s.acc[i].Max()
 	}
 	return out
-}
-
-// Histogram counts integer-valued observations. Buckets are the integers
-// themselves; out-of-range values extend the histogram.
-type Histogram struct {
-	counts map[int]int64
-	total  int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int64)}
-}
-
-// Add counts one observation of value v.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns the number of observations of value v.
-func (h *Histogram) Count(v int) int64 { return h.counts[v] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Support returns the sorted list of observed values.
-func (h *Histogram) Support() []int {
-	vals := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	return vals
-}
-
-// Mean returns the mean of the histogram, or 0 if empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the histogram using the
-// nearest-rank method, or 0 if the histogram is empty.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, v := range h.Support() {
-		cum += h.counts[v]
-		if cum >= rank {
-			return v
-		}
-	}
-	// Unreachable: cum reaches total.
-	s := h.Support()
-	return s[len(s)-1]
-}
-
-// Quantile returns the q-quantile of the float64 slice xs (0<=q<=1) by
-// linear interpolation between closest ranks. It returns 0 for empty input.
-// The input slice is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // MeanOf returns the mean of xs, or 0 for empty input.

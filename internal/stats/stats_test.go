@@ -185,67 +185,6 @@ func TestSeriesMerge(t *testing.T) {
 	a.Merge(NewSeries(3))
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{1, 2, 2, 3, 3, 3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Count(2) != 2 || h.Count(3) != 3 || h.Count(99) != 0 {
-		t.Fatal("counts wrong")
-	}
-	if got := h.Support(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("support = %v", got)
-	}
-	if !almostEqual(h.Mean(), 14.0/6.0, 1e-12) {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	// Nearest-rank median of [1,2,2,3,3,3]: rank ceil(0.5*6)=3 → value 2.
-	if h.Quantile(0.5) != 2 {
-		t.Fatalf("median = %d, want 2", h.Quantile(0.5))
-	}
-	if h.Quantile(0.75) != 3 {
-		t.Fatalf("q75 = %d, want 3", h.Quantile(0.75))
-	}
-	if h.Quantile(0) != 1 {
-		t.Fatalf("q0 = %d", h.Quantile(0))
-	}
-	if h.Quantile(1) != 3 {
-		t.Fatalf("q1 = %d", h.Quantile(1))
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Total() != 0 {
-		t.Fatal("empty histogram not zero-valued")
-	}
-}
-
-func TestQuantileSlice(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
-		t.Fatal("endpoint quantiles wrong")
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := Quantile(xs, 0.25); q != 2 {
-		t.Fatalf("q25 = %v", q)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-	// input must not be modified
-	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Fatal("Quantile modified its input")
-	}
-}
-
 func TestMinMaxSpread(t *testing.T) {
 	min, max := MinMaxInts([]int{5, -2, 9, 0})
 	if min != -2 || max != 9 {
@@ -310,33 +249,6 @@ func TestSeriesSingleStep(t *testing.T) {
 	}
 	if s.Means()[0] != 2.5 || s.Mins()[0] != 2.5 || s.Maxs()[0] != 2.5 {
 		t.Fatal("single-step projections wrong")
-	}
-}
-
-func TestHistogramSingle(t *testing.T) {
-	h := NewHistogram()
-	h.Add(7)
-	if h.Total() != 1 || h.Mean() != 7 {
-		t.Fatalf("single-sample histogram: total=%d mean=%v", h.Total(), h.Mean())
-	}
-	// Every quantile of one sample is that sample, including clamped
-	// out-of-range q.
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := h.Quantile(q); got != 7 {
-			t.Fatalf("Quantile(%v) = %d, want 7", q, got)
-		}
-	}
-	if s := h.Support(); len(s) != 1 || s[0] != 7 {
-		t.Fatalf("support = %v", s)
-	}
-}
-
-func TestQuantileSliceSingle(t *testing.T) {
-	xs := []float64{4.25}
-	for _, q := range []float64{-0.5, 0, 0.5, 1, 1.5} {
-		if got := Quantile(xs, q); got != 4.25 {
-			t.Fatalf("Quantile(%v) = %v, want 4.25", q, got)
-		}
 	}
 }
 
