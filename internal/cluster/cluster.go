@@ -37,7 +37,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -388,8 +387,8 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // report closes the transport and assembles the final Report. Close
-// comes first: it flushes the outbound queues (the Bye may still be in
-// one), so only afterwards are the traffic counters final.
+// comes first: a link still dialing writes what it holds (the Bye may
+// be among it), so only afterwards are the traffic counters final.
 func (n *Node) report() {
 	if err := n.cfg.Transport.Close(); err != nil && n.err == nil {
 		n.err = err
@@ -423,9 +422,10 @@ func (n *Node) send(to int, m wire.Msg) {
 	_ = n.cfg.Transport.Send(to, m)
 }
 
-// loop is the node's event loop: it never blocks without draining its
-// inbox, so nobody stalls on a send to it, and wakes on wall-clock ticks
-// to check the machine's timeouts. In
+// loop is the node's event loop: every wait in it is a select that
+// drains its inbox too, and it wakes on wall-clock ticks to check the
+// machine's timeouts. The one place it blocks without draining is a
+// send, inside the transport, while a peer's socket buffer is full. In
 // serve mode the client ingest channel is drained in every phase —
 // stepping, mid-protocol, idle — so a submission never waits on the
 // balancing protocol.
@@ -500,8 +500,6 @@ func (n *Node) loop() {
 				}
 			} else {
 				n.step()
-				// Yield so in-process clusters interleave on few CPUs.
-				runtime.Gosched()
 			}
 		default:
 			// Done stepping. Once quiet — no protocol in flight, all

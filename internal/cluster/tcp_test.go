@@ -77,7 +77,7 @@ func TestTCPClusterIntegration(t *testing.T) {
 	}
 
 	// Clean shutdown: every transport goroutine (accept loops, readers,
-	// writers) and every node goroutine must be gone. Give stragglers a
+	// link dialers) and every node goroutine must be gone. Give stragglers a
 	// grace window — conn teardown is asynchronous.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -109,5 +109,45 @@ func TestTCPClusterSmall(t *testing.T) {
 	}
 	if !res.Conserved() {
 		t.Fatal("conservation violated")
+	}
+}
+
+// TestOneCPUFreeRunning: a free-running node loop does not yield after
+// each step, so on one CPU the node loops, link dialers and socket
+// readers hand the processor over only by blocking or preemption. An
+// 8-node cluster must still finish there, over TCP and over loopback,
+// conserve packets by both audits and complete operations.
+func TestOneCPUFreeRunning(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, loopback := range []bool{false, true} {
+		name := map[bool]string{false: "tcp", true: "loopback"}[loopback]
+		t.Run(name, func(t *testing.T) {
+			const n = 8
+			ts, err := wire.LocalTransports(n, loopback)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			var res *Result
+			go func() {
+				defer close(done)
+				res, err = RunCluster(ClusterConfig{N: n, Delta: 2, F: 1.2, Steps: 2000, Seed: 11}, ts)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("cluster did not finish on one CPU")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Conserved() || !res.Summary.Conserved() {
+				t.Fatalf("conservation violated: nodes total %d, coordinator %+v", res.TotalLoad(), res.Summary)
+			}
+			if res.Completed() == 0 {
+				t.Fatal("no balancing operation completed")
+			}
+		})
 	}
 }

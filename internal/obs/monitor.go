@@ -135,8 +135,9 @@ const (
 	// DefaultAbortRateMax: a node whose abort-rate EWMA (aborts/sec
 	// across all reasons) exceeds this is "degraded".
 	DefaultAbortRateMax = 5.0
-	// DefaultSendqMax: a node whose summed sendq depth exceeds this is
-	// "degraded" — its transport is backing up.
+	// DefaultSendqMax: a node whose summed sendq depth (TCP frames held
+	// while a link redials) exceeds this is "degraded" — its transport
+	// is backing up.
 	DefaultSendqMax = 1024.0
 	// abortEWMAAlpha smooths the per-poll abort rate.
 	abortEWMAAlpha = 0.3

@@ -31,19 +31,24 @@ func (c *recConn) Write(p []byte) (int, error) {
 
 func (c *recConn) Close() error { c.closed = true; return nil }
 
-// queuedLink builds a peerLink to peer 1 over conn whose queue already
-// holds msgs[1:], the way Send would have left them (gauge included),
-// so a test can call flush(msgs[0]) on its own goroutine — no writer
-// goroutine, no scheduling to wait for.
-func queuedLink(conn net.Conn, addr string, msgs []Msg) *peerLink {
+// testLink builds a transport, with no listener, whose one link (to
+// peer 1 at addr) is up over conn, so a test drives send and the
+// dialer directly.
+func testLink(conn net.Conn, addr string) *peerLink {
 	t := &TCP{id: 0, done: make(chan struct{})}
 	t.ctr.initPeers([]int{1})
-	l := &peerLink{t: t, to: 1, addr: addr, q: make(chan Msg, sendQueueLen), conn: conn}
-	for _, m := range msgs[1:] {
-		l.q <- m
+	return &peerLink{t: t, to: 1, addr: addr, conn: conn}
+}
+
+// freeAddr returns a loopback address that nothing listens on (yet).
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.ctr.queueDepth.Add(int64(len(msgs)))
-	return l
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 // burst is a mixed run of small control frames and a job-record frame.
@@ -90,95 +95,76 @@ func wantMsgs(t *testing.T, got, want []Msg) {
 	}
 }
 
-// TestPeerLinkOneWritePerWakeup: a frame and everything queued behind
-// it leave in a single conn.Write, in order, counted per frame; a lone
-// frame is written at once — flush never waits for company.
-func TestPeerLinkOneWritePerWakeup(t *testing.T) {
-	msgs := burst()
-	conn := &recConn{}
-	l := queuedLink(conn, "", msgs)
-	l.flush(msgs[0])
-	if len(conn.writes) != 1 {
-		t.Fatalf("%d frames left in %d writes, want 1", len(msgs), len(conn.writes))
+// TestPeerLinkOrderAcrossConnect: frames sent while a link is down are
+// held, and the dialer writes them before it publishes the connection,
+// so no frame sent around the connect overtakes them. Half the frames
+// are sent before anything listens, so the link holds them; the
+// listener then comes up, and the other half leaves back to back from
+// the moment it accepts the dialer's connection.
+func TestPeerLinkOrderAcrossConnect(t *testing.T) {
+	addr := freeAddr(t)
+	a, err := ListenTCP(0, "127.0.0.1:0", map[int]string{1: addr})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantMsgs(t, readFrames(t, bytes.NewReader(conn.writes[0])), msgs)
-	st, ps := l.t.Stats(), l.t.PeerStats(1)
-	if st.MsgsSent != int64(len(msgs)) || ps.MsgsSent != st.MsgsSent {
-		t.Fatalf("MsgsSent = %d (peer %d), want %d", st.MsgsSent, ps.MsgsSent, len(msgs))
+	defer a.Close()
+	const frames = 100
+	send := func(seq int) {
+		if err := a.Send(1, Msg{Kind: FreezeReq, From: 0, Seq: uint64(seq)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if want := int64(len(conn.writes[0])); st.BytesSent != want || ps.BytesSent != want {
-		t.Fatalf("BytesSent = %d (peer %d), want %d", st.BytesSent, ps.BytesSent, want)
+	for seq := 0; seq < frames/2; seq++ {
+		send(seq)
 	}
-	if st.SendErrors != 0 || st.Redials != 0 {
-		t.Fatalf("clean write counted %d send errors, %d redials", st.SendErrors, st.Redials)
-	}
-	if got := l.t.writes.Value(); got != 1 {
-		t.Fatalf("write counter %d, want 1", got)
-	}
-	if got := l.t.ctr.queueDepth.Value(); got != 0 {
-		t.Fatalf("queue depth %d after the batch left, want 0", got)
-	}
-
-	lone := Msg{Kind: Idle, From: 0}
-	l.t.ctr.queueDepth.Add(1)
-	l.flush(lone)
-	if len(conn.writes) != 2 {
-		t.Fatalf("lone frame not written by its own flush (%d writes)", len(conn.writes))
-	}
-	wantMsgs(t, readFrames(t, bytes.NewReader(conn.writes[1])), []Msg{lone})
-}
-
-// TestPeerLinkBatchIsBounded: the drain stops at writeBatchBytes, so a
-// queue that never runs dry still yields bounded writes and loses
-// nothing.
-func TestPeerLinkBatchIsBounded(t *testing.T) {
-	fat := Msg{Kind: JobMove, From: 0, SentNS: 1 << 40}
-	for i := 0; i < MaxJobsPerMsg; i++ {
-		fat.Jobs = append(fat.Jobs, JobRef{Origin: i, ID: uint64(i) << 30, IngestNS: 1, Hops: i, TransferNS: 1 << 30})
-	}
-	frame := len(AppendFrame(nil, fat))
-	msgs := make([]Msg, 2*writeBatchBytes/frame+2)
-	for i := range msgs {
-		msgs[i] = fat
-		msgs[i].Seq = uint64(i)
-	}
-	conn := &recConn{}
-	l := queuedLink(conn, "", msgs)
-	l.flush(msgs[0])
-	if len(conn.writes) != 1 {
-		t.Fatalf("%d writes from one flush", len(conn.writes))
-	}
-	if n := len(conn.writes[0]); n < writeBatchBytes || n >= writeBatchBytes+frame {
-		t.Fatalf("first write is %d bytes, want [%d, %d)", n, writeBatchBytes, writeBatchBytes+frame)
-	}
-	for len(l.q) > 0 {
-		l.flush(<-l.q)
-	}
-	var all []byte
-	for _, w := range conn.writes {
-		all = append(all, w...)
-	}
-	wantMsgs(t, readFrames(t, bytes.NewReader(all)), msgs)
-	if got := l.t.ctr.queueDepth.Value(); got != 0 {
-		t.Fatalf("queue depth %d after everything left, want 0", got)
-	}
-}
-
-// TestPeerLinkRedialResendsBatch: a failed write closes the connection,
-// redials once and sends the whole batch again on the new one.
-func TestPeerLinkRedialResendsBatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	in, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	for seq := frames / 2; seq < frames; seq++ {
+		send(seq)
+	}
+	br := bufio.NewReader(in)
+	for want := 0; want < frames; want++ {
+		m, _, err := ReadFrame(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", want, err)
+		}
+		if m.Seq != uint64(want) {
+			t.Fatalf("frame %d arrived in place %d", m.Seq, want)
+		}
+	}
+}
+
+// TestPeerLinkRedialResendsBatch: a failed write closes the connection
+// and hands its frame to the dialer; the frames sent while it redials
+// are held behind it, and the redial sends the whole batch again, in
+// order and in one write, on the new connection.
+func TestPeerLinkRedialResendsBatch(t *testing.T) {
+	addr := freeAddr(t) // nothing listens until the batch is held
 	msgs := burst()
 	broken := &recConn{fail: true}
-	l := queuedLink(broken, ln.Addr().String(), msgs)
-	l.flush(msgs[0])
+	l := testLink(broken, addr)
+	for _, m := range msgs {
+		if err := l.send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if !broken.closed {
 		t.Fatal("failed connection left open")
 	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	l.t.wg.Wait()  // the dialer has connected and resent
 	l.conn.Close() // EOF for the reader below
 	in, err := ln.Accept()
 	if err != nil {
@@ -196,19 +182,19 @@ func TestPeerLinkRedialResendsBatch(t *testing.T) {
 }
 
 // TestPeerLinkDropCountsEveryFrame: when the redial fails too, every
-// frame of the batch is a send error on that peer's link, none is
-// counted sent.
+// held frame is a send error on that peer's link, none is counted sent,
+// and the held-frame gauge returns to 0.
 func TestPeerLinkDropCountsEveryFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone := ln.Addr().String()
-	ln.Close() // nothing listens here any more
+	gone := freeAddr(t) // nothing listens here any more
 	msgs := burst()
-	l := queuedLink(&recConn{fail: true}, gone, msgs)
+	l := testLink(&recConn{fail: true}, gone)
+	for _, m := range msgs {
+		if err := l.send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(l.t.done) // shutdown: dial gives up after one immediate retry
-	l.flush(msgs[0])
+	l.t.wg.Wait()
 	st, ps := l.t.Stats(), l.t.PeerStats(1)
 	if st.MsgsSent != 0 || st.SendErrors != int64(len(msgs)) || ps.SendErrors != st.SendErrors {
 		t.Fatalf("sent %d, errors %d (peer %d); want 0, %d", st.MsgsSent, st.SendErrors, ps.SendErrors, len(msgs))
@@ -219,8 +205,9 @@ func TestPeerLinkDropCountsEveryFrame(t *testing.T) {
 }
 
 // TestTCPCloseFlushesQueuedBye: Close right behind a burst still
-// delivers all of it — the shutdown drain runs through flush too, and
-// the coordinator's audit waits for that Bye.
+// delivers all of it — frames held while the link dials are written by
+// the dialer's last attempt, and the coordinator's audit waits for that
+// Bye.
 func TestTCPCloseFlushesQueuedBye(t *testing.T) {
 	ts, err := NewLocalCluster(2)
 	if err != nil {

@@ -192,8 +192,9 @@ func TestLoopbackPeerAccounting(t *testing.T) {
 	}
 }
 
-// TestTCPQueueDepthGauge checks the send-queue depth gauge returns to
-// zero once the writers have drained everything.
+// TestTCPQueueDepthGauge checks the held-frame depth gauge
+// (wire_sendq_depth) returns to zero once the dialer has written the
+// frames sent while the link was still connecting.
 func TestTCPQueueDepthGauge(t *testing.T) {
 	ts, err := NewLocalCluster(2)
 	if err != nil {

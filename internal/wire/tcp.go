@@ -15,17 +15,12 @@ import (
 
 // Dial/retry tuning for the TCP transport. Dial failures are expected
 // at startup (peers come up in arbitrary order), so the first attempts
-// retry quickly and back off; after dialDeadline the message is dropped
-// and counted, mirroring a datagram to a dead host.
+// retry quickly and back off; after dialDeadline the held frames are
+// dropped and counted, mirroring a datagram to a dead host.
 const (
 	dialRetryStart = 5 * time.Millisecond
 	dialRetryMax   = 250 * time.Millisecond
 	dialDeadline   = 10 * time.Second
-	sendQueueLen   = 256
-	// writeBatchBytes ends a link writer's queue drain: it stops taking
-	// queued frames once the pending write is this large, so one wakeup
-	// costs one conn.Write of bounded size however fast the producer is.
-	writeBatchBytes = 64 << 10
 )
 
 // ErrClosed is returned by Send on a closed transport.
@@ -40,16 +35,15 @@ var ErrClosed = errors.New("wire: transport closed")
 type TCP struct {
 	id     int
 	ln     net.Listener
-	addrs  map[int]string
 	inbox  chan Msg
 	done   chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
 	ctr    counters
-	writes obs.Counter // conn.Write calls; MsgsSent/writes = frames per write
+	writes obs.Counter       // conn.Write calls; MsgsSent/writes = frames per write
+	links  map[int]*peerLink // one per peer, built in NewTCP; read-only after
 
 	mu    sync.Mutex
-	links map[int]*peerLink
 	conns map[net.Conn]struct{} // inbound connections, closed on Close
 }
 
@@ -69,15 +63,15 @@ func NewTCP(id int, ln net.Listener, peers map[int]string) *TCP {
 	t := &TCP{
 		id:    id,
 		ln:    ln,
-		addrs: peers,
 		inbox: make(chan Msg, 4*len(peers)+64),
 		done:  make(chan struct{}),
-		links: make(map[int]*peerLink),
+		links: make(map[int]*peerLink, len(peers)),
 		conns: make(map[net.Conn]struct{}),
 	}
 	ids := make([]int, 0, len(peers))
-	for pid := range peers {
+	for pid, addr := range peers {
 		ids = append(ids, pid)
+		t.links[pid] = &peerLink{t: t, to: pid, addr: addr}
 	}
 	t.ctr.initPeers(ids)
 	t.wg.Add(1)
@@ -86,7 +80,7 @@ func NewTCP(id int, ln net.Listener, peers map[int]string) *TCP {
 }
 
 // Register attaches the transport's live traffic counters — totals,
-// send-queue depth and the per-peer byte/msg series — to an obs
+// held-frame depth and the per-peer byte/msg series — to an obs
 // registry, labeled with this node's id, plus the socket-write count
 // that turns the message counter into frames per write. Call once at
 // setup.
@@ -108,31 +102,25 @@ func (t *TCP) Inbox() <-chan Msg { return t.inbox }
 // Stats snapshots the traffic counters.
 func (t *TCP) Stats() Stats { return t.ctr.snapshot() }
 
-// Send enqueues m for peer `to`. It blocks only when the peer's send
-// queue is full (backpressure); a closed transport errors immediately.
+// Send writes m to peer `to`'s connection on the caller's goroutine, so
+// it blocks while the kernel's socket buffer toward that peer is full.
+// While the link is down the frame is held for the link's dialer and
+// Send returns at once: it never dials, sleeps or waits for a dial. A
+// closed transport errors immediately.
 func (t *TCP) Send(to int, m Msg) error {
 	if to == t.id {
 		return fmt.Errorf("wire: node %d sending to itself", t.id)
 	}
-	addr, ok := t.addrs[to]
+	l, ok := t.links[to]
 	if !ok {
 		return fmt.Errorf("wire: node %d has no address for peer %d", t.id, to)
 	}
-	link, err := t.link(to, addr)
-	if err != nil {
-		return err
-	}
-	select {
-	case link.q <- m:
-		t.ctr.queueDepth.Add(1)
-		return nil
-	case <-t.done:
-		return ErrClosed
-	}
+	return l.send(m)
 }
 
-// Close stops the listener, drains and flushes the outbound queues,
-// closes every connection and waits for all goroutines to exit.
+// Close stops the listener, closes every connection and waits for all
+// goroutines to exit. A link still dialing makes one last attempt and
+// writes what it holds, so a frame sent before Close still arrives.
 func (t *TCP) Close() error {
 	t.once.Do(func() {
 		close(t.done)
@@ -142,28 +130,19 @@ func (t *TCP) Close() error {
 			c.Close()
 		}
 		t.mu.Unlock()
+		// Under each link's lock: a Send or dialer that saw the
+		// transport open is done with the link, and none starts later.
+		for _, l := range t.links {
+			l.mu.Lock()
+			if l.conn != nil {
+				l.conn.Close()
+				l.conn = nil
+			}
+			l.mu.Unlock()
+		}
 	})
 	t.wg.Wait()
 	return nil
-}
-
-// link returns (starting if needed) the outbound link to a peer.
-func (t *TCP) link(to int, addr string) (*peerLink, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	select {
-	case <-t.done:
-		return nil, ErrClosed
-	default:
-	}
-	l, ok := t.links[to]
-	if !ok {
-		l = &peerLink{t: t, to: to, addr: addr, q: make(chan Msg, sendQueueLen)}
-		t.links[to] = l
-		t.wg.Add(1)
-		go l.writer()
-	}
-	return l, nil
 }
 
 // acceptLoop admits inbound connections and spawns one reader each.
@@ -261,114 +240,124 @@ func peekPayload(br *bufio.Reader, size int) (p []byte, discard int, err error) 
 	return nil, 0, err
 }
 
-// peerLink is one outbound connection with its queue and writer.
+// peerLink is one outbound connection. While it is up, Send encodes
+// and writes on the caller's goroutine under mu. While it is down, one
+// dialer goroutine reconnects, and the frames sent meanwhile wait in
+// held, encoded back to back.
 type peerLink struct {
 	t    *TCP
 	to   int
 	addr string
-	q    chan Msg
 
-	conn net.Conn // writer-goroutine private
-	enc  []byte
+	mu      sync.Mutex
+	conn    net.Conn // nil while the link is down
+	dialing bool     // a dialer goroutine owns the reconnect
+	enc     []byte   // the frame being sent
+	held    []byte   // frames sent while down, in order
+	nheld   int64
 }
 
-// writer drains the queue onto the connection, dialing on demand. On
-// shutdown it flushes whatever is still queued — the Bye message of the
-// shutdown protocol must reach the coordinator — then closes.
-func (l *peerLink) writer() {
-	defer l.t.wg.Done()
-	defer func() {
-		if l.conn != nil {
-			l.conn.Close()
-		}
-	}()
-	for {
-		select {
-		case m := <-l.q:
-			l.flush(m)
-		case <-l.t.done:
-			for {
-				select {
-				case m := <-l.q:
-					l.flush(m)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// flush sends m and every frame already queued behind it with one
-// conn.Write: dial if disconnected, and on a write failure redial once
-// and resend the whole batch before dropping it. It takes what is
-// queued and never waits for more — the frames on a cluster link are
-// legs of round trips some node's freeze is waiting on. Accounting
-// stays per frame, and the queue-depth gauge lets go of a frame only
-// once it is counted as sent or dropped.
-func (l *peerLink) flush(m Msg) {
-	ctr := &l.t.ctr
-	if l.conn == nil && !l.dial() {
-		ctr.countSendError(l.to, 1)
-		ctr.queueDepth.Add(-1)
-		return
+// send writes m, or holds it for the dialer while the link is down. A
+// frame whose write fails is held too, so the dialer resends it once.
+func (l *peerLink) send(m Msg) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case <-l.t.done:
+		return ErrClosed
+	default:
 	}
 	l.enc = AppendFrame(l.enc[:0], m)
-	frames := int64(1)
-drain:
-	for len(l.enc) < writeBatchBytes {
-		select {
-		case m = <-l.q:
-			l.enc = AppendFrame(l.enc, m)
-			frames++
-		default:
-			break drain
-		}
+	up := l.conn != nil
+	if up && l.write(l.enc, 1) {
+		return nil
 	}
-	defer ctr.queueDepth.Add(-frames)
-	for attempt := 0; ; attempt++ {
-		l.t.writes.Inc()
-		if _, err := l.conn.Write(l.enc); err == nil {
-			ctr.countSend(l.to, frames, int64(len(l.enc)))
-			return
-		}
+	l.held = append(l.held, l.enc...)
+	l.nheld++
+	l.t.ctr.queueDepth.Add(1)
+	if !l.dialing {
+		l.dialing = true
+		l.t.wg.Add(1)
+		go l.dialer(up)
+	}
+	return nil
+}
+
+// write is the link's one conn.Write, of frames frames encoded back to
+// back in buf. Accounting is per frame. A failed write closes the
+// connection and counts a redial.
+func (l *peerLink) write(buf []byte, frames int64) bool {
+	l.t.writes.Inc()
+	if _, err := l.conn.Write(buf); err != nil {
 		l.conn.Close()
 		l.conn = nil
-		ctr.redials.Add(1)
-		if attempt == 1 || !l.dial() {
-			ctr.countSendError(l.to, frames)
-			return
-		}
+		l.t.ctr.redials.Add(1)
+		return false
 	}
+	l.t.ctr.countSend(l.to, frames, int64(len(buf)))
+	return true
+}
+
+// dialer reconnects a down link. It writes the held frames in one write
+// and only then publishes the connection, under mu, so no later Send
+// overtakes them. A batch whose write already failed once (resent) is
+// dropped if it fails again; so is everything held when the dial gives
+// up. Either way each dropped frame is a send error on this peer.
+func (l *peerLink) dialer(resent bool) {
+	defer l.t.wg.Done()
+	for {
+		c := l.dial()
+		l.mu.Lock()
+		if c != nil {
+			l.conn = c
+			if l.write(l.held, l.nheld) {
+				break
+			}
+		}
+		if c == nil || resent {
+			l.t.ctr.countSendError(l.to, l.nheld)
+			break
+		}
+		resent = true
+		l.mu.Unlock()
+	}
+	select {
+	case <-l.t.done: // Close has passed this link or will find it down
+		if l.conn != nil {
+			l.conn.Close()
+			l.conn = nil
+		}
+	default:
+	}
+	l.t.ctr.queueDepth.Add(-l.nheld)
+	l.held, l.nheld, l.dialing = l.held[:0], 0, false
+	l.mu.Unlock()
 }
 
 // dial connects to the peer, retrying with backoff: peers of a starting
 // cluster come up in arbitrary order, so early connection refusals are
-// normal. Gives up at dialDeadline or transport shutdown... except that
-// shutdown still grants one quick final attempt so queued shutdown
+// normal. Gives up (nil) at dialDeadline or transport shutdown... except
+// that shutdown still grants one quick final attempt so held shutdown
 // messages can flush.
-func (l *peerLink) dial() bool {
+func (l *peerLink) dial() net.Conn {
 	backoff := dialRetryStart
 	deadline := time.Now().Add(dialDeadline)
 	for {
 		c, err := net.Dial("tcp", l.addr)
 		if err == nil {
-			l.conn = c
-			return true
+			return c
 		}
 		if time.Now().After(deadline) {
-			return false
+			return nil
 		}
 		select {
 		case <-l.t.done:
 			// One immediate last try, then give up: the peer is either
 			// up by now or never will be.
-			c, err := net.Dial("tcp", l.addr)
-			if err != nil {
-				return false
+			if c, err := net.Dial("tcp", l.addr); err == nil {
+				return c
 			}
-			l.conn = c
-			return true
+			return nil
 		case <-time.After(backoff):
 		}
 		if backoff *= 2; backoff > dialRetryMax {

@@ -62,11 +62,11 @@
 //
 // Both transports count every message and byte they move (Stats), in
 // total and per peer (PeerStats), on atomic obs counters safe to bump
-// from writer and reader goroutines and to snapshot from anywhere. The
+// from sending and reader goroutines and to snapshot from anywhere. The
 // loopback transport still runs each message through the codec — what it
 // counts is exactly what TCP would have to say, minus the frame's length
 // prefix — so an inproc/TCP comparison isolates true wire overhead.
-// Register attaches the live counters (including the TCP send-queue
+// Register attaches the live counters (including the TCP held-frame
 // depth gauge) to an obs.Registry for the /metrics debug endpoint.
 package wire
 
@@ -428,9 +428,10 @@ type PeerStatser interface {
 }
 
 // Transport moves protocol messages between the nodes of one cluster.
-// Send enqueues a message to a peer (it may block briefly for
-// backpressure but never deadlocks a caller that keeps draining its
-// Inbox); Inbox delivers every message addressed to this node. All
+// Send hands a message to the medium on the caller's goroutine: it may
+// block while the peer's socket or inbox buffer is full, so a caller
+// that blocks in Send is not draining its own Inbox meanwhile; Inbox
+// delivers every message addressed to this node. All
 // methods are safe for concurrent use, but a Transport is owned by one
 // node: only that node calls Send and reads Inbox.
 type Transport interface {
@@ -445,21 +446,22 @@ type Transport interface {
 	// Stats snapshots the traffic counters.
 	Stats() Stats
 	PeerStatser
-	// Close shuts the transport down, flushing queued outbound
-	// messages where the medium allows. Close is idempotent.
+	// Close shuts the transport down. Messages already sent are still
+	// delivered where the medium allows (TCP: a link still dialing
+	// makes one last attempt). Close is idempotent.
 	Close() error
 }
 
 // counters is the shared atomic implementation behind Stats: obs
 // counters (atomic, usable without a registry) for the transport
 // totals plus a per-peer breakdown over the known peer set. Totals and
-// per-peer entries are incremented from writer/reader goroutines and
+// per-peer entries are incremented from sending/reader goroutines and
 // snapshotted from the owner — every field is atomic, so no lock.
 type counters struct {
 	msgsSent, msgsRecv   obs.Counter
 	bytesSent, bytesRecv obs.Counter
 	sendErrors, redials  obs.Counter
-	queueDepth           obs.Gauge // TCP: messages sitting in send queues
+	queueDepth           obs.Gauge // TCP: frames held while a link (re)dials
 	perPeer              map[int]*peerCounters
 }
 
@@ -472,7 +474,7 @@ type peerCounters struct {
 
 // initPeers seeds the per-peer table for a known peer set. The map is
 // read-only after construction, so lookups from concurrent reader and
-// writer goroutines need no lock.
+// sending goroutines need no lock.
 func (c *counters) initPeers(ids []int) {
 	c.perPeer = make(map[int]*peerCounters, len(ids))
 	for _, id := range ids {
@@ -540,7 +542,7 @@ func (c *counters) peerStats(id int) Stats {
 
 // register attaches the transport's counters to an obs registry under
 // the wire_* namespace, labeled with this node's id: the totals, the
-// send-queue depth gauge, and the per-peer byte/msg series. Call once
+// held-frame depth gauge, and the per-peer byte/msg series. Call once
 // at setup; the counters themselves are live (no copying), so the
 // registry always exports current values.
 func (c *counters) register(reg *obs.Registry, node int) {
