@@ -48,7 +48,7 @@ func main() {
 		record  = flag.String("record", "", "sample the workload into a CSV trace file and exit")
 		replay  = flag.String("replay", "", "replay a CSV trace file as the workload (overrides -pattern)")
 		drop    = flag.Float64("drop", 0, "netsim only: control-message drop probability in [0,1]")
-		delay   = flag.Int("delay", 0, "netsim only: maximum per-message delivery delay in ticks")
+		delay   = flag.Int("delay", 0, "netsim only: maximum extra delivery delay of a control message, in ticks")
 		crash   = flag.Int("crash", 0, "netsim only: number of staggered fail-stop crashes per run")
 		dump    = flag.Bool("metrics-dump", false, "print the run's metrics registry as JSON after the run")
 
@@ -411,14 +411,7 @@ func runNetsim(o options, reg *obs.Registry) error {
 		if err != nil {
 			return err
 		}
-		var initiated, completed, timeouts, selfRel, lost int64
-		for _, nd := range res.Nodes {
-			initiated += nd.Initiated
-			completed += nd.Completed
-			timeouts += nd.Timeouts
-			selfRel += nd.FreezeExpired
-			lost += nd.Dropped + nd.LostAtCrash
-		}
+		initiated, completed := res.Initiated(), res.Completed()
 		msgsPerOp, abortFrac := 0.0, 0.0
 		if completed > 0 {
 			msgsPerOp = float64(res.Messages()) / float64(completed)
@@ -430,7 +423,7 @@ func runNetsim(o options, reg *obs.Registry) error {
 		if !res.Conserved() {
 			conserved = "NO"
 		}
-		tb.AddRow(run, res.Spread(), msgsPerOp, abortFrac, timeouts, selfRel, lost, conserved)
+		tb.AddRow(run, res.Spread(), msgsPerOp, abortFrac, res.Timeouts(), res.FreezeExpired(), res.Lost(), conserved)
 		sumSpread += float64(res.Spread())
 		sumMsgs += msgsPerOp
 		sumAbort += abortFrac

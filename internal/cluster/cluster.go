@@ -16,8 +16,8 @@
 //     itself quiet, or shutdown could race a transfer and lose packets.
 //     A zero-delta Transfer only unfreezes its partner: nothing rides
 //     on it, so it is neither awaited nor answered.
-//   - Timeouts are wall-clock. The node decides when the machine's
-//     reply timeout and frozen-partner self-release are due: a live TCP
+//   - The node decides when the machine's reply timeout and
+//     frozen-partner self-release are due, on its own clock: a live TCP
 //     peer answers in microseconds, so a missing reply means a dead or
 //     unreachable peer, not an unlucky scheduler slice.
 //   - Shutdown is a distributed two-phase protocol. Phase one
@@ -33,6 +33,17 @@
 //     checks exact packet conservation across the cluster.
 //   - Pacing, serve-mode job records, abort attribution and the
 //     obs/flight instrumentation hang off the machine's effects.
+//
+// # Clock and drivers
+//
+// The node never reads a clock. Its driver sets its time, now (int64
+// nanoseconds), before handing it an event, and every timer, timeout
+// and serve-mode stamp reads that. Start runs the wall-clock driver: one
+// goroutine whose loop sets now from the wall clock just before each
+// dispatch, the only select and the only clock read in the node. A
+// driver of its own — internal/netsim schedules N nodes on virtual time
+// — uses the sans-IO surface instead: Deliver a frame, give the node a
+// Turn, Crash it, and collect its Report once Finished.
 package cluster
 
 import (
@@ -74,6 +85,12 @@ type Config struct {
 	// rng.New(rng.Mix64(Seed, ID)) so nodes are independent but the
 	// whole cluster is reproducible from one number.
 	Seed uint64
+	// Neighbors, when non-empty, restricts this node's balancing partners
+	// to these ids (the paper's locality extension: a graph
+	// neighbourhood); δ of them are drawn uniformly, or all of them when
+	// there are at most δ. Empty selects partners uniformly from all
+	// other nodes (the paper's model).
+	Neighbors []int
 	// Transport carries the protocol. The node owns it and closes it
 	// when the run ends.
 	Transport wire.Transport
@@ -175,6 +192,11 @@ func (c *Config) validate() error {
 		// record) or complete a job that was never submitted.
 		return fmt.Errorf("cluster: Serve requires GenP == 0, got %v", c.GenP)
 	}
+	for _, v := range c.Neighbors {
+		if v < 0 || v >= c.N || v == c.ID {
+			return fmt.Errorf("cluster: node %d lists neighbour %d", c.ID, v)
+		}
+	}
 	return nil
 }
 
@@ -266,8 +288,9 @@ type Report struct {
 	Summary *Summary
 }
 
-// Node is one running cluster node: the wall-clock driver of one
-// proto.Machine.
+// Node is one cluster node: the driver of one proto.Machine, run on the
+// wall clock by Start or by a scheduler of its own through Deliver and
+// Turn (see the package comment).
 type Node struct {
 	cfg   Config
 	rng   *rng.RNG // workload and partner draws; shared with the machine
@@ -278,16 +301,17 @@ type Node struct {
 
 	m    *proto.Machine // load, trigger and handshake state
 	effs []proto.Effect // reused effect buffer
+	now  int64          // the driver's clock, ns, set before each event
 
 	// initiator-side driver state
-	lastInitAt time.Time     // when the latest (possibly in-flight) protocol started
+	lastInitAt int64         // when the latest (possibly in-flight) protocol started
 	epoch      atomic.Uint64 // mirrors the machine's epoch for cross-goroutine readers (Epoch)
 	unacked    int           // transfers sent but not yet acknowledged
 	peerErrsAt []int64       // per-partner link send errors at initiate (timeout attribution)
-	xferSent   []time.Time   // Transfer send times awaiting ack, FIFO (metrics only)
+	xferSent   []int64       // Transfer send times awaiting ack, FIFO (metrics only)
 
 	// partner-side driver state
-	frozeAt time.Time
+	frozeAt int64
 
 	// serving state (serve mode only, see serve.go)
 	recs    []wire.JobRef // job-record FIFO parallel to the load count
@@ -376,6 +400,47 @@ func (n *Node) Wait() (*Report, error) {
 	return n.rep, n.err
 }
 
+// Deliver hands the node one frame at time now: the sans-IO
+// counterpart of the frame arriving on its Inbox.
+func (n *Node) Deliver(now int64, m wire.Msg) {
+	n.now = now
+	n.handle(m)
+}
+
+// Turn gives the node one turn of its driver's schedule at time now:
+// overdue timeouts fire, then an unengaged node with steps left takes
+// one step, and a node done with its steps and quiet reports Idle
+// (once).
+func (n *Node) Turn(now int64) {
+	n.now = now
+	n.checkTimeouts()
+	if !n.m.Engaged() && n.stepsDone < n.cfg.Steps && n.step() {
+		n.triggered()
+	}
+	n.signalIdle()
+}
+
+// Crash fail-stops the node's protocol (proto.Machine.Crash): the
+// operation in flight and the freeze it holds are forgotten, without a
+// frame to the partners. Load, counters and unacknowledged transfers
+// survive, as they would in stable storage.
+func (n *Node) Crash() { n.m.Crash() }
+
+// StepsDone returns the workload steps the node has taken.
+func (n *Node) StepsDone() int { return n.stepsDone }
+
+// Finished reports whether the node has retired through the two-phase
+// shutdown.
+func (n *Node) Finished() bool { return n.finished }
+
+// Report closes the transport and returns the node's report — for a
+// node run through Deliver and Turn, what Wait returns for a started
+// one.
+func (n *Node) Report() (*Report, error) {
+	n.report()
+	return n.rep, n.err
+}
+
 // Run is Start followed by Wait.
 func Run(cfg Config) (*Report, error) {
 	n, err := New(cfg)
@@ -422,13 +487,14 @@ func (n *Node) send(to int, m wire.Msg) {
 	_ = n.cfg.Transport.Send(to, m)
 }
 
-// loop is the node's event loop: every wait in it is a select that
-// drains its inbox too, and it wakes on wall-clock ticks to check the
+// loop is the wall-clock driver: every wait in it is a select that
+// drains the inbox too, and it wakes on wall-clock ticks to check the
 // machine's timeouts. The one place it blocks without draining is a
 // send, inside the transport, while a peer's socket buffer is full. In
 // serve mode the client ingest channel is drained in every phase —
 // stepping, mid-protocol, idle — so a submission never waits on the
-// balancing protocol.
+// balancing protocol. The node's clock is unix nanoseconds, read off the
+// monotonic clock from one wall-clock anchor just before each dispatch.
 func (n *Node) loop() {
 	ticker := time.NewTicker(n.cfg.tick())
 	defer ticker.Stop()
@@ -444,14 +510,19 @@ func (n *Node) loop() {
 		defer stepTicker.Stop()
 		stepC = stepTicker.C
 	}
+	anchor := time.Now()
+	anchorNS := anchor.UnixNano()
+	clock := func() { n.now = anchorNS + int64(time.Since(anchor)) }
 	for !n.finished {
 		// Serve everything already queued.
 		draining := true
 		for draining && !n.finished {
 			select {
 			case m := <-inbox:
+				clock()
 				n.handle(m)
 			case s := <-ingest:
+				clock()
 				n.ingestSubmit(s)
 			default:
 				draining = false
@@ -472,67 +543,74 @@ func (n *Node) loop() {
 			default:
 			}
 		}
+		// Mid-protocol, a node makes no workload progress but keeps
+		// draining so nobody stalls on it, and keeps the timeouts
+		// breathing. A stepping node steps back-to-back or, under
+		// StepInterval, on the step tick. A node done stepping reports
+		// Idle once quiet, then serves as a balancing partner until the
+		// coordinator retires it.
+		var stepNow <-chan time.Time
 		switch {
 		case n.m.Engaged():
-			// Mid-protocol: no workload progress, but keep draining so
-			// nobody stalls on us, and keep the timeouts breathing.
-			select {
-			case m := <-inbox:
-				n.handle(m)
-			case s := <-ingest:
-				n.ingestSubmit(s)
-			case <-ticker.C:
-				n.checkTimeouts()
-			}
 		case n.stepsDone < n.cfg.Steps:
-			if stepC != nil {
-				// Wall-clock stepping: wait for the step tick, staying
-				// responsive to traffic and ingest in the meantime.
-				select {
-				case m := <-inbox:
-					n.handle(m)
-				case s := <-ingest:
-					n.ingestSubmit(s)
-				case <-stepC:
-					n.step()
-				case <-ticker.C:
-					n.checkTimeouts()
+			if stepC == nil {
+				// Back-to-back steps read the clock only where it is
+				// needed: serve-mode consume stamps and an initiation.
+				if n.cfg.Serve != nil {
+					clock()
 				}
-			} else {
-				n.step()
+				if n.step() {
+					clock()
+					n.triggered()
+				}
+				continue
 			}
+			stepNow = stepC
 		default:
-			// Done stepping. Once quiet — no protocol in flight, all
-			// transfers acked — report Idle (once), then serve as a
-			// balancing partner until the coordinator retires us.
-			if !n.signaled && n.unacked == 0 {
-				n.signaled = true
-				if n.cfg.ID == 0 {
-					n.maybeQuit()
-				} else {
-					n.send(0, wire.Msg{Kind: wire.Idle})
-				}
+			n.signalIdle()
+		}
+		select {
+		case m := <-inbox:
+			clock()
+			n.handle(m)
+		case s := <-ingest:
+			clock()
+			n.ingestSubmit(s)
+		case <-stepNow:
+			clock()
+			if n.step() {
+				n.triggered()
 			}
-			select {
-			case m := <-inbox:
-				n.handle(m)
-			case s := <-ingest:
-				n.ingestSubmit(s)
-			case <-ticker.C:
-				n.checkTimeouts()
-			}
+		case <-ticker.C:
+			clock()
+			n.checkTimeouts()
 		}
 	}
 }
 
+// signalIdle is phase one of the shutdown: once the node has finished
+// its steps, is not mid-protocol and has every transfer acknowledged, it
+// reports Idle to the coordinator — once (the coordinator records its
+// own quiescence instead).
+func (n *Node) signalIdle() {
+	if n.signaled || n.unacked > 0 || n.m.Engaged() || n.stepsDone < n.cfg.Steps {
+		return
+	}
+	n.signaled = true
+	if n.cfg.ID == 0 {
+		n.maybeQuit()
+	} else {
+		n.send(0, wire.Msg{Kind: wire.Idle})
+	}
+}
+
 // checkTimeouts fires the machine's reply timeout and frozen-partner
-// self-release once they are overdue on the wall clock.
+// self-release once they are overdue on the node's clock.
 func (n *Node) checkTimeouts() {
-	now := time.Now()
-	if n.m.Inflight() && now.Sub(n.lastInitAt) > n.cfg.timeout() {
+	if n.m.Inflight() && n.now-n.lastInitAt > int64(n.cfg.timeout()) {
 		n.apply(n.m.ReplyTimeout(n.effs[:0]))
 	}
-	if n.m.Frozen() && now.Sub(n.frozeAt) > n.cfg.freezeTimeout() {
+	if n.m.Frozen() && n.now-n.frozeAt > int64(n.cfg.freezeTimeout()) {
 		n.apply(n.m.FreezeExpired(n.effs[:0]))
 	}
 }
@@ -552,8 +630,9 @@ func (n *Node) partnerLinkErrored() bool {
 	return false
 }
 
-// step performs one workload step and initiates if the trigger fires.
-func (n *Node) step() {
+// step performs one workload step and reports whether the trigger fired;
+// the driver then calls triggered, with the time set.
+func (n *Node) step() bool {
 	n.stepsDone++
 	n.stats.Steps++
 	n.met.steps.Inc()
@@ -579,20 +658,24 @@ func (n *Node) step() {
 	n.met.loadHist.Observe(float64(n.m.Load()))
 	n.met.loadGauge.Set(int64(n.m.Load()))
 	if n.cfg.NoBalance {
-		return
+		return false
 	}
 	if !n.m.Trigger() {
 		// No pressure to initiate: any deferral episode is over (the
 		// imbalance resolved on its own, through consumption or an
 		// inbound transfer).
 		n.deferring = false
-		return
+		return false
 	}
-	// Pacing: a trigger inside the gap since the last initiation is
-	// deferred, not serviced — the condition re-fires on a later step
-	// while the load imbalance persists. Consecutive deferred steps form
-	// one episode.
-	if n.gap > 0 && !n.lastInitAt.IsZero() && time.Since(n.lastInitAt) < n.gap {
+	return true
+}
+
+// triggered follows a step whose trigger fired. Pacing: a trigger inside
+// the gap since the last initiation is deferred, not serviced — the
+// condition re-fires on a later step while the load imbalance persists.
+// Consecutive deferred steps form one episode.
+func (n *Node) triggered() {
+	if n.gap > 0 && n.stats.Initiated > 0 && n.now-n.lastInitAt < int64(n.gap) {
 		n.stats.RateLimitedSteps++
 		n.met.rateLimitedSteps.Inc()
 		if !n.deferring {
@@ -607,12 +690,22 @@ func (n *Node) step() {
 }
 
 // initiate starts a balancing protocol with δ random partners: the
-// driver samples them, mints the op id and snapshots the link-error
-// counters the timeout attribution compares against.
+// driver samples them — from all other nodes, or from its Neighbors —
+// mints the op id and snapshots the link-error counters the timeout
+// attribution compares against.
 func (n *Node) initiate() {
-	n.candBuf = n.rng.SampleDistinct(n.cfg.N, n.cfg.Delta, n.cfg.ID, n.candBuf)
+	if ns := n.cfg.Neighbors; len(ns) == 0 {
+		n.candBuf = n.rng.SampleDistinct(n.cfg.N, n.cfg.Delta, n.cfg.ID, n.candBuf)
+	} else if n.cfg.Delta >= len(ns) {
+		n.candBuf = append(n.candBuf[:0], ns...)
+	} else {
+		n.candBuf = n.rng.SampleDistinct(len(ns), n.cfg.Delta, -1, n.candBuf)
+		for k, idx := range n.candBuf {
+			n.candBuf[k] = ns[idx]
+		}
+	}
 	op := n.mintOp()
-	n.lastInitAt = time.Now()
+	n.lastInitAt = n.now
 	n.peerErrsAt = n.peerErrsAt[:0]
 	for _, c := range n.candBuf {
 		n.peerErrsAt = append(n.peerErrsAt, n.cfg.Transport.PeerStats(c).SendErrors)
@@ -643,15 +736,15 @@ func (n *Node) apply(effs []proto.Effect) {
 			if e.Msg.Kind == wire.Transfer && e.Msg.Amount != 0 {
 				n.unacked++
 				if n.met.phaseXfer != nil {
-					n.xferSent = append(n.xferSent, time.Now())
+					n.xferSent = append(n.xferSent, n.now)
 				}
 			}
 
 		case proto.Froze:
-			n.frozeAt = time.Now()
+			n.frozeAt = n.now
 
 		case proto.Unfroze:
-			n.met.phaseFrozen.ObserveSince(n.frozeAt)
+			n.observeSince(n.met.phaseFrozen, n.frozeAt)
 			if e.Reason == proto.ByExpiry {
 				n.stats.FreezeExpired++
 				n.met.freezeExpired.Inc()
@@ -678,7 +771,12 @@ func (n *Node) collectEnded(e *proto.Effect) {
 		n.epoch.Store(n.m.Seq())
 		return
 	}
-	n.met.phaseCollect.ObserveSince(n.lastInitAt)
+	n.observeSince(n.met.phaseCollect, n.lastInitAt)
+}
+
+// observeSince records the seconds from t0 to now in a phase histogram.
+func (n *Node) observeSince(h *obs.Histogram, t0 int64) {
+	h.Observe(time.Duration(n.now - t0).Seconds())
 }
 
 // onAborted accounts for the node's own protocol dying. A timeout is
@@ -745,7 +843,7 @@ func (n *Node) handle(m wire.Msg) {
 	switch m.Kind {
 	case wire.FreezeAck, wire.FreezeBusy:
 		if n.m.Expects(m) {
-			n.met.phaseReply.ObserveSince(n.lastInitAt)
+			n.observeSince(n.met.phaseReply, n.lastInitAt)
 		}
 		n.apply(n.m.Handle(m, n.effs[:0]))
 
@@ -779,7 +877,7 @@ func (n *Node) handle(m wire.Msg) {
 			// pairing against the send times is exact enough for the
 			// transfer_ack phase histogram.
 			if len(n.xferSent) > 0 {
-				n.met.phaseXfer.ObserveSince(n.xferSent[0])
+				n.observeSince(n.met.phaseXfer, n.xferSent[0])
 				copy(n.xferSent, n.xferSent[1:])
 				n.xferSent = n.xferSent[:len(n.xferSent)-1]
 			}

@@ -31,14 +31,14 @@ func TestFreezeExpiryOnWallClock(t *testing.T) {
 	if len(tr.sent) != 1 || tr.sent[0].Kind != wire.FreezeAck {
 		t.Fatalf("freeze not acked: %+v", tr.sent)
 	}
-	n.frozeAt = time.Now().Add(time.Minute)
+	n.frozeAt = n.now + int64(time.Minute)
 	n.checkTimeouts()
 	if !n.m.Frozen() || n.stats.FreezeExpired != 0 {
 		t.Fatal("freeze expired before FreezeTimeout")
 	}
 
 	// Node 1's release never comes; the freeze expires on our own clock.
-	n.frozeAt = time.Now().Add(-time.Minute)
+	n.frozeAt = n.now - int64(time.Minute)
 	n.checkTimeouts()
 	if n.m.Frozen() {
 		t.Fatal("freeze did not expire at FreezeTimeout")

@@ -59,7 +59,7 @@ func timeoutReason(t *testing.T, tr wire.Transport, mutate func(partners []int))
 	}
 	mutate(append([]int(nil), n.candBuf...))
 	// Age the protocol past the reply timeout and fire the check.
-	n.lastInitAt = time.Now().Add(-time.Minute)
+	n.lastInitAt = n.now - int64(time.Minute)
 	n.checkTimeouts()
 	if n.m.Inflight() {
 		t.Fatal("timeout did not abandon the protocol")

@@ -47,7 +47,7 @@ func TestPartialCollectAndZeroDeltaDiet(t *testing.T) {
 	n.initiate()
 	a = n.candBuf[0]
 	n.handle(wire.Msg{Kind: wire.FreezeAck, From: a, Seq: n.m.Seq(), Load: 10})
-	n.lastInitAt = time.Now().Add(-time.Minute)
+	n.lastInitAt = n.now - int64(time.Minute)
 	n.checkTimeouts()
 	if n.m.Inflight() || n.stats.Completed != 2 || n.stats.Partners != 2 || n.stats.Aborted != 0 || n.stats.Timeouts != 1 {
 		t.Fatalf("ack+silence collect: inflight=%v stats %+v", n.m.Inflight(), n.stats)

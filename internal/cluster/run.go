@@ -6,6 +6,7 @@ import (
 
 	"lmbalance/internal/flight"
 	"lmbalance/internal/obs"
+	"lmbalance/internal/topology"
 	"lmbalance/internal/wire"
 )
 
@@ -28,6 +29,10 @@ type ClusterConfig struct {
 	// Seed seeds the whole cluster; node i draws from the stream
 	// rng.Mix64(Seed, i).
 	Seed uint64
+	// Graph, if non-nil, restricts node i's balancing partners to its
+	// neighbourhood (Config.Neighbors). It must have N vertices, and
+	// every vertex needs at least one neighbour.
+	Graph *topology.Graph
 	// Timeout, FreezeTimeout, Tick, MinInitGap as in Config.
 	Timeout, FreezeTimeout, Tick, MinInitGap time.Duration
 	// Pace as in Config: the initiation pacing policy, applied to every
@@ -66,114 +71,70 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// TotalLoad returns the sum of final loads.
-func (r *Result) TotalLoad() int64 {
+// sum adds one counter over the nodes.
+func (r *Result) sum(field func(*Stats) int64) int64 {
 	var sum int64
-	for _, n := range r.Nodes {
-		sum += int64(n.FinalLoad)
+	for i := range r.Nodes {
+		sum += field(&r.Nodes[i])
 	}
 	return sum
+}
+
+// TotalLoad returns the sum of final loads.
+func (r *Result) TotalLoad() int64 {
+	return r.sum(func(s *Stats) int64 { return int64(s.FinalLoad) })
 }
 
 // Spread returns max−min of final loads.
 func (r *Result) Spread() int {
 	lo, hi := r.Nodes[0].FinalLoad, r.Nodes[0].FinalLoad
 	for _, n := range r.Nodes[1:] {
-		if n.FinalLoad < lo {
-			lo = n.FinalLoad
-		}
-		if n.FinalLoad > hi {
-			hi = n.FinalLoad
-		}
+		lo, hi = min(lo, n.FinalLoad), max(hi, n.FinalLoad)
 	}
 	return hi - lo
 }
 
 // Messages returns the total messages put on the wire.
-func (r *Result) Messages() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.MsgsSent
-	}
-	return sum
-}
+func (r *Result) Messages() int64 { return r.sum(func(s *Stats) int64 { return s.MsgsSent }) }
 
 // Bytes returns the total bytes put on the wire.
-func (r *Result) Bytes() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.BytesSent
-	}
-	return sum
-}
+func (r *Result) Bytes() int64 { return r.sum(func(s *Stats) int64 { return s.BytesSent }) }
+
+// Initiated returns the total initiated balancing operations.
+func (r *Result) Initiated() int64 { return r.sum(func(s *Stats) int64 { return s.Initiated }) }
 
 // Completed returns the total completed balancing operations.
-func (r *Result) Completed() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.Completed
-	}
-	return sum
-}
+func (r *Result) Completed() int64 { return r.sum(func(s *Stats) int64 { return s.Completed }) }
 
 // Partners returns the partners the completed operations balanced with:
 // Partners/Completed is the δ the run actually got (see Stats.Partners).
-func (r *Result) Partners() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.Partners
-	}
-	return sum
-}
+func (r *Result) Partners() int64 { return r.sum(func(s *Stats) int64 { return s.Partners }) }
 
-// Initiated returns the total initiated balancing operations.
-func (r *Result) Initiated() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.Initiated
-	}
-	return sum
-}
+// Timeouts returns the collects the reply timeout ended, across nodes.
+func (r *Result) Timeouts() int64 { return r.sum(func(s *Stats) int64 { return s.Timeouts }) }
+
+// FreezeExpired returns the freezes released by the partner's own
+// timeout, across nodes.
+func (r *Result) FreezeExpired() int64 { return r.sum(func(s *Stats) int64 { return s.FreezeExpired }) }
 
 // RateLimited returns the total deferral episodes across nodes, and
 // RateLimitedSteps the raw deferred trigger firings (see Stats).
 func (r *Result) RateLimited() (episodes, steps int64) {
-	for _, n := range r.Nodes {
-		episodes += n.RateLimited
-		steps += n.RateLimitedSteps
-	}
-	return episodes, steps
+	return r.sum(func(s *Stats) int64 { return s.RateLimited }),
+		r.sum(func(s *Stats) int64 { return s.RateLimitedSteps })
 }
 
 // Ingested returns the total load units accepted from client
 // submissions (serve mode).
-func (r *Result) Ingested() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.Ingested
-	}
-	return sum
-}
+func (r *Result) Ingested() int64 { return r.sum(func(s *Stats) int64 { return s.Ingested }) }
 
 // UnitsDone returns the total units completed across all jobs (serve
 // mode; counted at each job's origin node).
-func (r *Result) UnitsDone() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.UnitsDone
-	}
-	return sum
-}
+func (r *Result) UnitsDone() int64 { return r.sum(func(s *Stats) int64 { return s.UnitsDone }) }
 
 // RecordsHeld returns the job records still held at shutdown (serve
 // mode; nonzero only when the run was stopped with work outstanding).
-func (r *Result) RecordsHeld() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.RecordsHeld
-	}
-	return sum
-}
+func (r *Result) RecordsHeld() int64 { return r.sum(func(s *Stats) int64 { return s.RecordsHeld }) }
 
 // JobsConserved reports serving-path work conservation: every ingested
 // unit was either completed for its job or is still recorded on some
@@ -186,12 +147,7 @@ func (r *Result) JobsConserved() bool {
 // per-node counters (every node's own ground truth, independent of the
 // coordinator's Bye-message bookkeeping — the two must agree).
 func (r *Result) Conserved() bool {
-	var gen, con int64
-	for _, n := range r.Nodes {
-		gen += n.Generated
-		con += n.Consumed
-	}
-	return r.TotalLoad() == gen-con
+	return r.TotalLoad() == r.sum(func(s *Stats) int64 { return s.Generated - s.Consumed })
 }
 
 // RunCluster starts one node per transport and blocks until the whole
@@ -225,6 +181,16 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 	if len(cfg.Flight) > 0 && len(cfg.Flight) != cfg.N {
 		return nil, fmt.Errorf("cluster: %d flight recorders for %d nodes", len(cfg.Flight), cfg.N)
 	}
+	if g := cfg.Graph; g != nil {
+		if g.N() != cfg.N {
+			return nil, fmt.Errorf("cluster: graph has %d vertices, config says %d", g.N(), cfg.N)
+		}
+		for v := 0; v < cfg.N; v++ {
+			if g.Degree(v) == 0 {
+				return nil, fmt.Errorf("cluster: node %d has no neighbours to balance with", v)
+			}
+		}
+	}
 	if len(cfg.GenP) == 0 {
 		cfg.GenP = []float64{0.5}
 	}
@@ -241,10 +207,14 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 		if len(cfg.Flight) > 0 {
 			rec = cfg.Flight[i]
 		}
+		var neighbors []int
+		if cfg.Graph != nil {
+			neighbors = cfg.Graph.Neighbors(i)
+		}
 		n, err := New(Config{
 			ID: i, N: cfg.N, Delta: cfg.Delta, F: cfg.F, Steps: cfg.Steps,
 			GenP: probAt(cfg.GenP, i), ConP: probAt(cfg.ConP, i),
-			Seed: cfg.Seed, Transport: transports[i],
+			Seed: cfg.Seed, Neighbors: neighbors, Transport: transports[i],
 			Timeout: cfg.Timeout, FreezeTimeout: cfg.FreezeTimeout, Tick: cfg.Tick,
 			MinInitGap: cfg.MinInitGap, Pace: cfg.Pace,
 			Obs:          cfg.Obs,

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"time"
-
 	"lmbalance/internal/rng"
 	"lmbalance/internal/wire"
 )
@@ -128,7 +126,7 @@ func (n *Node) ingestSubmit(s Submit) {
 	if s.Units < 1 || n.cfg.Serve == nil {
 		return
 	}
-	rec := wire.JobRef{Origin: n.cfg.ID, ID: s.ID, IngestNS: time.Now().UnixNano()}
+	rec := wire.JobRef{Origin: n.cfg.ID, ID: s.ID, IngestNS: n.now}
 	for i := 0; i < s.Units; i++ {
 		n.pushRecord(rec)
 	}
@@ -152,17 +150,16 @@ func (n *Node) ingestSubmit(s Submit) {
 func (n *Node) completeOldest() {
 	rec := n.popOldest()
 	n.met.records.Set(int64(n.recCount()))
-	now := time.Now().UnixNano()
 	if rec.Origin == n.cfg.ID {
 		n.serveComplete(rec.ID, Journey{
 			Hops: rec.Hops, IngestNS: rec.IngestNS, TransferNS: rec.TransferNS,
-			ConsumeNS: now, DoneNS: now,
+			ConsumeNS: n.now, DoneNS: n.now,
 		})
 		return
 	}
 	n.send(rec.Origin, wire.Msg{
 		Kind: wire.JobDone, Job: rec.ID, Op: JobOp(rec.Origin, rec.ID),
-		IngestNS: rec.IngestNS, ConsumeNS: now,
+		IngestNS: rec.IngestNS, ConsumeNS: n.now,
 		Hops: rec.Hops, TransferNS: rec.TransferNS,
 	})
 }
@@ -217,7 +214,7 @@ func (n *Node) settleOwed(op uint64) {
 			}
 			n.send(p, wire.Msg{
 				Kind: wire.JobMove, Op: op, Jobs: jobs,
-				SentNS: time.Now().UnixNano(),
+				SentNS: n.now,
 			})
 			k -= batch
 		}
@@ -241,7 +238,7 @@ func (n *Node) handleJobMove(m wire.Msg) {
 	}
 	var flight int64
 	if m.SentNS > 0 {
-		if d := time.Now().UnixNano() - m.SentNS; d > 0 {
+		if d := n.now - m.SentNS; d > 0 {
 			flight = d
 		}
 	}
@@ -263,6 +260,6 @@ func (n *Node) handleJobDone(m wire.Msg) {
 	}
 	n.serveComplete(m.Job, Journey{
 		Hops: m.Hops, IngestNS: m.IngestNS, TransferNS: m.TransferNS,
-		ConsumeNS: m.ConsumeNS, DoneNS: time.Now().UnixNano(),
+		ConsumeNS: m.ConsumeNS, DoneNS: n.now,
 	})
 }

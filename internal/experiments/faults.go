@@ -72,18 +72,11 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults drop=%.2f crashes=%d: %w", dropP, crashes, err)
 			}
-			var initiated, timeouts, selfRel, dropped int64
 			completed := res.Completed()
-			for _, nd := range res.Nodes {
-				initiated += nd.Initiated
-				timeouts += nd.Timeouts
-				selfRel += nd.FreezeExpired
-				dropped += nd.Dropped + nd.LostAtCrash
-			}
 			out.Rows = append(out.Rows, FaultRow{
 				DropP: dropP, CrashCount: crashes, Spread: res.Spread(),
-				MsgsPerOp: ratio(res.Messages(), completed), AbortedFrac: abortFrac(initiated, completed),
-				Timeouts: timeouts, SelfRelease: selfRel, Dropped: dropped,
+				MsgsPerOp: ratio(res.Messages(), completed), AbortedFrac: abortFrac(res.Initiated(), completed),
+				Timeouts: res.Timeouts(), SelfRelease: res.FreezeExpired(), Dropped: res.Lost(),
 				Conserved: res.Conserved(),
 			})
 		}

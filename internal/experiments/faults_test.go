@@ -36,7 +36,7 @@ func TestFaultSweepQuick(t *testing.T) {
 	if faultFree == nil {
 		t.Fatal("grid is missing the fault-free cell")
 	}
-	out := checkRender(t, res, "6abf618bfde9f8e6")
+	out := checkRender(t, res, "26b2c0514f2286ef")
 	if !strings.Contains(out, "Fault sensitivity") || !strings.Contains(out, "conserved") {
 		t.Fatalf("render output incomplete:\n%s", out)
 	}

@@ -64,15 +64,11 @@ func NetCost(scale Scale, seed uint64) (*NetCostResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netcost %s: %w", c.name, err)
 		}
-		var initiated int64
-		for _, nd := range res.Nodes {
-			initiated += nd.Initiated
-		}
 		completed := res.Completed()
 		out.Rows = append(out.Rows, NetCostRow{
 			Name: c.name, Spread: res.Spread(),
 			MsgsPerOp:     ratio(res.Messages(), completed),
-			AbortedFrac:   abortFrac(initiated, completed),
+			AbortedFrac:   abortFrac(res.Initiated(), completed),
 			PartnersPerOp: ratio(res.Partners(), completed),
 		})
 	}

@@ -384,7 +384,11 @@ func (r *replayer) decide(i int) {
 	n := e.Partners + 1 // before pop moves the next effect under e
 	r.pop()
 	if kind == proto.Resolved {
-		if r.split = (split{base: r.total / n, rem: r.total % n, n: n}); !r.split.take(load) {
+		r.split = split{base: r.total / n, rem: r.total % n, n: n}
+		if r.split.rem < 0 { // floor, as the machine splits a negative total
+			r.split.base, r.split.rem = r.split.base-1, r.split.rem+n
+		}
+		if !r.split.take(load) {
 			r.flag(i, "imbalance_violation", "initiator's share %d is not in the ±1 split of %d over %d", load, r.total, n)
 			return
 		}

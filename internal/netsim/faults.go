@@ -1,106 +1,77 @@
 package netsim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
-// Faults configures the fault-injection layer of the network. The zero
-// value disables it entirely: with no drops, no delays and no crashes
-// every frame arrives one tick after it was sent and no timeout fires.
-//
-// Fault randomness draws from its own seeded stream (Seed), independent
-// of Config.Seed, so enabling faults never perturbs the workload or the
-// partner-selection streams.
-//
-// Delays, timeouts and crash durations all count ticks of the
-// simulation's virtual clock (see the package comment).
+// Faults configures the fault-injection layer of the network. Only the
+// four handshake control kinds (FreezeReq, FreezeAck, FreezeBusy,
+// Release) are exposed to it: they can be dropped, held back, and are
+// lost at a crashed node. Transfer, TransferAck, Idle, Quit and Bye are
+// always delivered the next tick, even to a crashed node — load lives
+// in stable storage — so packet conservation stays exact and the
+// shutdown completes under any fault pattern. The machine's two
+// timeouts keep the protocol live. The zero value disables the layer:
+// no frame is late and no timeout fires. Fault draws come from their
+// own streams, so arming faults never perturbs a workload or partner
+// draw. Delays, timeouts and crash windows count ticks.
 type Faults struct {
-	// DropP is the probability that a control message (freezeReq,
-	// freezeAck, freezeBusy, release) is lost in transit. Transfer
-	// messages are always delivered reliably, so packet conservation
-	// stays exact under any drop rate.
+	// DropP is the probability that a control frame is lost in transit.
 	DropP float64
-	// DelayMax, if positive, holds each message back a uniform
+	// DelayMax, if positive, holds each control frame back a uniform
 	// 0..DelayMax extra ticks on its way to the receiver.
 	DelayMax int
-	// Crashes schedules fail-stop crash/recover windows. A crashed node
-	// performs no workload steps and answers no control messages (they
-	// are lost at the dead node); incoming transfers are applied to its
-	// persistent load — load units live in stable storage, mirroring the
-	// fail-stop model of Gilbert–Meir–Paz style dynamic-network analyses.
+	// Crashes schedules fail-stop crash/recover windows: a crashed node
+	// takes no turns and loses the control frames addressed to it.
 	Crashes []Crash
-	// TimeoutTicks is how many ticks an initiator waits for outstanding
-	// freeze replies before it goes ahead with the partners that acked
-	// (or, with none, aborts and re-arms with randomized backoff).
-	// 0 selects the default (50).
+	// TimeoutTicks is how long an initiator waits for outstanding freeze
+	// replies. 0 selects the default (50).
 	TimeoutTicks int
 	// FreezeTicks is how long a frozen partner waits for its release or
-	// transfer before unfreezing itself — the escape hatch that keeps a
-	// crashed initiator's peers from leaking frozen. 0 selects the
-	// default (4 × TimeoutTicks).
+	// transfer before unfreezing itself — the escape hatch for a crashed
+	// initiator's peers. 0 selects the default (4 × TimeoutTicks).
 	FreezeTicks int
-	// Seed drives all fault randomness (drop and delay draws).
+	// Seed drives all fault draws.
 	Seed uint64
 }
 
-// Crash is one scheduled fail-stop window.
+// Crash is one scheduled fail-stop window: Node crashes at its first
+// turn after completing AtStep workload steps — mid-protocol, maybe — and
+// stays down DownTicks ticks (0 selects 400).
 type Crash struct {
-	// Node is the processor that crashes.
-	Node int
-	// AtStep triggers the crash once the node has completed this many
-	// workload steps (the crash may strike mid-protocol: an initiator
-	// abandons its partners without releasing them, a frozen partner
-	// silently forgets its freeze).
-	AtStep int
-	// DownTicks is how long the node stays dead before recovering.
-	// 0 selects the default (400).
-	DownTicks int
+	Node, AtStep, DownTicks int
 }
 
-// Default fault-layer parameters (see the field docs on Faults).
+// Defaults (see Faults); maxDelayTicks bounds the mailbox ring.
 const (
 	defaultTimeoutTicks = 50
 	defaultDownTicks    = 400
-	// maxDelayTicks bounds DelayMax: the mailbox keeps one delivery slot
-	// per tick a frame can be scheduled ahead.
-	maxDelayTicks = 1 << 16
+	maxDelayTicks       = 1 << 16
 )
 
 // validate checks the fault section against the node count.
 func (f *Faults) validate(n int) error {
-	if f.DropP < 0 || f.DropP > 1 {
+	switch {
+	case f.DropP < 0 || f.DropP > 1:
 		return fmt.Errorf("netsim: fault DropP = %v outside [0,1]", f.DropP)
-	}
-	if f.DelayMax < 0 || f.DelayMax > maxDelayTicks {
+	case f.DelayMax < 0 || f.DelayMax > maxDelayTicks:
 		return fmt.Errorf("netsim: fault DelayMax = %d, need 0..%d", f.DelayMax, maxDelayTicks)
-	}
-	if f.TimeoutTicks < 0 || f.FreezeTicks < 0 {
+	case f.TimeoutTicks < 0 || f.FreezeTicks < 0:
 		return fmt.Errorf("netsim: fault timeouts must be >= 0")
 	}
 	for _, c := range f.Crashes {
-		if c.Node < 0 || c.Node >= n {
-			return fmt.Errorf("netsim: crash schedules node %d, have %d nodes", c.Node, n)
-		}
-		if c.AtStep < 0 || c.DownTicks < 0 {
-			return fmt.Errorf("netsim: crash window %+v has negative timing", c)
+		if c.Node < 0 || c.Node >= n || c.AtStep < 0 || c.DownTicks < 0 {
+			return fmt.Errorf("netsim: crash %+v invalid with %d nodes", c, n)
 		}
 	}
 	return nil
 }
 
-// timeoutTicks returns the initiator reply timeout with defaults applied.
-func (f *Faults) timeoutTicks() int64 {
-	if f.TimeoutTicks > 0 {
-		return int64(f.TimeoutTicks)
-	}
-	return defaultTimeoutTicks
-}
-
-// freezeTicks returns the frozen-partner self-release timeout with
-// defaults applied. It is deliberately several initiator timeouts long so
-// that in the common case the initiator's own timeout (and its explicit
-// release) wins; self-release is the last resort for a crashed initiator.
-func (f *Faults) freezeTicks() int64 {
-	if f.FreezeTicks > 0 {
-		return int64(f.FreezeTicks)
-	}
-	return 4 * f.timeoutTicks()
+// timeouts returns the reply and freeze timeouts with defaults applied:
+// the freeze outlasts several reply timeouts, so that the initiator's own
+// timeout and explicit release win in the common case.
+func (f *Faults) timeouts() (reply, freeze int64) {
+	reply = int64(cmp.Or(f.TimeoutTicks, defaultTimeoutTicks))
+	return reply, cmp.Or(int64(f.FreezeTicks), 4*reply)
 }

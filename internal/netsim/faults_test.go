@@ -31,9 +31,8 @@ func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
 		GenP: []float64{0.5}, ConP: []float64{0.4}, Seed: 11,
 	})
 	for i, n := range res.Nodes {
-		if n.Dropped != 0 || n.LostAtCrash != 0 || n.Delayed != 0 ||
-			n.Timeouts != 0 || n.FreezeExpired != 0 || n.Crashes != 0 {
-			t.Fatalf("node %d has fault counters without faults: %+v", i, n)
+		if f := res.Faults[i]; f != (FaultStats{}) || n.Timeouts != 0 || n.FreezeExpired != 0 {
+			t.Fatalf("node %d has fault counters without faults: %+v %+v", i, n, f)
 		}
 	}
 }
@@ -51,8 +50,8 @@ func TestConservationUnderDrops(t *testing.T) {
 		t.Fatalf("conservation violated under drops: %+v", res.Nodes)
 	}
 	var dropped, timeouts, initiated int64
-	for _, n := range res.Nodes {
-		dropped += n.Dropped
+	for i, n := range res.Nodes {
+		dropped += res.Faults[i].Dropped
 		timeouts += n.Timeouts
 		initiated += n.Initiated
 	}
@@ -80,8 +79,8 @@ func TestConservationUnderDelays(t *testing.T) {
 		t.Fatalf("conservation violated under delays: %+v", res.Nodes)
 	}
 	var delayed, completed int64
-	for _, n := range res.Nodes {
-		delayed += n.Delayed
+	for i, n := range res.Nodes {
+		delayed += res.Faults[i].Delayed
 		completed += n.Completed
 	}
 	if delayed == 0 {
@@ -111,16 +110,16 @@ func TestConservationUnderCrashes(t *testing.T) {
 		t.Fatalf("conservation violated under crashes: %+v", res.Nodes)
 	}
 	for _, id := range []int{1, 5, 9, 13} {
-		if res.Nodes[id].Crashes != 1 {
-			t.Fatalf("node %d recorded %d crashes, want 1", id, res.Nodes[id].Crashes)
+		if res.Faults[id].Crashes != 1 {
+			t.Fatalf("node %d recorded %d crashes, want 1", id, res.Faults[id].Crashes)
 		}
 		if got := res.Nodes[id].Generated; got == 0 {
 			t.Fatalf("node %d generated nothing — did it resume stepping after recovery?", id)
 		}
 	}
 	var crashes int64
-	for _, n := range res.Nodes {
-		crashes += n.Crashes
+	for _, f := range res.Faults {
+		crashes += f.Crashes
 	}
 	if crashes != 4 {
 		t.Fatalf("%d crashes across the nodes, want 4", crashes)
@@ -165,12 +164,12 @@ func TestCountersConsistentUnderFaults(t *testing.T) {
 			Crashes:      []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500}}},
 	})
 	var initiated, completed, aborted, timeouts, crashed int64
-	for _, n := range res.Nodes {
+	for i, n := range res.Nodes {
 		initiated += n.Initiated
 		completed += n.Completed
 		aborted += n.Aborted
 		timeouts += n.Timeouts
-		crashed += n.Crashes
+		crashed += res.Faults[i].Crashes
 	}
 	if completed+aborted > initiated {
 		t.Fatalf("completed %d + aborted %d exceeds initiated %d", completed, aborted, initiated)

@@ -1,0 +1,112 @@
+package netsim
+
+import (
+	"cmp"
+	"fmt"
+	"testing"
+
+	"lmbalance/internal/rng"
+)
+
+// world is one cell of the seeded fault grid: a small network drawn from
+// its seed, armed with the fault layer's mechanisms — drop, delay, crash
+// schedules and short timeouts.
+type world struct {
+	seed uint64
+	cfg  Config
+}
+
+func (w world) String() string {
+	f := w.cfg.Faults
+	return fmt.Sprintf("seed=%d n=%d δ=%d f=%.3f drop=%g delay=%d crashes=%d",
+		w.seed, w.cfg.N, w.cfg.Delta, w.cfg.F, f.DropP, f.DelayMax, len(f.Crashes))
+}
+
+// drawWorld draws world seed: n ∈ 2..8, δ < n, f ∈ (1, δ+1), a uniform
+// or one-hot workload, and up to three crashes, each anywhere from the
+// first step to just after the last.
+func drawWorld(seed uint64) world {
+	r := rng.New(rng.Mix64(0x6772_6964, seed)) // "grid"
+	n := 2 + r.Intn(7)
+	delta := 1 + r.Intn(n-1)
+	steps := 50 + r.Intn(351)
+	cfg := Config{
+		N: n, Delta: delta, F: 1.05 + r.Float64()*(float64(delta)-0.1), Steps: steps,
+		GenP: []float64{0.2 + 0.6*r.Float64()}, ConP: []float64{0.1 + 0.5*r.Float64()},
+		Seed: r.Uint64(),
+		Faults: Faults{
+			DropP:        []float64{0, 0.05, 0.2, 0.5, 0.9}[r.Intn(5)],
+			DelayMax:     []int{0, 1, 3, 8}[r.Intn(4)],
+			TimeoutTicks: []int{0, 5, 25}[r.Intn(3)],
+			FreezeTicks:  []int{0, 0, 15, 60}[r.Intn(4)],
+			Seed:         r.Uint64(),
+		},
+	}
+	if r.Bernoulli(0.5) {
+		// One hot node: the rest mostly consume.
+		gen := make([]float64, n)
+		gen[r.Intn(n)] = 0.9
+		cfg.GenP = gen
+	}
+	for k := r.Intn(4); k > 0; k-- {
+		cfg.Faults.Crashes = append(cfg.Faults.Crashes, Crash{
+			Node: r.Intn(n), AtStep: r.Intn(steps + 1), DownTicks: r.Intn(300),
+		})
+	}
+	return world{seed, cfg}
+}
+
+// TestFaultGrid runs the real node through 1 000 small seeded worlds —
+// n ∈ 2..8, every δ < n, f anywhere in (1, δ+1), crossed with control
+// loss, delay, short timeouts and fail-stop schedules (a crash may land
+// mid-protocol, after the node's last step, or on the coordinator) — and
+// holds each to the protocol's accounting: both packet-conservation
+// audits, every operation resolved or aborted unless a crash wiped it,
+// and a shutdown that ends within the ticks the timeouts and crash
+// windows allow. A failure prints the world's one-line reproducer.
+func TestFaultGrid(t *testing.T) {
+	for seed := uint64(0); seed < 1000; seed++ {
+		w := drawWorld(seed)
+		res, err := Run(w.cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", w, err)
+		}
+		if msg := w.audit(res); msg != "" {
+			t.Fatalf("%v: %s", w, msg)
+		}
+	}
+}
+
+// audit returns what is wrong with a world's result, or "".
+func (w world) audit(res *Result) string {
+	cfg, f := &w.cfg, &w.cfg.Faults
+	if !res.Conserved() {
+		return fmt.Sprintf("per-node counters not conserved: %+v", res.Nodes)
+	}
+	if s := res.Summary; !s.Conserved() || s.Nodes != cfg.N || s.TotalLoad != res.TotalLoad() {
+		return fmt.Sprintf("coordinator's Bye sum %+v disagrees (final load %d)", s, res.TotalLoad())
+	}
+	var down int64 // ticks spent crashed, the crashing turns included
+	for _, c := range f.Crashes {
+		down += 1 + int64(cmp.Or(c.DownTicks, defaultDownTicks))
+	}
+	for i, n := range res.Nodes {
+		if lost := n.Initiated - n.Completed - n.Aborted; lost < 0 || lost > res.Faults[i].Crashes {
+			return fmt.Sprintf("node %d: %d initiated, %d completed, %d aborted, %d crashes",
+				i, n.Initiated, n.Completed, n.Aborted, res.Faults[i].Crashes)
+		}
+	}
+	// A node steps on every live, unengaged turn. Its own operation
+	// engages it for at most timeout+1 ticks, a freeze for at most
+	// freeze+1, and every operation in the world freezes it at most once;
+	// crash windows add their length. After the last step, what is still
+	// engaged or in flight settles within a timeout, a freeze and a delay,
+	// and Idle → Quit → Bye takes three ticks.
+	timeout, freeze := f.timeouts()
+	bound := int64(cfg.Steps) + res.Initiated()*(timeout+freeze+2) + 2*down +
+		timeout + freeze + int64(f.DelayMax) + 8
+	if ticks := int64(res.Elapsed); ticks > bound {
+		return fmt.Sprintf("shutdown ended at tick %d, bound %d", ticks, bound)
+	}
+	return ""
+}

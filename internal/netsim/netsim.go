@@ -1,241 +1,70 @@
-// Package netsim is the deterministic, share-nothing simulation of the
-// Lüling–Monien algorithm under message passing: N protocol machines
-// (internal/proto — the same handshake internal/cluster runs over real
-// transports), each owning its load counter, exchanging frames through an
-// in-memory mailbox on a virtual tick clock. One goroutine, no wall
-// clock: a Result is a pure function of its Config, so every number an
-// experiment reports is reproducible from its seeds.
+// Package netsim runs the message-passing realization deterministically:
+// N cluster.Nodes — the node the TCP cluster runs, handshake, transfer
+// acks and two-phase shutdown included — on a virtual tick clock, over
+// mailbox transports, in one goroutine. A Result is a pure function of
+// its Config. The package is only a scheduler and a fault layer (Faults)
+// around the node's sans-IO surface (Deliver, Turn, Crash).
 //
-// # Time and delivery
-//
-// Time advances in ticks. In every tick the frames due are delivered in
-// the order they were sent, and then every node takes its turn: a live,
-// unengaged node with steps left performs one workload step (generate,
-// consume, evaluate the trigger, maybe initiate); an engaged node makes
-// no workload progress, exactly as in the protocol. A frame sent at tick
-// t is due at t+1, so a balancing operation costs its participants a
-// request/reply round trip plus the transfer — three ticks — and nodes
-// that initiate in the same tick genuinely collide. The run ends when
-// every node has finished its steps, no frame is in flight and nobody
-// is engaged.
-//
-// # Fault injection
-//
-// Config.Faults arms an adversarial network layer on the mailbox:
-// control frames (FreezeReq/FreezeAck/FreezeBusy/Release) can be
-// dropped, every frame can be delayed extra ticks, and nodes can
-// fail-stop and recover on a schedule. Transfers are always delivered
-// (and applied even at crashed nodes — load lives in stable storage), so
-// total packet count is conserved exactly under any fault pattern. The
-// protocol stays live through the machine's two timeouts, which this
-// driver fires in ticks: an initiator that misses replies balances with
-// the partners it did hear from (or, having heard from too few, aborts
-// with randomized backoff), and a frozen partner whose transfer or
-// release never comes (its ack was lost, or its initiator crashed)
-// unfreezes itself. With the zero Faults value no frame is ever late, so
-// neither timeout can fire.
-//
-// The packet counters model fungible load units; the full per-class
-// virtual-load machinery (borrowing etc.) lives in internal/core — this
-// package demonstrates the balancing geometry and trigger discipline
-// under message passing, measures its communication cost, and is the
-// bench on which the handshake meets loss, delay and crashes.
+// The nodes' clock reads one nanosecond per tick. Each tick delivers the
+// frames due, in send order, then gives every node a Turn, starting at
+// node tick mod N so that no id systematically wins same-tick freeze
+// races. A frame sent at tick t is due at t+1 (a control frame maybe
+// later), so an operation costs three ticks and same-tick initiators
+// genuinely collide. The run ends when the nodes' own shutdown does:
+// node 0 has heard every Idle, broadcast Quit and summed every Bye.
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"time"
 
+	"lmbalance/internal/cluster"
 	"lmbalance/internal/obs"
-	"lmbalance/internal/proto"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
 	"lmbalance/internal/wire"
 )
 
-// Config parameterizes a run.
+// Config parameterizes a run. N, Delta, F, Steps, GenP, ConP, Seed and
+// Graph are cluster.ClusterConfig's: node i draws from rng.Mix64(Seed, i)
+// and, with a Graph, balances within its neighbourhood.
 type Config struct {
-	// N is the number of simulated processors (>= 2).
-	N int
-	// Delta and F are the algorithm parameters (1 <= Delta < N, F > 1).
-	Delta int
-	F     float64
-	// Steps is the number of workload steps each node performs.
-	Steps int
-	// GenP[i] and ConP[i] are node i's per-step generate/consume
-	// probabilities (both may fire in one step, as in the paper's §7
-	// model). Length N, or length 1 to apply to all nodes.
+	N          int
+	Delta      int
+	F          float64
+	Steps      int
 	GenP, ConP []float64
-	// Seed drives all randomness.
-	Seed uint64
-	// Graph, if non-nil, restricts balancing partners to each node's
-	// graph neighborhood (the paper's locality extension); it must have N
-	// vertices and every node needs at least one neighbor. Nil selects
-	// partners uniformly from all nodes (the paper's model).
-	Graph *topology.Graph
-	// Faults configures the fault-injection layer (see Faults). The zero
-	// value disables it.
+	Seed       uint64
+	Graph      *topology.Graph
+	// Faults arms the fault-injection layer; the zero value disables it.
 	Faults Faults
-	// Obs, if non-nil, receives the run's aggregate totals (netsim_*
-	// counters) and the final load distribution when Run returns. The
-	// totals are published once at the end — per-event instrumentation
-	// would put atomics in the simulator's hot loop.
+	// Obs, if non-nil, receives the run's netsim_* totals at the end.
 	Obs *obs.Registry
 }
 
-func (c *Config) validate() error {
-	switch {
-	case c.N < 2:
-		return fmt.Errorf("netsim: N = %d, need >= 2", c.N)
-	case c.Delta < 1 || c.Delta >= c.N:
-		return fmt.Errorf("netsim: Delta = %d, need 1 <= Delta < N", c.Delta)
-	case c.F <= 1:
-		return fmt.Errorf("netsim: F = %v, need > 1", c.F)
-	case c.F >= float64(c.Delta)+1:
-		// An operation over k <= Delta partners needs F < k+1
-		// (proto.Machine.conclude); past this bound none can complete.
-		return fmt.Errorf("netsim: F = %v violates F < Delta+1 = %d (Theorem 1 precondition)", c.F, c.Delta+1)
-	case c.Steps < 1:
-		return fmt.Errorf("netsim: Steps = %d, need >= 1", c.Steps)
-	}
-	for _, ps := range [][]float64{c.GenP, c.ConP} {
-		if len(ps) != 1 && len(ps) != c.N {
-			return fmt.Errorf("netsim: probability slice length %d, need 1 or %d", len(ps), c.N)
-		}
-		for _, p := range ps {
-			if p < 0 || p > 1 {
-				return fmt.Errorf("netsim: probability %v outside [0,1]", p)
-			}
-		}
-	}
-	if err := c.Faults.validate(c.N); err != nil {
-		return err
-	}
-	if c.Graph != nil {
-		if c.Graph.N() != c.N {
-			return fmt.Errorf("netsim: graph has %d vertices, config says %d", c.Graph.N(), c.N)
-		}
-		for v := 0; v < c.N; v++ {
-			if c.Graph.Degree(v) == 0 {
-				return fmt.Errorf("netsim: node %d has no neighbors to balance with", v)
-			}
-		}
-	}
-	return nil
+// FaultStats is the fault layer's account of one node.
+type FaultStats struct {
+	Dropped     int64 // control frames lost in transit to this node
+	LostAtCrash int64 // control frames lost because this node was down
+	Delayed     int64 // control frames held back on their way to this node
+	Crashes     int64 // fail-stop windows this node entered
 }
 
-func probAt(ps []float64, i int) float64 {
-	if len(ps) == 1 {
-		return ps[0]
-	}
-	return ps[i]
-}
-
-// NodeStats is one node's activity summary.
-type NodeStats struct {
-	FinalLoad    int
-	Generated    int64
-	Consumed     int64
-	Initiated    int64 // balancing protocols started
-	Completed    int64 // balancing protocols that transferred load
-	Partners     int64 // partners balanced with, summed over completed protocols
-	Aborted      int64 // protocols aborted: too few partners acked
-	MessagesSent int64
-
-	// Fault counters (all zero when faults are disabled).
-	Dropped       int64 // control messages lost in transit to this node
-	LostAtCrash   int64 // control messages lost because this node was down
-	Delayed       int64 // messages that sat in this node's delay buffer
-	Timeouts      int64 // collects ended by the reply timeout, aborted or not
-	FreezeExpired int64 // freezes this node released by its own timeout
-	Crashes       int64 // fail-stop windows this node entered
-}
-
-// Result is the outcome of a Run.
+// Result is the outcome of a Run: the nodes' reports as a cluster run
+// returns them (Elapsed counts ticks), and the fault layer's account.
 type Result struct {
-	Nodes []NodeStats
+	cluster.Result
+	Faults []FaultStats
 }
 
-// TotalLoad returns the sum of final loads.
-func (r *Result) TotalLoad() int {
-	sum := 0
-	for _, n := range r.Nodes {
-		sum += n.FinalLoad
+// Lost returns the control frames lost in transit or at a crashed node.
+func (r *Result) Lost() (sum int64) {
+	for _, f := range r.Faults {
+		sum += f.Dropped + f.LostAtCrash
 	}
 	return sum
-}
-
-// Spread returns max−min of final loads.
-func (r *Result) Spread() int {
-	lo, hi := r.Nodes[0].FinalLoad, r.Nodes[0].FinalLoad
-	for _, n := range r.Nodes[1:] {
-		if n.FinalLoad < lo {
-			lo = n.FinalLoad
-		}
-		if n.FinalLoad > hi {
-			hi = n.FinalLoad
-		}
-	}
-	return hi - lo
-}
-
-// Completed returns the total completed balancing operations.
-func (r *Result) Completed() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.Completed
-	}
-	return sum
-}
-
-// Partners returns the partners the completed operations balanced with:
-// Partners/Completed is the δ the run actually got, to hold against the
-// configured one.
-func (r *Result) Partners() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.Partners
-	}
-	return sum
-}
-
-// Messages returns the total number of messages exchanged.
-func (r *Result) Messages() int64 {
-	var sum int64
-	for _, n := range r.Nodes {
-		sum += n.MessagesSent
-	}
-	return sum
-}
-
-// Conserved reports whether the final total load equals generated minus
-// consumed packets — exact packet conservation, which must hold under any
-// fault pattern because transfers are reliable.
-func (r *Result) Conserved() bool {
-	var gen, con int64
-	for _, n := range r.Nodes {
-		gen += n.Generated
-		con += n.Consumed
-	}
-	return int64(r.TotalLoad()) == gen-con
-}
-
-// node is one simulated processor: its protocol machine plus the
-// driver's bookkeeping around it.
-type node struct {
-	m     *proto.Machine
-	rng   *rng.RNG // workload and partner draws; shared with the machine
-	frng  *rng.RNG // fault draws for frames addressed to this node
-	stats NodeStats
-
-	stepsDone int
-	protoAt   int64 // tick the in-flight protocol started
-	frozeAt   int64 // tick this node froze
-	candBuf   []int
-
-	crashed    bool
-	crashUntil int64   // tick at which a crashed node recovers
-	crashPlan  []Crash // scheduled crashes not yet fired, by AtStep
 }
 
 // envelope is one frame in the mailbox.
@@ -244,142 +73,141 @@ type envelope struct {
 	msg wire.Msg
 }
 
-// network is the whole state of one run.
-type network struct {
-	cfg   *Config
-	nodes []node
-	now   int64
-	// mail is a ring of delivery slots: mail[t%len(mail)] holds the
-	// frames due at tick t, in send order. It is one slot longer than the
-	// farthest a frame can be scheduled ahead, so the slot being
-	// delivered is never appended to.
-	mail     [][]envelope
-	inFlight int // frames in mail
-	stepping int // nodes with workload steps left
-	effs     []proto.Effect
+// port is one node's attachment to the network: its mailbox transport,
+// and the fault layer's stream, crash schedule and account for it.
+type port struct {
+	net        *network
+	sent       int64    // handshake frames sent: the transport's MsgsSent
+	rng        *rng.RNG // draws for the control frames addressed to this node
+	plan       []Crash  // scheduled crashes not yet fired, by AtStep
+	crashed    bool
+	crashUntil int64 // tick at which a crashed node recovers
+	stats      FaultStats
 }
 
-// Run executes the simulation and returns per-node statistics: every
-// node performs its steps, and the run continues until the network is
-// quiet.
+func (p *port) Send(to int, m wire.Msg) error {
+	if control(m.Kind) || m.Kind == wire.Transfer {
+		p.sent++
+	}
+	p.net.post(to, m)
+	return nil
+}
+func (p *port) Inbox() <-chan wire.Msg      { return nil }
+func (p *port) Stats() wire.Stats           { return wire.Stats{MsgsSent: p.sent} }
+func (p *port) PeerStats(id int) wire.Stats { return wire.Stats{} }
+func (p *port) Close() error                { return nil }
+
+// control reports whether k is one of the four kinds faults touch.
+func control(k wire.Kind) bool {
+	return k == wire.FreezeReq || k == wire.FreezeAck || k == wire.FreezeBusy || k == wire.Release
+}
+
+// network is the whole state of one run.
+type network struct {
+	faults *Faults
+	nodes  []*cluster.Node
+	ports  []port
+	now    int64
+	// mail[t%len(mail)]: the frames due at tick t, in send order. One slot
+	// past the farthest delay, so no slot grows while it is delivered.
+	mail [][]envelope
+}
+
+// Run executes the simulation: every node performs its steps, and the
+// run ends when the nodes' shutdown has retired them all.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if cfg.N < 2 {
+		return nil, fmt.Errorf("netsim: N = %d, need >= 2", cfg.N)
+	}
+	if err := cfg.Faults.validate(cfg.N); err != nil {
 		return nil, err
 	}
-	if len(cfg.GenP) == 0 {
-		cfg.GenP = []float64{0.5}
+	s := &network{faults: &cfg.Faults, ports: make([]port, cfg.N),
+		mail: make([][]envelope, cfg.Faults.DelayMax+2)}
+	// One fault stream per receiving node, keyed off Faults.Seed apart
+	// from the nodes' streams: arming faults shifts no workload draw.
+	fp := rng.NewPartition(cfg.Faults.Seed)
+	transports := make([]wire.Transport, cfg.N)
+	for i := range s.ports {
+		s.ports[i] = port{net: s, rng: fp.Stream(rng.StreamFault, uint64(i))}
+		transports[i] = &s.ports[i]
 	}
-	if len(cfg.ConP) == 0 {
-		cfg.ConP = []float64{0.4}
+	crashes := slices.Clone(cfg.Faults.Crashes)
+	slices.SortStableFunc(crashes, func(a, b Crash) int { return a.AtStep - b.AtStep })
+	var down int64 // ticks the schedule keeps nodes down, crashing turns included
+	for _, c := range crashes {
+		s.ports[c.Node].plan = append(s.ports[c.Node].plan, c)
+		down += 1 + int64(cmp.Or(c.DownTicks, defaultDownTicks))
 	}
-	s := &network{
-		cfg:      &cfg,
-		nodes:    make([]node, cfg.N),
-		mail:     make([][]envelope, cfg.Faults.DelayMax+2),
-		stepping: cfg.N,
+	reply, freeze := cfg.Faults.timeouts()
+	nodes, err := cluster.NewNodes(cluster.ClusterConfig{
+		N: cfg.N, Delta: cfg.Delta, F: cfg.F, Steps: cfg.Steps,
+		GenP: cfg.GenP, ConP: cfg.ConP, Seed: cfg.Seed, Graph: cfg.Graph,
+		Timeout: time.Duration(reply), FreezeTimeout: time.Duration(freeze),
+	}, transports)
+	if err != nil {
+		return nil, err
 	}
-	master := rng.New(cfg.Seed)
-	// Fault randomness derives from its own seed so the workload and
-	// partner-selection streams stay byte-identical to a fault-free run
-	// of the same Config.Seed.
-	fmaster := rng.New(cfg.Faults.Seed ^ 0xfa17fa17fa17fa17)
-	for i := range s.nodes {
-		r := master.Split()
-		s.nodes[i] = node{m: proto.New(i, cfg.F, r), rng: r, frng: fmaster.Split()}
-	}
-	for _, c := range cfg.Faults.Crashes {
-		s.nodes[c.Node].crashPlan = append(s.nodes[c.Node].crashPlan, c)
-	}
-	for i := range s.nodes {
-		plan := s.nodes[i].crashPlan
-		sort.SliceStable(plan, func(a, b int) bool { return plan[a].AtStep < plan[b].AtStep })
-	}
-	for !s.quiet() {
+	s.nodes = nodes
+	// A node steps on every live, unengaged turn, an engagement outlasts
+	// no timeout, and each of the at most N·Steps operations freezes a
+	// node once: a run past this tick has lost its liveness.
+	limit := int64(cfg.Steps)*(1+int64(cfg.N)*(reply+freeze+2)) + 2*down +
+		reply + freeze + int64(cfg.Faults.DelayMax) + 8
+	for !nodes[0].Finished() {
+		if s.now > limit {
+			return nil, fmt.Errorf("netsim: shutdown not over by tick %d", limit)
+		}
 		s.tick()
 	}
-	res := &Result{Nodes: make([]NodeStats, cfg.N)}
-	for i := range s.nodes {
-		s.nodes[i].stats.FinalLoad = s.nodes[i].m.Load()
-		res.Nodes[i] = s.nodes[i].stats
+	res := &Result{Faults: make([]FaultStats, cfg.N)}
+	res.Nodes, res.Elapsed = make([]cluster.Stats, cfg.N), time.Duration(s.now)
+	for i, nd := range nodes {
+		rep, _ := nd.Report() // a mailbox closes without error
+		res.Nodes[i], res.Faults[i] = rep.Stats, s.ports[i].stats
+		if rep.Summary != nil {
+			res.Summary = *rep.Summary
+		}
 	}
 	publishObs(cfg.Obs, res)
 	return res, nil
 }
 
-// publishObs aggregates a finished run's per-node totals into an obs
-// registry: activity and fault counters under netsim_* names, plus the
-// final load distribution (whose online moments give the variation
-// density). Counters add, so repeated runs against one registry
-// accumulate like repeated scrape intervals.
+// publishObs adds a finished run's totals to a registry under netsim_*
+// names, plus the final load distribution. Counters add, so repeated
+// runs against one registry accumulate like repeated scrape intervals.
 func publishObs(reg *obs.Registry, res *Result) {
 	if reg == nil {
 		return
 	}
 	loads := reg.Histogram("netsim_final_load", obs.LoadBuckets)
-	var s NodeStats
-	for _, n := range res.Nodes {
+	for i, n := range res.Nodes {
+		f := &res.Faults[i]
 		loads.Observe(float64(n.FinalLoad))
-		s.Generated += n.Generated
-		s.Consumed += n.Consumed
-		s.Initiated += n.Initiated
-		s.Completed += n.Completed
-		s.Partners += n.Partners
-		s.Aborted += n.Aborted
-		s.MessagesSent += n.MessagesSent
-		s.Dropped += n.Dropped
-		s.LostAtCrash += n.LostAtCrash
-		s.Delayed += n.Delayed
-		s.Timeouts += n.Timeouts
-		s.FreezeExpired += n.FreezeExpired
-		s.Crashes += n.Crashes
+		reg.Counter("netsim_generated_total").Add(n.Generated)
+		reg.Counter("netsim_consumed_total").Add(n.Consumed)
+		reg.Counter("netsim_aborts_total").Add(n.Aborted)
+		reg.Counter("netsim_dropped_total").Add(f.Dropped)
+		reg.Counter("netsim_lost_at_crash_total").Add(f.LostAtCrash)
+		reg.Counter("netsim_delayed_total").Add(f.Delayed)
+		reg.Counter("netsim_crashes_total").Add(f.Crashes)
 	}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"netsim_generated_total", s.Generated},
-		{"netsim_consumed_total", s.Consumed},
-		{"netsim_protocols_initiated_total", s.Initiated},
-		{"netsim_protocols_completed_total", s.Completed},
-		{"netsim_op_partners_total", s.Partners},
-		{"netsim_aborts_total", s.Aborted},
-		{"netsim_msgs_total", s.MessagesSent},
-		{"netsim_dropped_total", s.Dropped},
-		{"netsim_lost_at_crash_total", s.LostAtCrash},
-		{"netsim_delayed_total", s.Delayed},
-		{"netsim_timeouts_total", s.Timeouts},
-		{"netsim_freeze_expired_total", s.FreezeExpired},
-		{"netsim_crashes_total", s.Crashes},
-	} {
-		reg.Counter(c.name).Add(c.v)
-	}
-}
-
-// quiet is the termination condition: every node finished stepping,
-// nothing is in flight, nobody is engaged. The machine's timeouts bound
-// every engagement and crash windows are finite, so it is always reached.
-func (s *network) quiet() bool {
-	if s.stepping > 0 || s.inFlight > 0 {
-		return false
-	}
-	for i := range s.nodes {
-		if s.nodes[i].m.Engaged() {
-			return false
-		}
-	}
-	return true
+	reg.Counter("netsim_protocols_initiated_total").Add(res.Initiated())
+	reg.Counter("netsim_protocols_completed_total").Add(res.Completed())
+	reg.Counter("netsim_op_partners_total").Add(res.Partners())
+	reg.Counter("netsim_msgs_total").Add(res.Messages())
+	reg.Counter("netsim_timeouts_total").Add(res.Timeouts())
+	reg.Counter("netsim_freeze_expired_total").Add(res.FreezeExpired())
 }
 
 // tick advances the virtual clock by one: deliver what is due, then give
-// every node its turn. The turn order rotates with the clock so that no
-// node id systematically wins same-tick freeze races.
+// every node its turn, in an order that rotates with the clock.
 func (s *network) tick() {
 	s.now++
 	slot := &s.mail[s.now%int64(len(s.mail))]
-	for _, e := range *slot {
-		s.deliver(e)
+	for i := range *slot {
+		s.deliver(&(*slot)[i])
 	}
-	s.inFlight -= len(*slot)
 	*slot = (*slot)[:0]
 	n := len(s.nodes)
 	for k := 0; k < n; k++ {
@@ -387,137 +215,59 @@ func (s *network) tick() {
 	}
 }
 
-// post hands a frame to the network. It is due next tick unless the
-// fault layer, drawing from the receiver's fault stream, loses it
-// (control frames only) or holds it back.
+// post hands a frame to the network. It is due next tick unless it is a
+// control frame and the fault layer, drawing from the receiver's stream,
+// loses it or holds it back.
 func (s *network) post(to int, msg wire.Msg) {
-	nd, f := &s.nodes[to], &s.cfg.Faults
-	if msg.Kind != wire.Transfer && nd.frng.Bernoulli(f.DropP) {
-		nd.stats.Dropped++
-		return
-	}
+	p, f := &s.ports[to], s.faults
 	due := s.now + 1
-	if f.DelayMax > 0 {
-		if d := nd.frng.Intn(f.DelayMax + 1); d > 0 {
-			nd.stats.Delayed++
-			due += int64(d)
+	if control(msg.Kind) {
+		if p.rng.Bernoulli(f.DropP) {
+			p.stats.Dropped++
+			return
+		}
+		if f.DelayMax > 0 {
+			if d := p.rng.Intn(f.DelayMax + 1); d > 0 {
+				p.stats.Delayed++
+				due += int64(d)
+			}
 		}
 	}
 	slot := &s.mail[due%int64(len(s.mail))]
 	*slot = append(*slot, envelope{to, msg})
-	s.inFlight++
 }
 
-// deliver hands a due frame to its receiver's machine. A crashed node
-// answers nothing — control frames are lost at it — but a transfer still
-// lands on its persistent load counter, so packet conservation survives
-// the crash.
-func (s *network) deliver(e envelope) {
-	nd := &s.nodes[e.to]
-	if nd.crashed && e.msg.Kind != wire.Transfer {
-		nd.stats.LostAtCrash++
-		return
+// deliver hands a due frame to its receiver. A crashed node loses control
+// frames but takes every other: a transfer lands on its persistent load,
+// so packet conservation survives the crash. A retired node is gone.
+func (s *network) deliver(e *envelope) {
+	p, nd := &s.ports[e.to], s.nodes[e.to]
+	switch {
+	case nd.Finished():
+	case p.crashed && control(e.msg.Kind):
+		p.stats.LostAtCrash++
+	default:
+		nd.Deliver(s.now, e.msg)
 	}
-	s.apply(e.to, nd.m.Handle(e.msg, s.effs[:0]))
 }
 
-// turn is node i's share of one tick: crash windows open and close, the
-// machine's timeouts fire when overdue, and a live, unengaged node with
-// steps left performs one.
+// turn is node i's share of one tick: crash windows open and close, and
+// a live node takes its Turn.
 func (s *network) turn(i int) {
-	nd, f := &s.nodes[i], &s.cfg.Faults
-	if nd.crashed {
-		if s.now < nd.crashUntil {
-			return
-		}
-		nd.crashed = false
-	}
-	if len(nd.crashPlan) > 0 && nd.stepsDone >= nd.crashPlan[0].AtStep {
-		// Fail-stop: all protocol state vanishes with the node. An
-		// initiator's frozen partners are NOT released — they must rescue
-		// themselves via the freeze-expiry timeout.
-		down := int64(nd.crashPlan[0].DownTicks)
-		if down == 0 {
-			down = defaultDownTicks
-		}
-		nd.crashPlan = nd.crashPlan[1:]
-		nd.crashed, nd.crashUntil = true, s.now+down
-		nd.stats.Crashes++
-		nd.m.Crash()
+	p, nd := &s.ports[i], s.nodes[i]
+	if nd.Finished() || p.crashed && s.now < p.crashUntil {
 		return
 	}
-	if nd.m.Inflight() && s.now-nd.protoAt > f.timeoutTicks() {
-		s.apply(i, nd.m.ReplyTimeout(s.effs[:0]))
-	}
-	if nd.m.Frozen() && s.now-nd.frozeAt > f.freezeTicks() {
-		s.apply(i, nd.m.FreezeExpired(s.effs[:0]))
-	}
-	if nd.stepsDone < s.cfg.Steps && !nd.m.Engaged() {
-		s.step(i)
-	}
-}
-
-// step performs one workload step and initiates if the trigger fires.
-func (s *network) step(i int) {
-	nd := &s.nodes[i]
-	nd.stepsDone++
-	if nd.stepsDone == s.cfg.Steps {
-		s.stepping--
-	}
-	if nd.rng.Bernoulli(probAt(s.cfg.GenP, i)) {
-		nd.m.Add(1)
-		nd.stats.Generated++
-	}
-	if nd.rng.Bernoulli(probAt(s.cfg.ConP, i)) && nd.m.Load() > 0 {
-		nd.m.Add(-1)
-		nd.stats.Consumed++
-	}
-	if !nd.m.Trigger() {
+	p.crashed = false
+	if len(p.plan) > 0 && nd.StepsDone() >= p.plan[0].AtStep {
+		// Fail-stop: the node's protocol state vanishes, and an
+		// initiator's frozen partners must rescue themselves by their
+		// freeze-expiry timeout.
+		p.crashed, p.crashUntil = true, s.now+int64(cmp.Or(p.plan[0].DownTicks, defaultDownTicks))
+		p.plan = p.plan[1:]
+		p.stats.Crashes++
+		nd.Crash()
 		return
 	}
-	// Initiate with δ random partners, drawn from the whole network or,
-	// when a topology is configured, from the node's graph neighborhood.
-	if g := s.cfg.Graph; g == nil {
-		nd.candBuf = nd.rng.SampleDistinct(s.cfg.N, s.cfg.Delta, i, nd.candBuf)
-	} else if ns := g.Neighbors(i); s.cfg.Delta >= len(ns) {
-		nd.candBuf = append(nd.candBuf[:0], ns...)
-	} else {
-		nd.candBuf = nd.rng.SampleDistinct(len(ns), s.cfg.Delta, -1, nd.candBuf)
-		for k, idx := range nd.candBuf {
-			nd.candBuf[k] = ns[idx]
-		}
-	}
-	nd.protoAt = s.now
-	nd.stats.Initiated++
-	s.apply(i, nd.m.Initiate(nd.candBuf, 0, s.effs[:0]))
-}
-
-// apply carries out node i's effects: frames enter the mailbox, the
-// rest feed the tick-clock timers and the activity counters.
-func (s *network) apply(i int, effs []proto.Effect) {
-	s.effs = effs[:0] // keep the grown buffer
-	nd := &s.nodes[i]
-	for k := range effs {
-		e := &effs[k]
-		switch e.Kind {
-		case proto.Send:
-			nd.stats.MessagesSent++
-			s.post(e.To, e.Msg)
-		case proto.Froze:
-			nd.frozeAt = s.now
-		case proto.Unfroze:
-			if e.Reason == proto.ByExpiry {
-				nd.stats.FreezeExpired++
-			}
-		case proto.Aborted:
-			nd.stats.Aborted++
-		case proto.Resolved:
-			nd.stats.Completed++
-			nd.stats.Partners += int64(e.Partners)
-		}
-		// Only a collect's end, Aborted or Resolved, carries Timeout.
-		if e.Reason == proto.Timeout {
-			nd.stats.Timeouts++
-		}
-	}
+	nd.Turn(s.now)
 }

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -94,7 +97,7 @@ func TestHotspotSpreads(t *testing.T) {
 	}
 	// Node 0 must not hold more than a few multiples of the fair share.
 	fair := total / 16
-	if res.Nodes[0].FinalLoad > fair*3 {
+	if int64(res.Nodes[0].FinalLoad) > fair*3 {
 		t.Fatalf("hotspot kept %d of %d (fair share %d)", res.Nodes[0].FinalLoad, total, fair)
 	}
 	// Everybody got something.
@@ -221,8 +224,19 @@ func TestGraphRestrictedBalancing(t *testing.T) {
 		}
 	}
 	// The hotspot must not hoard.
-	if res.Nodes[0].FinalLoad > res.TotalLoad()*3/4 {
+	if int64(res.Nodes[0].FinalLoad) > res.TotalLoad()*3/4 {
 		t.Fatalf("hotspot kept %d of %d under torus balancing", res.Nodes[0].FinalLoad, res.TotalLoad())
+	}
+}
+
+// armedConfig is a run with every fault mechanism armed.
+func armedConfig() Config {
+	return Config{
+		N: 16, Delta: 2, F: 1.1, Steps: 800,
+		GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 31,
+		Graph: topology.Torus2D(4, 4),
+		Faults: Faults{DropP: 0.3, DelayMax: 3, Seed: 19, TimeoutTicks: 25,
+			Crashes: []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500, DownTicks: 100}}},
 	}
 }
 
@@ -230,24 +244,15 @@ func TestGraphRestrictedBalancing(t *testing.T) {
 // the same seeds, with every fault mechanism armed, give the same
 // per-node statistics (fault counters included), run after run.
 func TestNetsimDeterministic(t *testing.T) {
-	run := func() *Result {
-		return mustRun(t, Config{
-			N: 16, Delta: 2, F: 1.1, Steps: 800,
-			GenP: []float64{0.6}, ConP: []float64{0.3}, Seed: 31,
-			Graph: topology.Torus2D(4, 4),
-			Faults: Faults{DropP: 0.3, DelayMax: 3, Seed: 19, TimeoutTicks: 25,
-				Crashes: []Crash{{Node: 3, AtStep: 300}, {Node: 7, AtStep: 500, DownTicks: 100}}},
-		})
-	}
-	a, b := run(), run()
+	a, b := mustRun(t, armedConfig()), mustRun(t, armedConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same Config, different Results:\n%+v\n%+v", a.Nodes, b.Nodes)
 	}
 	var timeouts, dropped, delayed, completed int64
-	for _, n := range a.Nodes {
+	for i, n := range a.Nodes {
 		timeouts += n.Timeouts
-		dropped += n.Dropped
-		delayed += n.Delayed
+		dropped += a.Faults[i].Dropped
+		delayed += a.Faults[i].Delayed
 		completed += n.Completed
 	}
 	if timeouts == 0 || dropped == 0 || delayed == 0 || completed == 0 || !a.Conserved() {
@@ -260,6 +265,23 @@ func TestNetsimDeterministic(t *testing.T) {
 		GenP: []float64{0.6}, ConP: []float64{0.3}, Faults: Faults{DropP: 0.3, Seed: 21}})
 	if reflect.DeepEqual(c, d) {
 		t.Fatal("changing Faults.Seed changed nothing")
+	}
+}
+
+// TestNetsimGoldenSamplePath pins the per-node results of the armed run:
+// a change to the scheduler, the fault layer or the node that moves any
+// node's counters fails here, and must change the digest on purpose.
+func TestNetsimGoldenSamplePath(t *testing.T) {
+	res := mustRun(t, armedConfig())
+	h := sha256.New()
+	for i, n := range res.Nodes {
+		f := res.Faults[i]
+		fmt.Fprintln(h, n.FinalLoad, n.Generated, n.Consumed, n.Initiated, n.Completed,
+			n.Partners, n.Aborted, n.MsgsSent, f.Dropped, f.LostAtCrash, f.Delayed,
+			n.Timeouts, n.FreezeExpired, f.Crashes)
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != "5324feda94294391" {
+		t.Errorf("digest %s, want 5324feda94294391", got)
 	}
 }
 

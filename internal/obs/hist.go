@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // atomicFloat is an atomic float64 accumulator (CAS on the bit
@@ -59,15 +58,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.sumsq.Add(v * v)
-}
-
-// ObserveSince records the seconds elapsed since t0 — the idiom for
-// protocol-phase timings.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(t0).Seconds())
 }
 
 // Count returns the number of observations (0 on nil).

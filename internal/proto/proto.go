@@ -403,6 +403,13 @@ func (m *Machine) resolve(out []Effect, how Reason) []Effect {
 	}
 	k := len(m.ackedFrom) + 1
 	base, rem := total/k, total%k
+	if rem < 0 {
+		// Floor, not truncation: a partner's load can be below zero (a
+		// late transfer from a freeze it had already let expire took what
+		// it had since spent), and a truncated split of a negative total
+		// deals out a packet more than the participants hold.
+		base, rem = base-1, rem+k
+	}
 	// Rotate the start of the remainder run uniformly (the core package's
 	// snake discipline, randomized): handing the extras to a fixed
 	// participant index would let the initiator — index 0 — capture one

@@ -63,6 +63,9 @@ func TestRemainderUnbiased(t *testing.T) {
 		{"rem 2 of 3", 0, []int{4, 4}},
 		{"rem 1 of 2", 9, []int{0}},
 		{"rem 0 of 4", 8, []int{2, 6, 4}},
+		// A late transfer into an expired freeze can leave a partner's
+		// load below zero; the split floors a negative total.
+		{"negative total, rem 3 of 4", 0, []int{-2, 0, 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +78,9 @@ func TestRemainderUnbiased(t *testing.T) {
 				total += l
 			}
 			base, rem := total/k, total%k
+			if rem < 0 {
+				base, rem = base-1, rem+k
+			}
 			r := rng.New(99)
 			m := New(0, 1.2, r)
 			extras := make([]int, k)

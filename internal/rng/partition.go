@@ -39,6 +39,9 @@ const (
 	StreamOp
 	// StreamSettle seeds the serial settlement pass at the tick barrier.
 	StreamSettle
+	// StreamFault seeds the network fault layer's draws for the frames
+	// addressed to one node (internal/netsim); the index is the node.
+	StreamFault
 )
 
 // NewPartition returns a Partition over the given master seed.

@@ -9,10 +9,10 @@
 //   - System (internal/core) — the packet-level algorithm with virtual
 //     load classes and borrowing, driven step-by-step.
 //   - Simulate (internal/sim) — the discrete-time experiment engine.
-//   - RunNetwork (internal/netsim) — the message-passing realization on
-//     a virtual clock.
+//   - RunNetwork (internal/netsim) — the message-passing realization:
+//     cluster nodes on a virtual clock, with fault injection.
 //   - StartNode, NewLoopback, ListenNode (internal/cluster,
-//     internal/wire) — the same protocol over real transports.
+//     internal/wire) — the same node over real transports.
 //   - Registry, ServeDebug, Aggregate (internal/obs) — live metrics
 //     and the merged cluster view.
 //   - FIX, FixLimit, OperatorG… (internal/theory) — the closed forms.
@@ -64,16 +64,18 @@ func NewSystem(n int, p Params, seed uint64) (*System, error) {
 }
 
 // NetworkConfig configures the share-nothing, message-passing simulation
-// (one protocol machine per processor, balancing via a freeze/ack/transfer
-// exchange through a simulated network on a virtual clock; the same
-// config always gives the same result).
+// (one cluster node per processor, the same node NodeConfig runs,
+// balancing via a freeze/ack/transfer exchange through a simulated
+// network on a virtual clock; the same config always gives the same
+// result).
 type NetworkConfig = netsim.Config
 
-// NetworkResult is the outcome of a message-passing run.
+// NetworkResult is the outcome of a message-passing run: each node's
+// NodeStats, the coordinator's summary, and the fault layer's account.
 type NetworkResult = netsim.Result
 
 // RunNetwork executes the message-passing simulation and blocks until the
-// network quiesces.
+// nodes' shutdown has retired them all.
 func RunNetwork(cfg NetworkConfig) (*NetworkResult, error) { return netsim.Run(cfg) }
 
 // NodeConfig configures one node of the wire-level cluster runtime
