@@ -76,11 +76,8 @@ var artifacts = []artifact{
 	{"faults", "fault sensitivity of the trigger protocol (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.FaultSweep(s, seed)
 	}},
-	{"wirecost", "wire-level cluster cost, inproc vs TCP (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
+	{"wirecost", "wire-level cluster cost and abort anatomy, inproc vs TCP (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.WireCost(s, seed)
-	}},
-	{"abortanatomy", "per-reason anatomy of the TCP abort fraction (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.AbortAnatomy(s, seed)
 	}},
 	{"vdtraj", "variation-density trajectory: §5 convergence in t (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.VDTrajectory(s, seed)

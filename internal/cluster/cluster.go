@@ -101,7 +101,11 @@ type Config struct {
 	Timeout time.Duration
 	// FreezeTimeout is how long a frozen partner waits for its release
 	// or transfer before unfreezing itself (the escape hatch when an
-	// initiator dies mid-protocol). 0 selects 4×Timeout.
+	// initiator dies mid-protocol). 0 selects 4×Timeout. A freeze
+	// shorter than the initiator's collect plus the transfer's delivery
+	// lets a late transfer land after the partner has released itself
+	// and spent load: the partner's load can then go negative, although
+	// conservation still holds.
 	FreezeTimeout time.Duration
 	// Tick is the granularity at which a blocked node checks its
 	// timeouts. 0 selects DefaultTick.
@@ -428,6 +432,10 @@ func (n *Node) Crash() { n.m.Crash() }
 
 // StepsDone returns the workload steps the node has taken.
 func (n *Node) StepsDone() int { return n.stepsDone }
+
+// Load returns the node's current load. Like StepsDone, it may only be
+// called from the goroutine that drives the node.
+func (n *Node) Load() int { return n.m.Load() }
 
 // Finished reports whether the node has retired through the two-phase
 // shutdown.

@@ -7,7 +7,7 @@ import (
 )
 
 // Abort reason labels, one per way a balancing protocol dies. They are
-// what the AbortAnatomy experiment and the /metrics endpoint report.
+// what the wirecost experiment and the /metrics endpoint report.
 const (
 	// AbortPeerFrozen: every reply came in and too few partners acked to
 	// balance with — the rest answered FreezeBusy, already frozen or
@@ -30,6 +30,9 @@ const (
 	// replies can never arrive.
 	AbortLinkDown = "link_down"
 )
+
+// AbortReasons lists every abort reason, in render order.
+var AbortReasons = [...]string{AbortPeerFrozen, AbortTimeout, AbortStaleEpoch, AbortLinkDown}
 
 // Protocol phase labels for the cluster_phase_seconds histograms.
 const (
@@ -105,15 +108,15 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 		ingested:         reg.Counter(fmt.Sprintf(`cluster_node_ingested_total{node="%d"}`, id)),
 		unitsDone:        reg.Counter(fmt.Sprintf(`cluster_node_units_done_total{node="%d"}`, id)),
 		records:          reg.Gauge(fmt.Sprintf(`cluster_node_records{node="%d"}`, id)),
-		abort:            make(map[string]*obs.Counter, 4),
-		phaseReply:       reg.Histogram(phaseName(PhaseReply), obs.LatencyBuckets),
-		phaseCollect:     reg.Histogram(phaseName(PhaseCollect), obs.LatencyBuckets),
-		phaseXfer:        reg.Histogram(phaseName(PhaseTransferAck), obs.LatencyBuckets),
-		phaseFrozen:      reg.Histogram(phaseName(PhaseFrozen), obs.LatencyBuckets),
+		abort:            make(map[string]*obs.Counter, len(AbortReasons)),
+		phaseReply:       reg.Histogram(PhaseMetric(PhaseReply), obs.LatencyBuckets),
+		phaseCollect:     reg.Histogram(PhaseMetric(PhaseCollect), obs.LatencyBuckets),
+		phaseXfer:        reg.Histogram(PhaseMetric(PhaseTransferAck), obs.LatencyBuckets),
+		phaseFrozen:      reg.Histogram(PhaseMetric(PhaseFrozen), obs.LatencyBuckets),
 		loadHist:         reg.Histogram("cluster_load", obs.LoadBuckets),
-		loadGauge:        reg.Gauge(fmt.Sprintf(`cluster_node_load{node="%d"}`, id)),
+		loadGauge:        reg.Gauge(LoadMetric(id)),
 	}
-	for _, reason := range []string{AbortPeerFrozen, AbortTimeout, AbortStaleEpoch, AbortLinkDown} {
+	for _, reason := range AbortReasons {
 		m.abort[reason] = reg.Counter(AbortMetric(reason))
 	}
 	return m
@@ -125,7 +128,14 @@ func AbortMetric(reason string) string {
 	return fmt.Sprintf("cluster_aborts_total{reason=%q}", reason)
 }
 
-// phaseName returns the registry name of one phase histogram.
-func phaseName(phase string) string {
+// PhaseMetric returns the registry name of one phase histogram, e.g.
+// `cluster_phase_seconds{phase="collect"}`.
+func PhaseMetric(phase string) string {
 	return fmt.Sprintf("cluster_phase_seconds{phase=%q}", phase)
+}
+
+// LoadMetric returns the registry name of node id's load gauge, e.g.
+// `cluster_node_load{node="3"}` (family obs.LoadGaugeBase).
+func LoadMetric(id int) string {
+	return fmt.Sprintf(`%s{node="%d"}`, obs.LoadGaugeBase, id)
 }

@@ -51,7 +51,7 @@ func TestClusterMetricsPopulated(t *testing.T) {
 	// Every initiated protocol resolves or abandons, so the collect
 	// histogram counts exactly the resolved ones; the load histogram
 	// carries one sample per workload step.
-	collect := reg.Histogram(phaseName(PhaseCollect), obs.LatencyBuckets)
+	collect := reg.Histogram(PhaseMetric(PhaseCollect), obs.LatencyBuckets)
 	if collect.Count() == 0 {
 		t.Fatal("collect phase histogram empty")
 	}

@@ -37,7 +37,7 @@ func NewRecorder(reg *obs.Registry, ids []int, capacity int) *obs.Recorder {
 	rec := obs.NewRecorder(capacity)
 	gauges := make([]*obs.Gauge, len(ids))
 	for i, id := range ids {
-		g := reg.Gauge(fmt.Sprintf(`cluster_node_load{node="%d"}`, id))
+		g := reg.Gauge(LoadMetric(id))
 		gauges[i] = g
 		rec.GaugeColumn(fmt.Sprintf(`load{node="%d"}`, id), g)
 	}
@@ -59,7 +59,7 @@ func NewRecorder(reg *obs.Registry, ids []int, capacity int) *obs.Recorder {
 		return vd
 	})
 	rec.HistogramColumns("load", reg.Histogram("cluster_load", obs.LoadBuckets))
-	for _, reason := range []string{AbortPeerFrozen, AbortTimeout, AbortStaleEpoch, AbortLinkDown} {
+	for _, reason := range AbortReasons {
 		rec.CounterRateColumn(fmt.Sprintf("abort_rate{reason=%q}", reason),
 			reg.Counter(AbortMetric(reason)))
 	}

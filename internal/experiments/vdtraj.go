@@ -1,27 +1,22 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"time"
 
-	"lmbalance/internal/cluster"
+	"lmbalance/internal/netsim"
 	"lmbalance/internal/obs"
 	"lmbalance/internal/stats"
 	"lmbalance/internal/trace"
-	"lmbalance/internal/wire"
 )
 
 // VDTrajectoryRun is one (f, δ) setting's empirical variation-density
-// trajectory, read back off the node's /series endpoint exactly the way
-// an operator (or the aggregator) would.
+// trajectory.
 type VDTrajectoryRun struct {
 	F     float64
 	Delta int
-	// Points is the instantaneous cross-node VD (std/mean of the
-	// per-node load gauges) per recorder sample, oldest first.
+	// Points is the instantaneous cross-node VD (std/mean of the nodes'
+	// loads) per sample, oldest first.
 	Points []float64
 	// PeakVD is the trajectory's maximum; EarlyVD and LateVD are the
 	// means over the first tenth and the last quarter of the samples.
@@ -34,16 +29,17 @@ type VDTrajectoryRun struct {
 // VDTrajectoryResult is the §5 convergence check run empirically: the
 // paper proves the variation density VD = sqrt(E(l²)−E(l)²)/E(l)
 // converges in t; a histogram only ever shows the endpoint, so this
-// harness records the whole trajectory through the time-series
-// recorder. A 16-node loopback cluster starts maximally imbalanced — a
-// hot producer quarter, everyone else consuming — and the recorder
-// samples the cross-node VD while balancing runs. For every setting the
-// trajectory must decay from its early transient to a lower, stable
-// plateau: convergence in t, not just a good final value.
+// harness records the whole trajectory. A 16-node message-passing
+// network starts maximally imbalanced — a hot producer quarter, everyone
+// else consuming — and runs on netsim's virtual clock, sampled every
+// Period ticks while balancing runs. For every setting the trajectory
+// must decay from its early transient to a lower, stable plateau:
+// convergence in t, not just a good final value. The result is a pure
+// function of the seed.
 type VDTrajectoryResult struct {
 	N      int
 	Steps  int
-	Period time.Duration
+	Period int // ticks between samples
 	Runs   []VDTrajectoryRun
 }
 
@@ -67,46 +63,13 @@ func VDTrajectory(scale Scale, seed uint64) (*VDTrajectoryResult, error) {
 	if scale == ScaleFull {
 		steps = 40000
 	}
-	out := &VDTrajectoryResult{N: n, Steps: steps, Period: 500 * time.Microsecond}
+	out := &VDTrajectoryResult{N: n, Steps: steps, Period: 100}
 	gen, con := hotQuarter(n)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
 	for _, s := range vdTrajSettings {
-		reg := obs.NewRegistry()
-		lnet := wire.NewLoopback(n)
-		transports := make([]wire.Transport, n)
-		for j := range transports {
-			transports[j] = lnet.Transport(j)
-		}
-		rec := cluster.NewRecorder(reg, ids, 4096)
-		// Serve the registry so the trajectory is consumed through the
-		// real /series export, not a private shortcut.
-		srv, err := obs.ServeDebug("127.0.0.1:0", reg)
-		if err != nil {
-			return nil, fmt.Errorf("vdtraj: %w", err)
-		}
-		rec.Start(out.Period)
-		res, err := cluster.RunCluster(cluster.ClusterConfig{
+		run, err := vdTrajRun(netsim.Config{
 			N: n, Delta: s.Delta, F: s.F, Steps: steps,
-			GenP: gen, ConP: con, Seed: seed, Obs: reg,
-		}, transports)
-		rec.Stop()
-		if err != nil {
-			srv.Close()
-			return nil, fmt.Errorf("vdtraj (f=%g δ=%d): %w", s.F, s.Delta, err)
-		}
-		if !res.Conserved() {
-			srv.Close()
-			return nil, fmt.Errorf("vdtraj (f=%g δ=%d): packet conservation violated", s.F, s.Delta)
-		}
-		data, err := fetchSeries(srv.URL())
-		srv.Close()
-		if err != nil {
-			return nil, fmt.Errorf("vdtraj (f=%g δ=%d): %w", s.F, s.Delta, err)
-		}
-		run, err := vdTrajFromSeries(s.F, s.Delta, data)
+			GenP: gen, ConP: con, Seed: seed,
+		}, out.Period)
 		if err != nil {
 			return nil, fmt.Errorf("vdtraj (f=%g δ=%d): %w", s.F, s.Delta, err)
 		}
@@ -115,53 +78,40 @@ func VDTrajectory(scale Scale, seed uint64) (*VDTrajectoryResult, error) {
 	return out, nil
 }
 
-// fetchSeries scrapes one /series document.
-func fetchSeries(baseURL string) (obs.SeriesData, error) {
-	var data obs.SeriesData
-	resp, err := http.Get(baseURL + "/series")
+// vdTrajRun steps one world to its end, takes the cross-node VD of the
+// nodes' loads every period ticks, and classifies the trajectory's shape.
+func vdTrajRun(cfg netsim.Config, period int) (VDTrajectoryRun, error) {
+	run := VDTrajectoryRun{F: cfg.F, Delta: cfg.Delta}
+	w, err := netsim.New(cfg)
 	if err != nil {
-		return data, err
+		return run, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return data, fmt.Errorf("GET /series: status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&data); err != nil {
-		return data, fmt.Errorf("GET /series: %w", err)
-	}
-	return data, nil
-}
-
-// vdTrajFromSeries extracts the nodes_vd trajectory from a /series
-// document and classifies its shape.
-func vdTrajFromSeries(f float64, delta int, data obs.SeriesData) (VDTrajectoryRun, error) {
-	run := VDTrajectoryRun{F: f, Delta: delta}
-	vdIdx := -1
-	for i, c := range data.Columns {
-		if c == "nodes_vd" {
-			vdIdx = i
+	for tick := 1; !w.Done(); tick++ {
+		if err := w.Tick(); err != nil {
+			return run, err
 		}
-	}
-	if vdIdx < 0 {
-		return run, fmt.Errorf("/series has no nodes_vd column (columns %v)", data.Columns)
-	}
-	for _, smp := range data.Samples {
-		if vdIdx < len(smp.V) {
-			run.Points = append(run.Points, smp.V[vdIdx])
+		if tick%period != 0 {
+			continue
 		}
+		var sum, sumsq float64
+		for _, nd := range w.Nodes() {
+			l := float64(nd.Load())
+			sum, sumsq = sum+l, sumsq+l*l
+		}
+		_, _, vd := obs.Moments(float64(cfg.N), sum, sumsq)
+		run.Points = append(run.Points, vd)
+	}
+	if res := w.Result(); !res.Conserved() {
+		return run, fmt.Errorf("packet conservation violated")
 	}
 	if len(run.Points) < 8 {
 		return run, fmt.Errorf("only %d trajectory samples; run too short to judge convergence", len(run.Points))
 	}
 	for _, v := range run.Points {
-		if v > run.PeakVD {
-			run.PeakVD = v
-		}
+		run.PeakVD = max(run.PeakVD, v)
 	}
-	early := run.Points[:len(run.Points)/10+1]
-	late := run.Points[len(run.Points)*3/4:]
-	run.EarlyVD = stats.MeanOf(early)
-	run.LateVD = stats.MeanOf(late)
+	run.EarlyVD = stats.MeanOf(run.Points[:len(run.Points)/10+1])
+	run.LateVD = stats.MeanOf(run.Points[len(run.Points)*3/4:])
 	run.Converged = run.LateVD < run.EarlyVD
 	return run, nil
 }
@@ -184,7 +134,7 @@ func (r *VDTrajectoryResult) Render(w io.Writer) error {
 		r.N, r.Steps)); err != nil {
 		return err
 	}
-	tb := trace.NewTable(fmt.Sprintf("empirical VD over time via /series (sampled every %v)", r.Period),
+	tb := trace.NewTable(fmt.Sprintf("empirical VD over time on netsim's virtual clock (sampled every %d ticks)", r.Period),
 		"f", "δ", "samples", "peak VD", "early VD", "late VD", "converged")
 	for _, run := range r.Runs {
 		tb.AddRow(run.F, run.Delta, len(run.Points),

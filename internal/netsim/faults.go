@@ -30,7 +30,11 @@ type Faults struct {
 	TimeoutTicks int
 	// FreezeTicks is how long a frozen partner waits for its release or
 	// transfer before unfreezing itself — the escape hatch for a crashed
-	// initiator's peers. 0 selects the default (4 × TimeoutTicks).
+	// initiator's peers. 0 selects the default (4 × TimeoutTicks). A
+	// freeze shorter than the initiator's collect plus the transfer's
+	// delivery lets a late transfer land after the partner has released
+	// itself: its load can then go negative, although conservation still
+	// holds (cluster.Config.FreezeTimeout).
 	FreezeTicks int
 	// Seed drives all fault draws.
 	Seed uint64

@@ -12,6 +12,7 @@
 // later), so an operation costs three ticks and same-tick initiators
 // genuinely collide. The run ends when the nodes' own shutdown does:
 // node 0 has heard every Idle, broadcast Quit and summed every Bye.
+// A driver that reads the nodes between ticks steps a World itself.
 package netsim
 
 import (
@@ -76,7 +77,7 @@ type envelope struct {
 // port is one node's attachment to the network: its mailbox transport,
 // and the fault layer's stream, crash schedule and account for it.
 type port struct {
-	net        *network
+	net        *World
 	sent       int64    // handshake frames sent: the transport's MsgsSent
 	rng        *rng.RNG // draws for the control frames addressed to this node
 	plan       []Crash  // scheduled crashes not yet fired, by AtStep
@@ -102,12 +103,15 @@ func control(k wire.Kind) bool {
 	return k == wire.FreezeReq || k == wire.FreezeAck || k == wire.FreezeBusy || k == wire.Release
 }
 
-// network is the whole state of one run.
-type network struct {
-	faults *Faults
-	nodes  []*cluster.Node
-	ports  []port
-	now    int64
+// World is the whole state of one run. Its driver calls Tick until
+// Done, then Result once; Run is that loop. Between ticks the driver may
+// read the nodes (Nodes): nothing else touches them.
+type World struct {
+	cfg   *Config
+	nodes []*cluster.Node
+	ports []port
+	now   int64
+	limit int64 // past this tick the run has lost its liveness
 	// mail[t%len(mail)]: the frames due at tick t, in send order. One slot
 	// past the farthest delay, so no slot grows while it is delivered.
 	mail [][]envelope
@@ -116,13 +120,27 @@ type network struct {
 // Run executes the simulation: every node performs its steps, and the
 // run ends when the nodes' shutdown has retired them all.
 func Run(cfg Config) (*Result, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for !s.Done() {
+		if err := s.Tick(); err != nil {
+			return nil, err
+		}
+	}
+	return s.Result(), nil
+}
+
+// New builds the world of one run at tick 0, before any node's turn.
+func New(cfg Config) (*World, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("netsim: N = %d, need >= 2", cfg.N)
 	}
 	if err := cfg.Faults.validate(cfg.N); err != nil {
 		return nil, err
 	}
-	s := &network{faults: &cfg.Faults, ports: make([]port, cfg.N),
+	s := &World{cfg: &cfg, ports: make([]port, cfg.N),
 		mail: make([][]envelope, cfg.Faults.DelayMax+2)}
 	// One fault stream per receiving node, keyed off Faults.Seed apart
 	// from the nodes' streams: arming faults shifts no workload draw.
@@ -152,25 +170,32 @@ func Run(cfg Config) (*Result, error) {
 	// A node steps on every live, unengaged turn, an engagement outlasts
 	// no timeout, and each of the at most N·Steps operations freezes a
 	// node once: a run past this tick has lost its liveness.
-	limit := int64(cfg.Steps)*(1+int64(cfg.N)*(reply+freeze+2)) + 2*down +
+	s.limit = int64(cfg.Steps)*(1+int64(cfg.N)*(reply+freeze+2)) + 2*down +
 		reply + freeze + int64(cfg.Faults.DelayMax) + 8
-	for !nodes[0].Finished() {
-		if s.now > limit {
-			return nil, fmt.Errorf("netsim: shutdown not over by tick %d", limit)
-		}
-		s.tick()
-	}
-	res := &Result{Faults: make([]FaultStats, cfg.N)}
-	res.Nodes, res.Elapsed = make([]cluster.Stats, cfg.N), time.Duration(s.now)
-	for i, nd := range nodes {
+	return s, nil
+}
+
+// Done reports whether the shutdown is over: node 0 has summed every Bye.
+func (s *World) Done() bool { return s.nodes[0].Finished() }
+
+// Nodes returns the world's nodes, indexed by id.
+func (s *World) Nodes() []*cluster.Node { return s.nodes }
+
+// Result collects the nodes' reports and publishes the run's totals to
+// Config.Obs. Call it once, after Done.
+func (s *World) Result() *Result {
+	n := len(s.nodes)
+	res := &Result{Faults: make([]FaultStats, n)}
+	res.Nodes, res.Elapsed = make([]cluster.Stats, n), time.Duration(s.now)
+	for i, nd := range s.nodes {
 		rep, _ := nd.Report() // a mailbox closes without error
 		res.Nodes[i], res.Faults[i] = rep.Stats, s.ports[i].stats
 		if rep.Summary != nil {
 			res.Summary = *rep.Summary
 		}
 	}
-	publishObs(cfg.Obs, res)
-	return res, nil
+	publishObs(s.cfg.Obs, res)
+	return res
 }
 
 // publishObs adds a finished run's totals to a registry under netsim_*
@@ -200,9 +225,13 @@ func publishObs(reg *obs.Registry, res *Result) {
 	reg.Counter("netsim_freeze_expired_total").Add(res.FreezeExpired())
 }
 
-// tick advances the virtual clock by one: deliver what is due, then give
-// every node its turn, in an order that rotates with the clock.
-func (s *network) tick() {
+// Tick advances the virtual clock by one: deliver what is due, then give
+// every node its turn, in an order that rotates with the clock. It fails
+// once the run is past the tick by which its shutdown must be over.
+func (s *World) Tick() error {
+	if s.now > s.limit {
+		return fmt.Errorf("netsim: shutdown not over by tick %d", s.limit)
+	}
 	s.now++
 	slot := &s.mail[s.now%int64(len(s.mail))]
 	for i := range *slot {
@@ -213,13 +242,14 @@ func (s *network) tick() {
 	for k := 0; k < n; k++ {
 		s.turn(int((s.now + int64(k)) % int64(n)))
 	}
+	return nil
 }
 
 // post hands a frame to the network. It is due next tick unless it is a
 // control frame and the fault layer, drawing from the receiver's stream,
 // loses it or holds it back.
-func (s *network) post(to int, msg wire.Msg) {
-	p, f := &s.ports[to], s.faults
+func (s *World) post(to int, msg wire.Msg) {
+	p, f := &s.ports[to], &s.cfg.Faults
 	due := s.now + 1
 	if control(msg.Kind) {
 		if p.rng.Bernoulli(f.DropP) {
@@ -240,7 +270,7 @@ func (s *network) post(to int, msg wire.Msg) {
 // deliver hands a due frame to its receiver. A crashed node loses control
 // frames but takes every other: a transfer lands on its persistent load,
 // so packet conservation survives the crash. A retired node is gone.
-func (s *network) deliver(e *envelope) {
+func (s *World) deliver(e *envelope) {
 	p, nd := &s.ports[e.to], s.nodes[e.to]
 	switch {
 	case nd.Finished():
@@ -253,7 +283,7 @@ func (s *network) deliver(e *envelope) {
 
 // turn is node i's share of one tick: crash windows open and close, and
 // a live node takes its Turn.
-func (s *network) turn(i int) {
+func (s *World) turn(i int) {
 	p, nd := &s.ports[i], s.nodes[i]
 	if nd.Finished() || p.crashed && s.now < p.crashUntil {
 		return
