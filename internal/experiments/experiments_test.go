@@ -72,7 +72,7 @@ func TestFig6QuickShape(t *testing.T) {
 	if res.VD[idx(4, 1.1)][2] != nil {
 		t.Fatal("δ=4, n=4 should be infeasible")
 	}
-	if !strings.Contains(checkRender(t, res, "2f04ddee20a9b062"), "Figure 6") {
+	if !strings.Contains(checkRender(t, res, "3d3c760dbcab5c35"), "Figure 6") {
 		t.Fatal("render missing title")
 	}
 }
@@ -209,7 +209,7 @@ func TestTheoremCheckQuick(t *testing.T) {
 			t.Fatalf("FIX %v exceeds n→∞ limit %v", row.Fix, row.Limit)
 		}
 	}
-	checkRender(t, res, "b5541981e2ff457b")
+	checkRender(t, res, "fb31377aa456201d")
 }
 
 func TestDecreaseCostQuick(t *testing.T) {
@@ -235,7 +235,7 @@ func TestDecreaseCostQuick(t *testing.T) {
 	if a > 0 && (b < a*0.7 || b > a*1.3) {
 		t.Fatalf("c/x invariance violated: %v vs %v", a, b)
 	}
-	checkRender(t, res, "f1d6cc4e49fb4c53")
+	checkRender(t, res, "3464a71cacf08609")
 }
 
 func TestBaselineComparisonQuick(t *testing.T) {
@@ -298,7 +298,7 @@ func TestBaselineComparisonQuick(t *testing.T) {
 				row.Name, row.BalanceOps, row.Migrations, wantOps, wantMig)
 		}
 	}
-	checkRender(t, res, "0cae7d68f965f6db")
+	checkRender(t, res, "df16e53bba5daaee")
 }
 
 func TestAblationsQuick(t *testing.T) {
@@ -322,7 +322,7 @@ func TestAblationsQuick(t *testing.T) {
 	if spread["δ=8 f=1.1"] >= spread["δ=1 f=1.1"] {
 		t.Fatalf("δ=8 spread %v not below δ=1 spread %v", spread["δ=8 f=1.1"], spread["δ=1 f=1.1"])
 	}
-	if !strings.Contains(checkRender(t, res, "9206768bbd7cfeb5"), "Ablations") {
+	if !strings.Contains(checkRender(t, res, "8b9c3186b3ab8361"), "Ablations") {
 		t.Fatal("render missing title")
 	}
 }

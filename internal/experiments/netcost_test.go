@@ -29,7 +29,7 @@ func TestNetCostQuick(t *testing.T) {
 		t.Fatalf("msgs/op did not grow with δ: %v vs %v",
 			byName["global δ=1"].MsgsPerOp, byName["global δ=4"].MsgsPerOp)
 	}
-	if !strings.Contains(checkRender(t, res, "23cd77f6e257fb6f"), "communication cost") {
+	if !strings.Contains(checkRender(t, res, "6a3b0162cce12e89"), "communication cost") {
 		t.Fatal("render missing title")
 	}
 }

@@ -37,7 +37,7 @@ func TestScalingQuick(t *testing.T) {
 		t.Fatalf("per-node cost grew with n: %v -> %v",
 			first.BalanceOpsPerProcStep, last.BalanceOpsPerProcStep)
 	}
-	if !strings.Contains(checkRender(t, res, "d4af8110219984db"), "Theorem 2 scaling") {
+	if !strings.Contains(checkRender(t, res, "b3f3ec64c31470bf"), "Theorem 2 scaling") {
 		t.Fatal("render missing title")
 	}
 }
@@ -59,5 +59,5 @@ func TestGrowthCostQuick(t *testing.T) {
 		t.Fatalf("f=1.8 (%v) should be much cheaper than f=1.1 (%v)",
 			res.Rows[3].SimMean, res.Rows[0].SimMean)
 	}
-	checkRender(t, res, "d86b96611577288f")
+	checkRender(t, res, "790f47d507a6c7dc")
 }

@@ -33,7 +33,7 @@ func TestStarvationQuick(t *testing.T) {
 	if lm.ZeroFraction > nob.ZeroFraction/3 {
 		t.Fatalf("LM starvation %v not clearly below no-balance %v", lm.ZeroFraction, nob.ZeroFraction)
 	}
-	if !strings.Contains(checkRender(t, res, "2d0ad2ef8b646088"), "starvation") {
+	if !strings.Contains(checkRender(t, res, "348e8c2bf8c41bfc"), "starvation") {
 		t.Fatal("render missing title")
 	}
 }

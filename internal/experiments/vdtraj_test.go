@@ -27,5 +27,5 @@ func TestVDTrajectoryQuickShape(t *testing.T) {
 	if c := res.ConvergedCount(); c < 3 {
 		t.Fatalf("only %d/%d settings converged: %+v", c, len(res.Runs), res.Runs)
 	}
-	checkRender(t, res, "4f8ad40a7258fc7c")
+	checkRender(t, res, "b392028a071b9e15")
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-oriented result table with a title, used by the
@@ -50,16 +51,17 @@ func formatFloat(v float64) string {
 	return s
 }
 
-// WriteText renders the table with aligned columns.
+// WriteText renders the table with aligned columns, sized in runes so
+// that a cell holding δ or µ lines up with its header.
 func (t *Table) WriteText(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -75,7 +77,7 @@ func (t *Table) WriteText(w io.Writer) error {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(cell)
-			if pad := widths[i] - len(cell); pad > 0 && i < len(cells)-1 {
+			if pad := widths[i] - utf8.RuneCountInString(cell); pad > 0 && i < len(cells)-1 {
 				sb.WriteString(strings.Repeat(" ", pad))
 			}
 		}

@@ -51,6 +51,25 @@ func TestFloatFormatting(t *testing.T) {
 	}
 }
 
+func TestTableRunePadding(t *testing.T) {
+	tb := NewTable("", "configuration", "spread")
+	tb.AddRow("global δ=1", 132)
+	tb.AddRow("global d=1", 7)
+	var buf bytes.Buffer
+	if err := tb.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	// The value column starts at the same rune offset on every line,
+	// whatever the byte width of the cells before it.
+	col := strings.Index(lines[0], "spread")
+	for _, ln := range lines[2:] {
+		if got := len([]rune(ln[:strings.LastIndex(ln, "  ")+2])); got != col {
+			t.Errorf("row %q: value column at rune %d, header at %d", ln, got, col)
+		}
+	}
+}
+
 func TestTableNoTitle(t *testing.T) {
 	tb := NewTable("", "c")
 	tb.AddRow("x")
