@@ -164,7 +164,7 @@ func TestInitiatorTimeoutKeepsNodeLive(t *testing.T) {
 	ts[1] = dropFreezeReqs{ts[1]}
 	res, err := RunCluster(ClusterConfig{N: 2, Delta: 1, F: 1.1, Steps: 25,
 		GenP: []float64{0.0, 1.0}, ConP: []float64{0.0},
-		Seed: 9, Timeout: 30 * time.Millisecond, Tick: 5 * time.Millisecond}, ts)
+		Seed: 9, Timeout: 30 * time.Millisecond}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,6 @@ func TestFreezeExpiryLive(t *testing.T) {
 	}
 	res, err := RunCluster(ClusterConfig{N: n, Delta: 2, F: 1.1, Steps: 1500, Seed: 23,
 		FreezeTimeout: 2 * time.Millisecond,
-		Tick:          time.Millisecond,
 		GenP:          []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
 		ConP:          []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4}}, ts)
 	if err != nil {

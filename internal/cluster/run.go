@@ -33,8 +33,8 @@ type ClusterConfig struct {
 	// neighbourhood (Config.Neighbors). It must have N vertices, and
 	// every vertex needs at least one neighbour.
 	Graph *topology.Graph
-	// Timeout, FreezeTimeout, Tick, MinInitGap as in Config.
-	Timeout, FreezeTimeout, Tick, MinInitGap time.Duration
+	// Timeout, FreezeTimeout, MinInitGap as in Config.
+	Timeout, FreezeTimeout, MinInitGap time.Duration
 	// Pace as in Config: the initiation pacing policy, applied to every
 	// node.
 	Pace PaceMode
@@ -215,7 +215,7 @@ func NewNodes(cfg ClusterConfig, transports []wire.Transport) ([]*Node, error) {
 			ID: i, N: cfg.N, Delta: cfg.Delta, F: cfg.F, Steps: cfg.Steps,
 			GenP: probAt(cfg.GenP, i), ConP: probAt(cfg.ConP, i),
 			Seed: cfg.Seed, Neighbors: neighbors, Transport: transports[i],
-			Timeout: cfg.Timeout, FreezeTimeout: cfg.FreezeTimeout, Tick: cfg.Tick,
+			Timeout: cfg.Timeout, FreezeTimeout: cfg.FreezeTimeout,
 			MinInitGap: cfg.MinInitGap, Pace: cfg.Pace,
 			Obs:          cfg.Obs,
 			StepInterval: cfg.StepInterval, NoBalance: cfg.NoBalance,
