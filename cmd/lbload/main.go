@@ -17,11 +17,11 @@
 //	lbload -targets 127.0.0.1:7400,127.0.0.1:7401 -rate 800x700ms,1300x300ms -duration 2s
 //	lbload -targets ... -trace trace.json -tick 500us   # tracefile replay
 //
-// The self-hosted comparison (no balancing / balanced on one workload)
-// is experiments.ServeSLO:
-// go run ./cmd/paperfigs -only serve writes results/serve.txt; the
-// bounded numbers are the ledger's serve_skew workload
-// (bash bench/run.sh --workload serve_skew).
+// The no-balancing vs balanced comparison on one workload is
+// experiments.ServeSLO, which runs the same nodes on netsim's virtual
+// clock: go run ./cmd/paperfigs -full -only serve writes
+// results/serve.txt. The real-socket numbers, with bounds, are the
+// ledger's serve_skew workload (bash bench/run.sh --workload serve_skew).
 package main
 
 import (

@@ -310,7 +310,7 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 			return
 		case <-time.After(warmup):
 		}
-		mon.Poll()
+		mon.Poll(time.Now())
 		mon.Start()
 	}()
 

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
 
 func TestServeSLOQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives a real TCP serving cluster")
-	}
 	res, err := ServeSLO(ScaleQuick, 1993)
 	if err != nil {
 		t.Fatal(err)
@@ -38,22 +34,13 @@ func TestServeSLOQuick(t *testing.T) {
 	if bal.Ops == 0 {
 		t.Error("balanced arm completed no balancing ops under a hot-node workload")
 	}
-	// The experiment's whole point: balancing improves the tail. Quick
-	// scale is noisy, so the gate is generous — the bench enforces the
-	// strict version.
-	if bal.P99 >= none.P99*1.5 {
+	// The experiment's whole point: balancing improves the tail.
+	if bal.P99 >= none.P99 {
 		t.Errorf("balanced p99 %.2fms not better than no-balancing %.2fms",
 			bal.P99*1e3, none.P99*1e3)
 	}
 
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Serving SLO", "balanced", "balancing vs none"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
+	if out := checkRender(t, res, "e481f701674ac158"); !strings.Contains(out, "balancing vs none") {
+		t.Errorf("render missing the verdict:\n%s", out)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lmbalance/internal/cluster"
 	"lmbalance/internal/rng"
 )
 
@@ -75,6 +76,57 @@ func TestFaultGrid(t *testing.T) {
 			t.Fatalf("%v: %s", w, msg)
 		}
 	}
+}
+
+// TestServeFaultGrid runs the grid's worlds in serve mode: no node
+// generates, and a seeded client submits jobs of 1–4 units to random
+// nodes through Node.Ingest, between ticks, during the first half of
+// the steps. Each world is held to audit, to job conservation (every
+// ingested unit was completed for its job or is still recorded at
+// shutdown) and to the front end's count of completions agreeing with
+// the nodes' UnitsDone. Records left held are legal: a crash or the
+// shutdown can strand them.
+func TestServeFaultGrid(t *testing.T) {
+	held := 0
+	for seed := uint64(0); seed < 1000; seed++ {
+		w := drawWorld(seed)
+		w.cfg.GenP = []float64{0}
+		var completions int64
+		hooks := &cluster.ServeHooks{Complete: func(uint64, cluster.Journey) { completions++ }}
+		w.cfg.ServePerNode = make([]*cluster.ServeHooks, w.cfg.N)
+		for i := range w.cfg.ServePerNode {
+			w.cfg.ServePerNode[i] = hooks
+		}
+		s, err := New(w.cfg)
+		if err != nil {
+			t.Fatalf("serve %v: %v", w, err)
+		}
+		r := rng.New(rng.Mix64(0x7365_7276, seed)) // "serv"
+		var id uint64
+		for tick := int64(1); !s.Done(); tick++ {
+			if tick <= int64(w.cfg.Steps/2) && r.Bernoulli(0.3) {
+				id++
+				s.Nodes()[r.Intn(w.cfg.N)].Ingest(tick, cluster.Submit{ID: id, Units: 1 + r.Intn(4)})
+			}
+			if err := s.Tick(); err != nil {
+				t.Fatalf("serve %v: %v", w, err)
+			}
+		}
+		res := s.Result()
+		if msg := w.audit(res); msg != "" {
+			t.Fatalf("serve %v: %s", w, msg)
+		}
+		if !res.JobsConserved() {
+			t.Fatalf("serve %v: ingested %d, done %d, held %d", w, res.Ingested(), res.UnitsDone(), res.RecordsHeld())
+		}
+		if completions != res.UnitsDone() {
+			t.Fatalf("serve %v: front end heard %d completions, nodes count %d", w, completions, res.UnitsDone())
+		}
+		if res.RecordsHeld() > 0 {
+			held++
+		}
+	}
+	t.Logf("%d of 1000 worlds ended with records held", held)
 }
 
 // audit returns what is wrong with a world's result, or "".

@@ -141,12 +141,12 @@ func TestMonitorAlertAndClear(t *testing.T) {
 
 	// Baseline + healthy traffic: burn stays ~0.
 	now := time.Now()
-	m.pollAt(now)
+	m.Poll(now)
 	for i := 0; i < 100; i++ {
 		h.Observe(0.002)
 	}
 	now = now.Add(30 * time.Millisecond)
-	doc := m.pollAt(now)
+	doc := m.Poll(now)
 	if doc.Alerting || doc.BurnShort > 0.01 {
 		t.Fatalf("healthy traffic alerting: %+v", doc)
 	}
@@ -159,7 +159,7 @@ func TestMonitorAlertAndClear(t *testing.T) {
 		h.Observe(0.2)
 	}
 	now = now.Add(30 * time.Millisecond)
-	doc = m.pollAt(now)
+	doc = m.Poll(now)
 	if !doc.Alerting || doc.Status != "alerting" {
 		t.Fatalf("regression not alerting: %+v", doc)
 	}
@@ -180,7 +180,7 @@ func TestMonitorAlertAndClear(t *testing.T) {
 			h.Observe(0.002)
 		}
 		now = now.Add(45 * time.Millisecond)
-		doc = m.pollAt(now)
+		doc = m.Poll(now)
 	}
 	if doc.Alerting {
 		t.Fatalf("alert never cleared: %+v", doc)
@@ -213,11 +213,11 @@ func TestMonitorPartiallyDeadCluster(t *testing.T) {
 	})
 
 	now := time.Now()
-	m.pollAt(now)
+	m.Poll(now)
 	for i := 0; i < 50; i++ {
 		h.Observe(0.001)
 	}
-	doc := m.pollAt(now.Add(20 * time.Millisecond))
+	doc := m.Poll(now.Add(20 * time.Millisecond))
 	if doc.Status != "degraded" {
 		t.Fatalf("status = %q, want degraded (one upstream dead)", doc.Status)
 	}
@@ -240,7 +240,7 @@ func TestMonitorPartiallyDeadCluster(t *testing.T) {
 
 	// Whole cluster dark: still no error, everything unreachable.
 	m2 := NewMonitor(MonitorConfig{URLs: []string{dead}, SLO: slo, Timeout: 300 * time.Millisecond})
-	doc = m2.Poll()
+	doc = m2.Poll(time.Now())
 	if doc.Status != "degraded" || len(doc.Nodes) != 1 || doc.Nodes[0].Verdict != "unreachable" {
 		t.Fatalf("all-dead doc = %+v", doc)
 	}
@@ -264,9 +264,9 @@ func TestMonitorVerdicts(t *testing.T) {
 		SLO:  slo,
 	})
 	now := time.Now()
-	m.pollAt(now)
+	m.Poll(now)
 	aborts.Add(1000) // 50 000 per second over the 20 ms poll gap
-	doc := m.pollAt(now.Add(20 * time.Millisecond))
+	doc := m.Poll(now.Add(20 * time.Millisecond))
 
 	want := []string{"saturated", "degraded", "degraded", "healthy"}
 	for i, w := range want {
@@ -331,12 +331,12 @@ func TestHealthStatusCodes(t *testing.T) {
 
 	// Healthy traffic → 200.
 	now := time.Now()
-	m.pollAt(now)
+	m.Poll(now)
 	for i := 0; i < 100; i++ {
 		h.Observe(0.002)
 	}
 	now = now.Add(30 * time.Millisecond)
-	doc := m.pollAt(now)
+	doc := m.Poll(now)
 	if doc.Alerting {
 		t.Fatalf("healthy traffic alerting: %+v", doc)
 	}
@@ -352,7 +352,7 @@ func TestHealthStatusCodes(t *testing.T) {
 		h.Observe(0.2)
 	}
 	now = now.Add(30 * time.Millisecond)
-	doc = m.pollAt(now)
+	doc = m.Poll(now)
 	if !doc.Alerting {
 		t.Fatalf("regression not alerting: %+v", doc)
 	}
@@ -388,7 +388,7 @@ func TestHealthStatusCodes(t *testing.T) {
 			h.Observe(0.002)
 		}
 		now = now.Add(45 * time.Millisecond)
-		doc = m.pollAt(now)
+		doc = m.Poll(now)
 	}
 	if doc.Alerting {
 		t.Fatalf("alert never cleared: %+v", doc)
@@ -433,7 +433,7 @@ func TestHealthUnreachable503(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m.Poll()
+	m.Poll(time.Now())
 	code, body := get(t, srv.URL()+"/health")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/health with dead upstream = %d, want 503", code)
@@ -458,7 +458,7 @@ func TestHealthUnreachable503(t *testing.T) {
 		URLs: []string{sq.URL()}, SLO: slo,
 		Timeout: 300 * time.Millisecond, Obs: reg2,
 	})
-	if doc := m2.Poll(); doc.Nodes[0].Verdict != "degraded" {
+	if doc := m2.Poll(time.Now()); doc.Nodes[0].Verdict != "degraded" {
 		t.Fatalf("sendq node = %+v, want degraded", doc.Nodes[0])
 	}
 	srv2, err := ServeDebugOpts("127.0.0.1:0", nil, DebugOptions{
@@ -469,7 +469,7 @@ func TestHealthUnreachable503(t *testing.T) {
 	}
 	defer srv2.Close()
 	sq.Close()
-	doc := m2.Poll()
+	doc := m2.Poll(time.Now())
 	if doc.Status != "degraded" || len(doc.Nodes) != 1 || doc.Nodes[0].Verdict != "unreachable" || doc.Nodes[0].Err == "" {
 		t.Fatalf("dark-cluster doc = %+v", doc)
 	}

@@ -372,17 +372,12 @@ func (s *Server) complete(id uint64, jn cluster.Journey) {
 	done := j.unitsLeft == 0
 	// Decompose this unit's sojourn. Every clock is server-side (origin
 	// stamps ingest and done, consumer stamps consume), so the
-	// components are deltas of comparable wall clocks; each is clamped
-	// at zero against inter-node skew, and unstamped units (records
-	// whose stamps are zero) are skipped rather than observed as
-	// nonsense.
-	stamped := jn.IngestNS > 0 && jn.ConsumeNS > 0 && jn.DoneNS > 0
-	var ingestWait, queue, transfer, service float64
+	// components are deltas of comparable wall clocks; unstamped units
+	// are skipped rather than observed as nonsense.
+	parts, stamped := jn.Parts(j.submitNS)
+	ingestWait, queue := seconds(parts.IngestWait), seconds(parts.Queue)
+	transfer, service := seconds(parts.Transfer), seconds(parts.Service)
 	if stamped {
-		ingestWait = clampSeconds(jn.IngestNS - j.submitNS)
-		transfer = clampSeconds(jn.TransferNS)
-		queue = clampSeconds(jn.ConsumeNS - jn.IngestNS - jn.TransferNS)
-		service = clampSeconds(jn.DoneNS - jn.ConsumeNS)
 		j.ingestWaitS += ingestWait
 		j.queueS += queue
 		j.transferS += transfer
@@ -403,7 +398,7 @@ func (s *Server) complete(id uint64, jn cluster.Journey) {
 		s.compQueue.Observe(queue)
 		s.compTransfer.Observe(transfer)
 		s.compService.Observe(service)
-		s.unitSojourn.Observe(clampSeconds(jn.DoneNS - j.submitNS))
+		s.unitSojourn.Observe(seconds(max(0, jn.DoneNS-j.submitNS)))
 	}
 	if !done {
 		return
@@ -429,14 +424,8 @@ func (s *Server) complete(id uint64, jn cluster.Journey) {
 	s.enqueue(j.conn, wire.CMsg{Kind: wire.CDone, Job: j.tag, SubmitNS: j.submitNS, DoneNS: now.UnixNano()})
 }
 
-// clampSeconds converts a nanosecond delta to seconds, clamping
-// negatives (inter-node clock skew) to zero.
-func clampSeconds(ns int64) float64 {
-	if ns <= 0 {
-		return 0
-	}
-	return float64(ns) / 1e9
-}
+// seconds converts a nanosecond delta to seconds.
+func seconds(ns int64) float64 { return float64(ns) / 1e9 }
 
 // enqueue hands a frame to the connection's writer without blocking;
 // overflow and dead connections drop it, counted by what was lost: a
