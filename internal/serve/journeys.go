@@ -11,14 +11,8 @@ import (
 // JourneySample is one completed job's journey, as sampled into the
 // /jobs ring. Timestamps are server-side unix nanos. Sojourn is the
 // job's end-to-end time (submit → last unit done); the component
-// fields are per-unit means over the job's units, each the mean of a
-// decomposition that sums to the unit's own sojourn:
-//
-//	ingest_wait  submit accepted → node ingested the units
-//	queue        sitting in some node's backlog awaiting a consume draw
-//	transfer     on the wire between nodes (accumulated across hops)
-//	service      consume draw → completion landed back at the origin
-//
+// fields are per-unit means over the job's units of the decomposition
+// cluster.Journey.Parts defines, which sums to the unit's own sojourn.
 // Hops is the maximum JobMove hop count any of the job's units took.
 // Jobs whose units carried no stamps (a JobRef built without them) have
 // zero component fields and Stamped false.
