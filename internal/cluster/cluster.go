@@ -152,9 +152,10 @@ type Config struct {
 	Serve *ServeHooks
 	// Flight optionally gives the node a black-box flight recorder (see
 	// internal/flight): the node records each frame it processes, where it
-	// processes it, and its own decisions and ingests; the embedder wraps
-	// Transport with Flight.Tap so the frames it sends are recorded too.
-	// Every record lands in the order the node acted, which is what lets
+	// processes it, and its own decisions, ingests and crashes, stamped
+	// with its clock; the embedder records the frames it sends — a live
+	// transport through Flight.Tap, netsim at its mailbox port. Every
+	// record lands in the order the node acted, which is what lets
 	// flight.Audit re-execute the stream. Nil disables recording at ~zero
 	// cost.
 	Flight *flight.Recorder
@@ -426,11 +427,15 @@ func (n *Node) Turn(now int64) {
 	n.signalIdle()
 }
 
-// Crash fail-stops the node's protocol (proto.Machine.Crash): the
-// operation in flight and the freeze it holds are forgotten, without a
-// frame to the partners. Load, counters and unacknowledged transfers
-// survive, as they would in stable storage.
-func (n *Node) Crash() { n.m.Crash() }
+// Crash fail-stops the node's protocol (proto.Machine.Crash) at time
+// now: the operation in flight and the freeze it holds are forgotten,
+// without a frame to the partners. Load, counters and unacknowledged
+// transfers survive, as they would in stable storage.
+func (n *Node) Crash(now int64) {
+	n.now = now
+	n.m.Crash()
+	n.cfg.Flight.Crash(now)
+}
 
 // StepsDone returns the workload steps the node has taken.
 func (n *Node) StepsDone() int { return n.stepsDone }
@@ -475,7 +480,7 @@ func (n *Node) report() {
 	n.stats.MsgsSent, n.stats.MsgsRecv = ws.MsgsSent, ws.MsgsRecv
 	n.stats.BytesSent, n.stats.BytesRecv = ws.BytesSent, ws.BytesRecv
 	n.stats.SendErrors, n.stats.Redials = ws.SendErrors, ws.Redials
-	n.cfg.Flight.Final(n.m.Load(), n.stats.Generated, n.stats.Consumed,
+	n.cfg.Flight.Final(n.now, n.m.Load(), n.stats.Generated, n.stats.Consumed,
 		n.stats.Ingested, n.stats.UnitsDone, n.stats.RecordsHeld)
 	n.rep = &Report{Stats: n.stats}
 	if n.cfg.ID == 0 {
@@ -726,7 +731,7 @@ func (n *Node) initiate() {
 	n.stats.Initiated++
 	n.met.initiated.Inc()
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Initiate(op, seq, n.m.Load(), len(n.candBuf), n.cfg.F)
+		n.cfg.Flight.Initiate(n.now, op, seq, n.m.Load(), len(n.candBuf), n.cfg.F)
 	}
 	n.apply(effs)
 }
@@ -759,7 +764,7 @@ func (n *Node) apply(effs []proto.Effect) {
 				n.stats.FreezeExpired++
 				n.met.freezeExpired.Inc()
 				if n.cfg.Flight != nil {
-					n.cfg.Flight.FreezeExpired(e.Op, e.Peer)
+					n.cfg.Flight.FreezeExpired(n.now, e.Op, e.Peer)
 				}
 			}
 
@@ -810,7 +815,7 @@ func (n *Node) onAborted(e *proto.Effect) {
 	}
 	n.met.abort[reason].Inc()
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Abort(e.Op, e.Seq, e.Load, reason)
+		n.cfg.Flight.Abort(n.now, e.Op, e.Seq, e.Load, reason)
 	}
 }
 
@@ -821,7 +826,7 @@ func (n *Node) onAborted(e *proto.Effect) {
 func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
 	n.collectEnded(e)
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Resolve(e.Op, e.Seq, e.Load, e.Partners, e.Reason == proto.Timeout)
+		n.cfg.Flight.Resolve(n.now, e.Op, e.Seq, e.Load, e.Partners, e.Reason == proto.Timeout)
 	}
 	// Serve mode: record the records owed to partners that gain load and
 	// ship what the FIFO holds now, so each JobMove precedes its Transfer
@@ -848,7 +853,7 @@ func (n *Node) handle(m wire.Msg) {
 		return // not from a cluster member; ignore
 	}
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.RecordRecv(m)
+		n.cfg.Flight.RecordRecv(n.now, m)
 	}
 	switch m.Kind {
 	case wire.FreezeAck, wire.FreezeBusy:

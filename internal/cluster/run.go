@@ -53,7 +53,8 @@ type ClusterConfig struct {
 	// Flight, when non-empty (length N), gives node i its flight
 	// recorder (nil entries leave that node unrecorded). The caller must
 	// have wrapped transports[i] with Flight[i].Tap so frames and local
-	// decisions land in the same recording.
+	// decisions land in the same recording; netsim records its nodes'
+	// sends itself.
 	Flight []*flight.Recorder
 }
 

@@ -159,7 +159,7 @@ func (n *Node) ingestSubmit(s Submit) {
 	}
 	n.m.Add(s.Units)
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Ingest(s.Units)
+		n.cfg.Flight.Ingest(n.now, s.Units)
 	}
 	n.stats.Generated += int64(s.Units)
 	n.stats.Ingested += int64(s.Units)
@@ -197,7 +197,7 @@ func (n *Node) serveComplete(id uint64, j Journey) {
 	n.stats.UnitsDone++
 	n.met.unitsDone.Inc()
 	if n.cfg.Flight != nil {
-		n.cfg.Flight.Complete(JobOp(n.cfg.ID, id), id, j.Hops, j.DoneNS-j.IngestNS, j.TransferNS)
+		n.cfg.Flight.Complete(n.now, JobOp(n.cfg.ID, id), id, j.Hops, j.DoneNS-j.IngestNS, j.TransferNS)
 	}
 	if n.cfg.Serve != nil && n.cfg.Serve.Complete != nil {
 		n.cfg.Serve.Complete(id, j)

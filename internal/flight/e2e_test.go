@@ -1,26 +1,27 @@
 package flight_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"path/filepath"
 	"testing"
 
-	"lmbalance/internal/cluster"
 	"lmbalance/internal/flight"
+	"lmbalance/internal/netsim"
 	"lmbalance/internal/wire"
 )
 
-// recordRun runs a loopback cluster with a flight recorder tapped into
-// every node and returns the recording's root (node i's stream under
-// node-i/) and the live result. The run must conserve and the recorders
-// must not have dropped a record.
-func recordRun(t *testing.T, cfg cluster.ClusterConfig) (string, *cluster.Result) {
+// recordRun runs a netsim world with a flight recorder on every node and
+// returns the recording's root (node i's stream under node-i/) and the
+// world's result. The run must conserve and the recorders must not have
+// dropped a record: a world writes every record on the recording call,
+// so the recording is a pure function of cfg.
+func recordRun(t *testing.T, cfg netsim.Config) (string, *netsim.Result) {
 	t.Helper()
 	root := t.TempDir()
-	lnet := wire.NewLoopback(cfg.N)
-	recs := make([]*flight.Recorder, cfg.N)
-	transports := make([]wire.Transport, cfg.N)
-	for i := range recs {
+	cfg.Flight = make([]*flight.Recorder, cfg.N)
+	for i := range cfg.Flight {
 		rec, err := flight.Open(flight.Options{
 			Dir:  filepath.Join(root, fmt.Sprintf("node-%d", i)),
 			Node: i,
@@ -28,18 +29,16 @@ func recordRun(t *testing.T, cfg cluster.ClusterConfig) (string, *cluster.Result
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs[i] = rec
-		transports[i] = rec.Tap(lnet.Transport(i))
+		cfg.Flight[i] = rec
 	}
-	cfg.Flight = recs
-	res, err := cluster.RunCluster(cfg, transports)
+	res, err := netsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Conserved() {
 		t.Fatal("live run itself failed conservation")
 	}
-	for _, rec := range recs {
+	for _, rec := range cfg.Flight {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -50,15 +49,45 @@ func recordRun(t *testing.T, cfg cluster.ClusterConfig) (string, *cluster.Result
 	return root, res
 }
 
+// auditDigest hashes what an audit re-derived — every node's counts and
+// final accounting, the totals, the VD trajectory, the sojourns and the
+// violations — so a pinned digest fails on any change to a recording's
+// replayed meaning.
+func auditDigest(a *flight.AuditResult) string {
+	h := sha256.New()
+	for _, na := range a.Nodes {
+		fmt.Fprintln(h, na.Node, na.Events, na.MsgsSent, na.MsgsRecv, na.Initiated, na.Resolved,
+			na.Aborted, na.FreezeExpired, na.Completes, na.Drops, na.Unverified, *na.Final)
+	}
+	fmt.Fprintln(h, a.FinalsSeen, a.TotalLoad, a.Generated, a.Consumed, a.VD, a.SojournNS, a.Violations)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// handshakeSent counts a stream's sent handshake frames — what a netsim
+// port counts as its MsgsSent.
+func handshakeSent(nr *flight.NodeRecording) (n int64) {
+	for _, ev := range nr.Events {
+		switch ev.Msg.Kind {
+		case wire.FreezeReq, wire.FreezeAck, wire.FreezeBusy, wire.Release, wire.Transfer:
+			if ev.Dir == flight.DirSend {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestReplayReproducesLiveRun is the acceptance check for the flight
-// recorder: record a whole loopback cluster run through transport taps
-// and the node's own records, then re-execute the recording offline and
-// require the audit to reproduce the live run's accounting bit for bit —
+// recorder: record a whole netsim run through the ports and the node's
+// own records, then re-execute the recording offline and require the
+// audit to reproduce the live run's accounting bit for bit —
 // conservation, per-node protocol counts, final loads — with every record
-// judged and zero divergences.
+// judged and zero divergences. (cmd/lbnode's TestSpawnFlightRecording
+// and cluster's TestTCPAggregatorEndToEnd audit recordings taken over
+// real TCP.)
 func TestReplayReproducesLiveRun(t *testing.T) {
 	const n = 4
-	root, res := recordRun(t, cluster.ClusterConfig{N: n, Delta: 2, F: 2, Steps: 400, Seed: 42})
+	root, res := recordRun(t, netsim.Config{N: n, Delta: 2, F: 2, Steps: 400, Seed: 42})
 
 	recording, err := flight.LoadTree(root)
 	if err != nil {
@@ -77,6 +106,7 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 	}
 
 	// Bit-identity against the live result, per node and cluster-wide.
+	var sent, recv int64
 	for i, na := range audit.Nodes {
 		live := res.Nodes[i]
 		if na.Node != i {
@@ -101,20 +131,21 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 			t.Errorf("node %d gen/con: replay %d/%d live %d/%d",
 				i, na.Final.Generated, na.Final.Consumed, live.Generated, live.Consumed)
 		}
-		if na.MsgsSent != live.MsgsSent {
-			t.Errorf("node %d frames sent: replay %d live %d", i, na.MsgsSent, live.MsgsSent)
+		if hs := handshakeSent(recording.Nodes[i]); hs != live.MsgsSent {
+			t.Errorf("node %d handshake frames sent: replay %d live %d", i, hs, live.MsgsSent)
 		}
-		// Receives recorded ≤ transport count: frames still queued in the
-		// inbox at close were counted by the transport but never
-		// processed, so the node recorded none of them.
-		if na.MsgsRecv > live.MsgsRecv {
-			t.Errorf("node %d frames recv: replay %d > live %d", i, na.MsgsRecv, live.MsgsRecv)
-		}
+		sent += na.MsgsSent
+		recv += na.MsgsRecv
 		// A whole recording starts with the node unengaged: replay judges
 		// every record of it.
 		if na.Unverified != 0 {
 			t.Errorf("node %d: %d records unverified in a whole recording", i, na.Unverified)
 		}
+	}
+	// A world without faults delivers every frame, and the node records
+	// each where it processes it.
+	if recv != sent {
+		t.Errorf("%d frames recorded received, %d sent", recv, sent)
 	}
 	if audit.TotalLoad != res.TotalLoad() {
 		t.Errorf("total load: replay %d live %d", audit.TotalLoad, res.TotalLoad())
@@ -156,6 +187,9 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 	if len(audit.VD) == 0 {
 		t.Error("no VD trajectory from a full recording")
 	}
+	if got := auditDigest(audit); got != "50bc536400274cc0" {
+		t.Errorf("audit digest %s, want 50bc536400274cc0", got)
+	}
 }
 
 // TestReplayFlagsDoubleBalance tamper-checks the end-to-end pipeline
@@ -163,7 +197,7 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 // duplicated must produce a verdict naming that exact record.
 func TestReplayFlagsDoubleBalance(t *testing.T) {
 	const n = 3
-	root, _ := recordRun(t, cluster.ClusterConfig{N: n, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
+	root, _ := recordRun(t, netsim.Config{N: n, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
 
 	// Find a node whose stream has a transfer to tamper with.
 	victim := -1
@@ -182,7 +216,7 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 		}
 	}
 	if victim < 0 {
-		t.Skip("run completed no transfers to tamper with")
+		t.Fatal("run completed no transfers to tamper with")
 	}
 	dst := t.TempDir()
 	err := flight.Rewrite(filepath.Join(root, fmt.Sprintf("node-%d", victim)), dst,
@@ -206,6 +240,9 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 	if verdict.First.Rule != "imbalance_violation" {
 		t.Fatalf("flagged %q, want imbalance_violation", verdict.First.Rule)
 	}
+	if got := auditDigest(verdict); got != "2cd4025f8a000d2d" {
+		t.Errorf("audit digest %s, want 2cd4025f8a000d2d", got)
+	}
 }
 
 // TestReplayPartialOperations records a colliding run under the rule
@@ -216,7 +253,7 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 // that answered Busy must be flagged at that exact record.
 func TestReplayPartialOperations(t *testing.T) {
 	const n, delta = 6, 2
-	root, res := recordRun(t, cluster.ClusterConfig{
+	root, res := recordRun(t, netsim.Config{
 		N: n, Delta: delta, F: 1.2, Steps: 600, Seed: 11,
 		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1},
 		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4},
@@ -225,8 +262,12 @@ func TestReplayPartialOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if audit := flight.Audit(recording); audit.First != nil {
+	audit := flight.Audit(recording)
+	if audit.First != nil {
 		t.Fatalf("clean run flagged: %v (of %d violations)", *audit.First, len(audit.Violations))
+	}
+	if got := auditDigest(audit); got != "5e06a8125d0e112e" {
+		t.Errorf("audit digest %s, want 5e06a8125d0e112e", got)
 	}
 
 	// What the recording holds, and the one record to doctor: the transfer

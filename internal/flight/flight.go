@@ -48,14 +48,21 @@
 // arg-count encoding: a reader that knows fewer args than the writer
 // wrote still decodes the record.
 //
-// Writes are lock-free on the hot path: the caller encodes into a
-// pooled buffer and hands it to a buffered channel; a single writer
-// goroutine does all file I/O. When the channel is full the record is
-// dropped and counted — the writer then journals the gap into the
-// stream as a LocalDrops record at the hole's exact position, so the
-// auditor can see (and degrade around) missing evidence instead of
-// silently trusting a hole. The reader needs nothing but the segment
-// files: it scans the directory.
+// Every record carries its driver's clock, never the recorder's: the
+// node passes the time it acted on (unix nanoseconds on a live node, the
+// virtual tick under netsim) to each recording method, and a stamp never
+// regresses. Encoding a record into the current segment is the core, and
+// it reads no clock. A netsim world drives it directly: each record is
+// written by the call that records it, on the world's one goroutine, so
+// none can be dropped and a seeded world's recording is a pure function
+// of its seed. A live node gets the wall-clock adapter (tap.go), which
+// Tap starts: the caller encodes into a pooled buffer and hands it to a
+// buffered channel; a single writer goroutine does all file I/O. When
+// the channel is full the record is dropped and counted — the writer
+// then journals the gap into the stream as a LocalDrops record at the
+// hole's exact position, so the auditor can see (and degrade around)
+// missing evidence instead of silently trusting a hole. The reader
+// needs nothing but the segment files: it scans the directory.
 //
 // # Snapshots
 //
@@ -110,6 +117,7 @@ type LocalKind uint8
 //	                          units done, records held
 //	LocalDrops         args = records dropped since the last record
 //	LocalIngest        args = units of client work added to the load
+//	LocalCrash         the node's protocol fail-stopped (proto.Machine.Crash)
 const (
 	LocalInitiate LocalKind = 1 + iota
 	LocalAbort
@@ -120,6 +128,7 @@ const (
 	LocalFinal
 	LocalDrops
 	LocalIngest
+	LocalCrash
 )
 
 var localNames = [...]string{
@@ -132,6 +141,7 @@ var localNames = [...]string{
 	LocalFinal:         "final",
 	LocalDrops:         "drops",
 	LocalIngest:        "ingest",
+	LocalCrash:         "crash",
 }
 
 func (k LocalKind) String() string {

@@ -29,8 +29,8 @@ const maxRecordBody = wire.MaxPayload + 64
 // Event is one decoded flight record: a frame this node sent or
 // received, or a local protocol decision. Node and Seq are assigned by
 // the reader (Seq is the record's position in the node's stream, in
-// recording order across segments); WallNS is the recorder's wall
-// clock at record time.
+// recording order across segments); WallNS is the driver's clock when
+// the node acted (unix ns on a live node, the virtual tick under netsim).
 type Event struct {
 	Node   int
 	Seq    int

@@ -79,6 +79,7 @@ func (nr *NodeRecording) loadSegment(path string, tolerateTear bool) error {
 			filepath.Base(path), h.codec, wire.Version)
 	}
 	prevWall := h.wallRefNS
+	nr.Events = slices.Grow(nr.Events, len(p)/16) // records run ~16 bytes
 	for off < len(p) {
 		ln, n := binary.Uvarint(p[off:])
 		if n <= 0 || ln > maxRecordBody || off+n+int(ln) > len(p) {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lmbalance/internal/obs"
 	"lmbalance/internal/wire"
@@ -22,9 +21,9 @@ import (
 const (
 	// DefaultMaxBytes bounds the whole segment ring on disk.
 	DefaultMaxBytes = 8 << 20
-	// DefaultBuffer is the hot-path channel depth: how many records may
-	// be in flight to the writer before new ones are dropped (and the
-	// drop journaled) rather than blocking the protocol.
+	// DefaultBuffer is the wall-clock adapter's channel depth: how many
+	// records may be in flight to its writer before new ones are dropped
+	// (and the drop journaled) rather than blocking the protocol.
 	DefaultBuffer = 1024
 	// minSegBytes floors the per-segment size so rotation stays rare.
 	minSegBytes = 4096
@@ -44,26 +43,39 @@ type Options struct {
 	// SegBytes is the rotation threshold per segment (0 = MaxBytes/8,
 	// floored at minSegBytes).
 	SegBytes int64
-	// Buffer is the writer channel depth (0 = DefaultBuffer).
+	// Buffer is the wall-clock adapter's channel depth (0 =
+	// DefaultBuffer); a recorder never tapped has no channel.
 	Buffer int
 }
 
-// Recorder is one node's flight recorder. All recording methods are
-// safe for concurrent use, never block on I/O (a full buffer drops the
-// record and journals the gap), and are no-ops on a nil receiver — a
-// nil *Recorder is the disabled path, like a nil *obs.Registry.
+// Recorder is one node's flight recorder. Every record carries its
+// driver's clock: each recording method takes now, the time the node
+// acted on — unix nanoseconds under cmd/lbnode and the TCP cluster, the
+// virtual tick under netsim — and a record is never stamped before the
+// one ahead of it. The recorder reads no clock of its own.
+//
+// Until Tap is called, the recorder is driven by one goroutine, its
+// node's driver, and each recording call encodes its record straight
+// into the current segment: nothing queues, so nothing can be dropped.
+// Tap attaches the wall-clock adapter (see tap.go), after which the
+// recording methods are safe for concurrent use and never block on I/O.
+// A nil *Recorder is the disabled path, like a nil *obs.Registry: every
+// method is a no-op.
 type Recorder struct {
 	opts Options
 
-	ch   chan pending
-	stop chan struct{}
-	done chan struct{}
-	snap chan snapReq
+	// The wall-clock adapter's channel to its writer goroutine, nil
+	// until Tap starts it (see tap.go).
+	ch    chan pending
+	stop  chan struct{}
+	done  chan struct{}
+	snap  chan snapReq
+	start sync.Once
 
 	closed  atomic.Bool
 	gap     atomic.Int64 // records dropped since the last one queued
+	last    atomic.Int64 // the latest stamp recorded; stamps never regress
 	pool    sync.Pool
-	nowNS   func() int64 // test hook; time.Now().UnixNano() by default
 	lastErr atomic.Pointer[error]
 
 	records   obs.Counter
@@ -72,7 +84,7 @@ type Recorder struct {
 	sealed    obs.Counter
 	snapshots obs.Counter
 
-	// writer-goroutine state (never touched from other goroutines)
+	// segment state: the driver's until Tap, then the writer goroutine's
 	w         *segWriter
 	segSeq    uint64
 	lastWall  int64
@@ -82,11 +94,11 @@ type Recorder struct {
 	snapSeq   int
 }
 
-// pending is one record in flight to the writer goroutine.
+// pending is one record on its way into the segment.
 type pending struct {
 	wall int64
 	dir  Dir
-	tail []byte // pooled; returned by the writer
+	tail []byte // pooled; returned once written
 	gap  int64  // records dropped between the previous queued record and this one
 }
 
@@ -116,10 +128,11 @@ type segWriter struct {
 	bytes int64
 }
 
-// Open creates (or resumes) a recording directory and starts the
-// writer. Existing segments in the directory are kept, counted against
-// the ring budget, and extended — a restarted daemon appends to its
-// ring rather than clobbering the incident evidence it just wrote.
+// Open creates (or resumes) a recording directory. Existing segments
+// in the directory are kept, counted against the ring budget, and
+// extended — a restarted daemon appends to its ring rather than
+// clobbering the incident evidence it just wrote. Open starts no
+// goroutine; Tap does.
 func Open(o Options) (*Recorder, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("flight: Options.Dir is required")
@@ -139,14 +152,7 @@ func Open(o Options) (*Recorder, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	r := &Recorder{
-		opts:  o,
-		ch:    make(chan pending, o.Buffer),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-		snap:  make(chan snapReq),
-		nowNS: func() int64 { return time.Now().UnixNano() },
-	}
+	r := &Recorder{opts: o}
 	r.pool.New = func() any { b := make([]byte, 0, 512); return &b }
 	// Resume: adopt segments already in the ring.
 	segs, err := listSegments(o.Dir)
@@ -160,7 +166,6 @@ func Open(o Options) (*Recorder, error) {
 			r.segSeq = s.seq + 1
 		}
 	}
-	go r.run()
 	return r, nil
 }
 
@@ -172,9 +177,9 @@ func (r *Recorder) Dir() string {
 	return r.opts.Dir
 }
 
-// Err returns the first write error the writer hit (nil if none): the
-// recorder keeps running after an I/O error — recording must never
-// take the cluster down — but the failure is not silent.
+// Err returns the first write error the recorder hit (nil if none): it
+// keeps recording after an I/O error — recording must never take the
+// cluster down — but the failure is not silent.
 func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
@@ -199,29 +204,30 @@ func (r *Recorder) Register(reg *obs.Registry) {
 	reg.Attach(fmt.Sprintf("flight_snapshots_total{%s}", n), &r.snapshots)
 }
 
-// Dropped returns the number of records dropped because the writer
-// buffer was full.
+// Dropped returns the number of records dropped because the wall-clock
+// adapter's buffer was full. It stays 0 on a recorder never tapped.
 func (r *Recorder) Dropped() int64 { return r.dropped.Value() }
 
 // Records returns the number of records accepted for writing.
 func (r *Recorder) Records() int64 { return r.records.Value() }
 
-// put hands one record to the writer, dropping (and counting) when the
-// buffer is full or the recorder is closed.
-func (r *Recorder) put(dir Dir, tail *[]byte) {
+// put stamps one record at now, or at the previous record's stamp if
+// that is later, and writes it into the current segment — or, once Tap
+// has started the wall-clock adapter, hands it to the writer goroutine.
+// A closed recorder drops the record silently.
+func (r *Recorder) put(now int64, dir Dir, tail *[]byte) {
 	if r.closed.Load() {
 		r.pool.Put(tail)
 		return
 	}
-	p := pending{wall: r.nowNS(), dir: dir, tail: *tail, gap: r.gap.Swap(0)}
-	select {
-	case r.ch <- p:
-		r.records.Add(1)
-	default:
-		r.gap.Add(p.gap + 1)
-		r.dropped.Add(1)
-		r.pool.Put(tail)
+	now = max(now, r.last.Load())
+	r.last.Store(now)
+	if r.ch != nil {
+		r.queue(pending{wall: now, dir: dir, tail: *tail, gap: r.gap.Swap(0)}, tail)
+		return
 	}
+	r.records.Add(1)
+	r.write(pending{wall: now, dir: dir, tail: *tail})
 }
 
 func (r *Recorder) buf() *[]byte {
@@ -230,81 +236,87 @@ func (r *Recorder) buf() *[]byte {
 	return b
 }
 
-// RecordSend records one frame this node sent to peer `to`.
-func (r *Recorder) RecordSend(to int, m wire.Msg) {
+// RecordSend records one frame this node sent to peer `to` at now.
+func (r *Recorder) RecordSend(now int64, to int, m wire.Msg) {
 	if r == nil {
 		return
 	}
 	b := r.buf()
 	*b = appendTailSend(*b, to, m)
-	r.put(DirSend, b)
+	r.put(now, DirSend, b)
 }
 
 // RecordRecv records one frame this node is about to process. The node
 // calls it where it acts on the frame, so receives land in the stream in
 // processing order among its sends and decisions.
-func (r *Recorder) RecordRecv(m wire.Msg) {
+func (r *Recorder) RecordRecv(now int64, m wire.Msg) {
 	if r == nil {
 		return
 	}
 	b := r.buf()
 	*b = wire.AppendMsg(*b, m)
-	r.put(DirRecv, b)
+	r.put(now, DirRecv, b)
 }
 
 // Local records one local protocol decision.
-func (r *Recorder) Local(kind LocalKind, op uint64, args ...int64) {
+func (r *Recorder) Local(now int64, kind LocalKind, op uint64, args ...int64) {
 	if r == nil {
 		return
 	}
 	b := r.buf()
 	*b = appendTailLocal(*b, kind, op, args)
-	r.put(DirLocal, b)
+	r.put(now, DirLocal, b)
 }
 
 // Initiate records the start of a balancing protocol; f is the trigger
 // factor, which decides whether the collect can balance with the
 // partners it gets.
-func (r *Recorder) Initiate(op, seq uint64, load, partners int, f float64) {
-	r.Local(LocalInitiate, op, int64(seq), int64(load), int64(partners), int64(math.Float64bits(f)))
+func (r *Recorder) Initiate(now int64, op, seq uint64, load, partners int, f float64) {
+	r.Local(now, LocalInitiate, op, int64(seq), int64(load), int64(partners), int64(math.Float64bits(f)))
 }
 
 // Ingest records units of client work added to the node's load.
-func (r *Recorder) Ingest(units int) {
-	r.Local(LocalIngest, 0, int64(units))
+func (r *Recorder) Ingest(now int64, units int) {
+	r.Local(now, LocalIngest, 0, int64(units))
 }
 
 // Abort records a protocol abort with the cluster's reason label.
-func (r *Recorder) Abort(op, seq uint64, load int, reason string) {
-	r.Local(LocalAbort, op, int64(seq), int64(load), AbortCode(reason))
+func (r *Recorder) Abort(now int64, op, seq uint64, load int, reason string) {
+	r.Local(now, LocalAbort, op, int64(seq), int64(load), AbortCode(reason))
 }
 
 // FreezeExpired records a frozen partner releasing itself.
-func (r *Recorder) FreezeExpired(op uint64, by int) {
-	r.Local(LocalFreezeExpired, op, int64(by))
+func (r *Recorder) FreezeExpired(now int64, op uint64, by int) {
+	r.Local(now, LocalFreezeExpired, op, int64(by))
+}
+
+// Crash records the node's protocol fail-stopping: the operation in
+// flight and the freeze it held are gone.
+func (r *Recorder) Crash(now int64) {
+	r.Local(now, LocalCrash, 0)
 }
 
 // Resolve records a successful collect: the initiator's post-balance
 // load, just before its transfers go out, and whether the reply timeout
 // rather than the last reply ended it.
-func (r *Recorder) Resolve(op, seq uint64, loadAfter, partners int, timedOut bool) {
+func (r *Recorder) Resolve(now int64, op, seq uint64, loadAfter, partners int, timedOut bool) {
 	var t int64
 	if timedOut {
 		t = 1
 	}
-	r.Local(LocalResolve, op, int64(seq), int64(loadAfter), int64(partners), t)
+	r.Local(now, LocalResolve, op, int64(seq), int64(loadAfter), int64(partners), t)
 }
 
 // Complete records one finished serving unit of a job that originated
 // on this node.
-func (r *Recorder) Complete(op, job uint64, hops int, sojournNS, transferNS int64) {
-	r.Local(LocalComplete, op, int64(job), int64(hops), sojournNS, transferNS)
+func (r *Recorder) Complete(now int64, op, job uint64, hops int, sojournNS, transferNS int64) {
+	r.Local(now, LocalComplete, op, int64(job), int64(hops), sojournNS, transferNS)
 }
 
 // Final records the node's end-of-run accounting — the recording-side
 // copy of the conservation audit's inputs.
-func (r *Recorder) Final(load int, generated, consumed, ingested, unitsDone, recordsHeld int64) {
-	r.Local(LocalFinal, 0, int64(load), generated, consumed, ingested, unitsDone, recordsHeld)
+func (r *Recorder) Final(now int64, load int, generated, consumed, ingested, unitsDone, recordsHeld int64) {
+	r.Local(now, LocalFinal, 0, int64(load), generated, consumed, ingested, unitsDone, recordsHeld)
 }
 
 // Snapshot seals the current segment and copies the live ring into
@@ -314,6 +326,12 @@ func (r *Recorder) Final(load int, generated, consumed, ingested, unitsDone, rec
 func (r *Recorder) Snapshot(reason string) (string, error) {
 	if r == nil {
 		return "", fmt.Errorf("flight: nil recorder")
+	}
+	if r.ch == nil {
+		// No adapter: the caller is the driver, and every record is
+		// already in the segment.
+		r.seal()
+		return r.takeSnapshot(reason)
 	}
 	req := snapReq{reason: reason, reply: make(chan snapResult, 1)}
 	select {
@@ -326,56 +344,24 @@ func (r *Recorder) Snapshot(reason string) (string, error) {
 	}
 }
 
-// Close stops the writer, flushing buffered records and sealing the
-// current segment. Records arriving after Close are dropped silently.
-// Close is idempotent.
+// Close seals the current segment — after the wall-clock adapter, if
+// Tap started one, has written what it holds. Records arriving after
+// Close are dropped silently. Close is idempotent.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
-	if r.closed.CompareAndSwap(false, true) {
-		close(r.stop)
+	first := r.closed.CompareAndSwap(false, true)
+	switch {
+	case r.ch != nil:
+		if first {
+			close(r.stop)
+		}
+		<-r.done
+	case first:
+		r.seal()
 	}
-	<-r.done
 	return r.Err()
-}
-
-// run is the writer goroutine: all file I/O happens here.
-func (r *Recorder) run() {
-	defer close(r.done)
-	for {
-		select {
-		case p := <-r.ch:
-			r.write(p)
-		case req := <-r.snap:
-			// Everything recorded before the snapshot request must be in
-			// it (select order is random), so drain the queue first.
-			r.drain()
-			r.seal()
-			dir, err := r.takeSnapshot(req.reason)
-			req.reply <- snapResult{dir: dir, err: err}
-		case <-r.stop:
-			// Journal a trailing gap (drops with no record after them)
-			// before sealing, so the stream accounts for every record
-			// offered to it.
-			r.drain()
-			r.journal(r.nowNS(), r.gap.Swap(0))
-			r.seal()
-			return
-		}
-	}
-}
-
-// drain writes every queued record.
-func (r *Recorder) drain() {
-	for {
-		select {
-		case p := <-r.ch:
-			r.write(p)
-		default:
-			return
-		}
-	}
 }
 
 // journal writes a LocalDrops record for gap dropped records, exactly
@@ -502,7 +488,7 @@ func (r *Recorder) takeSnapshot(reason string) (string, error) {
 		total += n
 	}
 	man, _ := json.MarshalIndent(map[string]any{
-		"node": r.opts.Node, "reason": reason, "at_ns": r.nowNS(),
+		"node": r.opts.Node, "reason": reason, "at_ns": r.last.Load(),
 		"segments": copied, "bytes": total,
 	}, "", "  ")
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), append(man, '\n'), 0o644); err != nil {

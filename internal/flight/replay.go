@@ -193,7 +193,7 @@ func (r *replayer) step(i int) {
 	case ev.Kind == LocalComplete:
 		a.Completes++
 		return
-	case ev.Kind == LocalPaceBackoff, ev.Kind == LocalIngest && !r.synced: // the next sync adopts the load
+	case ev.Kind == LocalPaceBackoff, (ev.Kind == LocalIngest || ev.Kind == LocalCrash) && !r.synced: // the next sync adopts the state
 		return
 	case ev.Kind == LocalDrops:
 		a.Drops += ev.Arg(0)
@@ -309,6 +309,8 @@ func (r *replayer) judge(i int) {
 		}
 	case ev.Kind == LocalIngest:
 		r.m.Add(int(ev.Arg(0)))
+	case ev.Kind == LocalCrash:
+		r.m.Crash()
 	}
 }
 

@@ -3,9 +3,15 @@ package netsim
 import (
 	"cmp"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lmbalance/internal/cluster"
+	"lmbalance/internal/flight"
 	"lmbalance/internal/rng"
 )
 
@@ -66,16 +72,19 @@ func drawWorld(seed uint64) world {
 // and a shutdown that ends within the ticks the timeouts and crash
 // windows allow. A failure prints the world's one-line reproducer.
 func TestFaultGrid(t *testing.T) {
-	for seed := uint64(0); seed < 1000; seed++ {
-		w := drawWorld(seed)
+	runGrid(t, func(w *world, flightDir string) string {
+		if err := w.record(flightDir); err != nil {
+			return err.Error()
+		}
 		res, err := Run(w.cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", w, err)
+			return err.Error()
 		}
 		if msg := w.audit(res); msg != "" {
-			t.Fatalf("%v: %s", w, msg)
+			return msg
 		}
-	}
+		return w.auditFlight(res)
+	})
 }
 
 // TestServeFaultGrid runs the grid's worlds in serve mode: no node
@@ -87,9 +96,8 @@ func TestFaultGrid(t *testing.T) {
 // the nodes' UnitsDone. Records left held are legal: a crash or the
 // shutdown can strand them.
 func TestServeFaultGrid(t *testing.T) {
-	held := 0
-	for seed := uint64(0); seed < 1000; seed++ {
-		w := drawWorld(seed)
+	var held atomic.Int64
+	runGrid(t, func(w *world, flightDir string) string {
 		w.cfg.GenP = []float64{0}
 		var completions int64
 		hooks := &cluster.ServeHooks{Complete: func(uint64, cluster.Journey) { completions++ }}
@@ -97,11 +105,14 @@ func TestServeFaultGrid(t *testing.T) {
 		for i := range w.cfg.ServePerNode {
 			w.cfg.ServePerNode[i] = hooks
 		}
+		if err := w.record(flightDir); err != nil {
+			return err.Error()
+		}
 		s, err := New(w.cfg)
 		if err != nil {
-			t.Fatalf("serve %v: %v", w, err)
+			return err.Error()
 		}
-		r := rng.New(rng.Mix64(0x7365_7276, seed)) // "serv"
+		r := rng.New(rng.Mix64(0x7365_7276, w.seed)) // "serv"
 		var id uint64
 		for tick := int64(1); !s.Done(); tick++ {
 			if tick <= int64(w.cfg.Steps/2) && r.Bernoulli(0.3) {
@@ -109,24 +120,106 @@ func TestServeFaultGrid(t *testing.T) {
 				s.Nodes()[r.Intn(w.cfg.N)].Ingest(tick, cluster.Submit{ID: id, Units: 1 + r.Intn(4)})
 			}
 			if err := s.Tick(); err != nil {
-				t.Fatalf("serve %v: %v", w, err)
+				return err.Error()
 			}
 		}
 		res := s.Result()
 		if msg := w.audit(res); msg != "" {
-			t.Fatalf("serve %v: %s", w, msg)
+			return msg
 		}
 		if !res.JobsConserved() {
-			t.Fatalf("serve %v: ingested %d, done %d, held %d", w, res.Ingested(), res.UnitsDone(), res.RecordsHeld())
+			return fmt.Sprintf("ingested %d, done %d, held %d", res.Ingested(), res.UnitsDone(), res.RecordsHeld())
 		}
 		if completions != res.UnitsDone() {
-			t.Fatalf("serve %v: front end heard %d completions, nodes count %d", w, completions, res.UnitsDone())
+			return fmt.Sprintf("front end heard %d completions, nodes count %d", completions, res.UnitsDone())
 		}
 		if res.RecordsHeld() > 0 {
-			held++
+			held.Add(1)
+		}
+		return w.auditFlight(res)
+	})
+	t.Logf("%d of 1000 worlds ended with records held", held.Load())
+}
+
+// runGrid runs check on worlds 0..999, spread over one worker per CPU
+// (each world is single-threaded and a pure function of its seed), and
+// fails with the lowest-seeded world's reproducer and complaint. Each
+// worker hands its worlds one flight-recording directory in turn.
+func runGrid(t *testing.T, check func(w *world, flightDir string) string) {
+	const worlds = 1000
+	fails := make([]string, worlds)
+	var next atomic.Uint64
+	var wg sync.WaitGroup
+	for k := 0; k < runtime.GOMAXPROCS(0); k++ {
+		dir := filepath.Join(t.TempDir(), "flight")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := next.Add(1) - 1; seed < worlds; seed = next.Add(1) - 1 {
+				w := drawWorld(seed)
+				if msg := check(&w, dir); msg != "" {
+					fails[seed] = fmt.Sprintf("%v: %s", w, msg)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, f := range fails {
+		if f != "" {
+			t.Fatal(f)
 		}
 	}
-	t.Logf("%d of 1000 worlds ended with records held", held)
+}
+
+// record gives each of the world's nodes a flight recorder, node i's in
+// dir/node-i.
+func (w *world) record(dir string) error {
+	w.cfg.Flight = make([]*flight.Recorder, w.cfg.N)
+	for i := range w.cfg.Flight {
+		rec, err := flight.Open(flight.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", i)), Node: i})
+		if err != nil {
+			return err
+		}
+		w.cfg.Flight[i] = rec
+	}
+	return nil
+}
+
+// auditFlight closes the world's recorders, re-executes the recording
+// through flight.Audit and returns what is wrong with it, or "": every
+// record must be the re-executed machine's, and the replay must
+// reproduce each node's protocol counts and final accounting. Each
+// node's one segment is deleted once judged, leaving its directory
+// empty for the next world.
+func (w world) auditFlight(res *Result) string {
+	recording := &flight.Recording{}
+	for _, rec := range w.cfg.Flight {
+		if err := rec.Close(); err != nil {
+			return err.Error()
+		}
+		defer os.Remove(filepath.Join(rec.Dir(), "seg-00000000.lbfr"))
+		nr, err := flight.LoadDir(rec.Dir())
+		if err != nil {
+			return err.Error()
+		}
+		recording.Nodes = append(recording.Nodes, nr)
+	}
+	a := flight.Audit(recording)
+	if a.First != nil {
+		return fmt.Sprintf("flight audit: %v (of %d violations)", *a.First, len(a.Violations))
+	}
+	if a.FinalsSeen != w.cfg.N || a.TotalLoad != res.TotalLoad() || a.Generated != res.Summary.Generated {
+		return fmt.Sprintf("flight audit: %d finals, load %d, generated %d", a.FinalsSeen, a.TotalLoad, a.Generated)
+	}
+	for i, na := range a.Nodes {
+		if n := res.Nodes[i]; recording.Nodes[i].Segments != 1 || na.Initiated != n.Initiated ||
+			na.Resolved != n.Completed || na.Aborted != n.Aborted || na.FreezeExpired != n.FreezeExpired ||
+			na.Final.Load != n.FinalLoad {
+			return fmt.Sprintf("flight audit: node %d replayed %+v from %d segments, live %+v",
+				i, *na, recording.Nodes[i].Segments, n)
+		}
+	}
+	return ""
 }
 
 // audit returns what is wrong with a world's result, or "".

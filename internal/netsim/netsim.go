@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"lmbalance/internal/cluster"
+	"lmbalance/internal/flight"
 	"lmbalance/internal/obs"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
@@ -29,9 +30,14 @@ import (
 )
 
 // Config parameterizes a run. N, Delta, F, Steps, GenP, ConP, Seed,
-// Graph, NoBalance and ServePerNode are cluster.ClusterConfig's: node i
-// draws from rng.Mix64(Seed, i) and, with a Graph, balances within its
-// neighbourhood. A serve-mode node takes submissions through Node.Ingest.
+// Graph, NoBalance, ServePerNode and Flight are cluster.ClusterConfig's:
+// node i draws from rng.Mix64(Seed, i) and, with a Graph, balances
+// within its neighbourhood. A serve-mode node takes submissions through
+// Node.Ingest. Node i's flight recorder, if any, records the frames the
+// node sends at its mailbox port, and every record on the world's
+// goroutine, stamped with the tick: a world cannot drop a record, and
+// its recording is a pure function of the Config. Flight must not be
+// tapped; the caller closes the recorders after Result.
 type Config struct {
 	N            int
 	Delta        int
@@ -42,6 +48,7 @@ type Config struct {
 	Graph        *topology.Graph
 	NoBalance    bool
 	ServePerNode []*cluster.ServeHooks
+	Flight       []*flight.Recorder
 	// Faults arms the fault-injection layer; the zero value disables it.
 	Faults Faults
 	// Obs, if non-nil, receives the run's netsim_* totals at the end.
@@ -81,6 +88,7 @@ type envelope struct {
 // and the fault layer's stream, crash schedule and account for it.
 type port struct {
 	net        *World
+	rec        *flight.Recorder
 	sent       int64    // handshake frames sent: the transport's MsgsSent
 	rng        *rng.RNG // draws for the control frames addressed to this node
 	plan       []Crash  // scheduled crashes not yet fired, by AtStep
@@ -90,6 +98,7 @@ type port struct {
 }
 
 func (p *port) Send(to int, m wire.Msg) error {
+	p.rec.RecordSend(p.net.now, to, m)
 	if control(m.Kind) || m.Kind == wire.Transfer {
 		p.sent++
 	}
@@ -164,13 +173,16 @@ func New(cfg Config) (*World, error) {
 	nodes, err := cluster.NewNodes(cluster.ClusterConfig{
 		N: cfg.N, Delta: cfg.Delta, F: cfg.F, Steps: cfg.Steps,
 		GenP: cfg.GenP, ConP: cfg.ConP, Seed: cfg.Seed, Graph: cfg.Graph,
-		NoBalance: cfg.NoBalance, ServePerNode: cfg.ServePerNode,
+		NoBalance: cfg.NoBalance, ServePerNode: cfg.ServePerNode, Flight: cfg.Flight,
 		Timeout: time.Duration(reply), FreezeTimeout: time.Duration(freeze),
 	}, transports)
 	if err != nil {
 		return nil, err
 	}
 	s.nodes = nodes
+	for i, rec := range cfg.Flight {
+		s.ports[i].rec = rec
+	}
 	// A node steps on every live, unengaged turn, an engagement outlasts
 	// no timeout, and each of the at most N·Steps operations freezes a
 	// node once: a run past this tick has lost its liveness.
@@ -300,7 +312,7 @@ func (s *World) turn(i int) {
 		p.crashed, p.crashUntil = true, s.now+int64(cmp.Or(p.plan[0].DownTicks, defaultDownTicks))
 		p.plan = p.plan[1:]
 		p.stats.Crashes++
-		nd.Crash()
+		nd.Crash(s.now)
 		return
 	}
 	nd.Turn(s.now)
