@@ -157,12 +157,7 @@ func runAnatomyArm(mode, envText string, cfg *SojournAnatomyResult,
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	dbg, err := obs.ServeDebug("127.0.0.1:0", reg)
-	if err != nil {
-		return nil, err
-	}
-	defer dbg.Close()
-	mon := obs.NewMonitor(obs.MonitorConfig{URLs: []string{dbg.URL()}, SLO: cfg.SLO})
+	mon := obs.NewMonitor(obs.MonitorConfig{SLO: cfg.SLO, Obs: reg})
 
 	nodes := make([]int, cfg.N)
 	for i := range nodes {

@@ -5,11 +5,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
-	"lmbalance/internal/cluster"
 	"lmbalance/internal/flight"
+	"lmbalance/internal/netsim"
 	"lmbalance/internal/obs"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/serve"
@@ -19,22 +18,23 @@ import (
 )
 
 // PostMortem exercises the black-box flight recorder end to end, the
-// way an operator would meet it:
+// way an operator would meet it, on netsim's virtual clock — so the
+// recordings, and the whole artifact, are pure functions of the seed:
 //
-//  1. Fidelity — record a full loopback cluster run through transport
-//     taps and the node's own records, replay the segments offline, and
-//     require the audit — every node's stream re-executed through the
-//     protocol machine, every record judged — to reproduce the live
+//  1. Fidelity — record a full netsim run at the nodes' mailbox ports
+//     and through the node's own records, replay the segments offline,
+//     and require the audit — every node's stream re-executed through
+//     the protocol machine, every record judged — to reproduce the live
 //     accounting bit for bit (per-node protocol counts, final loads,
 //     conservation, per-op timelines, the VD trajectory) with zero
 //     divergences.
-//  2. Incident — run a serving cluster under the health monitor with
-//     recorders attached, inject an overload spike, and let the
-//     monitor's snapshot-on-alert hook seal an incident artifact the
-//     moment the burn-rate alert fires. Replaying the snapshot alone
-//     (no live state, no debug endpoints) must pinpoint the first
-//     degraded transition: the first completion whose recorded sojourn
-//     crossed the SLO threshold, with its wall offset, node and job.
+//  2. Incident — run a serving world under the health monitor with
+//     recorders attached, inject an overload spike, and seal an incident
+//     artifact the moment the burn-rate alert fires: every node's ring
+//     is snapshotted at the poll that saw the alert. Replaying the
+//     snapshot alone (no live state) must pinpoint the first degraded
+//     transition: the first completion whose recorded sojourn crossed
+//     the SLO threshold, with its offset into the capture, node and job.
 //  3. Tamper — rewrite one node's history so a transfer moves more
 //     load than the freeze agreed to; the audit must flag the exact
 //     record with an imbalance verdict. A recording that can be
@@ -45,7 +45,7 @@ type PostMortemResult struct {
 	Tamper   PMTamper
 }
 
-// PMBaseline is the record→replay fidelity check on a loopback run.
+// PMBaseline is the record→replay fidelity check on a netsim run.
 type PMBaseline struct {
 	N, Steps  int
 	Events    int   // decoded flight records across all node streams
@@ -68,8 +68,8 @@ type PMIncident struct {
 	Submitted int64
 	Completed int64
 
-	AlertAtMS     float64 // burn-rate alert, ms after driving started
-	Snapshots     int     // per-node snapshot directories sealed by the hook
+	AlertAtMS     float64 // burn-rate alert, virtual ms after driving started
+	Snapshots     int     // per-node snapshot directories sealed at the alert
 	SnapshotBytes int64
 	Events        int // decoded records in the incident capture
 	Violations    int // divergences from the re-executed machine in the capture
@@ -122,7 +122,7 @@ func PostMortem(scale Scale, seed uint64) (*PostMortemResult, error) {
 	return out, nil
 }
 
-// pmBaseline records a loopback cluster run and replays it, requiring
+// pmBaseline records a netsim run and replays it, requiring
 // bit-identity with the live result. The recording is left in dir for
 // the tamper arm.
 func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
@@ -130,31 +130,16 @@ func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 	if scale == ScaleFull {
 		n, steps = 8, 4000
 	}
-	lnet := wire.NewLoopback(n)
-	recs := make([]*flight.Recorder, n)
-	transports := make([]wire.Transport, n)
-	for i := 0; i < n; i++ {
-		rec, err := flight.Open(flight.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", i)), Node: i})
-		if err != nil {
-			return err
-		}
-		recs[i] = rec
-		transports[i] = rec.Tap(lnet.Transport(i))
-	}
-	res, err := cluster.RunCluster(cluster.ClusterConfig{
-		N: n, Delta: 2, F: 2, Steps: steps, Seed: seed,
-		Flight: recs,
-	}, transports)
+	recs, err := openRecorders(dir, n)
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		if rec.Dropped() != 0 {
-			return fmt.Errorf("recorder dropped %d records; identity needs the full stream", rec.Dropped())
-		}
+	res, err := netsim.Run(netsim.Config{N: n, Delta: 2, F: 2, Steps: steps, Seed: seed, Flight: recs})
+	if cerr := closeRecorders(recs); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 
 	recording, err := flight.LoadTree(dir)
@@ -214,23 +199,22 @@ func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 	return nil
 }
 
-// pmIncident drives an overload spike into a monitored serving cluster
+// pmIncident drives an overload spike into a monitored serving world
 // with recorders attached and audits the snapshot the alert sealed.
 func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
-	const (
-		conP         = 1.0
-		stepInterval = 200 * time.Microsecond
-	)
-	// The spike is the injected fault: far beyond cluster capacity, so
-	// it trips the burn-rate alert on any hardware. No tight steady
-	// control runs here (that is anatomy's job) — the threshold only
-	// needs to sit between healthy sojourns and the spike's queueing.
+	const conP = 1.0
+	// The spike is the injected fault: three times what the nodes can
+	// serve, so it trips the burn-rate alert. No tight steady control
+	// runs here (that is anatomy's job) — the threshold only needs to
+	// sit between healthy sojourns and the spike's queueing.
+	demand := workload.BoundedPareto{Alpha: 1.5, Lo: 1, Hi: 20}
 	n, sloText := 4, "p95 < 250ms over 120ms/360ms burn 2"
-	env := "75x300ms,12000x400ms,150x500ms"
+	spikeRate := func(n int) float64 { return 3 * float64(n) * conP / serveSlot.Seconds() / demand.Mean() }
+	env := fmt.Sprintf("75x300ms,%.0fx400ms,150x500ms", spikeRate(n))
 	pollPeriod, warmup := 15*time.Millisecond, 300*time.Millisecond
 	if scale == ScaleFull {
 		n, sloText = 8, "p95 < 100ms over 120ms/360ms burn 2"
-		env = "300x500ms,12000x600ms,300x500ms"
+		env = fmt.Sprintf("300x500ms,%.0fx600ms,300x500ms", spikeRate(n))
 		pollPeriod, warmup = 25*time.Millisecond, 500*time.Millisecond
 	}
 	slo, err := obs.ParseSLO(sloText)
@@ -242,105 +226,61 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 		return err
 	}
 	arrivals, err := workload.ArrivalSpec{
-		Env: envelope, Demand: workload.BoundedPareto{Alpha: 1.5, Lo: 1, Hi: 20},
-		Horizon: envelope.Period(),
+		Env: envelope, Demand: demand, Horizon: envelope.Period(),
 	}.Schedule(rng.New(seed))
 	if err != nil {
 		return err
 	}
-
-	recs := make([]*flight.Recorder, n)
-	for i := range recs {
-		rec, err := flight.Open(flight.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", i)), Node: i})
-		if err != nil {
-			return err
-		}
-		recs[i] = rec
+	recs, err := openRecorders(dir, n)
+	if err != nil {
+		return err
 	}
+
+	// Snapshot-on-alert, as cmd/lbnode's OnAlert hook does, but at the
+	// poll itself: the world stands still between ticks, so every node's
+	// ring is sealed at the same virtual instant. Only the first alert
+	// snapshots — an incident is one artifact, not one per flap.
 	reg := obs.NewRegistry()
-	sc, err := serve.StartServeCluster(serve.ClusterSpec{
-		N: n, Delta: 2, F: 1.2,
-		ConP: conP, StepInterval: stepInterval,
-		Seed: seed, Obs: reg, Flight: recs,
-	})
-	if err != nil {
-		return err
-	}
-	dbg, err := obs.ServeDebug("127.0.0.1:0", reg)
-	if err != nil {
-		sc.DrainAndStop(time.Second)
-		return err
-	}
-	defer dbg.Close()
-
-	// Snapshot-on-alert: the first clear→firing transition seals every
-	// node's ring into an incident artifact, exactly as cmd/lbnode does
-	// in production. Only the first alert snapshots — an incident is one
-	// artifact, not one per flap.
-	start := time.Now()
-	var (
-		snapOnce  sync.Once
-		snapMu    sync.Mutex
-		snapDirs  []string
-		alertAtMS float64 = -1
-	)
-	mon := obs.NewMonitor(obs.MonitorConfig{
-		URLs: []string{dbg.URL()}, SLO: slo,
-		Period: pollPeriod, Obs: reg,
-		OnAlert: func(obs.HealthDoc) {
-			snapOnce.Do(func() {
-				snapMu.Lock()
-				defer snapMu.Unlock()
-				alertAtMS = time.Since(start).Seconds() * 1e3
-				for _, rec := range recs {
-					if d, err := rec.Snapshot("slo_alert"); err == nil {
-						snapDirs = append(snapDirs, d)
-					}
-				}
-			})
-		},
-	})
-	// Baseline the monitor after the warmup transient, then poll on the
-	// wall clock while the drive runs open loop.
-	monStop, monUp := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(monUp)
-		select {
-		case <-monStop:
+	mon := obs.NewMonitor(obs.MonitorConfig{SLO: slo, Obs: reg})
+	var dirs []string
+	alertAtMS := -1.0
+	var snapErr error
+	poll := func(now time.Duration) {
+		due := now >= warmup && now <= envelope.Period() && (now-warmup)%pollPeriod == 0
+		if !due || dirs != nil || snapErr != nil {
 			return
-		case <-time.After(warmup):
 		}
-		mon.Poll(time.Now())
-		mon.Start()
-	}()
-
-	res, err := serve.Drive(sc.Addrs(), arrivals, serve.LoadSpec{HotFrac: 0.7, HotN: n / 4}, seed+1, 30*time.Second)
-	close(monStop)
-	<-monUp
-	mon.Stop()
+		if doc := mon.Poll(time.Unix(0, int64(now))); !doc.Alerting {
+			return
+		}
+		alertAtMS = float64(now) / float64(time.Millisecond)
+		for _, rec := range recs {
+			d, err := rec.Snapshot("slo_alert")
+			if err != nil {
+				snapErr = err
+				return
+			}
+			dirs = append(dirs, d)
+		}
+	}
+	run, err := serveOnNetsim(netsim.Config{
+		N: n, Delta: 2, F: 1.2, ConP: []float64{conP}, Seed: seed, Flight: recs,
+	}, arrivals, serve.LoadSpec{HotFrac: 0.7, HotN: n / 4}, reg, poll)
+	if err == nil {
+		err = snapErr
+	}
+	if cerr := closeRecorders(recs); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		sc.DrainAndStop(time.Second)
 		return err
 	}
-	if _, _, err := sc.DrainAndStop(30 * time.Second); err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if err := rec.Close(); err != nil {
-			return err
-		}
-	}
-
-	snapMu.Lock()
-	dirs := append([]string(nil), snapDirs...)
-	at := alertAtMS
-	snapMu.Unlock()
 	if len(dirs) != n {
-		return fmt.Errorf("alert sealed %d of %d node snapshots (alert at %.0fms)", len(dirs), n, at)
+		return fmt.Errorf("alert sealed %d of %d node snapshots", len(dirs), n)
 	}
 
 	// The post-mortem proper: load ONLY the sealed snapshots — the live
-	// cluster, its registry and its debug endpoints are gone.
+	// world and its registry are gone.
 	capture := &flight.Recording{}
 	for _, d := range dirs {
 		nr, err := flight.LoadDir(d)
@@ -355,9 +295,12 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	if audit.First != nil {
 		return fmt.Errorf("overload capture shows an illegal protocol step: %v", *audit.First)
 	}
-	thresholdNS := int64(slo.Threshold * 1e9)
+	// The recording's clock is the tick: a recorded sojourn counts the
+	// slots from ingest to the one that completed the unit, which serves
+	// it too.
+	over := func(ticks int64) bool { return slotSeconds(ticks+1) > slo.Threshold }
 	for _, s := range audit.SojournNS {
-		if s > thresholdNS {
+		if over(s) {
 			inc.OverSLO++
 		}
 	}
@@ -372,11 +315,11 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	}
 	found := false
 	for _, ev := range merged {
-		if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalComplete && ev.Arg(2) > thresholdNS {
-			inc.DegradedAtMS = float64(ev.WallNS-firstWall) / 1e6
+		if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalComplete && over(ev.Arg(2)) {
+			inc.DegradedAtMS = slotSeconds(ev.WallNS-firstWall) * 1e3
 			inc.DegradedNode = ev.Node
 			inc.DegradedJob = uint64(ev.Arg(0))
-			inc.DegradedSojournMS = float64(ev.Arg(2)) / 1e6
+			inc.DegradedSojournMS = slotSeconds(ev.Arg(2)+1) * 1e3
 			found = true
 			break
 		}
@@ -385,14 +328,42 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 		return fmt.Errorf("over-SLO sojourns exist but no degraded completion event found")
 	}
 	inc.N, inc.SLO, inc.Envelope = n, slo, envelope.String()
-	inc.Submitted, inc.Completed = res.Submitted, res.Completed
-	inc.AlertAtMS, inc.Snapshots = at, len(dirs)
+	inc.Submitted, inc.Completed = int64(len(arrivals)), int64(len(run.sojourns))
+	inc.AlertAtMS, inc.Snapshots = alertAtMS, len(dirs)
 	inc.Violations = len(audit.Violations)
 	for _, na := range audit.Nodes {
 		inc.Unverified += na.Unverified
 	}
 	inc.Completions = len(audit.SojournNS)
-	inc.ReplayP95MS = float64(audit.SojournQuantile(0.95)) / 1e6
+	inc.ReplayP95MS = slotSeconds(audit.SojournQuantile(0.95)+1) * 1e3
+	return nil
+}
+
+// openRecorders opens one flight recorder per node, node i's in
+// dir/node-i.
+func openRecorders(dir string, n int) ([]*flight.Recorder, error) {
+	recs := make([]*flight.Recorder, n)
+	for i := range recs {
+		rec, err := flight.Open(flight.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", i)), Node: i})
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = rec
+	}
+	return recs, nil
+}
+
+// closeRecorders seals every recorder; a netsim world's cannot have
+// dropped a record.
+func closeRecorders(recs []*flight.Recorder) error {
+	for _, rec := range recs {
+		if err := rec.Close(); err != nil {
+			return err
+		}
+		if rec.Dropped() != 0 {
+			return fmt.Errorf("recorder dropped %d records; identity needs the full stream", rec.Dropped())
+		}
+	}
 	return nil
 }
 
@@ -471,7 +442,7 @@ func (r *PostMortemResult) Render(w io.Writer) error {
 	}
 	b := &r.Baseline
 	tb := trace.NewTable(
-		fmt.Sprintf("fidelity: n=%d loopback run, %d steps, recorded through transport taps (%d events, %d KiB)",
+		fmt.Sprintf("fidelity: n=%d netsim run, %d steps, recorded at the mailbox ports (%d events, %d KiB)",
 			b.N, b.Steps, b.Events, b.Bytes/1024),
 		"quantity", "live", "replay")
 	same := func(v int64) [2]string { s := fmt.Sprintf("%d", v); return [2]string{s, s} }
@@ -498,17 +469,17 @@ func (r *PostMortemResult) Render(w io.Writer) error {
 
 	inc := &r.Incident
 	if err := header(w, fmt.Sprintf(
-		"incident: %s spike into n=%d serving cluster, SLO %s", inc.Envelope, inc.N, inc.SLO)); err != nil {
+		"incident: %s spike into n=%d serving world, SLO %s", inc.Envelope, inc.N, inc.SLO)); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,
-		"burn-rate alert fired %.0fms into the drive; the on-alert hook sealed %d node\nsnapshots — %d KiB, %d records — while the cluster kept serving (%d of %d\ndriven jobs eventually completed).\n\n",
+		"burn-rate alert fired %.0fms into the drive; the alerting poll sealed %d node\nsnapshots — %d KiB, %d records — while the world kept serving (%d of %d\ndriven jobs eventually completed).\n\n",
 		inc.AlertAtMS, inc.Snapshots, inc.SnapshotBytes/1024, inc.Events,
 		inc.Completed, inc.Submitted); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,
-		"replaying the snapshots alone (live cluster gone): %d legality violations, %d of\n%d records unverified (judged from each stream's first record proving its\nnode unengaged) — the protocol stayed correct under overload; the incident\nis pure queueing.\n%d of %d replayed completions exceeded the %.0fms SLO (offline p95 %.1fms).\nfirst degraded transition: job %d on node %d, sojourn %.1fms, %.0fms into the capture.\n",
+		"replaying the snapshots alone (live world gone): %d legality violations, %d of\n%d records unverified (judged from each stream's first record proving its\nnode unengaged) — the protocol stayed correct under overload; the incident\nis pure queueing.\n%d of %d replayed completions exceeded the %.0fms SLO (offline p95 %.1fms).\nfirst degraded transition: job %d on node %d, sojourn %.1fms, %.0fms into the capture.\n",
 		inc.Violations, inc.Unverified, inc.Events, inc.OverSLO, inc.Completions, inc.SLO.Threshold*1e3, inc.ReplayP95MS,
 		inc.DegradedJob, inc.DegradedNode, inc.DegradedSojournMS, inc.DegradedAtMS); err != nil {
 		return err

@@ -9,7 +9,8 @@ import (
 // scale: record→replay fidelity, snapshot-on-alert incident capture
 // with an offline degraded-transition verdict, and the tamper check.
 // Every claim is asserted inside PostMortem itself; the test checks the
-// run succeeds and the rendered artifact carries the verdicts.
+// run succeeds, the rendered artifact carries the verdicts, and — the
+// run being on netsim's virtual clock — pins the render.
 func TestPostMortemQuick(t *testing.T) {
 	res, err := PostMortem(ScaleQuick, 1993)
 	if err != nil {
@@ -36,11 +37,7 @@ func TestPostMortemQuick(t *testing.T) {
 		t.Fatalf("tamper flagged %q", res.Tamper.Rule)
 	}
 
-	var sb strings.Builder
-	if err := res.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := checkRender(t, res, "61c7e8193e51bff9")
 	for _, want := range []string{
 		"bit for bit", "sealed", "first degraded transition", "imbalance_violation",
 	} {

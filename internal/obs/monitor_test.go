@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -489,17 +490,33 @@ func TestHealthUnreachable503(t *testing.T) {
 // TestMonitorStartStop: the background loop polls on its own and shuts
 // down cleanly.
 func TestMonitorStartStop(t *testing.T) {
-	s, _, h := monitorNode(t, 0, 4)
+	_, reg, h := monitorNode(t, 0, 4)
+	// The upstream signals each scrape, so the test waits on polls, not
+	// on the clock.
+	scraped := make(chan struct{}, 1)
+	s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		reg.WritePrometheus(w)
+		select {
+		case scraped <- struct{}{}:
+		default:
+		}
+	}))
+	defer s.Close()
 	slo, _ := ParseSLO("p99 < 20ms over 80ms/240ms")
-	m := NewMonitor(MonitorConfig{URLs: []string{s.URL()}, SLO: slo, Period: 10 * time.Millisecond})
+	m := NewMonitor(MonitorConfig{URLs: []string{s.URL}, SLO: slo, Period: 10 * time.Millisecond})
 	for i := 0; i < 10; i++ {
 		h.Observe(0.001)
 	}
 	m.Start()
 	m.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Last().At.IsZero() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// The loop polls one scrape at a time, so a second scrape means the
+	// first poll is done.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-scraped:
+		case <-time.After(5 * time.Second):
+			t.Fatal("loop never polled")
+		}
 	}
 	m.Stop()
 	m.Stop() // idempotent

@@ -115,19 +115,36 @@ func TestRecorderColumnChangeResets(t *testing.T) {
 	}
 }
 
-func TestRecorderStartStop(t *testing.T) {
-	var mu sync.Mutex
-	v := 0.0
-	rec := NewRecorder(64).Column("v", func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return v
-	})
-	rec.Start(time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(rec.Data().Samples) < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+// sampled returns a column that signals every sample it is read for,
+// and a wait for n such signals, so a test waits on recorder rows, not
+// on the clock.
+func sampled(t *testing.T) (func() float64, func(n int)) {
+	ch := make(chan struct{}, 1)
+	col := func() float64 {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		return 1
 	}
+	wait := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("sampler stalled with %d samples to go", n)
+			}
+		}
+	}
+	return col, wait
+}
+
+func TestRecorderStartStop(t *testing.T) {
+	col, wait := sampled(t)
+	rec := NewRecorder(64).Column("v", col)
+	rec.Start(time.Millisecond)
+	wait(4) // the fourth read begins after the third row is stored
 	if len(rec.Data().Samples) < 3 {
 		t.Fatalf("background sampler recorded %d samples", len(rec.Data().Samples))
 	}
@@ -149,7 +166,13 @@ func TestRecorderStartStop(t *testing.T) {
 	rec.Stop()
 	rec.Stop() // idempotent
 	n := len(rec.Data().Samples)
-	time.Sleep(20 * time.Millisecond)
+	// A witness recorder on the same period: twenty of its rows span
+	// twenty periods in which a leftover loop would have sampled.
+	wcol, wwait := sampled(t)
+	witness := NewRecorder(64).Column("w", wcol)
+	witness.Start(time.Millisecond)
+	wwait(20)
+	witness.Stop()
 	if len(rec.Data().Samples) != n {
 		t.Fatalf("recorder kept sampling after Stop: %d → %d", n, len(rec.Data().Samples))
 	}
