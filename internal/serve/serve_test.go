@@ -1,45 +1,138 @@
 package serve
 
 import (
+	"bufio"
+	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lmbalance/internal/cluster"
 	"lmbalance/internal/obs"
 	"lmbalance/internal/rng"
+	"lmbalance/internal/wire"
 	"lmbalance/internal/workload"
 )
 
-// quickSpec is a small, fast serving cluster for the e2e tests: 4
-// nodes over real TCP, a 200µs service clock, deterministic seed.
-func quickSpec(noBalance bool) ClusterSpec {
-	return ClusterSpec{
-		N: 4, Delta: 1, F: 1.2,
-		ConP:         1.0,
-		StepInterval: 200 * time.Microsecond,
-		Seed:         42,
-		NoBalance:    noBalance,
-	}
+// testCluster is a small serving cluster for the end-to-end tests: 4
+// nodes over real TCP links, each fronted by a Server, a 200µs service
+// clock, deterministic seed. Every unit a node completes is counted and
+// signalled on unitDone, so drain waits on completions, not on a clock.
+type testCluster struct {
+	servers  []*Server
+	stop     chan struct{}
+	result   chan error
+	res      *cluster.Result
+	units    atomic.Int64
+	unitDone chan struct{}
 }
 
-// waitGoroutines polls until the goroutine count is back at or below
-// the baseline (the runtime retires netpoll helpers lazily).
+func startCluster(t *testing.T, reg *obs.Registry, noBalance bool) *testCluster {
+	t.Helper()
+	const n = 4
+	transports, err := wire.LocalTransports(n, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &testCluster{stop: make(chan struct{}), result: make(chan error, 1), unitDone: make(chan struct{}, 1)}
+	hooks := make([]*cluster.ServeHooks, n)
+	for i := range hooks {
+		s, err := NewServer(i, "127.0.0.1:0", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.servers = append(tc.servers, s)
+		h := s.Hooks()
+		hooks[i] = &cluster.ServeHooks{Ingest: h.Ingest, Complete: func(id uint64, j cluster.Journey) {
+			h.Complete(id, j)
+			tc.units.Add(1)
+			select {
+			case tc.unitDone <- struct{}{}:
+			default:
+			}
+		}}
+	}
+	nodes, err := cluster.NewNodes(cluster.ClusterConfig{
+		N: n, Delta: 1, F: 1.2, Steps: 1 << 30, // the run ends via Stop
+		GenP: []float64{0}, ConP: []float64{1}, Seed: 42, Obs: reg,
+		StepInterval: 200 * time.Microsecond, NoBalance: noBalance,
+		Stop: tc.stop, ServePerNode: hooks,
+	}, transports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		var err error
+		tc.res, err = cluster.RunNodes(nodes)
+		tc.result <- err
+	}()
+	return tc
+}
+
+// addrs returns the client-facing addresses, indexed by node.
+func (tc *testCluster) addrs() []string {
+	out := make([]string, len(tc.servers))
+	for i, s := range tc.servers {
+		out[i] = s.Addr()
+	}
+	return out
+}
+
+// drain waits until the nodes have completed units units, then stops
+// the cluster, closes the front-ends and returns the cluster's result
+// and the servers' summed accounting. Stop must come after the drain:
+// once it fires, nodes fast-forward into shutdown and unserved units
+// would be stranded as held records.
+func (tc *testCluster) drain(t *testing.T, units int64) (*cluster.Result, Stats) {
+	t.Helper()
+	timeout := time.After(30 * time.Second)
+	for tc.units.Load() < units {
+		select {
+		case <-tc.unitDone:
+		case <-timeout:
+			t.Fatalf("%d of %d units completed", tc.units.Load(), units)
+		}
+	}
+	close(tc.stop)
+	if err := <-tc.result; err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	for _, s := range tc.servers {
+		x := s.Stats()
+		st.JobsAccepted += x.JobsAccepted
+		st.JobsCompleted += x.JobsCompleted
+		st.UnitsAccepted += x.UnitsAccepted
+		st.UnitsCompleted += x.UnitsCompleted
+		st.DonesDropped += x.DonesDropped
+		st.InflightUnits += x.InflightUnits
+		s.Close()
+	}
+	return tc.res, st
+}
+
+// unitsOf sums a schedule's units of work.
+func unitsOf(arrivals []workload.Arrival) (n int64) {
+	for _, a := range arrivals {
+		n += int64(a.Units)
+	}
+	return n
+}
+
+// waitGoroutines waits until the goroutine count is back at or below
+// the baseline: every component joins its goroutines on Close, so the
+// count falls as soon as the stragglers are scheduled.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before+2 { // small slack for runtime-internal helpers
-			return
-		}
+	for runtime.NumGoroutine() > before+2 { // small slack for runtime-internal helpers
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, now, buf[:n])
+			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
 		}
-		time.Sleep(20 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
@@ -49,10 +142,7 @@ func waitGoroutines(t *testing.T, before int) {
 // job conservation intact at shutdown.
 func TestServeEndToEnd(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sc, err := StartServeCluster(quickSpec(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tc := startCluster(t, nil, false)
 
 	env := workload.RateEnvelope{
 		{Dur: 150 * time.Millisecond, Rate: 600},
@@ -71,7 +161,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal("empty schedule")
 	}
 
-	res, err := Drive(sc.Addrs(), arrivals, LoadSpec{HotFrac: 0.75, HotN: 1}, 11, 10*time.Second)
+	res, err := Drive(tc.addrs(), arrivals, LoadSpec{HotFrac: 0.75, HotN: 1}, 11, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +177,7 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	cres, stats, err := sc.DrainAndStop(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cres, stats := tc.drain(t, unitsOf(arrivals))
 	if stats.JobsAccepted != res.Submitted {
 		t.Errorf("servers accepted %d jobs, clients submitted %d", stats.JobsAccepted, res.Submitted)
 	}
@@ -125,33 +212,36 @@ func TestServeEndToEnd(t *testing.T) {
 // counted), conservation must hold, and nothing may leak.
 func TestServeClientDisconnect(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sc, err := StartServeCluster(quickSpec(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := sc.Addrs()
+	tc := startCluster(t, nil, false)
+	addrs := tc.addrs()
 
 	// The doomed client floods node 0 then vanishes without reading a
 	// single completion.
-	doomed, err := Dial(addrs[0])
+	doomed, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	const doomedJobs = 200
-	for i := 0; i < doomedJobs; i++ {
-		if err := doomed.Submit(3); err != nil {
-			t.Fatalf("doomed submit %d: %v", i, err)
-		}
+	var flood []byte
+	for i := 1; i <= doomedJobs; i++ {
+		flood = wire.AppendCFrame(flood, wire.CMsg{Kind: wire.CSubmit, Job: uint64(i), Units: 3})
 	}
-	// Vanish only once the server has read every submission: closing
-	// earlier makes the server's next CAccepted write draw a TCP reset,
-	// which discards the submissions it had not read yet — then "accepted"
-	// depends on how far the reader got, not on the server.
-	for deadline := time.Now().Add(10 * time.Second); doomed.Accepted() < doomedJobs; {
-		if time.Now().After(deadline) {
-			t.Fatalf("server acknowledged %d of %d doomed jobs", doomed.Accepted(), doomedJobs)
+	if _, err := doomed.Write(flood); err != nil {
+		t.Fatal(err)
+	}
+	// Vanish only once the server has acknowledged every submission:
+	// closing earlier makes the server's next CAccepted write draw a TCP
+	// reset, which discards the submissions it had not read yet — then
+	// "accepted" depends on how far the reader got, not on the server.
+	br := bufio.NewReader(doomed)
+	for acked := 0; acked < doomedJobs; {
+		m, _, err := wire.ReadCFrame(br)
+		if err != nil {
+			t.Fatalf("after %d of %d acks: %v", acked, doomedJobs, err)
 		}
-		time.Sleep(time.Millisecond)
+		if m.Kind == wire.CAccepted {
+			acked++
+		}
 	}
 	if err := doomed.Close(); err != nil {
 		t.Fatal(err)
@@ -169,10 +259,7 @@ func TestServeClientDisconnect(t *testing.T) {
 		}
 	}
 
-	cres, stats, err := sc.DrainAndStop(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cres, stats := tc.drain(t, 3*doomedJobs+2*healthyJobs)
 	if want := int64(doomedJobs + healthyJobs); stats.JobsAccepted != want {
 		t.Errorf("accepted %d jobs, want %d", stats.JobsAccepted, want)
 	}
@@ -203,11 +290,8 @@ func TestServeClientDisconnect(t *testing.T) {
 // loss (the reader blocks, TCP pushes back, everything completes).
 func TestServeBackpressureBurst(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sc, err := StartServeCluster(quickSpec(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(sc.Addrs()[0])
+	tc := startCluster(t, nil, false)
+	c, err := Dial(tc.addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +301,7 @@ func TestServeBackpressureBurst(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	cres, stats, err := sc.DrainAndStop(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cres, stats := tc.drain(t, jobs)
 	if stats.UnitsCompleted != jobs {
 		t.Errorf("completed %d units, want %d", stats.UnitsCompleted, jobs)
 	}
@@ -264,21 +345,15 @@ func TestServeTraceReplay(t *testing.T) {
 		}
 	}
 
-	sc, err := StartServeCluster(quickSpec(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Drive(sc.Addrs(), arrivals, LoadSpec{}, 1, 10*time.Second)
+	tc := startCluster(t, nil, false)
+	res, err := Drive(tc.addrs(), arrivals, LoadSpec{}, 1, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != res.Submitted {
 		t.Errorf("completed %d of %d replayed jobs", res.Completed, res.Submitted)
 	}
-	cres, _, err := sc.DrainAndStop(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cres, _ := tc.drain(t, unitsOf(arrivals))
 	if !cres.Conserved() || !cres.JobsConserved() {
 		t.Error("conservation violated on trace replay")
 	}
@@ -287,11 +362,8 @@ func TestServeTraceReplay(t *testing.T) {
 // TestServeNoBalanceStillCompletes checks the control arm: with
 // balancing off, a hot node must still finish its backlog alone.
 func TestServeNoBalanceStillCompletes(t *testing.T) {
-	sc, err := StartServeCluster(quickSpec(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(sc.Addrs()[0])
+	tc := startCluster(t, nil, true)
+	c, err := Dial(tc.addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +372,7 @@ func TestServeNoBalanceStillCompletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cres, stats, err := sc.DrainAndStop(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cres, stats := tc.drain(t, 200)
 	if stats.UnitsCompleted != 200 {
 		t.Errorf("completed %d units, want 200", stats.UnitsCompleted)
 	}
@@ -366,8 +435,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-var _ = cluster.JobOp // keep the cluster import honest if tests shrink
-
 // TestJourneyDecomposition drives the quick cluster with a registry and
 // audits the tentpole invariant of journey tracing: every completed
 // unit's sojourn decomposes into ingest_wait + queue + transfer +
@@ -377,12 +444,7 @@ var _ = cluster.JobOp // keep the cluster import honest if tests shrink
 // must hold samples whose own components sum to their sojourn.
 func TestJourneyDecomposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	spec := quickSpec(false)
-	spec.Obs = reg
-	sc, err := StartServeCluster(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tc := startCluster(t, reg, false)
 	arrivals, err := workload.ArrivalSpec{
 		Env:     workload.RateEnvelope{{Dur: 300 * time.Millisecond, Rate: 800}},
 		Demand:  workload.BoundedPareto{Alpha: 1.5, Lo: 1, Hi: 20},
@@ -391,17 +453,15 @@ func TestJourneyDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Drive(sc.Addrs(), arrivals, LoadSpec{HotFrac: 0.75, HotN: 1}, 11, 10*time.Second)
+	res, err := Drive(tc.addrs(), arrivals, LoadSpec{HotFrac: 0.75, HotN: 1}, 11, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sc.DrainAndStop(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tc.drain(t, unitsOf(arrivals))
 
 	var compSum, unitSum float64
 	var unitCount, hopJobs, ringTotal int64
-	for i, s := range sc.Servers {
+	for i, s := range tc.servers {
 		unit := reg.Histogram(UnitSojournMetric(i), obs.SojournBuckets)
 		unitCount += unit.Count()
 		unitSum += unit.Sum()
@@ -433,7 +493,7 @@ func TestJourneyDecomposition(t *testing.T) {
 
 	// Ring samples: sane shapes, components close to the job sojourn for
 	// single-unit stamped jobs.
-	for _, s := range sc.Servers {
+	for _, s := range tc.servers {
 		for _, j := range s.Journeys().Snapshot() {
 			if !j.Stamped {
 				t.Fatalf("unstamped journey from a serving cluster: %+v", j)
@@ -462,46 +522,25 @@ func TestIngestHWMAndDropCounterRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	const jobs = 5
 
 	// Nobody drains s.ingest here (no node attached): submissions pile
 	// up in the channel and the high-water mark must track the depth.
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const jobs = 5
-	for i := 0; i < jobs; i++ {
-		if err := c.Submit(1); err != nil {
-			t.Fatal(err)
+	c, far := bareConn(jobs)
+	defer far.Close()
+	for i := 1; i <= jobs; i++ {
+		if !s.submit(c, wire.CMsg{Kind: wire.CSubmit, Job: uint64(i), Units: 1}) {
+			t.Fatal("open server refused a submission")
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Gauge(`serve_ingest_hwm{node="3"}`).Value() < jobs {
-		if time.Now().After(deadline) {
-			t.Fatalf("ingest HWM %d after %d undrained submissions",
-				reg.Gauge(`serve_ingest_hwm{node="3"}`).Value(), jobs)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if hwm := reg.Gauge(`serve_ingest_hwm{node="3"}`).Value(); hwm != jobs {
+		t.Fatalf("ingest HWM %d after %d undrained submissions", hwm, jobs)
 	}
 
 	// Completion drops: complete a job whose client connection is dead.
 	// The CDone has nowhere to go; the registered counter must see it.
-	var sub cluster.Submit
-	select {
-	case sub = <-s.ingest:
-	case <-time.After(2 * time.Second):
-		t.Fatal("submission never reached the ingest channel")
-	}
-	s.mu.Lock()
-	conn := s.jobs[sub.ID].conn
-	s.mu.Unlock()
-	c.Close()
-	select {
-	case <-conn.dead: // server has noticed the disconnect
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never noticed the client disconnect")
-	}
+	sub := <-s.ingest
+	c.close()
 	s.complete(sub.ID, cluster.Journey{})
 	if got := reg.Counter(`serve_dones_dropped_total{node="3"}`).Value(); got != 1 {
 		t.Fatalf("done-drop counter %d after completing for a dead client, want 1", got)
