@@ -55,10 +55,9 @@ type System struct {
 // participant sets can execute concurrently without sharing any mutable
 // state beyond the participants themselves.
 type Scratch struct {
-	candBuf  []int
-	setBuf   []int
-	classBuf []int       // qualifying classes collected by randClassRow
-	lanes    []mergeLane // the balance kernel's per-participant state
+	candBuf []int
+	setBuf  []int
+	lanes   []mergeLane // the balance kernel's per-participant state
 
 	// Workers' Scratches are allocated back to back and written on every
 	// operation; the padding keeps two of them off one cache line.
@@ -244,7 +243,7 @@ func (s *System) Generate(i int) { s.generate(i, s.rng, s.sc, &s.metrics) }
 func (s *System) generate(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	row := &s.rows[i]
 	if row.bTot > 0 {
-		j := s.randClass(i, func(e *classEntry) bool { return e.b > 0 }, r, sc)
+		j := randClass(row, false, r)
 		row.add(j, +1, -1)
 		row.bTot--
 	} else {
@@ -291,7 +290,7 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 			return true
 		}
 		if row.bTot < s.params.C {
-			j := s.randClass(i, func(e *classEntry) bool { return e.d > 0 && e.b == 0 }, r, sc)
+			j := randClass(row, true, r)
 			if j >= 0 {
 				row.add(j, -1, +1)
 				row.bTot++
@@ -302,7 +301,7 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 			}
 		}
 		// No borrow slot: settle a random outstanding marker first.
-		j := s.randClass(i, func(e *classEntry) bool { return e.b > 0 }, r, sc)
+		j := randClass(row, false, r)
 		if j < 0 {
 			// No markers and no borrowable class would mean l == 0;
 			// unreachable, but fail safe rather than loop.
@@ -314,49 +313,49 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 	return false
 }
 
-// randClass picks a uniformly random class for processor i among the
-// active classes whose entry satisfies pred, via reservoir sampling over
-// the qualifying classes in ascending order. Scanning in ascending class
-// order keeps the RNG consumption identical to a dense 0..n-1 scan (zero
-// cells never qualify under any of the algorithm's predicates). It returns
-// -1 if no class qualifies.
-func (s *System) randClass(i int, pred func(e *classEntry) bool, r *rng.RNG, sc *Scratch) int {
-	pick, buf := randClassRow(&s.rows[i], pred, r, sc.classBuf)
-	sc.classBuf = buf
+// randClass picks a uniformly random class among the row's classes that
+// qualify, via reservoir sampling over them in ascending order: with
+// borrow, the classes a consume may borrow from (d > 0 and b == 0);
+// without, the classes holding a borrow marker (b > 0). The sorted-tail
+// row invariant yields the classes in ascending order directly, and the
+// self entry, held apart from the tail, is slotted into its place on the
+// fly, so the k-th qualifying class costs one Intn(k) call and nothing is
+// collected or sorted. Ascending order keeps the RNG consumption
+// identical to a dense 0..n-1 scan (zero cells never qualify). It returns
+// -1 if no class qualifies. The sequential path and the per-shard Lane
+// path share it: it touches nothing but the row and the generator.
+func randClass(row *sparseRow, borrow bool, r *rng.RNG) int {
+	pick, seen := -1, 0
+	self := row.own.cls
+	selfPending := qualifies(row.own, borrow)
+	for _, e := range row.tail {
+		if selfPending && e.cls > self {
+			selfPending = false
+			if seen++; r.Intn(seen) == 0 {
+				pick = int(self)
+			}
+		}
+		if qualifies(e, borrow) {
+			if seen++; r.Intn(seen) == 0 {
+				pick = int(e.cls)
+			}
+		}
+	}
+	if selfPending {
+		if seen++; r.Intn(seen) == 0 {
+			pick = int(self)
+		}
+	}
 	return pick
 }
 
-// randClassRow is randClass over an explicit row and caller-owned buffer,
-// shared between the sequential path and the per-shard Lane path (which
-// must not touch the System's scratch). The sorted-tail row invariant
-// yields the qualifying classes in ascending order directly — the self
-// entry, held apart from the tail, is slotted into position on the fly —
-// so no per-call sort is needed. It returns the pick and the (possibly
-// regrown) buffer.
-func randClassRow(row *sparseRow, pred func(e *classEntry) bool, r *rng.RNG, buf []int) (int, []int) {
-	buf = buf[:0]
-	selfCls := int(row.own.cls)
-	selfDone := !pred(&row.own)
-	for k := range row.tail {
-		e := &row.tail[k]
-		if !selfDone && int(e.cls) > selfCls {
-			buf = append(buf, selfCls)
-			selfDone = true
-		}
-		if pred(e) {
-			buf = append(buf, int(e.cls))
-		}
+// qualifies is randClass's predicate: a borrowable class (d > 0, b == 0)
+// with borrow, a class holding a marker (b > 0) without.
+func qualifies(e classEntry, borrow bool) bool {
+	if borrow {
+		return e.d > 0 && e.b == 0
 	}
-	if !selfDone {
-		buf = append(buf, selfCls)
-	}
-	pick := -1
-	for k, cls := range buf {
-		if r.Intn(k+1) == 0 {
-			pick = cls
-		}
-	}
-	return pick, buf
+	return e.b > 0
 }
 
 // trigFired reports the factor-f condition on a row's self-load own.d
