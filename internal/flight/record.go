@@ -86,6 +86,7 @@ type Recorder struct {
 
 	// segment state: the driver's until Tap, then the writer goroutine's
 	w         *segWriter
+	bw        *bufio.Writer // every segment's buffer: from writerPool, back at Close
 	segSeq    uint64
 	lastWall  int64
 	scratch   []byte
@@ -119,10 +120,10 @@ type liveSeg struct {
 	bytes int64
 }
 
-// segWriter is the open, current segment.
+// segWriter is the open, current segment, written through the
+// recorder's bw.
 type segWriter struct {
 	f     *os.File
-	bw    *bufio.Writer
 	path  string
 	seq   uint64
 	bytes int64
@@ -361,8 +362,19 @@ func (r *Recorder) Close() error {
 	case first:
 		r.seal()
 	}
+	if first && r.bw != nil {
+		r.bw.Reset(nil)
+		writerPool.Put(r.bw)
+		r.bw = nil
+	}
 	return r.Err()
 }
+
+// writerPool holds the segment buffers of closed recorders. A recording
+// of many short streams (a netsim world records one per node, and a grid
+// runs thousands of worlds) would otherwise allocate and zero a 32 KiB
+// buffer per segment for segments of a few KiB.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
 // journal writes a LocalDrops record for gap dropped records, exactly
 // where they were dropped: replay must know the stream has a hole there.
@@ -400,7 +412,7 @@ func (r *Recorder) writeRecord(p pending) {
 	}
 	prev := r.lastWall
 	r.scratch = appendRecord(r.scratch[:0], p.dir, p.wall-prev, p.tail)
-	if _, err := r.w.bw.Write(r.scratch); err != nil {
+	if _, err := r.bw.Write(r.scratch); err != nil {
 		r.fail(err)
 		return
 	}
@@ -421,12 +433,13 @@ func (r *Recorder) openSegment(wall int64) error {
 	if err != nil {
 		return err
 	}
-	w := &segWriter{
-		f: f, bw: bufio.NewWriterSize(f, 32<<10),
-		path: path, seq: r.segSeq,
+	if r.bw == nil {
+		r.bw = writerPool.Get().(*bufio.Writer)
 	}
+	r.bw.Reset(f)
+	w := &segWriter{f: f, path: path, seq: r.segSeq}
 	hdr := appendHeader(nil, segHeader{node: r.opts.Node, seq: r.segSeq, wallRefNS: wall, codec: wire.Version})
-	if _, err := w.bw.Write(hdr); err != nil {
+	if _, err := r.bw.Write(hdr); err != nil {
 		f.Close()
 		return err
 	}
@@ -445,7 +458,7 @@ func (r *Recorder) seal() {
 		return
 	}
 	r.w = nil
-	if err := w.bw.Flush(); err != nil {
+	if err := r.bw.Flush(); err != nil {
 		r.fail(err)
 	}
 	if err := w.f.Close(); err != nil {
