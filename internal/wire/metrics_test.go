@@ -203,8 +203,13 @@ func TestTCPQueueDepthGauge(t *testing.T) {
 	reg := obs.NewRegistry()
 	ts[0].Register(reg)
 	depth := reg.Gauge(`wire_sendq_depth{node="0"}`)
+	arrived := make(chan struct{})
 	go func() {
+		n := 0
 		for range ts[1].Inbox() {
+			if n++; n == 100 {
+				close(arrived)
+			}
 		}
 	}()
 	for i := 0; i < 100; i++ {
@@ -212,12 +217,14 @@ func TestTCPQueueDepthGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for depth.Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth stuck at %d", depth.Value())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-arrived:
+	case <-time.After(dialDeadline):
+		t.Fatalf("frames never all arrived; queue depth %d", depth.Value())
+	}
+	awaitLinkAccounting(ts[0])
+	if depth.Value() != 0 {
+		t.Fatalf("queue depth %d after every frame arrived, want 0", depth.Value())
 	}
 	if st := ts[0].Stats(); st.MsgsSent != 100 {
 		t.Fatalf("sent %d, want 100", st.MsgsSent)

@@ -45,6 +45,10 @@ type TCP struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{} // inbound connections, closed on Close
+
+	// dialFailed, if set before the first Send, is called after every
+	// failed dial attempt: the event a test of the redial path waits on.
+	dialFailed func()
 }
 
 // ListenTCP starts a transport for node id listening on addr, with
@@ -346,6 +350,9 @@ func (l *peerLink) dial() net.Conn {
 		c, err := net.Dial("tcp", l.addr)
 		if err == nil {
 			return c
+		}
+		if l.t.dialFailed != nil {
+			l.t.dialFailed()
 		}
 		if time.Now().After(deadline) {
 			return nil

@@ -257,22 +257,33 @@ func testTransportExchange(t *testing.T, a, b Transport, aID, bID int, framed bo
 			t.Fatalf("msg %d never arrived", i)
 		}
 	}
-	// Counters must agree (poll: TCP counts on the reader goroutine).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sa, sb := a.Stats(), b.Stats()
-		if sa.MsgsSent == int64(len(msgs)) && sb.MsgsRecv == int64(len(msgs)) &&
-			sa.BytesSent == sb.BytesRecv && sa.BytesSent > 0 {
-			// Framed transports carry at least one prefix byte per message.
-			if framed && sa.BytesSent < int64(len(msgs)) {
-				t.Fatalf("framed transport sent only %d bytes for %d messages", sa.BytesSent, len(msgs))
-			}
-			return
+	// Counters must agree. Every message has arrived, and a receiver
+	// counts a frame before it reaches the inbox; only the sender's count
+	// of frames a dialer wrote may still be pending.
+	awaitLinkAccounting(a)
+	sa, sb := a.Stats(), b.Stats()
+	if sa.MsgsSent != int64(len(msgs)) || sb.MsgsRecv != int64(len(msgs)) ||
+		sa.BytesSent != sb.BytesRecv || sa.BytesSent == 0 {
+		t.Fatalf("counters disagree: a=%+v b=%+v", sa, sb)
+	}
+	// Framed transports carry at least one prefix byte per message.
+	if framed && sa.BytesSent < int64(len(msgs)) {
+		t.Fatalf("framed transport sent only %d bytes for %d messages", sa.BytesSent, len(msgs))
+	}
+}
+
+// awaitLinkAccounting returns once the sends of tr that have reached
+// their peer are counted. A TCP link's dialer writes the frames held
+// while the link was down, and counts them and lowers the queue-depth
+// gauge, all under the link's mutex: once the peer has read a frame,
+// taking that mutex waits the accounting out. Other transports count a
+// send before it is delivered.
+func awaitLinkAccounting(tr Transport) {
+	if tcp, ok := tr.(*TCP); ok {
+		for _, l := range tcp.links {
+			l.mu.Lock()
+			l.mu.Unlock()
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("counters never converged: a=%+v b=%+v", sa, sb)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -386,11 +397,22 @@ func TestTCPDialRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	failed := make(chan struct{}, 1)
+	a.dialFailed = func() {
+		select {
+		case failed <- struct{}{}:
+		default:
+		}
+	}
 	if err := a.Send(1, Msg{Kind: FreezeReq, From: 0, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
 
-	time.Sleep(50 * time.Millisecond) // let the dial fail at least once
+	select {
+	case <-failed: // the dial has failed at least once
+	case <-time.After(dialDeadline):
+		t.Fatal("the dialer never tried the absent listener")
+	}
 	b, err := ListenTCP(1, bAddr, map[int]string{0: lnA.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
