@@ -50,7 +50,7 @@ func runAggregate(o options, w io.Writer, td *teardown) (bool, error) {
 			return false, err
 		}
 		td.do(func() { srv.Close() })
-		fmt.Fprintf(w, "aggregator endpoints at %s: /cluster /metrics /series /healthz (%d upstreams)\n",
+		fmt.Fprintf(w, "aggregator endpoints at %s: /cluster /metrics /healthz (%d upstreams)\n",
 			srv.URL(), len(urls))
 		<-interrupt(o, td)
 		return true, nil

@@ -28,8 +28,7 @@ func spawnPerNode(t *testing.T, n, steps int) (urls []string, done chan error) {
 		// ticks), so the scrapes below always hit a live cluster.
 		ok, err := run(options{spawn: n, transport: "tcp", f: 1.2, delta: 2,
 			steps: steps, gen: 0.5, con: 0.4, hot: -1, seed: 23, quiet: true,
-			debugAddr: "127.0.0.1:0", debugPerNode: true,
-			seriesPeriod: 2 * time.Millisecond}, pw)
+			debugAddr: "127.0.0.1:0", debugPerNode: true}, pw)
 		pw.Close()
 		if err == nil && !ok {
 			err = fmt.Errorf("conservation violated")
@@ -190,7 +189,7 @@ func TestDebugAddrBusyNamesNode(t *testing.T) {
 	addr := ln.Addr().String()
 	_, err = run(options{spawn: 2, transport: "inproc", f: 1.2, delta: 1,
 		steps: 10, gen: 0.5, con: 0.4, hot: 0, seed: 1, quiet: true,
-		debugAddr: addr, debugPerNode: true, seriesPeriod: time.Millisecond},
+		debugAddr: addr, debugPerNode: true},
 		&strings.Builder{})
 	if err == nil {
 		t.Fatal("busy -debug-addr accepted")

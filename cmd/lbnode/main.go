@@ -8,8 +8,8 @@
 //	lbnode -spawn 16 -transport inproc -steps 5000
 //	lbnode -aggregate host0:7200,host1:7201        # merge running nodes' debug endpoints
 //
-// -debug-addr serves /metrics, /debug/vars, /series, /healthz
-// and pprof during the run (spawn mode: one endpoint for the cluster,
+// -debug-addr serves /metrics, /debug/vars, /healthz and pprof
+// during the run (spawn mode: one endpoint for the cluster,
 // or one per node on port+i with -debug-per-node; an aggregator serves
 // its merged view there). -serve-addr takes client job submissions
 // (spawn mode: node i on port+i), which are then the only load source;
@@ -67,9 +67,8 @@ func main() {
 	flag.DurationVar(&o.minInitGap, "min-initiate-gap", 0, "minimum interval between a node's own balance initiations under -pace fixed (0 = off)")
 	flag.StringVar(&pace, "pace", "fixed", "initiation pacing policy: off, or fixed (the -min-initiate-gap floor)")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the per-node table")
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /debug/vars, /series and /debug/pprof on this address during the run (e.g. 127.0.0.1:7200)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /debug/vars and /debug/pprof on this address during the run (e.g. 127.0.0.1:7200)")
 	flag.BoolVar(&o.debugPerNode, "debug-per-node", false, "spawn mode: per-node registries and debug endpoints on ports debug-addr+i (requires -debug-addr)")
-	flag.DurationVar(&o.seriesPeriod, "series-period", 100*time.Millisecond, "time-series recorder sampling period (with -debug-addr)")
 	flag.StringVar(&o.aggregate, "aggregate", "", "aggregator mode: comma-separated upstream debug URLs to scrape and merge")
 	flag.StringVar(&o.serveAddr, "serve-addr", "", "accept client job submissions: spawn mode node i listens on port+i of this base address, daemon mode on the address as given (disables -gen)")
 	flag.DurationVar(&o.stepInterval, "step-interval", 0, "wall-clock pacing per workload step (0 = free-running); with -serve-addr this sets the service rate con/interval units/s")
@@ -110,7 +109,7 @@ type options struct {
 
 	debugAddr, aggregate, serveAddr, slo, flightDir string
 	debugPerNode                                    bool
-	seriesPeriod, monitorPeriod, scrapeTimeout      time.Duration
+	monitorPeriod, scrapeTimeout                    time.Duration
 	flightMaxBytes                                  int64
 
 	// stop, when non-nil, ends a serving run as if interrupted (test
@@ -312,9 +311,9 @@ func observe(o options, w io.Writer, ds []*daemon, perNode bool, slo *obs.SLO, t
 			return err
 		}
 		if len(groups) > 1 {
-			fmt.Fprintf(w, "node %d debug endpoints at %s: /metrics /series /healthz\n", g[0].node.ID(), urls[i])
+			fmt.Fprintf(w, "node %d debug endpoints at %s: /metrics /healthz\n", g[0].node.ID(), urls[i])
 		} else {
-			fmt.Fprintf(w, "debug endpoints at %s: /metrics /debug/vars /series /debug/pprof/\n", urls[i])
+			fmt.Fprintf(w, "debug endpoints at %s: /metrics /debug/vars /debug/pprof/\n", urls[i])
 		}
 	}
 	if slo != nil {
@@ -338,24 +337,19 @@ func observe(o options, w io.Writer, ds []*daemon, perNode bool, slo *obs.SLO, t
 }
 
 // serveDebug serves one debug endpoint over nodes that share a registry:
-// the registry's views, a /series recorder, and the extras over those
-// nodes — /health (with -slo), /flightsnap (with -flight-dir), /jobs
-// (with -serve-addr). A one-node endpoint's /healthz names the node and
+// the registry's views and the extras over those nodes — /health (with
+// -slo), /flightsnap (with -flight-dir), /jobs (with -serve-addr). A one-node endpoint's /healthz names the node and
 // its live protocol epoch, and its errors name the node too: a daemon
 // silently running without its endpoints would be invisible to the
 // aggregator.
 func serveDebug(o options, addr string, ds []*daemon, hp *healthProxy, td *teardown) (string, error) {
-	ids := make([]int, len(ds))
+	id := ds[0].node.ID()
 	var logs []*serve.JourneyLog
-	for i, d := range ds {
-		ids[i] = d.node.ID()
+	for _, d := range ds {
 		if d.server != nil {
 			logs = append(logs, d.server.Journeys())
 		}
 	}
-	series := cluster.NewRecorder(ds[0].reg, ids, 0)
-	series.Start(o.seriesPeriod)
-	td.do(series.Stop)
 	extra := make(map[string]http.HandlerFunc)
 	if o.slo != "" {
 		extra["/health"] = hp.handler
@@ -370,12 +364,12 @@ func serveDebug(o options, addr string, ds []*daemon, hp *healthProxy, td *teard
 		if len(ds) > 1 {
 			return map[string]string{"mode": "spawn", "nodes": strconv.Itoa(len(ds))}
 		}
-		return map[string]string{"node": strconv.Itoa(ids[0]), "epoch": strconv.FormatUint(ds[0].node.Epoch(), 10)}
+		return map[string]string{"node": strconv.Itoa(id), "epoch": strconv.FormatUint(ds[0].node.Epoch(), 10)}
 	}
 	srv, err := obs.ServeDebugOpts(addr, ds[0].reg, obs.DebugOptions{Health: health, Extra: extra})
 	if err != nil {
 		if len(ds) == 1 {
-			err = fmt.Errorf("node %d: %w", ids[0], err)
+			err = fmt.Errorf("node %d: %w", id, err)
 		}
 		return "", err
 	}

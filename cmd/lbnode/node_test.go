@@ -121,7 +121,7 @@ func TestDaemonFlightServeDebug(t *testing.T) {
 				stepInterval: 100 * time.Microsecond,
 				serveAddr:    "127.0.0.1:0", debugAddr: "127.0.0.1:0", flightDir: root,
 				slo: "p99 < 5s over 200ms/600ms", monitorPeriod: 25 * time.Millisecond,
-				seriesPeriod: 10 * time.Millisecond, stop: stop,
+				stop: stop,
 			}, &outs[i])
 		}(i)
 	}

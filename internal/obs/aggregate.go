@@ -14,13 +14,13 @@ import (
 )
 
 // This file is the multi-node side of the observability layer: an
-// aggregator that scrapes every node's debug endpoint (/metrics,
-// /series), merges the per-process views into one cluster-wide view —
-// summed counters and histograms, the load distribution and global
-// variation density over the per-node load gauges, the merged load
-// trajectory — and can serve the merged view on its own debug endpoint
+// aggregator that scrapes every node's /metrics, merges the per-process
+// views into one cluster-wide view — summed counters and histograms,
+// the load distribution and global variation density over the per-node
+// load gauges — and can serve the merged view on its own debug endpoint
 // (ServeAggregator). An operation's cross-node timeline is not a metric:
-// it is read from the nodes' flight recordings (internal/flight).
+// it is read from the nodes' flight recordings (internal/flight), and so
+// is the variation density's trajectory over a run (flight.Audit).
 
 // DefaultScrapeTimeout bounds one upstream HTTP request when AggOptions
 // leaves Timeout zero; a dead node must not stall the whole merged view.
@@ -36,8 +36,8 @@ type AggOptions struct {
 	Timeout time.Duration
 	// Extra handlers are mounted on the aggregator's mux by
 	// ServeAggregatorOpts under their map key (e.g. "/health" → a
-	// Monitor's handler). Reserved paths (/cluster, /metrics, /series,
-	// /healthz) cannot be overridden.
+	// Monitor's handler). Reserved paths (/cluster, /metrics, /healthz)
+	// cannot be overridden.
 	Extra map[string]http.HandlerFunc
 }
 
@@ -50,15 +50,14 @@ func (o AggOptions) timeout() time.Duration {
 
 // NodeScrape is one upstream's raw scrape. Err is per-node: a dead or
 // half-started node degrades the merged view instead of failing it.
-// Latency is the wall time of this node's scrape (all endpoints),
-// whether or not it succeeded — a slow node is visible, not silent.
+// Latency is the wall time of this node's scrape, whether or not it
+// succeeded — a slow node is visible, not silent.
 type NodeScrape struct {
 	URL     string
 	Err     error
 	Latency time.Duration
 	Metrics map[string]float64 // full metric line name → value
 	Types   map[string]string  // base name → counter|gauge|histogram
-	Series  SeriesData
 }
 
 // AggView is the merged cluster view Aggregate builds.
@@ -79,8 +78,8 @@ type AggView struct {
 	Types map[string]string
 }
 
-// Aggregate scrapes every URL's debug endpoints and merges them with
-// default options. It fails only if every node is unreachable, and
+// Aggregate scrapes every URL's /metrics and merges them with default
+// options. It fails only if every node is unreachable, and
 // still returns the view then; failed scrapes are reported per node in
 // Nodes[i].Err.
 func Aggregate(urls []string) (*AggView, error) {
@@ -88,15 +87,8 @@ func Aggregate(urls []string) (*AggView, error) {
 }
 
 // AggregateOpts is Aggregate with explicit options (scrape timeout).
+// It issues one GET of /metrics per upstream and no other request.
 func AggregateOpts(urls []string, opts AggOptions) (*AggView, error) {
-	return aggregate(urls, opts, false)
-}
-
-// aggregate is AggregateOpts with the health monitor's switch:
-// metricsOnly skips the /series fetch, since the monitor reads nothing
-// else and every extra serialization per poll steals CPU from the
-// cluster being watched.
-func aggregate(urls []string, opts AggOptions, metricsOnly bool) (*AggView, error) {
 	v := &AggView{
 		At:      time.Now(),
 		Nodes:   make([]NodeScrape, len(urls)),
@@ -109,7 +101,7 @@ func aggregate(urls []string, opts AggOptions, metricsOnly bool) (*AggView, erro
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			v.Nodes[i] = scrapeNode(url, timeout, metricsOnly)
+			v.Nodes[i] = scrapeNode(url, timeout)
 		}(i, url)
 	}
 	wg.Wait()
@@ -140,26 +132,17 @@ func aggregate(urls []string, opts AggOptions, metricsOnly bool) (*AggView, erro
 	return v, nil
 }
 
-// scrapeNode fetches one node's /metrics and /series.
-func scrapeNode(url string, timeout time.Duration, metricsOnly bool) (n NodeScrape) {
+// scrapeNode fetches and parses one node's /metrics.
+func scrapeNode(url string, timeout time.Duration) (n NodeScrape) {
 	n.URL = url
 	start := time.Now()
 	defer func() { n.Latency = time.Since(start) }()
-	client := &http.Client{Timeout: timeout}
-	body, err := fetch(client, url+"/metrics")
+	body, err := fetch(&http.Client{Timeout: timeout}, url+"/metrics")
 	if err != nil {
 		n.Err = err
 		return n
 	}
 	n.Metrics, n.Types, n.Err = ParsePrometheus(strings.NewReader(body))
-	if n.Err != nil || metricsOnly {
-		return n
-	}
-	// /series is an optional view: a node without a recorder still
-	// merges its metrics.
-	if body, err := fetch(client, url+"/series"); err == nil {
-		_ = json.Unmarshal([]byte(body), &n.Series)
-	}
 	return n
 }
 
@@ -315,70 +298,6 @@ func (v *AggView) Dist(base string) (n int, mean, std, vd float64) {
 	return n, mean, std, vd
 }
 
-// AggPoint is one time bucket of a merged cross-node series: the
-// distribution over each live node's latest sample in the bucket.
-type AggPoint struct {
-	AtUS int64   `json:"at_us"`
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	Std  float64 `json:"std"`
-	VD   float64 `json:"vd"`
-}
-
-// MergeSeries aligns every node's samples of one series column (matched
-// by base name, so per-node label decorations like `load{node="3"}`
-// all merge into "load") onto a common time grid of the given bucket
-// width, and computes the cross-node distribution per bucket. The
-// result is the cluster's trajectory — for the load column, the global
-// variation density over time.
-func (v *AggView) MergeSeries(column string, bucket time.Duration) []AggPoint {
-	if bucket <= 0 {
-		bucket = 100 * time.Millisecond
-	}
-	bucketUS := bucket.Microseconds()
-	// per bucket: node index → latest value in that bucket
-	latest := make(map[int64]map[int]float64)
-	for ni := range v.Nodes {
-		node := &v.Nodes[ni]
-		for ci, name := range node.Series.Columns {
-			if baseName(name) != column {
-				continue
-			}
-			for _, s := range node.Series.Samples {
-				if ci >= len(s.V) {
-					continue
-				}
-				b := s.AtUS / bucketUS
-				m := latest[b]
-				if m == nil {
-					m = make(map[int]float64)
-					latest[b] = m
-				}
-				m[ni] = s.V[ci] // samples are oldest-first: last write wins
-			}
-		}
-	}
-	buckets := make([]int64, 0, len(latest))
-	for b := range latest {
-		buckets = append(buckets, b)
-	}
-	sort.Slice(buckets, func(a, b int) bool { return buckets[a] < buckets[b] })
-	out := make([]AggPoint, 0, len(buckets))
-	for _, b := range buckets {
-		var n int
-		var sum, sumsq float64
-		for _, val := range latest[b] {
-			n++
-			sum += val
-			sumsq += val * val
-		}
-		p := AggPoint{AtUS: b * bucketUS, N: n}
-		p.Mean, p.Std, p.VD = Moments(float64(n), sum, sumsq)
-		out = append(out, p)
-	}
-	return out
-}
-
 // WritePrometheus re-exports the merged metrics in exposition format,
 // with # TYPE headers where the upstream type is known.
 func (v *AggView) WritePrometheus(w io.Writer) error {
@@ -449,9 +368,6 @@ const LoadGaugeBase = "cluster_node_load"
 //	           distribution (mean/std/global VD over cluster_node_load)
 //	           and the summed metrics
 //	/metrics   the merged metrics re-exported as Prometheus text
-//	/series    ?col=<base>&bucket_ms=<w>: the merged cross-node
-//	           trajectory of one recorder column (default col=load,
-//	           bucket 100 ms) as JSON AggPoints
 //	/healthz   aggregator liveness plus the upstream URL count
 //
 // ServeAggregatorOpts additionally mounts opts.Extra handlers (reserved
@@ -462,7 +378,7 @@ func ServeAggregator(addr string, urls []string) (*DebugServer, error) {
 
 // ServeAggregatorOpts is ServeAggregator with explicit options.
 func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugServer, error) {
-	mux := newMux(opts.Extra, "/healthz", "/cluster", "/metrics", "/series")
+	mux := newMux(opts.Extra, "/healthz", "/cluster", "/metrics")
 	scrape := func(w http.ResponseWriter) *AggView {
 		v, err := AggregateOpts(urls, opts)
 		if err != nil {
@@ -505,31 +421,6 @@ func ServeAggregatorOpts(addr string, urls []string, opts AggOptions) (*DebugSer
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = v.WritePrometheus(w)
-	})
-	mux.HandleFunc("/series", func(w http.ResponseWriter, r *http.Request) {
-		v := scrape(w)
-		if v == nil {
-			return
-		}
-		col := r.URL.Query().Get("col")
-		if col == "" {
-			col = "load"
-		}
-		bucket := 100 * time.Millisecond
-		if ms := r.URL.Query().Get("bucket_ms"); ms != "" {
-			f, err := strconv.ParseFloat(ms, 64)
-			if err != nil || f <= 0 {
-				http.Error(w, fmt.Sprintf("bad bucket_ms %q", ms), http.StatusBadRequest)
-				return
-			}
-			bucket = time.Duration(f * float64(time.Millisecond))
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		out := v.MergeSeries(col, bucket)
-		if out == nil {
-			out = []AggPoint{}
-		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"column": col, "bucket_ms": bucket.Seconds() * 1e3, "points": out})
 	})
 	return startServer(addr, "aggregator", mux)
 }

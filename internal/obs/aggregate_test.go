@@ -3,10 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -114,11 +117,6 @@ func newScrapeableNode(t *testing.T, id int, load int64, gen, con int64) *DebugS
 	reg.Counter(fmt.Sprintf(`cluster_node_generated_total{node="%d"}`, id)).Add(gen)
 	reg.Counter(fmt.Sprintf(`cluster_node_consumed_total{node="%d"}`, id)).Add(con)
 	reg.Counter("cluster_initiations_total").Add(int64(id + 1))
-	rec := NewRecorder(32).Column(fmt.Sprintf(`load{node="%d"}`, id), func() float64 {
-		return float64(load)
-	})
-	rec.Sample()
-	reg.SetRecorder(rec)
 	s, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +148,70 @@ func TestAggregateMergesNodes(t *testing.T) {
 	if math.Abs(std-wantStd) > 1e-9 || math.Abs(vd-wantStd/20) > 1e-9 {
 		t.Fatalf("Dist std=%v vd=%v, want %v %v", std, vd, wantStd, wantStd/20)
 	}
-	// Per-node series were scraped.
-	if len(v.Nodes[1].Series.Columns) != 1 || v.Nodes[1].Series.Samples[0].V[0] != 20 {
-		t.Fatalf("node 1 series = %+v", v.Nodes[1].Series)
+	// Each node's own scrape keeps its gauge.
+	if got := v.Nodes[1].Metrics[`cluster_node_load{node="1"}`]; got != 20 {
+		t.Fatalf("node 1 scraped load = %v, want 20", got)
 	}
-	// MergeSeries folds the per-node load columns into one trajectory.
-	pts := v.MergeSeries("load", time.Second)
-	if len(pts) == 0 {
-		t.Fatal("MergeSeries returned nothing")
+}
+
+// countingUpstream serves a one-node registry and counts every request
+// it answers by method and path.
+func countingUpstream(t *testing.T) (url string, counts func() map[string]int) {
+	t.Helper()
+	reg := NewRegistry()
+	reg.Gauge(`cluster_node_load{node="0"}`).Set(4)
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		_ = reg.WritePrometheus(w)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL, func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(seen)
 	}
-	last := pts[len(pts)-1]
-	if last.N != 3 || last.Mean != 20 {
-		t.Fatalf("merged point = %+v", last)
+}
+
+// TestScrapeIsOneMetricsGet: one Aggregate call and one monitor Poll
+// each issue exactly one GET /metrics per upstream and no other
+// request — the aggregator and the monitor scrape through one path.
+func TestScrapeIsOneMetricsGet(t *testing.T) {
+	want := map[string]int{"GET /metrics": 1}
+	for _, tc := range []struct {
+		name   string
+		scrape func(urls []string) error
+	}{
+		{"Aggregate", func(urls []string) error {
+			_, err := Aggregate(urls)
+			return err
+		}},
+		{"Monitor.Poll", func(urls []string) error {
+			doc := NewMonitor(MonitorConfig{URLs: urls, SLO: SLO{Quantile: 0.99, Threshold: 1,
+				Short: time.Second, Long: time.Minute}}).Poll(time.Now())
+			if len(doc.Nodes) != len(urls) || !doc.Nodes[0].OK {
+				return fmt.Errorf("poll saw %+v", doc.Nodes)
+			}
+			return nil
+		}},
+	} {
+		u0, c0 := countingUpstream(t)
+		u1, c1 := countingUpstream(t)
+		if err := tc.scrape([]string{u0, u1}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, counts := range []func() map[string]int{c0, c1} {
+			if got := counts(); !maps.Equal(got, want) {
+				t.Fatalf("%s: upstream %d answered %v, want %v", tc.name, i, got, want)
+			}
+		}
 	}
 }
 
@@ -323,27 +373,8 @@ func TestServeAggregatorEndpoints(t *testing.T) {
 		t.Fatalf("merged counter = %v", merged["cluster_initiations_total"])
 	}
 
-	code, body = get(t, agg.URL()+"/series?col=load&bucket_ms=1000")
-	if code != 200 {
-		t.Fatalf("/series = %d", code)
-	}
-	var series struct {
-		Column string `json:"column"`
-		Points []struct {
-			N    int     `json:"n"`
-			Mean float64 `json:"mean"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(body), &series); err != nil {
-		t.Fatalf("/series not JSON: %v\n%s", err, body)
-	}
-	if series.Column != "load" || len(series.Points) == 0 {
-		t.Fatalf("/series = %s", body)
-	}
-	if p := series.Points[len(series.Points)-1]; p.N != 2 || p.Mean != 12 {
-		t.Fatalf("/series last point = %+v", p)
-	}
-	if code, _ := get(t, agg.URL()+"/series?bucket_ms=-1"); code != 400 {
-		t.Fatalf("bad bucket_ms = %d, want 400", code)
+	// The aggregator serves no time series.
+	if code, _ := get(t, agg.URL()+"/series?col=load&bucket_ms=1000"); code != http.StatusNotFound {
+		t.Fatalf("/series = %d, want 404", code)
 	}
 }

@@ -107,8 +107,8 @@ func (h *Histogram) moments() (mean, std, vd float64) {
 // variation density std/mean of n values with the given sum and sum of
 // squares: all 0 when n is 0, vd 0 when the mean is. The variance is
 // clamped at 0 against floating cancellation when all values are equal.
-// Histograms, the aggregator's cross-node distributions and the cluster
-// recorder's per-node load spread all compute their moments here.
+// Histograms and the aggregator's cross-node distributions both compute
+// their moments here.
 func Moments(n, sum, sumsq float64) (mean, std, vd float64) {
 	if n == 0 {
 		return 0, 0, 0

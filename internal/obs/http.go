@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
@@ -18,7 +17,6 @@ import (
 //
 //	/metrics      the registry in Prometheus text exposition format
 //	/debug/vars   expvar-style JSON (process vars plus the registry)
-//	/series       the attached time-series recorder as JSON
 //	/healthz      liveness ("ok", plus any configured identity lines)
 //	/debug/pprof  the standard Go profiler endpoints
 //
@@ -52,7 +50,7 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 
 // ServeDebugOpts is ServeDebug with options (health identity lines).
 func ServeDebugOpts(addr string, reg *Registry, opts DebugOptions) (*DebugServer, error) {
-	mux := newMux(opts.Extra, "/healthz", "/metrics", "/debug/vars", "/series", "/debug/pprof/")
+	mux := newMux(opts.Extra, "/healthz", "/metrics", "/debug/vars", "/debug/pprof/")
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -75,14 +73,6 @@ func ServeDebugOpts(addr string, reg *Registry, opts DebugOptions) (*DebugServer
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		serveVars(w, reg)
-	})
-	mux.HandleFunc("/series", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		var rec *Recorder
-		if reg != nil {
-			rec = reg.Recorder()
-		}
-		_ = json.NewEncoder(w).Encode(rec.Data())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

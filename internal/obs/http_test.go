@@ -73,6 +73,10 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if code, body := get(t, s.URL()+"/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Fatalf("/debug/pprof/cmdline = %d %q", code, body)
 	}
+	// A node serves no time series (the mux routes on the path alone).
+	if code, _ := get(t, s.URL()+"/series?col=load"); code != http.StatusNotFound {
+		t.Fatalf("/series = %d, want 404", code)
+	}
 }
 
 // TestDebugServerExtraHandlers: DebugOptions.Extra mounts additional

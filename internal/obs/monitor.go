@@ -126,6 +126,9 @@ func (s SLO) String() string {
 // bucketed by SojournBuckets.
 const DefaultSLOBase = "serve_sojourn_seconds"
 
+// minMonitorRows is the fewest window snapshots a Monitor's ring holds.
+const minMonitorRows = 1024
+
 // Per-node verdict thresholds.
 const (
 	// DefaultSaturateFactor: a node whose load gauge exceeds this
@@ -266,8 +269,8 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	}
 	// The ring must reach back past the long window at whatever rate
 	// Poll is called, which may be faster than Period (experiments poll
-	// by hand), so it never holds fewer than DefaultSeriesCapacity rows.
-	capacity := max(DefaultSeriesCapacity, int((cfg.SLO.Long+2*cfg.Period)/cfg.Period)+2)
+	// by hand), so it never holds fewer than minMonitorRows rows.
+	capacity := max(minMonitorRows, int((cfg.SLO.Long+2*cfg.Period)/cfg.Period)+2)
 	m := &Monitor{
 		cfg:         cfg,
 		bounds:      SojournBuckets,
@@ -469,7 +472,7 @@ func unhealthy(doc HealthDoc) bool {
 // to read without the exposition text.
 func (m *Monitor) read() (*AggView, map[string]*Histogram, error) {
 	if len(m.cfg.URLs) > 0 {
-		v, err := aggregate(m.cfg.URLs, AggOptions{Timeout: m.cfg.Timeout}, true)
+		v, err := AggregateOpts(m.cfg.URLs, AggOptions{Timeout: m.cfg.Timeout})
 		return v, nil, err
 	}
 	v, hists := &AggView{Metrics: make(map[string]float64)}, make(map[string]*Histogram)
@@ -570,4 +573,125 @@ func nodeMetric(metrics map[string]float64, base string) (sum, largest float64) 
 		}
 	}
 	return sum, largest
+}
+
+// ring is a fixed-capacity buffer of timestamped rows, the oldest
+// overwritten first: the Monitor's window snapshots.
+type ring struct {
+	at   []int64 // unix nanoseconds, parallel to rows
+	rows [][]float64
+	next int
+	full bool
+}
+
+func newRing(capacity int) ring {
+	return ring{at: make([]int64, capacity), rows: make([][]float64, capacity)}
+}
+
+// push appends a row of width values stamped atNS and returns it for
+// the caller to fill; it reuses the storage of the row it overwrites.
+func (r *ring) push(atNS int64, width int) []float64 {
+	row := r.rows[r.next]
+	if cap(row) < width {
+		row = make([]float64, width)
+	}
+	row = row[:width]
+	r.at[r.next], r.rows[r.next] = atNS, row
+	if r.next++; r.next == len(r.rows) {
+		r.next, r.full = 0, true
+	}
+	return row
+}
+
+func (r *ring) len() int {
+	if r.full {
+		return len(r.rows)
+	}
+	return r.next
+}
+
+// row returns the i-th oldest row and its stamp.
+func (r *ring) row(i int) (atNS int64, row []float64) {
+	if r.full {
+		i = (r.next + i) % len(r.rows)
+	}
+	return r.at[i], r.rows[i]
+}
+
+// lookback returns the index of the row a window ending at the newest
+// row deltas against: the newest older row stamped at or before cutNS,
+// or the oldest row while none is that old. ok is false until the ring
+// holds two rows.
+func (r *ring) lookback(cutNS int64) (i int, ok bool) {
+	n := r.len()
+	if n < 2 {
+		return 0, false
+	}
+	for i = n - 2; i >= 0; i-- {
+		if at, _ := r.row(i); at <= cutNS {
+			return i, true
+		}
+	}
+	return 0, true
+}
+
+// counterRate turns successive readings of a cumulative counter into
+// per-second rates: the Monitor's per-node abort rate.
+type counterRate struct {
+	prev   float64
+	prevUS int64 // unix microseconds of the previous reading; 0 = none
+}
+
+// next records v read at nowUS and returns its per-second increase
+// since the previous reading; ok is false for the first reading or a
+// clock that did not advance.
+func (c *counterRate) next(v float64, nowUS int64) (rate float64, ok bool) {
+	if c.prevUS != 0 && nowUS > c.prevUS {
+		rate, ok = (v-c.prev)/(float64(nowUS-c.prevUS)/1e6), true
+	}
+	c.prev, c.prevUS = v, nowUS
+	return rate, ok
+}
+
+// tickLoop calls a function on a background ticker until halted: the
+// loop behind Monitor.Start.
+type tickLoop struct {
+	mu   sync.Mutex
+	stop func() // ends the running loop and waits for it; nil when none runs
+}
+
+// start calls fn with every tick's time, once per period, replacing
+// (and waiting out) any loop already running.
+func (l *tickLoop) start(period time.Duration, fn func(time.Time)) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case t := <-tick.C:
+				fn(t)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	l.swap(func() { close(stop); <-done })
+}
+
+// halt stops the loop (a no-op when none runs) and waits for it to exit.
+func (l *tickLoop) halt() { l.swap(nil) }
+
+// swap installs next as the running loop's stopper and stops the one it
+// replaces, outside the lock: each loop is stopped exactly once however
+// start and halt interleave.
+func (l *tickLoop) swap(next func()) {
+	l.mu.Lock()
+	prev := l.stop
+	l.stop = next
+	l.mu.Unlock()
+	if prev != nil {
+		prev()
+	}
 }

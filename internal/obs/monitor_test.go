@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -526,5 +528,103 @@ func TestMonitorStartStop(t *testing.T) {
 	}
 	if doc.Nodes[0].Verdict != "healthy" {
 		t.Fatalf("doc = %+v", doc)
+	}
+}
+
+// TestRingWraparound overfills a ring and checks the survivors are
+// exactly the newest rows, oldest first, each with its own stamp.
+func TestRingWraparound(t *testing.T) {
+	r := newRing(4)
+	for i := 0; i < 10; i++ {
+		r.push(int64(i), 1)[0] = float64(i)
+	}
+	if r.len() != 4 {
+		t.Fatalf("len = %d, want 4", r.len())
+	}
+	for i, want := range []float64{6, 7, 8, 9} {
+		if at, row := r.row(i); row[0] != want || at != int64(want) {
+			t.Fatalf("row %d = %v at %d, want %v at %v", i, row[0], at, want, want)
+		}
+	}
+}
+
+// TestCounterRate: no rate on the first reading or on a clock that did
+// not advance; otherwise the per-second increase since the previous
+// reading.
+func TestCounterRate(t *testing.T) {
+	var c counterRate
+	const s = int64(time.Second / time.Microsecond)
+	for i, step := range []struct {
+		v      float64
+		atUS   int64
+		rate   float64
+		wantOK bool
+	}{
+		{10, 100 * s, 0, false}, // first reading: no baseline
+		{30, 102 * s, 10, true}, // +20 over 2 s
+		{30, 103 * s, 0, true},  // flat
+		{40, 103 * s, 0, false}, // the clock did not advance
+		{40, 105 * s, 0, true},  // the stalled reading is the new baseline
+	} {
+		if rate, ok := c.next(step.v, step.atUS); rate != step.rate || ok != step.wantOK {
+			t.Fatalf("reading %d: rate %v ok %v, want %v %v", i, rate, ok, step.rate, step.wantOK)
+		}
+	}
+}
+
+// TestTickLoopReplaceAndHalt: a second start replaces the running loop
+// rather than stacking one, however concurrent starts and halts
+// interleave, and after the last halt no loop is left ticking.
+func TestTickLoopReplaceAndHalt(t *testing.T) {
+	ticked := func() (func(time.Time), func(n int), *atomic.Int64) {
+		ch := make(chan struct{}, 1)
+		var n atomic.Int64
+		fn := func(time.Time) {
+			n.Add(1)
+			select {
+			case ch <- struct{}{}:
+			default:
+			}
+		}
+		wait := func(k int) {
+			t.Helper()
+			for ; k > 0; k-- {
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("loop stalled with %d ticks to go", k)
+				}
+			}
+		}
+		return fn, wait, &n
+	}
+	fn, wait, n := ticked()
+	var l tickLoop
+	l.start(time.Millisecond, fn)
+	wait(3)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			l.start(time.Millisecond, fn)
+			if i%2 == 0 {
+				l.halt()
+			}
+		}(i)
+	}
+	wg.Wait()
+	l.halt()
+	l.halt() // idempotent
+	stopped := n.Load()
+	// A witness loop on the same period: twenty of its ticks span twenty
+	// periods in which a leftover loop would have ticked.
+	wfn, wwait, _ := ticked()
+	var witness tickLoop
+	witness.start(time.Millisecond, wfn)
+	wwait(20)
+	witness.halt()
+	if got := n.Load(); got != stopped {
+		t.Fatalf("loop kept ticking after halt: %d → %d", stopped, got)
 	}
 }

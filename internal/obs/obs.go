@@ -121,14 +121,13 @@ func (*Counter) metricType() string   { return "counter" }
 func (*Gauge) metricType() string     { return "gauge" }
 func (*Histogram) metricType() string { return "histogram" }
 
-// Registry is a named collection of metrics plus an optional
-// time-series recorder. All methods are safe for concurrent use and
-// safe on a nil receiver: a nil *Registry hands out nil handles,
-// turning the entire instrumentation of a component into no-ops.
+// Registry is a named collection of metrics. All methods are safe for
+// concurrent use and safe on a nil receiver: a nil *Registry hands out
+// nil handles, turning the entire instrumentation of a component into
+// no-ops.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]Metric
-	rec     *Recorder
 }
 
 // NewRegistry returns an empty registry.
@@ -188,31 +187,6 @@ func (r *Registry) Attach(name string, m Metric) {
 	if _, ok := r.metrics[name]; !ok {
 		r.metrics[name] = m
 	}
-}
-
-// Recorder returns the registry's time-series recorder, or nil if none
-// was attached. It is not auto-created: a recorder's columns are
-// component-specific, so whoever owns the registry decides
-// what to record (e.g. cluster.NewRecorder) and attaches it with
-// SetRecorder.
-func (r *Registry) Recorder() *Recorder {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rec
-}
-
-// SetRecorder attaches the registry's time-series recorder; the debug
-// server's /series endpoint exports it. Intended for setup time.
-func (r *Registry) SetRecorder(rec *Recorder) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rec = rec
-	r.mu.Unlock()
 }
 
 // names returns the registered metric names, sorted, plus the metric

@@ -135,8 +135,8 @@ func StartNode(cfg NodeConfig) (*ClusterNode, error) {
 type Registry = obs.Registry
 
 // DebugServer serves a Registry over HTTP: /metrics (Prometheus text),
-// /debug/vars (expvar JSON), /series (time-series rings), /healthz, and
-// net/http/pprof under /debug/pprof/.
+// /debug/vars (expvar JSON), /healthz, and net/http/pprof under
+// /debug/pprof/.
 type DebugServer = obs.DebugServer
 
 // NewRegistry creates an empty metrics registry.
@@ -148,16 +148,18 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	return obs.ServeDebug(addr, reg)
 }
 
-// AggView is a merged cluster view: metrics summed across nodes, the
-// per-node load distribution and the merged load trajectory.
+// AggView is a merged cluster view: metrics summed across nodes and the
+// per-node load distribution. The variation density's trajectory over a
+// run is re-derived from a flight recording (flight.Audit, which
+// lbflight prints), not scraped.
 type AggView = obs.AggView
 
-// Aggregate scrapes the debug endpoints (/metrics, /series) of
-// every URL in parallel and merges them into one cluster view.
+// Aggregate scrapes /metrics of every URL in parallel and merges them
+// into one cluster view.
 func Aggregate(urls []string) (*AggView, error) { return obs.Aggregate(urls) }
 
 // ServeAggregator serves a live merged view of the upstream debug
-// endpoints (/cluster, /metrics, /series, /healthz), scraping
+// endpoints (/cluster, /metrics, /healthz), scraping
 // the upstreams on every request.
 func ServeAggregator(addr string, urls []string) (*DebugServer, error) {
 	return obs.ServeAggregator(addr, urls)
