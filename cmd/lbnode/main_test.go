@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -97,22 +98,64 @@ func TestSpawnRejectsBadOptions(t *testing.T) {
 }
 
 // syncBuf lets the test read run()'s incremental output while the run
-// is still going.
+// is still going, and wait for the next write.
 type syncBuf struct {
-	mu sync.Mutex
-	sb strings.Builder
+	mu    sync.Mutex
+	sb    strings.Builder
+	wrote chan struct{} // signalled after each Write; made on first use
+}
+
+// signal returns the write signal. The caller holds mu.
+func (b *syncBuf) signal() chan struct{} {
+	if b.wrote == nil {
+		b.wrote = make(chan struct{}, 1)
+	}
+	return b.wrote
 }
 
 func (b *syncBuf) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.sb.Write(p)
+	n, err := b.sb.Write(p)
+	select {
+	case b.signal() <- struct{}{}:
+	default:
+	}
+	return n, err
 }
 
 func (b *syncBuf) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.String()
+}
+
+// waitFor calls found with the output so far, and again after each
+// later Write, until found reports true (waitFor does too) or timeout
+// passes (false).
+func (b *syncBuf) waitFor(timeout time.Duration, found func(out string) bool) bool {
+	deadline := time.After(timeout)
+	for {
+		b.mu.Lock()
+		out, wrote := b.sb.String(), b.signal()
+		b.mu.Unlock()
+		if found(out) {
+			return true
+		}
+		select {
+		case <-wrote:
+		case <-deadline:
+			return false
+		}
+	}
+}
+
+// waitCompleted yields until c has seen n job completions or timeout
+// passes.
+func waitCompleted(c *serve.Client, n int64, timeout time.Duration) {
+	for deadline := time.Now().Add(timeout); c.Completed() < n && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 }
 
 // TestSpawnServeWithMonitor: a serving spawn cluster with -slo runs the
@@ -139,9 +182,8 @@ func TestSpawnServeWithMonitor(t *testing.T) {
 
 	// Wait for the serve and debug endpoints to announce themselves.
 	var serveAddr, debugURL string
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && (serveAddr == "" || debugURL == "") {
-		for _, line := range strings.Split(buf.String(), "\n") {
+	buf.waitFor(5*time.Second, func(out string) bool {
+		for _, line := range strings.Split(out, "\n") {
 			if strings.HasPrefix(line, "node 0 serving clients at ") {
 				serveAddr = strings.TrimPrefix(line, "node 0 serving clients at ")
 			}
@@ -149,8 +191,8 @@ func TestSpawnServeWithMonitor(t *testing.T) {
 				debugURL = strings.Fields(strings.TrimPrefix(line, "debug endpoints at "))[0]
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return serveAddr != "" && debugURL != ""
+	})
 	if serveAddr == "" || debugURL == "" {
 		close(stop)
 		<-done
@@ -169,10 +211,7 @@ func TestSpawnServeWithMonitor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for c.Completed() < jobs && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitCompleted(c, jobs, 10*time.Second)
 	if c.Completed() < jobs {
 		close(stop)
 		<-done

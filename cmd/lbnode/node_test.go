@@ -132,8 +132,8 @@ func TestDaemonFlightServeDebug(t *testing.T) {
 
 	// Node 1's announcements give its front-end and debug addresses.
 	var serveAddr, debugURL string
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && (serveAddr == "" || debugURL == ""); {
-		for _, line := range strings.Split(outs[1].String(), "\n") {
+	outs[1].waitFor(5*time.Second, func(out string) bool {
+		for _, line := range strings.Split(out, "\n") {
 			if s, ok := strings.CutPrefix(line, "node 1 serving clients at "); ok {
 				serveAddr = s
 			}
@@ -141,8 +141,8 @@ func TestDaemonFlightServeDebug(t *testing.T) {
 				debugURL = m[1]
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return serveAddr != "" && debugURL != ""
+	})
 	if serveAddr == "" || debugURL == "" {
 		drain()
 		t.Fatalf("node 1 never announced its endpoints:\n%s", outs[1].String())
@@ -159,9 +159,7 @@ func TestDaemonFlightServeDebug(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for deadline := time.Now().Add(10 * time.Second); c.Completed() < jobs && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitCompleted(c, jobs, 10*time.Second)
 	resp, err := http.Get(debugURL + "/healthz")
 	var health []byte
 	if err == nil {

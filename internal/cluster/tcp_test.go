@@ -78,20 +78,17 @@ func TestTCPClusterIntegration(t *testing.T) {
 
 	// Clean shutdown: every transport goroutine (accept loops, readers,
 	// link dialers) and every node goroutine must be gone. Give stragglers a
-	// grace window — conn teardown is asynchronous.
+	// grace window — conn teardown is asynchronous, and the goroutines
+	// leave as soon as they are scheduled.
+	runtime.GC()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before {
-			break
-		}
+	for after := runtime.NumGoroutine(); after > before; after = runtime.NumGoroutine() {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutine leak: %d before, %d after\n%s",
 				before, after, buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
