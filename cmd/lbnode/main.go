@@ -338,10 +338,10 @@ func observe(o options, w io.Writer, ds []*daemon, perNode bool, slo *obs.SLO, t
 
 // serveDebug serves one debug endpoint over nodes that share a registry:
 // the registry's views and the extras over those nodes — /health (with
-// -slo), /flightsnap (with -flight-dir), /jobs (with -serve-addr). A one-node endpoint's /healthz names the node and
-// its live protocol epoch, and its errors name the node too: a daemon
-// silently running without its endpoints would be invisible to the
-// aggregator.
+// -slo), /flightsnap (with -flight-dir), /jobs (with -serve-addr). A
+// one-node endpoint's /healthz names the node and its live protocol
+// epoch, and its errors name the node too: a daemon silently running
+// without its endpoints would be invisible to the aggregator.
 func serveDebug(o options, addr string, ds []*daemon, hp *healthProxy, td *teardown) (string, error) {
 	id := ds[0].node.ID()
 	var logs []*serve.JourneyLog
