@@ -131,21 +131,20 @@ func (b *syncBuf) String() string {
 }
 
 // waitFor calls found with the output so far, and again after each
-// later Write, until found reports true (waitFor does too) or timeout
-// passes (false).
-func (b *syncBuf) waitFor(timeout time.Duration, found func(out string) bool) bool {
+// later Write, until found reports true or timeout passes.
+func (b *syncBuf) waitFor(timeout time.Duration, found func(out string) bool) {
 	deadline := time.After(timeout)
 	for {
 		b.mu.Lock()
 		out, wrote := b.sb.String(), b.signal()
 		b.mu.Unlock()
 		if found(out) {
-			return true
+			return
 		}
 		select {
 		case <-wrote:
 		case <-deadline:
-			return false
+			return
 		}
 	}
 }
