@@ -22,7 +22,7 @@
 // # Segment format
 //
 // A recording is a directory of segment files (seg-NNNNNNNN.lbfr)
-// forming a size-bounded ring: the writer rotates at SegBytes and
+// forming a size-bounded ring: the writer rotates at MaxBytes/8 and
 // deletes the oldest segment when the directory exceeds MaxBytes.
 // Each segment is
 //
@@ -51,24 +51,22 @@
 // Every record carries its driver's clock, never the recorder's: the
 // node passes the time it acted on (unix nanoseconds on a live node, the
 // virtual tick under netsim) to each recording method, and a stamp never
-// regresses. Encoding a record into the current segment is the core, and
-// it reads no clock. A netsim world drives it directly: each record is
-// written by the call that records it, on the world's one goroutine, so
-// none can be dropped and a seeded world's recording is a pure function
-// of its seed. A live node gets the wall-clock adapter (tap.go), which
-// Tap starts: the caller encodes into a pooled buffer and hands it to a
-// buffered channel; a single writer goroutine does all file I/O. When
-// the channel is full the record is dropped and counted — the writer
-// then journals the gap into the stream as a LocalDrops record at the
-// hole's exact position, so the auditor can see (and degrade around)
-// missing evidence instead of silently trusting a hole. The reader
-// needs nothing but the segment files: it scans the directory.
+// regresses; the recorder reads no clock. There is one write path:
+// each recording call encodes its record into a buffer the recorder owns
+// and writes it into the current segment on the calling goroutine, under
+// the recorder's mutex — on a live node (Tap only wraps its transport)
+// and under netsim alike. A node records from its one driver goroutine,
+// so the mutex is contended only by a Snapshot or Close. Nothing queues,
+// so no record is dropped unless its write fails (Dropped, Err), and a
+// seeded netsim world's recording is a pure function of its seed. The
+// reader needs nothing but the segment files: it scans the directory.
 //
 // # Snapshots
 //
 // Snapshot seals the current segment and copies the live ring into
 // snapshots/snap-NNN-<reason>/ with a manifest — the incident
-// artifact. obs.Monitor's OnAlert hook calls it on every burn-rate
+// artifact. A node recording meanwhile waits for the copy; it loses
+// nothing. obs.Monitor's OnAlert hook calls it on every burn-rate
 // alert transition, so a firing /health leaves a replayable recording
 // behind (see cmd/lbnode).
 package flight
@@ -115,7 +113,9 @@ type LocalKind uint8
 //	LocalComplete      op; args = job id, hops, sojourn ns, transfer ns
 //	LocalFinal         args = load, generated, consumed, ingested,
 //	                          units done, records held
-//	LocalDrops         args = records dropped since the last record
+//	LocalDrops         args = records dropped since the last record;
+//	                          retired: journaled by an earlier writer that
+//	                          could drop, still decoded and replayed
 //	LocalIngest        args = units of client work added to the load
 //	LocalCrash         the node's protocol fail-stopped (proto.Machine.Crash)
 const (

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -155,10 +156,10 @@ func TestRecorderRoundTrip(t *testing.T) {
 
 func TestRecorderRotationAndRingTrim(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny ring: force many rotations and ring eviction. Untapped, the
-	// recorder writes every record, so the eviction arithmetic is
+	// Tiny ring (segments of minSegBytes): force many rotations and ring
+	// eviction. Every record is written, so the eviction arithmetic is
 	// deterministic.
-	rec, err := Open(Options{Dir: dir, Node: 0, MaxBytes: 16 * minSegBytes, SegBytes: minSegBytes})
+	rec, err := Open(Options{Dir: dir, Node: 0, MaxBytes: 8 * minSegBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestRecorderRotationAndRingTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Dropped() > 0 {
-		t.Fatalf("an untapped recorder dropped %d records", rec.Dropped())
+		t.Fatalf("the recorder dropped %d records", rec.Dropped())
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -184,8 +185,8 @@ func TestRecorderRotationAndRingTrim(t *testing.T) {
 	}
 	// The open segment can exceed the budget transiently; the sealed
 	// ring must be near it (one segment of slack).
-	if total > 16*minSegBytes+minSegBytes {
-		t.Fatalf("ring holds %d bytes, budget %d", total, 16*minSegBytes)
+	if total > 8*minSegBytes+minSegBytes {
+		t.Fatalf("ring holds %d bytes, budget %d", total, 8*minSegBytes)
 	}
 	if segs[0].seq == 0 {
 		t.Fatal("oldest segment should have been evicted")
@@ -354,67 +355,173 @@ func TestOldFormatSegmentRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshot seals and copies the ring on an untapped recorder (the
-// caller's goroutine does it) and on a tapped one (the writer goroutine
-// does it, after draining what is queued).
+// TestSnapshot seals and copies the ring: on a recorder driven by one
+// goroutine, and (under -race) on a tapped one that a second goroutine
+// snapshots while the first records.
 func TestSnapshot(t *testing.T) {
-	for _, tapped := range []bool{false, true} {
-		t.Run(fmt.Sprintf("tapped=%v", tapped), func(t *testing.T) {
-			dir := t.TempDir()
-			rec, err := Open(Options{Dir: dir, Node: 4})
+	t.Run("tapped=false", func(t *testing.T) {
+		dir := t.TempDir()
+		rec, err := Open(Options{Dir: dir, Node: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		rec.Register(reg)
+		rec.Initiate(1, 9, 1, 3, 1, 1.5)
+		snap, err := rec.Snapshot("slo alert: p99 burn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(snap, "snap-001-slo_alert") {
+			t.Fatalf("snapshot path %q", snap)
+		}
+		if _, err := os.Stat(filepath.Join(snap, "manifest.json")); err != nil {
+			t.Fatal(err)
+		}
+		// Recording continues after a snapshot, and the snapshot itself
+		// replays standalone.
+		rec.Final(2, 3, 3, 0, 0, 0, 0)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadTree(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Nodes) != 1 || len(got.Nodes[0].Events) != 1 {
+			t.Fatalf("snapshot replayed %d nodes", len(got.Nodes))
+		}
+		full, err := LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Events) != 2 {
+			t.Fatalf("live ring has %d events, want 2", len(full.Events))
+		}
+		// Post-Close snapshots capture the sealed ring (the daemon's
+		// shutdown path can still preserve evidence).
+		snap2, err := rec.Snapshot("after close")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got2, err := LoadTree(snap2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got2.Nodes[0].Events) != 2 {
+			t.Fatalf("post-close snapshot has %d events", len(got2.Nodes[0].Events))
+		}
+	})
+	t.Run("tapped=true", func(t *testing.T) {
+		dir := t.TempDir()
+		rec, err := Open(Options{Dir: dir, Node: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := rec.Tap(sink{})
+		const ops = 2000
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			// One balanced operation after another: load 10 against a
+			// partner at 4 resolves to 7 and transfers 3.
+			for k := uint64(1); k <= ops; k++ {
+				now := int64(10 * k)
+				rec.Initiate(now, k, k, 10, 1, 1.5)
+				tr.Send(1, wire.Msg{Kind: wire.FreezeReq, Seq: k, Op: k})
+				rec.RecordRecv(now+1, wire.Msg{Kind: wire.FreezeAck, From: 1, Seq: k, Op: k, Load: 4})
+				rec.Resolve(now+2, k, k, 7, 1, false)
+				tr.Send(1, wire.Msg{Kind: wire.Transfer, Seq: k, Op: k, Amount: 3})
+				if k == 1 {
+					close(started)
+				}
+			}
+		}()
+		<-started
+		var snaps []string
+	snapshot:
+		for len(snaps) < 20 {
+			snap, err := rec.Snapshot("race")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tapped {
-				rec.startWriter()
+			snaps = append(snaps, snap)
+			select {
+			case <-done:
+				break snapshot
+			default:
 			}
-			reg := obs.NewRegistry()
-			rec.Register(reg)
-			rec.Initiate(1, 9, 1, 3, 1, 1.5)
-			snap, err := rec.Snapshot("slo alert: p99 burn")
-			if err != nil {
-				t.Fatal(err)
+		}
+		<-done
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		full := mustLoad(t, dir)
+		if n := len(full[0].Events); n != 5*ops {
+			t.Fatalf("final stream has %d records, want %d", n, 5*ops)
+		}
+		for _, snap := range snaps {
+			got := mustLoad(t, snap)
+			evs := got[0].Events
+			if len(evs) > len(full[0].Events) || !reflect.DeepEqual(evs, full[0].Events[:len(evs)]) {
+				t.Fatalf("%s: %d records, not a prefix of the final stream", snap, len(evs))
 			}
-			if !strings.Contains(snap, "snap-001-slo_alert") {
-				t.Fatalf("snapshot path %q", snap)
+			if res := Audit(&Recording{Nodes: got}); len(res.Violations) != 0 {
+				t.Fatalf("%s audits dirty: %v", snap, res.Violations)
 			}
-			if _, err := os.Stat(filepath.Join(snap, "manifest.json")); err != nil {
-				t.Fatal(err)
-			}
-			// Recording continues after a snapshot, and the snapshot itself
-			// replays standalone.
-			rec.Final(2, 3, 3, 0, 0, 0, 0)
-			if err := rec.Close(); err != nil {
-				t.Fatal(err)
-			}
-			got, err := LoadTree(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Nodes) != 1 || len(got.Nodes[0].Events) != 1 {
-				t.Fatalf("snapshot replayed %d nodes", len(got.Nodes))
-			}
-			full, err := LoadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(full.Events) != 2 {
-				t.Fatalf("live ring has %d events, want 2", len(full.Events))
-			}
-			// Post-Close snapshots capture the sealed ring (the daemon's
-			// shutdown path can still preserve evidence).
-			snap2, err := rec.Snapshot("after close")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got2, err := LoadTree(snap2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got2.Nodes[0].Events) != 2 {
-				t.Fatalf("post-close snapshot has %d events", len(got2.Nodes[0].Events))
-			}
-		})
+		}
+	})
+}
+
+// sink is a transport that accepts every send.
+type sink struct{ wire.Transport }
+
+func (sink) Send(int, wire.Msg) error { return nil }
+
+// TestRecorderWriteFailure: a record the recorder cannot write is
+// counted as dropped, and the error is kept.
+func TestRecorderWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where the first segment file belongs: openSegment fails.
+	if err := os.Mkdir(filepath.Join(dir, segName(0)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Open(Options{Dir: dir, Node: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Initiate(1, 1, 1, 3, 1, 1.5)
+	rec.RecordSend(2, 1, wire.Msg{Kind: wire.FreezeReq, Seq: 1, Op: 1})
+	rec.RecordRecv(3, wire.Msg{Kind: wire.FreezeBusy, From: 1, Seq: 1, Op: 1})
+	if got := rec.Dropped(); got != 3 {
+		t.Fatalf("Dropped() = %d, want the 3 records offered", got)
+	}
+	if rec.Err() == nil {
+		t.Fatal("Err() is nil after failed writes")
+	}
+	if err := rec.Close(); err == nil {
+		t.Fatal("Close returned no error after failed writes")
+	}
+}
+
+// TestRecordingAllocatesNothing: a record is encoded into the
+// recorder's own buffers and written on the call.
+func TestRecordingAllocatesNothing(t *testing.T) {
+	rec, err := Open(Options{Dir: t.TempDir(), Node: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	msg := wire.Msg{Kind: wire.Transfer, From: 0, Seq: 4, Op: 11, Amount: -3}
+	rec.Initiate(1, 11, 4, 9, 2, 1.5) // open the segment and grow the buffers
+	for name, record := range map[string]func(){
+		"RecordSend": func() { rec.RecordSend(2, 1, msg) },
+		"RecordRecv": func() { rec.RecordRecv(2, msg) },
+		"Local":      func() { rec.Local(2, LocalAbort, 11, 4, 9, 2) },
+	} {
+		if n := testing.AllocsPerRun(1000, record); n != 0 {
+			t.Errorf("%s: %v allocs per record, want 0", name, n)
+		}
 	}
 }
 
@@ -683,41 +790,37 @@ func TestPartialOperationsAuditClean(t *testing.T) {
 	}
 }
 
+// TestDropsAreJournaled: a LocalDrops record, which older recordings
+// carry where records were lost, is counted and excuses a collect
+// short of the partners its initiate announced; without it the short
+// collect is a divergence.
 func TestDropsAreJournaled(t *testing.T) {
-	dir := t.TempDir()
-	// The wall-clock adapter with a buffer of 1: flooding from the test
-	// goroutine while the writer contends guarantees drops.
-	rec, err := Open(Options{Dir: dir, Node: 0, Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.startWriter()
-	for i := 0; i < 50000; i++ {
-		rec.Local(int64(i), LocalPaceBackoff, 0, int64(i))
-	}
-	rec.Close()
-	if rec.Dropped() == 0 {
-		t.Skip("no drops under this scheduler; nothing to verify")
-	}
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped := Audit(&Recording{Nodes: []*NodeRecording{nr}}).Nodes[0].Drops
-	if dropped == 0 {
-		t.Fatal("drops happened but none journaled in the stream")
-	}
-	if dropped+int64(len(nr.Events))-countKind(nr, LocalDrops) != 50000 {
-		t.Fatalf("journal doesn't account for the gap: dropped=%d events=%d", dropped, len(nr.Events))
-	}
-}
-
-func countKind(nr *NodeRecording, k LocalKind) int64 {
-	var n int64
-	for _, ev := range nr.Events {
-		if ev.Dir == DirLocal && ev.Kind == k {
-			n++
+	for _, tc := range []struct {
+		next  Event
+		drops int64
+		dirty bool
+	}{
+		{local(LocalDrops, 0, 1), 1, false},
+		{local(LocalIngest, 0, 1), 0, true},
+	} {
+		evs := []Event{
+			local(LocalInitiate, 9, 1, 4, 2),
+			sent(1, wire.FreezeReq, 1, 9, 0, 0),
+			tc.next,
+		}
+		for i := range evs {
+			evs[i].WallNS = int64(i + 1)
+		}
+		dir := t.TempDir()
+		if err := WriteDir(dir, 0, evs); err != nil {
+			t.Fatal(err)
+		}
+		res := Audit(&Recording{Nodes: mustLoad(t, dir)})
+		if got := res.Nodes[0].Drops; got != tc.drops {
+			t.Errorf("after %s: Drops = %d, want %d", tc.next.Kind, got, tc.drops)
+		}
+		if dirty := len(res.Violations) != 0; dirty != tc.dirty {
+			t.Errorf("after %s: violations %v, want dirty=%v", tc.next.Kind, res.Violations, tc.dirty)
 		}
 	}
-	return n
 }

@@ -11,20 +11,15 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"lmbalance/internal/obs"
 	"lmbalance/internal/wire"
 )
 
-// Defaults for Options fields left zero.
 const (
-	// DefaultMaxBytes bounds the whole segment ring on disk.
+	// DefaultMaxBytes bounds the whole segment ring on disk (Options
+	// MaxBytes left zero).
 	DefaultMaxBytes = 8 << 20
-	// DefaultBuffer is the wall-clock adapter's channel depth: how many
-	// records may be in flight to its writer before new ones are dropped
-	// (and the drop journaled) rather than blocking the protocol.
-	DefaultBuffer = 1024
 	// minSegBytes floors the per-segment size so rotation stays rare.
 	minSegBytes = 4096
 )
@@ -37,14 +32,12 @@ type Options struct {
 	Dir string
 	// Node is the recording node's cluster id.
 	Node int
-	// MaxBytes bounds the segment ring (0 = DefaultMaxBytes). Snapshots
-	// are preserved copies and do not count against it.
+	// MaxBytes bounds the segment ring (0 = DefaultMaxBytes); a segment
+	// rotates at MaxBytes/8, floored at minSegBytes. Snapshots are
+	// preserved copies and do not count against it.
 	MaxBytes int64
-	// SegBytes is the rotation threshold per segment (0 = MaxBytes/8,
-	// floored at minSegBytes).
-	SegBytes int64
-	// Buffer is the wall-clock adapter's channel depth (0 =
-	// DefaultBuffer); a recorder never tapped has no channel.
+	// Buffer is ignored: every record is written on the call that
+	// records it, so there is no queue to size.
 	Buffer int
 }
 
@@ -54,29 +47,16 @@ type Options struct {
 // virtual tick under netsim — and a record is never stamped before the
 // one ahead of it. The recorder reads no clock of its own.
 //
-// Until Tap is called, the recorder is driven by one goroutine, its
-// node's driver, and each recording call encodes its record straight
-// into the current segment: nothing queues, so nothing can be dropped.
-// Tap attaches the wall-clock adapter (see tap.go), after which the
-// recording methods are safe for concurrent use and never block on I/O.
-// A nil *Recorder is the disabled path, like a nil *obs.Registry: every
-// method is a no-op.
+// Each recording call encodes its record into a buffer the recorder
+// owns and writes it into the current segment, on the calling
+// goroutine, under mu: nothing queues, so nothing is dropped unless the
+// write itself fails. A node records from its one driver goroutine, so
+// mu is contended only by a Snapshot or Close, which hold the node for
+// as long as they take. A nil *Recorder is the disabled path, like a
+// nil *obs.Registry: every method is a no-op.
 type Recorder struct {
-	opts Options
-
-	// The wall-clock adapter's channel to its writer goroutine, nil
-	// until Tap starts it (see tap.go).
-	ch    chan pending
-	stop  chan struct{}
-	done  chan struct{}
-	snap  chan snapReq
-	start sync.Once
-
-	closed  atomic.Bool
-	gap     atomic.Int64 // records dropped since the last one queued
-	last    atomic.Int64 // the latest stamp recorded; stamps never regress
-	pool    sync.Pool
-	lastErr atomic.Pointer[error]
+	opts     Options
+	segBytes int64 // rotation threshold
 
 	records   obs.Counter
 	bytes     obs.Counter
@@ -84,7 +64,11 @@ type Recorder struct {
 	sealed    obs.Counter
 	snapshots obs.Counter
 
-	// segment state: the driver's until Tap, then the writer goroutine's
+	mu        sync.Mutex // guards everything below
+	closed    bool
+	last      int64 // the latest stamp recorded; stamps never regress
+	lastErr   error
+	tail      []byte // the record being recorded, before framing
 	w         *segWriter
 	bw        *bufio.Writer // every segment's buffer: from writerPool, back at Close
 	segSeq    uint64
@@ -93,24 +77,6 @@ type Recorder struct {
 	live      []liveSeg
 	liveBytes int64
 	snapSeq   int
-}
-
-// pending is one record on its way into the segment.
-type pending struct {
-	wall int64
-	dir  Dir
-	tail []byte // pooled; returned once written
-	gap  int64  // records dropped between the previous queued record and this one
-}
-
-type snapReq struct {
-	reason string
-	reply  chan snapResult
-}
-
-type snapResult struct {
-	dir string
-	err error
 }
 
 // liveSeg is one on-disk segment of the ring.
@@ -132,8 +98,7 @@ type segWriter struct {
 // Open creates (or resumes) a recording directory. Existing segments
 // in the directory are kept, counted against the ring budget, and
 // extended — a restarted daemon appends to its ring rather than
-// clobbering the incident evidence it just wrote. Open starts no
-// goroutine; Tap does.
+// clobbering the incident evidence it just wrote.
 func Open(o Options) (*Recorder, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("flight: Options.Dir is required")
@@ -141,20 +106,10 @@ func Open(o Options) (*Recorder, error) {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
 	}
-	if o.SegBytes <= 0 {
-		o.SegBytes = o.MaxBytes / 8
-	}
-	if o.SegBytes < minSegBytes {
-		o.SegBytes = minSegBytes
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = DefaultBuffer
-	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	r := &Recorder{opts: o}
-	r.pool.New = func() any { b := make([]byte, 0, 512); return &b }
+	r := &Recorder{opts: o, segBytes: max(o.MaxBytes/8, minSegBytes)}
 	// Resume: adopt segments already in the ring.
 	segs, err := listSegments(o.Dir)
 	if err != nil {
@@ -185,10 +140,9 @@ func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
 	}
-	if p := r.lastErr.Load(); p != nil {
-		return *p
-	}
-	return nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastErr
 }
 
 // Register attaches the recorder's counters to an obs registry under
@@ -205,36 +159,27 @@ func (r *Recorder) Register(reg *obs.Registry) {
 	reg.Attach(fmt.Sprintf("flight_snapshots_total{%s}", n), &r.snapshots)
 }
 
-// Dropped returns the number of records dropped because the wall-clock
-// adapter's buffer was full. It stays 0 on a recorder never tapped.
+// Dropped returns the number of records lost because writing them
+// failed (see Err).
 func (r *Recorder) Dropped() int64 { return r.dropped.Value() }
 
 // Records returns the number of records accepted for writing.
 func (r *Recorder) Records() int64 { return r.records.Value() }
 
-// put stamps one record at now, or at the previous record's stamp if
-// that is later, and writes it into the current segment — or, once Tap
-// has started the wall-clock adapter, hands it to the writer goroutine.
-// A closed recorder drops the record silently.
-func (r *Recorder) put(now int64, dir Dir, tail *[]byte) {
-	if r.closed.Load() {
-		r.pool.Put(tail)
+// put stamps the record r.tail holds at now, or at the previous
+// record's stamp if that is later, and writes it into the current
+// segment. The caller holds mu. A closed recorder drops the record
+// silently.
+func (r *Recorder) put(now int64, dir Dir) {
+	if r.closed {
 		return
 	}
-	now = max(now, r.last.Load())
-	r.last.Store(now)
-	if r.ch != nil {
-		r.queue(pending{wall: now, dir: dir, tail: *tail, gap: r.gap.Swap(0)}, tail)
-		return
-	}
+	r.last = max(now, r.last)
 	r.records.Add(1)
-	r.write(pending{wall: now, dir: dir, tail: *tail})
-}
-
-func (r *Recorder) buf() *[]byte {
-	b := r.pool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
+	if err := r.write(r.last, dir, r.tail); err != nil {
+		r.fail(err)
+		r.dropped.Add(1)
+	}
 }
 
 // RecordSend records one frame this node sent to peer `to` at now.
@@ -242,9 +187,10 @@ func (r *Recorder) RecordSend(now int64, to int, m wire.Msg) {
 	if r == nil {
 		return
 	}
-	b := r.buf()
-	*b = appendTailSend(*b, to, m)
-	r.put(now, DirSend, b)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tail = appendTailSend(r.tail[:0], to, m)
+	r.put(now, DirSend)
 }
 
 // RecordRecv records one frame this node is about to process. The node
@@ -254,9 +200,10 @@ func (r *Recorder) RecordRecv(now int64, m wire.Msg) {
 	if r == nil {
 		return
 	}
-	b := r.buf()
-	*b = wire.AppendMsg(*b, m)
-	r.put(now, DirRecv, b)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tail = wire.AppendMsg(r.tail[:0], m)
+	r.put(now, DirRecv)
 }
 
 // Local records one local protocol decision.
@@ -264,9 +211,10 @@ func (r *Recorder) Local(now int64, kind LocalKind, op uint64, args ...int64) {
 	if r == nil {
 		return
 	}
-	b := r.buf()
-	*b = appendTailLocal(*b, kind, op, args)
-	r.put(now, DirLocal, b)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tail = appendTailLocal(r.tail[:0], kind, op, args)
+	r.put(now, DirLocal)
 }
 
 // Initiate records the start of a balancing protocol; f is the trigger
@@ -322,52 +270,37 @@ func (r *Recorder) Final(now int64, load int, generated, consumed, ingested, uni
 
 // Snapshot seals the current segment and copies the live ring into
 // snapshots/snap-NNN-<reason>/ inside the recording directory,
-// returning the snapshot path. Safe while recording continues (the
-// writer pauses between records) and after Close (the ring is sealed).
+// returning the snapshot path. It holds the recorder while it copies,
+// so a node recording meanwhile waits for it rather than losing
+// records; after Close it copies the sealed ring.
 func (r *Recorder) Snapshot(reason string) (string, error) {
 	if r == nil {
 		return "", fmt.Errorf("flight: nil recorder")
 	}
-	if r.ch == nil {
-		// No adapter: the caller is the driver, and every record is
-		// already in the segment.
-		r.seal()
-		return r.takeSnapshot(reason)
-	}
-	req := snapReq{reason: reason, reply: make(chan snapResult, 1)}
-	select {
-	case r.snap <- req:
-		res := <-req.reply
-		return res.dir, res.err
-	case <-r.done:
-		// Writer gone: everything on disk is sealed; copy directly.
-		return r.takeSnapshot(reason)
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seal()
+	return r.takeSnapshot(reason)
 }
 
-// Close seals the current segment — after the wall-clock adapter, if
-// Tap started one, has written what it holds. Records arriving after
-// Close are dropped silently. Close is idempotent.
+// Close seals the current segment. Records arriving after Close are
+// dropped silently. Close is idempotent.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
-	first := r.closed.CompareAndSwap(false, true)
-	switch {
-	case r.ch != nil:
-		if first {
-			close(r.stop)
-		}
-		<-r.done
-	case first:
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		r.closed = true
 		r.seal()
+		if r.bw != nil {
+			r.bw.Reset(nil)
+			writerPool.Put(r.bw)
+			r.bw = nil
+		}
 	}
-	if first && r.bw != nil {
-		r.bw.Reset(nil)
-		writerPool.Put(r.bw)
-		r.bw = nil
-	}
-	return r.Err()
+	return r.lastErr
 }
 
 // writerPool holds the segment buffers of closed recorders. A recording
@@ -376,53 +309,33 @@ func (r *Recorder) Close() error {
 // buffer per segment for segments of a few KiB.
 var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
-// journal writes a LocalDrops record for gap dropped records, exactly
-// where they were dropped: replay must know the stream has a hole there.
-func (r *Recorder) journal(wall, gap int64) {
-	if gap > 0 {
-		r.writeRecord(pending{wall: wall, dir: DirLocal, tail: appendTailLocal(nil, LocalDrops, 0, []int64{gap})})
-	}
-}
-
-// fail records a writer error without stopping the recorder.
+// fail keeps the first write error without stopping the recorder.
 func (r *Recorder) fail(err error) {
-	if err == nil {
-		return
+	if r.lastErr == nil {
+		r.lastErr = err
 	}
-	r.lastErr.CompareAndSwap(nil, &err)
 }
 
-// write appends one record to the current segment, journaling any
-// drop gap first and rotating at the segment boundary.
-func (r *Recorder) write(p pending) {
-	defer func() {
-		b := p.tail
-		r.pool.Put(&b)
-	}()
-	r.journal(p.wall, p.gap)
-	r.writeRecord(p)
-}
-
-func (r *Recorder) writeRecord(p pending) {
+// write appends one record to the current segment, rotating at the
+// segment boundary.
+func (r *Recorder) write(wall int64, dir Dir, tail []byte) error {
 	if r.w == nil {
-		if err := r.openSegment(p.wall); err != nil {
-			r.fail(err)
-			return
+		if err := r.openSegment(wall); err != nil {
+			return err
 		}
 	}
-	prev := r.lastWall
-	r.scratch = appendRecord(r.scratch[:0], p.dir, p.wall-prev, p.tail)
+	r.scratch = appendRecord(r.scratch[:0], dir, wall-r.lastWall, tail)
 	if _, err := r.bw.Write(r.scratch); err != nil {
-		r.fail(err)
-		return
+		return err
 	}
-	r.lastWall = p.wall
+	r.lastWall = wall
 	n := int64(len(r.scratch))
 	r.w.bytes += n
 	r.bytes.Add(n)
-	if r.w.bytes >= r.opts.SegBytes {
+	if r.w.bytes >= r.segBytes {
 		r.seal()
 	}
+	return nil
 }
 
 // openSegment starts the next segment file; its header reference stamp
@@ -501,7 +414,7 @@ func (r *Recorder) takeSnapshot(reason string) (string, error) {
 		total += n
 	}
 	man, _ := json.MarshalIndent(map[string]any{
-		"node": r.opts.Node, "reason": reason, "at_ns": r.last.Load(),
+		"node": r.opts.Node, "reason": reason, "at_ns": r.last,
 		"segments": copied, "bytes": total,
 	}, "", "  ")
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), append(man, '\n'), 0o644); err != nil {

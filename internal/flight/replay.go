@@ -47,7 +47,7 @@ type NodeAudit struct {
 	Aborted       int64
 	FreezeExpired int64
 	Completes     int64
-	Drops         int64 // records the recorder had to discard (journaled gaps)
+	Drops         int64 // records lost where an older recording journaled a LocalDrops gap
 	// Unverified counts the protocol records replay could not judge:
 	// those ahead of the first record that proves the node unengaged (a
 	// stream that begins mid-protocol, like a snapshot of a wrapped ring)
