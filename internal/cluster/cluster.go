@@ -456,16 +456,6 @@ func (n *Node) Report() (*Report, error) {
 	return n.rep, n.err
 }
 
-// Run is Start followed by Wait.
-func Run(cfg Config) (*Report, error) {
-	n, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n.Start()
-	return n.Wait()
-}
-
 // report closes the transport and assembles the final Report. Close
 // comes first: a link still dialing writes what it holds (the Bye may
 // be among it), so only afterwards are the traffic counters final.
