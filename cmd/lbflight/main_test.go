@@ -14,31 +14,22 @@ import (
 	"lmbalance/internal/wire"
 )
 
-// record runs a small recorded netsim world and returns the recording
-// root (node i's stream under node-i/).
+// record runs a small recorded netsim world, holds the recording to its
+// result through netsim.Replay and returns the recording root (node i's
+// stream under node-i/).
 func record(t *testing.T, n, steps int, seed uint64) string {
 	t.Helper()
 	root := t.TempDir()
-	recs := make([]*flight.Recorder, n)
-	for i := range recs {
-		rec, err := flight.Open(flight.Options{
-			Dir:  filepath.Join(root, fmt.Sprintf("node-%d", i)),
-			Node: i,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = rec
-	}
-	if _, err := netsim.Run(netsim.Config{
-		N: n, Delta: 2, F: 2, Steps: steps, Seed: seed, Flight: recs,
-	}); err != nil {
+	recs, err := netsim.Record(root, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
+	res, err := netsim.Run(netsim.Config{N: n, Delta: 2, F: 2, Steps: steps, Seed: seed, Flight: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := netsim.Replay(res, recs); err != nil {
+		t.Fatal(err)
 	}
 	return root
 }

@@ -1,8 +1,6 @@
 package cluster_test
 
 import (
-	"fmt"
-	"path/filepath"
 	"testing"
 
 	"lmbalance/internal/flight"
@@ -17,31 +15,24 @@ import (
 // makes recordings comparable across reruns.
 func TestOpIDsSeedStable(t *testing.T) {
 	run := func(delaySeed uint64) map[int][]uint64 {
-		root := t.TempDir()
-		cfg := netsim.Config{N: 5, Delta: 2, F: 1.2, Steps: 400, Seed: 9,
-			Faults: netsim.Faults{DelayMax: 3, Seed: delaySeed}}
-		for i := 0; i < cfg.N; i++ {
-			rec, err := flight.Open(flight.Options{Dir: filepath.Join(root, fmt.Sprintf("node-%d", i)), Node: i})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Flight = append(cfg.Flight, rec)
+		recs, err := netsim.Record(t.TempDir(), 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := netsim.Run(cfg); err != nil {
+		res, err := netsim.Run(netsim.Config{N: 5, Delta: 2, F: 1.2, Steps: 400, Seed: 9,
+			Faults: netsim.Faults{DelayMax: 3, Seed: delaySeed}, Flight: recs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recording, _, err := netsim.Replay(res, recs)
+		if err != nil {
 			t.Fatal(err)
 		}
 		ops := make(map[int][]uint64)
-		for i, rec := range cfg.Flight {
-			if err := rec.Close(); err != nil {
-				t.Fatal(err)
-			}
-			nr, err := flight.LoadDir(rec.Dir())
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, nr := range recording.Nodes {
 			for _, ev := range nr.Events {
 				if ev.Dir == flight.DirLocal && ev.Kind == flight.LocalInitiate {
-					ops[i] = append(ops[i], ev.Op)
+					ops[nr.Node] = append(ops[nr.Node], ev.Op)
 				}
 			}
 		}

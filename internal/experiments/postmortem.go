@@ -22,12 +22,12 @@ import (
 // recordings, and the whole artifact, are pure functions of the seed:
 //
 //  1. Fidelity — record a full netsim run at the nodes' mailbox ports
-//     and through the node's own records, replay the segments offline,
-//     and require the audit — every node's stream re-executed through
-//     the protocol machine, every record judged — to reproduce the live
-//     accounting bit for bit (per-node protocol counts, final loads,
-//     conservation, per-op timelines, the VD trajectory) with zero
-//     divergences.
+//     and through the node's own records, and replay the segments
+//     offline through netsim.Replay: every node's stream re-executed
+//     through the protocol machine, every record judged, zero
+//     divergences, and the live accounting reproduced bit for bit
+//     (per-node protocol counts and final accounting, conservation, the
+//     VD trajectory). Every resolved operation's timeline reconstructs.
 //  2. Incident — run a serving world under the health monitor with
 //     recorders attached, inject an overload spike, and seal an incident
 //     artifact the moment the burn-rate alert fires: every node's ring
@@ -35,6 +35,7 @@ import (
 //     snapshot alone (no live state) must pinpoint the first degraded
 //     transition: the first completion whose recorded sojourn crossed
 //     the SLO threshold, with its offset into the capture, node and job.
+//     The full ring must replay to the serving world's result too.
 //  3. Tamper — rewrite one node's history so a transfer moves more
 //     load than the freeze agreed to; the audit must flag the exact
 //     record with an imbalance verdict. A recording that can be
@@ -122,58 +123,38 @@ func PostMortem(scale Scale, seed uint64) (*PostMortemResult, error) {
 	return out, nil
 }
 
-// pmBaseline records a netsim run and replays it, requiring
-// bit-identity with the live result. The recording is left in dir for
-// the tamper arm.
+// pmBaseline records a netsim run and holds the replay to the live
+// result through netsim.Replay. The recording is left in dir for the
+// tamper arm.
 func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 	n, steps := 4, 400
 	if scale == ScaleFull {
 		n, steps = 8, 4000
 	}
-	recs, err := openRecorders(dir, n)
+	recs, err := netsim.Record(dir, n)
 	if err != nil {
 		return err
 	}
+	// Replay closes the recorders; this closes them on the error paths,
+	// and a second Close does nothing.
+	defer func() {
+		for _, rec := range recs {
+			rec.Close()
+		}
+	}()
 	res, err := netsim.Run(netsim.Config{N: n, Delta: 2, F: 2, Steps: steps, Seed: seed, Flight: recs})
-	if cerr := closeRecorders(recs); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return err
 	}
-
-	recording, err := flight.LoadTree(dir)
+	recording, audit, err := netsim.Replay(res, recs)
 	if err != nil {
 		return err
 	}
-	audit := flight.Audit(recording)
-	if audit.First != nil {
-		return fmt.Errorf("clean run flagged: %v", *audit.First)
-	}
-	if audit.FinalsSeen != n {
-		return fmt.Errorf("finals from %d of %d nodes", audit.FinalsSeen, n)
-	}
-	for i, na := range audit.Nodes {
-		live := res.Nodes[i]
-		if na.Unverified != 0 {
-			return fmt.Errorf("node %d: %d records of a whole recording unverified", i, na.Unverified)
-		}
-		if na.Initiated != live.Initiated || na.Resolved != live.Completed ||
-			na.Aborted != live.Aborted || na.FreezeExpired != live.FreezeExpired {
-			return fmt.Errorf("node %d protocol counts diverge: replay init=%d res=%d abort=%d vs live %d/%d/%d",
-				i, na.Initiated, na.Resolved, na.Aborted, live.Initiated, live.Completed, live.Aborted)
-		}
-		if na.Final == nil || na.Final.Load != live.FinalLoad {
-			return fmt.Errorf("node %d final load: replay %+v live %d", i, na.Final, live.FinalLoad)
-		}
+	for _, na := range audit.Nodes {
 		b.Events += na.Events
 		b.Initiated += na.Initiated
 		b.Resolved += na.Resolved
 		b.Aborted += na.Aborted
-	}
-	if audit.TotalLoad != res.TotalLoad() || audit.Conserved() != res.Conserved() {
-		return fmt.Errorf("conservation diverges: replay %d/%v live %d/%v",
-			audit.TotalLoad, audit.Conserved(), res.TotalLoad(), res.Conserved())
 	}
 	resolved := int64(0)
 	_, timelines := recording.Timelines()
@@ -187,9 +168,6 @@ func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 	}
 	if resolved != res.Completed() {
 		return fmt.Errorf("timelines with a resolve: %d, live completed ops: %d", resolved, res.Completed())
-	}
-	if len(audit.VD) == 0 {
-		return fmt.Errorf("no VD trajectory from a full recording")
 	}
 	b.N, b.Steps = n, steps
 	b.TotalLoad, b.Conserved = audit.TotalLoad, audit.Conserved()
@@ -231,10 +209,15 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	if err != nil {
 		return err
 	}
-	recs, err := openRecorders(dir, n)
+	recs, err := netsim.Record(dir, n)
 	if err != nil {
 		return err
 	}
+	defer func() { // as in pmBaseline
+		for _, rec := range recs {
+			rec.Close()
+		}
+	}()
 
 	// Snapshot-on-alert, as cmd/lbnode's OnAlert hook does, but at the
 	// poll itself: the world stands still between ticks, so every node's
@@ -269,11 +252,12 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	if err == nil {
 		err = snapErr
 	}
-	if cerr := closeRecorders(recs); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return err
+	}
+	// The full ring, snapshots aside, is the whole world's recording.
+	if _, _, err := netsim.Replay(run.res, recs); err != nil {
+		return fmt.Errorf("full recording: %w", err)
 	}
 	if len(dirs) != n {
 		return fmt.Errorf("alert sealed %d of %d node snapshots", len(dirs), n)
@@ -336,34 +320,6 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	}
 	inc.Completions = len(audit.SojournNS)
 	inc.ReplayP95MS = slotSeconds(audit.SojournQuantile(0.95)+1) * 1e3
-	return nil
-}
-
-// openRecorders opens one flight recorder per node, node i's in
-// dir/node-i.
-func openRecorders(dir string, n int) ([]*flight.Recorder, error) {
-	recs := make([]*flight.Recorder, n)
-	for i := range recs {
-		rec, err := flight.Open(flight.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", i)), Node: i})
-		if err != nil {
-			return nil, err
-		}
-		recs[i] = rec
-	}
-	return recs, nil
-}
-
-// closeRecorders seals every recorder; a netsim world's cannot have
-// dropped a record.
-func closeRecorders(recs []*flight.Recorder) error {
-	for _, rec := range recs {
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		if rec.Dropped() != 0 {
-			return fmt.Errorf("recorder dropped %d records; identity needs the full stream", rec.Dropped())
-		}
-	}
 	return nil
 }
 

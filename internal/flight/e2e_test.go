@@ -12,25 +12,18 @@ import (
 	"lmbalance/internal/wire"
 )
 
-// recordRun runs a netsim world with a flight recorder on every node and
-// returns the recording's root (node i's stream under node-i/) and the
-// world's result. The run must conserve and the recorders must not have
-// dropped a record: a world writes every record on the recording call,
-// so the recording is a pure function of cfg.
-func recordRun(t *testing.T, cfg netsim.Config) (string, *netsim.Result) {
+// recordRun runs a netsim world with a flight recorder on every node
+// and holds the recording to the world's result through netsim.Replay.
+// It returns the recording's root (node i's stream under node-i/), the
+// result, the recording and its audit.
+func recordRun(t *testing.T, cfg netsim.Config) (string, *netsim.Result, *flight.Recording, *flight.AuditResult) {
 	t.Helper()
 	root := t.TempDir()
-	cfg.Flight = make([]*flight.Recorder, cfg.N)
-	for i := range cfg.Flight {
-		rec, err := flight.Open(flight.Options{
-			Dir:  filepath.Join(root, fmt.Sprintf("node-%d", i)),
-			Node: i,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Flight[i] = rec
+	recs, err := netsim.Record(root, cfg.N)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Flight = recs
 	res, err := netsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,15 +31,11 @@ func recordRun(t *testing.T, cfg netsim.Config) (string, *netsim.Result) {
 	if !res.Conserved() {
 		t.Fatal("live run itself failed conservation")
 	}
-	for _, rec := range cfg.Flight {
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Dropped() != 0 {
-			t.Fatalf("recorder dropped %d records; identity needs a complete stream", rec.Dropped())
-		}
+	recording, audit, err := netsim.Replay(res, recs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return root, res
+	return root, res, recording, audit
 }
 
 // auditDigest hashes what an audit re-derived — every node's counts and
@@ -63,95 +52,26 @@ func auditDigest(a *flight.AuditResult) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// handshakeSent counts a stream's sent handshake frames — what a netsim
-// port counts as its MsgsSent.
-func handshakeSent(nr *flight.NodeRecording) (n int64) {
-	for _, ev := range nr.Events {
-		switch ev.Msg.Kind {
-		case wire.FreezeReq, wire.FreezeAck, wire.FreezeBusy, wire.Release, wire.Transfer:
-			if ev.Dir == flight.DirSend {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TestReplayReproducesLiveRun is the acceptance check for the flight
 // recorder: record a whole netsim run through the ports and the node's
-// own records, then re-execute the recording offline and require the
-// audit to reproduce the live run's accounting bit for bit —
-// conservation, per-node protocol counts, final loads — with every record
-// judged and zero divergences. (cmd/lbnode's TestSpawnFlightRecording
-// and cluster's TestTCPAggregatorEndToEnd audit recordings taken over
-// real TCP.)
+// own records, and netsim.Replay re-executes the recording offline and
+// holds it to the live run's accounting bit for bit (recordRun). On top
+// of that, every frame sent is recorded received, every operation's
+// timeline reconstructs, and the audit's digest is pinned.
+// (cmd/lbnode's TestSpawnFlightRecording and cluster's
+// TestTCPAggregatorEndToEnd audit recordings taken over real TCP.)
 func TestReplayReproducesLiveRun(t *testing.T) {
-	const n = 4
-	root, res := recordRun(t, netsim.Config{N: n, Delta: 2, F: 2, Steps: 400, Seed: 42})
+	_, res, recording, audit := recordRun(t, netsim.Config{N: 4, Delta: 2, F: 2, Steps: 400, Seed: 42})
 
-	recording, err := flight.LoadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recording.Nodes) != n {
-		t.Fatalf("loaded %d node streams, want %d", len(recording.Nodes), n)
-	}
-	audit := flight.Audit(recording)
-
-	if audit.First != nil {
-		t.Fatalf("clean run flagged: %v (of %d violations)", *audit.First, len(audit.Violations))
-	}
-	if audit.FinalsSeen != n {
-		t.Fatalf("finals from %d of %d nodes", audit.FinalsSeen, n)
-	}
-
-	// Bit-identity against the live result, per node and cluster-wide.
-	var sent, recv int64
-	for i, na := range audit.Nodes {
-		live := res.Nodes[i]
-		if na.Node != i {
-			t.Fatalf("node stream %d claims id %d", i, na.Node)
-		}
-		if na.Initiated != live.Initiated {
-			t.Errorf("node %d initiated: replay %d live %d", i, na.Initiated, live.Initiated)
-		}
-		if na.Resolved != live.Completed {
-			t.Errorf("node %d completed: replay %d live %d", i, na.Resolved, live.Completed)
-		}
-		if na.Aborted != live.Aborted {
-			t.Errorf("node %d aborted: replay %d live %d", i, na.Aborted, live.Aborted)
-		}
-		if na.FreezeExpired != live.FreezeExpired {
-			t.Errorf("node %d freeze expiries: replay %d live %d", i, na.FreezeExpired, live.FreezeExpired)
-		}
-		if na.Final == nil || na.Final.Load != live.FinalLoad {
-			t.Errorf("node %d final load: replay %+v live %d", i, na.Final, live.FinalLoad)
-		}
-		if na.Final.Generated != live.Generated || na.Final.Consumed != live.Consumed {
-			t.Errorf("node %d gen/con: replay %d/%d live %d/%d",
-				i, na.Final.Generated, na.Final.Consumed, live.Generated, live.Consumed)
-		}
-		if hs := handshakeSent(recording.Nodes[i]); hs != live.MsgsSent {
-			t.Errorf("node %d handshake frames sent: replay %d live %d", i, hs, live.MsgsSent)
-		}
-		sent += na.MsgsSent
-		recv += na.MsgsRecv
-		// A whole recording starts with the node unengaged: replay judges
-		// every record of it.
-		if na.Unverified != 0 {
-			t.Errorf("node %d: %d records unverified in a whole recording", i, na.Unverified)
-		}
-	}
 	// A world without faults delivers every frame, and the node records
 	// each where it processes it.
+	var sent, recv int64
+	for _, na := range audit.Nodes {
+		sent += na.MsgsSent
+		recv += na.MsgsRecv
+	}
 	if recv != sent {
 		t.Errorf("%d frames recorded received, %d sent", recv, sent)
-	}
-	if audit.TotalLoad != res.TotalLoad() {
-		t.Errorf("total load: replay %d live %d", audit.TotalLoad, res.TotalLoad())
-	}
-	if audit.Conserved() != res.Conserved() {
-		t.Errorf("conservation verdicts disagree: replay %v live %v", audit.Conserved(), res.Conserved())
 	}
 
 	// Per-op timelines reconstruct offline: every resolved op's timeline
@@ -183,10 +103,6 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 		t.Errorf("timelines with a resolve: %d, live completed ops: %d", checked, res.Completed())
 	}
 
-	// The VD trajectory re-derives offline.
-	if len(audit.VD) == 0 {
-		t.Error("no VD trajectory from a full recording")
-	}
 	if got := auditDigest(audit); got != "50bc536400274cc0" {
 		t.Errorf("audit digest %s, want 50bc536400274cc0", got)
 	}
@@ -196,19 +112,14 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 // from a real recording: rewriting one node's history so a transfer is
 // duplicated must produce a verdict naming that exact record.
 func TestReplayFlagsDoubleBalance(t *testing.T) {
-	const n = 3
-	root, _ := recordRun(t, netsim.Config{N: n, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
+	root, _, recording, _ := recordRun(t, netsim.Config{N: 3, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
 
 	// Find a node whose stream has a transfer to tamper with.
 	victim := -1
-	for i := 0; i < n; i++ {
-		nr, err := flight.LoadDir(filepath.Join(root, fmt.Sprintf("node-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, nr := range recording.Nodes {
 		for _, ev := range nr.Events {
 			if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-				victim = i
+				victim = nr.Node
 			}
 		}
 		if victim >= 0 {
@@ -253,19 +164,11 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 // that answered Busy must be flagged at that exact record.
 func TestReplayPartialOperations(t *testing.T) {
 	const n, delta = 6, 2
-	root, res := recordRun(t, netsim.Config{
+	root, res, recording, audit := recordRun(t, netsim.Config{
 		N: n, Delta: delta, F: 1.2, Steps: 600, Seed: 11,
 		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1},
 		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4},
 	})
-	recording, err := flight.LoadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit := flight.Audit(recording)
-	if audit.First != nil {
-		t.Fatalf("clean run flagged: %v (of %d violations)", *audit.First, len(audit.Violations))
-	}
 	if got := auditDigest(audit); got != "5e06a8125d0e112e" {
 		t.Errorf("audit digest %s, want 5e06a8125d0e112e", got)
 	}
@@ -319,7 +222,7 @@ func TestReplayPartialOperations(t *testing.T) {
 	}
 
 	dst := t.TempDir()
-	err = flight.Rewrite(filepath.Join(root, fmt.Sprintf("node-%d", victim)), dst,
+	err := flight.Rewrite(filepath.Join(root, fmt.Sprintf("node-%d", victim)), dst,
 		func(ev flight.Event) flight.Event {
 			if ev.Seq == victimSeq {
 				ev.Peer = victimBusy

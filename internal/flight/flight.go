@@ -52,14 +52,18 @@
 // node passes the time it acted on (unix nanoseconds on a live node, the
 // virtual tick under netsim) to each recording method, and a stamp never
 // regresses; the recorder reads no clock. There is one write path:
-// each recording call encodes its record into a buffer the recorder owns
-// and writes it into the current segment on the calling goroutine, under
-// the recorder's mutex — on a live node (Tap only wraps its transport)
+// each recording call frames its record onto one append buffer the
+// recorder owns, on the calling goroutine, under the recorder's mutex,
+// and the buffer is written to the current segment every 32 KiB and when
+// the segment is sealed — on a live node (Tap only wraps its transport)
 // and under netsim alike. A node records from its one driver goroutine,
 // so the mutex is contended only by a Snapshot or Close. Nothing queues,
-// so no record is dropped unless its write fails (Dropped, Err), and a
-// seeded netsim world's recording is a pure function of its seed. The
-// reader needs nothing but the segment files: it scans the directory.
+// so no record is dropped unless a write fails: the torn segment is then
+// deleted and its records counted (Dropped, Err), and the next record
+// opens a fresh segment. A seeded netsim world's recording is a pure
+// function of its seed, and netsim.Replay holds it to the world's
+// result. The reader needs nothing but the segment files: it scans the
+// directory.
 //
 // # Snapshots
 //

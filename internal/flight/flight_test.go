@@ -504,6 +504,33 @@ func TestRecorderWriteFailure(t *testing.T) {
 	}
 }
 
+// TestRecorderTornSegment: a write that fails part way through a
+// recording loses the open segment, counted, and no more. Closing the
+// segment's file under the recorder makes its first write fail; every
+// record after that lands in fresh segments that load.
+func TestRecorderTornSegment(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := Open(Options{Dir: dir, Node: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Ingest(1, 1)
+	rec.w.f.Close()
+	for i := int64(0); i < 100_000; i++ {
+		rec.Ingest(2+i, 1)
+	}
+	if err := rec.Close(); err == nil {
+		t.Fatal("Close returned no error after a failed write")
+	}
+	nr, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() == 0 || rec.Records() != rec.Dropped()+int64(len(nr.Events)) {
+		t.Fatalf("%d records, %d dropped, %d on disk", rec.Records(), rec.Dropped(), len(nr.Events))
+	}
+}
+
 // TestRecordingAllocatesNothing: a record is encoded into the
 // recorder's own buffers and written on the call.
 func TestRecordingAllocatesNothing(t *testing.T) {

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,6 +21,9 @@ const (
 	DefaultMaxBytes = 8 << 20
 	// minSegBytes floors the per-segment size so rotation stays rare.
 	minSegBytes = 4096
+	// flushBytes is how much a recorder buffers before it writes to the
+	// segment file: the records a killed process can lose.
+	flushBytes = 32 << 10
 )
 
 // Options configures a Recorder.
@@ -47,13 +49,15 @@ type Options struct {
 // virtual tick under netsim — and a record is never stamped before the
 // one ahead of it. The recorder reads no clock of its own.
 //
-// Each recording call encodes its record into a buffer the recorder
-// owns and writes it into the current segment, on the calling
-// goroutine, under mu: nothing queues, so nothing is dropped unless the
-// write itself fails. A node records from its one driver goroutine, so
-// mu is contended only by a Snapshot or Close, which hold the node for
-// as long as they take. A nil *Recorder is the disabled path, like a
-// nil *obs.Registry: every method is a no-op.
+// Each recording call frames its record onto a buffer the recorder owns,
+// on the calling goroutine, under mu; the buffer is written to the
+// current segment file every flushBytes and when the segment is sealed.
+// Nothing queues, so nothing is dropped unless a write fails: then the
+// open segment's records count as dropped, the torn segment is deleted
+// and the next record opens a fresh one. A node records from its one
+// driver goroutine, so mu is contended only by a Snapshot or Close,
+// which hold the node for as long as they take. A nil *Recorder is the
+// disabled path, like a nil *obs.Registry: every method is a no-op.
 type Recorder struct {
 	opts     Options
 	segBytes int64 // rotation threshold
@@ -69,11 +73,10 @@ type Recorder struct {
 	last      int64 // the latest stamp recorded; stamps never regress
 	lastErr   error
 	tail      []byte // the record being recorded, before framing
+	buf       []byte // framed records of the open segment not yet written
 	w         *segWriter
-	bw        *bufio.Writer // every segment's buffer: from writerPool, back at Close
 	segSeq    uint64
 	lastWall  int64
-	scratch   []byte
 	live      []liveSeg
 	liveBytes int64
 	snapSeq   int
@@ -86,13 +89,14 @@ type liveSeg struct {
 	bytes int64
 }
 
-// segWriter is the open, current segment, written through the
-// recorder's bw.
+// segWriter is the open, current segment, written from the recorder's
+// buf.
 type segWriter struct {
-	f     *os.File
-	path  string
-	seq   uint64
-	bytes int64
+	f       *os.File
+	path    string
+	seq     uint64
+	bytes   int64
+	records int64 // written or buffered
 }
 
 // Open creates (or resumes) a recording directory. Existing segments
@@ -159,8 +163,8 @@ func (r *Recorder) Register(reg *obs.Registry) {
 	reg.Attach(fmt.Sprintf("flight_snapshots_total{%s}", n), &r.snapshots)
 }
 
-// Dropped returns the number of records lost because writing them
-// failed (see Err).
+// Dropped returns the number of records lost because writing them, or a
+// segment they shared, failed (see Err).
 func (r *Recorder) Dropped() int64 { return r.dropped.Value() }
 
 // Records returns the number of records accepted for writing.
@@ -294,20 +298,9 @@ func (r *Recorder) Close() error {
 	if !r.closed {
 		r.closed = true
 		r.seal()
-		if r.bw != nil {
-			r.bw.Reset(nil)
-			writerPool.Put(r.bw)
-			r.bw = nil
-		}
 	}
 	return r.lastErr
 }
-
-// writerPool holds the segment buffers of closed recorders. A recording
-// of many short streams (a netsim world records one per node, and a grid
-// runs thousands of worlds) would otherwise allocate and zero a 32 KiB
-// buffer per segment for segments of a few KiB.
-var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
 // fail keeps the first write error without stopping the recorder.
 func (r *Recorder) fail(err error) {
@@ -316,26 +309,47 @@ func (r *Recorder) fail(err error) {
 	}
 }
 
-// write appends one record to the current segment, rotating at the
-// segment boundary.
+// write frames one record onto the current segment's buffer, opening
+// the segment if none is, and writes the buffer out at flushBytes or
+// seals the segment at its boundary.
 func (r *Recorder) write(wall int64, dir Dir, tail []byte) error {
 	if r.w == nil {
 		if err := r.openSegment(wall); err != nil {
 			return err
 		}
 	}
-	r.scratch = appendRecord(r.scratch[:0], dir, wall-r.lastWall, tail)
-	if _, err := r.bw.Write(r.scratch); err != nil {
-		return err
-	}
+	before := len(r.buf)
+	r.buf = appendRecord(r.buf, dir, wall-r.lastWall, tail)
 	r.lastWall = wall
-	n := int64(len(r.scratch))
+	n := int64(len(r.buf) - before)
 	r.w.bytes += n
+	r.w.records++
 	r.bytes.Add(n)
 	if r.w.bytes >= r.segBytes {
 		r.seal()
+	} else if len(r.buf) >= flushBytes {
+		r.flush()
 	}
 	return nil
+}
+
+// flush writes the buffer to the open segment file and reports whether
+// it could. A failed write tears the segment: its records count as
+// dropped, and it is closed and deleted, so that the next record opens a
+// fresh one and every segment left on disk loads.
+func (r *Recorder) flush() bool {
+	w := r.w
+	_, err := w.f.Write(r.buf)
+	r.buf = r.buf[:0]
+	if err == nil {
+		return true
+	}
+	r.fail(err)
+	r.dropped.Add(w.records)
+	r.w = nil
+	w.f.Close()
+	os.Remove(w.path)
+	return false
 }
 
 // openSegment starts the next segment file; its header reference stamp
@@ -346,34 +360,21 @@ func (r *Recorder) openSegment(wall int64) error {
 	if err != nil {
 		return err
 	}
-	if r.bw == nil {
-		r.bw = writerPool.Get().(*bufio.Writer)
-	}
-	r.bw.Reset(f)
-	w := &segWriter{f: f, path: path, seq: r.segSeq}
-	hdr := appendHeader(nil, segHeader{node: r.opts.Node, seq: r.segSeq, wallRefNS: wall, codec: wire.Version})
-	if _, err := r.bw.Write(hdr); err != nil {
-		f.Close()
-		return err
-	}
-	w.bytes = int64(len(hdr))
-	r.w = w
+	r.buf = appendHeader(r.buf[:0], segHeader{node: r.opts.Node, seq: r.segSeq, wallRefNS: wall, codec: wire.Version})
+	r.w = &segWriter{f: f, path: path, seq: r.segSeq, bytes: int64(len(r.buf))}
 	r.segSeq++
 	r.lastWall = wall
 	return nil
 }
 
-// seal flushes and closes the current segment and trims the ring to the
-// byte budget.
+// seal writes out and closes the current segment and trims the ring to
+// the byte budget.
 func (r *Recorder) seal() {
 	w := r.w
-	if w == nil {
+	if w == nil || !r.flush() {
 		return
 	}
 	r.w = nil
-	if err := r.bw.Flush(); err != nil {
-		r.fail(err)
-	}
 	if err := w.f.Close(); err != nil {
 		r.fail(err)
 	}

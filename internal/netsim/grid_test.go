@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"lmbalance/internal/cluster"
-	"lmbalance/internal/flight"
 	"lmbalance/internal/rng"
 )
 
@@ -73,7 +72,8 @@ func drawWorld(seed uint64) world {
 // windows allow. A failure prints the world's one-line reproducer.
 func TestFaultGrid(t *testing.T) {
 	runGrid(t, func(w *world, flightDir string) string {
-		if err := w.record(flightDir); err != nil {
+		var err error
+		if w.cfg.Flight, err = Record(flightDir, w.cfg.N); err != nil {
 			return err.Error()
 		}
 		res, err := Run(w.cfg)
@@ -105,7 +105,8 @@ func TestServeFaultGrid(t *testing.T) {
 		for i := range w.cfg.ServePerNode {
 			w.cfg.ServePerNode[i] = hooks
 		}
-		if err := w.record(flightDir); err != nil {
+		var err error
+		if w.cfg.Flight, err = Record(flightDir, w.cfg.N); err != nil {
 			return err.Error()
 		}
 		s, err := New(w.cfg)
@@ -171,52 +172,21 @@ func runGrid(t *testing.T, check func(w *world, flightDir string) string) {
 	}
 }
 
-// record gives each of the world's nodes a flight recorder, node i's in
-// dir/node-i.
-func (w *world) record(dir string) error {
-	w.cfg.Flight = make([]*flight.Recorder, w.cfg.N)
-	for i := range w.cfg.Flight {
-		rec, err := flight.Open(flight.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", i)), Node: i})
-		if err != nil {
-			return err
-		}
-		w.cfg.Flight[i] = rec
-	}
-	return nil
-}
-
-// auditFlight closes the world's recorders, re-executes the recording
-// through flight.Audit and returns what is wrong with it, or "": every
-// record must be the re-executed machine's, and the replay must
-// reproduce each node's protocol counts and final accounting. Each
-// node's one segment is deleted once judged, leaving its directory
-// empty for the next world.
+// auditFlight holds the world's recording to its result through Replay
+// and returns what is wrong with it, or "": each node's stream must also
+// be one segment. Each node's segment is deleted once judged, leaving
+// its directory empty for the next world.
 func (w world) auditFlight(res *Result) string {
-	recording := &flight.Recording{}
 	for _, rec := range w.cfg.Flight {
-		if err := rec.Close(); err != nil {
-			return err.Error()
-		}
 		defer os.Remove(filepath.Join(rec.Dir(), "seg-00000000.lbfr"))
-		nr, err := flight.LoadDir(rec.Dir())
-		if err != nil {
-			return err.Error()
-		}
-		recording.Nodes = append(recording.Nodes, nr)
 	}
-	a := flight.Audit(recording)
-	if a.First != nil {
-		return fmt.Sprintf("flight audit: %v (of %d violations)", *a.First, len(a.Violations))
+	recording, _, err := Replay(res, w.cfg.Flight)
+	if err != nil {
+		return err.Error()
 	}
-	if a.FinalsSeen != w.cfg.N || a.TotalLoad != res.TotalLoad() || a.Generated != res.Summary.Generated {
-		return fmt.Sprintf("flight audit: %d finals, load %d, generated %d", a.FinalsSeen, a.TotalLoad, a.Generated)
-	}
-	for i, na := range a.Nodes {
-		if n := res.Nodes[i]; recording.Nodes[i].Segments != 1 || na.Initiated != n.Initiated ||
-			na.Resolved != n.Completed || na.Aborted != n.Aborted || na.FreezeExpired != n.FreezeExpired ||
-			na.Final.Load != n.FinalLoad {
-			return fmt.Sprintf("flight audit: node %d replayed %+v from %d segments, live %+v",
-				i, *na, recording.Nodes[i].Segments, n)
+	for _, nr := range recording.Nodes {
+		if nr.Segments != 1 {
+			return fmt.Sprintf("node %d recorded %d segments", nr.Node, nr.Segments)
 		}
 	}
 	return ""

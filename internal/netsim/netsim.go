@@ -3,7 +3,9 @@
 // acks and two-phase shutdown included — on a virtual tick clock, over
 // mailbox transports, in one goroutine. A Result is a pure function of
 // its Config. The package is only a scheduler and a fault layer (Faults)
-// around the node's sans-IO surface (Deliver, Turn, Crash).
+// around the node's sans-IO surface (Deliver, Turn, Crash), plus the
+// check that a world's flight recording (Record) replays to exactly its
+// Result (Replay).
 //
 // The nodes' clock reads one nanosecond per tick. Each tick delivers the
 // frames due, in send order, then gives every node a Turn, starting at
@@ -37,7 +39,8 @@ import (
 // node sends at its mailbox port, and every record on the world's
 // goroutine, stamped with the tick: a world cannot drop a record, and
 // its recording is a pure function of the Config. Flight must not be
-// tapped; the caller closes the recorders after Result.
+// tapped. Record opens the recorders; Replay closes them after Result
+// and holds the recording to it.
 type Config struct {
 	N            int
 	Delta        int

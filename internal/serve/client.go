@@ -23,7 +23,6 @@ type Client struct {
 	mu        sync.Mutex
 	nextTag   uint64
 	submitted int64
-	accepted  int64
 	completed int64
 	sojourns  []float64 // seconds, server-stamped, one per completed job
 	readErr   error
@@ -111,10 +110,6 @@ func (c *Client) readLoop() {
 			return
 		}
 		switch m.Kind {
-		case wire.CAccepted:
-			c.mu.Lock()
-			c.accepted++
-			c.mu.Unlock()
 		case wire.CDone:
 			c.mu.Lock()
 			c.completed++
@@ -129,13 +124,6 @@ func (c *Client) Submitted() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.submitted
-}
-
-// Accepted returns the number of acceptance acks received so far.
-func (c *Client) Accepted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.accepted
 }
 
 // Completed returns the number of completion notifications received.

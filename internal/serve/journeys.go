@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -82,17 +81,6 @@ func (l *JourneyLog) Snapshot() []JourneySample {
 	out = append(out, l.buf[l.next:]...)
 	out = append(out, l.buf[:l.next]...)
 	return out
-}
-
-// WriteJSONL writes the retained samples as JSON Lines, oldest first.
-func (l *JourneyLog) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, s := range l.Snapshot() {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // JourneysHandler serves the merged journeys of one or more logs as

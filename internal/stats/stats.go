@@ -43,18 +43,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN incorporates the same observation x, n times (n >= 0).
-func (a *Accumulator) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	var other Accumulator
-	other.n = n
-	other.mean = x
-	other.min, other.max = x, x
-	a.Merge(&other)
-}
-
 // Merge combines another accumulator into a (parallel-runs reduction) using
 // Chan et al.'s pairwise update. After Merge, a summarizes the union of both
 // sample sets; b is unchanged.
@@ -91,15 +79,6 @@ func (a *Accumulator) Var() float64 {
 		return 0
 	}
 	return a.m2 / float64(a.n)
-}
-
-// SampleVar returns the unbiased sample variance (dividing by n-1), or 0
-// when n < 2.
-func (a *Accumulator) SampleVar() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
 }
 
 // Std returns the population standard deviation.

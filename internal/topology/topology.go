@@ -10,8 +10,8 @@
 // The paper's closing "further research" item is "taking locality issues on
 // specific networks into account"; the remaining selectors implement that
 // extension by restricting candidates to graph neighborhoods of classical
-// interconnection networks (ring, 2-D torus, hypercube, de Bruijn,
-// random-regular). They are exercised by the ablation experiments.
+// interconnection networks (ring, 2-D torus, hypercube, de Bruijn). They
+// are exercised by the ablation experiments.
 package topology
 
 import (
@@ -290,115 +290,4 @@ func DeBruijn(dim int) *Graph {
 		adj[v] = ns
 	}
 	return NewGraph(fmt.Sprintf("debruijn%d", dim), adj)
-}
-
-// Butterfly returns the wrapped butterfly network BF(dim): dim·2^dim
-// vertices arranged in dim levels of 2^dim rows; vertex (l, r) connects to
-// (l+1 mod dim, r) and (l+1 mod dim, r XOR 2^l), plus the reverse edges —
-// every vertex has degree 4 (2 for dim = 1). Butterflies appear in the
-// paper's related work on dynamic tree embedding ([5], [19]).
-func Butterfly(dim int) *Graph {
-	if dim < 1 || dim > 16 {
-		panic("topology: Butterfly dimension out of range [1,16]")
-	}
-	rows := 1 << dim
-	n := dim * rows
-	id := func(level, row int) int {
-		return ((level%dim)+dim)%dim*rows + (row & (rows - 1))
-	}
-	sets := make([]map[int]struct{}, n)
-	for v := range sets {
-		sets[v] = make(map[int]struct{}, 4)
-	}
-	addEdge := func(a, b int) {
-		if a == b {
-			return
-		}
-		sets[a][b] = struct{}{}
-		sets[b][a] = struct{}{}
-	}
-	for l := 0; l < dim; l++ {
-		for r := 0; r < rows; r++ {
-			v := id(l, r)
-			addEdge(v, id(l+1, r))
-			addEdge(v, id(l+1, r^(1<<l)))
-		}
-	}
-	adj := make([][]int, n)
-	for v := 0; v < n; v++ {
-		ns := make([]int, 0, len(sets[v]))
-		for u := range sets[v] {
-			ns = append(ns, u)
-		}
-		for i := 1; i < len(ns); i++ {
-			for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-				ns[j], ns[j-1] = ns[j-1], ns[j]
-			}
-		}
-		adj[v] = ns
-	}
-	return NewGraph(fmt.Sprintf("butterfly%d", dim), adj)
-}
-
-// RandomRegular returns a connected random d-regular multigraph-free graph
-// on n vertices, built by repeated pairing with retry. n*d must be even,
-// d < n, and n >= 2. The construction retries until the pairing is simple
-// and connected, which for the small d used in experiments terminates
-// quickly with overwhelming probability.
-func RandomRegular(n, d int, r *rng.RNG) *Graph {
-	if n < 2 || d < 1 || d >= n || (n*d)%2 != 0 {
-		panic("topology: invalid RandomRegular parameters")
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 10000 {
-			panic("topology: RandomRegular failed to converge")
-		}
-		// Stub pairing model: each vertex has d stubs; shuffle and pair.
-		stubs := make([]int, 0, n*d)
-		for v := 0; v < n; v++ {
-			for k := 0; k < d; k++ {
-				stubs = append(stubs, v)
-			}
-		}
-		r.ShuffleInts(stubs)
-		ok := true
-		seen := make(map[[2]int]bool, n*d/2)
-		adj := make([][]int, n)
-		for i := 0; i < len(stubs); i += 2 {
-			a, b := stubs[i], stubs[i+1]
-			if a == b {
-				ok = false
-				break
-			}
-			key := [2]int{min(a, b), max(a, b)}
-			if seen[key] {
-				ok = false
-				break
-			}
-			seen[key] = true
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
-		}
-		if !ok {
-			continue
-		}
-		g := NewGraph(fmt.Sprintf("rr%d_%d", n, d), adj)
-		if g.Connected() {
-			return g
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

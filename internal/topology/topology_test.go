@@ -161,77 +161,6 @@ func TestDeBruijn(t *testing.T) {
 	}
 }
 
-func TestButterfly(t *testing.T) {
-	g := Butterfly(3)
-	if g.N() != 3*8 {
-		t.Fatalf("BF(3) has %d vertices, want 24", g.N())
-	}
-	if !g.Connected() {
-		t.Fatal("butterfly disconnected")
-	}
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d != 4 {
-			t.Fatalf("BF(3) degree at %d = %d, want 4", v, d)
-		}
-	}
-	// dim=1: two rows, single level — degenerate but valid.
-	g1 := Butterfly(1)
-	if g1.N() != 2 || !g1.Connected() {
-		t.Fatal("BF(1) wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Butterfly(0) did not panic")
-		}
-	}()
-	Butterfly(0)
-}
-
-func TestButterflyDiameterGrowsSlowly(t *testing.T) {
-	// Wrapped butterfly diameter is Θ(dim) while n = dim·2^dim — i.e.
-	// logarithmic in n.
-	d3 := Butterfly(3).Diameter()
-	d5 := Butterfly(5).Diameter()
-	if d3 <= 0 || d5 <= 0 {
-		t.Fatal("invalid diameters")
-	}
-	if d5 > 3*d3 {
-		t.Fatalf("diameter grew too fast: BF(3)=%d BF(5)=%d", d3, d5)
-	}
-}
-
-func TestRandomRegular(t *testing.T) {
-	r := rng.New(5)
-	g := RandomRegular(20, 4, r)
-	if g.N() != 20 {
-		t.Fatal("wrong size")
-	}
-	for v := 0; v < 20; v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("degree at %d = %d", v, g.Degree(v))
-		}
-		seen := map[int]bool{}
-		for _, u := range g.Neighbors(v) {
-			if u == v || seen[u] {
-				t.Fatalf("self-loop or multi-edge at %d: %v", v, g.Neighbors(v))
-			}
-			seen[u] = true
-		}
-	}
-	if !g.Connected() {
-		t.Fatal("random regular graph disconnected")
-	}
-}
-
-func TestRandomRegularInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd n*d did not panic")
-		}
-	}()
-	RandomRegular(5, 3, rng.New(1))
-}
-
 func TestNeighborhoodSelector(t *testing.T) {
 	g := Ring(8)
 	s := NewNeighborhood(g)
