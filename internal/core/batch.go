@@ -37,8 +37,9 @@ func (s *System) BalanceDrawn(init int, partners []int, start int, sc *Scratch, 
 	s.balanceSet(init, partners, start, sc, m)
 }
 
-// WarmOperation reads the row header and the first tail entry of init and
-// of each partner, as loads independent of one another, and returns a
+// WarmOperation reads the row header, the head of the id list and, when
+// the row has one, the head of the other list of init and of each
+// partner, as loads independent of one another, and returns a
 // value that depends on all of them; the caller keeps it so the loads are
 // not optimised away. The sharded engine calls it on a window of
 // operations before executing them, so that their participants' cache

@@ -165,8 +165,8 @@ func TestSparseMatchesDenseOnDrain(t *testing.T) {
 
 // diffDense compares every cell, every per-processor total and the
 // counters of the sparse system with the dense reference, and checks the
-// sparse bookkeeping (CheckInvariants: self entry in the header, tail
-// sorted, no empty or duplicate entry, sums and conservation).
+// sparse bookkeeping (CheckInvariants: self entry in the header, both
+// tail lists sorted and canonical, sums and conservation).
 func diffDense(sparse *System, dense *denseSystem) error {
 	n := dense.n
 	for p := 0; p < n; p++ {
@@ -315,7 +315,7 @@ func singlesShare(s *System) float64 {
 	singles, cells := 0, 0
 	for i := range s.rows {
 		row := &s.rows[i]
-		for _, e := range append([]classEntry{row.own}, row.tail...) {
+		for _, e := range append([]classEntry{row.own}, foreignCells(row)...) {
 			if e.d == 0 && e.b == 0 {
 				continue
 			}

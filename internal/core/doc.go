@@ -96,25 +96,32 @@
 // its load plus outstanding markers — not by n. Memory is O(nnz + n) and
 // a balancing operation touches only the participants' active classes.
 // Each processor's row header — its own class's cell, l_old, l, Σ_j b[i][j],
-// its local clock and the slice of its foreign classes — is one 64-byte
-// cache line, so a step that neither borrows nor repays reads and writes
-// that line alone.
+// its local clock and the slice of its foreign classes with the length of
+// its id list — is one 64-byte cache line, so a step that neither borrows
+// nor repays reads and writes that line alone.
 // Every randomized choice iterates classes in ascending order, so the
 // behaviour (including the consumed RNG stream) is exactly that of the
 // dense n×n formulation; dense_ref_test.go holds a verbatim dense
 // reference implementation and differential_test.go asserts step-for-step
 // equality.
 //
-// A cell is stored as three int32s (class, d, b). Bounds: n ≤ MaxInt32
+// A foreign cell of one packet and no marker — nearly every cell at the
+// sharded benchmark's size — is stored as its int32 class id alone; every
+// other cell as three int32s (class, d, b). Bounds: n ≤ MaxInt32
 // (NewSystem returns an error above it), and d[i][j] ≤ l[i] and
 // b[i][j] ≤ Σ_j b[i][j], both at most the system's total load, so every
 // cell is exact as long as no single processor holds more than
 // MaxInt32 = 2 147 483 647 packets or markers of one class — orders of
 // magnitude above any experiment here. The per-processor totals l and bTot
-// and the local clock stay int, a balancing operation sums class totals in
-// int and hands out shares no larger than the largest cell it read, and
-// CheckInvariants sums the cells in int against l and bTot, so a cell that
-// did wrap shows up as a negative count or a sum mismatch instead of
-// passing silently. The trigger base l_old is an int32: it is a copy of
-// the int32 cell d[i][i], so it holds nothing a cell cannot.
+// stay int, a balancing operation sums class totals in int and hands out
+// shares no larger than the largest cell it read, and CheckInvariants sums
+// the cells in int against l and bTot, so a cell that did wrap shows up as
+// a negative count or a sum mismatch instead of passing silently. The
+// trigger base l_old is an int32: it is a copy of the int32 cell d[i][i],
+// so it holds nothing a cell cannot. The local clock t' is an int32 too,
+// to leave the header room for the id list's length: it counts the
+// balancing operations the processor took part in, exact up to MaxInt32 of
+// them — at the sharded benchmark's 0.73 participations per processor
+// step, some three billion steps — and CheckInvariants reports a clock
+// that did wrap as negative.
 package core

@@ -45,10 +45,11 @@ func (ln *Lane) Global(li int) int { return ln.lo + li }
 // Load returns the physical load of local processor li.
 func (ln *Lane) Load(li int) int { return ln.rows[li].l }
 
-// Warm reads local processor li's row header and the first entry of its
-// tail and returns a value that depends on both; the caller keeps it so
-// the loads are not optimised away. Like WarmOperation, it lets a caller
-// overlap the cache misses of rows it is about to step.
+// Warm reads local processor li's row header and the heads of its tail's
+// id list and other list (sparseRow.warm) and returns a value that depends
+// on them; the caller keeps it so the loads are not optimised away. Like
+// WarmOperation, it lets a caller overlap the cache misses of rows it is
+// about to step.
 func (ln *Lane) Warm(li int) int { return ln.rows[li].warm() }
 
 // Metrics returns the lane's accumulated counters. The engine folds them

@@ -72,26 +72,34 @@ type Scratch struct {
 const CacheLine = 64
 
 // mergeLane is one participant's state in the balance kernel
-// (redistribute): where the merge stands in its old row, and the new row
-// being written.
+// (redistribute): where the merge stands in its old row's two lists and
+// self entry, and the new row being written.
 type mergeLane struct {
 	head    int32        // smallest unmerged class of the old row
+	pin     int32        // smallest unmerged class outside the id list: the self entry or the other list's head
 	self    int32        // the self class while the old self entry is unmerged
-	cur     int          // next unmerged index into the old tail
+	ic, oc  int          // next unmerged indices into the old id and other lists
 	row     *sparseRow   // the participant's row; its tail is the old tail
-	src     []classEntry // the old tail
+	ids     []int32      // the old id list
+	others  []classEntry // the old other list
 	own     classEntry   // the new self entry
-	out     []classEntry // the new tail: a spare buffer, swapped with src at the end
+	out     []int32      // the new tail: a spare buffer, swapped with the old tail at the end
+	outOth  []classEntry // the new other list, appended to out's id list at the end
 	newL    int
 	newBTot int
 }
 
-// next caches the smaller of the lane's two merge fronts — the pending
-// self entry and the tail cursor — in head.
+// next caches the lane's merge fronts: the smaller of the pending self
+// entry and the other list's head in pin, and the smaller of pin and the
+// id list's head in head.
 func (ln *mergeLane) next() {
-	ln.head = ln.self
-	if ln.cur < len(ln.src) && ln.src[ln.cur].cls < ln.head {
-		ln.head = ln.src[ln.cur].cls
+	ln.pin = ln.self
+	if ln.oc < len(ln.others) && ln.others[ln.oc].cls < ln.pin {
+		ln.pin = ln.others[ln.oc].cls
+	}
+	ln.head = ln.pin
+	if ln.ic < len(ln.ids) && ln.ids[ln.ic] < ln.head {
+		ln.head = ln.ids[ln.ic]
 	}
 }
 
@@ -191,7 +199,7 @@ func (s *System) TotalLoad() int {
 
 // LocalTime returns the number of balancing operations processor i has
 // participated in — the paper's local clock t'.
-func (s *System) LocalTime(i int) int { return s.rows[i].localT }
+func (s *System) LocalTime(i int) int { return int(s.rows[i].localT) }
 
 // TriggerBase returns l_old for processor i: its self-generated load at its
 // last balancing operation, against which the factor-f trigger compares.
@@ -314,39 +322,94 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 }
 
 // randClass picks a uniformly random class among the row's classes that
-// qualify, via reservoir sampling over them in ascending order: with
-// borrow, the classes a consume may borrow from (d > 0 and b == 0);
-// without, the classes holding a borrow marker (b > 0). The sorted-tail
-// row invariant yields the classes in ascending order directly, and the
-// self entry, held apart from the tail, is slotted into its place on the
-// fly, so the k-th qualifying class costs one Intn(k) call and nothing is
-// collected or sorted. Ascending order keeps the RNG consumption
-// identical to a dense 0..n-1 scan (zero cells never qualify). It returns
-// -1 if no class qualifies. The sequential path and the per-shard Lane
-// path share it: it touches nothing but the row and the generator.
+// qualify, as a reservoir over them in ascending order: with borrow, the
+// classes a consume may borrow from (d > 0 and b == 0); without, the
+// classes holding a borrow marker (b > 0). The k-th qualifying class costs
+// one Intn(k) call and nothing is collected or sorted. Ascending order
+// keeps the RNG consumption identical to a dense 0..n-1 scan (zero cells
+// never qualify). It returns -1 if no class qualifies. The sequential
+// path and the per-shard Lane path share it: it touches nothing but the
+// row and the generator.
+//
+// A marker draw walks only the other list, with the self entry slotted in
+// at its place: no id holds a marker. A borrow draw qualifies every id, so
+// it counts the k qualifying classes without walking the ids, makes the
+// same Intn(1)…Intn(k) calls the walk would, and then finds the winning
+// position's class: the qualifying other entries and the self entry are
+// placed among the ids by binary search.
 func randClass(row *sparseRow, borrow bool, r *rng.RNG) int {
-	pick, seen := -1, 0
 	self := row.own.cls
 	selfPending := qualifies(row.own, borrow)
-	for _, e := range row.tail {
-		if selfPending && e.cls > self {
-			selfPending = false
+	others := row.others()
+	if !borrow {
+		pick, seen := -1, 0
+		for _, e := range others {
+			if selfPending && e.cls > self {
+				selfPending = false
+				if seen++; r.Intn(seen) == 0 {
+					pick = int(self)
+				}
+			}
+			if e.b > 0 {
+				if seen++; r.Intn(seen) == 0 {
+					pick = int(e.cls)
+				}
+			}
+		}
+		if selfPending {
 			if seen++; r.Intn(seen) == 0 {
 				pick = int(self)
 			}
 		}
-		if qualifies(e, borrow) {
-			if seen++; r.Intn(seen) == 0 {
-				pick = int(e.cls)
-			}
+		return pick
+	}
+	k := int(row.ids)
+	for _, e := range others {
+		if qualifies(e, true) {
+			k++
 		}
 	}
 	if selfPending {
-		if seen++; r.Intn(seen) == 0 {
-			pick = int(self)
+		k++
+	}
+	win := -1 // the winning position among the qualifying classes, ascending
+	for i := 1; i <= k; i++ {
+		if r.Intn(i) == 0 {
+			win = i - 1
 		}
 	}
-	return pick
+	if win < 0 {
+		return -1
+	}
+	// Walk the qualifying classes outside the id list in ascending order;
+	// the j-th of them, class c, is at position (ids below c) + j.
+	ids := row.idList()
+	j, oc := 0, 0
+	for {
+		c := int32(math.MaxInt32)
+		if selfPending {
+			c = self
+		}
+		for oc < len(others) && !qualifies(others[oc], true) {
+			oc++
+		}
+		switch {
+		case oc < len(others) && others[oc].cls < c:
+			c = others[oc].cls
+			oc++
+		case selfPending:
+			selfPending = false
+		default:
+			return int(ids[win-j])
+		}
+		if at := searchIDs(ids, c) + j; at >= win {
+			if at == win {
+				return int(c)
+			}
+			return int(ids[win-j])
+		}
+		j++
+	}
 }
 
 // qualifies is randClass's predicate: a borrowable class (d > 0, b == 0)
@@ -427,35 +490,36 @@ func (s *System) balanceSet(init int, partners []int, start int, sc *Scratch, m 
 // start, in [0, len(set)), is the operation's one random draw: the
 // position the snake hands out its first extra at.
 //
-// The rows are merged like sorted lists: every participant contributes its
-// sorted tail plus its header's self entry, slotted in by value, and the
-// smallest unmerged class of each is cached in its lane. A round looks at
-// the two smallest heads.
+// The rows are merged like sorted lists: every participant contributes
+// its id list, its other list and its header's self entry, slotted in by
+// value, and the smallest unmerged class of each is cached in its lane. A
+// round looks at the two smallest heads.
 //
 // If they tie, the class is shared: its d and b are summed over the
 // participants that hold it (all the snake needs of a class is its total),
 // both totals are split — total/np to everyone, the total mod np extras at
 // consecutive circular positions from a running offset — and every nonzero
-// share is appended to that participant's output row.
+// share is appended to that participant's new row: a (1, 0) share to its
+// id list, any other to its other list.
 //
 // If they do not, the lane with the smallest head alone holds every class
 // below the second-smallest head, and the kernel walks that run without
-// looking at the other lanes again. Nearly every entry of a run is a
-// foreign class with one packet and no marker, whose whole outcome is
+// looking at the other lanes again. Nearly every class of a run is an id,
+// a foreign class with one packet and no marker, whose whole outcome is
 // known without arithmetic: the total 1 has no base share and one extra,
-// so the entry moves as it is to the row of the participant at the d
-// offset, and the offset steps on. The run's other entries — two or more
-// packets, markers, the self entry where it slots in — go through
-// the same split as a shared class, one per round.
+// so the id moves as it is to the id list of the participant at the d
+// offset, and the offset steps on. The run's other classes — its other
+// entries and the self entry where it slots in, the lane's pin — go
+// through the same split as a shared class, one per round.
 //
-// At δ = 1 (two participants) the runs are mostly one entry long: dealing
+// At δ = 1 (two participants) the runs are mostly one class long: dealing
 // classes out alternately leaves the rows evenly spaced in class order, so
-// they interleave, and a round per entry would cost a lane scan and a
+// they interleave, and a round per class would cost a lane scan and a
 // mispredicted run end nearly per class. So a δ = 1 round starts by taking
-// the two tails' heads in order, the smaller by a compare, for as long as
-// the one taken is a one-packet, marker-free entry below both pending self
-// entries and the other head's class differs: exactly the entries the
-// rounds would have dealt one per run, in the same order.
+// the two id lists' heads in order, the smaller by a compare, for as long
+// as the one taken is below both lanes' pins and the other head is a
+// different class: exactly the classes the rounds would have dealt one per
+// run, in the same order.
 //
 // Classes no participant holds are never visited: their totals are zero,
 // for which the dense formulation advances no offset either. The new self
@@ -479,14 +543,15 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 	for k, p := range set {
 		ln := &lanes[k]
 		row := &s.rows[p]
-		ln.row, ln.src, ln.cur = row, row.tail, 0
+		ln.row, ln.ids, ln.others = row, row.idList(), row.others()
+		ln.ic, ln.oc = 0, 0
 		ln.self = done
 		if row.own.d != 0 || row.own.b != 0 {
 			ln.self = row.own.cls
 		}
 		ln.next()
 		ln.own = classEntry{cls: row.own.cls}
-		ln.out = ln.out[:0]
+		ln.out, ln.outOth = ln.out[:0], ln.outOth[:0]
 		ln.newL, ln.newBTot = 0, 0
 		sumL += row.l
 	}
@@ -494,32 +559,32 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 	offB := (offD + sumL) % np
 	for {
 		if np == 2 {
-			// δ = 1: deal the two tails' interleaved one-packet entries,
-			// the smaller head first, until a head needs a round.
+			// δ = 1: deal the two id lists' interleaved classes, the
+			// smaller head first, until a head needs a round.
 			a, b := &lanes[0], &lanes[1]
-			bound := min(a.self, b.self)
-			srcA, srcB, ia, ib := a.src, b.src, a.cur, b.cur
-			for ia < len(srcA) && ib < len(srcB) {
-				ea, eb := srcA[ia], srcB[ib]
-				e, t := ea, 0 // the entry taken, and which tail it is from
-				if eb.cls < ea.cls {
-					e, t = eb, 1
+			bound := min(a.pin, b.pin)
+			idsA, idsB, ia, ib := a.ids, b.ids, a.ic, b.ic
+			for ia < len(idsA) && ib < len(idsB) {
+				ca, cb := idsA[ia], idsB[ib]
+				c, t := ca, 0 // the class taken, and which list it is from
+				if cb < ca {
+					c, t = cb, 1
 				}
-				if e.cls >= bound || ea.cls == eb.cls || e.d != 1 || e.b != 0 {
+				if c >= bound || ca == cb {
 					break
 				}
 				to := &lanes[offD]
 				to.newL++
-				if e.cls == to.own.cls {
+				if c == to.own.cls {
 					to.own.d = 1
 				} else {
-					to.out = append(to.out, e)
+					to.out = append(to.out, c)
 				}
 				offD ^= 1
 				ia += 1 - t
 				ib += t
 			}
-			a.cur, b.cur = ia, ib
+			a.ic, b.ic = ia, ib
 			a.next()
 			b.next()
 		}
@@ -542,64 +607,58 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 				if ln.head != cls {
 					continue
 				}
-				e := &ln.row.own
-				if ln.self == cls {
+				switch {
+				case ln.ic < len(ln.ids) && ln.ids[ln.ic] == cls:
+					totD++
+					ln.ic++
+				case ln.self == cls:
+					totD += int(ln.row.own.d)
+					totB += int(ln.row.own.b)
 					ln.self = done
-				} else {
-					e = &ln.src[ln.cur]
-					ln.cur++
+				default:
+					e := &ln.others[ln.oc]
+					totD += int(e.d)
+					totB += int(e.b)
+					ln.oc++
 				}
-				totD += int(e.d)
-				totB += int(e.b)
 				ln.next()
 			}
 		} else {
 			ln := &lanes[lone]
-			// The run's one-packet tail entries, up to the self entry's
-			// place in the order if that comes before the run's end.
-			self := ln.self
-			bound := min(lim, self)
-			src, cur := ln.src, ln.cur
-			at := int32(done) // the class the tail cursor stops at
-			for cur < len(src) {
-				e := src[cur]
-				if e.cls >= bound || e.d != 1 || e.b != 0 {
-					at = e.cls
-					break
-				}
+			// The run's ids, up to the lane's pin if that comes before the
+			// run's end.
+			pin := ln.pin
+			bound := min(lim, pin)
+			ids, ic := ln.ids, ln.ic
+			for ic < len(ids) && ids[ic] < bound {
+				c := ids[ic]
 				to := &lanes[offD]
 				to.newL++
-				if e.cls == to.own.cls {
+				if c == to.own.cls {
 					to.own.d = 1
 				} else {
-					to.out = append(to.out, e)
+					to.out = append(to.out, c)
 				}
 				if offD++; offD == np {
 					offD = 0
 				}
-				cur++
+				ic++
 			}
-			// What stopped the walk: a tail entry that needs the split, the
-			// self entry, or the end of the run.
-			var e *classEntry
-			switch {
-			case at < bound:
-				e = &src[cur]
-				cur++
-				at = done
-				if cur < len(src) {
-					at = src[cur].cls
-				}
-			case self < lim:
-				e = &ln.row.own
-				self = done
-				ln.self = done
-			}
-			ln.cur = cur
-			ln.head = min(self, at)
-			if e == nil {
+			ln.ic = ic
+			if pin >= lim {
+				// The run ended before the pin.
+				ln.next()
 				continue
 			}
+			// The pin comes next: the self entry or the other list's head.
+			e := &ln.row.own
+			if ln.self == pin {
+				ln.self = done
+			} else {
+				e = &ln.others[ln.oc]
+				ln.oc++
+			}
+			ln.next()
 			cls, totD, totB = e.cls, int(e.d), int(e.b)
 		}
 		baseD, remD := 0, totD
@@ -624,10 +683,13 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 			ln := &lanes[k]
 			ln.newL += d
 			ln.newBTot += b
-			if ln.own.cls == cls {
+			switch {
+			case ln.own.cls == cls:
 				ln.own.d, ln.own.b = int32(d), int32(b)
-			} else {
-				ln.out = append(ln.out, classEntry{cls: cls, d: int32(d), b: int32(b)})
+			case d == 1 && b == 0:
+				ln.out = append(ln.out, cls)
+			default:
+				ln.outOth = append(ln.outOth, classEntry{cls: cls, d: int32(d), b: int32(b)})
 			}
 		}
 		if offD += remD; offD >= np {
@@ -640,7 +702,11 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 	for k := range lanes {
 		ln := &lanes[k]
 		row := ln.row
-		row.own, row.tail, ln.out = ln.own, ln.out, ln.src
+		ids := int32(len(ln.out))
+		for _, e := range ln.outOth {
+			ln.out = append(ln.out, e.cls, e.d, e.b)
+		}
+		row.own, row.ids, row.tail, ln.out = ln.own, ids, ln.out, row.tail
 		if recv := ln.newL - row.l; recv > 0 {
 			m.Migrations += int64(recv)
 		}
@@ -653,9 +719,10 @@ func (s *System) redistribute(set []int, start int, sc *Scratch, m *Metrics) {
 // non-negative counts, l[i] == Σ_j d[i][j], bTot[i] == Σ_j b[i][j], exact
 // packet conservation (TotalLoad == Generated − Consumed) — plus the
 // sparse bookkeeping: every row's self entry names the row's own class,
-// no tail entry is empty or names the self class, the tail is sorted
-// ascending by class, and no class appears in a row twice. It is
-// O(total nonzero + n) and intended for tests.
+// its local clock has not wrapped, and its tail is canonical: the id list
+// and the other list are each sorted ascending and free of the self class,
+// no class is in both, the other list holds whole triples and no (1, 0) or
+// empty entry. It is O(total nonzero + n) and intended for tests.
 func (s *System) CheckInvariants() error {
 	var totalLoad int64
 	for i := 0; i < s.n; i++ {
@@ -663,32 +730,53 @@ func (s *System) CheckInvariants() error {
 		if int(row.own.cls) != i {
 			return fmt.Errorf("core: row %d: self entry names class %d", i, row.own.cls)
 		}
+		if row.localT < 0 {
+			return fmt.Errorf("core: row %d: local clock %d < 0", i, row.localT)
+		}
+		if row.ids < 0 || int(row.ids) > len(row.tail) || (len(row.tail)-int(row.ids))%3 != 0 {
+			return fmt.Errorf("core: row %d: a tail of %d words does not split into %d ids and whole triples", i, len(row.tail), row.ids)
+		}
+		if row.own.d < 0 || row.own.b < 0 {
+			return fmt.Errorf("core: row %d: self cell (%d, %d) is negative", i, row.own.d, row.own.b)
+		}
 		// The cells are int32; the sums stay int so that a wrapped cell
 		// cannot wrap the sum back into agreement with l and bTot.
-		sumD, sumB := 0, 0
-		for k := -1; k < len(row.tail); k++ {
-			e := &row.own
-			if k >= 0 {
-				e = &row.tail[k]
+		sumD, sumB := int(row.own.d), int(row.own.b)
+		ids := row.idList()
+		for k, c := range ids {
+			if c < 0 || int(c) >= s.n {
+				return fmt.Errorf("core: row %d: class %d out of range", i, c)
 			}
+			if int(c) == i {
+				return fmt.Errorf("core: row %d: the id list holds the self class", i)
+			}
+			if k > 0 && c <= ids[k-1] {
+				return fmt.Errorf("core: row %d: id list not sorted at index %d (%d after %d)", i, k, c, ids[k-1])
+			}
+			sumD++
+		}
+		others := row.others()
+		for k, e := range others {
 			if e.cls < 0 || int(e.cls) >= s.n {
 				return fmt.Errorf("core: row %d: class %d out of range", i, e.cls)
 			}
-			if e.d < 0 {
-				return fmt.Errorf("core: d[%d][%d] = %d < 0", i, e.cls, e.d)
+			if int(e.cls) == i {
+				return fmt.Errorf("core: row %d: the other list holds the self class", i)
 			}
-			if e.b < 0 {
-				return fmt.Errorf("core: b[%d][%d] = %d < 0", i, e.cls, e.b)
+			if e.d < 0 || e.b < 0 {
+				return fmt.Errorf("core: row %d: cell (%d, %d) of class %d is negative", i, e.d, e.b, e.cls)
 			}
-			if k >= 0 && int(e.cls) == i {
-				return fmt.Errorf("core: row %d: class %d appears twice", i, e.cls)
-			}
-			if k >= 0 && e.d == 0 && e.b == 0 {
+			if e.d == 0 && e.b == 0 {
 				return fmt.Errorf("core: row %d: empty entry for class %d not compacted", i, e.cls)
 			}
-			if k > 0 && e.cls <= row.tail[k-1].cls {
-				return fmt.Errorf("core: row %d: tail not sorted at index %d (%d after %d)",
-					i, k, e.cls, row.tail[k-1].cls)
+			if e.d == 1 && e.b == 0 {
+				return fmt.Errorf("core: row %d: one-packet class %d outside the id list", i, e.cls)
+			}
+			if k > 0 && e.cls <= others[k-1].cls {
+				return fmt.Errorf("core: row %d: other list not sorted at index %d (%d after %d)", i, k, e.cls, others[k-1].cls)
+			}
+			if at := searchIDs(ids, e.cls); at < len(ids) && ids[at] == e.cls {
+				return fmt.Errorf("core: row %d: class %d is in both lists", i, e.cls)
 			}
 			sumD += int(e.d)
 			sumB += int(e.b)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -602,5 +603,42 @@ func BenchmarkBalanceOp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.balance(i%256, s.rng, s.sc, &s.metrics)
+	}
+}
+
+// TestCheckInvariantsRejectsNonCanonicalRows: each way a row's tail can
+// break its canonical form — a (1, 0) cell in the other list, an id equal
+// to the self class, a class in both lists, an unsorted id list — is
+// reported, on a row whose sums still agree with l and bTot.
+func TestCheckInvariantsRejectsNonCanonicalRows(t *testing.T) {
+	cases := []struct {
+		name string
+		ids  int32
+		tail []int32
+		l, b int
+		want string
+	}{
+		{"(1, 0) cell in the other list", 1, []int32{2, 5, 1, 0}, 2, 0, "outside the id list"},
+		{"id equal to the self class", 2, []int32{2, 3}, 2, 0, "self class"},
+		{"class in both lists", 2, []int32{2, 5, 5, 0, 1}, 2, 1, "both lists"},
+		{"unsorted ids", 3, []int32{5, 2, 6}, 3, 0, "not sorted"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSystem(t, 8, DefaultParams(), 1)
+			row := &s.rows[3]
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("the empty system already fails: %v", err)
+			}
+			if tc.want == "self class" {
+				row = &s.rows[2]
+			}
+			row.ids, row.tail, row.l, row.bTot = tc.ids, tc.tail, tc.l, tc.b
+			s.metrics.Generated = int64(tc.l)
+			err := s.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants() = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"cmp"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lmbalance/internal/obs"
@@ -36,5 +39,33 @@ func TestRunPublishesObs(t *testing.T) {
 	}
 	if int64(lh.Sum()) != int64(res.TotalLoad()) {
 		t.Fatalf("final load histogram sum %v, want %d", lh.Sum(), res.TotalLoad())
+	}
+}
+
+// TestObserversChangeNoResult pins the observer effect on virtual time at
+// zero: a grid world's Result is identical with a flight recorder per node
+// and a registry attached and without them, over 60 drawWorld seeds.
+func TestObserversChangeNoResult(t *testing.T) {
+	for seed := uint64(0); seed < 60; seed++ {
+		w := drawWorld(seed)
+		bare, err := Run(w.cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", w, err)
+		}
+		cfg := w.cfg
+		cfg.Obs = obs.NewRegistry()
+		if cfg.Flight, err = Record(filepath.Join(t.TempDir(), "flight"), cfg.N); err != nil {
+			t.Fatal(err)
+		}
+		observed, err := Run(cfg)
+		for _, rec := range cfg.Flight {
+			err = cmp.Or(err, rec.Close())
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", w, err)
+		}
+		if !reflect.DeepEqual(bare, observed) {
+			t.Fatalf("%v: observers changed the result:\nbare     %+v\nobserved %+v", w, bare, observed)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 //
 //  1. Step phase (parallel over shards). Each shard shuffles its local
 //     processor order and steps its processors a window at a time: it
-//     first reads the row header and first tail entry of every processor
-//     in the window, so that the random rows' cache misses overlap, and
+//     first reads the row header and the heads of the tail's two lists of
+//     every processor in the window, so that the random rows' cache misses overlap, and
 //     then steps them — workload action draws, local generates/consumes,
 //     local borrow decisions. Balancing conditions are not acted on; they
 //     are appended to the shard's mailbox (trigger initiations and
@@ -31,9 +31,10 @@
 //     sequence, the operations inside a wave in parallel on any number of
 //     workers, and execution touches no generator. A worker takes a claimed
 //     block of a wave's operations a window at a time: it first reads the
-//     row header and first tail entry of every participant in the window,
-//     so the cache misses of random partners' rows overlap instead of
-//     stalling one operation each, and then executes the window in order.
+//     row header and the tail lists' heads of every participant in the
+//     window, so the cache misses of random partners' rows overlap instead
+//     of stalling one operation each, and then executes the window in
+//     order.
 //     Those reads cover only the block's own operations, disjoint from
 //     every other worker's in the wave. Because a balancing
 //     operation reads and writes only its δ+1 participants plus caller-owned
@@ -369,7 +370,7 @@ func (e *shardedEngine) stepShard(sh *shardState, t int) {
 	}
 	// The shuffled order visits the lane's rows at random, so each step
 	// would stall on its row's cache miss. The shard reads the row header
-	// and first tail entry of a window of the order first, as execBlock
+	// and the tail lists' heads of a window of the order first, as execBlock
 	// does for operations, so that the window's misses overlap.
 	sink := 0
 	for order := sh.order; len(order) > 0; {
@@ -575,18 +576,19 @@ func (e *shardedEngine) bucketByWave(K, maxWave int) {
 }
 
 // warmWindow is how many operations execBlock warms up at a time. The
-// warm-up reads two lines per participant (the row header and the head of
-// the tail), and the operation then walks the rest of the tail: at δ = 1
-// and sixteen classes a row that is about five lines a participant, ten
-// an operation, so a window of 32 operations brings some 320 lines
-// (20 KiB) into L1d, which holds 32–48 KiB on current x86 cores, next to
-// the kernel's scratch rows. A much wider window evicts its first
+// warm-up reads two or three lines per participant (the row header, the
+// head of the id list and, in a row that has one, the head of the other
+// list), and the operation then walks the rest of the tail: at δ = 1 and
+// thirty classes a row, nearly all of them 4-byte ids, that is about three
+// lines a participant, six an operation, so a window of 32 operations
+// brings some 190 lines (12 KiB) into L1d, which holds 32–48 KiB on
+// current x86 cores, next to the kernel's scratch rows. A much wider window evicts its first
 // operations' lines before they run; a narrower one overlaps fewer misses.
 const warmWindow = 32
 
 // execBlock executes a claimed block of one wave's operations on worker
 // w, a window at a time: it first reads every participant's row header and
-// first tail entry of the window's operations (WarmOperation), so their
+// tail lists' heads of the window's operations (WarmOperation), so their
 // cache misses overlap, and then executes the operations in order. The
 // reads touch only participants of this block's operations, which no other
 // worker's operation in the wave shares, so they race with nothing.

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lmbalance/internal/core"
 	"lmbalance/internal/rng"
@@ -577,4 +578,76 @@ func BenchmarkPlanWaves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.planWaves()
 	}
+}
+
+// BenchmarkShardedPhases times one tick of the sim_sharded regime phase by
+// phase: n = 65 536, 64 shards, δ = 1, Uniform{0.5, 0.4}, Workers =
+// GOMAXPROCS, warmed for 50 ticks, so that b.N = 50 times ticks 50–99 of
+// the benchmark's 100-step chunk. It runs the engine's phase methods in
+// resolveTriggers' order and reports ns/tick for each: the step phase,
+// the trigger mailboxes' concatenation into canonical order, drawOps,
+// planWaves with bucketByWave, the waves, and the settlements. The
+// serial share is the single-threaded phases' part of the tick: the
+// concatenation, the planning and the settlements.
+func BenchmarkShardedPhases(b *testing.B) {
+	const n, shards, warm = 65536, 64, 50
+	cfg := shardedTestConfig(n, warm+b.N, 1, shards, 1)
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	part := rng.NewPartition(rng.Mix64(cfg.Seed, 0))
+	sys, err := core.NewSystem(n, core.DefaultParams(), topology.NewGlobal(n), part.Stream(rng.StreamBalancer, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := newShardedEngine(cfg, sys, workload.Uniform{GenP: 0.5, ConP: 0.4}, part)
+	var phase [6]time.Duration // step, concat, draw, plan, waves, settle
+	tick := func(t int) {
+		at := time.Now()
+		lap := func(k int) {
+			now := time.Now()
+			phase[k] += now.Sub(at)
+			at = now
+		}
+		e.stepPhase(t)
+		lap(0)
+		e.ops = e.ops[:0]
+		for s := range e.shards {
+			sh := &e.shards[s]
+			for _, li := range sh.triggers {
+				e.ops = append(e.ops, sh.lane.Global(li))
+			}
+			sh.triggers = sh.triggers[:0]
+		}
+		lap(1)
+		if K := len(e.ops); K > 0 {
+			e.drawOps(t)
+			lap(2)
+			maxWave := e.planWaves()
+			e.bucketByWave(K, maxWave)
+			lap(3)
+			for w := 1; w <= maxWave; w++ {
+				waveOps := e.opOrder[e.waveStart[w-1]:e.waveStart[w]]
+				e.parallelFor(len(waveOps), func(worker, lo, hi int) {
+					e.execBlock(e.opWorkers[worker], waveOps[lo:hi])
+				})
+			}
+			lap(4)
+		}
+		e.resolveSettles(t)
+		lap(5)
+	}
+	for t := 0; t < warm; t++ {
+		tick(t)
+	}
+	phase = [6]time.Duration{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick(warm + i)
+	}
+	b.StopTimer()
+	var total time.Duration
+	for k, name := range []string{"step", "concat", "draw", "plan", "waves", "settle"} {
+		b.ReportMetric(float64(phase[k].Nanoseconds())/float64(b.N), name+"-ns/tick")
+		total += phase[k]
+	}
+	b.ReportMetric(float64(phase[1]+phase[3]+phase[5])/float64(total), "serial-share")
 }
