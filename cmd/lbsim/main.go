@@ -366,7 +366,7 @@ func netsimRates(pattern string, n int) (gen, con []float64, err error) {
 
 // runNetsim drives the virtual-time message-passing simulation, with the
 // optional fault layer (-drop, -delay, -crash). A non-nil registry
-// accumulates every run's netsim_* totals for -metrics-dump.
+// accumulates every run's cluster_* and netsim_* totals for -metrics-dump.
 func runNetsim(o options, reg *obs.Registry) error {
 	if o.record != "" || o.replay != "" {
 		return fmt.Errorf("-record/-replay are engine workload traces; -algo netsim does not support them")

@@ -28,15 +28,16 @@ func TestMetricsDumpNetsim(t *testing.T) {
 	o := opts(16, 60, 2, "netsim", "global", "uniform")
 	doc := captureMetrics(t, o)
 	for _, key := range []string{
-		"netsim_generated_total", "netsim_msgs_total",
-		"netsim_protocols_initiated_total", "netsim_final_load",
+		`cluster_node_generated_total{node="0"}`, "netsim_msgs_total",
+		"cluster_protocols_initiated_total", "netsim_final_load",
 	} {
 		if _, ok := doc[key]; !ok {
 			t.Fatalf("dump missing %q: %v", key, doc)
 		}
 	}
-	if v, ok := doc["netsim_generated_total"].(float64); !ok || v <= 0 {
-		t.Fatalf("netsim_generated_total = %v, want > 0", doc["netsim_generated_total"])
+	gen := `cluster_node_generated_total{node="0"}`
+	if v, ok := doc[gen].(float64); !ok || v <= 0 {
+		t.Fatalf("%s = %v, want > 0", gen, doc[gen])
 	}
 	// Two runs against one registry: the final-load histogram holds one
 	// sample per node per run.

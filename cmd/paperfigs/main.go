@@ -76,9 +76,6 @@ var artifacts = []artifact{
 	{"faults", "fault sensitivity of the trigger protocol (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.FaultSweep(s, seed)
 	}},
-	{"wirecost", "wire-level cluster cost and abort anatomy, inproc vs TCP (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
-		return experiments.WireCost(s, seed)
-	}},
 	{"vdtraj", "variation-density trajectory: §5 convergence in t (extension)", func(s experiments.Scale, seed uint64) (experiments.Renderer, error) {
 		return experiments.VDTrajectory(s, seed)
 	}},

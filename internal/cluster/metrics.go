@@ -7,7 +7,7 @@ import (
 )
 
 // Abort reason labels, one per way a balancing protocol dies. They are
-// what the wirecost experiment and the /metrics endpoint report.
+// what the faults experiment and the /metrics endpoint report.
 const (
 	// AbortPeerFrozen: every reply came in and too few partners acked to
 	// balance with — the rest answered FreezeBusy, already frozen or

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"lmbalance/internal/cluster"
 	"lmbalance/internal/netsim"
+	"lmbalance/internal/obs"
 	"lmbalance/internal/trace"
 )
 
@@ -19,6 +21,13 @@ type FaultRow struct {
 	SelfRelease int64
 	Dropped     int64
 	Conserved   bool
+	// Initiated and Completed count balancing operations. Aborts holds
+	// the per-reason abort counts, indexed like cluster.AbortReasons, read
+	// off the cell's registry; LostAtCrash counts the operations a crash
+	// wiped before they concluded: Initiated − Completed − Σ Aborts.
+	Initiated, Completed int64
+	Aborts               [len(cluster.AbortReasons)]int64
+	LostAtCrash          int64
 }
 
 // FaultResult measures how gracefully the freeze/ack/transfer protocol
@@ -27,7 +36,9 @@ type FaultRow struct {
 // synchronous network; this extension quantifies the price of dropping
 // that assumption — balancing quality (spread) and organizational cost
 // (messages per completed operation, abort fraction) as faults increase,
-// with packet conservation checked exactly on every cell.
+// with packet conservation checked exactly on every cell. Each cell's
+// registry attributes the aborts to their cause, and what neither
+// completed nor aborted is an operation a crash wiped.
 type FaultResult struct {
 	Rows  []FaultRow
 	N     int
@@ -59,8 +70,9 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 					AtStep: steps/4 + i*(steps/2)/max(crashes, 1),
 				}
 			}
+			reg := obs.NewRegistry()
 			res, err := netsim.Run(netsim.Config{
-				N: n, Delta: 2, F: 1.2, Steps: steps,
+				N: n, Delta: 2, F: 1.2, Steps: steps, Obs: reg,
 				GenP: gen, ConP: con, Seed: seed + uint64(cell),
 				Faults: netsim.Faults{
 					DropP:        dropP,
@@ -72,33 +84,45 @@ func FaultSweep(scale Scale, seed uint64) (*FaultResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults drop=%.2f crashes=%d: %w", dropP, crashes, err)
 			}
-			completed := res.Completed()
-			out.Rows = append(out.Rows, FaultRow{
+			initiated, completed := res.Initiated(), res.Completed()
+			row := FaultRow{
 				DropP: dropP, CrashCount: crashes, Spread: res.Spread(),
-				MsgsPerOp: ratio(res.Messages(), completed), AbortedFrac: abortFrac(res.Initiated(), completed),
+				MsgsPerOp: ratio(res.Messages(), completed), AbortedFrac: abortFrac(initiated, completed),
 				Timeouts: res.Timeouts(), SelfRelease: res.FreezeExpired(), Dropped: res.Lost(),
-				Conserved: res.Conserved(),
-			})
+				Conserved: res.Conserved(), Initiated: initiated, Completed: completed,
+				LostAtCrash: initiated - completed,
+			}
+			for i, reason := range cluster.AbortReasons {
+				row.Aborts[i] = reg.Counter(cluster.AbortMetric(reason)).Value()
+				row.LostAtCrash -= row.Aborts[i]
+			}
+			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil
 }
 
-// Render writes the fault-sensitivity table.
+// Render writes the fault-sensitivity table, with each cell's aborts by
+// reason.
 func (r *FaultResult) Render(w io.Writer) error {
 	if err := header(w, fmt.Sprintf("Fault sensitivity of the trigger protocol (%d nodes, %d steps)", r.N, r.Steps)); err != nil {
 		return err
 	}
-	tb := trace.NewTable("control-message loss × fail-stop crashes",
-		"drop", "crashes", "final spread", "msgs per op", "abort frac",
-		"timeouts", "self-releases", "msgs lost", "conserved")
+	cols := []string{"drop", "crashes", "final spread", "msgs per op", "abort frac",
+		"timeouts", "self-releases", "msgs lost", "conserved"}
+	cols = append(append(cols, cluster.AbortReasons[:]...), "lost at crash")
+	tb := trace.NewTable("control-message loss × fail-stop crashes", cols...)
 	for _, row := range r.Rows {
 		conserved := "yes"
 		if !row.Conserved {
 			conserved = "NO"
 		}
-		tb.AddRow(row.DropP, row.CrashCount, row.Spread, row.MsgsPerOp,
-			row.AbortedFrac, row.Timeouts, row.SelfRelease, row.Dropped, conserved)
+		cells := []any{row.DropP, row.CrashCount, row.Spread, row.MsgsPerOp,
+			row.AbortedFrac, row.Timeouts, row.SelfRelease, row.Dropped, conserved}
+		for _, v := range row.Aborts {
+			cells = append(cells, v)
+		}
+		tb.AddRow(append(cells, row.LostAtCrash)...)
 	}
 	return tb.WriteText(w)
 }

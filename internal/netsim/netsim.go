@@ -54,7 +54,10 @@ type Config struct {
 	Flight       []*flight.Recorder
 	// Faults arms the fault-injection layer; the zero value disables it.
 	Faults Faults
-	// Obs, if non-nil, receives the run's netsim_* totals at the end.
+	// Obs, if non-nil, is the nodes' registry (ClusterConfig.Obs: the
+	// cluster_* counters, abort reasons included) and receives the run's
+	// netsim_* totals at the end. The cluster_phase_seconds histograms
+	// read a tick as 1 ns, so on netsim they carry no timing.
 	Obs *obs.Registry
 }
 
@@ -176,7 +179,7 @@ func New(cfg Config) (*World, error) {
 	nodes, err := cluster.NewNodes(cluster.ClusterConfig{
 		N: cfg.N, Delta: cfg.Delta, F: cfg.F, Steps: cfg.Steps,
 		GenP: cfg.GenP, ConP: cfg.ConP, Seed: cfg.Seed, Graph: cfg.Graph,
-		NoBalance: cfg.NoBalance, ServePerNode: cfg.ServePerNode, Flight: cfg.Flight,
+		NoBalance: cfg.NoBalance, ServePerNode: cfg.ServePerNode, Flight: cfg.Flight, Obs: cfg.Obs,
 		Timeout: time.Duration(reply), FreezeTimeout: time.Duration(freeze),
 	}, transports)
 	if err != nil {
@@ -217,9 +220,11 @@ func (s *World) Result() *Result {
 	return res
 }
 
-// publishObs adds a finished run's totals to a registry under netsim_*
-// names, plus the final load distribution. Counters add, so repeated
-// runs against one registry accumulate like repeated scrape intervals.
+// publishObs adds what the nodes do not publish themselves to a registry
+// under netsim_* names: the final load distribution, the handshake
+// frames sent, the reply timeouts and the fault layer's account. Counters
+// add, so repeated runs against one registry accumulate like repeated
+// scrape intervals.
 func publishObs(reg *obs.Registry, res *Result) {
 	if reg == nil {
 		return
@@ -228,20 +233,13 @@ func publishObs(reg *obs.Registry, res *Result) {
 	for i, n := range res.Nodes {
 		f := &res.Faults[i]
 		loads.Observe(float64(n.FinalLoad))
-		reg.Counter("netsim_generated_total").Add(n.Generated)
-		reg.Counter("netsim_consumed_total").Add(n.Consumed)
-		reg.Counter("netsim_aborts_total").Add(n.Aborted)
 		reg.Counter("netsim_dropped_total").Add(f.Dropped)
 		reg.Counter("netsim_lost_at_crash_total").Add(f.LostAtCrash)
 		reg.Counter("netsim_delayed_total").Add(f.Delayed)
 		reg.Counter("netsim_crashes_total").Add(f.Crashes)
 	}
-	reg.Counter("netsim_protocols_initiated_total").Add(res.Initiated())
-	reg.Counter("netsim_protocols_completed_total").Add(res.Completed())
-	reg.Counter("netsim_op_partners_total").Add(res.Partners())
 	reg.Counter("netsim_msgs_total").Add(res.Messages())
 	reg.Counter("netsim_timeouts_total").Add(res.Timeouts())
-	reg.Counter("netsim_freeze_expired_total").Add(res.FreezeExpired())
 }
 
 // Tick advances the virtual clock by one: deliver what is due, then give

@@ -323,8 +323,8 @@ func LogBuckets(lo, hi float64, perDecade int) []float64 {
 // LatencyBuckets is the default bucket scheme for protocol-phase
 // timings in seconds: 10 µs … ~5 s, doubling. A healthy in-process
 // reply lands in the first few buckets; socket-latency stalls and
-// timeout-scale waits land in the top ones, so the freeze-window loss
-// the wirecost experiment exposed is visible in one histogram.
+// timeout-scale waits land in the top ones, so a freeze window lost to
+// socket latency is visible in one histogram.
 var LatencyBuckets = ExpBuckets(10e-6, 2, 20)
 
 // SojournBuckets is the default bucket scheme for end-to-end job
