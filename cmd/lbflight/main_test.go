@@ -111,33 +111,28 @@ func TestCLIAuditOpsTimelineDiff(t *testing.T) {
 
 func TestCLIFlagsTamperedRecording(t *testing.T) {
 	root := record(t, 3, 300, 7)
-	victim := ""
-	for i := 0; i < 3; i++ {
-		dir := filepath.Join(root, fmt.Sprintf("node-%d", i))
-		nr, err := flight.LoadDir(dir)
+	var victim *flight.NodeRecording
+	for i := 0; i < 3 && victim == nil; i++ {
+		nr, err := flight.LoadDir(filepath.Join(root, fmt.Sprintf("node-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ev := range nr.Events {
 			if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-				victim = dir
+				victim = nr
 			}
 		}
-		if victim != "" {
-			break
-		}
 	}
-	if victim == "" {
+	if victim == nil {
 		t.Fatal("run completed no transfers to tamper with")
 	}
-	dst := t.TempDir()
-	err := flight.Rewrite(victim, dst, func(ev flight.Event) flight.Event {
-		if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
+	for i := range victim.Events {
+		if ev := &victim.Events[i]; ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
 			ev.Msg.Amount += 5
 		}
-		return ev
-	})
-	if err != nil {
+	}
+	dst := t.TempDir()
+	if err := flight.WriteDir(dst, victim.Node, victim.Events); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder

@@ -69,7 +69,6 @@ func TestSpawnDebugEndpoints(t *testing.T) {
 		`cluster_aborts_total{reason="peer_frozen"}`,
 		`cluster_aborts_total{reason="timeout"}`,
 		`cluster_phase_seconds_bucket{phase="collect"`,
-		"# TYPE cluster_load histogram",
 		`wire_msgs_sent_total{node="0"}`,
 	} {
 		if !strings.Contains(metrics, want) {

@@ -658,9 +658,6 @@ func (n *Node) step() bool {
 			n.completeOldest()
 		}
 	}
-	// One load sample per workload step: the cluster-wide histogram's
-	// online moments yield the live variation density (paper §5).
-	n.met.loadHist.Observe(float64(n.m.Load()))
 	n.met.loadGauge.Set(int64(n.m.Load()))
 	if n.cfg.NoBalance {
 		return false

@@ -90,8 +90,7 @@ type nodeMetrics struct {
 	phaseXfer    *obs.Histogram
 	phaseFrozen  *obs.Histogram
 
-	loadHist  *obs.Histogram // load observed once per workload step
-	loadGauge *obs.Gauge     // this node's instantaneous load
+	loadGauge *obs.Gauge // this node's instantaneous load
 }
 
 func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
@@ -113,7 +112,6 @@ func newNodeMetrics(reg *obs.Registry, id int) nodeMetrics {
 		phaseCollect:     reg.Histogram(PhaseMetric(PhaseCollect), obs.LatencyBuckets),
 		phaseXfer:        reg.Histogram(PhaseMetric(PhaseTransferAck), obs.LatencyBuckets),
 		phaseFrozen:      reg.Histogram(PhaseMetric(PhaseFrozen), obs.LatencyBuckets),
-		loadHist:         reg.Histogram("cluster_load", obs.LoadBuckets),
 		loadGauge:        reg.Gauge(LoadMetric(id)),
 	}
 	for _, reason := range AbortReasons {

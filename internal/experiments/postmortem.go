@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"lmbalance/internal/flight"
@@ -21,9 +22,9 @@ import (
 // way an operator would meet it, on netsim's virtual clock — so the
 // recordings, and the whole artifact, are pure functions of the seed:
 //
-//  1. Fidelity — record a full netsim run at the nodes' mailbox ports
-//     and through the node's own records, and replay the segments
-//     offline through netsim.Replay: every node's stream re-executed
+//  1. Fidelity — record a full netsim run in memory, at the nodes'
+//     mailbox ports and through the node's own records, and replay the
+//     segments offline through netsim.Replay: every node's stream re-executed
 //     through the protocol machine, every record judged, zero
 //     divergences, and the live accounting reproduced bit for bit
 //     (per-node protocol counts and final accounting, conservation, the
@@ -36,8 +37,8 @@ import (
 //     transition: the first completion whose recorded sojourn crossed
 //     the SLO threshold, with its offset into the capture, node and job.
 //     The full ring must replay to the serving world's result too.
-//  3. Tamper — rewrite one node's history so a transfer moves more
-//     load than the freeze agreed to; the audit must flag the exact
+//  3. Tamper — doctor one node's replayed history so a transfer moves
+//     more load than the freeze agreed to; the audit must flag the exact
 //     record with an imbalance verdict. A recording that can be
 //     silently doctored is not evidence.
 type PostMortemResult struct {
@@ -50,7 +51,7 @@ type PostMortemResult struct {
 type PMBaseline struct {
 	N, Steps  int
 	Events    int   // decoded flight records across all node streams
-	Bytes     int64 // on-disk recording size
+	Bytes     int64 // recording size: its segments' bytes, as on disk
 	Initiated int64 // live == replay (checked)
 	Resolved  int64
 	Aborted   int64
@@ -71,9 +72,9 @@ type PMIncident struct {
 
 	AlertAtMS     float64 // burn-rate alert, virtual ms after driving started
 	Snapshots     int     // per-node snapshot directories sealed at the alert
-	SnapshotBytes int64
-	Events        int // decoded records in the incident capture
-	Violations    int // divergences from the re-executed machine in the capture
+	SnapshotBytes int64   // segments and manifests
+	Events        int     // decoded records in the incident capture
+	Violations    int     // divergences from the re-executed machine in the capture
 	// Unverified counts the capture's records replay could not judge:
 	// each snapshot's stream starts where its ring had wrapped, possibly
 	// mid-protocol, and is judged from the first record that proves its
@@ -102,56 +103,50 @@ type PMTamper struct {
 // prose.
 func PostMortem(scale Scale, seed uint64) (*PostMortemResult, error) {
 	out := &PostMortemResult{}
+	baseline, err := pmBaseline(scale, seed, &out.Baseline)
+	if err != nil {
+		return nil, fmt.Errorf("postmortem baseline: %w", err)
+	}
+	// Only the incident arm snapshots, and a snapshot is files.
 	root, err := os.MkdirTemp("", "postmortem-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(root)
-
-	baseDir := filepath.Join(root, "baseline")
-	if err := pmBaseline(scale, seed, baseDir, &out.Baseline); err != nil {
-		return nil, fmt.Errorf("postmortem baseline: %w", err)
-	}
-	if err := pmIncident(scale, seed, filepath.Join(root, "incident"), &out.Incident); err != nil {
+	if err := pmIncident(scale, seed, root, &out.Incident); err != nil {
 		return nil, fmt.Errorf("postmortem incident: %w", err)
 	}
 	// The tamper arm doctors the baseline recording, proving the same
 	// segments that just replayed cleanly cannot be edited undetected.
-	if err := pmTamper(baseDir, filepath.Join(root, "tampered"), &out.Tamper); err != nil {
+	if err := pmTamper(baseline, &out.Tamper); err != nil {
 		return nil, fmt.Errorf("postmortem tamper: %w", err)
 	}
 	return out, nil
 }
 
-// pmBaseline records a netsim run and holds the replay to the live
-// result through netsim.Replay. The recording is left in dir for the
-// tamper arm.
-func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
+// pmBaseline records a netsim run in memory, holds the replay to the
+// live result through netsim.Replay and returns the replayed recording
+// for the tamper arm.
+func pmBaseline(scale Scale, seed uint64, b *PMBaseline) (*flight.Recording, error) {
 	n, steps := 4, 400
 	if scale == ScaleFull {
 		n, steps = 8, 4000
 	}
-	recs, err := netsim.Record(dir, n)
+	recs, err := netsim.Record("", n)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Replay closes the recorders; this closes them on the error paths,
-	// and a second Close does nothing.
-	defer func() {
-		for _, rec := range recs {
-			rec.Close()
-		}
-	}()
 	res, err := netsim.Run(netsim.Config{N: n, Delta: 2, F: 2, Steps: steps, Seed: seed, Flight: recs})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recording, audit, err := netsim.Replay(res, recs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, na := range audit.Nodes {
+	for i, na := range audit.Nodes {
 		b.Events += na.Events
+		b.Bytes += recording.Nodes[i].Bytes
 		b.Initiated += na.Initiated
 		b.Resolved += na.Resolved
 		b.Aborted += na.Aborted
@@ -167,14 +162,13 @@ func pmBaseline(scale Scale, seed uint64, dir string, b *PMBaseline) error {
 		}
 	}
 	if resolved != res.Completed() {
-		return fmt.Errorf("timelines with a resolve: %d, live completed ops: %d", resolved, res.Completed())
+		return nil, fmt.Errorf("timelines with a resolve: %d, live completed ops: %d", resolved, res.Completed())
 	}
 	b.N, b.Steps = n, steps
 	b.TotalLoad, b.Conserved = audit.TotalLoad, audit.Conserved()
 	b.Timelines, b.VDPoints = resolved, len(audit.VD)
-	b.Bytes = treeBytes(dir)
 	b.Identical = true
-	return nil
+	return recording, nil
 }
 
 // pmIncident drives an overload spike into a monitored serving world
@@ -213,7 +207,7 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 	if err != nil {
 		return err
 	}
-	defer func() { // as in pmBaseline
+	defer func() { // Replay closes the recorders; this is for the error paths
 		for _, rec := range recs {
 			rec.Close()
 		}
@@ -271,9 +265,13 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 		if err != nil {
 			return fmt.Errorf("snapshot %s: %w", d, err)
 		}
+		man, err := os.Stat(filepath.Join(d, "manifest.json"))
+		if err != nil {
+			return err
+		}
 		capture.Nodes = append(capture.Nodes, nr)
 		inc.Events += len(nr.Events)
-		inc.SnapshotBytes += treeBytes(d)
+		inc.SnapshotBytes += nr.Bytes + man.Size()
 	}
 	audit := flight.Audit(capture)
 	if audit.First != nil {
@@ -326,49 +324,28 @@ func pmIncident(scale Scale, seed uint64, dir string, inc *PMIncident) error {
 // pmTamper doctors the baseline recording — one node's transfers each
 // move three extra units — and requires the audit to name the exact
 // record that broke the freeze agreement.
-func pmTamper(srcRoot, dst string, t *PMTamper) error {
-	entries, err := os.ReadDir(srcRoot)
-	if err != nil {
-		return err
-	}
-	victim := ""
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		nr, err := flight.LoadDir(filepath.Join(srcRoot, e.Name()))
-		if err != nil {
-			return err
-		}
-		for _, ev := range nr.Events {
-			if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-				victim = e.Name()
-				break
-			}
-		}
-		if victim != "" {
+func pmTamper(baseline *flight.Recording, t *PMTamper) error {
+	var victim *flight.NodeRecording
+	for _, nr := range baseline.Nodes {
+		if slices.ContainsFunc(nr.Events, func(ev flight.Event) bool {
+			return ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer
+		}) {
+			victim = nr
 			break
 		}
 	}
-	if victim == "" {
+	if victim == nil {
 		return fmt.Errorf("baseline run completed no transfers to tamper with")
 	}
-	err = flight.Rewrite(filepath.Join(srcRoot, victim), dst, func(ev flight.Event) flight.Event {
-		if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
+	events := slices.Clone(victim.Events)
+	for i := range events {
+		if ev := &events[i]; ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
 			// Three units stolen in transit put the acker's share outside
 			// every ±1 split its operation could have dealt.
 			ev.Msg.Amount += 3
 		}
-		return ev
-	})
-	if err != nil {
-		return err
 	}
-	nr, err := flight.LoadDir(dst)
-	if err != nil {
-		return err
-	}
-	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{nr}})
+	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{{Node: victim.Node, Events: events}}})
 	if verdict.First == nil {
 		return fmt.Errorf("tampered history passed the audit")
 	}
@@ -378,18 +355,6 @@ func pmTamper(srcRoot, dst string, t *PMTamper) error {
 	t.Node, t.Index = verdict.First.Node, verdict.First.Index
 	t.Rule, t.Detail = verdict.First.Rule, verdict.First.Detail
 	return nil
-}
-
-// treeBytes sums regular-file sizes under root.
-func treeBytes(root string) int64 {
-	var total int64
-	filepath.Walk(root, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && info.Mode().IsRegular() {
-			total += info.Size()
-		}
-		return nil
-	})
-	return total
 }
 
 func (r *PostMortemResult) Render(w io.Writer) error {

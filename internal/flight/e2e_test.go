@@ -1,29 +1,29 @@
 package flight_test
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
+	"lmbalance/internal/cluster"
 	"lmbalance/internal/flight"
 	"lmbalance/internal/netsim"
 	"lmbalance/internal/wire"
 )
 
-// recordRun runs a netsim world with a flight recorder on every node
-// and holds the recording to the world's result through netsim.Replay.
-// It returns the recording's root (node i's stream under node-i/), the
-// result, the recording and its audit.
-func recordRun(t *testing.T, cfg netsim.Config) (string, *netsim.Result, *flight.Recording, *flight.AuditResult) {
+// recordRun runs a netsim world with a flight recorder in memory on
+// every node and holds the recording to the world's result through
+// netsim.Replay. It returns the result, the recording and its audit.
+func recordRun(t *testing.T, cfg netsim.Config) (*netsim.Result, *flight.Recording, *flight.AuditResult) {
 	t.Helper()
-	root := t.TempDir()
-	recs, err := netsim.Record(root, cfg.N)
-	if err != nil {
+	var err error
+	if cfg.Flight, err = netsim.Record("", cfg.N); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Flight = recs
 	res, err := netsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -31,11 +31,11 @@ func recordRun(t *testing.T, cfg netsim.Config) (string, *netsim.Result, *flight
 	if !res.Conserved() {
 		t.Fatal("live run itself failed conservation")
 	}
-	recording, audit, err := netsim.Replay(res, recs)
+	recording, audit, err := netsim.Replay(res, cfg.Flight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root, res, recording, audit
+	return res, recording, audit
 }
 
 // auditDigest hashes what an audit re-derived — every node's counts and
@@ -61,7 +61,7 @@ func auditDigest(a *flight.AuditResult) string {
 // (cmd/lbnode's TestSpawnFlightRecording and cluster's
 // TestTCPAggregatorEndToEnd audit recordings taken over real TCP.)
 func TestReplayReproducesLiveRun(t *testing.T) {
-	_, res, recording, audit := recordRun(t, netsim.Config{N: 4, Delta: 2, F: 2, Steps: 400, Seed: 42})
+	res, recording, audit := recordRun(t, netsim.Config{N: 4, Delta: 2, F: 2, Steps: 400, Seed: 42})
 
 	// A world without faults delivers every frame, and the node records
 	// each where it processes it.
@@ -112,39 +112,30 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 // from a real recording: rewriting one node's history so a transfer is
 // duplicated must produce a verdict naming that exact record.
 func TestReplayFlagsDoubleBalance(t *testing.T) {
-	root, _, recording, _ := recordRun(t, netsim.Config{N: 3, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
+	_, recording, _ := recordRun(t, netsim.Config{N: 3, Delta: 1, F: 1.5, Steps: 300, Seed: 7})
 
 	// Find a node whose stream has a transfer to tamper with.
-	victim := -1
+	var victim *flight.NodeRecording
 	for _, nr := range recording.Nodes {
 		for _, ev := range nr.Events {
 			if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-				victim = nr.Node
+				victim = nr
 			}
 		}
-		if victim >= 0 {
+		if victim != nil {
 			break
 		}
 	}
-	if victim < 0 {
+	if victim == nil {
 		t.Fatal("run completed no transfers to tamper with")
 	}
-	dst := t.TempDir()
-	err := flight.Rewrite(filepath.Join(root, fmt.Sprintf("node-%d", victim)), dst,
-		func(ev flight.Event) flight.Event {
-			if ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
-				ev.Msg.Amount += 5 // steal five packets in transit
-			}
-			return ev
-		})
-	if err != nil {
-		t.Fatal(err)
+	events := slices.Clone(victim.Events)
+	for i := range events {
+		if ev := &events[i]; ev.Dir == flight.DirSend && ev.Msg.Kind == wire.Transfer {
+			ev.Msg.Amount += 5 // steal five packets in transit
+		}
 	}
-	nr, err := flight.LoadDir(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{nr}})
+	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{{Node: victim.Node, Events: events}}})
 	if verdict.First == nil {
 		t.Fatal("tampered history passed the audit")
 	}
@@ -164,7 +155,7 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 // that answered Busy must be flagged at that exact record.
 func TestReplayPartialOperations(t *testing.T) {
 	const n, delta = 6, 2
-	root, res, recording, audit := recordRun(t, netsim.Config{
+	res, recording, audit := recordRun(t, netsim.Config{
 		N: n, Delta: delta, F: 1.2, Steps: 600, Seed: 11,
 		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1},
 		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4},
@@ -221,23 +212,72 @@ func TestReplayPartialOperations(t *testing.T) {
 		t.Errorf("%d transfer acks for %d load-moving transfers (%d zero-delta)", xferAcks, movingXfers, zeroXfers)
 	}
 
-	dst := t.TempDir()
-	err := flight.Rewrite(filepath.Join(root, fmt.Sprintf("node-%d", victim)), dst,
-		func(ev flight.Event) flight.Event {
-			if ev.Seq == victimSeq {
-				ev.Peer = victimBusy
-			}
-			return ev
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr, err := flight.LoadDir(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{nr}})
+	events := slices.Clone(recording.Nodes[victim].Events)
+	events[victimSeq].Peer = victimBusy
+	verdict := flight.Audit(&flight.Recording{Nodes: []*flight.NodeRecording{{Node: victim, Events: events}}})
 	if verdict.First == nil || verdict.First.Rule != "transfer_to_unacked" || verdict.First.Index != victimSeq {
 		t.Fatalf("transfer re-addressed to the busy partner at record %d: verdict %+v", victimSeq, verdict.First)
+	}
+}
+
+// TestMemoryRecordingMatchesDisk records each world twice through
+// netsim.Record, in memory and under a directory, and requires the two
+// media to hold the same segments byte for byte and to load the same
+// recording, while the last segment is open and once Replay has sealed
+// it. One world is armed with crashes, delay and loss; one serves jobs.
+// (TestRecorderRotationAndRingTrim compares the media across rotation.)
+func TestMemoryRecordingMatchesDisk(t *testing.T) {
+	armed := netsim.Config{N: 6, Delta: 2, F: 1.3, Steps: 2400, Seed: 5,
+		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1}, ConP: []float64{0.4},
+		Faults: netsim.Faults{DropP: 0.2, DelayMax: 3, TimeoutTicks: 25, Seed: 8,
+			Crashes: []netsim.Crash{{Node: 1, AtStep: 800}, {Node: 4, AtStep: 1600, DownTicks: 50}}}}
+	hooks := &cluster.ServeHooks{}
+	serving := netsim.Config{N: 4, Delta: 2, F: 1.2, Steps: 2400, Seed: 6, GenP: []float64{0}, ConP: []float64{0.5},
+		ServePerNode: []*cluster.ServeHooks{hooks, hooks, hooks, hooks}}
+	for _, cfg := range []netsim.Config{armed, serving} {
+		var res *netsim.Result
+		var media [2][]*flight.Recorder
+		for k, root := range []string{"", t.TempDir()} {
+			var err error
+			if cfg.Flight, err = netsim.Record(root, cfg.N); err != nil {
+				t.Fatal(err)
+			}
+			w, err := netsim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tick := int64(1); !w.Done(); tick++ {
+				if cfg.ServePerNode != nil && tick <= int64(cfg.Steps/2) && tick%3 == 0 {
+					w.Nodes()[tick%int64(cfg.N)].Ingest(tick, cluster.Submit{ID: uint64(tick), Units: 2})
+				}
+				if err := w.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, media[k] = w.Result(), cfg.Flight
+		}
+		if _, err := media[0][0].Snapshot("incident"); err == nil {
+			t.Fatal("a recorder in memory took a snapshot")
+		}
+		for _, stage := range []string{"open", "sealed"} {
+			for i := range media[0] {
+				mem, disk := media[0][i], media[1][i]
+				mb, err1 := flight.SegmentBytes(mem)
+				db, err2 := flight.SegmentBytes(disk)
+				ml, err3 := mem.Load()
+				dl, err4 := disk.Load()
+				if err := cmp.Or(err1, err2, err3, err4); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(mb, db) || !reflect.DeepEqual(ml, dl) {
+					t.Fatalf("%s: node %d: memory and disk hold different recordings", stage, i)
+				}
+			}
+			for _, recs := range media {
+				if _, _, err := netsim.Replay(res, recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }

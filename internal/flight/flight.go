@@ -10,21 +10,22 @@
 // sends (a Tap, as wire.Transport middleware), every frame it processes
 // and its own decisions (initiate, resolve, abort, freeze expiry,
 // ingest, serving completions, final accounting), all in
-// the order the node acted, into a bounded on-disk ring of binary
-// segments. Audit loads those segments — possibly long after the
-// process died — and re-executes each node's stream through a real
-// proto.Machine: every recorded send and decision must be the effect
-// the machine recomputes, and every split must be the ±1 share of the
-// total it balanced. The first record where the recording and the
+// the order the node acted, into a bounded ring of binary segments, on
+// disk or in memory. Audit loads those segments — from disk possibly
+// long after the process died — and re-executes each node's stream
+// through a real proto.Machine: every recorded send and decision must
+// be the effect the machine recomputes, and every split must be the ±1
+// share of the total it balanced. The first record where the recording and the
 // machine part is flagged with its position in the recording; packet
 // and job conservation and the VD trajectory are re-derived alongside.
 //
 // # Segment format
 //
-// A recording is a directory of segment files (seg-NNNNNNNN.lbfr)
-// forming a size-bounded ring: the writer rotates at MaxBytes/8 and
-// deletes the oldest segment when the directory exceeds MaxBytes.
-// Each segment is
+// A recording is a size-bounded ring of segments: the writer rotates at
+// MaxBytes/8 and drops the oldest segment when the ring exceeds
+// MaxBytes. On disk the ring is a directory of segment files
+// (seg-NNNNNNNN.lbfr); a recorder opened without a directory keeps the
+// same segments as byte slices, and Load reads either. Each segment is
 //
 //	header  := "LBFR" format(1B) uvarint(node) uvarint(segseq)
 //	           uvarint(zig(wallRefNS)) codec(1B)
@@ -62,17 +63,17 @@
 // deleted and its records counted (Dropped, Err), and the next record
 // opens a fresh segment. A seeded netsim world's recording is a pure
 // function of its seed, and netsim.Replay holds it to the world's
-// result. The reader needs nothing but the segment files: it scans the
-// directory.
+// result. The reader needs nothing but the segments: on disk it scans
+// the directory.
 //
 // # Snapshots
 //
 // Snapshot seals the current segment and copies the live ring into
-// snapshots/snap-NNN-<reason>/ with a manifest — the incident
-// artifact. A node recording meanwhile waits for the copy; it loses
-// nothing. obs.Monitor's OnAlert hook calls it on every burn-rate
-// alert transition, so a firing /health leaves a replayable recording
-// behind (see cmd/lbnode).
+// snapshots/snap-NNN-<reason>/ with a manifest — the incident artifact,
+// so only a recording on disk takes one. A node recording meanwhile
+// waits for the copy; it loses nothing. obs.Monitor's OnAlert hook
+// calls it on every burn-rate alert transition, so a firing /health
+// leaves a replayable recording behind (see cmd/lbnode).
 package flight
 
 import (

@@ -126,10 +126,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nr := mustLoad(t, dir)
 	if nr.Node != 2 || nr.Torn || len(nr.Events) != 4 {
 		t.Fatalf("node=%d torn=%v events=%d", nr.Node, nr.Torn, len(nr.Events))
 	}
@@ -154,60 +151,74 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecorderRotationAndRingTrim records one stream into a tiny ring
+// on disk and in memory: both media rotate and evict alike, byte for
+// byte, and what survives is a contiguous suffix of the stream.
 func TestRecorderRotationAndRingTrim(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny ring (segments of minSegBytes): force many rotations and ring
-	// eviction. Every record is written, so the eviction arithmetic is
-	// deterministic.
-	rec, err := Open(Options{Dir: dir, Node: 0, MaxBytes: 8 * minSegBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		rec.Local(int64(i), LocalPaceBackoff, 0, int64(i))
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Dropped() > 0 {
-		t.Fatalf("the recorder dropped %d records", rec.Dropped())
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation, got %d segments", len(segs))
-	}
-	var total int64
-	for _, s := range segs {
-		total += s.bytes
-	}
-	// The open segment can exceed the budget transiently; the sealed
-	// ring must be near it (one segment of slack).
-	if total > 8*minSegBytes+minSegBytes {
-		t.Fatalf("ring holds %d bytes, budget %d", total, 8*minSegBytes)
-	}
-	if segs[0].seq == 0 {
-		t.Fatal("oldest segment should have been evicted")
-	}
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The surviving events must be a contiguous suffix of what was put.
-	var prev int64 = -1
-	for _, ev := range nr.Events {
-		if ev.Kind != LocalPaceBackoff {
-			continue
+	var rings [2][][]byte
+	for k, dir := range []string{t.TempDir(), ""} {
+		// Tiny ring (segments of minSegBytes): force many rotations and
+		// ring eviction. Every record is written, so the eviction
+		// arithmetic is deterministic.
+		rec, err := Open(Options{Dir: dir, Node: 0, MaxBytes: 8 * minSegBytes})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if prev >= 0 && ev.Arg(0) != prev+1 {
-			t.Fatalf("gap in surviving stream: %d after %d", ev.Arg(0), prev)
+		for i := 0; i < 20000; i++ {
+			rec.Local(int64(i), LocalPaceBackoff, 0, int64(i))
 		}
-		prev = ev.Arg(0)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Dropped() > 0 {
+			t.Fatalf("the recorder dropped %d records", rec.Dropped())
+		}
+		segs, err := rec.ring()
+		if dir != "" {
+			segs, err = listSegments(dir) // what is left on disk
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 2 {
+			t.Fatalf("expected rotation, got %d segments", len(segs))
+		}
+		var total int64
+		for _, s := range segs {
+			total += s.bytes
+		}
+		// The open segment can exceed the budget transiently; the sealed
+		// ring must be near it (one segment of slack).
+		if total > 8*minSegBytes+minSegBytes {
+			t.Fatalf("ring holds %d bytes, budget %d", total, 8*minSegBytes)
+		}
+		if segs[0].seq == 0 {
+			t.Fatal("oldest segment should have been evicted")
+		}
+		nr, err := rec.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The surviving events must be a contiguous suffix of what was put.
+		var prev int64 = -1
+		for _, ev := range nr.Events {
+			if ev.Kind != LocalPaceBackoff {
+				continue
+			}
+			if prev >= 0 && ev.Arg(0) != prev+1 {
+				t.Fatalf("gap in surviving stream: %d after %d", ev.Arg(0), prev)
+			}
+			prev = ev.Arg(0)
+		}
+		if prev != 19999 {
+			t.Fatalf("last surviving event is %d, want 19999", prev)
+		}
+		if rings[k], err = SegmentBytes(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if prev != 19999 {
-		t.Fatalf("last surviving event is %d, want 19999", prev)
+	if !reflect.DeepEqual(rings[0], rings[1]) {
+		t.Fatalf("disk and memory rings differ: %d and %d segments", len(rings[0]), len(rings[1]))
 	}
 }
 
@@ -225,10 +236,7 @@ func TestRecorderResume(t *testing.T) {
 	}
 	rec2.Local(2, LocalPaceBackoff, 0, 2)
 	rec2.Close()
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nr := mustLoad(t, dir)
 	if len(nr.Events) != 2 || nr.Events[0].Arg(0) != 1 || nr.Events[1].Arg(0) != 2 {
 		t.Fatalf("resume lost events: %+v", nr.Events)
 	}
@@ -304,10 +312,7 @@ func TestOldCodecSegmentRejected(t *testing.T) {
 	if err := WriteDir(dir, 0, events); err != nil {
 		t.Fatal(err)
 	}
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nr := mustLoad(t, dir)
 	if len(nr.Events) != len(events) || !nr.Events[1].Msg.Equal(events[1].Msg) {
 		t.Fatalf("round trip: %d events, frame %+v", len(nr.Events), nr.Events[1].Msg)
 	}
@@ -342,10 +347,7 @@ func TestOldFormatSegmentRejected(t *testing.T) {
 	if err := WriteDir(dir, 0, events); err != nil {
 		t.Fatal(err)
 	}
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nr := mustLoad(t, dir)
 	for i, ev := range nr.Events {
 		want := events[i]
 		if ev.WallNS != want.WallNS || ev.Dir != want.Dir || ev.Peer != want.Peer || !ev.Msg.Equal(want.Msg) ||
@@ -391,10 +393,7 @@ func TestSnapshot(t *testing.T) {
 		if len(got.Nodes) != 1 || len(got.Nodes[0].Events) != 1 {
 			t.Fatalf("snapshot replayed %d nodes", len(got.Nodes))
 		}
-		full, err := LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := mustLoad(t, dir)
 		if len(full.Events) != 2 {
 			t.Fatalf("live ring has %d events, want 2", len(full.Events))
 		}
@@ -457,16 +456,16 @@ func TestSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := mustLoad(t, dir)
-		if n := len(full[0].Events); n != 5*ops {
+		if n := len(full.Events); n != 5*ops {
 			t.Fatalf("final stream has %d records, want %d", n, 5*ops)
 		}
 		for _, snap := range snaps {
 			got := mustLoad(t, snap)
-			evs := got[0].Events
-			if len(evs) > len(full[0].Events) || !reflect.DeepEqual(evs, full[0].Events[:len(evs)]) {
+			evs := got.Events
+			if len(evs) > len(full.Events) || !reflect.DeepEqual(evs, full.Events[:len(evs)]) {
 				t.Fatalf("%s: %d records, not a prefix of the final stream", snap, len(evs))
 			}
-			if res := Audit(&Recording{Nodes: got}); len(res.Violations) != 0 {
+			if res := Audit(&Recording{Nodes: []*NodeRecording{got}}); len(res.Violations) != 0 {
 				t.Fatalf("%s audits dirty: %v", snap, res.Violations)
 			}
 		}
@@ -522,10 +521,7 @@ func TestRecorderTornSegment(t *testing.T) {
 	if err := rec.Close(); err == nil {
 		t.Fatal("Close returned no error after a failed write")
 	}
-	nr, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nr := mustLoad(t, dir)
 	if rec.Dropped() == 0 || rec.Records() != rec.Dropped()+int64(len(nr.Events)) {
 		t.Fatalf("%d records, %d dropped, %d on disk", rec.Records(), rec.Dropped(), len(nr.Events))
 	}
@@ -553,7 +549,6 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 }
 
 func TestTamperedRecordingIsFlagged(t *testing.T) {
-	src, dst := t.TempDir(), t.TempDir()
 	events := []Event{
 		{WallNS: 10, Dir: DirLocal, Kind: LocalInitiate, Op: 5, Args: []int64{1, 10, 1}},
 		{WallNS: 11, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.FreezeReq, From: 0, Seq: 1, Op: 5}},
@@ -561,24 +556,13 @@ func TestTamperedRecordingIsFlagged(t *testing.T) {
 		{WallNS: 13, Dir: DirLocal, Kind: LocalResolve, Op: 5, Args: []int64{1, 7, 1}},
 		{WallNS: 14, Dir: DirSend, Peer: 1, Msg: wire.Msg{Kind: wire.Transfer, From: 0, Seq: 1, Op: 5, Amount: 3}},
 	}
-	if err := WriteDir(src, 0, events); err != nil {
-		t.Fatal(err)
-	}
-	clean := Audit(&Recording{Nodes: mustLoad(t, src)})
+	clean := audited(t, events)
 	if len(clean.Violations) != 0 {
 		t.Fatalf("clean recording flagged: %v", clean.Violations)
 	}
 	// Tamper: inflate the transfer amount. Shares become {7, 4+9=13}.
-	err := Rewrite(src, dst, func(ev Event) Event {
-		if ev.Dir == DirSend && ev.Msg.Kind == wire.Transfer {
-			ev.Msg.Amount = 9
-		}
-		return ev
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := Audit(&Recording{Nodes: mustLoad(t, dst)})
+	events[4].Msg.Amount = 9
+	bad := audited(t, events)
 	if bad.First == nil || bad.First.Rule != "imbalance_violation" {
 		t.Fatalf("tampered transfer not flagged: %+v", bad.First)
 	}
@@ -590,13 +574,23 @@ func TestTamperedRecordingIsFlagged(t *testing.T) {
 	}
 }
 
-func mustLoad(t *testing.T, dir string) []*NodeRecording {
+func mustLoad(t *testing.T, dir string) *NodeRecording {
 	t.Helper()
 	nr, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*NodeRecording{nr}
+	return nr
+}
+
+// audited writes evs as node 0's recording, loads it back and audits it.
+func audited(t *testing.T, evs []Event) *AuditResult {
+	t.Helper()
+	dir := t.TempDir()
+	if err := WriteDir(dir, 0, evs); err != nil {
+		t.Fatal(err)
+	}
+	return Audit(&Recording{Nodes: []*NodeRecording{mustLoad(t, dir)}})
 }
 
 // Shorthands for hand-written streams; the runner stamps WallNS.
@@ -628,11 +622,7 @@ func checkDivergences(t *testing.T, cases []divergence) {
 			for i := range tc.evs {
 				tc.evs[i].WallNS = int64(i + 1)
 			}
-			dir := t.TempDir()
-			if err := WriteDir(dir, 0, tc.evs); err != nil {
-				t.Fatal(err)
-			}
-			res := Audit(&Recording{Nodes: mustLoad(t, dir)})
+			res := audited(t, tc.evs)
 			if res.First == nil || res.First.Rule != tc.rule || res.First.Index != tc.index {
 				t.Fatalf("want %s at event %d; got %v", tc.rule, tc.index, res.Violations)
 			}
@@ -803,11 +793,7 @@ func TestPartialOperationsAuditClean(t *testing.T) {
 	for i := range evs {
 		evs[i].WallNS = int64(i + 1)
 	}
-	dir := t.TempDir()
-	if err := WriteDir(dir, 0, evs); err != nil {
-		t.Fatal(err)
-	}
-	res := Audit(&Recording{Nodes: mustLoad(t, dir)})
+	res := audited(t, evs)
 	if len(res.Violations) != 0 {
 		t.Fatalf("partial operations flagged as violations: %v", res.Violations)
 	}
@@ -838,11 +824,7 @@ func TestDropsAreJournaled(t *testing.T) {
 		for i := range evs {
 			evs[i].WallNS = int64(i + 1)
 		}
-		dir := t.TempDir()
-		if err := WriteDir(dir, 0, evs); err != nil {
-			t.Fatal(err)
-		}
-		res := Audit(&Recording{Nodes: mustLoad(t, dir)})
+		res := audited(t, evs)
 		if got := res.Nodes[0].Drops; got != tc.drops {
 			t.Errorf("after %s: Drops = %d, want %d", tc.next.Kind, got, tc.drops)
 		}

@@ -39,17 +39,26 @@ func LoadDir(dir string) (*NodeRecording, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loadSegments(segs)
+}
+
+// loadSegments decodes a node's segments in ring order: a file's once
+// read, or the bytes a recorder in memory holds.
+func loadSegments(segs []liveSeg) (*NodeRecording, error) {
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("flight: no segments in %s", dir)
+		return nil, fmt.Errorf("flight: no segments")
 	}
 	nr := &NodeRecording{Node: -1}
 	for i, s := range segs {
-		last := i == len(segs)-1
-		if err := nr.loadSegment(s.path, last); err != nil {
+		p, err := s.read()
+		if err != nil {
+			return nil, err
+		}
+		if err := nr.decodeSegment(segName(s.seq), p, i == len(segs)-1); err != nil {
 			return nil, err
 		}
 		nr.Segments++
-		nr.Bytes += s.bytes
+		nr.Bytes += int64(len(p))
 	}
 	for i := range nr.Events {
 		nr.Events[i].Seq = i
@@ -57,26 +66,31 @@ func LoadDir(dir string) (*NodeRecording, error) {
 	return nr, nil
 }
 
-// loadSegment appends one segment's events to nr. tolerateTear allows
-// a truncated record at the very end of the byte stream.
-func (nr *NodeRecording) loadSegment(path string, tolerateTear bool) error {
-	p, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// read returns the segment's bytes: its file's, or those it holds in
+// memory.
+func (s liveSeg) read() ([]byte, error) {
+	if s.path == "" {
+		return s.data, nil
 	}
+	return os.ReadFile(s.path)
+}
+
+// decodeSegment appends the events of one segment, named name, to nr.
+// tolerateTear allows a truncated record at the very end of the bytes.
+func (nr *NodeRecording) decodeSegment(name string, p []byte, tolerateTear bool) error {
 	h, off, err := decodeHeader(p)
 	if err != nil {
-		return fmt.Errorf("%s: %w", filepath.Base(path), err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	if nr.Node == -1 {
 		nr.Node = h.node
 	} else if nr.Node != h.node {
 		return fmt.Errorf("%s: segment for node %d in node %d's recording",
-			filepath.Base(path), h.node, nr.Node)
+			name, h.node, nr.Node)
 	}
 	if h.codec != wire.Version {
 		return fmt.Errorf("%s: recorded under wire codec v%d, this reader decodes only v%d",
-			filepath.Base(path), h.codec, wire.Version)
+			name, h.codec, wire.Version)
 	}
 	prevWall := h.wallRefNS
 	nr.Events = slices.Grow(nr.Events, len(p)/16) // records run ~16 bytes
@@ -87,7 +101,7 @@ func (nr *NodeRecording) loadSegment(path string, tolerateTear bool) error {
 				nr.Torn = true
 				return nil
 			}
-			return fmt.Errorf("%s: truncated record at offset %d", filepath.Base(path), off)
+			return fmt.Errorf("%s: truncated record at offset %d", name, off)
 		}
 		body := p[off+n : off+n+int(ln)]
 		var ev Event
@@ -96,7 +110,7 @@ func (nr *NodeRecording) loadSegment(path string, tolerateTear bool) error {
 				nr.Torn = true
 				return nil
 			}
-			return fmt.Errorf("%s: offset %d: %w", filepath.Base(path), off, err)
+			return fmt.Errorf("%s: offset %d: %w", name, off, err)
 		}
 		ev.Node = nr.Node
 		prevWall = ev.WallNS
@@ -112,40 +126,33 @@ func (nr *NodeRecording) loadSegment(path string, tolerateTear bool) error {
 // segment files is loaded as one node; the root itself counts if it
 // holds segments directly.
 func LoadTree(root string) (*Recording, error) {
-	rec := &Recording{Dir: root}
-	var dirs []string
-	if segs, err := listSegments(root); err != nil {
-		return nil, err
-	} else if len(segs) > 0 {
-		dirs = append(dirs, root)
-	}
 	ents, err := os.ReadDir(root)
 	if err != nil {
 		return nil, err
 	}
+	dirs := []string{root}
 	for _, e := range ents {
-		if !e.IsDir() || e.Name() == "snapshots" {
-			continue
+		if e.IsDir() && e.Name() != "snapshots" {
+			dirs = append(dirs, filepath.Join(root, e.Name()))
 		}
-		sub := filepath.Join(root, e.Name())
-		segs, err := listSegments(sub)
+	}
+	rec := &Recording{Dir: root}
+	for _, d := range dirs {
+		segs, err := listSegments(d)
 		if err != nil {
 			return nil, err
 		}
-		if len(segs) > 0 {
-			dirs = append(dirs, sub)
+		if len(segs) == 0 {
+			continue
 		}
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("flight: no segments under %s", root)
-	}
-	sort.Strings(dirs)
-	for _, d := range dirs {
-		nr, err := LoadDir(d)
+		nr, err := loadSegments(segs)
 		if err != nil {
 			return nil, err
 		}
 		rec.Nodes = append(rec.Nodes, nr)
+	}
+	if len(rec.Nodes) == 0 {
+		return nil, fmt.Errorf("flight: no segments under %s", root)
 	}
 	sort.Slice(rec.Nodes, func(i, j int) bool { return rec.Nodes[i].Node < rec.Nodes[j].Node })
 	return rec, nil
@@ -199,19 +206,4 @@ func WriteDir(dir string, node int, events []Event) error {
 		prev = ev.WallNS
 	}
 	return os.WriteFile(filepath.Join(dir, segName(0)), buf, 0o644)
-}
-
-// Rewrite copies a single-node recording through fn — the tamper tool:
-// load, mutate selected events, write the altered history, and let the
-// auditor catch it.
-func Rewrite(src, dst string, fn func(Event) Event) error {
-	nr, err := LoadDir(src)
-	if err != nil {
-		return err
-	}
-	out := make([]Event, len(nr.Events))
-	for i, ev := range nr.Events {
-		out[i] = fn(ev)
-	}
-	return WriteDir(dst, nr.Node, out)
 }

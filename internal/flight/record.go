@@ -3,10 +3,10 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +30,8 @@ const (
 type Options struct {
 	// Dir is the recording directory (created if missing). One node per
 	// directory; multi-node recordings use one subdirectory per node
-	// (see LoadTree).
+	// (see LoadTree). Empty keeps the ring in memory: the same segments,
+	// held as byte slices, read back by Load and never snapshotted.
 	Dir string
 	// Node is the recording node's cluster id.
 	Node int
@@ -43,7 +44,8 @@ type Options struct {
 	Buffer int
 }
 
-// Recorder is one node's flight recorder. Every record carries its
+// Recorder is one node's flight recorder: a ring of segments, on disk
+// under Options.Dir or in memory without one. Every record carries its
 // driver's clock: each recording method takes now, the time the node
 // acted on — unix nanoseconds under cmd/lbnode and the TCP cluster, the
 // virtual tick under netsim — and a record is never stamped before the
@@ -51,7 +53,7 @@ type Options struct {
 //
 // Each recording call frames its record onto a buffer the recorder owns,
 // on the calling goroutine, under mu; the buffer is written to the
-// current segment file every flushBytes and when the segment is sealed.
+// current segment every flushBytes and when the segment is sealed.
 // Nothing queues, so nothing is dropped unless a write fails: then the
 // open segment's records count as dropped, the torn segment is deleted
 // and the next record opens a fresh one. A node records from its one
@@ -82,38 +84,42 @@ type Recorder struct {
 	snapSeq   int
 }
 
-// liveSeg is one on-disk segment of the ring.
+// liveSeg is one segment of the ring: a file at path, or in memory (no
+// path) the bytes in data.
 type liveSeg struct {
 	seq   uint64
 	path  string
 	bytes int64
+	data  []byte
 }
 
 // segWriter is the open, current segment, written from the recorder's
-// buf.
+// buf to its file f, or in memory to mem.
 type segWriter struct {
 	f       *os.File
+	mem     []byte
 	path    string
 	seq     uint64
 	bytes   int64
 	records int64 // written or buffered
 }
 
-// Open creates (or resumes) a recording directory. Existing segments
-// in the directory are kept, counted against the ring budget, and
-// extended — a restarted daemon appends to its ring rather than
-// clobbering the incident evidence it just wrote.
+// Open creates (or resumes) a recording directory, or with an empty
+// Options.Dir a recording in memory. Existing segments in the directory
+// are kept, counted against the ring budget, and extended — a restarted
+// daemon appends to its ring rather than clobbering the incident
+// evidence it just wrote.
 func Open(o Options) (*Recorder, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("flight: Options.Dir is required")
-	}
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
+	}
+	r := &Recorder{opts: o, segBytes: max(o.MaxBytes/8, minSegBytes)}
+	if o.Dir == "" {
+		return r, nil
 	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	r := &Recorder{opts: o, segBytes: max(o.MaxBytes/8, minSegBytes)}
 	// Resume: adopt segments already in the ring.
 	segs, err := listSegments(o.Dir)
 	if err != nil {
@@ -129,7 +135,8 @@ func Open(o Options) (*Recorder, error) {
 	return r, nil
 }
 
-// Dir returns the recording directory ("" on a nil recorder).
+// Dir returns the recording directory ("" in memory or on a nil
+// recorder).
 func (r *Recorder) Dir() string {
 	if r == nil {
 		return ""
@@ -276,15 +283,47 @@ func (r *Recorder) Final(now int64, load int, generated, consumed, ingested, uni
 // snapshots/snap-NNN-<reason>/ inside the recording directory,
 // returning the snapshot path. It holds the recorder while it copies,
 // so a node recording meanwhile waits for it rather than losing
-// records; after Close it copies the sealed ring.
+// records; after Close it copies the sealed ring. A recorder in memory
+// has no directory to snapshot into.
 func (r *Recorder) Snapshot(reason string) (string, error) {
 	if r == nil {
 		return "", fmt.Errorf("flight: nil recorder")
+	}
+	if r.opts.Dir == "" {
+		return "", fmt.Errorf("flight: node %d records in memory and cannot snapshot", r.opts.Node)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seal()
 	return r.takeSnapshot(reason)
+}
+
+// Load decodes the recording so far, sealed segments and the open one,
+// from disk or from memory.
+func (r *Recorder) Load() (*NodeRecording, error) {
+	segs, err := r.ring()
+	if err != nil {
+		return nil, err
+	}
+	return loadSegments(segs)
+}
+
+// ring writes out the buffer and returns the ring's segments in order,
+// the open one last.
+func (r *Recorder) ring() ([]liveSeg, error) {
+	if r == nil {
+		return nil, fmt.Errorf("flight: nil recorder")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.w != nil && !r.flush() {
+		return nil, r.lastErr
+	}
+	segs := slices.Clone(r.live)
+	if w := r.w; w != nil {
+		segs = append(segs, liveSeg{seq: w.seq, path: w.path, bytes: w.bytes, data: w.mem})
+	}
+	return segs, nil
 }
 
 // Close seals the current segment. Records arriving after Close are
@@ -302,7 +341,8 @@ func (r *Recorder) Close() error {
 	return r.lastErr
 }
 
-// fail keeps the first write error without stopping the recorder.
+// fail keeps the first write error without stopping the recorder; a
+// nil err changes nothing.
 func (r *Recorder) fail(err error) {
 	if r.lastErr == nil {
 		r.lastErr = err
@@ -333,12 +373,20 @@ func (r *Recorder) write(wall int64, dir Dir, tail []byte) error {
 	return nil
 }
 
-// flush writes the buffer to the open segment file and reports whether
-// it could. A failed write tears the segment: its records count as
+// flush writes the buffer to the open segment and reports whether it
+// could. A failed write tears the segment: its records count as
 // dropped, and it is closed and deleted, so that the next record opens a
 // fresh one and every segment left on disk loads.
 func (r *Recorder) flush() bool {
 	w := r.w
+	if w.f == nil {
+		if w.mem == nil { // the segment's first flush takes the buffer whole
+			w.mem, r.buf = r.buf, nil
+		}
+		w.mem = append(w.mem, r.buf...)
+		r.buf = r.buf[:0]
+		return true
+	}
 	_, err := w.f.Write(r.buf)
 	r.buf = r.buf[:0]
 	if err == nil {
@@ -352,13 +400,17 @@ func (r *Recorder) flush() bool {
 	return false
 }
 
-// openSegment starts the next segment file; its header reference stamp
-// resets the wall-delta chain.
+// openSegment starts the next segment, a file or in memory; its header
+// reference stamp resets the wall-delta chain.
 func (r *Recorder) openSegment(wall int64) error {
-	path := filepath.Join(r.opts.Dir, segName(r.segSeq))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	var f *os.File
+	var path string
+	if r.opts.Dir != "" {
+		path = filepath.Join(r.opts.Dir, segName(r.segSeq))
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
 	}
 	r.buf = appendHeader(r.buf[:0], segHeader{node: r.opts.Node, seq: r.segSeq, wallRefNS: wall, codec: wire.Version})
 	r.w = &segWriter{f: f, path: path, seq: r.segSeq, bytes: int64(len(r.buf))}
@@ -375,16 +427,20 @@ func (r *Recorder) seal() {
 		return
 	}
 	r.w = nil
-	if err := w.f.Close(); err != nil {
-		r.fail(err)
+	if w.f != nil {
+		r.fail(w.f.Close())
 	}
 	r.sealed.Add(1)
-	r.live = append(r.live, liveSeg{seq: w.seq, path: w.path, bytes: w.bytes})
+	r.live = append(r.live, liveSeg{seq: w.seq, path: w.path, bytes: w.bytes, data: w.mem})
 	r.liveBytes += w.bytes
 	for len(r.live) > 1 && r.liveBytes > r.opts.MaxBytes {
 		old := r.live[0]
+		r.live[0] = liveSeg{}
 		r.live = r.live[1:]
 		r.liveBytes -= old.bytes
+		if r.opts.Dir == "" {
+			continue // dropping the slice frees it
+		}
 		if err := os.Remove(old.path); err != nil && !os.IsNotExist(err) {
 			r.fail(err)
 		}
@@ -400,19 +456,19 @@ func (r *Recorder) takeSnapshot(reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	segs, err := listSegments(r.opts.Dir)
-	if err != nil {
-		return "", err
-	}
 	var copied []string
 	var total int64
-	for _, s := range segs {
-		n, err := copyFile(filepath.Join(dir, filepath.Base(s.path)), s.path)
+	for _, s := range r.live {
+		name := segName(s.seq)
+		p, err := s.read()
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), p, 0o644)
+		}
 		if err != nil {
 			return "", err
 		}
-		copied = append(copied, filepath.Base(s.path))
-		total += n
+		copied = append(copied, name)
+		total += int64(len(p))
 	}
 	man, _ := json.MarshalIndent(map[string]any{
 		"node": r.opts.Node, "reason": reason, "at_ns": r.last,
@@ -440,23 +496,6 @@ func sanitizeReason(reason string) string {
 		}
 	}
 	return string(out)
-}
-
-func copyFile(dst, src string) (int64, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return 0, err
-	}
-	n, err := io.Copy(out, in)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
 }
 
 // segName formats a segment file name; the zero-padded sequence keeps

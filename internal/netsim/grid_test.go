@@ -3,8 +3,6 @@ package netsim
 import (
 	"cmp"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -71,9 +69,9 @@ func drawWorld(seed uint64) world {
 // and a shutdown that ends within the ticks the timeouts and crash
 // windows allow. A failure prints the world's one-line reproducer.
 func TestFaultGrid(t *testing.T) {
-	runGrid(t, func(w *world, flightDir string) string {
+	runGrid(t, func(w *world) string {
 		var err error
-		if w.cfg.Flight, err = Record(flightDir, w.cfg.N); err != nil {
+		if w.cfg.Flight, err = Record("", w.cfg.N); err != nil {
 			return err.Error()
 		}
 		res, err := Run(w.cfg)
@@ -83,7 +81,10 @@ func TestFaultGrid(t *testing.T) {
 		if msg := w.audit(res); msg != "" {
 			return msg
 		}
-		return w.auditFlight(res)
+		if _, _, err := Replay(res, w.cfg.Flight); err != nil {
+			return err.Error()
+		}
+		return ""
 	})
 }
 
@@ -97,7 +98,7 @@ func TestFaultGrid(t *testing.T) {
 // shutdown can strand them.
 func TestServeFaultGrid(t *testing.T) {
 	var held atomic.Int64
-	runGrid(t, func(w *world, flightDir string) string {
+	runGrid(t, func(w *world) string {
 		w.cfg.GenP = []float64{0}
 		var completions int64
 		hooks := &cluster.ServeHooks{Complete: func(uint64, cluster.Journey) { completions++ }}
@@ -106,7 +107,7 @@ func TestServeFaultGrid(t *testing.T) {
 			w.cfg.ServePerNode[i] = hooks
 		}
 		var err error
-		if w.cfg.Flight, err = Record(flightDir, w.cfg.N); err != nil {
+		if w.cfg.Flight, err = Record("", w.cfg.N); err != nil {
 			return err.Error()
 		}
 		s, err := New(w.cfg)
@@ -137,28 +138,29 @@ func TestServeFaultGrid(t *testing.T) {
 		if res.RecordsHeld() > 0 {
 			held.Add(1)
 		}
-		return w.auditFlight(res)
+		if _, _, err := Replay(res, w.cfg.Flight); err != nil {
+			return err.Error()
+		}
+		return ""
 	})
 	t.Logf("%d of 1000 worlds ended with records held", held.Load())
 }
 
 // runGrid runs check on worlds 0..999, spread over one worker per CPU
 // (each world is single-threaded and a pure function of its seed), and
-// fails with the lowest-seeded world's reproducer and complaint. Each
-// worker hands its worlds one flight-recording directory in turn.
-func runGrid(t *testing.T, check func(w *world, flightDir string) string) {
+// fails with the lowest-seeded world's reproducer and complaint.
+func runGrid(t *testing.T, check func(w *world) string) {
 	const worlds = 1000
 	fails := make([]string, worlds)
 	var next atomic.Uint64
 	var wg sync.WaitGroup
 	for k := 0; k < runtime.GOMAXPROCS(0); k++ {
-		dir := filepath.Join(t.TempDir(), "flight")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for seed := next.Add(1) - 1; seed < worlds; seed = next.Add(1) - 1 {
 				w := drawWorld(seed)
-				if msg := check(&w, dir); msg != "" {
+				if msg := check(&w); msg != "" {
 					fails[seed] = fmt.Sprintf("%v: %s", w, msg)
 				}
 			}
@@ -170,26 +172,6 @@ func runGrid(t *testing.T, check func(w *world, flightDir string) string) {
 			t.Fatal(f)
 		}
 	}
-}
-
-// auditFlight holds the world's recording to its result through Replay
-// and returns what is wrong with it, or "": each node's stream must also
-// be one segment. Each node's segment is deleted once judged, leaving
-// its directory empty for the next world.
-func (w world) auditFlight(res *Result) string {
-	for _, rec := range w.cfg.Flight {
-		defer os.Remove(filepath.Join(rec.Dir(), "seg-00000000.lbfr"))
-	}
-	recording, _, err := Replay(res, w.cfg.Flight)
-	if err != nil {
-		return err.Error()
-	}
-	for _, nr := range recording.Nodes {
-		if nr.Segments != 1 {
-			return fmt.Sprintf("node %d recorded %d segments", nr.Node, nr.Segments)
-		}
-	}
-	return ""
 }
 
 // audit returns what is wrong with a world's result, or "".

@@ -39,8 +39,9 @@ import (
 // node sends at its mailbox port, and every record on the world's
 // goroutine, stamped with the tick: a world cannot drop a record, and
 // its recording is a pure function of the Config. Flight must not be
-// tapped. Record opens the recorders; Replay closes them after Result
-// and holds the recording to it.
+// tapped. Record opens the recorders, each a segment ring in memory or
+// on disk; Replay closes them after Result and holds the recording to
+// it.
 type Config struct {
 	N            int
 	Delta        int

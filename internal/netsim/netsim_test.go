@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -291,23 +289,21 @@ func TestNetsimGoldenSamplePath(t *testing.T) {
 // BenchmarkNetsimWorld times one fixed world, bench/micro.go's netsim row
 // (n = 32, δ = 1, 2 000 steps, seed 7), in ns per node-step: bare, with a
 // registry that the nodes and publishObs write into, and with a flight
-// recorder per node (closed, so flushed, inside the timing).
+// recorder per node in memory (closed, so sealed, inside the timing).
 func BenchmarkNetsimWorld(b *testing.B) {
 	cfg := Config{N: 32, Delta: 1, F: 1.2, Steps: 2000,
 		GenP: []float64{0.6}, ConP: []float64{0.4}, Seed: 7}
 	for _, arm := range []string{"bare", "registry", "recorded"} {
 		b.Run(arm, func(b *testing.B) {
-			dir := b.TempDir()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c := cfg
-				root := filepath.Join(dir, fmt.Sprint(i))
 				var err error
 				switch arm {
 				case "registry":
 					c.Obs = obs.NewRegistry()
 				case "recorded":
-					if c.Flight, err = Record(root, c.N); err != nil {
+					if c.Flight, err = Record("", c.N); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -323,9 +319,6 @@ func BenchmarkNetsimWorld(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.StopTimer()
-				os.RemoveAll(root)
-				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.N*cfg.Steps), "ns/node-step")
 		})

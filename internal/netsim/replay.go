@@ -9,12 +9,17 @@ import (
 	"lmbalance/internal/wire"
 )
 
-// Record opens one flight recorder per node for Config.Flight, node i's
-// under root/node-i: the layout flight.LoadTree reads.
+// Record opens one flight recorder per node for Config.Flight: with an
+// empty root in memory, else node i's under root/node-i, the layout
+// flight.LoadTree reads.
 func Record(root string, n int) ([]*flight.Recorder, error) {
 	recs := make([]*flight.Recorder, n)
 	for i := range recs {
-		rec, err := flight.Open(flight.Options{Dir: filepath.Join(root, fmt.Sprintf("node-%d", i)), Node: i})
+		dir := ""
+		if root != "" {
+			dir = filepath.Join(root, fmt.Sprintf("node-%d", i))
+		}
+		rec, err := flight.Open(flight.Options{Dir: dir, Node: i})
 		if err != nil {
 			for _, rec := range recs[:i] {
 				rec.Close()
@@ -35,7 +40,7 @@ type replayed struct {
 }
 
 // Replay closes the recorders of a world whose Result is res, loads each
-// one's directory and re-executes the recording through flight.Audit. A
+// one's recording and re-executes the recording through flight.Audit. A
 // world's recording is a pure function of its Config, so the replay must
 // reproduce res: Replay fails unless no record was dropped, none diverged
 // from the re-executed machine and none went unverified, every node's
@@ -59,7 +64,7 @@ func Replay(res *Result, recs []*flight.Recorder) (*flight.Recording, *flight.Au
 		if d := rec.Dropped(); d != 0 {
 			return nil, nil, fmt.Errorf("netsim: node %d's recorder dropped %d records", i, d)
 		}
-		nr, err := flight.LoadDir(rec.Dir())
+		nr, err := rec.Load()
 		if err != nil {
 			return nil, nil, err
 		}
