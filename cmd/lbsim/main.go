@@ -190,6 +190,9 @@ func run(o options) error {
 	if o.shards != 0 && o.algo != "lm" {
 		return fmt.Errorf("-shards requires -algo lm (the sharded engine steps the core system's lanes directly)")
 	}
+	if o.every < 1 {
+		return fmt.Errorf("-every = %d, need >= 1", o.every)
+	}
 	n, steps, runs, seed := o.n, o.steps, o.runs, o.seed
 	f, delta, c := o.f, o.delta, o.c
 	algo, topo, pattern, every := o.algo, o.topo, o.pattern, o.every

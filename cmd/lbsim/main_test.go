@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -67,6 +68,19 @@ func TestRunRejectsNonSquareTorus(t *testing.T) {
 	}
 	if err := run(opts(12, 30, 1, "lm", "hypercube", "uniform")); err == nil {
 		t.Fatal("non-power-of-two hypercube accepted")
+	}
+}
+
+// TestRunRejectsNonPositiveEvery: the series printer steps by -every, so
+// a value below 1 is refused, naming the flag, before anything runs.
+func TestRunRejectsNonPositiveEvery(t *testing.T) {
+	for _, every := range []int{0, -3} {
+		o := opts(8, 10, 1, "lm", "global", "uniform")
+		o.every = every
+		err := run(o)
+		if err == nil || !strings.Contains(err.Error(), "-every") {
+			t.Fatalf("-every %d: got %v, want an error naming -every", every, err)
+		}
 	}
 }
 

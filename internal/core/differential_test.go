@@ -12,9 +12,12 @@ import (
 // storage rework: driven off identical RNG streams, the sparse System and
 // the dense reference implementation must be step-for-step bit-identical —
 // same d and b matrices, same loads, same trigger state, same metrics.
-// Cheap per-processor state is compared after every operation; the full
-// n×n matrices and the sparse invariants are checked periodically and at
-// the end.
+// Two sparse systems take every operation: one through the sequential
+// Generate/Consume, one through a Lane over all of it (laneDriver), so the
+// sharded engine's entry points are held to the reference too. Cheap
+// per-processor state is compared after every operation; the full n×n
+// matrices and the sparse invariants are checked periodically and at the
+// end.
 func TestSparseMatchesDenseReference(t *testing.T) {
 	configs := []struct {
 		n    int
@@ -41,63 +44,124 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 		cfg := cfg
 		t.Run(fmt.Sprintf("n=%d_f=%g_δ=%d_C=%d", cfg.n, cfg.p.F, cfg.p.Delta, cfg.p.C), func(t *testing.T) {
 			seed := uint64(1000 + 17*ci)
-			sparse, err := NewSystem(cfg.n, cfg.p, topology.NewGlobal(cfg.n), rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
+			newSparse := func() *System {
+				s, err := NewSystem(cfg.n, cfg.p, topology.NewGlobal(cfg.n), rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
+			seq, viaLane := newSparse(), newSparse()
+			arms := []arm{{"sequential", seq, seq}, {"lane", viaLane, newLaneDriver(viaLane)}}
 			dense := newDenseSystem(cfg.n, cfg.p, topology.NewGlobal(cfg.n), rng.New(seed))
 			op := rng.New(seed + 7777)
 
 			compareFull := func(step int) {
 				t.Helper()
-				if err := diffDense(sparse, dense); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				if share := singlesShare(sparse); step >= steps/2 && share < cfg.singles {
-					t.Fatalf("step %d: %.3f of the nonzero cells are d = 1, b = 0; the arm needs %.2f to exercise the kernel's run path",
-						step, share, cfg.singles)
+				for _, a := range arms {
+					if err := diffDense(a.sys, dense); err != nil {
+						t.Fatalf("%s, step %d: %v", a.name, step, err)
+					}
+					if share := singlesShare(a.sys); step >= steps/2 && share < cfg.singles {
+						t.Fatalf("%s, step %d: %.3f of the nonzero cells are d = 1, b = 0; the arm needs %.2f to exercise the kernel's run path",
+							a.name, step, share, cfg.singles)
+					}
 				}
 			}
 
 			for step := 0; step < steps; step++ {
 				i := op.Intn(cfg.n)
 				if op.Bernoulli(cfg.genP) {
-					sparse.Generate(i)
+					for _, a := range arms {
+						a.step.Generate(i)
+					}
 					dense.Generate(i)
 				} else {
-					gotS := sparse.Consume(i)
 					gotD := dense.Consume(i)
-					if gotS != gotD {
-						t.Fatalf("step %d: Consume(%d) sparse=%v dense=%v", step, i, gotS, gotD)
+					for _, a := range arms {
+						if gotS := a.step.Consume(i); gotS != gotD {
+							t.Fatalf("%s, step %d: Consume(%d) sparse=%v dense=%v", a.name, step, i, gotS, gotD)
+						}
 					}
 				}
-				for p := 0; p < cfg.n; p++ {
-					if sparse.Load(p) != dense.l[p] ||
-						sparse.Borrowed(p) != dense.bTot[p] ||
-						sparse.TriggerBase(p) != dense.lOld[p] ||
-						sparse.LocalTime(p) != dense.localT[p] {
-						t.Fatalf("step %d: processor %d diverged: l %d/%d bTot %d/%d lOld %d/%d t' %d/%d",
-							step, p,
-							sparse.Load(p), dense.l[p],
-							sparse.Borrowed(p), dense.bTot[p],
-							sparse.TriggerBase(p), dense.lOld[p],
-							sparse.LocalTime(p), dense.localT[p])
+				for _, a := range arms {
+					sparse := a.sys
+					for p := 0; p < cfg.n; p++ {
+						if sparse.Load(p) != dense.l[p] ||
+							sparse.Borrowed(p) != dense.bTot[p] ||
+							sparse.TriggerBase(p) != dense.lOld[p] ||
+							sparse.LocalTime(p) != dense.localT[p] {
+							t.Fatalf("%s, step %d: processor %d diverged: l %d/%d bTot %d/%d lOld %d/%d t' %d/%d",
+								a.name, step, p,
+								sparse.Load(p), dense.l[p],
+								sparse.Borrowed(p), dense.bTot[p],
+								sparse.TriggerBase(p), dense.lOld[p],
+								sparse.LocalTime(p), dense.localT[p])
+						}
 					}
-				}
-				if sparse.Metrics() != dense.metrics {
-					t.Fatalf("step %d: metrics diverged:\nsparse %+v\ndense  %+v",
-						step, sparse.Metrics(), dense.metrics)
+					if sparse.Metrics() != dense.metrics {
+						t.Fatalf("%s, step %d: metrics diverged:\nsparse %+v\ndense  %+v",
+							a.name, step, sparse.Metrics(), dense.metrics)
+					}
 				}
 				if step%251 == 0 {
 					compareFull(step)
 				}
 			}
 			compareFull(steps)
-			if sparse.Metrics().BalanceOps == 0 || sparse.Metrics().TotalBorrow == 0 {
-				t.Fatalf("degenerate run, differential coverage too weak: %+v", sparse.Metrics())
+			if m := arms[0].sys.Metrics(); m.BalanceOps == 0 || m.TotalBorrow == 0 {
+				t.Fatalf("degenerate run, differential coverage too weak: %+v", m)
 			}
 		})
 	}
+}
+
+// stepper is what takes a differential test's operations: a System, or a
+// laneDriver over one.
+type stepper interface {
+	Generate(i int)
+	Consume(i int) bool
+}
+
+// arm is one sparse system under a differential test and the path its
+// operations take.
+type arm struct {
+	name string
+	sys  *System
+	step stepper
+}
+
+// laneDriver drives a System op by op through one Lane over all of its
+// processors, acting on what the lane reports as the sequential path
+// would: a reported trigger gets the balancing operation Generate or
+// Consume fires, a reported needSettle gets SettleConsume, and the lane's
+// counters are absorbed after every operation. Held in lockstep with the
+// dense reference, it checks the trigger/settle deferral contract the
+// sharded engine relies on.
+type laneDriver struct {
+	*System
+	lane *Lane
+}
+
+func newLaneDriver(s *System) laneDriver { return laneDriver{s, s.NewLane(0, s.N())} }
+
+func (d laneDriver) Generate(i int) {
+	if d.lane.Generate(i, d.rng) {
+		d.ForceBalance(i)
+	}
+	d.AbsorbMetrics(d.lane.TakeMetrics())
+}
+
+func (d laneDriver) Consume(i int) bool {
+	consumed, trigger, needSettle := d.lane.Consume(i, d.rng)
+	if trigger {
+		d.ForceBalance(i)
+	}
+	if needSettle {
+		consumed = d.SettleConsume(i, d.rng)
+	}
+	d.AbsorbMetrics(d.lane.TakeMetrics())
+	return consumed
 }
 
 // TestSparseMatchesDenseOnDrain runs both implementations through a

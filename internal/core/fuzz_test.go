@@ -17,7 +17,9 @@ import (
 // toward empty. The dense reference (dense_ref_test.go) takes every
 // operation in lockstep on the same seed, and the first cell, total,
 // trigger base, local clock or counter in which the two differ fails the
-// input.
+// input. The top bit of the first byte picks the sparse system's path:
+// clear, the sequential Generate/Consume; set, a Lane over the whole
+// system (laneDriver).
 func FuzzOpSequence(f *testing.F) {
 	f.Add([]byte{0x10, 0x20, 0x30, 0x01, 0x02, 0x03, 0xff, 0x80})
 	f.Add([]byte{0x00, 0x00, 0x00})
@@ -28,6 +30,11 @@ func FuzzOpSequence(f *testing.F) {
 		0x01, 0x05, 0x09, 0x0d, 0x01, 0x05, 0x09, 0x0d, 0x01, 0x05})
 	// Single-producer, many consumers (hotspot shape).
 	f.Add([]byte{0x20, 0x02, 0x10, 0x05, 0x00, 0x00, 0x00, 0x00, 0x03, 0x05,
+		0x07, 0x09, 0x0b, 0x0d, 0x0f, 0x11, 0x13, 0x15, 0x17, 0x19})
+	// The two shapes above again, through the Lane path.
+	f.Add([]byte{0x87, 0x01, 0x05, 0x02, 0x00, 0x04, 0x08, 0x0c, 0x00, 0x04,
+		0x01, 0x05, 0x09, 0x0d, 0x01, 0x05, 0x09, 0x0d, 0x01, 0x05})
+	f.Add([]byte{0xa0, 0x02, 0x10, 0x05, 0x00, 0x00, 0x00, 0x00, 0x03, 0x05,
 		0x07, 0x09, 0x0b, 0x0d, 0x0f, 0x11, 0x13, 0x15, 0x17, 0x19})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -49,6 +56,10 @@ func FuzzOpSequence(f *testing.F) {
 			t.Fatalf("construction failed for derived params: %v", err)
 		}
 		dense := newDenseSystem(n, params, topology.NewGlobal(n), rng.New(uint64(len(data))))
+		var path stepper = s
+		if data[0]&0x80 != 0 {
+			path = newLaneDriver(s)
+		}
 		// stage and k name the operation in a failure: "op 12", "drain 3".
 		lockstep := func(stage string, k int) {
 			t.Helper()
@@ -64,14 +75,14 @@ func FuzzOpSequence(f *testing.F) {
 		}
 		consume := func(p int, stage string, k int) {
 			t.Helper()
-			if got, want := s.Consume(p), dense.Consume(p); got != want {
+			if got, want := path.Consume(p), dense.Consume(p); got != want {
 				t.Fatalf("%s %d: Consume(%d) sparse=%v dense=%v", stage, k, p, got, want)
 			}
 		}
 		for k, b := range data[4:] {
 			p := (int(b) >> 1) % n
 			if b&1 == 0 {
-				s.Generate(p)
+				path.Generate(p)
 				dense.Generate(p)
 			} else {
 				consume(p, "op", k)

@@ -8,13 +8,14 @@ import (
 
 // Lane is one shard's view of a System: the contiguous processor range
 // [lo, hi), whose rows it holds as a sub-slice indexed by shard-local
-// offset. Lanes over disjoint ranges may be driven concurrently: a Lane's
-// Generate and Consume touch only processor lo+li's row and the lane's own
-// scratch and metrics, and instead of recursing into balancing or
-// settlement they report trigger/settle conditions for the caller to defer
-// into its mailbox. The sharded engine resolves those deferred operations
-// at a deterministic tick barrier through the batched entry points in
-// batch.go.
+// offset. A Lane's Generate and Consume are calls into the step rules the
+// sequential Generate and Consume run (generateRow, consumeRow), with the
+// lane's own counters. The rules touch only processor lo+li's row, so
+// lanes over disjoint ranges may be driven concurrently, and instead of
+// recursing into balancing or settlement they report trigger/settle
+// conditions for the caller to defer into its mailbox. The sharded engine
+// resolves those deferred operations at a deterministic tick barrier
+// through the batched entry points in batch.go.
 type Lane struct {
 	params Params
 	lo     int
@@ -52,11 +53,6 @@ func (ln *Lane) Load(li int) int { return ln.rows[li].l }
 // about to step.
 func (ln *Lane) Warm(li int) int { return ln.rows[li].warm() }
 
-// Metrics returns the lane's accumulated counters. The engine folds them
-// into the System with AbsorbMetrics once the lane goes quiet (end of run,
-// or before an invariant check).
-func (ln *Lane) Metrics() Metrics { return ln.metrics }
-
 // TakeMetrics returns the lane's counters and resets them to zero, so the
 // engine can absorb them into the System exactly once.
 func (ln *Lane) TakeMetrics() Metrics {
@@ -65,56 +61,20 @@ func (ln *Lane) TakeMetrics() Metrics {
 	return m
 }
 
-// Generate adds one self-generated packet to local processor li, repaying
-// a borrow marker if one is outstanding — identical to System.Generate
-// except that instead of firing a balancing operation it reports whether
-// the factor-f trigger condition now holds, for the caller to defer.
+// Generate runs the generate rule (generateRow) on local processor li.
+// Where System.Generate balances at once, the lane reports the factor-f
+// trigger for the caller to defer.
 func (ln *Lane) Generate(li int, r *rng.RNG) (trigger bool) {
-	row := &ln.rows[li]
-	if row.bTot > 0 {
-		j := randClass(row, false, r)
-		row.add(j, +1, -1)
-		row.bTot--
-	} else {
-		row.own.d++
-	}
-	row.l++
-	ln.metrics.Generated++
-	return trigFired(row, ln.params.F)
+	return generateRow(&ln.rows[li], &ln.params, r, &ln.metrics)
 }
 
-// Consume removes one packet from local processor li if it can do so
-// locally: consuming a self packet, or borrowing when a borrow slot and a
-// borrowable class are available. Both paths mutate only processor li's
-// state. When the sequential algorithm would have to settle a marker first
-// (no borrow slot left, or no borrowable class), the lane mutates nothing
-// and reports needSettle; the caller defers the consume to the barrier,
-// where System.SettleConsume completes it with the full sequential path.
-// trigger reports the factor-f condition after a self-packet consume.
+// Consume runs the local consume rule (consumeRow) on local processor li.
+// Where System.Consume would settle a marker, the lane reports needSettle
+// and the caller defers the consume to the barrier, where
+// System.SettleConsume completes and counts it. Assigning the named
+// results, unlike returning the call, keeps the method within the
+// inliner's budget, so a caller makes one call per consume.
 func (ln *Lane) Consume(li int, r *rng.RNG) (consumed, trigger, needSettle bool) {
-	row := &ln.rows[li]
-	if row.l == 0 {
-		ln.metrics.ConsumeNoLoad++
-		return false, false, false
-	}
-	if row.own.d > 0 {
-		row.own.d--
-		row.l--
-		ln.metrics.Consumed++
-		return true, trigFired(row, ln.params.F), false
-	}
-	if row.bTot < ln.params.C {
-		j := randClass(row, true, r)
-		if j >= 0 {
-			row.add(j, -1, +1)
-			row.bTot++
-			row.l--
-			ln.metrics.TotalBorrow++
-			ln.metrics.Consumed++
-			return true, false, false
-		}
-	}
-	// Settlement required: defer without mutating (the metrics for the
-	// completed consume are counted by SettleConsume at the barrier).
-	return false, false, true
+	consumed, trigger, needSettle = consumeRow(&ln.rows[li], &ln.params, r, &ln.metrics)
+	return
 }

@@ -13,11 +13,12 @@ import (
 // Generate and Consume; all balancing activity happens inside those calls,
 // exactly as in the appendix algorithm. A System is not safe for concurrent
 // use through the sequential API; the sharded simulation engine drives
-// disjoint processor ranges concurrently through Lane views and resolves
-// cross-range balancing operations through the batched entry points in
-// batch.go. The message-passing realization is internal/proto (the
-// handshake state machine), driven by internal/netsim on a virtual clock
-// and by internal/cluster over real transports.
+// disjoint processor ranges concurrently through Lane views, which run the
+// same step rules (generateRow, consumeRow), and resolves cross-range
+// balancing operations through the batched entry points in batch.go. The
+// message-passing realization is internal/proto (the handshake state
+// machine), driven by internal/netsim on a virtual clock and by
+// internal/cluster over real transports.
 //
 // Per-class state is stored sparsely: processor i keeps a compact row of
 // the classes it actually holds (see sparse.go) instead of dense length-n
@@ -249,17 +250,9 @@ func (s *System) ForceBalance(i int) { s.balance(i, s.rng, s.sc, &s.metrics) }
 func (s *System) Generate(i int) { s.generate(i, s.rng, s.sc, &s.metrics) }
 
 func (s *System) generate(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	row := &s.rows[i]
-	if row.bTot > 0 {
-		j := randClass(row, false, r)
-		row.add(j, +1, -1)
-		row.bTot--
-	} else {
-		row.own.d++
+	if generateRow(&s.rows[i], &s.params, r, m) {
+		s.balance(i, r, sc, m)
 	}
-	row.l++
-	m.Generated++
-	s.maybeBalance(i, r, sc, m)
 }
 
 // Consume removes one packet from processor i, borrowing from a foreign
@@ -270,45 +263,20 @@ func (s *System) Consume(i int) bool { return s.consume(i, s.rng, s.sc, &s.metri
 
 func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 	row := &s.rows[i]
-	if row.l == 0 {
-		m.ConsumeNoLoad++
-		return false
-	}
-	if row.own.d > 0 {
-		row.own.d--
-		row.l--
-		m.Consumed++
-		s.maybeBalance(i, r, sc, m)
-		return true
-	}
-	// d[i][i] == 0 but l > 0: borrow. Each settlement clears at least one
-	// marker, so the loop terminates within C+2 rounds.
+	// Each settlement clears at least one marker, so the loop terminates
+	// within C+2 rounds.
 	for attempt := 0; attempt <= s.params.C+2; attempt++ {
-		if row.l == 0 {
-			// Settlement rebalancing may have migrated all load away.
-			m.ConsumeNoLoad++
-			return false
-		}
-		if row.own.d > 0 {
-			// Settlement rebalancing gave i self packets back.
-			row.own.d--
-			row.l--
-			m.Consumed++
-			s.maybeBalance(i, r, sc, m)
-			return true
-		}
-		if row.bTot < s.params.C {
-			j := randClass(row, true, r)
-			if j >= 0 {
-				row.add(j, -1, +1)
-				row.bTot++
-				row.l--
-				m.TotalBorrow++
-				m.Consumed++
-				return true
+		consumed, trigger, needSettle := consumeRow(row, &s.params, r, m)
+		if !needSettle {
+			if trigger {
+				s.balance(i, r, sc, m)
 			}
+			return consumed
 		}
-		// No borrow slot: settle a random outstanding marker first.
+		// No borrow slot or no borrowable class: settle a random
+		// outstanding marker first. The settlement's rebalancing may give
+		// i self packets back, or migrate all of its load away; the next
+		// round sees either.
 		j := randClass(row, false, r)
 		if j < 0 {
 			// No markers and no borrowable class would mean l == 0;
@@ -319,6 +287,60 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 	}
 	m.ConsumeNoLoad++
 	return false
+}
+
+// The appendix's processor-step rules, one row at a time. The sequential
+// path (generate, consume) and the sharded engine's Lane both call them:
+// they touch nothing but the row, the generator and the counters, and
+// instead of acting on a trigger or a settlement they report it, so the
+// caller decides whether to balance at once or defer to a barrier.
+
+// generateRow adds one self-generated packet to row: if the row holds
+// borrow markers, the packet repays a random one (the marker's class
+// receives it), else it joins the self class. It reports whether the
+// factor-f trigger condition now holds.
+func generateRow(row *sparseRow, p *Params, r *rng.RNG, m *Metrics) (trigger bool) {
+	if row.bTot > 0 {
+		j := randClass(row, false, r)
+		row.add(j, +1, -1)
+		row.bTot--
+	} else {
+		row.own.d++
+	}
+	row.l++
+	m.Generated++
+	return trigFired(row, p.F)
+}
+
+// consumeRow removes one packet from row if it can do so locally:
+// consuming a self packet, or borrowing from a random borrowable class
+// while the row holds fewer than C markers. trigger reports the factor-f
+// condition after a self-packet consume. When a marker must be settled
+// first (no borrow slot left, or no borrowable class), it mutates nothing,
+// draws nothing and reports needSettle. A row with no load counts a
+// ConsumeNoLoad and reports nothing.
+func consumeRow(row *sparseRow, p *Params, r *rng.RNG, m *Metrics) (consumed, trigger, needSettle bool) {
+	if row.l == 0 {
+		m.ConsumeNoLoad++
+		return false, false, false
+	}
+	if row.own.d > 0 {
+		row.own.d--
+		row.l--
+		m.Consumed++
+		return true, trigFired(row, p.F), false
+	}
+	if row.bTot < p.C {
+		if j := randClass(row, true, r); j >= 0 {
+			row.add(j, -1, +1)
+			row.bTot++
+			row.l--
+			m.TotalBorrow++
+			m.Consumed++
+			return true, false, false
+		}
+	}
+	return false, false, true
 }
 
 // randClass picks a uniformly random class among the row's classes that

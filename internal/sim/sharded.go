@@ -69,7 +69,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -78,9 +77,6 @@ import (
 	"lmbalance/internal/stats"
 	"lmbalance/internal/workload"
 )
-
-// defaultWorkers is the worker count when Config.Workers is 0.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // shardState is one shard's driving state: its Lane view, its private
 // streams, its iteration order, and its mailbox of deferred operations.
@@ -159,89 +155,35 @@ type opWorker struct {
 
 // shardedOneRun executes one run on the sharded engine.
 func shardedOneRun(cfg Config, run int) runResult {
-	stride := cfg.statsStride()
-	out := runResult{
-		avg:       stats.NewSeriesStride(cfg.Steps, stride),
-		min:       stats.NewSeriesStride(cfg.Steps, stride),
-		max:       stats.NewSeriesStride(cfg.Steps, stride),
-		spread:    stats.NewSeriesStride(cfg.Steps, stride),
-		snapshots: make(map[int][]float64, len(cfg.SnapshotAt)),
-	}
 	// All streams key off (Seed, run) through a Partition: shard s obtains
 	// its streams from (kind, s) locally, with no coordination and no
 	// dependence on goroutine schedule — the anchor of the worker-count
 	// invariance.
 	part := rng.NewPartition(rng.Mix64(cfg.Seed, uint64(run)))
-	bal, err := cfg.NewBalancer(run, part.Stream(rng.StreamBalancer, 0))
+	rec, pattern, err := newRecorder(cfg, run, part.Stream(rng.StreamBalancer, 0), part.Stream(rng.StreamPattern, 0))
 	if err != nil {
-		out.err = err
-		return out
+		return runResult{err: err}
 	}
-	sys, ok := bal.(*core.System)
+	sys, ok := rec.bal.(*core.System)
 	if !ok {
-		out.err = fmt.Errorf("sharded engine requires a *core.System balancer, got %T", bal)
-		return out
+		return runResult{err: fmt.Errorf("sharded engine requires a *core.System balancer, got %T", rec.bal)}
 	}
-	if sys.N() != cfg.N {
-		out.err = fmt.Errorf("balancer built for %d processors, config says %d", sys.N(), cfg.N)
-		return out
-	}
-	pattern, err := cfg.NewPattern(run, part.Stream(rng.StreamPattern, 0))
-	if err != nil {
-		out.err = err
-		return out
-	}
-
 	e := newShardedEngine(cfg, sys, pattern, part)
-	snapshotWanted := make(map[int]bool, len(cfg.SnapshotAt))
-	for _, t := range cfg.SnapshotAt {
-		snapshotWanted[t] = true
-	}
-
 	for t := 0; t < cfg.Steps; t++ {
 		e.stepPhase(t)
 		e.resolveTriggers(t)
 		e.resolveSettles(t)
-		if out.avg.Sampled(t) {
-			p := e.scanLoads()
-			out.avg.Add(t, p.Mean())
-			out.min.Add(t, float64(p.Min))
-			out.max.Add(t, float64(p.Max))
-			out.spread.Add(t, float64(p.Max-p.Min))
-		}
-		if snapshotWanted[t] {
-			snap := make([]float64, cfg.N)
-			for i := 0; i < cfg.N; i++ {
-				snap[i] = float64(sys.Load(i))
-			}
-			out.snapshots[t] = snap
-		}
-		if cfg.Observe != nil {
-			cfg.Observe(run, t, bal)
-		}
+		rec.endTick(t, e.scanLoads)
 	}
-
 	e.absorbMetrics()
-	out.metrics = sys.Metrics()
-	if err := sys.CheckInvariants(); err != nil {
-		out.err = fmt.Errorf("invariant violation after run: %w", err)
-		return out
-	}
-	out.finalLoads = make([]float64, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		out.finalLoads[i] = float64(sys.Load(i))
-	}
-	return out
+	return rec.finish()
 }
 
 // newShardedEngine partitions the system into cfg.Shards contiguous lanes
 // and sets up streams, mailboxes and worker scratch.
 func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, part rng.Partition) *shardedEngine {
 	n, S := cfg.N, cfg.Shards
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
+	workers := cfg.workers()
 	e := &shardedEngine{
 		cfg:       cfg,
 		sys:       sys,
@@ -291,20 +233,21 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 	return e
 }
 
-// parallelFor covers the items [0, n) with calls fn(worker, lo, hi), one
-// per block of items [lo, hi) a worker claims (claimBlock), and returns
-// when all items are done. A block is a stretch of neighbours: items are
-// shards, or operations in canonical order, and the state of neighbouring
-// items shares cache lines (the per-tick plan arrays), while the
-// operations of one block can be worked on together (execBlock). With
-// one worker (or one item) it runs fn(0, 0, n) inline. The block→worker
-// assignment is schedule-dependent; callers must ensure items are
-// independent and per-worker state folds commutatively.
-func (e *shardedEngine) parallelFor(n int, fn func(worker, lo, hi int)) {
+// parallelFor covers the items [0, n) with calls fn(worker, lo, hi) on at
+// most workers goroutines, one call per block of items [lo, hi) a worker
+// claims (claimBlock), and returns when all items are done. A block is a
+// stretch of neighbours: items are runs, shards, or operations in
+// canonical order, and the state of neighbouring items shares cache lines
+// (the per-tick plan arrays), while the operations of one block can be
+// worked on together (execBlock). With one worker (or one item) it runs
+// fn(0, 0, n) inline. The block→worker assignment is schedule-dependent;
+// callers must ensure items are independent and per-worker state folds
+// commutatively.
+func parallelFor(workers, n int, fn func(worker, lo, hi int)) {
 	if n == 0 {
 		return
 	}
-	w := min(e.workers, n)
+	w := min(workers, n)
 	if w <= 1 {
 		fn(0, 0, n)
 		return
@@ -354,7 +297,7 @@ func claimBlock(next *atomic.Int64, n, w int) (lo, hi int) {
 // their own lane, streams and mailboxes, so the phase is race-free for
 // any worker assignment.
 func (e *shardedEngine) stepPhase(t int) {
-	e.parallelFor(len(e.active), func(_, lo, hi int) {
+	parallelFor(e.workers, len(e.active), func(_, lo, hi int) {
 		for _, s := range e.active[lo:hi] {
 			e.stepShard(&e.shards[s], t)
 		}
@@ -467,7 +410,7 @@ func (e *shardedEngine) resolveTriggers(t int) {
 	e.bucketByWave(K, maxWave)
 	for w := 1; w <= maxWave; w++ {
 		waveOps := e.opOrder[e.waveStart[w-1]:e.waveStart[w]]
-		e.parallelFor(len(waveOps), func(worker, lo, hi int) {
+		parallelFor(e.workers, len(waveOps), func(worker, lo, hi int) {
 			e.execBlock(e.opWorkers[worker], waveOps[lo:hi])
 		})
 	}
@@ -483,7 +426,7 @@ func (e *shardedEngine) drawOps(t int) {
 		e.opPartners = make([]int, K*e.delta)
 	}
 	e.opDraws = e.opDraws[:K]
-	e.parallelFor(K, func(worker, lo, hi int) {
+	parallelFor(e.workers, K, func(worker, lo, hi int) {
 		r := &e.opWorkers[worker].stream
 		for k := lo; k < hi; k++ {
 			r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
@@ -643,7 +586,7 @@ func (e *shardedEngine) resolveSettles(t int) {
 // parallel, merged by the fixed-shape tree reduction. All shards are
 // scanned (load migrates into inactive shards through balancing).
 func (e *shardedEngine) scanLoads() stats.LoadPartial {
-	e.parallelFor(len(e.shards), func(_, lo, hi int) {
+	parallelFor(e.workers, len(e.shards), func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			p := &e.partials[s]
 			*p = stats.LoadPartial{}

@@ -147,13 +147,12 @@ func TestParallelForContract(t *testing.T) {
 					}
 				}
 				// The blocks handed out, on goroutines.
-				e := &shardedEngine{workers: workers}
 				ran := make([]atomic.Int32, n)
 				last := make([]int, workers)
 				for w := range last {
 					last[w] = -1
 				}
-				e.parallelFor(n, func(worker, lo, hi int) {
+				parallelFor(workers, n, func(worker, lo, hi int) {
 					if lo < 0 || hi > n || lo >= hi {
 						t.Errorf("worker %d handed block [%d, %d) of %d items", worker, lo, hi, n)
 						return
@@ -626,7 +625,7 @@ func BenchmarkShardedPhases(b *testing.B) {
 			lap(3)
 			for w := 1; w <= maxWave; w++ {
 				waveOps := e.opOrder[e.waveStart[w-1]:e.waveStart[w]]
-				e.parallelFor(len(waveOps), func(worker, lo, hi int) {
+				parallelFor(e.workers, len(waveOps), func(worker, lo, hi int) {
 					e.execBlock(e.opWorkers[worker], waveOps[lo:hi])
 				})
 			}

@@ -7,14 +7,14 @@
 //
 // The engine records the per-step observables the paper's figures plot —
 // average, minimum and maximum processor load — and aggregates them over
-// many independent runs with a parallel worker pool (one goroutine per CPU,
-// each with its own deterministic RNG stream split from the master seed).
+// many independent runs spread over the workers (one goroutine per CPU by
+// default), each with its own deterministic RNG stream split from the
+// master seed.
 package sim
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"lmbalance/internal/core"
 	"lmbalance/internal/rng"
@@ -76,8 +76,8 @@ type Config struct {
 	// runs the original sequential per-run engine, bit-identical to
 	// earlier releases.
 	Shards int
-	// Workers bounds the goroutines used for parallelism: the per-run
-	// worker pool of the sequential engine, and the shard/operation
+	// Workers bounds the goroutines used for parallelism: those the
+	// sequential engine spreads its runs over, and the shard/operation
 	// workers of the sharded engine. 0 means GOMAXPROCS. Workers affects
 	// only speed, never results.
 	Workers int
@@ -96,6 +96,14 @@ func (c *Config) statsStride() int {
 		return 1
 	}
 	return c.StatsEvery
+}
+
+// workers returns the effective worker count.
+func (c *Config) workers() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Validate checks the configuration.
@@ -182,40 +190,21 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	results := make([]runResult, cfg.Runs)
+	// The sequential engine spreads its runs over the workers. The sharded
+	// engine's parallelism lives inside each run (shard and operation
+	// workers), so its runs execute one after another — which also bounds
+	// peak memory to one system at the multi-million-processor sizes it
+	// exists for.
+	runOne, workers := oneRun, cfg.workers()
 	if cfg.Shards > 0 {
-		// Sharded engine: parallelism lives inside each run (shard and
-		// operation workers), so runs execute sequentially — which also
-		// bounds peak memory to one system at the multi-million-processor
-		// sizes the sharded engine exists for.
-		for run := 0; run < cfg.Runs; run++ {
-			results[run] = shardedOneRun(cfg, run)
-		}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if cfg.Workers > 0 && cfg.Workers < workers {
-			workers = cfg.Workers
-		}
-		if workers > cfg.Runs {
-			workers = cfg.Runs
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for run := range next {
-					results[run] = oneRun(cfg, run)
-				}
-			}()
-		}
-		for run := 0; run < cfg.Runs; run++ {
-			next <- run
-		}
-		close(next)
-		wg.Wait()
+		runOne, workers = shardedOneRun, 1
 	}
+	results := make([]runResult, cfg.Runs)
+	parallelFor(workers, cfg.Runs, func(_, lo, hi int) {
+		for run := lo; run < hi; run++ {
+			results[run] = runOne(cfg, run)
+		}
+	})
 
 	stride := cfg.statsStride()
 	res := &Result{
@@ -266,38 +255,15 @@ func oneRun(cfg Config, run int) runResult {
 	balancerRNG := master.Split()
 	orderRNG := master.Split()
 
-	stride := cfg.statsStride()
-	out := runResult{
-		avg:       stats.NewSeriesStride(cfg.Steps, stride),
-		min:       stats.NewSeriesStride(cfg.Steps, stride),
-		max:       stats.NewSeriesStride(cfg.Steps, stride),
-		spread:    stats.NewSeriesStride(cfg.Steps, stride),
-		snapshots: make(map[int][]float64, len(cfg.SnapshotAt)),
-	}
-	bal, err := cfg.NewBalancer(run, balancerRNG)
+	rec, pattern, err := newRecorder(cfg, run, balancerRNG, patternRNG)
 	if err != nil {
-		out.err = err
-		return out
+		return runResult{err: err}
 	}
-	if bal.N() != cfg.N {
-		out.err = fmt.Errorf("balancer built for %d processors, config says %d", bal.N(), cfg.N)
-		return out
-	}
-	pattern, err := cfg.NewPattern(run, patternRNG)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	snapshotWanted := make(map[int]bool, len(cfg.SnapshotAt))
-	for _, t := range cfg.SnapshotAt {
-		snapshotWanted[t] = true
-	}
-
+	bal := rec.bal
 	order := make([]int, cfg.N)
 	for i := range order {
 		order[i] = i
 	}
-	loads := make([]int, 0, cfg.N)
 	for t := 0; t < cfg.Steps; t++ {
 		// Random processor order per step removes the systematic bias a
 		// fixed order would give early processors in balancing decisions.
@@ -316,42 +282,110 @@ func oneRun(cfg Config, run int) runResult {
 		if tk, ok := bal.(Ticker); ok {
 			tk.Tick(t)
 		}
-		if out.avg.Sampled(t) || snapshotWanted[t] {
-			loads = bal.Loads(loads)
-			if out.avg.Sampled(t) {
-				lo, hi := stats.MinMaxInts(loads)
-				sum := 0
-				for _, v := range loads {
-					sum += v
-				}
-				out.avg.Add(t, float64(sum)/float64(cfg.N))
-				out.min.Add(t, float64(lo))
-				out.max.Add(t, float64(hi))
-				out.spread.Add(t, float64(hi-lo))
-			}
-			if snapshotWanted[t] {
-				snap := make([]float64, cfg.N)
-				for i, v := range loads {
-					snap[i] = float64(v)
-				}
-				out.snapshots[t] = snap
-			}
-		}
-		if cfg.Observe != nil {
-			cfg.Observe(run, t, bal)
-		}
+		rec.endTick(t, rec.scanLoads)
 	}
-	if sys, ok := bal.(*core.System); ok {
-		out.metrics = sys.Metrics()
+	return rec.finish()
+}
+
+// recorder is one run's bookkeeping, the same for both engines: it builds
+// the run's balancer and pattern, records the strided load statistics,
+// the snapshots and the Observe call after every tick, and at the end the
+// counters, the invariant check and the final loads.
+type recorder struct {
+	cfg      Config
+	run      int
+	bal      Balancer
+	out      runResult
+	snapshot map[int]bool // the ticks cfg.SnapshotAt names
+	loads    []int        // scanLoads' buffer
+}
+
+// newRecorder builds run's balancer from balancerRNG and then its pattern
+// from patternRNG, and checks the balancer's size.
+func newRecorder(cfg Config, run int, balancerRNG, patternRNG *rng.RNG) (*recorder, workload.Pattern, error) {
+	bal, err := cfg.NewBalancer(run, balancerRNG)
+	if err != nil {
+		return nil, nil, err
+	}
+	if bal.N() != cfg.N {
+		return nil, nil, fmt.Errorf("balancer built for %d processors, config says %d", bal.N(), cfg.N)
+	}
+	pattern, err := cfg.NewPattern(run, patternRNG)
+	if err != nil {
+		return nil, nil, err
+	}
+	stride := cfg.statsStride()
+	rec := &recorder{
+		cfg: cfg,
+		run: run,
+		bal: bal,
+		out: runResult{
+			avg:       stats.NewSeriesStride(cfg.Steps, stride),
+			min:       stats.NewSeriesStride(cfg.Steps, stride),
+			max:       stats.NewSeriesStride(cfg.Steps, stride),
+			spread:    stats.NewSeriesStride(cfg.Steps, stride),
+			snapshots: make(map[int][]float64, len(cfg.SnapshotAt)),
+		},
+		snapshot: make(map[int]bool, len(cfg.SnapshotAt)),
+	}
+	for _, t := range cfg.SnapshotAt {
+		rec.snapshot[t] = true
+	}
+	return rec, pattern, nil
+}
+
+// endTick records tick t once the engine has finished it: on a sampled
+// tick the load statistics of the partial scan returns (scan is called on
+// those ticks only), the load vector if cfg.SnapshotAt names t, and the
+// Observe call.
+func (rec *recorder) endTick(t int, scan func() stats.LoadPartial) {
+	out := &rec.out
+	if out.avg.Sampled(t) {
+		p := scan()
+		out.avg.Add(t, p.Mean())
+		out.min.Add(t, float64(p.Min))
+		out.max.Add(t, float64(p.Max))
+		out.spread.Add(t, float64(p.Max-p.Min))
+	}
+	if rec.snapshot[t] {
+		out.snapshots[t] = rec.loadVector()
+	}
+	if rec.cfg.Observe != nil {
+		rec.cfg.Observe(rec.run, t, rec.bal)
+	}
+}
+
+// scanLoads is the sequential engine's load scan: one pass over the
+// balancer's loads.
+func (rec *recorder) scanLoads() stats.LoadPartial {
+	rec.loads = rec.bal.Loads(rec.loads)
+	var p stats.LoadPartial
+	for _, v := range rec.loads {
+		p.Observe(v)
+	}
+	return p
+}
+
+// loadVector returns every processor's load.
+func (rec *recorder) loadVector() []float64 {
+	v := make([]float64, rec.cfg.N)
+	for i := range v {
+		v[i] = float64(rec.bal.Load(i))
+	}
+	return v
+}
+
+// finish closes the run: a *core.System balancer's counters, which must
+// already hold every lane's and worker's share, and its invariant check;
+// then the final loads.
+func (rec *recorder) finish() runResult {
+	if sys, ok := rec.bal.(*core.System); ok {
+		rec.out.metrics = sys.Metrics()
 		if err := sys.CheckInvariants(); err != nil {
-			out.err = fmt.Errorf("invariant violation after run: %w", err)
-			return out
+			rec.out.err = fmt.Errorf("invariant violation after run: %w", err)
+			return rec.out
 		}
 	}
-	loads = bal.Loads(loads)
-	out.finalLoads = make([]float64, cfg.N)
-	for i, v := range loads {
-		out.finalLoads[i] = float64(v)
-	}
-	return out
+	rec.out.finalLoads = rec.loadVector()
+	return rec.out
 }

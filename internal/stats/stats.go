@@ -132,11 +132,6 @@ type Series struct {
 	stride int
 }
 
-// NewSeries returns a per-step Series with the given number of time steps.
-func NewSeries(steps int) *Series {
-	return NewSeriesStride(steps, 1)
-}
-
 // NewSeriesStride returns a Series over steps time steps that records only
 // every stride-th step (those t with (t+1) % stride == 0). stride < 1 is
 // treated as 1.
@@ -218,29 +213,4 @@ func MeanOf(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MinMaxInts returns the minimum and maximum of xs. It panics on empty
-// input.
-func MinMaxInts(xs []int) (min, max int) {
-	if len(xs) == 0 {
-		panic("stats: MinMaxInts of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// SpreadInts returns max-min of xs — the load imbalance measure used in the
-// balancing-quality plots. It panics on empty input.
-func SpreadInts(xs []int) int {
-	min, max := MinMaxInts(xs)
-	return max - min
 }

@@ -126,7 +126,7 @@ func TestMergeWithEmpty(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := NewSeries(3)
+	s := NewSeriesStride(3, 1)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -151,7 +151,7 @@ func TestSeries(t *testing.T) {
 }
 
 func TestSeriesMerge(t *testing.T) {
-	a, b := NewSeries(2), NewSeries(2)
+	a, b := NewSeriesStride(2, 1), NewSeriesStride(2, 1)
 	a.Add(0, 1)
 	a.Add(1, 5)
 	b.Add(0, 3)
@@ -165,23 +165,7 @@ func TestSeriesMerge(t *testing.T) {
 			t.Fatal("merging mismatched lengths did not panic")
 		}
 	}()
-	a.Merge(NewSeries(3))
-}
-
-func TestMinMaxSpread(t *testing.T) {
-	min, max := MinMaxInts([]int{5, -2, 9, 0})
-	if min != -2 || max != 9 {
-		t.Fatalf("min/max = %d/%d", min, max)
-	}
-	if SpreadInts([]int{5, -2, 9, 0}) != 11 {
-		t.Fatal("spread wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MinMaxInts(empty) did not panic")
-		}
-	}()
-	MinMaxInts(nil)
+	a.Merge(NewSeriesStride(3, 1))
 }
 
 func TestVariationDensityZeroMean(t *testing.T) {
@@ -201,31 +185,31 @@ func BenchmarkAccumulatorAdd(b *testing.B) {
 }
 
 func BenchmarkSeriesAdd(b *testing.B) {
-	s := NewSeries(500)
+	s := NewSeriesStride(500, 1)
 	for i := 0; i < b.N; i++ {
 		s.Add(i%500, float64(i&255))
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	s := NewSeries(0)
+	s := NewSeriesStride(0, 1)
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	if len(s.Means()) != 0 || len(s.Mins()) != 0 || len(s.Maxs()) != 0 {
 		t.Fatal("empty series produced non-empty slices")
 	}
-	s.Merge(NewSeries(0)) // must not panic
+	s.Merge(NewSeriesStride(0, 1)) // must not panic
 	defer func() {
 		if recover() == nil {
 			t.Fatal("merging series of different lengths should panic")
 		}
 	}()
-	s.Merge(NewSeries(1))
+	s.Merge(NewSeriesStride(1, 1))
 }
 
 func TestSeriesSingleStep(t *testing.T) {
-	s := NewSeries(1)
+	s := NewSeriesStride(1, 1)
 	s.Add(0, 2.5)
 	if got := s.At(0).Mean(); got != 2.5 {
 		t.Fatalf("mean = %v", got)
