@@ -27,6 +27,7 @@ import (
 	"lmbalance/internal/obs"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/sim"
+	"lmbalance/internal/stats"
 	"lmbalance/internal/topology"
 	"lmbalance/internal/trace"
 	"lmbalance/internal/workload"
@@ -168,6 +169,23 @@ func graphFor(topo string, n int) (*topology.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown topology %q", topo)
 	}
+}
+
+// seriesSteps returns the steps the series table prints: walking the
+// steps the series sampled, the first at or past each multiple of
+// every. With a stride that divides every these are the multiples
+// themselves; with one that does not (-stats-every 7, -every 25) the
+// table still gets a row where the stride meets each interval.
+func seriesSteps(s *stats.Series, every int) []int {
+	var out []int
+	next := every
+	for t := s.Stride() - 1; t < s.Len(); t += s.Stride() {
+		if t+1 >= next {
+			out = append(out, t)
+			next = (t+1)/every*every + every
+		}
+	}
+	return out
 }
 
 func run(o options) error {
@@ -313,10 +331,7 @@ func run(o options) error {
 	tb := trace.NewTable(
 		fmt.Sprintf("%s | %s workload | n=%d steps=%d runs=%d", algo, pattern, n, steps, runs),
 		"step", "avg", "min", "max", "spread")
-	for s := every - 1; s < steps; s += every {
-		if !res.Avg.Sampled(s) {
-			continue
-		}
+	for _, s := range seriesSteps(res.Avg, every) {
 		tb.AddRow(s+1,
 			res.Avg.At(s).Mean(), res.Min.At(s).Min(), res.Max.At(s).Max(),
 			res.Spread.At(s).Mean())

@@ -2,8 +2,11 @@ package main
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"lmbalance/internal/stats"
 )
 
 func opts(n, steps, runs int, algo, topo, pattern string) options {
@@ -81,6 +84,33 @@ func TestRunRejectsNonPositiveEvery(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-every") {
 			t.Fatalf("-every %d: got %v, want an error naming -every", every, err)
 		}
+	}
+}
+
+// TestSeriesStepsWalkSampledSteps: the series table walks the steps the
+// load scan sampled, so an -every the -stats-every stride does not
+// divide still prints a row per interval the stride reaches, and a
+// stride that divides -every prints exactly its multiples.
+func TestSeriesStepsWalkSampledSteps(t *testing.T) {
+	for _, c := range []struct {
+		steps, stride, every int
+		want                 []int
+	}{
+		{100, 7, 25, []int{27, 55, 76}},
+		{100, 1, 25, []int{24, 49, 74, 99}},
+		{100, 5, 25, []int{24, 49, 74, 99}},
+		{100, 30, 25, []int{29, 59, 89}},
+		{10, 20, 25, nil},
+	} {
+		got := seriesSteps(stats.NewSeriesStride(c.steps, c.stride), c.every)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("steps %d, stride %d, every %d: rows at %v, want %v", c.steps, c.stride, c.every, got, c.want)
+		}
+	}
+	o := opts(16, 100, 1, "lm", "global", "paper")
+	o.statsEvery = 7
+	if err := run(o); err != nil {
+		t.Fatal(err)
 	}
 }
 

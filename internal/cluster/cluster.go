@@ -14,8 +14,11 @@
 //   - Transfers that move load are acknowledged (TransferAck). The
 //     initiator must know when they have landed before it may declare
 //     itself quiet, or shutdown could race a transfer and lose packets.
-//     A zero-delta Transfer only unfreezes its partner: nothing rides
-//     on it, so it is neither awaited nor answered.
+//     In serve mode the ack of a give-back (a negative Transfer) also
+//     carries the job records of the load it returned, as the Transfer
+//     carries those of the load it hands over. A zero-delta Transfer
+//     only unfreezes its partner: no load rides on it, so it is neither
+//     awaited nor answered.
 //   - The node decides when the machine's reply timeout and
 //     frozen-partner self-release are due, on its own clock: a live TCP
 //     peer answers in microseconds, so a missing reply means a dead or
@@ -647,9 +650,9 @@ func (n *Node) step() bool {
 		n.met.generated.Inc()
 	}
 	// Serve mode: a consume completes a specific job unit, so it needs a
-	// record on hand. A unit whose record is still in flight (JobMove
-	// chasing its Transfer) simply waits — the skipped draw costs one
-	// service slot, it cannot lose work.
+	// record on hand. A unit whose record is still in flight (a debt its
+	// new holder has yet to be paid) simply waits — the skipped draw
+	// costs one service slot, it cannot lose work.
 	if n.rng.Bernoulli(n.cfg.ConP) && n.m.Load() > 0 && (n.cfg.Serve == nil || n.recCount() > 0) {
 		n.m.Add(-1)
 		n.stats.Consumed++
@@ -816,14 +819,14 @@ func (n *Node) onResolved(e *proto.Effect, transfers []proto.Effect) {
 		n.cfg.Flight.Resolve(n.now, e.Op, e.Seq, e.Load, e.Partners, e.Reason == proto.Timeout)
 	}
 	// Serve mode: record the records owed to partners that gain load and
-	// ship what the FIFO holds now, so each JobMove precedes its Transfer
-	// on the same link (partners that give load back will owe us on
-	// receipt; see serve.go for why eager settlement always converges).
+	// pay what the FIFO holds now, each partner's last batch riding its
+	// Transfer (partners that give load back will owe us on receipt; see
+	// serve.go for why eager settlement always converges).
 	if n.cfg.Serve != nil {
 		for i := range transfers {
 			n.owe(transfers[i].To, transfers[i].Msg.Amount)
 		}
-		n.settleOwed(e.Op)
+		n.settleOwed(e.Op, transfers)
 	}
 	n.stats.Completed++
 	n.stats.Partners += int64(e.Partners)
@@ -853,26 +856,31 @@ func (n *Node) handle(m wire.Msg) {
 		n.apply(n.m.Handle(m, n.effs[:0]))
 
 	case wire.Transfer:
-		// The machine applies the delta (always — conservation depends on
-		// it); the driver acknowledges every transfer that moved load so
-		// the initiator can account for it. A zero-delta transfer moved
-		// nothing — it only ended the freeze — and the initiator is not
-		// waiting on it.
+		// Records on board land first, as a JobMove ahead of the frame
+		// would. The machine applies the delta (always — conservation
+		// depends on it); the driver acknowledges every transfer that
+		// moved load so the initiator can account for it. A zero-delta
+		// transfer moved nothing — it only ended the freeze — and the
+		// initiator is not waiting on it.
+		n.receiveJobs(m)
 		n.apply(n.m.Handle(m, n.effs[:0]))
 		if m.Amount == 0 {
 			return
 		}
 		// Serve mode, give-back transfer: the load just left for the
-		// initiator, so its records are owed there; ship them ahead of
-		// the ack on the same link.
+		// initiator, so its records are owed there; the last batch rides
+		// the ack.
+		ack := [1]proto.Effect{{Kind: proto.Send, To: m.From,
+			Msg: wire.Msg{Kind: wire.TransferAck, Seq: m.Seq, Op: m.Op}}}
 		if n.cfg.Serve != nil && m.Amount < 0 {
 			n.owe(m.From, -m.Amount)
-			n.settleOwed(m.Op)
+			n.settleOwed(m.Op, ack[:])
 		}
-		n.send(m.From, wire.Msg{Kind: wire.TransferAck, Seq: m.Seq, Op: m.Op})
+		n.send(m.From, ack[0].Msg)
 		n.met.loadGauge.Set(int64(n.m.Load()))
 
 	case wire.TransferAck:
+		n.receiveJobs(m)
 		if n.unacked > 0 {
 			n.unacked--
 			// Acks within one protocol land in near-send order, so FIFO
@@ -899,7 +907,7 @@ func (n *Node) handle(m wire.Msg) {
 		}
 
 	case wire.JobMove:
-		n.handleJobMove(m)
+		n.receiveJobs(m)
 
 	case wire.JobDone:
 		n.handleJobDone(m)

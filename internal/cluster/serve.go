@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"lmbalance/internal/proto"
 	"lmbalance/internal/rng"
 	"lmbalance/internal/wire"
 )
@@ -20,9 +21,18 @@ import (
 //   - a consume step pops the oldest record with the unit it completes
 //     (a consume draw with no record on hand is skipped — the unit's
 //     record is still in flight, so the unit waits for its identity);
-//   - balancing transfers ship records along with the load they move:
-//     a JobMove naming the migrating jobs precedes the Transfer (or the
-//     TransferAck, for give-backs) on the same FIFO link.
+//   - balancing transfers ship records along with the load they move,
+//     in the frame that moves it: the records of load an initiator hands
+//     a partner ride that partner's Transfer, and those of load a
+//     partner gives back ride its TransferAck. A receiver takes a
+//     frame's records before acting on the frame itself.
+//
+// A payment goes out as JobMove frames only where no such frame can
+// carry it: top-ups paid as records arrive (op 0), older debts to peers
+// outside the operation, and the batches before the last when a payment
+// exceeds wire.MaxJobsPerMsg — those precede the frame that carries the
+// last batch on the same FIFO link. Either way a receiver sees the same
+// records in the same order, ahead of the frame that moved their load.
 //
 // Globally Σrecords == Σload at all times: ingest and consume change
 // both together, and migration moves both conservatively. Per node the
@@ -48,14 +58,14 @@ type Submit struct {
 
 // Journey is one unit's journey record, assembled at completion from
 // the stamps its wire.JobRef accumulated (ingest time at the origin,
-// JobMove hop count, summed per-hop in-flight time) plus the consume
+// hop count, summed per-hop in-flight time) plus the consume
 // and completion-report stamps. Every stamp is a node's clock (unix
 // nanos on the wall clock, ticks under netsim) — the origin stamps
 // ingest, the consuming node stamps consume, the origin stamps done
 // when the JobDone lands — so the decomposition needs no client clock
 // sync. A unit whose records were never stamped carries zeros.
 type Journey struct {
-	Hops       int   // JobMove hops the unit took before being consumed
+	Hops       int   // hops the unit's record took before being consumed
 	IngestNS   int64 // origin's ingest stamp
 	TransferNS int64 // accumulated in-flight time across hops
 	ConsumeNS  int64 // consuming node's consume stamp
@@ -168,7 +178,7 @@ func (n *Node) ingestSubmit(s Submit) {
 	n.met.records.Set(int64(n.recCount()))
 	n.met.loadGauge.Set(int64(n.m.Load()))
 	// Fresh records may let pending debts settle.
-	n.settleOwed(0)
+	n.settleOwed(0, nil)
 }
 
 // completeOldest finishes one consumed unit: pop the oldest record and
@@ -224,29 +234,42 @@ func (n *Node) owe(p, k int) {
 }
 
 // settleOwed pays as many outstanding record debts as the FIFO allows,
-// oldest debt first and newest records first, in JobMove frames of at
-// most MaxJobsPerMsg. The order is the node's own, so a driver that
-// replays its events replays its payments. op, when nonzero, stamps the
-// frames with the balancing operation that created the debt (so the
-// records show up on that operation's trace); later top-up payments go
-// out with op 0.
-func (n *Node) settleOwed(op uint64) {
+// oldest debt first and newest records first, in batches of at most
+// MaxJobsPerMsg. ride holds the Send effects about to go out — an
+// operation's Transfers, a give-back's TransferAck — and the last batch
+// paid to a peer one of them reaches rides that frame; every other batch
+// goes out now as a JobMove, ahead of it. The order is the node's own,
+// so a driver that replays its events replays its payments. op, when
+// nonzero, stamps the JobMoves with the balancing operation that created
+// the debt (so the records show up on that operation's trace); later
+// top-up payments go out with op 0.
+func (n *Node) settleOwed(op uint64, ride []proto.Effect) {
 	if len(n.owed) == 0 {
 		return
 	}
 	left := n.owed[:0]
 	for _, d := range n.owed {
+		var carrier *wire.Msg
+		for i := range ride {
+			if ride[i].To == d.peer {
+				carrier = &ride[i].Msg
+			}
+		}
 		for d.k > 0 && n.recCount() > 0 {
 			batch := min(d.k, wire.MaxJobsPerMsg, n.recCount())
 			jobs := make([]wire.JobRef, batch)
 			for i := range jobs {
 				jobs[i] = n.popNewest()
 			}
+			d.k -= batch
+			if carrier != nil && (d.k == 0 || n.recCount() == 0) {
+				carrier.Jobs, carrier.SentNS = jobs, n.now
+				break
+			}
 			n.send(d.peer, wire.Msg{
 				Kind: wire.JobMove, Op: op, Jobs: jobs,
 				SentNS: n.now,
 			})
-			d.k -= batch
 		}
 		if d.k > 0 {
 			left = append(left, d)
@@ -256,13 +279,16 @@ func (n *Node) settleOwed(op uint64) {
 	n.met.records.Set(int64(n.recCount()))
 }
 
-// handleJobMove ingests migrated records. Each gains a hop and the
-// frame's in-flight time (receive clock minus the sender's send stamp,
-// clamped at zero against clock skew; an unstamped frame's hop
-// contributes no transfer time rather than a bogus one). The records join the FIFO tail and may immediately settle this
-// node's own debts (obligation chains and cycles drain this way).
-func (n *Node) handleJobMove(m wire.Msg) {
-	if n.cfg.Serve == nil {
+// receiveJobs ingests the migrated records a JobMove carries, or a
+// Transfer or TransferAck has on board. Each gains a hop and the frame's
+// in-flight time (receive clock minus the sender's send stamp, clamped
+// at zero against clock skew; an unstamped frame's hop contributes no
+// transfer time rather than a bogus one). The records join the FIFO tail
+// and may immediately settle this node's own debts (obligation chains
+// and cycles drain this way). A frame without records is no payment and
+// settles nothing.
+func (n *Node) receiveJobs(m wire.Msg) {
+	if n.cfg.Serve == nil || len(m.Jobs) == 0 {
 		return
 	}
 	var flight int64
@@ -277,7 +303,7 @@ func (n *Node) handleJobMove(m wire.Msg) {
 		n.pushRecord(r)
 	}
 	n.met.records.Set(int64(n.recCount()))
-	n.settleOwed(0)
+	n.settleOwed(0, nil)
 }
 
 // handleJobDone completes one unit of a job that originated here but

@@ -37,7 +37,7 @@ func TestPostMortemQuick(t *testing.T) {
 		t.Fatalf("tamper flagged %q", res.Tamper.Rule)
 	}
 
-	out := checkRender(t, res, "61c7e8193e51bff9")
+	out := checkRender(t, res, "a2b75ac3ec0dcb0e")
 	for _, want := range []string{
 		"bit for bit", "sealed", "first degraded transition", "imbalance_violation",
 	} {

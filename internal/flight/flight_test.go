@@ -286,18 +286,21 @@ func TestTornFinalSegmentRecovers(t *testing.T) {
 }
 
 // TestOldCodecSegmentRejected: the container is unchanged, but a
-// segment whose header says its payloads are codec v2 is refused by
-// name before any record is decoded; what WriteDir writes round-trips.
+// segment whose header says its payloads are codec v2 or v3 is refused
+// by name before any record is decoded; what WriteDir writes
+// round-trips.
 func TestOldCodecSegmentRejected(t *testing.T) {
-	old := t.TempDir()
-	seg := appendHeader(nil, segHeader{node: 0, wallRefNS: 1000, codec: 2})
-	seg = append(seg, "not a record"...) // never reached
-	if err := os.WriteFile(filepath.Join(old, segName(0)), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadDir(old)
-	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", wire.Version)) {
-		t.Fatalf("codec-2 segment: err = %v, want one naming v2 and v%d", err, wire.Version)
+	for _, codec := range []byte{2, 3} {
+		old := t.TempDir()
+		seg := appendHeader(nil, segHeader{node: 0, wallRefNS: 1000, codec: codec})
+		seg = append(seg, "not a record"...) // never reached
+		if err := os.WriteFile(filepath.Join(old, segName(0)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDir(old)
+		if want := fmt.Sprintf("codec v%d, this reader decodes only v%d", codec, wire.Version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("codec-%d segment: err = %v, want one saying %q", codec, err, want)
+		}
 	}
 
 	dir := t.TempDir()

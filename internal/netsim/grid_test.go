@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"lmbalance/internal/cluster"
+	"lmbalance/internal/flight"
 	"lmbalance/internal/rng"
+	"lmbalance/internal/wire"
 )
 
 // world is one cell of the seeded fault grid: a small network drawn from
@@ -93,11 +95,12 @@ func TestFaultGrid(t *testing.T) {
 // nodes through Node.Ingest, between ticks, during the first half of
 // the steps. Each world is held to audit, to job conservation (every
 // ingested unit was completed for its job or is still recorded at
-// shutdown) and to the front end's count of completions agreeing with
-// the nodes' UnitsDone. Records left held are legal: a crash or the
+// shutdown), to the front end's count of completions agreeing with
+// the nodes' UnitsDone, to its replay, and to its records riding the
+// load (recordsRide). Records left held are legal: a crash or the
 // shutdown can strand them.
 func TestServeFaultGrid(t *testing.T) {
-	var held atomic.Int64
+	var held, riders atomic.Int64
 	runGrid(t, func(w *world) string {
 		w.cfg.GenP = []float64{0}
 		var completions int64
@@ -138,12 +141,52 @@ func TestServeFaultGrid(t *testing.T) {
 		if res.RecordsHeld() > 0 {
 			held.Add(1)
 		}
-		if _, _, err := Replay(res, w.cfg.Flight); err != nil {
+		rec, _, err := Replay(res, w.cfg.Flight)
+		if err != nil {
 			return err.Error()
 		}
-		return ""
+		n, msg := recordsRide(rec)
+		riders.Add(n)
+		return msg
 	})
-	t.Logf("%d of 1000 worlds ended with records held", held.Load())
+	t.Logf("%d of 1000 worlds ended with records held; %d Transfers and TransferAcks carried records", held.Load(), riders.Load())
+	if riders.Load() == 0 {
+		t.Fatal("no record rode a Transfer or TransferAck")
+	}
+}
+
+// recordsRide checks a served world's recording for records paid beside
+// the frame that moved their load: no node may send an operation's
+// JobMove to a peer that the same operation's Transfer or TransferAck
+// from it reaches, unless the JobMove is a full batch of a payment
+// larger than wire.MaxJobsPerMsg (the last batch rides the frame). It
+// returns the count of Transfers and TransferAcks that carried records
+// and the first breach, or "".
+func recordsRide(rec *flight.Recording) (riders int64, breach string) {
+	type opPeer struct {
+		op   uint64
+		peer int
+	}
+	for _, nr := range rec.Nodes {
+		reached := map[opPeer]bool{}
+		for _, ev := range nr.Events {
+			if k := ev.Msg.Kind; ev.Dir == flight.DirSend && (k == wire.Transfer || k == wire.TransferAck) {
+				reached[opPeer{ev.Msg.Op, ev.Peer}] = true
+				if len(ev.Msg.Jobs) > 0 {
+					riders++
+				}
+			}
+		}
+		for _, ev := range nr.Events {
+			m := &ev.Msg
+			if ev.Dir == flight.DirSend && m.Kind == wire.JobMove && m.Op != 0 &&
+				reached[opPeer{m.Op, ev.Peer}] && len(m.Jobs) < wire.MaxJobsPerMsg && breach == "" {
+				breach = fmt.Sprintf("node %d sent op %#x's %d records to node %d in a JobMove, beside a frame of that op",
+					nr.Node, m.Op, len(m.Jobs), ev.Peer)
+			}
+		}
+	}
+	return riders, breach
 }
 
 // runGrid runs check on worlds 0..999, spread over one worker per CPU

@@ -12,7 +12,7 @@ import (
 // job's end-to-end time (submit → last unit done); the component
 // fields are per-unit means over the job's units of the decomposition
 // cluster.Journey.Parts defines, which sums to the unit's own sojourn.
-// Hops is the maximum JobMove hop count any of the job's units took.
+// Hops is the maximum hop count any of the job's units took.
 // Jobs whose units carried no stamps (a JobRef built without them) have
 // zero component fields and Stamped false.
 type JourneySample struct {

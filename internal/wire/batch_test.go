@@ -243,12 +243,12 @@ func TestTCPCloseFlushesQueuedBye(t *testing.T) {
 	}
 }
 
-// fixedSizeMsgs is sampleMsgs without the kind whose decode allocates
-// by design (JobMove's Jobs slice).
+// fixedSizeMsgs is sampleMsgs without the messages whose decode
+// allocates by design (a Jobs slice).
 func fixedSizeMsgs() []Msg {
 	var out []Msg
 	for _, m := range sampleMsgs() {
-		if m.Kind != JobMove {
+		if len(m.Jobs) == 0 {
 			out = append(out, m)
 		}
 	}

@@ -98,34 +98,38 @@ func TestCKindString(t *testing.T) {
 	}
 }
 
-// TestJobMovePayloadBudget pins that a maximal JobMove — MaxJobsPerMsg
-// records with worst-case varint widths — still fits in MaxPayload, so
-// the encoder's frame scratch and the decoder's size gate can never
-// reject a legal message.
+// TestJobMovePayloadBudget pins that a maximal job section — MaxJobsPerMsg
+// records with worst-case varint widths, on a JobMove or riding a
+// Transfer or TransferAck (riderMsgs) — still fits in MaxPayload, so the
+// encoder's frame scratch and the decoder's size gate can never reject
+// a legal message, and that one record over the cap panics the encoder.
 func TestJobMovePayloadBudget(t *testing.T) {
 	m := Msg{Kind: JobMove, From: -1 << 62, Seq: 1 << 62, Op: 1 << 62}
 	for i := 0; i < MaxJobsPerMsg; i++ {
 		m.Jobs = append(m.Jobs, JobRef{Origin: -1 << 62, ID: 1<<64 - 1})
 	}
-	if n := EncodedSize(m); n > MaxPayload {
-		t.Fatalf("worst-case JobMove is %d bytes > MaxPayload %d", n, MaxPayload)
-	}
-	dm, err := DecodeMsg(AppendMsg(nil, m))
-	if err != nil {
-		t.Fatalf("worst-case JobMove decode: %v", err)
-	}
-	if !dm.Equal(m) {
-		t.Fatal("worst-case JobMove round trip changed message")
-	}
-	// One record over the cap must panic at the encoder and error at the
-	// decoder (a forged count).
-	m.Jobs = append(m.Jobs, JobRef{})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("encoder accepted JobMove over MaxJobsPerMsg")
-			}
+	for _, m := range append(riderMsgs(), m) {
+		if len(m.Jobs) != MaxJobsPerMsg {
+			continue
+		}
+		if n := EncodedSize(m); n > MaxPayload {
+			t.Fatalf("worst-case %v is %d bytes > MaxPayload %d", m.Kind, n, MaxPayload)
+		}
+		dm, err := DecodeMsg(AppendMsg(nil, m))
+		if err != nil {
+			t.Fatalf("worst-case %v decode: %v", m.Kind, err)
+		}
+		if !dm.Equal(m) {
+			t.Fatalf("worst-case %v round trip changed message", m.Kind)
+		}
+		m.Jobs = append(m.Jobs, JobRef{})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("encoder accepted a %v over MaxJobsPerMsg", m.Kind)
+				}
+			}()
+			AppendMsg(nil, m)
 		}()
-		AppendMsg(nil, m)
-	}()
+	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -31,6 +32,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(byte(0), int64(0), uint64(0), uint64(0), int64(0), int64(0), int64(0), int64(0), uint64(0), c.p)
 	}
 	f.Add(byte(0), int64(0), uint64(0), uint64(0), int64(0), int64(0), int64(0), int64(0), uint64(0), []byte{0xff, 0xff, 0x03, 0x00})
+	// Transfers and TransferAcks with 0, 1 and MaxJobsPerMsg records at
+	// worst-case widths: the scalars below derive them in direction 1,
+	// and the encoded riders seed direction 2.
+	for _, m := range riderMsgs() {
+		f.Add(byte(m.Kind), int64(math.MinInt64), uint64(math.MaxUint64), uint64(math.MaxUint64), int64(0xff),
+			int64(math.MinInt64), int64(math.MaxInt64), int64(math.MinInt64), uint64(len(m.Jobs)), AppendFrame(nil, m))
+	}
 	f.Fuzz(func(t *testing.T, kind byte, from int64, seq, op uint64, load, amount, gen, con int64, job uint64, raw []byte) {
 		// Direction 1: struct → bytes → struct.
 		m := Msg{Kind: Kind(kind), From: int(from), Seq: seq, Op: op,
@@ -41,16 +49,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 			switch m.Kind {
 			case FreezeAck:
 				m.Amount, m.Gen, m.Con = 0, 0, 0
-			case Transfer:
-				m.Load, m.Gen, m.Con = 0, 0, 0
 			case Bye:
 				m.Amount = 0
-			case JobMove:
+			case Transfer, TransferAck, JobMove:
 				// The record list is a slice, not a fuzz argument: derive a
 				// deterministic one (0..MaxJobsPerMsg records, journey
 				// stamps included) from the scalar inputs so the fuzzer
-				// still steers its shape.
-				m.Load, m.Amount, m.Gen, m.Con = 0, 0, 0, 0
+				// still steers its shape. Only a JobMove carries a send
+				// stamp without records.
+				if m.Kind != Transfer {
+					m.Amount = 0
+				}
+				m.Load, m.Gen, m.Con = 0, 0, 0
 				m.SentNS = gen
 				for i := 0; i < int(job%(MaxJobsPerMsg+1)); i++ {
 					m.Jobs = append(m.Jobs, JobRef{
@@ -59,6 +69,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 						Hops:       int(load) & 0xff,
 						TransferNS: con ^ int64(i),
 					})
+				}
+				if len(m.Jobs) == 0 && m.Kind != JobMove {
+					m.SentNS = 0
 				}
 			case JobDone:
 				m.Load, m.Amount, m.Gen, m.Con = 0, 0, 0, 0

@@ -224,9 +224,9 @@ func ReadFrame(br *bufio.Reader) (Msg, int, error) {
 // many of them the caller must br.Discard once it has decoded. A payload
 // that fits br's buffer is returned in place — no copy, no allocation,
 // valid until the next read on br. One larger than the buffer
-// (bufio.ErrBufferFull: only a fat JobMove, or a reader built smaller
-// than a frame) is read into a slice of its own, with nothing left to
-// discard. A stream that ends inside the payload is io.ErrUnexpectedEOF.
+// (bufio.ErrBufferFull: only a frame fat with job records, or a reader
+// built smaller than a frame) is read into a slice of its own, with
+// nothing left to discard. A stream that ends inside the payload is io.ErrUnexpectedEOF.
 func peekPayload(br *bufio.Reader, size int) (p []byte, discard int, err error) {
 	p, err = br.Peek(size)
 	if err == nil {

@@ -13,18 +13,26 @@
 // where extras depend on the kind:
 //
 //	FreezeAck   zigzag(load)                       partner's current load
-//	Transfer    zigzag(amount)                     signed load delta
+//	Transfer    zigzag(amount) [jobs]              signed load delta, and the
+//	                                               records of the load it moves
+//	TransferAck [jobs]                             the records of a give-back
 //	Bye         zigzag(load) zigzag(gen) zigzag(con)  final accounting
-//	JobMove     uvarint(count) zigzag(sentNS)
-//	            count×{zigzag(origin) uvarint(id)
-//	                   zigzag(sentNS−ingestNS) uvarint(hops) zigzag(transferNS)}
-//	                                               job records riding a transfer,
-//	                                               each with its journey stamps
+//	JobMove     jobs, count 0 allowed              job records with no frame
+//	                                               of their own to ride
 //	JobDone     uvarint(job) zigzag(consumeNS)
 //	            zigzag(consumeNS−ingestNS) uvarint(hops) zigzag(transferNS)
 //	                                               one job unit completed; sent
 //	                                               to the job's origin node
 //	(all other kinds carry no extras)
+//
+//	jobs := uvarint(count) zigzag(sentNS)
+//	        count×{zigzag(origin) uvarint(id)
+//	               zigzag(sentNS−ingestNS) uvarint(hops) zigzag(transferNS)}
+//
+// The job section of a Transfer or TransferAck is optional: present,
+// with count ≥ 1, only when records ride the frame, so a record-free
+// frame is as long as it was before records could ride and every
+// message keeps one encoding.
 //
 // Varints are the standard LEB128 base-128 encoding (encoding/binary);
 // signed fields use zigzag so small magnitudes of either sign stay short.
@@ -43,8 +51,8 @@
 // the initiator of a balancing operation and echoed on every message of
 // that operation, so one operation's freeze→collect→transfer→ack→release
 // timeline can be read across processes out of the nodes' flight
-// recordings (see internal/flight). The two job-record kinds carry journey stamps: a
-// JobMove frame carries the sender's send timestamp and each record its
+// recordings (see internal/flight). Job records carry journey stamps: a
+// job section carries the sender's send timestamp and each record its
 // origin ingest time (delta-coded against the send stamp), hop count,
 // and accumulated in-flight transfer time; a JobDone carries the same
 // journey fields plus the consuming node's consume timestamp, so the
@@ -79,18 +87,21 @@ import (
 
 // Version is the codec version; it leads every payload so incompatible
 // peers fail loudly at the first frame rather than corrupting state.
-// The decoder accepts no other.
-const Version = 3
+// The decoder accepts no other. Version 4 lets a Transfer or TransferAck
+// carry a job section; a version 3 payload is an unknown version.
+const Version = 4
 
 // MaxPayload caps the encoded payload size. The largest legal payload
-// is a JobMove carrying MaxJobsPerMsg records with maximal varints
-// (five per record once journey stamps ride along), which fits with
-// room to spare; anything larger is a framing error.
+// is a frame carrying MaxJobsPerMsg records with maximal varints (five
+// per record with the journey stamps) — a JobMove, or a Transfer whose
+// amount field adds one more varint — which fits with room to spare;
+// anything larger is a framing error.
 const MaxPayload = 8192
 
-// MaxJobsPerMsg caps the job records carried by one JobMove. A transfer
-// moving more load than this ships its records across several JobMove
-// frames, each under MaxPayload even with worst-case varint widths.
+// MaxJobsPerMsg caps the job records carried by one frame. A payment
+// larger than this goes out in several batches: all but the last as
+// JobMoves, and the last on the Transfer or TransferAck it rides, each
+// under MaxPayload even with worst-case varint widths.
 const MaxJobsPerMsg = 96
 
 // Kind discriminates protocol messages.
@@ -103,9 +114,9 @@ type Kind uint8
 // to the coordinator when done stepping and quiet, the coordinator
 // broadcasts Quit once everyone has, and each node answers Bye with its
 // final load accounting. JobMove/JobDone are the serving front-end's
-// job-record plumbing: a JobMove precedes a load transfer on the same
-// FIFO link and names the jobs whose units ride that transfer, and a
-// JobDone routes one completed unit back to the job's origin node.
+// job-record plumbing: a JobMove carries job records that no Transfer
+// or TransferAck of the moment is going to the same peer to carry, and
+// a JobDone routes one completed unit back to the job's origin node.
 const (
 	FreezeReq Kind = 1 + iota
 	FreezeAck
@@ -149,15 +160,15 @@ func (k Kind) valid() bool { return k >= 1 && k <= kindMax }
 // from a client (Origin) and that node's locally unique id for it. One
 // JobRef accompanies each unit of a job's remaining work, so records
 // migrate with the load they account for. The journey stamps travel
-// with the record: when it ingested at the origin, how many JobMove
-// hops it has taken, and how long it has spent in flight between nodes
+// with the record: when it ingested at the origin, how many hops
+// between nodes it has taken, and how long it has spent in flight between nodes
 // (accumulated receive−send per hop). All-zero stamps mean
 // "unstamped", not "instantaneous".
 type JobRef struct {
 	Origin     int
 	ID         uint64
 	IngestNS   int64 // origin's ingest wall clock, unix nanos
-	Hops       int   // JobMove hops taken so far
+	Hops       int   // hops between nodes taken so far
 	TransferNS int64 // accumulated wire in-flight time, nanos
 }
 
@@ -176,22 +187,23 @@ type Msg struct {
 	Gen    int64    // Bye: lifetime generated count
 	Con    int64    // Bye: lifetime consumed count
 	Job    uint64   // JobDone: origin-local id of the job a unit completed for
-	Jobs   []JobRef // JobMove: records riding the next Transfer on this link
+	Jobs   []JobRef // JobMove, Transfer, TransferAck: job records on board
 
-	// Journey stamps. SentNS is the JobMove sender's wall clock at
-	// send time, the reference the per-record ingest deltas are coded
-	// against and the receiver's basis for the hop's in-flight time.
-	// The remaining four describe the one unit a JobDone completes.
-	SentNS     int64 // JobMove: sender's send wall clock, unix nanos
+	// Journey stamps. SentNS is the sender's wall clock at send time on
+	// a frame with a job section, the reference the per-record ingest
+	// deltas are coded against and the receiver's basis for the hop's
+	// in-flight time. The remaining four describe the one unit a
+	// JobDone completes.
+	SentNS     int64 // job section: sender's send wall clock, unix nanos
 	IngestNS   int64 // JobDone: unit's origin ingest wall clock
 	ConsumeNS  int64 // JobDone: consuming node's consume wall clock
-	Hops       int   // JobDone: JobMove hops the unit took
+	Hops       int   // JobDone: hops the unit's record took
 	TransferNS int64 // JobDone: unit's accumulated in-flight nanos
 }
 
 // Equal reports whether two messages are field-for-field identical,
 // comparing Jobs element-wise (nil and empty are equal — both encode as
-// count 0).
+// no records).
 func (m Msg) Equal(o Msg) bool {
 	if m.Kind != o.Kind || m.From != o.From || m.Seq != o.Seq || m.Op != o.Op ||
 		m.Load != o.Load || m.Amount != o.Amount || m.Gen != o.Gen || m.Con != o.Con ||
@@ -222,8 +234,8 @@ func AppendMsg(buf []byte, m Msg) []byte {
 }
 
 // appendExtras appends the kind-dependent tail fields. Ingest times
-// are delta-coded against the frame's reference stamp (SentNS on a
-// JobMove, ConsumeNS on a JobDone) so a record freshly stamped with
+// are delta-coded against the frame's reference stamp (SentNS on a job
+// section, ConsumeNS on a JobDone) so a record freshly stamped with
 // real wall clocks costs a short varint, not nine bytes of unix nanos.
 func appendExtras(buf []byte, m Msg) []byte {
 	switch m.Kind {
@@ -231,29 +243,43 @@ func appendExtras(buf []byte, m Msg) []byte {
 		buf = binary.AppendUvarint(buf, zig(int64(m.Load)))
 	case Transfer:
 		buf = binary.AppendUvarint(buf, zig(int64(m.Amount)))
+		if len(m.Jobs) > 0 {
+			buf = appendJobs(buf, m)
+		}
+	case TransferAck:
+		if len(m.Jobs) > 0 {
+			buf = appendJobs(buf, m)
+		}
 	case Bye:
 		buf = binary.AppendUvarint(buf, zig(int64(m.Load)))
 		buf = binary.AppendUvarint(buf, zig(m.Gen))
 		buf = binary.AppendUvarint(buf, zig(m.Con))
 	case JobMove:
-		if len(m.Jobs) > MaxJobsPerMsg {
-			panic(fmt.Sprintf("wire: JobMove with %d records exceeds MaxJobsPerMsg=%d", len(m.Jobs), MaxJobsPerMsg))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(m.Jobs)))
-		buf = binary.AppendUvarint(buf, zig(m.SentNS))
-		for _, j := range m.Jobs {
-			buf = binary.AppendUvarint(buf, zig(int64(j.Origin)))
-			buf = binary.AppendUvarint(buf, j.ID)
-			buf = binary.AppendUvarint(buf, zig(m.SentNS-j.IngestNS))
-			buf = binary.AppendUvarint(buf, uint64(j.Hops))
-			buf = binary.AppendUvarint(buf, zig(j.TransferNS))
-		}
+		buf = appendJobs(buf, m)
 	case JobDone:
 		buf = binary.AppendUvarint(buf, m.Job)
 		buf = binary.AppendUvarint(buf, zig(m.ConsumeNS))
 		buf = binary.AppendUvarint(buf, zig(m.ConsumeNS-m.IngestNS))
 		buf = binary.AppendUvarint(buf, uint64(m.Hops))
 		buf = binary.AppendUvarint(buf, zig(m.TransferNS))
+	}
+	return buf
+}
+
+// appendJobs appends m's job section: the record count, the send stamp
+// and the records.
+func appendJobs(buf []byte, m Msg) []byte {
+	if len(m.Jobs) > MaxJobsPerMsg {
+		panic(fmt.Sprintf("wire: %v with %d records exceeds MaxJobsPerMsg=%d", m.Kind, len(m.Jobs), MaxJobsPerMsg))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(m.Jobs)))
+	buf = binary.AppendUvarint(buf, zig(m.SentNS))
+	for _, j := range m.Jobs {
+		buf = binary.AppendUvarint(buf, zig(int64(j.Origin)))
+		buf = binary.AppendUvarint(buf, j.ID)
+		buf = binary.AppendUvarint(buf, zig(m.SentNS-j.IngestNS))
+		buf = binary.AppendUvarint(buf, uint64(j.Hops))
+		buf = binary.AppendUvarint(buf, zig(j.TransferNS))
 	}
 	return buf
 }
@@ -312,6 +338,50 @@ func DecodeMsg(p []byte) (Msg, error) {
 	if m.Op, err = next(); err != nil {
 		return m, err
 	}
+	// jobs decodes a job section. Where the section is optional a count
+	// of 0 is refused, so that the message has one encoding.
+	jobs := func(optional bool) error {
+		count, err := next()
+		if err != nil {
+			return err
+		}
+		if count > MaxJobsPerMsg {
+			return fmt.Errorf("wire: %v with %d records exceeds max %d", m.Kind, count, MaxJobsPerMsg)
+		}
+		if count == 0 && optional {
+			return fmt.Errorf("wire: %v with an empty job section", m.Kind)
+		}
+		if v, err = next(); err != nil {
+			return err
+		}
+		m.SentNS = unzig(v)
+		if count == 0 {
+			return nil
+		}
+		m.Jobs = make([]JobRef, count)
+		for i := range m.Jobs {
+			if v, err = next(); err != nil {
+				return err
+			}
+			m.Jobs[i].Origin = int(unzig(v))
+			if m.Jobs[i].ID, err = next(); err != nil {
+				return err
+			}
+			if v, err = next(); err != nil {
+				return err
+			}
+			m.Jobs[i].IngestNS = m.SentNS - unzig(v)
+			if v, err = next(); err != nil {
+				return err
+			}
+			m.Jobs[i].Hops = int(v)
+			if v, err = next(); err != nil {
+				return err
+			}
+			m.Jobs[i].TransferNS = unzig(v)
+		}
+		return nil
+	}
 	switch m.Kind {
 	case FreezeAck:
 		if v, err = next(); err != nil {
@@ -323,6 +393,17 @@ func DecodeMsg(p []byte) (Msg, error) {
 			return m, err
 		}
 		m.Amount = int(unzig(v))
+		if len(rest) > 0 {
+			if err = jobs(true); err != nil {
+				return m, err
+			}
+		}
+	case TransferAck:
+		if len(rest) > 0 {
+			if err = jobs(true); err != nil {
+				return m, err
+			}
+		}
 	case Bye:
 		if v, err = next(); err != nil {
 			return m, err
@@ -337,40 +418,8 @@ func DecodeMsg(p []byte) (Msg, error) {
 		}
 		m.Con = unzig(v)
 	case JobMove:
-		count, err := next()
-		if err != nil {
+		if err = jobs(false); err != nil {
 			return m, err
-		}
-		if count > MaxJobsPerMsg {
-			return m, fmt.Errorf("wire: JobMove with %d records exceeds max %d", count, MaxJobsPerMsg)
-		}
-		if v, err = next(); err != nil {
-			return m, err
-		}
-		m.SentNS = unzig(v)
-		if count > 0 {
-			m.Jobs = make([]JobRef, count)
-			for i := range m.Jobs {
-				if v, err = next(); err != nil {
-					return m, err
-				}
-				m.Jobs[i].Origin = int(unzig(v))
-				if m.Jobs[i].ID, err = next(); err != nil {
-					return m, err
-				}
-				if v, err = next(); err != nil {
-					return m, err
-				}
-				m.Jobs[i].IngestNS = m.SentNS - unzig(v)
-				if v, err = next(); err != nil {
-					return m, err
-				}
-				m.Jobs[i].Hops = int(v)
-				if v, err = next(); err != nil {
-					return m, err
-				}
-				m.Jobs[i].TransferNS = unzig(v)
-			}
 		}
 	case JobDone:
 		if m.Job, err = next(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,9 @@ import (
 )
 
 // sampleMsgs covers every kind with representative field values,
-// including negative deltas and large epochs.
+// including negative deltas and large epochs. The last two carry job
+// records on a Transfer and a TransferAck; every earlier one is
+// record-free and encodes as at Version 3 but for the version byte.
 func sampleMsgs() []Msg {
 	return []Msg{
 		{Kind: FreezeReq, From: 0, Seq: 1},
@@ -40,7 +43,34 @@ func sampleMsgs() []Msg {
 		{Kind: JobDone, From: 4, Seq: 3, Op: 11, Job: 9002,
 			IngestNS: 1_700_000_000_000_000_000, ConsumeNS: 1_700_000_000_004_000_000,
 			Hops: 2, TransferNS: 750_000},
+		{Kind: Transfer, From: 5, Seq: 11, Op: 987654321, Amount: 2, SentNS: 1_700_000_000_123_456_789, Jobs: []JobRef{
+			{Origin: 5, ID: 3, IngestNS: 1_700_000_000_123_000_000, Hops: 1, TransferNS: 40_000}}},
+		{Kind: TransferAck, From: 6, Seq: 11, Op: 987654321, SentNS: 1_700_000_000_123_456_789, Jobs: []JobRef{
+			{Origin: 6, ID: 8}, {Origin: 2, ID: 1 << 40, IngestNS: 1_700_000_000_000_000_000, Hops: 3}}},
 	}
+}
+
+// riderMsgs are Transfers and TransferAcks carrying 0, 1 and
+// MaxJobsPerMsg records, every field at its widest varint.
+func riderMsgs() []Msg {
+	var out []Msg
+	for _, kind := range []Kind{Transfer, TransferAck} {
+		for _, count := range []int{0, 1, MaxJobsPerMsg} {
+			m := Msg{Kind: kind, From: math.MinInt64, Seq: math.MaxUint64, Op: math.MaxUint64}
+			if kind == Transfer {
+				m.Amount = math.MinInt64
+			}
+			if count > 0 {
+				m.SentNS = math.MaxInt64
+			}
+			for i := 0; i < count; i++ {
+				m.Jobs = append(m.Jobs, JobRef{Origin: math.MinInt64, ID: math.MaxUint64,
+					IngestNS: math.MinInt64, Hops: math.MaxInt64, TransferNS: math.MinInt64})
+			}
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 func TestRoundTripPayload(t *testing.T) {
@@ -96,6 +126,7 @@ func TestRoundTripFrame(t *testing.T) {
 // decoder must refuse; also the fuzzer's seeds for the raw direction.
 func corruptPayloads() []namedPayload {
 	good := AppendMsg(nil, Msg{Kind: Transfer, From: 1, Seq: 2, Amount: -3})
+	ack := AppendMsg(nil, Msg{Kind: TransferAck, From: 1, Seq: 2})
 	return []namedPayload{
 		{"empty", []byte{}},
 		{"version only", []byte{Version}},
@@ -105,6 +136,13 @@ func corruptPayloads() []namedPayload {
 		{"truncated varint", good[:len(good)-1]},
 		{"trailing bytes", append(append([]byte{}, good...), 0x00)},
 		{"oversized", make([]byte, MaxPayload+1)},
+		// A job section on a Transfer or TransferAck is present only
+		// with records in it: count 0 would be a second encoding of the
+		// record-free frame.
+		{"empty job section on a Transfer", append(append([]byte{}, good...), 0x00, 0x00)},
+		{"empty job section on a TransferAck", append(append([]byte{}, ack...), 0x00, 0x00)},
+		{"job count over MaxJobsPerMsg", append(append([]byte{}, ack...), MaxJobsPerMsg+1, 0x00)},
+		{"job section short of its count", append(append([]byte{}, good...), 0x02, 0x00, 0x02, 0x04, 0x00, 0x00, 0x00)},
 	}
 }
 
@@ -126,6 +164,60 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 // recording) moved — bump Version.
 func TestGoldenBytes(t *testing.T) {
 	golden := []string{
+		"0401000100",
+		"0401fe0f80808080802000",
+		"04010802fe95bff7dbd537",
+		"040206070000",
+		"040206078080808080808080800180890f",
+		"04030409b960",
+		"04040a0b008d42",
+		"04040a0bb1d1f9d60322",
+		"04050c0bb1d1f9d603",
+		"04060e0c03",
+		"0407100000",
+		"0408000000",
+		"040912000054a09c01cc9b01",
+		"040a0405000000",
+		"040a04058906030004010000001a80808080808080020000000000000000",
+		"040a0c082a02aab4aed8c7bfce972f0c03aae13700000209aadcb4af0804c096b102",
+		"040b080300a94600000000",
+		"040b08030baa4680a4b8e6c6bfce972f80a4e80302e0c65b",
+		"04040a0bb1d1f9d6030401aab4aed8c7bfce972f0a03aae1370180f104",
+		"04050c0bb1d1f9d60302aab4aed8c7bfce972f0c08aab4aed8c7bfce972f000004808080808020aab4de750300",
+	}
+	msgs := sampleMsgs()
+	if len(golden) != len(msgs) {
+		t.Fatalf("%d golden rows for %d sample messages", len(golden), len(msgs))
+	}
+	for i, m := range msgs {
+		if got := hex.EncodeToString(AppendMsg(nil, m)); got != golden[i] {
+			t.Errorf("%+v encodes to\n  %s, golden\n  %s", m, got, golden[i])
+		}
+	}
+}
+
+// TestDecodeRejectsRetiredVersions: version bytes 1 to 3 named earlier
+// layouts and get no special treatment — an otherwise valid payload
+// relabelled with any of them is an unknown version like any other.
+func TestDecodeRejectsRetiredVersions(t *testing.T) {
+	for _, m := range sampleMsgs() {
+		p := AppendMsg(nil, m)
+		for _, v := range []byte{1, 2, 3} {
+			p[0] = v
+			if _, err := DecodeMsg(p); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown version %d", v)) {
+				t.Fatalf("%+v relabelled v%d: err = %v, want unknown version", m, v, err)
+			}
+		}
+	}
+}
+
+// TestRecordFreeFramesKeepV3Bytes: version 4 only adds the optional job
+// section, so a frame without records is byte for byte its version 3
+// encoding (these rows are the version 3 golden bytes) but for the
+// leading version byte — what a run that moves no record puts on the
+// wire does not grow.
+func TestRecordFreeFramesKeepV3Bytes(t *testing.T) {
+	v3 := []string{
 		"0301000100",
 		"0301fe0f80808080802000",
 		"03010802fe95bff7dbd537",
@@ -145,28 +237,18 @@ func TestGoldenBytes(t *testing.T) {
 		"030b080300a94600000000",
 		"030b08030baa4680a4b8e6c6bfce972f80a4e80302e0c65b",
 	}
-	msgs := sampleMsgs()
-	if len(golden) != len(msgs) {
-		t.Fatalf("%d golden rows for %d sample messages", len(golden), len(msgs))
-	}
-	for i, m := range msgs {
-		if got := hex.EncodeToString(AppendMsg(nil, m)); got != golden[i] {
-			t.Errorf("%+v encodes to\n  %s, golden\n  %s", m, got, golden[i])
+	for i, m := range sampleMsgs()[:len(v3)] {
+		got := hex.EncodeToString(AppendMsg(nil, m))
+		if got[:2] != fmt.Sprintf("%02x", Version) || got[2:] != v3[i][2:] {
+			t.Errorf("%+v encodes to\n  %s, version 3 was\n  %s", m, got, v3[i])
 		}
 	}
-}
-
-// TestDecodeRejectsRetiredVersions: version bytes 1 and 2 named earlier
-// layouts and get no special treatment — an otherwise valid payload
-// relabelled with either is an unknown version like any other.
-func TestDecodeRejectsRetiredVersions(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		p := AppendMsg(nil, m)
-		for _, v := range []byte{1, 2} {
-			p[0] = v
-			if _, err := DecodeMsg(p); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown version %d", v)) {
-				t.Fatalf("%+v relabelled v%d: err = %v, want unknown version", m, v, err)
-			}
+	// A rider stripped of its records is the record-free frame.
+	for _, m := range riderMsgs() {
+		bare := m
+		bare.Jobs, bare.SentNS = nil, 0
+		if p, q := AppendMsg(nil, m), AppendMsg(nil, bare); !bytes.HasPrefix(p, q) || len(m.Jobs) == 0 && len(p) != len(q) {
+			t.Errorf("%v with %d records: %x does not extend the record-free %x", m.Kind, len(m.Jobs), p, q)
 		}
 	}
 }
