@@ -33,10 +33,12 @@ race:
 bench:
 	$(GO) test . -run xxx -bench 'BenchmarkBalanceOp|BenchmarkGenerateConsume|BenchmarkNewSystem|BenchmarkShardedEngine' -benchmem
 
-# Short fuzz passes: the core op-sequence fuzzer and the wire codec.
+# Short fuzz passes: the core op-sequence fuzzer, the wire codec and the
+# flight segment decoder.
 fuzz:
 	$(GO) test ./internal/core/ -run xxx -fuzz FuzzOpSequence -fuzztime 30s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzWireRoundTrip -fuzztime 30s
+	$(GO) test ./internal/flight/ -run xxx -fuzz FuzzDecodeSegment -fuzztime 30s
 
 # Full experiment sweep (slow); see EXPERIMENTS.md.
 experiments:

@@ -91,19 +91,17 @@ func run(w io.Writer, dirs []string, listOps bool, opStr string, diff, asJSON bo
 	return runAudit(w, rec, asJSON)
 }
 
+// parseOp reads an op id in decimal, or in hex after a 0x prefix.
 func parseOp(s string) (uint64, error) {
-	op, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), base(s), 64)
+	digits, base := s, 10
+	if hex, ok := strings.CutPrefix(s, "0x"); ok {
+		digits, base = hex, 16
+	}
+	op, err := strconv.ParseUint(digits, base, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad -op %q: %v", s, err)
 	}
 	return op, nil
-}
-
-func base(s string) int {
-	if strings.HasPrefix(s, "0x") {
-		return 16
-	}
-	return 10
 }
 
 func printOps(w io.Writer, rec *flight.Recording, asJSON bool) error {
@@ -244,12 +242,12 @@ func runAudit(w io.Writer, rec *flight.Recording, asJSON bool) (int, error) {
 
 func printAudit(w io.Writer, rec *flight.Recording, audit *flight.AuditResult) {
 	fmt.Fprintf(w, "recording %s: %d node streams\n", rec.Dir, len(rec.Nodes))
-	fmt.Fprintf(w, "  %-5s %8s %8s %9s %9s %8s %8s %7s %10s %6s\n",
-		"node", "events", "sent", "recv", "initiated", "resolved", "aborted", "drops", "unverified", "torn")
+	fmt.Fprintf(w, "  %-5s %8s %8s %9s %9s %8s %8s %10s %6s\n",
+		"node", "events", "sent", "recv", "initiated", "resolved", "aborted", "unverified", "torn")
 	for _, na := range audit.Nodes {
-		fmt.Fprintf(w, "  %-5d %8d %8d %9d %9d %8d %8d %7d %10d %6v\n",
+		fmt.Fprintf(w, "  %-5d %8d %8d %9d %9d %8d %8d %10d %6v\n",
 			na.Node, na.Events, na.MsgsSent, na.MsgsRecv,
-			na.Initiated, na.Resolved, na.Aborted, na.Drops, na.Unverified, na.Torn)
+			na.Initiated, na.Resolved, na.Aborted, na.Unverified, na.Torn)
 	}
 	if audit.FinalsSeen == len(rec.Nodes) {
 		fmt.Fprintf(w, "conservation: load=%d generated=%d consumed=%d -> %s\n",

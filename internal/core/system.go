@@ -185,10 +185,6 @@ func (s *System) Loads(dst []int) []int {
 	return dst
 }
 
-// VirtualLoad returns l[i] + Σ_j b[i][j] — the load the analysis sees
-// (Theorem 4 works on virtual loads; physical load is at most C below it).
-func (s *System) VirtualLoad(i int) int { return s.rows[i].l + s.rows[i].bTot }
-
 // TotalLoad returns the number of packets in the system.
 func (s *System) TotalLoad() int {
 	sum := 0

@@ -278,22 +278,6 @@ func TestBorrowCap(t *testing.T) {
 	}
 }
 
-// TestVirtualLoad: virtual = physical + outstanding markers.
-func TestVirtualLoad(t *testing.T) {
-	s := newTestSystem(t, 4, DefaultParams(), 15)
-	for i := 0; i < 50; i++ {
-		s.Generate(0)
-	}
-	for i := 0; i < 5; i++ {
-		s.Consume(2)
-	}
-	for i := 0; i < 4; i++ {
-		if s.VirtualLoad(i) != s.Load(i)+s.Borrowed(i) {
-			t.Fatal("virtual load identity broken")
-		}
-	}
-}
-
 // TestGenerateRepaysDebt: a generate on a processor with outstanding
 // markers must repay a marker, not grow its own class.
 func TestGenerateRepaysDebt(t *testing.T) {

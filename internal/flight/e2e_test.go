@@ -46,7 +46,7 @@ func auditDigest(a *flight.AuditResult) string {
 	h := sha256.New()
 	for _, na := range a.Nodes {
 		fmt.Fprintln(h, na.Node, na.Events, na.MsgsSent, na.MsgsRecv, na.Initiated, na.Resolved,
-			na.Aborted, na.FreezeExpired, na.Completes, na.Drops, na.Unverified, *na.Final)
+			na.Aborted, na.FreezeExpired, na.Completes, na.Unverified, *na.Final)
 	}
 	fmt.Fprintln(h, a.FinalsSeen, a.TotalLoad, a.Generated, a.Consumed, a.VD, a.SojournNS, a.Violations)
 	return hex.EncodeToString(h.Sum(nil))[:16]
@@ -103,8 +103,8 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 		t.Errorf("timelines with a resolve: %d, live completed ops: %d", checked, res.Completed())
 	}
 
-	if got := auditDigest(audit); got != "50bc536400274cc0" {
-		t.Errorf("audit digest %s, want 50bc536400274cc0", got)
+	if got := auditDigest(audit); got != "5cea44777354736c" {
+		t.Errorf("audit digest %s, want 5cea44777354736c", got)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestReplayFlagsDoubleBalance(t *testing.T) {
 	if verdict.First.Rule != "imbalance_violation" {
 		t.Fatalf("flagged %q, want imbalance_violation", verdict.First.Rule)
 	}
-	if got := auditDigest(verdict); got != "2cd4025f8a000d2d" {
-		t.Errorf("audit digest %s, want 2cd4025f8a000d2d", got)
+	if got := auditDigest(verdict); got != "8b853ca39123d631" {
+		t.Errorf("audit digest %s, want 8b853ca39123d631", got)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestReplayPartialOperations(t *testing.T) {
 		GenP: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1},
 		ConP: []float64{0.1, 0.1, 0.4, 0.4, 0.4, 0.4},
 	})
-	if got := auditDigest(audit); got != "5e06a8125d0e112e" {
-		t.Errorf("audit digest %s, want 5e06a8125d0e112e", got)
+	if got := auditDigest(audit); got != "5bd68ce30afac9d8" {
+		t.Errorf("audit digest %s, want 5bd68ce30afac9d8", got)
 	}
 
 	// What the recording holds, and the one record to doctor: the transfer

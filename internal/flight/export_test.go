@@ -15,3 +15,16 @@ func SegmentBytes(r *Recorder) ([][]byte, error) {
 	}
 	return out, nil
 }
+
+// DecodeSegment decodes one segment's bytes as a recording's last
+// segment, where a frame that runs past the end is a tear.
+func DecodeSegment(p []byte) (*NodeRecording, error) {
+	nr := &NodeRecording{Node: -1}
+	if err := nr.decodeSegment("segment", p, true); err != nil {
+		return nil, err
+	}
+	return nr, nil
+}
+
+// Written reports whether the recorder writes local records of kind k.
+var Written = LocalKind.known

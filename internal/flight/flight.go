@@ -45,9 +45,9 @@
 // verbatim (wire.AppendMsg / wire.DecodeMsg), so a recording decodes
 // with the same strictness as the wire itself; the header's codec byte
 // names the wire.Version they were recorded under, and the reader
-// refuses any other. Local events are a forward-compatible kind +
-// arg-count encoding: a reader that knows fewer args than the writer
-// wrote still decodes the record.
+// refuses any other. A local record's kind must be one the recorder
+// writes (see LocalKind); the reader refuses any other by number, so
+// every record a recording holds is one Audit judges.
 //
 // Every record carries its driver's clock, never the recorder's: the
 // node passes the time it acted on (unix nanoseconds on a live node, the
@@ -110,28 +110,25 @@ type LocalKind uint8
 //	                          trigger factor f as math.Float64bits
 //	LocalAbort         op; args = seq, load, reason code
 //	LocalFreezeExpired op; args = freezer id
-//	LocalPaceBackoff   args = gap µs; retired: written only by nodes
-//	                          that ran the deleted adaptive pacer, still
-//	                          decoded and named, skipped by replay
 //	LocalResolve       op; args = seq, load after, partners balanced with,
 //	                          1 if the reply timeout ended the collect
 //	LocalComplete      op; args = job id, hops, sojourn ns, transfer ns
 //	LocalFinal         args = load, generated, consumed, ingested,
 //	                          units done, records held
-//	LocalDrops         args = records dropped since the last record;
-//	                          retired: journaled by an earlier writer that
-//	                          could drop, still decoded and replayed
 //	LocalIngest        args = units of client work added to the load
 //	LocalCrash         the node's protocol fail-stopped (proto.Machine.Crash)
+//
+// Kinds 4 and 8 are reserved: they named records no writer of the
+// current format produces, and are never reassigned.
 const (
 	LocalInitiate LocalKind = 1 + iota
 	LocalAbort
 	LocalFreezeExpired
-	LocalPaceBackoff
+	_ // 4: reserved
 	LocalResolve
 	LocalComplete
 	LocalFinal
-	LocalDrops
+	_ // 8: reserved
 	LocalIngest
 	LocalCrash
 )
@@ -140,21 +137,22 @@ var localNames = [...]string{
 	LocalInitiate:      "initiate",
 	LocalAbort:         "abort",
 	LocalFreezeExpired: "freeze_expired",
-	LocalPaceBackoff:   "pace_backoff",
 	LocalResolve:       "resolve",
 	LocalComplete:      "complete",
 	LocalFinal:         "final",
-	LocalDrops:         "drops",
 	LocalIngest:        "ingest",
 	LocalCrash:         "crash",
 }
 
 func (k LocalKind) String() string {
-	if int(k) < len(localNames) && localNames[k] != "" {
+	if k.known() {
 		return localNames[k]
 	}
 	return fmt.Sprintf("LocalKind(%d)", uint8(k))
 }
+
+// known reports whether the recorder writes records of kind k.
+func (k LocalKind) known() bool { return int(k) < len(localNames) && localNames[k] != "" }
 
 // abortLabels[code] is the cluster's abort reason label for an on-disk
 // abort code. Codes are stable; AbortCode maps an unknown label to 0 and

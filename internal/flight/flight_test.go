@@ -165,7 +165,7 @@ func TestRecorderRotationAndRingTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20000; i++ {
-			rec.Local(int64(i), LocalPaceBackoff, 0, int64(i))
+			rec.Ingest(int64(i), i)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestRecorderRotationAndRingTrim(t *testing.T) {
 		// The surviving events must be a contiguous suffix of what was put.
 		var prev int64 = -1
 		for _, ev := range nr.Events {
-			if ev.Kind != LocalPaceBackoff {
+			if ev.Kind != LocalIngest {
 				continue
 			}
 			if prev >= 0 && ev.Arg(0) != prev+1 {
@@ -228,13 +228,13 @@ func TestRecorderResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Local(1, LocalPaceBackoff, 0, 1)
+	rec.Ingest(1, 1)
 	rec.Close()
 	rec2, err := Open(Options{Dir: dir, Node: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2.Local(2, LocalPaceBackoff, 0, 2)
+	rec2.Ingest(2, 2)
 	rec2.Close()
 	nr := mustLoad(t, dir)
 	if len(nr.Events) != 2 || nr.Events[0].Arg(0) != 1 || nr.Events[1].Arg(0) != 2 {
@@ -252,7 +252,7 @@ func TestTornFinalSegmentRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		rec.Local(int64(i), LocalPaceBackoff, 0, int64(i))
+		rec.Ingest(int64(i), i)
 	}
 	rec.Close()
 	segs, _ := listSegments(dir)
@@ -275,6 +275,15 @@ func TestTornFinalSegmentRecovers(t *testing.T) {
 	if len(nr.Events) != 99 {
 		t.Fatalf("recovered %d events, want 99", len(nr.Events))
 	}
+	// A complete record that does not decode is corruption, not a tear,
+	// even in the final segment.
+	bad := appendRecord(p, Dir(9), 0, nil)
+	if err := os.WriteFile(last, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "unknown record dir 9") {
+		t.Fatalf("undecodable final record: err = %v, want it named", err)
+	}
 	// The same corruption mid-stream (not the final segment) is an
 	// error: evidence silently missing from the middle is not a tear.
 	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte("LBFRjunk"), 0o644); err != nil {
@@ -282,6 +291,50 @@ func TestTornFinalSegmentRecovers(t *testing.T) {
 	}
 	if _, err := LoadDir(dir); err == nil {
 		t.Fatal("mid-recording corruption must error")
+	}
+}
+
+// TestUnknownKindRejected: a local record of a kind the recorder never
+// writes fails the load with an error naming the kind, whether it sits in
+// a sealed segment or in the last one, on disk and in memory.
+func TestUnknownKindRejected(t *testing.T) {
+	for _, kind := range []LocalKind{0, 4, 8, LocalCrash + 1} {
+		for _, sealed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("kind=%d/sealed=%v", kind, sealed), func(t *testing.T) {
+				dir := t.TempDir()
+				for _, d := range []string{dir, ""} {
+					rec, err := Open(Options{Dir: d, Node: 0, MaxBytes: 8 * minSegBytes})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sealed {
+						rec.local(0, kind, 0, 1)
+					}
+					for i := 0; i < 2000; i++ { // past a rotation
+						rec.Ingest(int64(i), 1)
+					}
+					if !sealed {
+						rec.local(2000, kind, 0, 1)
+					}
+					want := fmt.Sprintf("unknown kind %d", kind)
+					if _, err := rec.Load(); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("dir=%q: Recorder.Load err = %v, want one saying %q", d, err, want)
+					}
+					if err := rec.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if d == "" {
+						continue
+					}
+					if segs, _ := listSegments(d); len(segs) < 2 {
+						t.Fatalf("%d segments, want a rotation", len(segs))
+					}
+					if _, err := LoadDir(d); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("LoadDir err = %v, want one saying %q", err, want)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -543,7 +596,7 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 	for name, record := range map[string]func(){
 		"RecordSend": func() { rec.RecordSend(2, 1, msg) },
 		"RecordRecv": func() { rec.RecordRecv(2, msg) },
-		"Local":      func() { rec.Local(2, LocalAbort, 11, 4, 9, 2) },
+		"local":      func() { rec.local(2, LocalAbort, 11, 4, 9, 2) },
 	} {
 		if n := testing.AllocsPerRun(1000, record); n != 0 {
 			t.Errorf("%s: %v allocs per record, want 0", name, n)
@@ -806,33 +859,15 @@ func TestPartialOperationsAuditClean(t *testing.T) {
 	}
 }
 
-// TestDropsAreJournaled: a LocalDrops record, which older recordings
-// carry where records were lost, is counted and excuses a collect
-// short of the partners its initiate announced; without it the short
-// collect is a divergence.
-func TestDropsAreJournaled(t *testing.T) {
-	for _, tc := range []struct {
-		next  Event
-		drops int64
-		dirty bool
-	}{
-		{local(LocalDrops, 0, 1), 1, false},
-		{local(LocalIngest, 0, 1), 0, true},
-	} {
-		evs := []Event{
+// TestShortCollectIsADivergence: an initiate announces its partners,
+// and a stream that goes on after fewer FreezeReqs than announced has
+// lost a request the machine sends: a divergence at the initiate.
+func TestShortCollectIsADivergence(t *testing.T) {
+	checkDivergences(t, []divergence{
+		{"ingest after one of two requests", 0, "diverged", []Event{
 			local(LocalInitiate, 9, 1, 4, 2),
 			sent(1, wire.FreezeReq, 1, 9, 0, 0),
-			tc.next,
-		}
-		for i := range evs {
-			evs[i].WallNS = int64(i + 1)
-		}
-		res := audited(t, evs)
-		if got := res.Nodes[0].Drops; got != tc.drops {
-			t.Errorf("after %s: Drops = %d, want %d", tc.next.Kind, got, tc.drops)
-		}
-		if dirty := len(res.Violations) != 0; dirty != tc.dirty {
-			t.Errorf("after %s: violations %v, want dirty=%v", tc.next.Kind, res.Violations, tc.dirty)
-		}
-	}
+			local(LocalIngest, 0, 1),
+		}},
+	})
 }

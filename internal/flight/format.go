@@ -23,7 +23,7 @@ var magic = [4]byte{'L', 'B', 'F', 'R'}
 
 // maxRecordBody caps one record's encoded body: a wire payload at its
 // own maximum plus the record envelope. A length prefix beyond this is
-// treated as corruption (or a torn write), never allocated.
+// corruption, never allocated.
 const maxRecordBody = wire.MaxPayload + 64
 
 // Event is one decoded flight record: a frame this node sent or
@@ -49,9 +49,9 @@ type Event struct {
 	Args []int64
 }
 
-// Arg returns Args[i], or 0 when the record carries fewer arguments —
-// the forward-compatibility contract: readers index optimistically,
-// older recordings answer zero.
+// Arg returns Args[i], or 0 when the record carries fewer arguments,
+// so a short hand-written or corrupt record cannot make replay index
+// past its end.
 func (e *Event) Arg(i int) int64 {
 	if i < len(e.Args) {
 		return e.Args[i]
@@ -178,7 +178,9 @@ func decodeRecord(body []byte, prevWall int64, ev *Event) error {
 		if len(rest) < 1 {
 			return fmt.Errorf("flight: local record truncated")
 		}
-		ev.Kind = LocalKind(rest[0])
+		if ev.Kind = LocalKind(rest[0]); !ev.Kind.known() {
+			return fmt.Errorf("flight: local record of unknown kind %d", rest[0])
+		}
 		rest = rest[1:]
 		if ev.Op, err = next(); err != nil {
 			return err

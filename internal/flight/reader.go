@@ -19,8 +19,9 @@ type NodeRecording struct {
 	Segments int
 	Bytes    int64
 	// Torn reports that the final segment ended mid-record — the
-	// recorder was killed between buffered writes. Everything before
-	// the tear decoded cleanly.
+	// recorder was killed between buffered writes: the last frame's
+	// length prefix, or the body it announces, runs past the end of the
+	// bytes. Everything before the tear decoded cleanly.
 	Torn bool
 }
 
@@ -32,8 +33,8 @@ type Recording struct {
 
 // LoadDir decodes all segments of a single-node recording directory,
 // in segment order. A truncated tail is tolerated only on the last
-// segment (the one a crash could tear); corruption anywhere else is an
-// error.
+// segment (the one a crash could tear); corruption is an error in any
+// segment.
 func LoadDir(dir string) (*NodeRecording, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -76,7 +77,8 @@ func (s liveSeg) read() ([]byte, error) {
 }
 
 // decodeSegment appends the events of one segment, named name, to nr.
-// tolerateTear allows a truncated record at the very end of the bytes.
+// tolerateTear allows the last frame to run past the end of the bytes;
+// a complete frame that does not decode is corruption either way.
 func (nr *NodeRecording) decodeSegment(name string, p []byte, tolerateTear bool) error {
 	h, off, err := decodeHeader(p)
 	if err != nil {
@@ -96,7 +98,10 @@ func (nr *NodeRecording) decodeSegment(name string, p []byte, tolerateTear bool)
 	nr.Events = slices.Grow(nr.Events, len(p)/16) // records run ~16 bytes
 	for off < len(p) {
 		ln, n := binary.Uvarint(p[off:])
-		if n <= 0 || ln > maxRecordBody || off+n+int(ln) > len(p) {
+		if n < 0 || ln > maxRecordBody {
+			return fmt.Errorf("%s: record length out of range at offset %d", name, off)
+		}
+		if n == 0 || off+n+int(ln) > len(p) {
 			if tolerateTear {
 				nr.Torn = true
 				return nil
@@ -106,10 +111,6 @@ func (nr *NodeRecording) decodeSegment(name string, p []byte, tolerateTear bool)
 		body := p[off+n : off+n+int(ln)]
 		var ev Event
 		if err := decodeRecord(body, prevWall, &ev); err != nil {
-			if tolerateTear {
-				nr.Torn = true
-				return nil
-			}
 			return fmt.Errorf("%s: offset %d: %w", name, off, err)
 		}
 		ev.Node = nr.Node

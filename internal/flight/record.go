@@ -217,8 +217,9 @@ func (r *Recorder) RecordRecv(now int64, m wire.Msg) {
 	r.put(now, DirRecv)
 }
 
-// Local records one local protocol decision.
-func (r *Recorder) Local(now int64, kind LocalKind, op uint64, args ...int64) {
+// local records one local protocol decision; the typed methods below
+// are its only callers, one per kind.
+func (r *Recorder) local(now int64, kind LocalKind, op uint64, args ...int64) {
 	if r == nil {
 		return
 	}
@@ -232,28 +233,28 @@ func (r *Recorder) Local(now int64, kind LocalKind, op uint64, args ...int64) {
 // factor, which decides whether the collect can balance with the
 // partners it gets.
 func (r *Recorder) Initiate(now int64, op, seq uint64, load, partners int, f float64) {
-	r.Local(now, LocalInitiate, op, int64(seq), int64(load), int64(partners), int64(math.Float64bits(f)))
+	r.local(now, LocalInitiate, op, int64(seq), int64(load), int64(partners), int64(math.Float64bits(f)))
 }
 
 // Ingest records units of client work added to the node's load.
 func (r *Recorder) Ingest(now int64, units int) {
-	r.Local(now, LocalIngest, 0, int64(units))
+	r.local(now, LocalIngest, 0, int64(units))
 }
 
 // Abort records a protocol abort with the cluster's reason label.
 func (r *Recorder) Abort(now int64, op, seq uint64, load int, reason string) {
-	r.Local(now, LocalAbort, op, int64(seq), int64(load), AbortCode(reason))
+	r.local(now, LocalAbort, op, int64(seq), int64(load), AbortCode(reason))
 }
 
 // FreezeExpired records a frozen partner releasing itself.
 func (r *Recorder) FreezeExpired(now int64, op uint64, by int) {
-	r.Local(now, LocalFreezeExpired, op, int64(by))
+	r.local(now, LocalFreezeExpired, op, int64(by))
 }
 
 // Crash records the node's protocol fail-stopping: the operation in
 // flight and the freeze it held are gone.
 func (r *Recorder) Crash(now int64) {
-	r.Local(now, LocalCrash, 0)
+	r.local(now, LocalCrash, 0)
 }
 
 // Resolve records a successful collect: the initiator's post-balance
@@ -264,19 +265,19 @@ func (r *Recorder) Resolve(now int64, op, seq uint64, loadAfter, partners int, t
 	if timedOut {
 		t = 1
 	}
-	r.Local(now, LocalResolve, op, int64(seq), int64(loadAfter), int64(partners), t)
+	r.local(now, LocalResolve, op, int64(seq), int64(loadAfter), int64(partners), t)
 }
 
 // Complete records one finished serving unit of a job that originated
 // on this node.
 func (r *Recorder) Complete(now int64, op, job uint64, hops int, sojournNS, transferNS int64) {
-	r.Local(now, LocalComplete, op, int64(job), int64(hops), sojournNS, transferNS)
+	r.local(now, LocalComplete, op, int64(job), int64(hops), sojournNS, transferNS)
 }
 
 // Final records the node's end-of-run accounting — the recording-side
 // copy of the conservation audit's inputs.
 func (r *Recorder) Final(now int64, load int, generated, consumed, ingested, unitsDone, recordsHeld int64) {
-	r.Local(now, LocalFinal, 0, int64(load), generated, consumed, ingested, unitsDone, recordsHeld)
+	r.local(now, LocalFinal, 0, int64(load), generated, consumed, ingested, unitsDone, recordsHeld)
 }
 
 // Snapshot seals the current segment and copies the live ring into

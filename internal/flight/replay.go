@@ -47,11 +47,10 @@ type NodeAudit struct {
 	Aborted       int64
 	FreezeExpired int64
 	Completes     int64
-	Drops         int64 // records lost where an older recording journaled a LocalDrops gap
 	// Unverified counts the protocol records replay could not judge:
 	// those ahead of the first record that proves the node unengaged (a
 	// stream that begins mid-protocol, like a snapshot of a wrapped ring)
-	// and those after a journaled drop or a divergence, until the next.
+	// and those after a divergence, until the next.
 	Unverified int64
 	Torn       bool
 	Final      *Final
@@ -116,8 +115,8 @@ func (a *AuditResult) SojournQuantile(q float64) int64 {
 // resolves, aborts) must be its effects, in order. Workload steps go
 // unrecorded, but only while the node is unengaged, so replay adopts the
 // recorded load where the node leaves that state: its initiate and each
-// FreezeAck it sends. It is unsynchronized at the start and after a drop
-// or a divergence, until a record proves the node unengaged.
+// FreezeAck it sends. It is unsynchronized at the start and after a
+// divergence, until a record proves the node unengaged.
 type replayer struct {
 	audit            *NodeAudit
 	evs              []Event
@@ -193,11 +192,7 @@ func (r *replayer) step(i int) {
 	case ev.Kind == LocalComplete:
 		a.Completes++
 		return
-	case ev.Kind == LocalPaceBackoff, (ev.Kind == LocalIngest || ev.Kind == LocalCrash) && !r.synced: // the next sync adopts the state
-		return
-	case ev.Kind == LocalDrops:
-		a.Drops += ev.Arg(0)
-		r.desync()
+	case (ev.Kind == LocalIngest || ev.Kind == LocalCrash) && !r.synced: // the next sync adopts the state
 		return
 	case ev.Kind == LocalFinal:
 		a.Final = &Final{Load: int(ev.Arg(0)), Generated: ev.Arg(1), Consumed: ev.Arg(2),
@@ -340,8 +335,8 @@ func (r *replayer) initiate(i int) {
 	}
 	r.expect(0, r.m.Initiate(r.peers, ev.Op, r.effs[:0]))
 	// Fewer requests than announced is a divergence unless the stream ends
-	// or loses records there.
-	short := len(r.peers) < int(ev.Arg(2)) && j < len(r.evs) && r.evs[j].Kind != LocalDrops
+	// there.
+	short := len(r.peers) < int(ev.Arg(2)) && j < len(r.evs)
 	if short || r.m.Seq() != uint64(ev.Arg(0)) {
 		r.diverge(i, fmt.Sprintf("epoch is %d and %d FreezeReq follow", r.m.Seq(), len(r.peers)))
 	}

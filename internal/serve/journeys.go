@@ -35,10 +35,9 @@ type JourneySample struct {
 // the store behind the /jobs debug endpoint — JSONL export, newest
 // overwrites oldest.
 type JourneyLog struct {
-	mu    sync.Mutex
-	buf   []JourneySample
-	next  int
-	total int64
+	mu   sync.Mutex
+	buf  []JourneySample
+	next int
 }
 
 // DefaultJourneyCapacity is the ring size NewServer uses.
@@ -62,15 +61,7 @@ func (l *JourneyLog) Add(s JourneySample) {
 		l.buf[l.next] = s
 		l.next = (l.next + 1) % cap(l.buf)
 	}
-	l.total++
 	l.mu.Unlock()
-}
-
-// Total returns the number of journeys ever added (not just retained).
-func (l *JourneyLog) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // Snapshot returns the retained samples, oldest first.

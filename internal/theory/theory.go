@@ -117,12 +117,6 @@ func decreaseD(n, delta int, f float64) float64 {
 	return (1 + d*f/FIX(n, delta, f)) / (f * (d + 1))
 }
 
-// DecreaseU and DecreaseD expose the §6 constants for the experiments.
-func DecreaseU(n, delta int, f float64) float64 { return decreaseU(n, delta, f) }
-
-// DecreaseD returns the upper-bound multiplier D of §6.
-func DecreaseD(n, delta int, f float64) float64 { return decreaseD(n, delta, f) }
-
 // Lemma5Lower returns the paper's lower bound on the expected number of
 // balancing operations needed to decrease the class-i load on processor i
 // from x to x−c > 0:

@@ -151,7 +151,7 @@ func TestTheorem4Bound(t *testing.T) {
 
 func TestDecreaseConstants(t *testing.T) {
 	n, delta, f := 64, 1, 1.1
-	u, d := DecreaseU(n, delta, f), DecreaseD(n, delta, f)
+	u, d := decreaseU(n, delta, f), decreaseD(n, delta, f)
 	if u <= 0 || d <= 0 || u >= 1 || d >= 1 {
 		t.Fatalf("U=%v D=%v outside (0,1)", u, d)
 	}

@@ -107,70 +107,6 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// Connected reports whether the graph is connected (true for the empty and
-// single-vertex graph).
-func (g *Graph) Connected() bool {
-	n := g.N()
-	if n <= 1 {
-		return true
-	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range g.adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == n
-}
-
-// Diameter returns the graph diameter via BFS from every vertex, or -1 if
-// the graph is disconnected. Intended for tests and experiment metadata,
-// not hot paths.
-func (g *Graph) Diameter() int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	diameter := 0
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue = queue[:0]
-		queue = append(queue, s)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, u := range g.adj[v] {
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d < 0 {
-				return -1
-			}
-			if d > diameter {
-				diameter = d
-			}
-		}
-	}
-	return diameter
-}
-
 // Neighborhood is a Selector restricted to a graph: candidates are drawn
 // uniformly from the requesting processor's direct neighbors.
 type Neighborhood struct {

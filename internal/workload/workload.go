@@ -167,17 +167,8 @@ func NewPhases(n int, b PhaseBounds, r *rng.RNG) (*Phases, error) {
 	return p, nil
 }
 
-// NewPhasesExplicit builds a Phases pattern from caller-provided phase
-// lists, one per processor. Used by tests and custom experiments.
-func NewPhasesExplicit(name string, phases [][]Phase) *Phases {
-	return &Phases{name: name, phases: phases}
-}
-
 // Name implements Pattern.
 func (p *Phases) Name() string { return p.name }
-
-// PhasesOf returns processor i's phase list (shared; do not modify).
-func (p *Phases) PhasesOf(i int) []Phase { return p.phases[i] }
 
 // Step implements Pattern: within an active phase, generation (probability
 // G) and consumption (probability C) are drawn independently, exactly as

@@ -51,7 +51,7 @@ func TestNewPhasesCoversHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		phases := p.PhasesOf(i)
+		phases := p.phases[i]
 		if len(phases) == 0 {
 			t.Fatalf("proc %d has no phases", i)
 		}
@@ -92,7 +92,7 @@ func TestPhasesStepRates(t *testing.T) {
 	// One explicit phase with G=0.6, C=0.5. Generation and consumption
 	// are drawn independently (§7): P(both)=0.3, P(gen only)=0.3,
 	// P(con only)=0.2, P(idle)=0.2.
-	p := NewPhasesExplicit("t", [][]Phase{{{G: 0.6, C: 0.5, Start: 0, End: 999999}}})
+	p := &Phases{name: "t", phases: [][]Phase{{{G: 0.6, C: 0.5, Start: 0, End: 999999}}}}
 	r := rng.New(9)
 	var gen, con, both, idle int
 	const n = 200000
@@ -121,7 +121,7 @@ func TestPhasesStepRates(t *testing.T) {
 }
 
 func TestPhasesOutsideWindowIdle(t *testing.T) {
-	p := NewPhasesExplicit("t", [][]Phase{{{G: 1, C: 1, Start: 10, End: 20}}})
+	p := &Phases{name: "t", phases: [][]Phase{{{G: 1, C: 1, Start: 10, End: 20}}}}
 	r := rng.New(1)
 	if a := p.Step(0, 5, r); a != Idle {
 		t.Fatalf("before phase: %v", a)
